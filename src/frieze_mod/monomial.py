@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .modmat import _m1, _mul, _sign
 from .ring import factorize, is_prime, prime_power_factors
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
@@ -25,24 +24,39 @@ class SizeCapExceeded(RuntimeError):
     """Internal failure: the size scan ran past the proven 3N bound."""
 
 
+def _walk(n: int, k: int):
+    """The one pass deciding when the constant product reaches +-Id.
+
+    u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
+    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]]. The size is the first
+    s >= 1 with u_{s-1} = 0 and u_s = +-1 (det 1 makes the corners agree),
+    and the sign is u_s, +1 mod 2. Returns (size, sign, hits): hits maps
+    each s < size with u_s = +-1, ascending, to M(k)**s, the only inner
+    powers around which a bordered (x, k, ..., k, y) can close up.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    minus = n - 1
+    prev, u = 0, 1
+    hits = {0: (1, 0, 0, 1)}
+    for s in range(1, _CAP_FACTOR * n + 2):
+        prev, u = u, (k * u - prev) % n
+        if u == 1 or u == minus:
+            if prev == 0:
+                return s, 1 if u == 1 else -1, hits
+            hits[s] = (u, -prev % n, prev, (u - k * prev) % n)
+    raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+
+
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     """Size and sign of the shortest constant-k solution mod n.
 
     Returns (size, sign): sign +1 when the product is the identity, -1 for
-    its negative, and +1 by convention mod 2 where the two coincide. The
-    scan is the definition itself: walk powers of the elementary factor
-    until one lands on plus or minus Id.
+    its negative, and +1 by convention mod 2 where the two coincide.
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    a = _m1(k, n)
-    m = a
-    for size in range(1, _CAP_FACTOR * n + 2):
-        s = _sign(m, n)
-        if s:
-            return size, s
-        m = _mul(a, m, n)
-    raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+    size, sign, _ = _walk(n, k)
+    return size, sign
 
 
 class Component(NamedTuple):
@@ -127,9 +141,9 @@ def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:
     sizes: list[int] = []
     for e in range(1, n_max + 1):
         r, _ = minimal_monomial_size(p ** e, k)
-        if sizes:
-            assert r in (sizes[-1], p * sizes[-1]), \
-                f"ladder break at {p}**{e}: {sizes[-1]} -> {r}"
+        if sizes and r not in (sizes[-1], p * sizes[-1]):
+            raise AssertionError(
+                f"ladder break at {p}**{e}: {sizes[-1]} -> {r}")
         sizes.append(r)
     return sizes
 
@@ -177,7 +191,7 @@ def shared_factor_size(n: int, k: int) -> int:
     to n, the minimal size is 2 * prod(p_i ** (a_i - b_i)). The shape is
     read off the residue class of k (valuations at or above a_i collapse
     to a_i); a prime of n missing from k is a ValueError. The prediction
-    is asserted against the direct scan before returning.
+    is checked against the scan; a mismatch raises AssertionError.
     """
     k %= n
     predicted = 2
@@ -195,6 +209,7 @@ def shared_factor_size(n: int, k: int) -> int:
                 b += 1
         predicted *= p ** (a - b)
     size, _ = minimal_monomial_size(n, k)
-    assert size == predicted, \
-        f"shared-factor law broke at n={n}, k={k}: {size} != {predicted}"
+    if size != predicted:
+        raise AssertionError(
+            f"shared-factor law broke at n={n}, k={k}: {size} != {predicted}")
     return size

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import Cycle, equivalence_class
-from .modmat import _ID, _m1, _mul, _pow, _sign, solution_sign
-from .monomial import minimal_monomial_size
+from .modmat import _m1, _mul, _pow, _prod, _sign, solution_sign
+from .monomial import _walk
 
 
 @dataclass(frozen=True)
@@ -38,28 +38,21 @@ class ReductionWitness:
 
 
 def _endpoints(p_mat, n):
-    """(x, y, sign) candidates for m1(y) @ P @ m1(x) = sign * Id.
+    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, as a list.
 
     With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
-    so equality with (0, eps) pins p = -eps and x = eps*q; the top row
-    then forces r*x + s = -eps and y = -eps*r. Each sign admits at most
-    one candidate, and each candidate is verified by evaluating the full
-    product before emission. Mod 2 both signs coincide; only +1 is
-    scanned, so at most one candidate exists per size at any modulus.
+    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
+    row, y = -eps*r: at most one solution exists. It is verified by
+    evaluating the full product before it is returned. Mod 2 the two
+    signs coincide and the sign is +1.
     """
-    p, q, r, s = p_mat
-    out = []
-    for eps in ((1,) if n == 2 else (1, -1)):
-        if p != (-eps) % n:
-            continue
-        x = eps * q % n
-        if (r * x + s) % n != (-eps) % n:
-            continue
-        y = -eps * r % n
-        m = _mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n)
-        if _sign(m, n) == (1 if n == 2 else eps):
-            out.append((x, y, 1 if n == 2 else eps))
-    return out
+    p, q, r, _ = p_mat
+    if p not in (1, n - 1):
+        return []
+    eps = 1 if p == n - 1 else -1
+    x, y = eps * q % n, -eps * r % n
+    m = _mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n)
+    return [(x, y, eps)] if _sign(m, n) == eps else []
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
@@ -75,24 +68,21 @@ def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     return _endpoints(_pow(_m1(k, n), size - 2, n), n)
 
 
+def _first_witness(n, k, size, hits) -> Optional[ReductionWitness]:
+    """Smallest bordered solution of size in [3, size) among the hits."""
+    for s, p_mat in hits.items():
+        if 3 <= s + 2 < size:
+            for x, y, sign in _endpoints(p_mat, n):
+                return ReductionWitness(n, k, s + 2, x, y, sign)
+    return None
+
+
 def monomial_reduction_witness(n: int, k: int) -> Optional[ReductionWitness]:
     """Smallest bordered witness strictly below the minimal size, if any.
 
-    Scans sizes 3 .. minimal-1 with an incrementally maintained inner
-    power, so the whole search costs one pass of 2x2 products. Size 2 is
-    excluded: a reduction needs both summands of size >= 3.
+    Size 2 is excluded: a reduction needs both summands of size >= 3.
     """
-    k %= n
-    size, _ = minimal_monomial_size(n, k)
-    a = _m1(k, n)
-    p_mat = a  # inner power m1(k)**(l-2) for l = 3
-    for l in range(3, size):
-        cands = _endpoints(p_mat, n)
-        if cands:
-            x, y, sign = min(cands)
-            return ReductionWitness(n, k, l, x, y, sign)
-        p_mat = _mul(a, p_mat, n)
-    return None
+    return is_irreducible_monomial(n, k).witness
 
 
 @dataclass(frozen=True)
@@ -117,12 +107,10 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     decomposition search (cross-checked in the tests).
     """
     k %= n
-    size, sign = minimal_monomial_size(n, k)
-    if k == 0:
-        return MonomialVerdict(n, k, size, sign, "zero-convention", None)
-    w = monomial_reduction_witness(n, k)
-    return MonomialVerdict(n, k, size, sign,
-                           "reducible" if w else "irreducible", w)
+    size, sign, hits = _walk(n, k)
+    w = _first_witness(n, k, size, hits)  # None when k = 0 (size 2)
+    kind = "reducible" if w else "irreducible" if k else "zero-convention"
+    return MonomialVerdict(n, k, size, sign, kind, w)
 
 
 @dataclass(frozen=True)
@@ -143,11 +131,11 @@ def is_reducible_general(c: Cycle) -> Optional[Decomposition]:
 
     For each representative c' of length n and each right-part size l in
     [3, n-1], the right part's interior is pinned to the tail entries of
-    c' (the left part keeps size m = n - l + 2 >= 3); only the right
-    part's endpoints (b1, bl) are free, and each choice forces the left
-    part by subtraction at the seam. The first hit in scan order
-    (representative lex ascending, l ascending, b1 then bl ascending) is
-    returned; None means no member splits. Input must be a solution.
+    c' (the left part keeps size m = n - l + 2 >= 3); its endpoints
+    (b1, bl), solved in closed form by _endpoints, force the left part by
+    subtraction at the seam. The first hit in scan order (representative
+    lex ascending, then l ascending) is returned; None means no member
+    splits. Input must be a solution.
     """
     if solution_sign(c) is None:
         raise ValueError("input cycle is not a solution")
@@ -160,20 +148,15 @@ def is_reducible_general(c: Cycle) -> Optional[Decomposition]:
         for l in range(3, total):
             m = total - l + 2
             interior = v[m:]
-            p_mat = _ID
-            for e in interior:
-                p_mat = _mul(_m1(e, n), p_mat, n)
-            for b1 in range(n):
-                start = _mul(p_mat, _m1(b1, n), n)
-                for bl in range(n):
-                    if _sign(_mul(_m1(bl, n), start, n), n):
-                        right = Cycle((b1,) + interior + (bl,), n)
-                        left = Cycle(
-                            (v[0] - bl,) + v[1:m - 1] + (v[m - 1] - b1,), n)
-                        # right a solution + the sum a solution forces left
-                        # to be one too; cheap to confirm on the way out.
-                        assert solution_sign(left) is not None
-                        return Decomposition(rep, left, right)
+            for b1, bl, _ in _endpoints(_prod(interior, n), n):
+                right = Cycle((b1,) + interior + (bl,), n)
+                left = Cycle((v[0] - bl,) + v[1:m - 1] + (v[m - 1] - b1,), n)
+                # right a solution + the sum a solution forces left to be
+                # one too; cheap to confirm on the way out.
+                if solution_sign(left) is None:
+                    raise RuntimeError(
+                        f"split of {rep} leaves the non-solution {left}")
+                return Decomposition(rep, left, right)
     return None
 
 
@@ -206,19 +189,20 @@ def witness_structure_check(n: int, k: int,
     endpoints: l = 0 mod s means x = y = k; l = 1 mod s cannot happen;
     l = 2 mod s means x = y = 0. When the minimal solution is irreducible,
     the pattern is exact: those sizes all occur and no others do. Default
-    cap is 3s + 2 (three full periods).
+    cap is 3s + 2 (three full periods), and M(k)**s = sign * Id repeats
+    the inner powers of the first period in every later one.
     """
     k %= n
-    s, _ = minimal_monomial_size(n, k)
+    s, sign, hits = _walk(n, k)
     if cap is None:
         cap = 3 * s + 2
-    verdict = is_irreducible_monomial(n, k)
+    irreducible = k != 0 and _first_witness(n, k, s, hits) is None
     found = []
     violations = []
-    a = _m1(k, n)
-    p_mat = _ID  # inner power m1(k)**(l-2) for l = 2
     for l in range(2, cap + 1):
-        sols = _endpoints(p_mat, n)
+        q, j = divmod(l - 2, s)
+        p_mat = tuple(sign ** q * e % n for e in hits.get(j, ()))
+        sols = _endpoints(p_mat, n) if p_mat else []
         r = l % s
         for x, y, sg in sols:
             found.append((l, x, y, sg))
@@ -231,7 +215,7 @@ def witness_structure_check(n: int, k: int,
             elif r == 2 % s and not (x == 0 and y == 0):
                 violations.append(
                     f"size {l} = 2 mod {s}: endpoints ({x},{y}) != (0,0)")
-        if verdict.kind == "irreducible":
+        if irreducible:
             if r == 0:
                 expected = [(k, k)]
             elif r == 2 % s:
@@ -243,5 +227,4 @@ def witness_structure_check(n: int, k: int,
                 violations.append(
                     f"size {l}: bordered solutions {got} != {expected} "
                     f"required for an irreducible minimal solution")
-        p_mat = _mul(a, p_mat, n)
     return StructureReport(n, k, s, cap, tuple(found), tuple(violations))

@@ -67,3 +67,47 @@ def naive_crt(pairs, n):
         if all(x % q == r % q for r, q in pairs):
             return x
     raise AssertionError(f"no solution for {pairs} mod {n}")
+
+
+def walk_min_size(n, k):
+    """First size whose constant product is plus or minus the identity,
+    multiplying one more elementary factor onto the running power per
+    size."""
+    a = elementary(k, n)
+    m = a
+    for size in range(1, 3 * n + 2):
+        s = pm_sign(m, n)
+        if s:
+            return size, s
+        m = mat_mul(a, m, n)
+    raise AssertionError(f"no size found for n={n}, k={k}")
+
+
+def split_search(entries, n):
+    """First split of a solution into two shorter ones, by brute force.
+
+    Tries every rotation of the tuple and of its reversal (ascending),
+    every right-part size l in [3, len - 1] ascending, and both free
+    endpoints (b1, bl) of the right part ascending; the right part's
+    interior is the tail of the rotated tuple, and the left part follows
+    by subtraction at the seam. Returns (rotated, left, right) as tuples,
+    or None.
+    """
+    v = tuple(e % n for e in entries)
+    total = len(v)
+    if total < 4:
+        return None
+    turns = [w[i:] + w[:i] for w in (v, v[::-1]) for i in range(total)]
+    for rep in sorted(set(turns)):
+        for l in range(3, total):
+            m = total - l + 2
+            interior = rep[m:]
+            inner = product(interior, n)
+            for b1 in range(n):
+                start = mat_mul(inner, elementary(b1, n), n)
+                for bl in range(n):
+                    if pm_sign(mat_mul(elementary(bl, n), start, n), n):
+                        left = (((rep[0] - bl) % n,) + rep[1:m - 1]
+                                + ((rep[m - 1] - b1) % n,))
+                        return rep, left, (b1,) + interior + (bl,)
+    return None

@@ -9,7 +9,7 @@ from frieze_mod.monomial import (Component, SizeCapExceeded, check_half_n_law,
                                  prime_power_ladder, shared_factor_size,
                                  size_via_crt)
 from frieze_mod.ring import factorize, is_prime
-from oracles import direct_min_size
+from oracles import direct_min_size, walk_min_size
 
 KNOWN = {
     (2, 0): (2, 1), (2, 1): (3, 1), (4, 2): (4, 1), (5, 0): (2, -1),
@@ -24,9 +24,18 @@ def test_known_sizes(nk, want):
 
 
 def test_matches_reference_scan():
-    for n in range(2, 41):
+    for n in range(2, 151):
         for k in range(n):
-            assert minimal_monomial_size(n, k) == direct_min_size(n, k), (n, k)
+            want = walk_min_size(n, k)
+            assert minimal_monomial_size(n, k) == want, (n, k)
+            if n <= 40:
+                assert direct_min_size(n, k) == want, (n, k)
+
+
+@given(st.integers(151, 5000), st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_matches_reference_walk_beyond_150(n, k):
+    assert minimal_monomial_size(n, k) == walk_min_size(n, k % n)
 
 
 def test_k_normalizes():
@@ -150,8 +159,8 @@ def test_shared_factor_guards():
 
 
 def test_shared_factor_whole_range():
-    # every k carrying all primes of n, n <= 100; the function asserts
-    # its prediction against the scan internally
+    # every k carrying all primes of n, n <= 100; the function checks its
+    # prediction against the scan and raises AssertionError on a mismatch
     for n in range(2, 101):
         primes = [p for p, _ in factorize(n)]
         for k in range(n):

@@ -8,7 +8,7 @@ from frieze_mod.reduce import (ReductionWitness, bordered_solutions,
                                monomial_reduction_witness,
                                witness_structure_check)
 from frieze_mod.verify import monomial_row
-from oracles import bordered_scan
+from oracles import bordered_scan, pm_sign, product, split_search
 
 # smallest witnesses, pinned from the direct definitional scan
 SMALLEST_WITNESSES = {
@@ -34,6 +34,13 @@ def test_bordered_matches_brute_force():
             for size in range(2, 13):
                 got = sorted(bordered_solutions(n, k, size))
                 assert got == sorted(bordered_scan(n, k, size)), (n, k, size)
+
+
+def test_rejects_bad_modulus():
+    for fn in (is_irreducible_monomial, monomial_reduction_witness,
+               witness_structure_check):
+        with pytest.raises(ValueError):
+            fn(1, 0)
 
 
 def test_bordered_guards():
@@ -71,7 +78,7 @@ def test_no_witness_for_irreducibles(nk):
 
 
 def test_witness_is_minimal_and_valid():
-    for n in range(2, 31):
+    for n in range(2, 41):
         for k in range(1, n):
             w = monomial_reduction_witness(n, k)
             size, _ = minimal_monomial_size(n, k)
@@ -83,6 +90,18 @@ def test_witness_is_minimal_and_valid():
                 assert solution_sign(w.cycle()) == w.sign
                 for l in range(3, w.size):
                     assert not bordered_solutions(n, k, l), (n, k, l)
+
+
+def test_witnesses_are_solutions_below_the_size():
+    # every emitted witness, rechecked by the nested-list product
+    for n in range(2, 151):
+        for v in monomial_row(n):
+            w = v.witness
+            if w is None:
+                continue
+            entries = w.cycle().entries
+            assert pm_sign(product(entries, n), n) == w.sign, (n, v.k)
+            assert w.size < v.size, (n, v.k)
 
 
 def test_verdicts():
@@ -120,13 +139,20 @@ def test_general_search_skips_short_solutions():
     assert is_reducible_general(Cycle.of(7, 0, 0)) is None
 
 
+def _split(dec):
+    if dec is None:
+        return None
+    return dec.rotated.entries, dec.left.entries, dec.right.entries
+
+
 def test_general_search_agrees_with_witness_search():
-    for n in range(2, 11):
+    for n in range(2, 21):
         for k in range(1, n):
             size, _ = minimal_monomial_size(n, k)
             dec = is_reducible_general(Cycle.constant(n, k, size))
             w = monomial_reduction_witness(n, k)
             assert (dec is None) == (w is None), (n, k)
+            assert _split(dec) == split_search((k,) * size, n), (n, k)
 
 
 def test_general_search_decompositions_are_sound():
@@ -153,6 +179,17 @@ def test_general_search_on_a_non_constant_solution():
     if dec is not None:
         assert oplus(dec.left, dec.right) == dec.rotated
         assert solution_sign(dec.left) is not None
+    # sums of two constant minimal solutions are solutions too, mostly
+    # neither constant nor palindromic
+    for n in range(3, 10):
+        for k1 in range(1, n):
+            for k2 in range(1, n):
+                a = Cycle.constant(n, k1, minimal_monomial_size(n, k1)[0])
+                b = Cycle.constant(n, k2, minimal_monomial_size(n, k2)[0])
+                c = oplus(a, b)
+                if len(c) <= 12:
+                    assert _split(is_reducible_general(c)) == \
+                        split_search(c.entries, n), c
 
 
 def test_structure_census_irreducible_is_exact():
@@ -183,3 +220,8 @@ def test_structure_census_sweep():
         for k in range(n):
             rep = witness_structure_check(n, k)
             assert rep.ok, (n, k, rep.violations)
+            # every entry, sign included, as the square-and-multiply path
+            # finds it size by size
+            want = [(l, *sol) for l in range(2, rep.cap + 1)
+                    for sol in bordered_solutions(n, k, l)]
+            assert list(rep.entries) == want, (n, k)

@@ -4,10 +4,12 @@ Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
 0 on success, 1 on verification failure or unwritable output, 2 on usage
 errors. All stdout output ends with exactly one trailing newline.
 
-The classify/witness/survey commands keep a small JSON result cache,
-keyed by (schema version, n, k). It is purely an accelerator: runs with
-and without it produce identical output. Its location is
-$FRIEZE_MOD_CACHE_DIR when set, else the user cache directory.
+The classify/witness/survey commands keep a result cache with one small
+JSON file per modulus, v2/<n>.json, mapping k to the survey row of
+(n, k). It is purely an accelerator: runs with and without it produce
+identical output. Its location is $FRIEZE_MOD_CACHE_DIR when set, else
+the user cache directory. The single classify-cache.json of schema 1 is
+ignored and safe to delete.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from .cycles import Cycle
 from .cycles import oplus as cycle_oplus
 from .monomial import minimal_monomial_size
 from .reduce import MonomialVerdict, ReductionWitness, is_irreducible_monomial
-from .verify import VERIFIERS, run_all, run_verifier, survey_row
+from .verify import VERIFIERS, run_all, run_verifier
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Witness searches above this modulus need --force. They are still fast,
 # but the guard keeps accidental huge sweeps from running unannounced.
 FORCE_LIMIT = 2000
-
-_KINDS = {"irreducible", "reducible", "zero-convention"}
 
 
 def _check_modulus(n: int) -> None:
@@ -48,82 +48,97 @@ def _check_force(n: int, force: bool) -> None:
             f"pass --force to run it")
 
 
-def _cache_path() -> Path:
+def _cache_dir() -> Path:
     root = os.environ.get("FRIEZE_MOD_CACHE_DIR")
-    if root:
-        return Path(root) / "classify-cache.json"
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "frieze-mod" / "classify-cache.json"
+    if not root:
+        xdg = os.environ.get("XDG_CACHE_HOME")
+        root = (Path(xdg) if xdg else Path.home() / ".cache") / "frieze-mod"
+    return Path(root) / f"v{SCHEMA_VERSION}"
+
+
+def _row(v: MonomialVerdict) -> list:
+    """The cache row of a verdict: its survey line without n and k, plus
+    the witness sign; [size, sign, kind, w size, w x, w y, w sign]."""
+    w = v.witness
+    return [v.size, v.sign, v.kind,
+            *((w.size, w.x, w.y, w.sign) if w else (None,) * 4)]
+
+
+def _valid(r, n: int, k: int) -> bool:
+    """Whether r is shaped like the row of (n, k): ints (never bools) in
+    range, the kind k allows, and witness fields all present exactly when
+    the kind is reducible."""
+    if type(r) is not list or len(r) != 7:
+        return False
+    size, sign, kind, *w = r
+    if not (type(size) is int and size >= 2
+            and type(sign) is int and sign in (1, -1)):
+        return False
+    if kind == "reducible":
+        ws, x, y, ws_sign = w
+        return (k != 0 and all(type(e) is int for e in w) and 3 <= ws < size
+                and 0 <= x < n and 0 <= y < n and ws_sign in (1, -1))
+    return (kind == ("irreducible" if k else "zero-convention")
+            and w == [None] * 4)
 
 
 class _Cache:
-    """On-disk verdict memo. Advisory only: any read or write problem
-    degrades to recomputing, never to failing the command."""
+    """On-disk row memo, one file per modulus, each read at most once
+    and only when a row of its modulus is asked for. Advisory only: any
+    read or write problem degrades to recomputing, never to failing the
+    command, and a row that fails _valid is recomputed, never served."""
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
-        self.path = _cache_path()
-        self.data: dict = {}
-        self.dirty = False
-        if enabled:
-            try:
-                self.data = json.loads(self.path.read_text())
-            except (OSError, ValueError):
-                self.data = {}
-            if not isinstance(self.data, dict):
-                self.data = {}
+        self.dir = _cache_dir()
+        self.files: dict[int, dict] = {}
+        self.dirty: set[int] = set()
 
-    def get(self, n: int, k: int) -> Optional[MonomialVerdict]:
-        if not self.enabled:
-            return None
-        entry = self.data.get(f"{SCHEMA_VERSION}:{n}:{k}")
-        if not isinstance(entry, dict):
-            return None
-        try:
-            w = entry["witness"]
-            wit = None if w is None else ReductionWitness(
-                n, k, int(w[0]), int(w[1]), int(w[2]), int(w[3]))
-            kind = str(entry["kind"])
-            if kind not in _KINDS:
-                return None
-            return MonomialVerdict(n, k, int(entry["size"]),
-                                   int(entry["sign"]), kind, wit)
-        except (KeyError, IndexError, TypeError, ValueError):
-            return None
+    def _entries(self, n: int) -> dict:
+        if n not in self.files:
+            entries = None
+            if self.enabled:
+                try:
+                    entries = json.loads((self.dir / f"{n}.json").read_text())
+                except (OSError, ValueError):
+                    pass
+            self.files[n] = entries if isinstance(entries, dict) else {}
+        return self.files[n]
 
-    def put(self, n: int, k: int, v: MonomialVerdict) -> None:
-        if not self.enabled:
-            return
-        w = v.witness
-        self.data[f"{SCHEMA_VERSION}:{n}:{k}"] = {
-            "size": v.size, "sign": v.sign, "kind": v.kind,
-            "witness": None if w is None else [w.size, w.x, w.y, w.sign],
-        }
-        self.dirty = True
+    def row(self, n: int, k: int) -> list:
+        """The row of (n, k), 0 <= k < n, from the cache or computed."""
+        entries = self._entries(n)
+        r = entries.get(str(k))
+        if not _valid(r, n, k):
+            r = entries[str(k)] = _row(is_irreducible_monomial(n, k))
+            self.dirty.add(n)
+        return r
 
     def save(self) -> None:
-        if not (self.enabled and self.dirty):
+        if not self.enabled:
             return
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
-                                       prefix=".cache-")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self.data, fh)
-            os.replace(tmp, self.path)
-        except OSError:
-            pass
+        for n in sorted(self.dirty):
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=str(self.dir), prefix=".cache-")
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(self.files[n], fh, separators=(",", ":"))
+                os.replace(tmp, self.dir / f"{n}.json")
+            except OSError:
+                pass
 
 
-def _classified(n: int, k: int, cache: _Cache) -> MonomialVerdict:
+def _cached_row(n: int, k: int,
+                no_cache: bool) -> tuple[list, Optional[ReductionWitness]]:
+    """The row of (n, k mod n) and its witness, if any; classify and
+    witness rebuild no other object from the cache."""
     k %= n
-    hit = cache.get(n, k)
-    if hit is not None:
-        return hit
-    v = is_irreducible_monomial(n, k)
-    cache.put(n, k, v)
-    return v
+    cache = _Cache(not no_cache)
+    try:
+        r = cache.row(n, k)
+    finally:
+        cache.save()
+    return r, (ReductionWitness(n, k, *r[3:]) if r[3] is not None else None)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -156,15 +171,6 @@ def size(n: int, k: int):
     click.echo(f"{s}, -Id" if sign < 0 else str(s))
 
 
-def _verdict_line(v: MonomialVerdict) -> str:
-    if v.kind == "reducible":
-        w = v.witness
-        return f"reducible; witness size {w.size}: ({w.cycle()})"
-    if v.kind == "irreducible":
-        return f"irreducible; size {v.size}"
-    return f"zero-convention; size {v.size}: (0,0)"
-
-
 @cli.command()
 @click.argument("n", type=int)
 @click.argument("k", type=int)
@@ -175,12 +181,13 @@ def classify(n: int, k: int, no_cache: bool, force: bool):
     """Verdict for the minimal constant-K solution mod N."""
     _check_modulus(n)
     _check_force(n, force)
-    cache = _Cache(not no_cache)
-    try:
-        v = _classified(n, k, cache)
-    finally:
-        cache.save()
-    click.echo(_verdict_line(v))
+    r, w = _cached_row(n, k, no_cache)
+    if w:
+        click.echo(f"reducible; witness size {w.size}: ({w.cycle()})")
+    elif r[2] == "irreducible":
+        click.echo(f"irreducible; size {r[0]}")
+    else:
+        click.echo(f"zero-convention; size {r[0]}: (0,0)")
 
 
 @cli.command()
@@ -197,12 +204,8 @@ def witness(n: int, k: int, no_cache: bool, force: bool):
     """
     _check_modulus(n)
     _check_force(n, force)
-    cache = _Cache(not no_cache)
-    try:
-        v = _classified(n, k, cache)
-    finally:
-        cache.save()
-    click.echo(str(v.witness.cycle()) if v.witness else "none")
+    _, w = _cached_row(n, k, no_cache)
+    click.echo(str(w.cycle()) if w else "none")
 
 
 # entry lists may start with a negative number; keep click from reading
@@ -255,11 +258,20 @@ def verify(theorem_id: str, lo: int, hi: int, out: Optional[str]):
         sys.exit(1)
 
 
-_CSV_HEADER = "N,k,size,sign,verdict,witness_size,witness_x,witness_y"
+_FIELDS = ("N", "k", "size", "sign", "verdict",
+           "witness_size", "witness_x", "witness_y")
+_CSV_HEADER = ",".join(_FIELDS)
 
 
-def _blank(v) -> str:
-    return "" if v is None else str(v)
+def _csv_line(n: int, k: int, r: list) -> str:
+    size, sign, kind, ws, x, y, _ = r
+    if ws is None:
+        return f"{n},{k},{size},{sign},{kind},,,"
+    return f"{n},{k},{size},{sign},{kind},{ws},{x},{y}"
+
+
+def _json_line(n: int, k: int, r: list) -> str:
+    return json.dumps(dict(zip(_FIELDS, (n, k, *r[:6]))))
 
 
 @cli.command()
@@ -286,27 +298,14 @@ def survey(lo: int, hi: int, fmt: str, out: Optional[str],
         raise click.UsageError(f"--min must be >= 2, got {lo}")
     _check_force(hi, force)
     cache = _Cache(not no_cache)
-    rows = []
+    line = _csv_line if fmt == "csv" else _json_line
+    lines = [_CSV_HEADER] if fmt == "csv" else []
     try:
         for n in range(lo, hi + 1):
-            for k in range(n):
-                rows.append(survey_row(_classified(n, k, cache)))
+            lines += [line(n, k, cache.row(n, k)) for k in range(n)]
     finally:
         cache.save()
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        lines += [
-            f"{r.n_modulus},{r.k},{r.size},{r.sign},{r.verdict},"
-            f"{_blank(r.witness_size)},{_blank(r.witness_x)},{_blank(r.witness_y)}"
-            for r in rows]
-        text = "\n".join(lines)
-    else:
-        text = "\n".join(json.dumps({
-            "N": r.n_modulus, "k": r.k, "size": r.size, "sign": r.sign,
-            "verdict": r.verdict, "witness_size": r.witness_size,
-            "witness_x": r.witness_x, "witness_y": r.witness_y,
-        }) for r in rows)
-    _emit(text, out)
+    _emit("\n".join(lines), out)
 
 
 def main():

@@ -110,6 +110,19 @@ def prime_power_shape(s: int) -> Optional[tuple[int, int]]:
     return f[0] if len(f) == 1 else None
 
 
+def _power_shapes(s: int) -> tuple:
+    """prime_power_shape of s, s / 2 and s / 4 from one factorization of
+    s >= 2; None where the quotient is not an integer."""
+    f = factorize(s)
+    twos = dict(f).get(2, 0)
+    odd = [pe for pe in f if pe[0] != 2]
+    shapes = []
+    for j in range(3):
+        parts = odd + ([(2, twos - j)] if twos > j else [])
+        shapes.append(parts[0] if twos >= j and len(parts) == 1 else None)
+    return tuple(shapes)
+
+
 def _two_adic(n: int) -> int:
     a = 0
     while n % 2 == 0:
@@ -324,13 +337,16 @@ def verify_special_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
     4 * p**e for odd n and odd p coprime to n."""
     t0 = time.perf_counter()
     bad, hit = [], False
+    shapes = {}     # size -> shapes of size, size / 2, size / 4
     for n in range(max(lo, 3), hi + 1):
         for v in monomial_row(n):
             if v.k == 0:
                 continue
             s = v.size
+            if s not in shapes:
+                shapes[s] = _power_shapes(s)
+            pp, half, quarter = shapes[s]
             reasons = []
-            pp = prime_power_shape(s)
             if pp and s != 2:
                 p, e = pp
                 if n % 2 == 1 or p != 2:
@@ -341,16 +357,12 @@ def verify_special_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
                     reasons.append(f"size {s} = 2**{e} with 16 not dividing n")
             if s == 6 and n % 3:
                 reasons.append("size 6 with 3 not dividing n")
-            if s % 2 == 0:
-                half = prime_power_shape(s // 2)
-                if half and half[0] != 2 and n % half[0]:
-                    reasons.append(
-                        f"size 2 * {half[0]}**{half[1]}, prime coprime to n")
-            if s % 4 == 0 and n % 2 == 1:
-                quarter = prime_power_shape(s // 4)
-                if quarter and quarter[0] != 2 and n % quarter[0]:
-                    reasons.append(
-                        f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus")
+            if half and half[0] != 2 and n % half[0]:
+                reasons.append(
+                    f"size 2 * {half[0]}**{half[1]}, prime coprime to n")
+            if quarter and n % 2 == 1 and quarter[0] != 2 and n % quarter[0]:
+                reasons.append(
+                    f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus")
             if not reasons:
                 continue
             hit = True

@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from frieze_mod.cli import _CSV_HEADER, cli
+from frieze_mod import cli as cli_module
+from frieze_mod.cli import _CSV_HEADER, SCHEMA_VERSION, cli
 
 
 @pytest.fixture()
@@ -127,40 +131,160 @@ def test_survey_json_lines(runner):
                              "witness_size", "witness_x", "witness_y"]
 
 
-def test_cache_round_trip_and_bypass(runner, cache_dir):
-    cold = runner.invoke(cli, ["survey", "--max", "8"])
-    cache_file = cache_dir / "classify-cache.json"
-    assert cache_file.exists()
-    json.loads(cache_file.read_text())
+def _rows_dir(cache_dir):
+    return cache_dir / f"v{SCHEMA_VERSION}"
 
+
+def _count_verdicts(monkeypatch):
+    """Record every (n, k) the CLI computes rather than reads."""
+    calls = []
+    real = cli_module.is_irreducible_monomial
+    monkeypatch.setattr(cli_module, "is_irreducible_monomial",
+                        lambda n, k: calls.append((n, k)) or real(n, k))
+    return calls
+
+
+def test_cache_round_trip_and_bypass(runner, cache_dir, monkeypatch):
+    cold = runner.invoke(cli, ["survey", "--max", "8"])
+    rows = _rows_dir(cache_dir)
+    assert sorted(f.name for f in rows.iterdir()) == \
+        [f"{n}.json" for n in range(2, 9)]
+    assert sorted(json.loads((rows / "8.json").read_text()), key=int) == \
+        [str(k) for k in range(8)]
+
+    calls = _count_verdicts(monkeypatch)
     warm = runner.invoke(cli, ["survey", "--max", "8"])
+    assert calls == []                  # every row read from the cache
     bypass = runner.invoke(cli, ["survey", "--max", "8", "--no-cache"])
+    assert len(calls) == sum(range(2, 9))
     assert cold.output == warm.output == bypass.output
 
     first = runner.invoke(cli, ["classify", "9", "3"])
     second = runner.invoke(cli, ["classify", "9", "3"])
     assert first.output == second.output == \
         "reducible; witness size 4: (6,3,3,6)\n"
+    assert calls[-1] == (9, 3) and len(calls) == sum(range(2, 9)) + 1
 
 
 def test_corrupt_cache_file_is_tolerated(runner, cache_dir):
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / "classify-cache.json"
-    cache_file.write_text("{not json")
-    res = runner.invoke(cli, ["classify", "9", "3"])
-    assert res.exit_code == 0
-    assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
-    json.loads(cache_file.read_text())  # rebuilt valid
+    cache_file = _rows_dir(cache_dir) / "9.json"
+    cache_file.parent.mkdir(parents=True)
+    for junk in ("{not json", "[1, 2]", '"text"', "\xff\xfe"):
+        cache_file.write_text(junk, encoding="latin-1")
+        res = runner.invoke(cli, ["classify", "9", "3"])
+        assert res.exit_code == 0, junk
+        assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
+        assert json.loads(cache_file.read_text()) == \
+            {"3": [6, -1, "reducible", 4, 6, 6, 1]}     # rebuilt valid
 
 
 def test_tampered_cache_entry_is_ignored(runner, cache_dir):
     runner.invoke(cli, ["classify", "9", "3"])
-    cache_file = cache_dir / "classify-cache.json"
-    data = json.loads(cache_file.read_text())
-    data["1:9:3"]["kind"] = "bogus"
-    cache_file.write_text(json.dumps(data))
-    res = runner.invoke(cli, ["classify", "9", "3"])
+    cache_file = _rows_dir(cache_dir) / "9.json"
+    good = json.loads(cache_file.read_text())
+    for tampered in ([6, -1, "bogus", 4, 6, 6, 1],
+                     [6, -1, "bogus", None, None, None, None],
+                     [6, -1, "irreducible", 4, 6, 6, 1]):
+        cache_file.write_text(json.dumps({"3": tampered}))
+        res = runner.invoke(cli, ["classify", "9", "3"])
+        assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
+        assert json.loads(cache_file.read_text()) == good   # rewritten
+        cache_file.write_text(json.dumps({"3": tampered}))
+        res = runner.invoke(cli, ["survey", "--min", "9", "--max", "9"])
+        assert res.output.splitlines()[4] == "9,3,6,-1,reducible,4,6,6"
+
+
+def test_classify_reads_and_writes_only_its_modulus(runner, cache_dir,
+                                                    monkeypatch):
+    runner.invoke(cli, ["survey", "--max", "12"])
+    rows = _rows_dir(cache_dir)
+    (rows / "10.json").write_text("{corrupt")
+    def files():     # the inode changes when a file is replaced
+        return {f.name: (f.read_bytes(), f.stat().st_ino)
+                for f in rows.iterdir()}
+
+    before = files()
+    reads = []
+    real_read = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw:
+                        reads.append(self.name) or real_read(self, *a, **kw))
+
+    res = runner.invoke(cli, ["classify", "9", "3"])          # a hit
     assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
+    assert reads == ["9.json"]
+    assert files() == before
+
+    reads.clear()
+    res = runner.invoke(cli, ["witness", "250", "7"])          # a miss
+    assert res.exit_code == 0
+    assert reads == ["250.json"]
+    after = files()
+    assert after.pop("250.json")
+    assert after == before
+
+
+def test_partial_file_completed_by_survey(runner, cache_dir):
+    runner.invoke(cli, ["classify", "9", "3"])
+    for fmt in ("csv", "json"):
+        args = ["survey", "--max", "12", "--format", fmt]
+        cached = runner.invoke(cli, args)
+        assert cached.output == runner.invoke(cli, args + ["--no-cache"]).output
+    entries = json.loads((_rows_dir(cache_dir) / "9.json").read_text())
+    assert sorted(entries, key=int) == [str(k) for k in range(9)]
+
+
+# One pair of each kind: (n, k, row as the cache stores it).
+_PAIRS = [(9, 3, [6, -1, "reducible", 4, 6, 6, 1]),
+          (62, 3, [15, 1, "irreducible", None, None, None, None]),
+          (5, 0, [2, -1, "zero-convention", None, None, None, None])]
+
+
+@st.composite
+def _tampered(draw):
+    n, k, row = draw(st.sampled_from(_PAIRS))
+    row = list(row)
+    how = draw(st.sampled_from(["size", "length", "kind", "witness"]))
+    if how == "size":
+        row[0] = draw(st.booleans() | st.text(max_size=3) | st.just(str(row[0])))
+    elif how == "length":
+        cut = draw(st.integers(0, 6))
+        row = row[:cut] if draw(st.booleans()) else row + [None] * (7 - cut)
+    elif how == "kind":
+        row[2] = draw(st.text(max_size=20).filter(
+            lambda s: s not in ("irreducible", "reducible", "zero-convention")))
+    else:
+        # a nonempty proper subset of the four witness fields flips
+        # between null and an int
+        flip = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3,
+                             unique=True))
+        for i in flip:
+            row[i] = None if row[i] is not None else draw(st.integers(0, n - 1))
+    return n, k, row
+
+
+@given(_tampered(), st.sampled_from(["classify", "witness", "survey"]))
+@settings(max_examples=80, deadline=None)
+def test_tampered_entries_never_change_a_served_line(case, command):
+    n, k, row = case
+    args = ([command, str(n), str(k)] if command != "survey"
+            else ["survey", "--min", str(n), "--max", str(n)])
+    with tempfile.TemporaryDirectory() as tmp:
+        runner = CliRunner(env={"FRIEZE_MOD_CACHE_DIR": tmp})
+        want = runner.invoke(cli, args + ["--no-cache"]).output
+        cache_file = _rows_dir(Path(tmp)) / f"{n}.json"
+        cache_file.parent.mkdir()
+        cache_file.write_text(json.dumps({str(k): row}))
+        assert runner.invoke(cli, args).output == want
+        assert json.loads(cache_file.read_text())[str(k)] == \
+            next(r for m, j, r in _PAIRS if (m, j) == (n, k))
+
+
+def test_size_and_verify_leave_the_cache_empty(runner, cache_dir):
+    for args in (["size", "35", "23"],
+                 ["verify", "size-bound", "--max", "20"],
+                 ["verify", "all", "--max", "12"]):
+        assert runner.invoke(cli, args).exit_code == 0
+    assert not cache_dir.exists()
 
 
 def test_force_gate_on_large_moduli(runner):

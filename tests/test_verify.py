@@ -4,10 +4,11 @@ import time
 import pytest
 
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
-                               Counterexample, _report, is_three_m_form,
-                               monomial_row, odd_half, prime_power_shape,
-                               run_all, run_verifier, survey_row, survey_rows,
-                               two_three_split, verify_unbounded_family)
+                               Counterexample, _power_shapes, _report,
+                               is_three_m_form, monomial_row, odd_half,
+                               prime_power_shape, run_all, run_verifier,
+                               survey_row, survey_rows, two_three_split,
+                               verify_unbounded_family)
 
 
 def test_classifier_three_m_form():
@@ -32,6 +33,13 @@ def test_classifier_two_three_split():
     assert two_three_split(12) is None
     assert two_three_split(70) is None    # no factor of three
     assert two_three_split(7) is None
+
+
+def test_power_shapes_match_prime_power_shape():
+    for s in range(2, 3000):
+        want = tuple(prime_power_shape(s // d) if s % d == 0 else None
+                     for d in (1, 2, 4))
+        assert _power_shapes(s) == want, s
 
 
 def test_classifier_prime_power_shape():

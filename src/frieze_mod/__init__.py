@@ -7,40 +7,45 @@ solution reduces into shorter ones, and sweep-checks the structural laws
 relating all of the above.
 """
 
-from .cycles import (Cycle, canonical_form, equivalence_class, equivalent,
-                     oplus, reversal, rotations)
-from .modmat import Mat2, m1, m_n, mat_pow, solution_sign
-from .monomial import (Component, LawCheck, MonomialProfile, SizeCapExceeded,
-                       SizeLaw, check_half_n_law, check_prime_size_law,
-                       component_profile, minimal_monomial_size,
-                       monomial_profile, prime_power_ladder,
-                       shared_factor_size, size_via_crt)
-from .reduce import (Decomposition, MonomialVerdict, ReductionWitness,
-                     StructureReport, bordered_solutions,
-                     is_irreducible_monomial, is_reducible_general,
-                     monomial_reduction_witness, witness_structure_check)
-from .ring import (Residue, crt_combine, factorize, is_prime,
-                   prime_power_factors, project)
-from .verify import (VERIFIERS, Counterexample, SurveyRow, TheoremReport,
-                     monomial_row, run_all, run_verifier, survey_row,
-                     survey_rows)
+from importlib import import_module
+
+# Each public name and the module that defines it. The module is imported
+# on first use of one of its names (PEP 562), so a command loads only the
+# modules it runs.
+_HOMES = {
+    "cycles": ("Cycle", "canonical_form", "equivalence_class", "equivalent",
+               "oplus", "reversal", "rotations"),
+    "modmat": ("Mat2", "m1", "m_n", "mat_pow", "solution_sign"),
+    "monomial": ("Component", "LawCheck", "MonomialProfile", "SizeCapExceeded",
+                 "SizeLaw", "check_half_n_law", "check_prime_size_law",
+                 "component_profile", "minimal_monomial_size",
+                 "monomial_profile", "prime_power_ladder",
+                 "shared_factor_size", "size_via_crt"),
+    "reduce": ("Decomposition", "MonomialVerdict", "ReductionWitness",
+               "StructureReport", "bordered_solutions",
+               "is_irreducible_monomial", "is_reducible_general",
+               "monomial_reduction_witness", "witness_structure_check"),
+    "ring": ("Residue", "crt_combine", "factorize", "is_prime",
+             "prime_power_factors", "project"),
+    "verify": ("VERIFIERS", "Counterexample", "SurveyRow", "TheoremReport",
+               "monomial_row", "run_all", "run_verifier", "survey_row",
+               "survey_rows"),
+}
+_MODULE_OF = {name: mod for mod, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cycle", "canonical_form", "equivalence_class", "equivalent", "oplus",
-    "reversal", "rotations",
-    "Mat2", "m1", "m_n", "mat_pow", "solution_sign",
-    "Component", "LawCheck", "MonomialProfile", "SizeCapExceeded", "SizeLaw",
-    "check_half_n_law", "check_prime_size_law", "component_profile",
-    "minimal_monomial_size", "monomial_profile", "prime_power_ladder",
-    "shared_factor_size", "size_via_crt",
-    "Decomposition", "MonomialVerdict", "ReductionWitness", "StructureReport",
-    "bordered_solutions", "is_irreducible_monomial", "is_reducible_general",
-    "monomial_reduction_witness", "witness_structure_check",
-    "Residue", "crt_combine", "factorize", "is_prime", "prime_power_factors",
-    "project",
-    "VERIFIERS", "Counterexample", "SurveyRow", "TheoremReport",
-    "monomial_row", "run_all", "run_verifier", "survey_row", "survey_rows",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

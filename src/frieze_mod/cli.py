@@ -10,30 +10,32 @@ JSON file per modulus, v2/<n>.json, mapping k to the survey row of
 identical output. Its location is $FRIEZE_MOD_CACHE_DIR when set, else
 the user cache directory. The single classify-cache.json of schema 1 is
 ignored and safe to delete.
+
+Each command imports the package modules (and json) it runs, so that
+`size` loads only monomial and ring. No import runs per (n, k) pair.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from .cycles import Cycle
-from .cycles import oplus as cycle_oplus
-from .monomial import minimal_monomial_size
-from .reduce import MonomialVerdict, ReductionWitness, is_irreducible_monomial
-from .verify import VERIFIERS, run_all, run_verifier
+if TYPE_CHECKING:
+    from .reduce import MonomialVerdict, ReductionWitness
 
 SCHEMA_VERSION = 2
 
 # Witness searches above this modulus need --force. They are still fast,
 # but the guard keeps accidental huge sweeps from running unannounced.
 FORCE_LIMIT = 2000
+
+# size factors the modulus and the p +- 1 of its primes; Pollard-Brent
+# keeps that to milliseconds below this bound.
+SIZE_LIMIT = 2 ** 64
 
 
 def _check_modulus(n: int) -> None:
@@ -89,6 +91,10 @@ class _Cache:
     command, and a row that fails _valid is recomputed, never served."""
 
     def __init__(self, enabled: bool):
+        import json
+        from .reduce import is_irreducible_monomial
+        self._json = json
+        self._decide = is_irreducible_monomial
         self.enabled = enabled
         self.dir = _cache_dir()
         self.files: dict[int, dict] = {}
@@ -99,7 +105,7 @@ class _Cache:
             entries = None
             if self.enabled:
                 try:
-                    entries = json.loads((self.dir / f"{n}.json").read_text())
+                    entries = self._json.loads((self.dir / f"{n}.json").read_text())
                 except (OSError, ValueError):
                     pass
             self.files[n] = entries if isinstance(entries, dict) else {}
@@ -110,19 +116,20 @@ class _Cache:
         entries = self._entries(n)
         r = entries.get(str(k))
         if not _valid(r, n, k):
-            r = entries[str(k)] = _row(is_irreducible_monomial(n, k))
+            r = entries[str(k)] = _row(self._decide(n, k))
             self.dirty.add(n)
         return r
 
     def save(self) -> None:
         if not self.enabled:
             return
+        import tempfile
         for n in sorted(self.dirty):
             try:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=str(self.dir), prefix=".cache-")
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(self.files[n], fh, separators=(",", ":"))
+                    self._json.dump(self.files[n], fh, separators=(",", ":"))
                 os.replace(tmp, self.dir / f"{n}.json")
             except OSError:
                 pass
@@ -132,6 +139,7 @@ def _cached_row(n: int, k: int,
                 no_cache: bool) -> tuple[list, Optional[ReductionWitness]]:
     """The row of (n, k mod n) and its witness, if any; classify and
     witness rebuild no other object from the cache."""
+    from .reduce import ReductionWitness
     k %= n
     cache = _Cache(not no_cache)
     try:
@@ -161,12 +169,15 @@ def cli():
 @click.argument("n", type=int)
 @click.argument("k", type=int)
 def size(n: int, k: int):
-    """Minimal constant-solution size for K mod N.
+    """Minimal constant-solution size for K mod N, for 2 <= N < 2**64.
 
     Prints the size alone when the product is the identity, and with an
     ", -Id" suffix when it is the negated identity.
     """
     _check_modulus(n)
+    if n >= SIZE_LIMIT:
+        raise click.UsageError(f"size needs a modulus below 2**64, got {n}")
+    from .monomial import minimal_monomial_size
     s, sign = minimal_monomial_size(n, k)
     click.echo(f"{s}, -Id" if sign < 0 else str(s))
 
@@ -220,6 +231,7 @@ def oplus_cmd(n: int, a: str, b: str):
     Entry lists are comma separated, e.g. "1,1,3". Both need size >= 2.
     """
     _check_modulus(n)
+    from .cycles import Cycle, oplus as cycle_oplus
     try:
         out = cycle_oplus(Cycle.parse(a, n), Cycle.parse(b, n))
     except ValueError as e:
@@ -244,6 +256,8 @@ def verify(theorem_id: str, lo: int, hi: int, out: Optional[str]):
         raise click.UsageError(f"--min must be >= 2, got {lo}")
     if hi < lo:
         raise click.UsageError(f"--max ({hi}) is below --min ({lo})")
+    import json
+    from .verify import run_all, run_verifier
     if theorem_id == "all":
         reports = run_all(lo, hi)
     else:
@@ -271,7 +285,16 @@ def _csv_line(n: int, k: int, r: list) -> str:
 
 
 def _json_line(n: int, k: int, r: list) -> str:
-    return json.dumps(dict(zip(_FIELDS, (n, k, *r[:6]))))
+    """The line json.dumps gives for the row's dict: every field is an
+    int, null or one of the three bare verdict words (_valid)."""
+    size, sign, kind, ws, x, y, _ = r
+    if ws is None:
+        return (f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
+                f'"verdict": "{kind}", "witness_size": null, '
+                f'"witness_x": null, "witness_y": null}}')
+    return (f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
+            f'"verdict": "{kind}", "witness_size": {ws}, '
+            f'"witness_x": {x}, "witness_y": {y}}}')
 
 
 @cli.command()

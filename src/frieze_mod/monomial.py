@@ -15,13 +15,13 @@ from typing import NamedTuple
 from .ring import factorize, is_prime, prime_power_factors
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
-# prime-power component sizes, each at most 3 * p**a / 2), so a scan that
-# passes 3N + 1 means the implementation is broken, not the input.
+# prime-power component sizes, each at most 3 * p**a / 2), so a size past
+# 3N + 1 means the implementation is broken, not the input.
 _CAP_FACTOR = 3
 
 
 class SizeCapExceeded(RuntimeError):
-    """Internal failure: the size scan ran past the proven 3N bound."""
+    """Internal failure: a size search broke the proven 3N bound."""
 
 
 def _walk(n: int, k: int):
@@ -49,14 +49,88 @@ def _walk(n: int, k: int):
     raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
 
 
+def _power_sign(n: int, k: int, e: int) -> int:
+    """The sign of M(k)**e when it is +-Id mod n (+1 mod 2), else 0.
+
+    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]] (see _walk), and
+    (u_{e-1}, u_e) comes by fast doubling in three products per bit of
+    e >= 1: with U_m = u_{m-1}, U_{2m} = U_m * (2 * U_{m+1} - k * U_m)
+    and U_{2m+1} = (U_{m+1} - U_m) * (U_{m+1} + U_m), then one
+    recurrence step for a set bit.
+    """
+    a, b = 0, 1
+    for bit in bin(e)[2:]:
+        a, b = a * (2 * b - k * a) % n, (b - a) * (b + a) % n
+        if bit == "1":
+            a, b = b, (k * b - a) % n
+    if a:
+        return 0
+    return 1 if b == 1 else -1 if b == n - 1 else 0
+
+
+def _size_multiple(n: int, k: int) -> dict[int, int]:
+    """The factorization {r: e} of a multiple of the size of k mod n.
+
+    Per p**a exactly dividing n, the size mod p**a divides 3 * 2**a for
+    p = 2, and p**(a-1) * m_p for odd p: m_p = p when p | k**2 - 4, else
+    (p - 1) / 2 or (p + 1) / 2 as k**2 - 4 is a square mod p or not. The
+    size mod n divides twice the lcm of these.
+    """
+    exps: dict[int, int] = {}
+
+    def put(r, e):
+        if exps.get(r, 0) < e:
+            exps[r] = e
+
+    disc = k * k - 4
+    for p, a in factorize(n):
+        if p == 2:
+            put(2, a)
+            put(3, 1)
+        elif disc % p == 0:
+            put(p, a)
+        else:
+            put(p, a - 1)
+            half = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
+            if half > 2:
+                for r, e in factorize(half // 2):
+                    put(r, e)
+    exps[2] = exps.get(2, 0) + 1
+    return exps
+
+
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     """Size and sign of the shortest constant-k solution mod n.
 
     Returns (size, sign): sign +1 when the product is the identity, -1 for
     its negative, and +1 by convention mod 2 where the two coincide.
+
+    The s with M(k)**s = +-Id are the multiples of the size, so it is
+    found by descent from the multiple E of _size_multiple: each prime r
+    of E is divided out while the power stays +-Id. Each power costs
+    O(log E) products, so the cost is polynomial in the digits of n once
+    n and the p +- 1 of its primes are factored.
     """
-    size, sign, _ = _walk(n, k)
-    return size, sign
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    exps = _size_multiple(n, k)
+    s = 1
+    for r, e in exps.items():
+        s *= r ** e
+    sign = _power_sign(n, k, s)
+    if not sign:
+        raise SizeCapExceeded(f"M({k})**{s} is not +-Id mod {n}")
+    for r, e in exps.items():
+        for _ in range(e):
+            lower = _power_sign(n, k, s // r)
+            if not lower:
+                break
+            s //= r
+            sign = lower
+    if s > _CAP_FACTOR * n + 1:
+        raise SizeCapExceeded(f"size {s} > {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+    return s, sign
 
 
 class Component(NamedTuple):

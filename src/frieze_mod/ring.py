@@ -7,30 +7,90 @@ their canonical representative in [0, N) on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 
+# The first thirteen primes. As Miller-Rabin bases they decide primality
+# exactly below 3317044064679887385961981 (about 3.3e24, so every 64-bit
+# input); above it the test is a strong probable-prime test to these bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Trial division runs up to this divisor; every n <= _TRIAL**2 = 1e6 is
+# factored by trial division alone, and a cofactor left after it goes to
+# Miller-Rabin and Pollard-Brent.
+_TRIAL = 1000
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic primality test below about 3.3e24 (see _MR_BASES):
+    trial division by the bases, then Miller-Rabin to each of them."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n: Pollard's rho with
+    Brent's cycle finding and batched gcds, on x -> x**2 + c for
+    c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:                  # the batch overshot: replay it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 2 with multiplicity, in no order."""
+    if is_prime(n):
+        return [n]
+    d = _brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as [(p, multiplicity)], primes ascending.
 
-    Plain trial division; deterministic and comfortably fast for the
-    desk-scale moduli this package works with.
+    Trial division up to _TRIAL, which settles every n <= 1e6; a larger
+    cofactor is finished by is_prime and Pollard-Brent (_brent).
 
     >>> factorize(360)
     [(2, 3), (3, 2), (5, 1)]
@@ -40,6 +100,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     out = []
     d = 2
     while d * d <= n:
+        if d > _TRIAL:
+            rest = _prime_factors(n)
+            return out + sorted((p, rest.count(p)) for p in set(rest))
         if n % d == 0:
             m = 0
             while n % d == 0:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterator, Optional
 
-from .monomial import minimal_monomial_size
 from .reduce import MonomialVerdict, is_irreducible_monomial
 from .ring import factorize, is_prime
 
@@ -212,6 +211,7 @@ def verify_three_h_criterion(lo: int = 2, hi: int = 150) -> TheoremReport:
         m = odd_half(n)
         if m is None or m == 1:
             continue
+        row_m = monomial_row(m)
         for v in monomial_row(n):
             if v.size % 3:
                 continue
@@ -219,7 +219,7 @@ def verify_three_h_criterion(lo: int = 2, hi: int = 150) -> TheoremReport:
             if h == 1 or h % 2 == 0 or h % 3 == 0:
                 continue
             hit = True
-            comp, _ = minimal_monomial_size(m, v.k % m)
+            comp = row_m[v.k % m].size
             want = "irreducible" if comp % 3 == 0 else "reducible"
             if v.kind != want:
                 bad.append(Counterexample(

@@ -111,3 +111,45 @@ def split_search(entries, n):
                                 + ((rep[m - 1] - b1) % n,))
                         return rep, left, (b1,) + interior + (bl,)
     return None
+
+
+def mat_pow(a, e, n):
+    """a**e by square-and-multiply on nested lists."""
+    m = [[1, 0], [0, 1]]
+    while e:
+        if e & 1:
+            m = mat_mul(m, a, n)
+        a = mat_mul(a, a, n)
+        e >>= 1
+    return m
+
+
+def trial_factorize(n):
+    """[(p, multiplicity)] by trial division with every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        m = 0
+        while n % d == 0:
+            n //= d
+            m += 1
+        if m:
+            out.append((d, m))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def order_sign(n, k, s):
+    """The sign of M(k)**s when s is the least size with M(k)**s = +-Id,
+    else None: M(k)**s must be +-Id and M(k)**(s/r) must not be, for
+    every prime r | s (by trial division of s)."""
+    a = elementary(k, n)
+    sign = pm_sign(mat_pow(a, s, n), n)
+    if sign is None:
+        return None
+    for r, _ in trial_factorize(s):
+        if pm_sign(mat_pow(a, s // r, n), n):
+            return None
+    return sign

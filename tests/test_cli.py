@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import cli as cli_module
+import frieze_mod
+from frieze_mod import reduce as reduce_module
 from frieze_mod.cli import _CSV_HEADER, SCHEMA_VERSION, cli
 
 
@@ -136,10 +141,11 @@ def _rows_dir(cache_dir):
 
 
 def _count_verdicts(monkeypatch):
-    """Record every (n, k) the CLI computes rather than reads."""
+    """Record every (n, k) the CLI computes rather than reads. Each
+    command looks the verdict function up in reduce when it starts."""
     calls = []
-    real = cli_module.is_irreducible_monomial
-    monkeypatch.setattr(cli_module, "is_irreducible_monomial",
+    real = reduce_module.is_irreducible_monomial
+    monkeypatch.setattr(reduce_module, "is_irreducible_monomial",
                         lambda n, k: calls.append((n, k)) or real(n, k))
     return calls
 
@@ -303,3 +309,78 @@ def test_force_gate_on_large_moduli(runner):
     res = runner.invoke(cli, ["size", "2001", "5"])
     assert res.exit_code == 0
     assert res.output == "120\n"
+
+
+def test_survey_json_lines_are_json_dumps(runner):
+    # the JSON lines are formatted directly; they must stay what
+    # json.dumps gives for each row's dict, witness or not
+    res = runner.invoke(cli, ["survey", "--max", "30", "--format", "json"])
+    lines = res.output.splitlines()
+    assert len(lines) == sum(range(2, 31))
+    assert any('"reducible"' in line for line in lines)
+    for line in lines:
+        assert json.dumps(json.loads(line)) == line
+
+
+def test_size_at_the_largest_64_bit_prime():
+    p = "18446744073709551557"
+    t0 = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", "size", p, "2"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, p + "\n", "")
+    assert time.perf_counter() - t0 < 10
+
+
+def test_size_rejects_moduli_from_2_64(runner):
+    res = runner.invoke(cli, ["size", "18446744073709551616", "3"])
+    assert res.exit_code == 2
+    assert "2**64" in res.stderr
+    # M(2)**s = [[s + 1, -s], [s, 1 - s]] is +-Id first at s = n
+    res = runner.invoke(cli, ["size", "18446744073709551615", "2"])
+    assert res.exit_code == 0, res.stderr
+    assert res.output == "18446744073709551615\n"
+
+
+def _env_with_src():
+    src = str(Path(frieze_mod.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+_LOADED = ("import sys; print(' '.join(sorted(m for m in sys.modules "
+           "if m.startswith('frieze_mod'))))")
+
+
+def _loaded_after(code):
+    res = subprocess.run([sys.executable, "-c", f"{code}\n{_LOADED}"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+@pytest.mark.parametrize("args,extra", [
+    ([], []),
+    (["size", "35", "23"], ["frieze_mod.monomial", "frieze_mod.ring"]),
+    (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
+    (["classify", "9", "3", "--no-cache"],
+     ["frieze_mod.cycles", "frieze_mod.modmat", "frieze_mod.monomial",
+      "frieze_mod.reduce", "frieze_mod.ring"]),
+])
+def test_commands_load_only_what_they_run(args, extra):
+    code = "import frieze_mod.cli"
+    if args:
+        code += ("\nfrom click.testing import CliRunner\n"
+                 f"assert CliRunner().invoke(frieze_mod.cli.cli, {args!r}).exit_code == 0")
+    assert _loaded_after(code) == sorted(["frieze_mod", "frieze_mod.cli", *extra])
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from frieze_mod import *", namespace)
+    missing = [name for name in frieze_mod.__all__ if name not in namespace]
+    assert not missing
+    assert namespace["minimal_monomial_size"](35, 23) == (70, 1)
+    with pytest.raises(AttributeError):
+        frieze_mod.no_such_name

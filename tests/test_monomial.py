@@ -1,15 +1,17 @@
+import random
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frieze_mod import monomial
 from frieze_mod.monomial import (Component, SizeCapExceeded, check_half_n_law,
                                  check_prime_size_law, component_profile,
                                  minimal_monomial_size, monomial_profile,
                                  prime_power_ladder, shared_factor_size,
                                  size_via_crt)
 from frieze_mod.ring import factorize, is_prime
-from oracles import direct_min_size, walk_min_size
+from oracles import direct_min_size, order_sign, walk_min_size
 
 KNOWN = {
     (2, 0): (2, 1), (2, 1): (3, 1), (4, 2): (4, 1), (5, 0): (2, -1),
@@ -32,10 +34,49 @@ def test_matches_reference_scan():
                 assert direct_min_size(n, k) == want, (n, k)
 
 
-@given(st.integers(151, 5000), st.integers(0, 10 ** 6))
+@given(st.integers(151, 20000), st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_matches_reference_walk_beyond_150(n, k):
     assert minimal_monomial_size(n, k) == walk_min_size(n, k % n)
+
+
+# primes near 1e9, and the largest primes below 2**32 and 2**64
+PRIMES_1E9 = (999999937, 1000000007, 1000000009)
+P32, P64 = 4294967291, 18446744073709551557
+
+
+@pytest.mark.parametrize("p", PRIMES_1E9 + (P32, P64))
+def test_plus_minus_two_has_size_p(p):
+    # M(2)**s = [[s + 1, -s], [s, 1 - s]]: the identity first at s = p,
+    # and M(-2)**p = -M(2)**p
+    assert minimal_monomial_size(p, 2) == (p, 1)
+    assert minimal_monomial_size(p, -2) == (p, -1)
+
+
+@pytest.mark.parametrize("p", PRIMES_1E9)
+def test_random_k_at_primes_near_1e9_is_the_order(p):
+    rng = random.Random(p)
+    for _ in range(8):
+        k = rng.randrange(p)
+        size, sign = minimal_monomial_size(p, k)
+        assert order_sign(p, k, size) == sign, (p, k, size)
+
+
+def test_composite_moduli_near_1e9_are_the_order():
+    rng = random.Random(1)
+    for n in (1000000014, 31607 ** 2, 2 ** 29 * 3, 999999937 * 4):
+        for _ in range(4):
+            k = rng.randrange(n)
+            size, sign = minimal_monomial_size(n, k)
+            assert order_sign(n, k, size) == sign, (n, k, size)
+
+
+def test_wrong_multiple_is_an_internal_error(monkeypatch):
+    # the descent must start from a multiple of the size; 2 is not one
+    # for k = 1 mod 7 (size 6)
+    monkeypatch.setattr(monomial, "_size_multiple", lambda n, k: {2: 1})
+    with pytest.raises(SizeCapExceeded):
+        minimal_monomial_size(7, 1)
 
 
 def test_k_normalizes():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from frieze_mod.ring import (Residue, crt_combine, factorize, is_prime,
                              prime_power_factors, project)
-from oracles import naive_crt
+from oracles import naive_crt, trial_factorize
 
 
 def test_factorize_examples():
@@ -29,6 +29,44 @@ def test_factorize_reconstructs(n):
         total *= p ** mult
     assert total == n
     assert [p for p, _ in f] == sorted(p for p, _ in f)
+
+
+def test_factorize_matches_trial_division_up_to_1e5():
+    for n in range(2, 100_001):
+        f = trial_factorize(n)
+        assert factorize(n) == f, n
+        assert is_prime(n) == (f == [(n, 1)]), n
+
+
+# products of known primes near 2**64: 2**32 - 5 and 2**32 - 17, 2**24 - 3
+# and 2**40 - 87, 2**61 - 1, and the largest prime below 2**64
+@pytest.mark.parametrize("parts", [
+    [(4294967279, 1), (4294967291, 1)],
+    [(4294967291, 2)],
+    [(16777213, 1), (1099511627689, 1)],
+    [(3, 1), (2305843009213693951, 1)],
+    [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)],
+    [(18446744073709551557, 1)],
+    [(2, 3), (1000003, 1), (2147483647, 1)],
+])
+def test_factorize_near_2_64(parts):
+    n = 1
+    for p, m in parts:
+        n *= p ** m
+    assert factorize(n) == parts
+    assert all(is_prime(p) for p, _ in parts)
+
+
+@pytest.mark.parametrize("n", [
+    # strong pseudoprimes to the bases 2; 2, 3; ...; 2 through 37
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    # Carmichael numbers
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
 
 
 def test_prime_power_factors():

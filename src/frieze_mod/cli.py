@@ -92,9 +92,10 @@ class _Cache:
 
     def __init__(self, enabled: bool):
         import json
-        from .reduce import is_irreducible_monomial
+        from .reduce import decide_row, is_irreducible_monomial
         self._json = json
         self._decide = is_irreducible_monomial
+        self._decide_row = decide_row
         self.enabled = enabled
         self.dir = _cache_dir()
         self.files: dict[int, dict] = {}
@@ -120,6 +121,20 @@ class _Cache:
             self.dirty.add(n)
         return r
 
+    def rows(self, n: int) -> list:
+        """Every row of n, k ascending, each stored row checked once. If
+        any is missing or invalid, the whole modulus is decided and only
+        those rows are replaced, in ascending k."""
+        entries = self._entries(n)
+        rows = [entries.get(str(k)) for k in range(n)]
+        bad = [k for k, r in enumerate(rows) if not _valid(r, n, k)]
+        if bad:
+            fresh = self._decide_row(n)
+            for k in bad:
+                rows[k] = entries[str(k)] = fresh[k]
+            self.dirty.add(n)
+        return rows
+
     def save(self) -> None:
         if not self.enabled:
             return
@@ -129,7 +144,7 @@ class _Cache:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=str(self.dir), prefix=".cache-")
                 with os.fdopen(fd, "w") as fh:
-                    self._json.dump(self.files[n], fh, separators=(",", ":"))
+                    fh.write(self._json.dumps(self.files[n], separators=(",", ":")))
                 os.replace(tmp, self.dir / f"{n}.json")
             except OSError:
                 pass
@@ -325,7 +340,7 @@ def survey(lo: int, hi: int, fmt: str, out: Optional[str],
     lines = [_CSV_HEADER] if fmt == "csv" else []
     try:
         for n in range(lo, hi + 1):
-            lines += [line(n, k, cache.row(n, k)) for k in range(n)]
+            lines += [line(n, k, r) for k, r in enumerate(cache.rows(n))]
     finally:
         cache.save()
     _emit("\n".join(lines), out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .ring import factorize, is_prime, prime_power_factors
+from .ring import factorize, is_prime
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
 # prime-power component sizes, each at most 3 * p**a / 2), so a size past
@@ -28,24 +28,46 @@ def _walk(n: int, k: int):
     """The one pass deciding when the constant product reaches +-Id.
 
     u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
-    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]]. The size is the first
-    s >= 1 with u_{s-1} = 0 and u_s = +-1 (det 1 makes the corners agree),
-    and the sign is u_s, +1 mod 2. Returns (size, sign, hits): hits maps
-    each s < size with u_s = +-1, ascending, to M(k)**s, the only inner
-    powers around which a bordered (x, k, ..., k, y) can close up.
+    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
+    u_{-s} = -u_{s-2}, so M(k)**-h = [[-u_{h-2}, u_{h-1}], [-u_{h-1}, u_h]].
+    Comparing M**h with +-M**-h, and M**(h+1) with +-M**-h, at step h:
+    M**(2h) = Id when 2 * u_{h-1} = 0 (u_{h-1} = 0, or u_{h-1} = n/2 with
+    n and k even), M**(2h) = -Id when u_h = u_{h-2}, and
+    M**(2h+1) = eps * Id when u_h = -eps * u_{h-1}. Testing 2h before
+    2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
+    step S/2.
+
+    M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so the corner
+    u_j is +-1 exactly when u_{S-2-j} is: the powers with a +-1 corner
+    sit symmetrically about (S - 2)/2. Returns (size, sign, hits): hits
+    lists, ascending, each (j, M(k)**j) with 1 <= j <= (S - 2)/2 and
+    u_j = +-1. Those are the smaller half of the inner powers below S - 2
+    around which a bordered (x, k, ..., k, y) can close up.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     minus = n - 1
-    prev, u = 0, 1
-    hits = {0: (1, 0, 0, 1)}
-    for s in range(1, _CAP_FACTOR * n + 2):
-        prev, u = u, (k * u - prev) % n
-        if u == 1 or u == minus:
-            if prev == 0:
-                return s, 1 if u == 1 else -1, hits
-            hits[s] = (u, -prev % n, prev, (u - k * prev) % n)
+    # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
+    # u_{h-1} = n/2 with n and k even
+    half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
+    a, b = 0, 1     # u_{h-2}, u_{h-1}
+    hits = []
+    for h in range(1, _CAP_FACTOR * n // 2 + 2):
+        c = (k * b - a) % n
+        if c == a or c == b or c + b == n or not b % half:
+            if not b % half:
+                size, sign = 2 * h, 1
+            elif c == a:
+                size, sign = 2 * h, -1
+            else:
+                size, sign = 2 * h + 1, 1 if c + b == n else -1
+            if size > _CAP_FACTOR * n + 1:
+                break
+            return size, sign, hits
+        if c == 1 or c == minus:
+            hits.append((h, (c, -b % n, b, -a % n)))
+        a, b = b, c
     raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
 
 
@@ -68,13 +90,14 @@ def _power_sign(n: int, k: int, e: int) -> int:
     return 1 if b == 1 else -1 if b == n - 1 else 0
 
 
-def _size_multiple(n: int, k: int) -> dict[int, int]:
+def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:
     """The factorization {r: e} of a multiple of the size of k mod n.
 
     Per p**a exactly dividing n, the size mod p**a divides 3 * 2**a for
     p = 2, and p**(a-1) * m_p for odd p: m_p = p when p | k**2 - 4, else
     (p - 1) / 2 or (p + 1) / 2 as k**2 - 4 is a square mod p or not. The
-    size mod n divides twice the lcm of these.
+    size mod n divides twice the lcm of these. factors is the [(p, a)]
+    of n when the caller already has it.
     """
     exps: dict[int, int] = {}
 
@@ -83,7 +106,7 @@ def _size_multiple(n: int, k: int) -> dict[int, int]:
             exps[r] = e
 
     disc = k * k - 4
-    for p, a in factorize(n):
+    for p, a in factors or factorize(n):
         if p == 2:
             put(2, a)
             put(3, 1)
@@ -114,7 +137,11 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    exps = _size_multiple(n, k)
+    return _descend(n, k, _size_multiple(n, k))
+
+
+def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
+    """Size and sign of k mod n (0 <= k < n) from a multiple of the size."""
     s = 1
     for r, e in exps.items():
         s *= r ** e
@@ -143,8 +170,12 @@ class Component(NamedTuple):
 
 def component_profile(n: int, k: int) -> list[Component]:
     """Per prime-power-factor minimal sizes and signs for the constant k."""
-    return [Component(q, *minimal_monomial_size(q, k % q))
-            for q in prime_power_factors(n)]
+    comps = []
+    for p, a in factorize(n):
+        q = p ** a
+        comps.append(Component(
+            q, *_descend(q, k % q, _size_multiple(q, k % q, [(p, a)]))))
+    return comps
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import Cycle, equivalence_class
-from .modmat import _m1, _mul, _pow, _prod, _sign, solution_sign
+from .modmat import _ID, _m1, _mul, _pow, _prod, _sign, solution_sign
 from .monomial import _walk
 
 
@@ -68,13 +68,49 @@ def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     return _endpoints(_pow(_m1(k, n), size - 2, n), n)
 
 
-def _first_witness(n, k, size, hits) -> Optional[ReductionWitness]:
-    """Smallest bordered solution of size in [3, size) among the hits."""
-    for s, p_mat in hits.items():
-        if 3 <= s + 2 < size:
-            for x, y, sign in _endpoints(p_mat, n):
-                return ReductionWitness(n, k, s + 2, x, y, sign)
+def _first_witness(n, hits) -> Optional[tuple[int, int, int, int]]:
+    """(size, x, y, sign) of the smallest bordered solution among the
+    hits of _walk, all of size in [3, S); the mirror images of the hits
+    are larger, so this is the smallest below the minimal size S."""
+    for j, p_mat in hits:
+        for x, y, sign in _endpoints(p_mat, n):
+            return j + 2, x, y, sign
     return None
+
+
+def _pair_row(n: int, k: int) -> list:
+    """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
+    size, x, y, witness sign], the four witness fields None when there
+    is no witness."""
+    size, sign, hits = _walk(n, k)
+    w = _first_witness(n, hits)     # None when k = 0 (size 2)
+    if w:
+        return [size, sign, "reducible", *w]
+    return [size, sign, "irreducible" if k else "zero-convention",
+            None, None, None, None]
+
+
+def decide_row(n: int) -> list[list]:
+    """The flat rows (as _pair_row) of every k mod n, k ascending.
+
+    Only k <= n/2 are walked. M(-k) = -D * M(k) * D with D = diag(1, -1)
+    gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
+    So n - k has the size and kind of k, its sign times (-1)**size, and
+    the witness (-x, -y) of the same size w, its sign times (-1)**w.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    rows = [_pair_row(n, k) for k in range(n // 2 + 1)]
+    for k in range((n - 1) // 2, 0, -1):
+        size, sign, kind, w, x, y, w_sign = rows[k]
+        if size % 2:
+            sign = -sign
+        if w is None:
+            rows.append([size, sign, kind, None, None, None, None])
+        else:
+            rows.append([size, sign, kind, w, -x % n, -y % n,
+                         -w_sign if w % 2 else w_sign])
+    return rows
 
 
 def monomial_reduction_witness(n: int, k: int) -> Optional[ReductionWitness]:
@@ -96,6 +132,13 @@ class MonomialVerdict:
     kind: str  # "irreducible" | "reducible" | "zero-convention"
     witness: Optional[ReductionWitness]
 
+    @classmethod
+    def from_row(cls, n: int, k: int, row: list) -> "MonomialVerdict":
+        """The verdict of k mod n (0 <= k < n) from its flat row."""
+        size, sign, kind, w, x, y, w_sign = row
+        return cls(n, k, size, sign, kind,
+                   None if w is None else ReductionWitness(n, k, w, x, y, w_sign))
+
 
 def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     """Classify the minimal constant-k solution.
@@ -107,10 +150,7 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     decomposition search (cross-checked in the tests).
     """
     k %= n
-    size, sign, hits = _walk(n, k)
-    w = _first_witness(n, k, size, hits)  # None when k = 0 (size 2)
-    kind = "reducible" if w else "irreducible" if k else "zero-convention"
-    return MonomialVerdict(n, k, size, sign, kind, w)
+    return MonomialVerdict.from_row(n, k, _pair_row(n, k))
 
 
 @dataclass(frozen=True)
@@ -190,18 +230,26 @@ def witness_structure_check(n: int, k: int,
     l = 2 mod s means x = y = 0. When the minimal solution is irreducible,
     the pattern is exact: those sizes all occur and no others do. Default
     cap is 3s + 2 (three full periods), and M(k)**s = sign * Id repeats
-    the inner powers of the first period in every later one.
+    the inner powers of the first period in every later one. Within the
+    period, M(k)**(s-2-j) = sign * M(k)**-2 * adj(M(k)**j) gives the
+    powers with a +-1 corner past (s - 2)/2 from those the walk passed.
     """
     k %= n
     s, sign, hits = _walk(n, k)
     if cap is None:
         cap = 3 * s + 2
-    irreducible = k != 0 and _first_witness(n, k, s, hits) is None
+    irreducible = k != 0 and _first_witness(n, hits) is None
+    inv2 = (n - 1, k, -k % n, (k * k - 1) % n)     # M(k)**-2
+    period = {}
+    for j, (a, b, c, d) in [(0, _ID), *hits]:
+        period[j] = (a, b, c, d)
+        m = _mul(inv2, (d, -b % n, -c % n, a), n)
+        period[s - 2 - j] = tuple(sign * e % n for e in m)
     found = []
     violations = []
     for l in range(2, cap + 1):
         q, j = divmod(l - 2, s)
-        p_mat = tuple(sign ** q * e % n for e in hits.get(j, ()))
+        p_mat = tuple(sign ** q * e % n for e in period.get(j, ()))
         sols = _endpoints(p_mat, n) if p_mat else []
         r = l % s
         for x, y, sg in sols:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterator, Optional
 
-from .reduce import MonomialVerdict, is_irreducible_monomial
+from .reduce import MonomialVerdict, decide_row, is_irreducible_monomial
 from .ring import factorize, is_prime
 
 
@@ -69,8 +69,10 @@ def _desc(lo, hi, extra=""):
 
 @lru_cache(maxsize=2048)
 def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
-    """All k classifications for one modulus, cached across the sweeps."""
-    return tuple(is_irreducible_monomial(n, k) for k in range(n))
+    """All k classifications for one modulus, cached across the sweeps;
+    built from the flat rows of decide_row, the same rows survey prints."""
+    return tuple(MonomialVerdict.from_row(n, k, r)
+                 for k, r in enumerate(decide_row(n)))
 
 
 # Hypothesis classifiers. Small and pure so they can be unit tested on

@@ -153,3 +153,26 @@ def order_sign(n, k, s):
         if pm_sign(mat_pow(a, s // r, n), n):
             return None
     return sign
+
+
+def bordered_census(n, k, cap):
+    """Every (size, x, y, sign) with (x, k, ..., k, y) a solution of size
+    in [2, cap], multiplying one more factor onto the inner power per
+    size over the whole range (no period, no symmetry). With
+    P = [[p, q], [r, s]] the inner power, the bottom row of the product
+    is (p*x + q, -p), so only p = +-1 can close up, with sign eps = -p,
+    x = eps*q and y = -eps*r; each candidate is confirmed by the
+    product."""
+    out = []
+    inner = [[1, 0], [0, 1]]
+    for size in range(2, cap + 1):
+        p, q, r = inner[0][0], inner[0][1], inner[1][0]
+        if p in (1, n - 1):
+            eps = 1 if p == n - 1 else -1
+            x, y = eps * q % n, -eps * r % n
+            m = mat_mul(elementary(y, n),
+                        mat_mul(inner, elementary(x, n), n), n)
+            if pm_sign(m, n) == eps:
+                out.append((size, x, y, eps))
+        inner = mat_mul(elementary(k, n), inner, n)
+    return out

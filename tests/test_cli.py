@@ -141,12 +141,15 @@ def _rows_dir(cache_dir):
 
 
 def _count_verdicts(monkeypatch):
-    """Record every (n, k) the CLI computes rather than reads. Each
-    command looks the verdict function up in reduce when it starts."""
+    """Record every (n, k) the CLI computes rather than reads, whether
+    by a whole row (decide_row) or a single pair. Each command looks both
+    functions up in reduce when it starts."""
     calls = []
-    real = reduce_module.is_irreducible_monomial
+    pair, row = reduce_module.is_irreducible_monomial, reduce_module.decide_row
     monkeypatch.setattr(reduce_module, "is_irreducible_monomial",
-                        lambda n, k: calls.append((n, k)) or real(n, k))
+                        lambda n, k: calls.append((n, k)) or pair(n, k))
+    monkeypatch.setattr(reduce_module, "decide_row",
+                        lambda n: calls.extend((n, k) for k in range(n)) or row(n))
     return calls
 
 
@@ -237,6 +240,23 @@ def test_partial_file_completed_by_survey(runner, cache_dir):
         assert cached.output == runner.invoke(cli, args + ["--no-cache"]).output
     entries = json.loads((_rows_dir(cache_dir) / "9.json").read_text())
     assert sorted(entries, key=int) == [str(k) for k in range(9)]
+
+
+def test_survey_replaces_only_bad_rows_in_place(runner, cache_dir):
+    # a row decided for a whole modulus fills only the missing or bad
+    # keys: bad ones where they stand, missing ones appended by k
+    runner.invoke(cli, ["classify", "9", "5"])
+    runner.invoke(cli, ["classify", "9", "3"])
+    cache_file = _rows_dir(cache_dir) / "9.json"
+    stored = json.loads(cache_file.read_text())
+    stored["5"][0] = "junk"
+    cache_file.write_text(json.dumps(stored))
+    res = runner.invoke(cli, ["survey", "--min", "9", "--max", "9"])
+    assert res.output == runner.invoke(
+        cli, ["survey", "--min", "9", "--max", "9", "--no-cache"]).output
+    entries = json.loads(cache_file.read_text())
+    assert list(entries) == ["5", "3", "0", "1", "2", "4", "6", "7", "8"]
+    assert entries["5"] == [9, 1, "irreducible", None, None, None, None]
 
 
 # One pair of each kind: (n, k, row as the cache stores it).

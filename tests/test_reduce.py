@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frieze_mod.cli import _row
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
-from frieze_mod.monomial import minimal_monomial_size
+from frieze_mod.monomial import minimal_monomial_size, size_via_crt
 from frieze_mod.reduce import (ReductionWitness, bordered_solutions,
-                               is_irreducible_monomial, is_reducible_general,
+                               decide_row, is_irreducible_monomial,
+                               is_reducible_general,
                                monomial_reduction_witness,
                                witness_structure_check)
 from frieze_mod.verify import monomial_row
-from oracles import bordered_scan, pm_sign, product, split_search
+from oracles import (bordered_census, bordered_scan, pm_sign, product,
+                     split_search, walk_min_size)
 
 # smallest witnesses, pinned from the direct definitional scan
 SMALLEST_WITNESSES = {
@@ -41,6 +45,8 @@ def test_rejects_bad_modulus():
                witness_structure_check):
         with pytest.raises(ValueError):
             fn(1, 0)
+    with pytest.raises(ValueError):
+        decide_row(1)
 
 
 def test_bordered_guards():
@@ -225,3 +231,62 @@ def test_structure_census_sweep():
             want = [(l, *sol) for l in range(2, rep.cap + 1)
                     for sol in bordered_solutions(n, k, l)]
             assert list(rep.entries) == want, (n, k)
+
+
+def _check_witness(n, k, row):
+    """The row's witness, if any, multiplied out by the nested-list
+    product: a solution of its sign, shorter than the size."""
+    size, _, _, w, x, y, w_sign = row
+    if w is not None:
+        entries = [x] + [k] * (w - 2) + [y]
+        assert pm_sign(product(entries, n), n) == w_sign, (n, k)
+        assert w < size, (n, k)
+
+
+def test_decide_row_matches_the_reference_walk():
+    # half of each row is walked and half mirrored; every pair against
+    # the full nested-list walk and against its own single-pair verdict
+    for n in range(2, 401):
+        rows = decide_row(n)
+        assert len(rows) == n
+        for k, row in enumerate(rows):
+            assert tuple(row[:2]) == walk_min_size(n, k), (n, k)
+            assert row == _row(is_irreducible_monomial(n, k)), (n, k)
+            _check_witness(n, k, row)
+
+
+def _mirrored(row, n):
+    size, sign, kind, w, x, y, w_sign = row
+    sign *= (-1) ** size
+    if w is None:
+        return [size, sign, kind, None, None, None, None]
+    return [size, sign, kind, w, -x % n, -y % n, w_sign * (-1) ** w]
+
+
+@given(st.integers(401, 5000), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                        max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_decide_row_beyond_400(n, ks):
+    # the k <-> -k mirror, and agreement with the descent and with the
+    # CRT assembly from the prime-power components
+    rows = decide_row(n)
+    for k in (k % n for k in ks):
+        row = rows[k]
+        assert rows[-k % n] == (row if k in (0, n - k) else _mirrored(row, n))
+        assert row == _row(is_irreducible_monomial(n, k)), (n, k)
+        assert tuple(row[:2]) == minimal_monomial_size(n, k), (n, k)
+        law = size_via_crt(n, k)
+        assert (law.size, law.sign) == tuple(row[:2]), (n, k)
+        _check_witness(n, k, row)
+
+
+@pytest.mark.parametrize("half_cap", [False, True])
+def test_structure_census_matches_the_full_scan(half_cap):
+    # the census reads the second half of each period off the first;
+    # the oracle multiplies out every size up to the cap
+    for n in range(2, 61):
+        for k in range(n):
+            rep = witness_structure_check(n, k, n // 2 if half_cap else None)
+            assert rep.minimal_size == walk_min_size(n, k)[0], (n, k)
+            assert rep.ok, (n, k, rep.violations)
+            assert list(rep.entries) == bordered_census(n, k, rep.cap), (n, k)

@@ -279,7 +279,7 @@ def verify(theorem_id: str, lo: int, hi: int, out: Optional[str]):
         try:
             reports = [run_verifier(theorem_id, lo, hi)]
         except KeyError as e:
-            raise click.UsageError(e.args[0]) from None
+            raise click.UsageError(f"{e.args[0]}, all") from None
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     _emit(text, out)

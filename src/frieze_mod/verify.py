@@ -4,18 +4,25 @@ Each verifier checks one published law against every (n, k) in range,
 using only the monomial/reduce primitives, and collects counterexamples.
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
+
+The range verifiers read the flat rows of reduce.decide_row, one list
+per k with the size at index 0 and the kind at index 2, from a row
+source passed as their last argument: decide_row itself by default, a
+per-call memo shared by the whole battery in run_all.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .reduce import MonomialVerdict, decide_row, is_irreducible_monomial
 from .ring import factorize, is_prime
+
+RowSource = Callable[[int], list[list]]
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,9 @@ def _desc(lo, hi, extra=""):
 
 @lru_cache(maxsize=2048)
 def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
-    """All k classifications for one modulus, cached across the sweeps;
-    built from the flat rows of decide_row, the same rows survey prints."""
+    """All k classifications for one modulus, as verdict objects, kept in
+    an LRU across calls; built from the flat rows of decide_row, the same
+    rows survey prints. The verifiers read those rows directly."""
     return tuple(MonomialVerdict.from_row(n, k, r)
                  for k, r in enumerate(decide_row(n)))
 
@@ -142,7 +150,8 @@ def _crt_pair(r1, q1, r2, q2):
     return (r1 + q1 * ((r2 - r1) * pow(q1, -1, q2) % q2)) % (q1 * q2)
 
 
-def verify_size_bound(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_size_bound(lo: int = 2, hi: int = 150,
+                      row: RowSource = decide_row) -> TheoremReport:
     """Irreducible minimal constant solutions have size at most n, except
     for n = 2 and the open family n = 3m with m odd coprime to 3."""
     t0 = time.perf_counter()
@@ -150,60 +159,63 @@ def verify_size_bound(lo: int = 2, hi: int = 150) -> TheoremReport:
     for n in range(max(lo, 3), hi + 1):
         if is_three_m_form(n):
             continue
-        for v in monomial_row(n):
-            if v.kind != "irreducible":
+        for k, r in enumerate(row(n)):
+            if r[2] != "irreducible":
                 continue
             hit = True
-            if v.size > n:
+            if r[0] > n:
                 bad.append(Counterexample(
-                    n, v.k, f"irreducible of size {v.size}", f"size <= {n}"))
+                    n, k, f"irreducible of size {r[0]}", f"size <= {n}"))
     return _report("size-bound",
                    _desc(lo, hi, "excluding n = 2 and n = 3m with m odd coprime to 3"),
                    hit, bad, t0)
 
 
-def verify_eight_divides(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_eight_divides(lo: int = 2, hi: int = 150,
+                         row: RowSource = decide_row) -> TheoremReport:
     """When 8 divides n, every minimal constant-solution size is <= n."""
     t0 = time.perf_counter()
     bad, hit = [], False
     for n in range(lo, hi + 1):
         if n % 8:
             continue
-        for v in monomial_row(n):
+        for k, r in enumerate(row(n)):
             hit = True
-            if v.size > n:
+            if r[0] > n:
                 bad.append(Counterexample(
-                    n, v.k, f"size {v.size}", f"size <= {n}"))
+                    n, k, f"size {r[0]}", f"size <= {n}"))
     return _report("eight-divides", _desc(lo, hi, "n divisible by 8"),
                    hit, bad, t0)
 
 
-def verify_odd_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_odd_sizes(lo: int = 2, hi: int = 150,
+                     row: RowSource = decide_row) -> TheoremReport:
     """Odd minimal sizes force irreducibility, except when n = 2m with m
     odd, where the claim covers odd sizes divisible by 9."""
     t0 = time.perf_counter()
     bad, hit = [], False
     for n in range(max(lo, 3), hi + 1):
         m = odd_half(n)
-        for v in monomial_row(n):
-            if v.size % 2 == 0:
+        for k, r in enumerate(row(n)):
+            if r[0] % 2 == 0:
                 continue
             if m is None:
                 covered = True
             else:
-                covered = m != 1 and v.size % 9 == 0
+                covered = m != 1 and r[0] % 9 == 0
             if not covered:
                 continue
             hit = True
-            if v.kind != "irreducible":
+            if r[2] != "irreducible":
                 bad.append(Counterexample(
-                    n, v.k, f"{v.kind} of odd size {v.size}", "irreducible"))
+                    n, k, f"{r[2]} of odd size {r[0]}", "irreducible"))
     return _report("odd-sizes",
                    _desc(lo, hi, "odd sizes; for n = 2m (m odd) only sizes divisible by 9"),
                    hit, bad, t0)
 
 
-def verify_three_h_criterion(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_three_h_criterion(lo: int = 2, hi: int = 150,
+                             row: RowSource = decide_row) -> TheoremReport:
     """For n = 2m (m odd) and minimal size 3h with h > 1 odd coprime to 3,
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
@@ -213,25 +225,26 @@ def verify_three_h_criterion(lo: int = 2, hi: int = 150) -> TheoremReport:
         m = odd_half(n)
         if m is None or m == 1:
             continue
-        row_m = monomial_row(m)
-        for v in monomial_row(n):
-            if v.size % 3:
+        rows_m = row(m)
+        for k, r in enumerate(row(n)):
+            if r[0] % 3:
                 continue
-            h = v.size // 3
+            h = r[0] // 3
             if h == 1 or h % 2 == 0 or h % 3 == 0:
                 continue
             hit = True
-            comp = row_m[v.k % m].size
+            comp = rows_m[k % m][0]
             want = "irreducible" if comp % 3 == 0 else "reducible"
-            if v.kind != want:
+            if r[2] != want:
                 bad.append(Counterexample(
-                    n, v.k, v.kind, f"{want} (mod-{m} size {comp})"))
+                    n, k, r[2], f"{want} (mod-{m} size {comp})"))
     return _report("three-h-criterion",
                    _desc(lo, hi, "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3"),
                    hit, bad, t0)
 
 
-def verify_size_n(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_size_n(lo: int = 2, hi: int = 150,
+                  row: RowSource = decide_row) -> TheoremReport:
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
     exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
@@ -239,30 +252,31 @@ def verify_size_n(lo: int = 2, hi: int = 150) -> TheoremReport:
     bad, hit = [], False
     for n in range(max(lo, 3), hi + 1):
         split = two_three_split(n)
-        row = monomial_row(n)
+        rows = row(n)
         if split is None:
-            for v in row:
-                if v.k == 0 or v.size != n:
+            for k, r in enumerate(rows):
+                if k == 0 or r[0] != n:
                     continue
                 hit = True
-                if v.kind != "irreducible":
+                if r[2] != "irreducible":
                     bad.append(Counterexample(
-                        n, v.k, f"{v.kind} of size {n}", "irreducible"))
+                        n, k, f"{r[2]} of size {n}", "irreducible"))
         else:
             a, b = split
             hit = True
             t = 3 ** a
             k0 = _crt_pair(1, 2, _crt_pair(2 % t, t, -2 % b, b), t * b)
-            v = row[k0]
-            if not (v.size == n and v.kind == "reducible"):
+            r = rows[k0]
+            if not (r[0] == n and r[2] == "reducible"):
                 bad.append(Counterexample(
-                    n, k0, f"{v.kind} of size {v.size}",
+                    n, k0, f"{r[2]} of size {r[0]}",
                     f"reducible of size {n}"))
     return _report("size-n", _desc(lo, hi, "solutions of size exactly n"),
                    hit, bad, t0)
 
 
-def verify_prime_powers(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_prime_powers(lo: int = 2, hi: int = 150,
+                        row: RowSource = decide_row) -> TheoremReport:
     """Prime-power moduli classify completely. For odd p: irreducible
     exactly when p does not divide k. For p = 2 (modulus 2**e):
     irreducible exactly when k is odd, or k = 2**(e-1), or e >= 2 with
@@ -274,23 +288,23 @@ def verify_prime_powers(lo: int = 2, hi: int = 150) -> TheoremReport:
         if shape is None:
             continue
         p, e = shape
-        for v in monomial_row(n):
+        for k, r in enumerate(row(n)):
             hit = True
-            k = v.k
             if p != 2:
                 want = k % p != 0
             else:
                 want = (k % 2 == 1 or k == 2 ** (e - 1)
                         or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
-            if (v.kind == "irreducible") != want:
+            if (r[2] == "irreducible") != want:
                 bad.append(Counterexample(
-                    n, k, v.kind,
+                    n, k, r[2],
                     "irreducible" if want else "not irreducible"))
     return _report("prime-powers", _desc(lo, hi, "prime-power moduli"),
                    hit, bad, t0)
 
 
-def verify_reducible_constructions(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_reducible_constructions(lo: int = 2, hi: int = 150,
+                                   row: RowSource = decide_row) -> TheoremReport:
     """Three reducible families. p**2 | n for odd p: k = n/p has size 2p,
     reducible. 16 | n: k = n/4 has size 8, reducible. Coprime splits
     n = u * m with u, m > 1 and m odd coprime to 3: some k coprime to n
@@ -298,22 +312,22 @@ def verify_reducible_constructions(lo: int = 2, hi: int = 150) -> TheoremReport:
     t0 = time.perf_counter()
     bad, hit = [], False
     for n in range(max(lo, 2), hi + 1):
-        row = monomial_row(n)
+        rows = row(n)
         for p, mult in factorize(n):
             if p == 2 or mult < 2:
                 continue
             hit = True
-            v = row[n // p]
-            if not (v.size == 2 * p and v.kind == "reducible"):
+            r = rows[n // p]
+            if not (r[0] == 2 * p and r[2] == "reducible"):
                 bad.append(Counterexample(
-                    n, n // p, f"{v.kind} of size {v.size}",
+                    n, n // p, f"{r[2]} of size {r[0]}",
                     f"reducible of size {2 * p}"))
         if n % 16 == 0:
             hit = True
-            v = row[n // 4]
-            if not (v.size == 8 and v.kind == "reducible"):
+            r = rows[n // 4]
+            if not (r[0] == 8 and r[2] == "reducible"):
                 bad.append(Counterexample(
-                    n, n // 4, f"{v.kind} of size {v.size}",
+                    n, n // 4, f"{r[2]} of size {r[0]}",
                     "reducible of size 8"))
         for m in _divisors(n):
             u = n // m
@@ -321,15 +335,16 @@ def verify_reducible_constructions(lo: int = 2, hi: int = 150) -> TheoremReport:
                 continue
             hit = True
             want = 6 * m if u > 2 else 3 * m
-            if not any(v.kind == "reducible" and v.size == want
-                       and gcd(v.k, n) == 1 for v in row):
+            if not any(r[2] == "reducible" and r[0] == want
+                       and gcd(k, n) == 1 for k, r in enumerate(rows)):
                 bad.append(Counterexample(
                     n, -1, f"no unit k reducible of size {want}",
                     f"some unit k reducible of size {want} (split {u} * {m})"))
     return _report("reducible-constructions", _desc(lo, hi), hit, bad, t0)
 
 
-def verify_special_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_special_sizes(lo: int = 2, hi: int = 150,
+                         row: RowSource = decide_row) -> TheoremReport:
     """Irreducibility forced by the size's arithmetic shape (nonzero k).
 
     Prime-power sizes > 2 on odd moduli, or with the prime odd; on even
@@ -341,10 +356,10 @@ def verify_special_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
     bad, hit = [], False
     shapes = {}     # size -> shapes of size, size / 2, size / 4
     for n in range(max(lo, 3), hi + 1):
-        for v in monomial_row(n):
-            if v.k == 0:
+        for k, r in enumerate(row(n)):
+            if k == 0:
                 continue
-            s = v.size
+            s = r[0]
             if s not in shapes:
                 shapes[s] = _power_shapes(s)
             pp, half, quarter = shapes[s]
@@ -368,15 +383,16 @@ def verify_special_sizes(lo: int = 2, hi: int = 150) -> TheoremReport:
             if not reasons:
                 continue
             hit = True
-            if v.kind != "irreducible":
+            if r[2] != "irreducible":
                 bad.append(Counterexample(
-                    n, v.k, f"{v.kind} of size {s}",
+                    n, k, f"{r[2]} of size {s}",
                     f"irreducible ({reasons[0]})"))
     return _report("special-sizes", _desc(lo, hi, "nonzero k, shaped sizes"),
                    hit, bad, t0)
 
 
-def verify_overshoot_3m(lo: int = 2, hi: int = 150) -> TheoremReport:
+def verify_overshoot_3m(lo: int = 2, hi: int = 150,
+                        row: RowSource = decide_row) -> TheoremReport:
     """For n = 3m with m odd coprime to 3, minimal constant solutions of
     size above n are reducible; the size n + n/3 regime is open and the
     sweep skips it."""
@@ -385,13 +401,13 @@ def verify_overshoot_3m(lo: int = 2, hi: int = 150) -> TheoremReport:
     for n in range(max(lo, 3), hi + 1):
         if not is_three_m_form(n):
             continue
-        for v in monomial_row(n):
-            if v.size <= n or v.size == n + n // 3:
+        for k, r in enumerate(row(n)):
+            if r[0] <= n or r[0] == n + n // 3:
                 continue
             hit = True
-            if v.kind != "reducible":
+            if r[2] != "reducible":
                 bad.append(Counterexample(
-                    n, v.k, f"{v.kind} of size {v.size}", "reducible"))
+                    n, k, f"{r[2]} of size {r[0]}", "reducible"))
     return _report("overshoot-3m",
                    _desc(lo, hi, "n = 3m (m odd coprime to 3), sizes > n except n + n/3"),
                    hit, bad, t0)
@@ -420,7 +436,7 @@ def verify_unbounded_family(primes=DEFAULT_FAMILY_PRIMES) -> TheoremReport:
     return _report("unbounded-family", f"p in {list(primes)}", hit, bad, t0)
 
 
-VERIFIERS: dict[str, Callable[[int, int], TheoremReport]] = {
+VERIFIERS: dict[str, Callable[..., TheoremReport]] = {
     "size-bound": verify_size_bound,
     "eight-divides": verify_eight_divides,
     "odd-sizes": verify_odd_sizes,
@@ -439,14 +455,28 @@ def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
     if theorem_id == "unbounded-family":
         return verify_unbounded_family()
     if theorem_id not in VERIFIERS:
-        known = ", ".join(list(VERIFIERS) + ["unbounded-family", "all"])
+        known = ", ".join(list(VERIFIERS) + ["unbounded-family"])
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    return VERIFIERS[theorem_id](lo, hi)
+    # decide_row is looked up here, at call time, rather than taken from
+    # the verifier's default, so a wrapper put on it (a tracer) sees it
+    return VERIFIERS[theorem_id](lo, hi, decide_row)
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
-    """Every verifier in registry order, then the unbounded family."""
-    reports = [fn(lo, hi) for fn in VERIFIERS.values()]
+    """Every verifier in registry order, then the unbounded family.
+
+    Each modulus is decided once, into a memo that lives for this call.
+    The rows the checks read (those of [lo, hi] and the odd halves that
+    three-h-criterion reads below lo) are decided before the first
+    verifier starts its clock, so each elapsed_ms is its own check time.
+    """
+    row = cache(decide_row)
+    for n in range(max(lo, 2), hi + 1):
+        row(n)
+        m = odd_half(n)
+        if m is not None and m > 1:
+            row(m)
+    reports = [fn(lo, hi, row) for fn in VERIFIERS.values()]
     reports.append(verify_unbounded_family())
     return reports
 

@@ -72,6 +72,15 @@ def test_oplus_error_names_the_position(runner):
     assert "entry 2" in res.stderr
 
 
+def test_verify_unknown_id_lists_all_among_the_known(runner):
+    from frieze_mod.verify import VERIFIERS
+    res = runner.invoke(cli, ["verify", "no-such-law"])
+    assert res.exit_code == 2
+    known = ", ".join([*VERIFIERS, "unbounded-family", "all"])
+    assert res.stderr.endswith(
+        f"Error: unknown theorem id 'no-such-law'; known: {known}\n")
+
+
 def test_verify_single_report_is_a_json_object(runner):
     res = runner.invoke(cli, ["verify", "size-bound", "--max", "40"])
     assert res.exit_code == 0, res.stderr

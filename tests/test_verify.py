@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+import frieze_mod.verify as verify_module
+from frieze_mod.reduce import decide_row
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
                                Counterexample, _power_shapes, _report,
                                is_three_m_form, monomial_row, odd_half,
@@ -99,10 +101,93 @@ def test_report_json_shape():
 
 
 def test_run_verifier_unknown_id_lists_the_known_ones():
-    with pytest.raises(KeyError) as e:
-        run_verifier("no-such-law", 2, 10)
-    assert "size-bound" in str(e.value)
-    assert "unbounded-family" in str(e.value)
+    for theorem_id in ("no-such-law", "all"):
+        with pytest.raises(KeyError) as e:
+            run_verifier(theorem_id, 2, 10)
+        message = e.value.args[0]
+        assert message.startswith(
+            f"unknown theorem id {theorem_id!r}; known: ")
+        # only the ids run_verifier accepts: "all" belongs to the CLI
+        assert message.split("; known: ")[1].split(", ") == \
+            list(VERIFIERS) + ["unbounded-family"]
+
+
+def _row(size, kind):
+    return [size, 1, kind, None, None, None, None]
+
+
+def _tampered(n0, k0, fake):
+    """decide_row, except that row k0 of modulus n0 reads fake."""
+    def row(n):
+        rows = decide_row(n)
+        if n == n0:
+            rows[k0] = fake
+        return rows
+    return row
+
+
+# One row per law, tampered to break it: (id, n, k, fake row).
+TAMPERED = [
+    ("size-bound", 10, 1, _row(11, "irreducible")),
+    ("eight-divides", 16, 3, _row(17, "irreducible")),
+    ("odd-sizes", 7, 1, _row(7, "reducible")),
+    ("three-h-criterion", 10, 3, _row(15, "irreducible")),   # mod-5 size 5
+    ("size-n", 7, 2, _row(7, "reducible")),
+    ("size-n", 30, 23, _row(30, "irreducible")),     # the forced reducible k
+    ("prime-powers", 9, 1, _row(9, "reducible")),
+    ("reducible-constructions", 9, 3, _row(6, "irreducible")),
+    ("special-sizes", 7, 1, _row(5, "reducible")),
+    ("overshoot-3m", 15, 1, _row(16, "irreducible")),
+]
+
+
+def test_every_range_verifier_has_a_tampered_row():
+    assert {t[0] for t in TAMPERED} == set(VERIFIERS)
+
+
+@pytest.mark.parametrize("theorem_id,n,k,fake", TAMPERED)
+def test_each_verifier_fails_on_a_tampered_row(theorem_id, n, k, fake):
+    report = VERIFIERS[theorem_id](2, 40, _tampered(n, k, fake))
+    assert report.status == "fail", report.to_dict()
+    assert (n, k) in [(c.n_modulus, c.k) for c in report.counterexamples]
+
+
+def _facts(report):
+    d = report.to_dict()
+    del d["elapsed_ms"]
+    return d
+
+
+@pytest.mark.parametrize("lo,hi", [(97, 181), (2, 150)])
+def test_run_all_matches_the_single_runs(lo, hi):
+    # on [97, 181] three-h-criterion reads rows of moduli below lo
+    ids = list(VERIFIERS) + ["unbounded-family"]
+    assert [_facts(r) for r in run_all(lo, hi)] == \
+        [_facts(run_verifier(i, lo, hi)) for i in ids]
+
+
+def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
+    events = []
+
+    def counting(n):
+        events.append(n)
+        return decide_row(n)
+
+    def marked(fn):
+        def run(lo, hi, row):
+            events.append("check")
+            return fn(lo, hi, row)
+        return run
+
+    monkeypatch.setattr(verify_module, "decide_row", counting)
+    for vid, fn in VERIFIERS.items():
+        monkeypatch.setitem(VERIFIERS, vid, marked(fn))
+    run_all(30, 60)
+    first = events.index("check")
+    decided = events[:first]
+    halves = range(15, 30, 2)   # odd m below 30 with 2m in range
+    assert sorted(decided) == sorted([*range(30, 61), *halves])
+    assert events[first:] == ["check"] * len(VERIFIERS)
 
 
 def test_run_all_order_and_contents():

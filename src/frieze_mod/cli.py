@@ -4,12 +4,9 @@ Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
 0 on success, 1 on verification failure or unwritable output, 2 on usage
 errors. All stdout output ends with exactly one trailing newline.
 
-The classify/witness/survey commands keep a result cache with one small
-JSON file per modulus, v2/<n>.json, mapping k to the survey row of
-(n, k). It is purely an accelerator: runs with and without it produce
-identical output. Its location is $FRIEZE_MOD_CACHE_DIR when set, else
-the user cache directory. The single classify-cache.json of schema 1 is
-ignored and safe to delete.
+classify and witness decide their one pair, and survey each modulus as a
+whole row, afresh on every run. --no-cache is accepted for compatibility
+and does nothing; no command reads or writes a file besides --out.
 
 Each command imports the package modules (and json) it runs, so that
 `size` loads only monomial and ring. No import runs per (n, k) pair.
@@ -17,17 +14,11 @@ Each command imports the package modules (and json) it runs, so that
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import click
-
-if TYPE_CHECKING:
-    from .reduce import MonomialVerdict, ReductionWitness
-
-SCHEMA_VERSION = 2
 
 # Witness searches above this modulus need --force. They are still fast,
 # but the guard keeps accidental huge sweeps from running unannounced.
@@ -50,118 +41,9 @@ def _check_force(n: int, force: bool) -> None:
             f"pass --force to run it")
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("FRIEZE_MOD_CACHE_DIR")
-    if not root:
-        xdg = os.environ.get("XDG_CACHE_HOME")
-        root = (Path(xdg) if xdg else Path.home() / ".cache") / "frieze-mod"
-    return Path(root) / f"v{SCHEMA_VERSION}"
-
-
-def _row(v: MonomialVerdict) -> list:
-    """The cache row of a verdict: its survey line without n and k, plus
-    the witness sign; [size, sign, kind, w size, w x, w y, w sign]."""
-    w = v.witness
-    return [v.size, v.sign, v.kind,
-            *((w.size, w.x, w.y, w.sign) if w else (None,) * 4)]
-
-
-def _valid(r, n: int, k: int) -> bool:
-    """Whether r is shaped like the row of (n, k): ints (never bools) in
-    range, the kind k allows, and witness fields all present exactly when
-    the kind is reducible."""
-    if type(r) is not list or len(r) != 7:
-        return False
-    size, sign, kind, *w = r
-    if not (type(size) is int and size >= 2
-            and type(sign) is int and sign in (1, -1)):
-        return False
-    if kind == "reducible":
-        ws, x, y, ws_sign = w
-        return (k != 0 and all(type(e) is int for e in w) and 3 <= ws < size
-                and 0 <= x < n and 0 <= y < n and ws_sign in (1, -1))
-    return (kind == ("irreducible" if k else "zero-convention")
-            and w == [None] * 4)
-
-
-class _Cache:
-    """On-disk row memo, one file per modulus, each read at most once
-    and only when a row of its modulus is asked for. Advisory only: any
-    read or write problem degrades to recomputing, never to failing the
-    command, and a row that fails _valid is recomputed, never served."""
-
-    def __init__(self, enabled: bool):
-        import json
-        from .reduce import decide_row, is_irreducible_monomial
-        self._json = json
-        self._decide = is_irreducible_monomial
-        self._decide_row = decide_row
-        self.enabled = enabled
-        self.dir = _cache_dir()
-        self.files: dict[int, dict] = {}
-        self.dirty: set[int] = set()
-
-    def _entries(self, n: int) -> dict:
-        if n not in self.files:
-            entries = None
-            if self.enabled:
-                try:
-                    entries = self._json.loads((self.dir / f"{n}.json").read_text())
-                except (OSError, ValueError):
-                    pass
-            self.files[n] = entries if isinstance(entries, dict) else {}
-        return self.files[n]
-
-    def row(self, n: int, k: int) -> list:
-        """The row of (n, k), 0 <= k < n, from the cache or computed."""
-        entries = self._entries(n)
-        r = entries.get(str(k))
-        if not _valid(r, n, k):
-            r = entries[str(k)] = _row(self._decide(n, k))
-            self.dirty.add(n)
-        return r
-
-    def rows(self, n: int) -> list:
-        """Every row of n, k ascending, each stored row checked once. If
-        any is missing or invalid, the whole modulus is decided and only
-        those rows are replaced, in ascending k."""
-        entries = self._entries(n)
-        rows = [entries.get(str(k)) for k in range(n)]
-        bad = [k for k, r in enumerate(rows) if not _valid(r, n, k)]
-        if bad:
-            fresh = self._decide_row(n)
-            for k in bad:
-                rows[k] = entries[str(k)] = fresh[k]
-            self.dirty.add(n)
-        return rows
-
-    def save(self) -> None:
-        if not self.enabled:
-            return
-        import tempfile
-        for n in sorted(self.dirty):
-            try:
-                self.dir.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=str(self.dir), prefix=".cache-")
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(self._json.dumps(self.files[n], separators=(",", ":")))
-                os.replace(tmp, self.dir / f"{n}.json")
-            except OSError:
-                pass
-
-
-def _cached_row(n: int, k: int,
-                no_cache: bool) -> tuple[list, Optional[ReductionWitness]]:
-    """The row of (n, k mod n) and its witness, if any; classify and
-    witness rebuild no other object from the cache."""
-    from .reduce import ReductionWitness
-    k %= n
-    cache = _Cache(not no_cache)
-    try:
-        r = cache.row(n, k)
-    finally:
-        cache.save()
-    return r, (ReductionWitness(n, k, *r[3:]) if r[3] is not None else None)
+# Scripts written while the commands kept a result cache still pass this.
+_no_cache = click.option("--no-cache", is_flag=True, expose_value=False,
+                         help="Accepted for compatibility; there is no cache.")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -200,29 +82,31 @@ def size(n: int, k: int):
 @cli.command()
 @click.argument("n", type=int)
 @click.argument("k", type=int)
-@click.option("--no-cache", is_flag=True, help="Bypass the result cache.")
+@_no_cache
 @click.option("--force", is_flag=True,
               help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
-def classify(n: int, k: int, no_cache: bool, force: bool):
+def classify(n: int, k: int, force: bool):
     """Verdict for the minimal constant-K solution mod N."""
     _check_modulus(n)
     _check_force(n, force)
-    r, w = _cached_row(n, k, no_cache)
+    from .reduce import is_irreducible_monomial
+    v = is_irreducible_monomial(n, k)
+    w = v.witness
     if w:
         click.echo(f"reducible; witness size {w.size}: ({w.cycle()})")
-    elif r[2] == "irreducible":
-        click.echo(f"irreducible; size {r[0]}")
+    elif v.kind == "irreducible":
+        click.echo(f"irreducible; size {v.size}")
     else:
-        click.echo(f"zero-convention; size {r[0]}: (0,0)")
+        click.echo(f"zero-convention; size {v.size}: (0,0)")
 
 
 @cli.command()
 @click.argument("n", type=int)
 @click.argument("k", type=int)
-@click.option("--no-cache", is_flag=True, help="Bypass the result cache.")
+@_no_cache
 @click.option("--force", is_flag=True,
               help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
-def witness(n: int, k: int, no_cache: bool, force: bool):
+def witness(n: int, k: int, force: bool):
     """Smallest reduction witness for K mod N as a bare entry list.
 
     Prints "none" when the minimal solution has no witness (it is
@@ -230,7 +114,8 @@ def witness(n: int, k: int, no_cache: bool, force: bool):
     """
     _check_modulus(n)
     _check_force(n, force)
-    _, w = _cached_row(n, k, no_cache)
+    from .reduce import is_irreducible_monomial
+    w = is_irreducible_monomial(n, k).witness
     click.echo(str(w.cycle()) if w else "none")
 
 
@@ -292,24 +177,23 @@ _FIELDS = ("N", "k", "size", "sign", "verdict",
 _CSV_HEADER = ",".join(_FIELDS)
 
 
-def _csv_line(n: int, k: int, r: list) -> str:
-    size, sign, kind, ws, x, y, _ = r
-    if ws is None:
-        return f"{n},{k},{size},{sign},{kind},,,"
-    return f"{n},{k},{size},{sign},{kind},{ws},{x},{y}"
+def _csv_lines(n: int, rows: list) -> list[str]:
+    """The lines of modulus n, one per row of decide_row(n)."""
+    return [f"{n},{k},{size},{sign},{kind},,," if ws is None else
+            f"{n},{k},{size},{sign},{kind},{ws},{x},{y}"
+            for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
 
 
-def _json_line(n: int, k: int, r: list) -> str:
-    """The line json.dumps gives for the row's dict: every field is an
-    int, null or one of the three bare verdict words (_valid)."""
-    size, sign, kind, ws, x, y, _ = r
-    if ws is None:
-        return (f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
-                f'"verdict": "{kind}", "witness_size": null, '
-                f'"witness_x": null, "witness_y": null}}')
-    return (f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
+def _json_lines(n: int, rows: list) -> list[str]:
+    """The lines json.dumps gives for each row's dict: every field is an
+    int, null or one of the three bare verdict words."""
+    return [f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
+            f'"verdict": "{kind}", "witness_size": null, '
+            f'"witness_x": null, "witness_y": null}}' if ws is None else
+            f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
             f'"verdict": "{kind}", "witness_size": {ws}, '
-            f'"witness_x": {x}, "witness_y": {y}}}')
+            f'"witness_x": {x}, "witness_y": {y}}}'
+            for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
 
 
 @cli.command()
@@ -321,11 +205,10 @@ def _json_line(n: int, k: int, r: list) -> str:
               default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the table to this file instead of stdout.")
-@click.option("--no-cache", is_flag=True, help="Bypass the result cache.")
+@_no_cache
 @click.option("--force", is_flag=True,
               help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
-def survey(lo: int, hi: int, fmt: str, out: Optional[str],
-           no_cache: bool, force: bool):
+def survey(lo: int, hi: int, fmt: str, out: Optional[str], force: bool):
     """Classification table for every k over a range of moduli.
 
     CSV has a fixed header and no quoting (all fields numeric or bare
@@ -335,14 +218,11 @@ def survey(lo: int, hi: int, fmt: str, out: Optional[str],
     if lo < 2:
         raise click.UsageError(f"--min must be >= 2, got {lo}")
     _check_force(hi, force)
-    cache = _Cache(not no_cache)
-    line = _csv_line if fmt == "csv" else _json_line
+    from .reduce import decide_row
+    format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
-    try:
-        for n in range(lo, hi + 1):
-            lines += [line(n, k, r) for k, r in enumerate(cache.rows(n))]
-    finally:
-        cache.save()
+    for n in range(lo, hi + 1):
+        lines += format_lines(n, decide_row(n))
     _emit("\n".join(lines), out)
 
 

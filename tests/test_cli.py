@@ -2,17 +2,14 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
 
 import frieze_mod
-from frieze_mod import reduce as reduce_module
-from frieze_mod.cli import _CSV_HEADER, SCHEMA_VERSION, cli
+from frieze_mod.cli import _CSV_HEADER, cli
 
 
 @pytest.fixture()
@@ -145,181 +142,46 @@ def test_survey_json_lines(runner):
                              "witness_size", "witness_x", "witness_y"]
 
 
-def _rows_dir(cache_dir):
-    return cache_dir / f"v{SCHEMA_VERSION}"
-
-
-def _count_verdicts(monkeypatch):
-    """Record every (n, k) the CLI computes rather than reads, whether
-    by a whole row (decide_row) or a single pair. Each command looks both
-    functions up in reduce when it starts."""
-    calls = []
-    pair, row = reduce_module.is_irreducible_monomial, reduce_module.decide_row
-    monkeypatch.setattr(reduce_module, "is_irreducible_monomial",
-                        lambda n, k: calls.append((n, k)) or pair(n, k))
-    monkeypatch.setattr(reduce_module, "decide_row",
-                        lambda n: calls.extend((n, k) for k in range(n)) or row(n))
-    return calls
-
-
-def test_cache_round_trip_and_bypass(runner, cache_dir, monkeypatch):
-    cold = runner.invoke(cli, ["survey", "--max", "8"])
-    rows = _rows_dir(cache_dir)
-    assert sorted(f.name for f in rows.iterdir()) == \
-        [f"{n}.json" for n in range(2, 9)]
-    assert sorted(json.loads((rows / "8.json").read_text()), key=int) == \
-        [str(k) for k in range(8)]
-
-    calls = _count_verdicts(monkeypatch)
-    warm = runner.invoke(cli, ["survey", "--max", "8"])
-    assert calls == []                  # every row read from the cache
-    bypass = runner.invoke(cli, ["survey", "--max", "8", "--no-cache"])
-    assert len(calls) == sum(range(2, 9))
-    assert cold.output == warm.output == bypass.output
-
-    first = runner.invoke(cli, ["classify", "9", "3"])
-    second = runner.invoke(cli, ["classify", "9", "3"])
-    assert first.output == second.output == \
+def test_a_planted_cache_row_is_never_served(runner, cache_dir):
+    # a well-shaped but wrong row where the retired cache kept (9, 3)
+    planted = cache_dir / "v2" / "9.json"
+    planted.parent.mkdir(parents=True)
+    planted.write_text(json.dumps(
+        {"3": [7, 1, "irreducible", None, None, None, None]}))
+    before = planted.read_bytes(), planted.stat().st_mtime_ns
+    assert runner.invoke(cli, ["classify", "9", "3"]).output == \
         "reducible; witness size 4: (6,3,3,6)\n"
-    assert calls[-1] == (9, 3) and len(calls) == sum(range(2, 9)) + 1
-
-
-def test_corrupt_cache_file_is_tolerated(runner, cache_dir):
-    cache_file = _rows_dir(cache_dir) / "9.json"
-    cache_file.parent.mkdir(parents=True)
-    for junk in ("{not json", "[1, 2]", '"text"', "\xff\xfe"):
-        cache_file.write_text(junk, encoding="latin-1")
-        res = runner.invoke(cli, ["classify", "9", "3"])
-        assert res.exit_code == 0, junk
-        assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
-        assert json.loads(cache_file.read_text()) == \
-            {"3": [6, -1, "reducible", 4, 6, 6, 1]}     # rebuilt valid
-
-
-def test_tampered_cache_entry_is_ignored(runner, cache_dir):
-    runner.invoke(cli, ["classify", "9", "3"])
-    cache_file = _rows_dir(cache_dir) / "9.json"
-    good = json.loads(cache_file.read_text())
-    for tampered in ([6, -1, "bogus", 4, 6, 6, 1],
-                     [6, -1, "bogus", None, None, None, None],
-                     [6, -1, "irreducible", 4, 6, 6, 1]):
-        cache_file.write_text(json.dumps({"3": tampered}))
-        res = runner.invoke(cli, ["classify", "9", "3"])
-        assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
-        assert json.loads(cache_file.read_text()) == good   # rewritten
-        cache_file.write_text(json.dumps({"3": tampered}))
-        res = runner.invoke(cli, ["survey", "--min", "9", "--max", "9"])
-        assert res.output.splitlines()[4] == "9,3,6,-1,reducible,4,6,6"
-
-
-def test_classify_reads_and_writes_only_its_modulus(runner, cache_dir,
-                                                    monkeypatch):
-    runner.invoke(cli, ["survey", "--max", "12"])
-    rows = _rows_dir(cache_dir)
-    (rows / "10.json").write_text("{corrupt")
-    def files():     # the inode changes when a file is replaced
-        return {f.name: (f.read_bytes(), f.stat().st_ino)
-                for f in rows.iterdir()}
-
-    before = files()
-    reads = []
-    real_read = Path.read_text
-    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw:
-                        reads.append(self.name) or real_read(self, *a, **kw))
-
-    res = runner.invoke(cli, ["classify", "9", "3"])          # a hit
-    assert res.output == "reducible; witness size 4: (6,3,3,6)\n"
-    assert reads == ["9.json"]
-    assert files() == before
-
-    reads.clear()
-    res = runner.invoke(cli, ["witness", "250", "7"])          # a miss
-    assert res.exit_code == 0
-    assert reads == ["250.json"]
-    after = files()
-    assert after.pop("250.json")
-    assert after == before
-
-
-def test_partial_file_completed_by_survey(runner, cache_dir):
-    runner.invoke(cli, ["classify", "9", "3"])
-    for fmt in ("csv", "json"):
-        args = ["survey", "--max", "12", "--format", fmt]
-        cached = runner.invoke(cli, args)
-        assert cached.output == runner.invoke(cli, args + ["--no-cache"]).output
-    entries = json.loads((_rows_dir(cache_dir) / "9.json").read_text())
-    assert sorted(entries, key=int) == [str(k) for k in range(9)]
-
-
-def test_survey_replaces_only_bad_rows_in_place(runner, cache_dir):
-    # a row decided for a whole modulus fills only the missing or bad
-    # keys: bad ones where they stand, missing ones appended by k
-    runner.invoke(cli, ["classify", "9", "5"])
-    runner.invoke(cli, ["classify", "9", "3"])
-    cache_file = _rows_dir(cache_dir) / "9.json"
-    stored = json.loads(cache_file.read_text())
-    stored["5"][0] = "junk"
-    cache_file.write_text(json.dumps(stored))
+    assert runner.invoke(cli, ["witness", "9", "3"]).output == "6,3,3,6\n"
     res = runner.invoke(cli, ["survey", "--min", "9", "--max", "9"])
-    assert res.output == runner.invoke(
-        cli, ["survey", "--min", "9", "--max", "9", "--no-cache"]).output
-    entries = json.loads(cache_file.read_text())
-    assert list(entries) == ["5", "3", "0", "1", "2", "4", "6", "7", "8"]
-    assert entries["5"] == [9, 1, "irreducible", None, None, None, None]
+    assert "9,3,6,-1,reducible,4,6,6" in res.output.splitlines()
+    assert (planted.read_bytes(), planted.stat().st_mtime_ns) == before
+    assert sorted(cache_dir.rglob("*")) == [planted.parent, planted]
 
 
-# One pair of each kind: (n, k, row as the cache stores it).
-_PAIRS = [(9, 3, [6, -1, "reducible", 4, 6, 6, 1]),
-          (62, 3, [15, 1, "irreducible", None, None, None, None]),
-          (5, 0, [2, -1, "zero-convention", None, None, None, None])]
+_READERS = [["classify", "9", "3"], ["witness", "9", "3"],
+            ["survey", "--max", "12"],
+            ["survey", "--max", "12", "--format", "json"]]
 
 
-@st.composite
-def _tampered(draw):
-    n, k, row = draw(st.sampled_from(_PAIRS))
-    row = list(row)
-    how = draw(st.sampled_from(["size", "length", "kind", "witness"]))
-    if how == "size":
-        row[0] = draw(st.booleans() | st.text(max_size=3) | st.just(str(row[0])))
-    elif how == "length":
-        cut = draw(st.integers(0, 6))
-        row = row[:cut] if draw(st.booleans()) else row + [None] * (7 - cut)
-    elif how == "kind":
-        row[2] = draw(st.text(max_size=20).filter(
-            lambda s: s not in ("irreducible", "reducible", "zero-convention")))
-    else:
-        # a nonempty proper subset of the four witness fields flips
-        # between null and an int
-        flip = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3,
-                             unique=True))
-        for i in flip:
-            row[i] = None if row[i] is not None else draw(st.integers(0, n - 1))
-    return n, k, row
+@pytest.mark.parametrize("args", _READERS)
+def test_no_cache_is_accepted_and_changes_nothing(runner, args):
+    plain = runner.invoke(cli, args)
+    bypass = runner.invoke(cli, args + ["--no-cache"])
+    assert plain.exit_code == bypass.exit_code == 0
+    assert plain.output == bypass.output
 
 
-@given(_tampered(), st.sampled_from(["classify", "witness", "survey"]))
-@settings(max_examples=80, deadline=None)
-def test_tampered_entries_never_change_a_served_line(case, command):
-    n, k, row = case
-    args = ([command, str(n), str(k)] if command != "survey"
-            else ["survey", "--min", str(n), "--max", str(n)])
-    with tempfile.TemporaryDirectory() as tmp:
-        runner = CliRunner(env={"FRIEZE_MOD_CACHE_DIR": tmp})
-        want = runner.invoke(cli, args + ["--no-cache"]).output
-        cache_file = _rows_dir(Path(tmp)) / f"{n}.json"
-        cache_file.parent.mkdir()
-        cache_file.write_text(json.dumps({str(k): row}))
-        assert runner.invoke(cli, args).output == want
-        assert json.loads(cache_file.read_text())[str(k)] == \
-            next(r for m, j, r in _PAIRS if (m, j) == (n, k))
-
-
-def test_size_and_verify_leave_the_cache_empty(runner, cache_dir):
+def test_size_and_verify_leave_the_cache_empty(tmp_path):
+    # and so does every other command: there is no cache to write
+    cache_dir, xdg = tmp_path / "cache", tmp_path / "xdg"
+    runner = CliRunner(env={"FRIEZE_MOD_CACHE_DIR": str(cache_dir),
+                            "XDG_CACHE_HOME": str(xdg)})
     for args in (["size", "35", "23"],
                  ["verify", "size-bound", "--max", "20"],
-                 ["verify", "all", "--max", "12"]):
-        assert runner.invoke(cli, args).exit_code == 0
-    assert not cache_dir.exists()
+                 ["verify", "all", "--max", "12"],
+                 *_READERS, *(a + ["--no-cache"] for a in _READERS)):
+        assert runner.invoke(cli, args).exit_code == 0, args
+    assert not cache_dir.exists() and not xdg.exists()
 
 
 def test_force_gate_on_large_moduli(runner):
@@ -389,13 +251,17 @@ def _loaded_after(code):
     return res.stdout.split()
 
 
+_DECIDERS = ["frieze_mod.cycles", "frieze_mod.modmat", "frieze_mod.monomial",
+             "frieze_mod.reduce", "frieze_mod.ring"]
+
+
 @pytest.mark.parametrize("args,extra", [
     ([], []),
     (["size", "35", "23"], ["frieze_mod.monomial", "frieze_mod.ring"]),
     (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
-    (["classify", "9", "3", "--no-cache"],
-     ["frieze_mod.cycles", "frieze_mod.modmat", "frieze_mod.monomial",
-      "frieze_mod.reduce", "frieze_mod.ring"]),
+    (["classify", "9", "3", "--no-cache"], _DECIDERS),
+    (["witness", "9", "3"], _DECIDERS),
+    (["survey", "--max", "5"], _DECIDERS),
 ])
 def test_commands_load_only_what_they_run(args, extra):
     code = "import frieze_mod.cli"

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod.cli import _row
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import minimal_monomial_size, size_via_crt
@@ -231,6 +230,13 @@ def test_structure_census_sweep():
             want = [(l, *sol) for l in range(2, rep.cap + 1)
                     for sol in bordered_solutions(n, k, l)]
             assert list(rep.entries) == want, (n, k)
+
+
+def _row(v):
+    """The flat row of a verdict, as decide_row gives it."""
+    w = v.witness
+    return [v.size, v.sign, v.kind,
+            *((w.size, w.x, w.y, w.sign) if w else (None,) * 4)]
 
 
 def _check_witness(n, k, row):

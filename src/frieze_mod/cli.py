@@ -5,11 +5,14 @@ Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
 errors. All stdout output ends with exactly one trailing newline.
 
 classify and witness decide their one pair, and survey each modulus as a
-whole row, afresh on every run. --no-cache is accepted for compatibility
-and does nothing; no command reads or writes a file besides --out.
+whole row, afresh on every run, and print straight from the flat rows of
+rows.py. --no-cache is accepted for compatibility and does nothing; no
+command reads or writes a file besides --out. N and K are plain integers;
+K is taken mod N and may be negative.
 
-Each command imports the package modules (and json) it runs, so that
-`size` loads only monomial and ring. No import runs per (n, k) pair.
+Each command imports the package modules (and json) it runs: size loads
+monomial and ring, classify, witness and survey only rows, verify
+verify, rows and ring, and oplus cycles. No import runs per (n, k) pair.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ def _check_force(n: int, force: bool) -> None:
             f"pass --force to run it")
 
 
+# Arguments may be negative numbers (K, entry lists); keep click from
+# reading them as options.
+_NEGATIVE_ARGS = {"ignore_unknown_options": True}
+
 # Scripts written while the commands kept a result cache still pass this.
 _no_cache = click.option("--no-cache", is_flag=True, expose_value=False,
                          help="Accepted for compatibility; there is no cache.")
@@ -62,7 +69,7 @@ def cli():
     """Minimal constant solutions of the 2x2 plus/minus identity congruence."""
 
 
-@cli.command()
+@cli.command(context_settings=_NEGATIVE_ARGS)
 @click.argument("n", type=int)
 @click.argument("k", type=int)
 def size(n: int, k: int):
@@ -79,7 +86,12 @@ def size(n: int, k: int):
     click.echo(f"{s}, -Id" if sign < 0 else str(s))
 
 
-@cli.command()
+def _bordered(k: int, w: int, x: int, y: int) -> str:
+    """The entry list x,k,...,k,y of a witness of size w."""
+    return ",".join(map(str, (x, *(k,) * (w - 2), y)))
+
+
+@cli.command(context_settings=_NEGATIVE_ARGS)
 @click.argument("n", type=int)
 @click.argument("k", type=int)
 @_no_cache
@@ -89,18 +101,18 @@ def classify(n: int, k: int, force: bool):
     """Verdict for the minimal constant-K solution mod N."""
     _check_modulus(n)
     _check_force(n, force)
-    from .reduce import is_irreducible_monomial
-    v = is_irreducible_monomial(n, k)
-    w = v.witness
+    from .rows import _pair_row
+    k %= n
+    size, _, kind, w, x, y, _ = _pair_row(n, k)
     if w:
-        click.echo(f"reducible; witness size {w.size}: ({w.cycle()})")
-    elif v.kind == "irreducible":
-        click.echo(f"irreducible; size {v.size}")
+        click.echo(f"reducible; witness size {w}: ({_bordered(k, w, x, y)})")
+    elif kind == "irreducible":
+        click.echo(f"irreducible; size {size}")
     else:
-        click.echo(f"zero-convention; size {v.size}: (0,0)")
+        click.echo(f"zero-convention; size {size}: (0,0)")
 
 
-@cli.command()
+@cli.command(context_settings=_NEGATIVE_ARGS)
 @click.argument("n", type=int)
 @click.argument("k", type=int)
 @_no_cache
@@ -114,14 +126,13 @@ def witness(n: int, k: int, force: bool):
     """
     _check_modulus(n)
     _check_force(n, force)
-    from .reduce import is_irreducible_monomial
-    w = is_irreducible_monomial(n, k).witness
-    click.echo(str(w.cycle()) if w else "none")
+    from .rows import _pair_row
+    k %= n
+    w, x, y = _pair_row(n, k)[3:6]
+    click.echo(_bordered(k, w, x, y) if w else "none")
 
 
-# entry lists may start with a negative number; keep click from reading
-# them as options
-@cli.command(name="oplus", context_settings={"ignore_unknown_options": True})
+@cli.command(name="oplus", context_settings=_NEGATIVE_ARGS)
 @click.argument("n", type=int)
 @click.argument("a")
 @click.argument("b")
@@ -218,7 +229,7 @@ def survey(lo: int, hi: int, fmt: str, out: Optional[str], force: bool):
     if lo < 2:
         raise click.UsageError(f"--min must be >= 2, got {lo}")
     _check_force(hi, force)
-    from .reduce import decide_row
+    from .rows import decide_row
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
     for n in range(lo, hi + 1):

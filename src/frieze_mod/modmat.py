@@ -12,29 +12,15 @@ from typing import Iterable, Optional, Union
 
 from .cycles import Cycle
 from .ring import Residue
+from .rows import _m1, _mul, _sign
 
 Entries = Union[Cycle, Iterable[int]]
 
 
-# Hot paths work on row-major 4-tuples of plain ints; Mat2 wraps them for
-# the public surface.
+# Hot paths work on row-major 4-tuples of plain ints (the products of
+# rows); Mat2 wraps them for the public surface.
 
 _ID = (1, 0, 0, 1)
-
-
-def _mul(a, b, n):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        (a11 * b11 + a12 * b21) % n,
-        (a11 * b12 + a12 * b22) % n,
-        (a21 * b11 + a22 * b21) % n,
-        (a21 * b12 + a22 * b22) % n,
-    )
-
-
-def _m1(k, n):
-    return (k % n, n - 1, 1, 0)
 
 
 def _pow(a, e, n):
@@ -52,18 +38,6 @@ def _prod(vals, n):
     for v in vals:
         m = _mul(_m1(v, n), m, n)
     return m
-
-
-def _sign(m, n):
-    """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
-    a, b, c, d = m
-    if b or c or a != d:
-        return 0
-    if a == 1:
-        return 1
-    if a == n - 1:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)

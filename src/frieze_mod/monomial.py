@@ -14,67 +14,20 @@ from typing import NamedTuple
 
 from .ring import factorize, is_prime
 
-# Minimal sizes never exceed 3N (worst case: twice the lcm of the
-# prime-power component sizes, each at most 3 * p**a / 2), so a size past
-# 3N + 1 means the implementation is broken, not the input.
-_CAP_FACTOR = 3
 
-
-class SizeCapExceeded(RuntimeError):
-    """Internal failure: a size search broke the proven 3N bound."""
-
-
-def _walk(n: int, k: int):
-    """The one pass deciding when the constant product reaches +-Id.
-
-    u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
-    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
-    u_{-s} = -u_{s-2}, so M(k)**-h = [[-u_{h-2}, u_{h-1}], [-u_{h-1}, u_h]].
-    Comparing M**h with +-M**-h, and M**(h+1) with +-M**-h, at step h:
-    M**(2h) = Id when 2 * u_{h-1} = 0 (u_{h-1} = 0, or u_{h-1} = n/2 with
-    n and k even), M**(2h) = -Id when u_h = u_{h-2}, and
-    M**(2h+1) = eps * Id when u_h = -eps * u_{h-1}. Testing 2h before
-    2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
-    step S/2.
-
-    M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so the corner
-    u_j is +-1 exactly when u_{S-2-j} is: the powers with a +-1 corner
-    sit symmetrically about (S - 2)/2. Returns (size, sign, hits): hits
-    lists, ascending, each (j, M(k)**j) with 1 <= j <= (S - 2)/2 and
-    u_j = +-1. Those are the smaller half of the inner powers below S - 2
-    around which a bordered (x, k, ..., k, y) can close up.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    minus = n - 1
-    # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
-    # u_{h-1} = n/2 with n and k even
-    half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
-    a, b = 0, 1     # u_{h-2}, u_{h-1}
-    hits = []
-    for h in range(1, _CAP_FACTOR * n // 2 + 2):
-        c = (k * b - a) % n
-        if c == a or c == b or c + b == n or not b % half:
-            if not b % half:
-                size, sign = 2 * h, 1
-            elif c == a:
-                size, sign = 2 * h, -1
-            else:
-                size, sign = 2 * h + 1, 1 if c + b == n else -1
-            if size > _CAP_FACTOR * n + 1:
-                break
-            return size, sign, hits
-        if c == 1 or c == minus:
-            hits.append((h, (c, -b % n, b, -a % n)))
-        a, b = b, c
-    raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+def __getattr__(name):
+    # SizeCapExceeded is defined next to the walk in rows and re-exported
+    # here on first use, so that size loads only monomial and ring
+    if name == "SizeCapExceeded":
+        from .rows import SizeCapExceeded
+        return SizeCapExceeded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _power_sign(n: int, k: int, e: int) -> int:
     """The sign of M(k)**e when it is +-Id mod n (+1 mod 2), else 0.
 
-    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]] (see _walk), and
+    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]] (see rows._walk), and
     (u_{e-1}, u_e) comes by fast doubling in three products per bit of
     e >= 1: with U_m = u_{m-1}, U_{2m} = U_m * (2 * U_{m+1} - k * U_m)
     and U_{2m+1} = (U_{m+1} - U_m) * (U_{m+1} + U_m), then one
@@ -147,6 +100,7 @@ def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
         s *= r ** e
     sign = _power_sign(n, k, s)
     if not sign:
+        from .rows import SizeCapExceeded
         raise SizeCapExceeded(f"M({k})**{s} is not +-Id mod {n}")
     for r, e in exps.items():
         for _ in range(e):
@@ -155,8 +109,9 @@ def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
                 break
             s //= r
             sign = lower
-    if s > _CAP_FACTOR * n + 1:
-        raise SizeCapExceeded(f"size {s} > {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+    if s > 3 * n + 1:   # the proven 3N bound (rows._CAP_FACTOR)
+        from .rows import SizeCapExceeded
+        raise SizeCapExceeded(f"size {s} > {3 * n + 1} for n={n}, k={k}")
     return s, sign
 
 

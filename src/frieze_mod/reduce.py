@@ -1,6 +1,8 @@
-"""Reducibility of minimal constant solutions.
+"""Reducibility of minimal constant solutions, as verdict objects.
 
-A solution of size l reduces when some member of its rotation/reversal
+The flat rows of rows.py become MonomialVerdict and ReductionWitness
+objects here; the general decomposition search and the structure census
+of bordered solutions work on Cycle objects. A solution of size l reduces when some member of its rotation/reversal
 class splits as the endpoint-merging sum of two strictly shorter
 solutions (both of size >= 3). For a constant solution the right summand
 can always be steered into bordered shape (x, k, ..., k, y), so the
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import Cycle, equivalence_class
-from .modmat import _ID, _m1, _mul, _pow, _prod, _sign, solution_sign
-from .monomial import _walk
+from .modmat import _ID, _pow, _prod, solution_sign
+# decide_row is re-exported: it lived here before rows existed
+from .rows import (_endpoints, _first_witness, _m1, _mul, _pair_row, _walk,
+                   decide_row)
 
 
 @dataclass(frozen=True)
@@ -37,24 +41,6 @@ class ReductionWitness:
         return Cycle((self.x,) + inner + (self.y,), self.n_modulus)
 
 
-def _endpoints(p_mat, n):
-    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, as a list.
-
-    With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
-    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
-    row, y = -eps*r: at most one solution exists. It is verified by
-    evaluating the full product before it is returned. Mod 2 the two
-    signs coincide and the sign is +1.
-    """
-    p, q, r, _ = p_mat
-    if p not in (1, n - 1):
-        return []
-    eps = 1 if p == n - 1 else -1
-    x, y = eps * q % n, -eps * r % n
-    m = _mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n)
-    return [(x, y, eps)] if _sign(m, n) == eps else []
-
-
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     """All (x, y, sign) with (x, k, ..., k, y) of this size a solution mod n.
 
@@ -66,51 +52,6 @@ def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     if size < 2:
         raise ValueError(f"bordered shape needs size >= 2, got {size}")
     return _endpoints(_pow(_m1(k, n), size - 2, n), n)
-
-
-def _first_witness(n, hits) -> Optional[tuple[int, int, int, int]]:
-    """(size, x, y, sign) of the smallest bordered solution among the
-    hits of _walk, all of size in [3, S); the mirror images of the hits
-    are larger, so this is the smallest below the minimal size S."""
-    for j, p_mat in hits:
-        for x, y, sign in _endpoints(p_mat, n):
-            return j + 2, x, y, sign
-    return None
-
-
-def _pair_row(n: int, k: int) -> list:
-    """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
-    size, x, y, witness sign], the four witness fields None when there
-    is no witness."""
-    size, sign, hits = _walk(n, k)
-    w = _first_witness(n, hits)     # None when k = 0 (size 2)
-    if w:
-        return [size, sign, "reducible", *w]
-    return [size, sign, "irreducible" if k else "zero-convention",
-            None, None, None, None]
-
-
-def decide_row(n: int) -> list[list]:
-    """The flat rows (as _pair_row) of every k mod n, k ascending.
-
-    Only k <= n/2 are walked. M(-k) = -D * M(k) * D with D = diag(1, -1)
-    gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
-    So n - k has the size and kind of k, its sign times (-1)**size, and
-    the witness (-x, -y) of the same size w, its sign times (-1)**w.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    rows = [_pair_row(n, k) for k in range(n // 2 + 1)]
-    for k in range((n - 1) // 2, 0, -1):
-        size, sign, kind, w, x, y, w_sign = rows[k]
-        if size % 2:
-            sign = -sign
-        if w is None:
-            rows.append([size, sign, kind, None, None, None, None])
-        else:
-            rows.append([size, sign, kind, w, -x % n, -y % n,
-                         -w_sign if w % 2 else w_sign])
-    return rows
 
 
 def monomial_reduction_witness(n: int, k: int) -> Optional[ReductionWitness]:

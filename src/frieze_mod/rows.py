@@ -1,0 +1,159 @@
+"""The per-pair recurrence: size, sign and smallest bordered witness.
+
+For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
+follows one scalar recurrence. A single walk along it gives the minimal
+size of the constant solution, its sign and the inner powers around
+which a shorter bordered solution (x, k, ..., k, y) can close up. The
+results come as flat lists of plain ints and words, with no dataclass
+built per pair, so the commands that only print rows (classify,
+witness, survey) and the law battery need no other package module.
+"""
+
+# Minimal sizes never exceed 3N (worst case: twice the lcm of the
+# prime-power component sizes, each at most 3 * p**a / 2), so a size past
+# 3N + 1 means the implementation is broken, not the input.
+_CAP_FACTOR = 3
+
+
+class SizeCapExceeded(RuntimeError):
+    """Internal failure: a size search broke the proven 3N bound."""
+
+
+# Matrices are row-major 4-tuples of plain ints.
+
+def _mul(a, b, n):
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        (a11 * b11 + a12 * b21) % n,
+        (a11 * b12 + a12 * b22) % n,
+        (a21 * b11 + a22 * b21) % n,
+        (a21 * b12 + a22 * b22) % n,
+    )
+
+
+def _m1(k, n):
+    return (k % n, n - 1, 1, 0)
+
+
+def _sign(m, n):
+    """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
+    a, b, c, d = m
+    if b or c or a != d:
+        return 0
+    if a == 1:
+        return 1
+    if a == n - 1:
+        return -1
+    return 0
+
+
+def _walk(n: int, k: int):
+    """The one pass deciding when the constant product reaches +-Id.
+
+    u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
+    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
+    u_{-s} = -u_{s-2}, so M(k)**-h = [[-u_{h-2}, u_{h-1}], [-u_{h-1}, u_h]].
+    Comparing M**h with +-M**-h, and M**(h+1) with +-M**-h, at step h:
+    M**(2h) = Id when 2 * u_{h-1} = 0 (u_{h-1} = 0, or u_{h-1} = n/2 with
+    n and k even), M**(2h) = -Id when u_h = u_{h-2}, and
+    M**(2h+1) = eps * Id when u_h = -eps * u_{h-1}. Testing 2h before
+    2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
+    step S/2.
+
+    M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so the corner
+    u_j is +-1 exactly when u_{S-2-j} is: the powers with a +-1 corner
+    sit symmetrically about (S - 2)/2. Returns (size, sign, hits): hits
+    lists, ascending, each (j, M(k)**j) with 1 <= j <= (S - 2)/2 and
+    u_j = +-1. Those are the smaller half of the inner powers below S - 2
+    around which a bordered (x, k, ..., k, y) can close up.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    minus = n - 1
+    # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
+    # u_{h-1} = n/2 with n and k even
+    half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
+    a, b = 0, 1     # u_{h-2}, u_{h-1}
+    hits = []
+    for h in range(1, _CAP_FACTOR * n // 2 + 2):
+        c = (k * b - a) % n
+        if c == a or c == b or c + b == n or not b % half:
+            if not b % half:
+                size, sign = 2 * h, 1
+            elif c == a:
+                size, sign = 2 * h, -1
+            else:
+                size, sign = 2 * h + 1, 1 if c + b == n else -1
+            if size > _CAP_FACTOR * n + 1:
+                break
+            return size, sign, hits
+        if c == 1 or c == minus:
+            hits.append((h, (c, -b % n, b, -a % n)))
+        a, b = b, c
+    raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+
+
+def _endpoints(p_mat, n):
+    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, as a list.
+
+    With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
+    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
+    row, y = -eps*r: at most one solution exists. It is verified by
+    evaluating the full product before it is returned. Mod 2 the two
+    signs coincide and the sign is +1.
+    """
+    p, q, r, _ = p_mat
+    if p not in (1, n - 1):
+        return []
+    eps = 1 if p == n - 1 else -1
+    x, y = eps * q % n, -eps * r % n
+    m = _mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n)
+    return [(x, y, eps)] if _sign(m, n) == eps else []
+
+
+def _first_witness(n, hits):
+    """(size, x, y, sign) of the smallest bordered solution among the
+    hits of _walk, all of size in [3, S); the mirror images of the hits
+    are larger, so this is the smallest below the minimal size S."""
+    for j, p_mat in hits:
+        for x, y, sign in _endpoints(p_mat, n):
+            return j + 2, x, y, sign
+    return None
+
+
+def _pair_row(n: int, k: int) -> list:
+    """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
+    size, x, y, witness sign], the four witness fields None when there
+    is no witness. kind is "reducible", "irreducible" or, for k = 0,
+    "zero-convention"."""
+    size, sign, hits = _walk(n, k)
+    w = _first_witness(n, hits)     # None when k = 0 (size 2)
+    if w:
+        return [size, sign, "reducible", *w]
+    return [size, sign, "irreducible" if k else "zero-convention",
+            None, None, None, None]
+
+
+def decide_row(n: int) -> list[list]:
+    """The flat rows (as _pair_row) of every k mod n, k ascending.
+
+    Only k <= n/2 are walked. M(-k) = -D * M(k) * D with D = diag(1, -1)
+    gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
+    So n - k has the size and kind of k, its sign times (-1)**size, and
+    the witness (-x, -y) of the same size w, its sign times (-1)**w.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    rows = [_pair_row(n, k) for k in range(n // 2 + 1)]
+    for k in range((n - 1) // 2, 0, -1):
+        size, sign, kind, w, x, y, w_sign = rows[k]
+        if size % 2:
+            sign = -sign
+        if w is None:
+            rows.append([size, sign, kind, None, None, None, None])
+        else:
+            rows.append([size, sign, kind, w, -x % n, -y % n,
+                         -w_sign if w % 2 else w_sign])
+    return rows

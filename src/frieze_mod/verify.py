@@ -1,11 +1,12 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
 Each verifier checks one published law against every (n, k) in range,
-using only the monomial/reduce primitives, and collects counterexamples.
+using only the flat rows of rows.py and ring's factorization, and
+collects counterexamples.
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
 
-The range verifiers read the flat rows of reduce.decide_row, one list
+The range verifiers read the flat rows of rows.decide_row, one list
 per k with the size at index 0 and the kind at index 2, from a row
 source passed as their last argument: decide_row itself by default, a
 per-call memo shared by the whole battery in run_all.
@@ -17,10 +18,13 @@ import time
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from .reduce import MonomialVerdict, decide_row, is_irreducible_monomial
 from .ring import factorize, is_prime
+from .rows import _pair_row, decide_row
+
+if TYPE_CHECKING:
+    from .reduce import MonomialVerdict
 
 RowSource = Callable[[int], list[list]]
 
@@ -79,6 +83,8 @@ def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
     """All k classifications for one modulus, as verdict objects, kept in
     an LRU across calls; built from the flat rows of decide_row, the same
     rows survey prints. The verifiers read those rows directly."""
+    # reduce (verdict objects) is loaded here, not by the battery
+    from .reduce import MonomialVerdict
     return tuple(MonomialVerdict.from_row(n, k, r)
                  for k, r in enumerate(decide_row(n)))
 
@@ -428,10 +434,10 @@ def verify_unbounded_family(primes=DEFAULT_FAMILY_PRIMES) -> TheoremReport:
         n = 3 * p
         k = p + 2 if p % 3 == 1 else p - 2
         hit = True
-        v = is_irreducible_monomial(n, k)
-        if not (v.size == 4 * p and v.kind == "irreducible"):
+        size, _, kind = _pair_row(n, k)[:3]
+        if not (size == 4 * p and kind == "irreducible"):
             bad.append(Counterexample(
-                n, k, f"{v.kind} of size {v.size}",
+                n, k, f"{kind} of size {size}",
                 f"irreducible of size {4 * p}"))
     return _report("unbounded-family", f"p in {list(primes)}", hit, bad, t0)
 

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ from click.testing import CliRunner
 
 import frieze_mod
 from frieze_mod.cli import _CSV_HEADER, cli
+from frieze_mod.cli import classify as classify_cmd, witness as witness_cmd
+from frieze_mod.reduce import is_irreducible_monomial
 
 
 @pytest.fixture()
@@ -36,6 +40,10 @@ def runner(cache_dir):
     (["oplus", "10", "1,1,3", "-2,0,2"], "3,1,1,0\n"),
     (["oplus", "7", "2,2,1,0", "1,-1,1"], "3,2,1,1,6\n"),
     (["oplus", "5", "1,2", "0,0"], "1,2\n"),
+    # K is taken mod N and may be negative
+    (["size", "35", "-12"], "70\n"),
+    (["classify", "9", "-6"], "reducible; witness size 4: (6,3,3,6)\n"),
+    (["witness", "9", "-6"], "6,3,3,6\n"),
 ])
 def test_pinned_outputs(runner, args, want):
     res = runner.invoke(cli, args)
@@ -57,6 +65,8 @@ def test_pinned_outputs(runner, args, want):
     ["survey", "--min", "1", "--max", "3"],
     ["survey"],
     ["nonsense"],
+    ["size", "5", "--bogus"],
+    ["classify", "9", "3", "--bogus"],
 ])
 def test_usage_errors_exit_2(runner, args):
     res = runner.invoke(cli, args)
@@ -103,6 +113,36 @@ def test_unwritable_out_exits_1(runner, tmp_path):
     res = runner.invoke(cli, ["verify", "size-bound", "--max", "20",
                               "--out", str(tmp_path / "no-dir" / "x.json")])
     assert res.exit_code == 1
+
+
+def _object_lines(n, k):
+    """The classify and witness lines built from the verdict objects."""
+    v = is_irreducible_monomial(n, k)
+    w = v.witness
+    if w:
+        verdict = f"reducible; witness size {w.size}: ({w.cycle()})"
+    elif v.kind == "irreducible":
+        verdict = f"irreducible; size {v.size}"
+    else:
+        verdict = f"zero-convention; size {v.size}: (0,0)"
+    return verdict + "\n", (str(w.cycle()) if w else "none") + "\n"
+
+
+def test_row_printing_matches_the_verdict_objects():
+    # every pair with n <= 40, K given as k, k - n and k + n: 4,914 calls
+    # of the two command bodies, under 1 s (click's parsing of a negative
+    # K is pinned in test_pinned_outputs)
+    got, want = io.StringIO(), []
+    with redirect_stdout(got):
+        for n in range(2, 41):
+            for k in range(n):
+                want += _object_lines(n, k) * 3
+                for key in (k, k - n, k + n):
+                    classify_cmd.callback(n, key, False)
+                    witness_cmd.callback(n, key, False)
+    lines = got.getvalue().splitlines(keepends=True)
+    bad = [(i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b]
+    assert len(lines) == len(want) and not bad, bad[:5]
 
 
 def test_survey_csv(runner):
@@ -251,17 +291,15 @@ def _loaded_after(code):
     return res.stdout.split()
 
 
-_DECIDERS = ["frieze_mod.cycles", "frieze_mod.modmat", "frieze_mod.monomial",
-             "frieze_mod.reduce", "frieze_mod.ring"]
-
-
 @pytest.mark.parametrize("args,extra", [
     ([], []),
     (["size", "35", "23"], ["frieze_mod.monomial", "frieze_mod.ring"]),
     (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
-    (["classify", "9", "3", "--no-cache"], _DECIDERS),
-    (["witness", "9", "3"], _DECIDERS),
-    (["survey", "--max", "5"], _DECIDERS),
+    (["classify", "9", "3", "--no-cache"], ["frieze_mod.rows"]),
+    (["witness", "9", "3"], ["frieze_mod.rows"]),
+    (["survey", "--max", "5"], ["frieze_mod.rows"]),
+    (["verify", "all", "--max", "5"],
+     ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])
 def test_commands_load_only_what_they_run(args, extra):
     code = "import frieze_mod.cli"

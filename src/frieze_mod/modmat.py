@@ -17,8 +17,8 @@ from .rows import _m1, _mul, _sign
 Entries = Union[Cycle, Iterable[int]]
 
 
-# Hot paths work on row-major 4-tuples of plain ints (the products of
-# rows); Mat2 wraps them for the public surface.
+# Hot paths work on row-major 4-tuples of plain ints; Mat2 wraps them for
+# the public surface.
 
 _ID = (1, 0, 0, 1)
 

@@ -2,7 +2,9 @@
 
 The flat rows of rows.py become MonomialVerdict and ReductionWitness
 objects here; the general decomposition search and the structure census
-of bordered solutions work on Cycle objects. A solution of size l reduces when some member of its rotation/reversal
+of bordered solutions work on Cycle objects.
+
+A solution of size l reduces when some member of its rotation/reversal
 class splits as the endpoint-merging sum of two strictly shorter
 solutions (both of size >= 3). For a constant solution the right summand
 can always be steered into bordered shape (x, k, ..., k, y), so the

@@ -1,8 +1,17 @@
-"""Command line front end.
+"""Command line front end, on the standard library alone.
 
 Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
 0 on success, 1 on verification failure or unwritable output, 2 on usage
-errors. All stdout output ends with exactly one trailing newline.
+errors. All stdout output ends with exactly one trailing newline. A usage
+error prints the shape click gave to stderr: the line "Usage: frieze-mod
+CMD [OPTIONS] ARGS", the hint "Try 'frieze-mod CMD --help' for help.", a
+blank line and "Error: <message>". --help lists the commands, and after
+a command its options.
+
+main(argv) parses one command line with argparse and returns the exit
+code; cli is the handle click.testing.CliRunner drives (a name and a
+main that raises SystemExit). Each command is a plain function of its
+parsed arguments that prints its answer and returns 1 on failure.
 
 classify and witness decide their one pair, and survey each modulus as a
 whole row, afresh on every run, and print straight from the flat rows of
@@ -10,18 +19,13 @@ rows.py. --no-cache is accepted for compatibility and does nothing; no
 command reads or writes a file besides --out. N and K are plain integers;
 K is taken mod N and may be negative.
 
-Each command imports the package modules (and json) it runs: size loads
-monomial and ring, classify, witness and survey only rows, verify
-verify, rows and ring, and oplus cycles. No import runs per (n, k) pair.
+This module imports only sys at load time. Each command imports the
+package modules (and json) it runs: size loads monomial and ring,
+classify, witness and survey only rows, verify verify, rows and ring,
+and oplus cycles. No import runs per (n, k) pair.
 """
 
-from __future__ import annotations
-
 import sys
-from pathlib import Path
-from typing import Optional
-
-import click
 
 # Witness searches above this modulus need --force. They are still fast,
 # but the guard keeps accidental huge sweeps from running unannounced.
@@ -32,46 +36,37 @@ FORCE_LIMIT = 2000
 SIZE_LIMIT = 2 ** 64
 
 
+class UsageError(Exception):
+    """A bad command line; main prints it under the command's usage and
+    exits 2."""
+
+
 def _check_modulus(n: int) -> None:
     if n < 2:
-        raise click.UsageError(f"modulus must be >= 2, got {n}")
+        raise UsageError(f"modulus must be >= 2, got {n}")
 
 
 def _check_force(n: int, force: bool) -> None:
     if n > FORCE_LIMIT and not force:
-        raise click.UsageError(
+        raise UsageError(
             f"witness search at modulus {n} exceeds {FORCE_LIMIT}; "
             f"pass --force to run it")
 
 
-# Arguments may be negative numbers (K, entry lists); keep click from
-# reading them as options.
-_NEGATIVE_ARGS = {"ignore_unknown_options": True}
-
-# Scripts written while the commands kept a result cache still pass this.
-_no_cache = click.option("--no-cache", is_flag=True, expose_value=False,
-                         help="Accepted for compatibility; there is no cache.")
-
-
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Print text, or write it to the file out; 1 if that fails."""
     if out is None:
-        click.echo(text)
-        return
+        print(text)
+        return 0
     try:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
     except OSError as e:
-        click.echo(f"cannot write {out}: {e}", err=True)
-        sys.exit(1)
+        print(f"cannot write {out}: {e}", file=sys.stderr)
+        return 1
+    return 0
 
 
-@click.group()
-def cli():
-    """Minimal constant solutions of the 2x2 plus/minus identity congruence."""
-
-
-@cli.command(context_settings=_NEGATIVE_ARGS)
-@click.argument("n", type=int)
-@click.argument("k", type=int)
 def size(n: int, k: int):
     """Minimal constant-solution size for K mod N, for 2 <= N < 2**64.
 
@@ -80,10 +75,10 @@ def size(n: int, k: int):
     """
     _check_modulus(n)
     if n >= SIZE_LIMIT:
-        raise click.UsageError(f"size needs a modulus below 2**64, got {n}")
+        raise UsageError(f"size needs a modulus below 2**64, got {n}")
     from .monomial import minimal_monomial_size
     s, sign = minimal_monomial_size(n, k)
-    click.echo(f"{s}, -Id" if sign < 0 else str(s))
+    print(f"{s}, -Id" if sign < 0 else s)
 
 
 def _bordered(k: int, w: int, x: int, y: int) -> str:
@@ -91,12 +86,6 @@ def _bordered(k: int, w: int, x: int, y: int) -> str:
     return ",".join(map(str, (x, *(k,) * (w - 2), y)))
 
 
-@cli.command(context_settings=_NEGATIVE_ARGS)
-@click.argument("n", type=int)
-@click.argument("k", type=int)
-@_no_cache
-@click.option("--force", is_flag=True,
-              help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
 def classify(n: int, k: int, force: bool):
     """Verdict for the minimal constant-K solution mod N."""
     _check_modulus(n)
@@ -105,19 +94,13 @@ def classify(n: int, k: int, force: bool):
     k %= n
     size, _, kind, w, x, y, _ = _pair_row(n, k)
     if w:
-        click.echo(f"reducible; witness size {w}: ({_bordered(k, w, x, y)})")
+        print(f"reducible; witness size {w}: ({_bordered(k, w, x, y)})")
     elif kind == "irreducible":
-        click.echo(f"irreducible; size {size}")
+        print(f"irreducible; size {size}")
     else:
-        click.echo(f"zero-convention; size {size}: (0,0)")
+        print(f"zero-convention; size {size}: (0,0)")
 
 
-@cli.command(context_settings=_NEGATIVE_ARGS)
-@click.argument("n", type=int)
-@click.argument("k", type=int)
-@_no_cache
-@click.option("--force", is_flag=True,
-              help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
 def witness(n: int, k: int, force: bool):
     """Smallest reduction witness for K mod N as a bare entry list.
 
@@ -129,13 +112,9 @@ def witness(n: int, k: int, force: bool):
     from .rows import _pair_row
     k %= n
     w, x, y = _pair_row(n, k)[3:6]
-    click.echo(_bordered(k, w, x, y) if w else "none")
+    print(_bordered(k, w, x, y) if w else "none")
 
 
-@cli.command(name="oplus", context_settings=_NEGATIVE_ARGS)
-@click.argument("n", type=int)
-@click.argument("a")
-@click.argument("b")
 def oplus_cmd(n: int, a: str, b: str):
     """Endpoint-merging sum of two entry lists mod N.
 
@@ -146,27 +125,19 @@ def oplus_cmd(n: int, a: str, b: str):
     try:
         out = cycle_oplus(Cycle.parse(a, n), Cycle.parse(b, n))
     except ValueError as e:
-        raise click.UsageError(str(e)) from None
-    click.echo(str(out))
+        raise UsageError(str(e)) from None
+    print(out)
 
 
-@cli.command()
-@click.argument("theorem_id")
-@click.option("--min", "lo", type=int, default=2, show_default=True,
-              help="Smallest modulus in the sweep.")
-@click.option("--max", "hi", type=int, default=150, show_default=True,
-              help="Largest modulus in the sweep.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report to this file instead of stdout.")
-def verify(theorem_id: str, lo: int, hi: int, out: Optional[str]):
+def verify(theorem_id: str, lo: int, hi: int, out: str | None):
     """Replay one structural law (or "all") over a modulus range.
 
     Emits a JSON report per verifier; exits 1 if any run fails.
     """
     if lo < 2:
-        raise click.UsageError(f"--min must be >= 2, got {lo}")
+        raise UsageError(f"--min must be >= 2, got {lo}")
     if hi < lo:
-        raise click.UsageError(f"--max ({hi}) is below --min ({lo})")
+        raise UsageError(f"--max ({hi}) is below --min ({lo})")
     import json
     from .verify import run_all, run_verifier
     if theorem_id == "all":
@@ -175,12 +146,10 @@ def verify(theorem_id: str, lo: int, hi: int, out: Optional[str]):
         try:
             reports = [run_verifier(theorem_id, lo, hi)]
         except KeyError as e:
-            raise click.UsageError(f"{e.args[0]}, all") from None
+            raise UsageError(f"{e.args[0]}, all") from None
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    _emit(text, out)
-    if any(r.status == "fail" for r in reports):
-        sys.exit(1)
+    return _emit(text, out) or int(any(r.status == "fail" for r in reports))
 
 
 _FIELDS = ("N", "k", "size", "sign", "verdict",
@@ -207,19 +176,7 @@ def _json_lines(n: int, rows: list) -> list[str]:
             for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
 
 
-@cli.command()
-@click.option("--min", "lo", type=int, default=2, show_default=True,
-              help="Smallest modulus surveyed.")
-@click.option("--max", "hi", type=int, required=True,
-              help="Largest modulus surveyed.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the table to this file instead of stdout.")
-@_no_cache
-@click.option("--force", is_flag=True,
-              help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
-def survey(lo: int, hi: int, fmt: str, out: Optional[str], force: bool):
+def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     """Classification table for every k over a range of moduli.
 
     CSV has a fixed header and no quoting (all fields numeric or bare
@@ -227,19 +184,150 @@ def survey(lo: int, hi: int, fmt: str, out: Optional[str], force: bool):
     empty range produces just the header (or nothing for JSON).
     """
     if lo < 2:
-        raise click.UsageError(f"--min must be >= 2, got {lo}")
+        raise UsageError(f"--min must be >= 2, got {lo}")
     _check_force(hi, force)
     from .rows import decide_row
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
     for n in range(lo, hi + 1):
         lines += format_lines(n, decide_row(n))
-    _emit("\n".join(lines), out)
+    return _emit("\n".join(lines), out)
 
 
-def main():
-    cli(prog_name="frieze-mod")
+# Command name -> its function. main calls the module global of that
+# function's name, so a function rebound in this module (a tracer's
+# wrapper) is the one that runs; the help texts come from these.
+_COMMANDS = {"classify": classify, "oplus": oplus_cmd, "size": size,
+             "survey": survey, "verify": verify, "witness": witness}
+
+# Each command's positional arguments; N and K are integers.
+_ARGS = {"size": "N K", "classify": "N K", "witness": "N K",
+         "oplus": "N A B", "verify": "THEOREM_ID", "survey": ""}
+
+_USAGE = "frieze-mod [OPTIONS] COMMAND [ARGS]..."
+
+
+def _doc(fn) -> str:
+    return "\n".join(line.strip() for line in (fn.__doc__ or "").splitlines())
+
+
+def _help() -> str:
+    lines = [f"Usage: {_USAGE}", "",
+             "  Minimal constant solutions of the 2x2 plus/minus identity "
+             "congruence.", "",
+             "Options:", "  --help  Show this message and exit.", "", "Commands:"]
+    for name, fn in _COMMANDS.items():
+        summary = _doc(fn).partition("\n")[0]
+        lines.append(f"  {name:<9} {summary}")
+    return "\n".join(lines) + "\n"
+
+
+def _parser(name: str):
+    """The argparse parser of one command (only the one that runs is
+    built). It raises UsageError instead of exiting, and, like click,
+    knows only --help, no abbreviations."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    class Formatter(argparse.RawDescriptionHelpFormatter):
+        def add_usage(self, usage, actions, groups, prefix="Usage: "):
+            super().add_usage(usage, actions, groups, prefix)
+
+    def out_file(path: str) -> str:
+        import os
+        if os.path.isdir(path):
+            raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
+        return path
+
+    prog = f"frieze-mod {name}"
+    p = Parser(prog=prog, usage=f"{prog} [OPTIONS] {_ARGS[name]}".rstrip(),
+               description=_doc(_COMMANDS[name]), formatter_class=Formatter,
+               add_help=False, allow_abbrev=False)
+    p.add_argument("--help", action="help", help="Show this message and exit.")
+    for metavar in _ARGS[name].split():
+        p.add_argument(metavar.lower(), metavar=metavar,
+                       type=int if metavar in ("N", "K") else str)
+    if name == "verify":
+        p.add_argument("--min", dest="lo", type=int, default=2, metavar="INTEGER",
+                       help="Smallest modulus in the sweep. [default: 2]")
+        p.add_argument("--max", dest="hi", type=int, default=150, metavar="INTEGER",
+                       help="Largest modulus in the sweep. [default: 150]")
+        p.add_argument("--out", type=out_file, metavar="FILE",
+                       help="Write the JSON report to this file instead of stdout.")
+    if name == "survey":
+        p.add_argument("--min", dest="lo", type=int, default=2, metavar="INTEGER",
+                       help="Smallest modulus surveyed. [default: 2]")
+        p.add_argument("--max", dest="hi", type=int, required=True, metavar="INTEGER",
+                       help="Largest modulus surveyed. [required]")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                       default="csv", help="[default: csv]")
+        p.add_argument("--out", type=out_file, metavar="FILE",
+                       help="Write the table to this file instead of stdout.")
+    if name in ("classify", "witness", "survey"):
+        # scripts written while the commands kept a result cache still pass it
+        p.add_argument("--no-cache", action="store_true",
+                       help="Accepted for compatibility; there is no cache.")
+        p.add_argument("--force", action="store_true",
+                       help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
+    return p
+
+
+def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] by default); returns the exit
+    code: 0, 1 when the command fails, 2 on a usage error."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args[:1] == ["--help"]:
+        print(_help(), end="")
+        return 0
+    usage, prog = _USAGE, "frieze-mod"
+    try:
+        if not args or args[0] not in _COMMANDS:
+            raise UsageError(
+                "Missing command." if not args else
+                f"No such option: {args[0]}" if args[0].startswith("-") else
+                f"No such command '{args[0]}'.")
+        name, rest = args[0], args[1:]
+        parser = _parser(name)
+        usage, prog = parser.usage, parser.prog
+        if name == "oplus" and "--help" not in rest:
+            # entry lists such as -2,0,2 are operands, not options
+            rest = ["--", *(a for a in rest if a != "--")]
+        try:
+            opts = vars(parser.parse_args(rest))
+        except SystemExit as e:     # --help printed the command's help
+            return e.code
+        opts.pop("no_cache", None)
+        code = globals()[_COMMANDS[name].__name__](**opts) or 0
+        sys.stdout.flush()
+        return code
+    except UsageError as e:
+        sys.stderr.write(f"Usage: {usage}\nTry '{prog} --help' for help.\n"
+                         f"\nError: {e}\n")
+        return 2
+    except BrokenPipeError:
+        # the reader went away (say, | head): stop quietly, the
+        # unflushed rest of stdout going nowhere
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+class _Handle:
+    """The command line as click.testing.CliRunner drives it: a name and
+    a main that exits with the code of main()."""
+
+    name = "frieze-mod"
+
+    @staticmethod
+    def main(args=None, prog_name=None):
+        raise SystemExit(main(args))
+
+
+cli = _Handle()
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import frieze_mod
-from frieze_mod.cli import _CSV_HEADER, cli
-from frieze_mod.cli import classify as classify_cmd, witness as witness_cmd
+from frieze_mod.cli import _CSV_HEADER, classify, cli, witness
 from frieze_mod.reduce import is_irreducible_monomial
 
 
@@ -26,7 +26,7 @@ def runner(cache_dir):
     return CliRunner(env={"FRIEZE_MOD_CACHE_DIR": str(cache_dir)})
 
 
-@pytest.mark.parametrize("args,want", [
+_PINNED = [
     (["size", "35", "23"], "70\n"),
     (["size", "5", "0"], "2, -Id\n"),
     (["size", "12", "4"], "12\n"),
@@ -44,7 +44,13 @@ def runner(cache_dir):
     (["size", "35", "-12"], "70\n"),
     (["classify", "9", "-6"], "reducible; witness size 4: (6,3,3,6)\n"),
     (["witness", "9", "-6"], "6,3,3,6\n"),
-])
+    # a literal -- before the arguments changes nothing
+    (["oplus", "10", "--", "1,1,3", "-2,0,2"], "3,1,1,0\n"),
+    (["classify", "--", "9", "-6"], "reducible; witness size 4: (6,3,3,6)\n"),
+]
+
+
+@pytest.mark.parametrize("args,want", _PINNED)
 def test_pinned_outputs(runner, args, want):
     res = runner.invoke(cli, args)
     assert res.exit_code == 0, res.output + res.stderr
@@ -86,6 +92,79 @@ def test_verify_unknown_id_lists_all_among_the_known(runner):
     known = ", ".join([*VERIFIERS, "unbounded-family", "all"])
     assert res.stderr.endswith(
         f"Error: unknown theorem id 'no-such-law'; known: {known}\n")
+
+
+# A usage error prints click's shape to stderr: the usage line, the
+# hint, a blank line and one Error line that names the bad argument.
+@pytest.mark.parametrize("args,prog,names", [
+    (["size", "5"], "frieze-mod size", ["K"]),
+    (["classify", "9", "x"], "frieze-mod classify", ["K", "'x'"]),
+    (["classify", "9", "3", "--bogus"], "frieze-mod classify", ["--bogus"]),
+    (["nonsense"], "frieze-mod", ["'nonsense'"]),
+    (["survey", "--max", "3", "--format", "xml"], "frieze-mod survey",
+     ["--format", "'xml'"]),
+    (["survey", "--max", "3", "--out", "DIR"], "frieze-mod survey", ["--out"]),
+])
+def test_usage_errors_keep_the_click_shape(runner, tmp_path, args, prog, names):
+    res = runner.invoke(cli, [str(tmp_path) if a == "DIR" else a for a in args],
+                        prog_name="frieze-mod")
+    assert res.exit_code == 2 and res.stdout == ""
+    lines = res.stderr.split("\n")
+    assert lines[0].startswith(f"Usage: {prog} "), res.stderr
+    assert lines[1:3] == [f"Try '{prog} --help' for help.", ""], res.stderr
+    assert lines[3].startswith("Error: ") and lines[4:] == [""], res.stderr
+    assert all(name in lines[3] for name in names), res.stderr
+
+
+def test_no_arguments_is_a_usage_error(runner):
+    res = runner.invoke(cli, [], prog_name="frieze-mod")
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("Usage: frieze-mod [OPTIONS] COMMAND [ARGS]...\n")
+
+
+# The Error lines the package writes itself, byte for byte.
+@pytest.mark.parametrize("args,usage,error", [
+    (["classify", "0", "1"], "N K", "modulus must be >= 2, got 0"),
+    (["size", "1", "0"], "N K", "modulus must be >= 2, got 1"),
+    (["witness", "2001", "5"], "N K",
+     "witness search at modulus 2001 exceeds 2000; pass --force to run it"),
+    (["survey", "--max", "2500"], "",
+     "witness search at modulus 2500 exceeds 2000; pass --force to run it"),
+    (["size", "18446744073709551616", "3"], "N K",
+     "size needs a modulus below 2**64, got 18446744073709551616"),
+    (["verify", "size-bound", "--min", "1"], "THEOREM_ID",
+     "--min must be >= 2, got 1"),
+    (["survey", "--min", "1", "--max", "3"], "", "--min must be >= 2, got 1"),
+    (["verify", "size-bound", "--min", "50", "--max", "10"], "THEOREM_ID",
+     "--max (10) is below --min (50)"),
+    (["oplus", "10", "1,x,3", "0,0"], "N A B", "entry 2 ('x') is not an integer"),
+    (["oplus", "10", "3", "0,0"], "N A B", "oplus needs both operands of size >= 2"),
+])
+def test_package_usage_errors_are_byte_identical(runner, args, usage, error):
+    res = runner.invoke(cli, args, prog_name="frieze-mod")
+    cmd = args[0]
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == (
+        f"Usage: frieze-mod {cmd} [OPTIONS]{' ' * bool(usage)}{usage}\n"
+        f"Try 'frieze-mod {cmd} --help' for help.\n\nError: {error}\n")
+
+
+@pytest.mark.parametrize("args,options", [
+    ([], ["--help", "classify", "oplus", "size", "survey", "verify", "witness"]),
+    (["size"], ["--help"]),
+    (["classify"], ["--no-cache", "--force", "--help"]),
+    (["witness"], ["--no-cache", "--force", "--help"]),
+    (["oplus"], ["--help"]),
+    (["verify"], ["--min", "--max", "--out", "--help"]),
+    (["survey"], ["--min", "--max", "--format", "--out", "--no-cache",
+                  "--force", "--help"]),
+])
+def test_help_lists_the_options(runner, args, options):
+    res = runner.invoke(cli, [*args, "--help"], prog_name="frieze-mod")
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.startswith(f"Usage: {' '.join(['frieze-mod', *args])} ")
+    missing = [o for o in options if o not in res.stdout]
+    assert not missing, res.stdout
 
 
 def test_verify_single_report_is_a_json_object(runner):
@@ -130,7 +209,7 @@ def _object_lines(n, k):
 
 def test_row_printing_matches_the_verdict_objects():
     # every pair with n <= 40, K given as k, k - n and k + n: 4,914 calls
-    # of the two command bodies, under 1 s (click's parsing of a negative
+    # of the two command functions, under 1 s (the parsing of a negative
     # K is pinned in test_pinned_outputs)
     got, want = io.StringIO(), []
     with redirect_stdout(got):
@@ -138,8 +217,8 @@ def test_row_printing_matches_the_verdict_objects():
             for k in range(n):
                 want += _object_lines(n, k) * 3
                 for key in (k, k - n, k + n):
-                    classify_cmd.callback(n, key, False)
-                    witness_cmd.callback(n, key, False)
+                    classify(n, key, False)
+                    witness(n, key, False)
     lines = got.getvalue().splitlines(keepends=True)
     bad = [(i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b]
     assert len(lines) == len(want) and not bad, bad[:5]
@@ -302,11 +381,99 @@ def _loaded_after(code):
      ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])
 def test_commands_load_only_what_they_run(args, extra):
-    code = "import frieze_mod.cli"
+    code = "import contextlib, io, sys\nimport frieze_mod.cli"
     if args:
-        code += ("\nfrom click.testing import CliRunner\n"
-                 f"assert CliRunner().invoke(frieze_mod.cli.cli, {args!r}).exit_code == 0")
+        code += ("\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert frieze_mod.cli.main({args!r}) == 0")
+    code += "\nassert 'click' not in sys.modules, 'click was imported'"
     assert _loaded_after(code) == sorted(["frieze_mod", "frieze_mod.cli", *extra])
+
+
+# Every command through main() in a process where importing click fails.
+_NO_CLICK = """
+import contextlib, io, json, sys
+sys.modules["click"] = None
+from frieze_mod.cli import main
+results = []
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_command_runs_without_click(runner, tmp_path):
+    unwritable = str(tmp_path / "no-dir" / "x.json")
+    cases = [args for args, _ in _PINNED] + [
+        ["verify", "size-bound", "--max", "40"],
+        ["verify", "all", "--max", "12"],
+        ["survey", "--max", "12"],
+        ["survey", "--max=12", "--format", "json", "--no-cache"],
+        ["--help"], ["survey", "--help"],
+        ["size", "5"],
+        ["verify", "size-bound", "--max", "20", "--out", unwritable],
+    ]
+    res = subprocess.run([sys.executable, "-c", _NO_CLICK, json.dumps(cases)],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    for (code, out, _), (_, want) in zip(got, _PINNED):
+        assert (code, out) == (0, want)
+    elapsed = re.compile(r'"elapsed_ms": [0-9.e-]+')     # differs run to run
+    for args, (code, out, _) in zip(cases, got):
+        clicked = runner.invoke(cli, args)
+        assert (code, elapsed.sub("", out)) == (
+            clicked.exit_code, elapsed.sub("", clicked.stdout)), args
+    assert [code for code, _, _ in got[-2:]] == [2, 1]
+    assert got[-2][2].startswith("Usage: frieze-mod size [OPTIONS] N K\n")
+    assert got[-1][2].startswith(f"cannot write {unwritable}: ")
+
+
+def test_module_entry_point_exits_2_on_a_usage_error():
+    res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", "classify", "0", "1"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.endswith("\nError: modulus must be >= 2, got 0\n")
+
+
+_ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"
+
+
+def test_main_entry_point_answers():
+    res = subprocess.run([sys.executable, "-c", _ENTRY, "classify", "9", "3"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        0, "reducible; witness size 4: (6,3,3,6)\n", "")
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # survey --max 250 prints about 1 MB; the reader takes ten bytes
+    child = subprocess.Popen([sys.executable, "-m", "frieze_mod.cli", "survey", "--max", "250"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_env_with_src())
+    assert child.stdout.read(10) == b"N,k,size,s"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) in (0, 1) and err == b""
+
+
+def test_a_failing_verify_exits_1():
+    # no real range breaks a law, so one verifier is replaced by a broken one
+    broken = ("from frieze_mod import verify\n"
+              "verify.VERIFIERS['size-bound'] = lambda lo, hi, row: verify.TheoremReport("
+              "'size-bound', 'planted', 'fail', (verify.Counterexample(lo, 0, 'x', 'y'),), 0.0)\n")
+    for args in (["verify", "size-bound", "--max", "20"], ["verify", "all", "--max", "12"]):
+        res = subprocess.run([sys.executable, "-c", broken + _ENTRY, *args],
+                             capture_output=True, text=True, env=_env_with_src(),
+                             timeout=60)
+        assert (res.returncode, res.stderr) == (1, ""), args
+        assert '"status": "fail"' in res.stdout
 
 
 def test_star_import_binds_every_public_name():

@@ -16,3 +16,26 @@ def test_no_assert_in_library_code():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _imported(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "."]
+    return []
+
+
+def test_cli_imports_only_sys_at_load_time():
+    # every other import sits in the command that needs it
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert [name for node in tree.body for name in _imported(node)] == ["sys"]
+
+
+def test_no_module_imports_click():
+    # click is a test dependency only (CliRunner); no command path needs it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if any(name.split(".")[0] == "click" for name in _imported(node))]
+    assert not found, found

@@ -132,6 +132,26 @@ def test_monomial_profile_bundles_everything():
     assert tuple(p.components) == (Component(5, 5, -1), Component(7, 4, -1))
 
 
+def test_records_are_frozen_with_field_reprs_and_hashes():
+    law = size_via_crt(35, 3)
+    assert law.size == 40
+    assert repr(law) == "SizeLaw(lcm_value=20, multiplier=2, sign=1)"
+    prof = monomial_profile(35, 3)
+    assert repr(prof) == (
+        "MonomialProfile(n_modulus=35, k=3, size=40, sign=1, components=("
+        "Component(modulus=5, size=5, sign=-1), "
+        "Component(modulus=7, size=4, sign=-1)))")
+    check = check_half_n_law(8)
+    assert repr(check) == ("LawCheck(holds=True, size=4, sign=1, "
+                           "detail='(size, sign) = (4, 1) vs (4, 1)')")
+    for rec, fields in ((law, (20, 2, 1)),
+                        (prof, (35, 3, 40, 1, prof.components)),
+                        (check, (True, 4, 1, check.detail))):
+        assert hash(rec) == hash(fields)
+        with pytest.raises(AttributeError):
+            rec.sign = 0
+
+
 def test_ladder_examples():
     assert prime_power_ladder(3, 3, 3) == [2, 6, 18]
     assert prime_power_ladder(2, 4, 2) == [2, 4, 8, 16]

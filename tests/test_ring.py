@@ -97,6 +97,25 @@ def test_residue_guards():
         Residue(0, 1)
 
 
+def test_residue_is_a_frozen_ordered_record():
+    r = Residue(-2, 5)
+    assert (r.value, r.modulus) == (3, 5)
+    with pytest.raises(ValueError):
+        Residue(1, 1)
+    with pytest.raises(AttributeError):
+        r.value = 4
+    assert hash(Residue(3, 5)) == hash((3, 5))
+    assert repr(r) == "Residue(value=3, modulus=5)" and str(r) == "3"
+    # ordered by value, then modulus
+    assert sorted([Residue(4, 7), Residue(1, 9), Residue(4, 5)]) == \
+        [Residue(1, 9), Residue(4, 5), Residue(4, 7)]
+    assert Residue(1, 9) < Residue(4, 5) <= Residue(4, 5)
+    with pytest.raises(TypeError):
+        2 * Residue(3, 5)
+    with pytest.raises(ValueError):
+        Residue(3, 5) * Residue(1, 7)
+
+
 @given(st.integers(2, 500), st.integers())
 @settings(max_examples=200, deadline=None)
 def test_projection_chains_commute(n, v):

@@ -100,6 +100,28 @@ def test_report_json_shape():
     assert list(ce) == ["n", "k", "observed", "expected"]
 
 
+def test_report_records_are_frozen_with_field_reprs():
+    ce = Counterexample(9, 3, "observed", "expected")
+    assert repr(ce) == ("Counterexample(n_modulus=9, k=3, "
+                        "observed='observed', expected='expected')")
+    assert hash(ce) == hash((9, 3, "observed", "expected"))
+    report = run_verifier("eight-divides", 2, 20)
+    assert report.to_dict() == {
+        "theorem_id": "eight-divides", "range": report.range,
+        "status": "pass", "counterexamples": [],
+        "elapsed_ms": report.elapsed_ms}
+    assert repr(report).startswith(
+        "TheoremReport(theorem_id='eight-divides', range='n in [2, 20], "
+        "n divisible by 8', status='pass', counterexamples=(), elapsed_ms=")
+    row = survey_row(monomial_row(9)[3])
+    assert repr(row) == ("SurveyRow(n_modulus=9, k=3, size=6, sign=-1, "
+                         "verdict='reducible', witness_size=4, witness_x=6, "
+                         "witness_y=6)")
+    for rec in (ce, report, row):
+        with pytest.raises(AttributeError):
+            rec.k = 0
+
+
 def test_run_verifier_unknown_id_lists_the_known_ones():
     for theorem_id in ("no-such-law", "all"):
         with pytest.raises(KeyError) as e:

@@ -8,7 +8,6 @@ ladders, closed-form special cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
@@ -133,8 +132,7 @@ def component_profile(n: int, k: int) -> list[Component]:
     return comps
 
 
-@dataclass(frozen=True)
-class SizeLaw:
+class SizeLaw(NamedTuple):
     """How the minimal size mod n assembles from its prime-power parts.
 
     size = multiplier * lcm_value, with multiplier 2 exactly when the
@@ -172,8 +170,7 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     return SizeLaw(m, mult, sign)
 
 
-@dataclass(frozen=True)
-class MonomialProfile:
+class MonomialProfile(NamedTuple):
     """Size, sign, and factor components for one (n, k) pair."""
 
     n_modulus: int
@@ -208,8 +205,7 @@ def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:
     return sizes
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(NamedTuple):
     """Outcome of checking one closed-form size law instance."""
 
     holds: bool

@@ -6,7 +6,7 @@ their canonical representative in [0, N) on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Sequence
 
@@ -124,17 +124,23 @@ def prime_power_factors(n: int) -> list[int]:
     return [p ** m for p, m in factorize(n)]
 
 
-@dataclass(frozen=True, order=True)
-class Residue:
-    """An element of Z/NZ, stored as its representative in [0, N)."""
+class Residue(namedtuple("Residue", "value modulus")):
+    """An element of Z/NZ, stored as its representative in [0, N).
 
-    value: int
-    modulus: int
+    A tuple record: it compares, orders and hashes as (value, modulus).
+    """
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        return super().__new__(cls, value % modulus, modulus)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which must normalize as well
+        return cls(*iterable)
 
     def _lift(self, other) -> int:
         if isinstance(other, Residue):
@@ -151,6 +157,10 @@ class Residue:
 
     def __mul__(self, other):
         return Residue(self.value * self._lift(other), self.modulus)
+
+    def __rmul__(self, other):
+        # not tuple repetition: 2 * r is a TypeError, as for any record
+        return NotImplemented
 
     def __neg__(self):
         return Residue(-self.value, self.modulus)

@@ -15,10 +15,9 @@ per-call memo shared by the whole battery in run_all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import factorize, is_prime
 from .rows import _pair_row, decide_row
@@ -29,8 +28,7 @@ if TYPE_CHECKING:
 RowSource = Callable[[int], list[list]]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """One (n, k) violating a law; k is -1 for a failed existence claim."""
 
     n_modulus: int
@@ -43,8 +41,7 @@ class Counterexample:
                 "observed": self.observed, "expected": self.expected}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of one verifier run.
 
     status is "fail" exactly when counterexamples is nonempty, "vacuous"
@@ -182,7 +179,7 @@ def verify_eight_divides(lo: int = 2, hi: int = 150,
     """When 8 divides n, every minimal constant-solution size is <= n."""
     t0 = time.perf_counter()
     bad, hit = [], False
-    for n in range(lo, hi + 1):
+    for n in range(max(lo, 2), hi + 1):
         if n % 8:
             continue
         for k, r in enumerate(row(n)):
@@ -487,8 +484,7 @@ def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     """One (n, k) line of the survey table."""
 
     n_modulus: int

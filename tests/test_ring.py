@@ -116,6 +116,14 @@ def test_residue_is_a_frozen_ordered_record():
         Residue(3, 5) * Residue(1, 7)
 
 
+def test_residue_is_a_tuple_of_its_fields():
+    value, modulus = Residue(8, 5)
+    assert (value, modulus) == Residue(8, 5) == (3, 5)
+    assert Residue(3, 5)._replace(value=9) == Residue._make([4, 5]) == (4, 5)
+    with pytest.raises(ValueError):
+        Residue(3, 5)._replace(modulus=1)
+
+
 @given(st.integers(2, 500), st.integers())
 @settings(max_examples=200, deadline=None)
 def test_projection_chains_commute(n, v):

@@ -212,6 +212,15 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
     assert events[first:] == ["check"] * len(VERIFIERS)
 
 
+def test_ranges_below_two_start_at_two():
+    def facts(r):
+        return r.theorem_id, r.status, r.counterexamples
+    assert [facts(r) for r in run_all(0, 20)] == \
+        [facts(r) for r in run_all(2, 20)]
+    assert facts(run_verifier("eight-divides", -16, 20)) == \
+        facts(run_verifier("eight-divides", 2, 20))
+
+
 def test_run_all_order_and_contents():
     reports = run_all(2, 40)
     assert [r.theorem_id for r in reports] == \

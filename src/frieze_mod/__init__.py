@@ -15,21 +15,17 @@ from importlib import import_module
 _HOMES = {
     "cycles": ("Cycle", "canonical_form", "equivalence_class", "equivalent",
                "oplus", "reversal", "rotations"),
-    "modmat": ("Mat2", "m1", "m_n", "mat_pow", "solution_sign"),
+    "modmat": ("m_n", "solution_sign"),
     "monomial": ("Component", "LawCheck", "MonomialProfile", "SizeCapExceeded",
                  "SizeLaw", "check_half_n_law", "check_prime_size_law",
                  "component_profile", "minimal_monomial_size",
                  "monomial_profile", "prime_power_ladder",
                  "shared_factor_size", "size_via_crt"),
-    "reduce": ("Decomposition", "MonomialVerdict", "ReductionWitness",
-               "StructureReport", "bordered_solutions",
-               "is_irreducible_monomial", "is_reducible_general",
-               "monomial_reduction_witness", "witness_structure_check"),
-    "ring": ("Residue", "crt_combine", "factorize", "is_prime",
-             "prime_power_factors", "project"),
+    "reduce": ("MonomialVerdict", "ReductionWitness", "is_irreducible_monomial",
+               "monomial_reduction_witness"),
+    "ring": ("Residue", "factorize", "is_prime"),
     "verify": ("VERIFIERS", "Counterexample", "SurveyRow", "TheoremReport",
-               "monomial_row", "run_all", "run_verifier", "survey_row",
-               "survey_rows"),
+               "monomial_row", "run_all", "run_verifier", "survey_rows"),
 }
 _MODULE_OF = {name: mod for mod, names in _HOMES.items() for name in names}
 

@@ -1,8 +1,7 @@
 """Reducibility of minimal constant solutions, as verdict objects.
 
 The flat rows of rows.py become MonomialVerdict and ReductionWitness
-objects here; the general decomposition search and the structure census
-of bordered solutions work on Cycle objects.
+records here.
 
 A solution of size l reduces when some member of its rotation/reversal
 class splits as the endpoint-merging sum of two strictly shorter
@@ -13,18 +12,13 @@ witness search only ever has to solve for two endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .cycles import Cycle, equivalence_class
-from .modmat import _ID, _pow, _prod, solution_sign
-# decide_row is re-exported: it lived here before rows existed
-from .rows import (_endpoints, _first_witness, _m1, _mul, _pair_row, _walk,
-                   decide_row)
+from .cycles import Cycle
+from .rows import _pair_row
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(NamedTuple):
     """A bordered solution (x, k, ..., k, y) shorter than the minimal size.
 
     Carries its modulus and k so it can be rechecked standalone via
@@ -43,19 +37,6 @@ class ReductionWitness:
         return Cycle((self.x,) + inner + (self.y,), self.n_modulus)
 
 
-def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
-    """All (x, y, sign) with (x, k, ..., k, y) of this size a solution mod n.
-
-    size >= 2; size 2 means the bare pair (x, y). The list has at most
-    one element (see _endpoints).
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if size < 2:
-        raise ValueError(f"bordered shape needs size >= 2, got {size}")
-    return _endpoints(_pow(_m1(k, n), size - 2, n), n)
-
-
 def monomial_reduction_witness(n: int, k: int) -> Optional[ReductionWitness]:
     """Smallest bordered witness strictly below the minimal size, if any.
 
@@ -64,8 +45,7 @@ def monomial_reduction_witness(n: int, k: int) -> Optional[ReductionWitness]:
     return is_irreducible_monomial(n, k).witness
 
 
-@dataclass(frozen=True)
-class MonomialVerdict:
+class MonomialVerdict(NamedTuple):
     """Classification of the minimal constant-k solution mod n."""
 
     n_modulus: int
@@ -92,130 +72,7 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     which for constant solutions is equivalent to the general
     decomposition search (cross-checked in the tests).
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     return MonomialVerdict.from_row(n, k, _pair_row(n, k))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A successful split rotated = left oplus right, both parts solutions.
-
-    rotated is the equivalence-class member that actually split; left and
-    right have sizes >= 3 summing to len(rotated) + 2.
-    """
-
-    rotated: Cycle
-    left: Cycle
-    right: Cycle
-
-
-def is_reducible_general(c: Cycle) -> Optional[Decomposition]:
-    """Search every equivalence-class member of a solution for a split.
-
-    For each representative c' of length n and each right-part size l in
-    [3, n-1], the right part's interior is pinned to the tail entries of
-    c' (the left part keeps size m = n - l + 2 >= 3); its endpoints
-    (b1, bl), solved in closed form by _endpoints, force the left part by
-    subtraction at the seam. The first hit in scan order (representative
-    lex ascending, then l ascending) is returned; None means no member
-    splits. Input must be a solution.
-    """
-    if solution_sign(c) is None:
-        raise ValueError("input cycle is not a solution")
-    total = len(c)
-    n = c.modulus
-    if total < 4:
-        return None
-    for rep in sorted(equivalence_class(c)):
-        v = rep.entries
-        for l in range(3, total):
-            m = total - l + 2
-            interior = v[m:]
-            for b1, bl, _ in _endpoints(_prod(interior, n), n):
-                right = Cycle((b1,) + interior + (bl,), n)
-                left = Cycle((v[0] - bl,) + v[1:m - 1] + (v[m - 1] - b1,), n)
-                # right a solution + the sum a solution forces left to be
-                # one too; cheap to confirm on the way out.
-                if solution_sign(left) is None:
-                    raise RuntimeError(
-                        f"split of {rep} leaves the non-solution {left}")
-                return Decomposition(rep, left, right)
-    return None
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Census of bordered solutions (x, k, ..., k, y) up to a size cap.
-
-    entries lists every (size, x, y, sign) found. violations records
-    departures from the endpoint pattern that minimal-size arithmetic
-    forces, and, for an irreducible k, from the exact existence pattern.
-    """
-
-    n_modulus: int
-    k: int
-    minimal_size: int
-    cap: int
-    entries: tuple[tuple[int, int, int, int], ...]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def witness_structure_check(n: int, k: int,
-                            cap: Optional[int] = None) -> StructureReport:
-    """Enumerate bordered solutions up to cap and check the size pattern.
-
-    With minimal size s, a bordered solution of size l forces its
-    endpoints: l = 0 mod s means x = y = k; l = 1 mod s cannot happen;
-    l = 2 mod s means x = y = 0. When the minimal solution is irreducible,
-    the pattern is exact: those sizes all occur and no others do. Default
-    cap is 3s + 2 (three full periods), and M(k)**s = sign * Id repeats
-    the inner powers of the first period in every later one. Within the
-    period, M(k)**(s-2-j) = sign * M(k)**-2 * adj(M(k)**j) gives the
-    powers with a +-1 corner past (s - 2)/2 from those the walk passed.
-    """
-    k %= n
-    s, sign, hits = _walk(n, k)
-    if cap is None:
-        cap = 3 * s + 2
-    irreducible = k != 0 and _first_witness(n, hits) is None
-    inv2 = (n - 1, k, -k % n, (k * k - 1) % n)     # M(k)**-2
-    period = {}
-    for j, (a, b, c, d) in [(0, _ID), *hits]:
-        period[j] = (a, b, c, d)
-        m = _mul(inv2, (d, -b % n, -c % n, a), n)
-        period[s - 2 - j] = tuple(sign * e % n for e in m)
-    found = []
-    violations = []
-    for l in range(2, cap + 1):
-        q, j = divmod(l - 2, s)
-        p_mat = tuple(sign ** q * e % n for e in period.get(j, ()))
-        sols = _endpoints(p_mat, n) if p_mat else []
-        r = l % s
-        for x, y, sg in sols:
-            found.append((l, x, y, sg))
-            if r == 0 and not (x == k and y == k):
-                violations.append(
-                    f"size {l} = 0 mod {s}: endpoints ({x},{y}) != ({k},{k})")
-            elif r == 1:
-                violations.append(
-                    f"size {l} = 1 mod {s}: no bordered solution may exist")
-            elif r == 2 % s and not (x == 0 and y == 0):
-                violations.append(
-                    f"size {l} = 2 mod {s}: endpoints ({x},{y}) != (0,0)")
-        if irreducible:
-            if r == 0:
-                expected = [(k, k)]
-            elif r == 2 % s:
-                expected = [(0, 0)]
-            else:
-                expected = []
-            got = sorted((x, y) for x, y, _ in sols)
-            if got != expected:
-                violations.append(
-                    f"size {l}: bordered solutions {got} != {expected} "
-                    f"required for an irreducible minimal solution")
-    return StructureReport(n, k, s, cap, tuple(found), tuple(violations))

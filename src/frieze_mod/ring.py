@@ -1,4 +1,4 @@
-"""Residue arithmetic helpers: factorization, projection, CRT recombination.
+"""Residue arithmetic helpers: factorization, primality, residues.
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from typing import Sequence
 
 
 # The first thirteen primes. As Miller-Rabin bases they decide primality
@@ -115,15 +114,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_power_factors(n: int) -> list[int]:
-    """Pairwise-coprime prime-power parts of n, primes ascending.
-
-    >>> prime_power_factors(360)
-    [8, 9, 5]
-    """
-    return [p ** m for p, m in factorize(n)]
-
-
 class Residue(namedtuple("Residue", "value modulus")):
     """An element of Z/NZ, stored as its representative in [0, N).
 
@@ -167,32 +157,3 @@ class Residue(namedtuple("Residue", "value modulus")):
 
     def __str__(self):
         return str(self.value)
-
-
-def project(r: Residue, d: int) -> Residue:
-    """Push a residue down to a divisor modulus.
-
-    d must be a divisor >= 2 of r.modulus, so that reduction mod d is well
-    defined on the residue class.
-    """
-    if d < 2 or r.modulus % d != 0:
-        raise ValueError(f"{d} is not a divisor >= 2 of modulus {r.modulus}")
-    return Residue(r.value, d)
-
-
-def crt_combine(parts: Sequence[Residue], n: int) -> Residue:
-    """Rebuild a residue mod n from its prime-power projections.
-
-    The parts must carry exactly the prime-power factors of n as their
-    moduli, in any order. Inverse of projecting onto each factor.
-    """
-    want = sorted(prime_power_factors(n))
-    got = sorted(p.modulus for p in parts)
-    if got != want:
-        raise ValueError(
-            f"component moduli {got} are not the prime-power factors {want} of {n}")
-    x = 0
-    for part in parts:
-        rest = n // part.modulus
-        x += part.value * rest * pow(rest, -1, part.modulus)
-    return Residue(x, n)

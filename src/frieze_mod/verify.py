@@ -497,18 +497,11 @@ class SurveyRow(NamedTuple):
     witness_y: Optional[int]
 
 
-def survey_row(v: MonomialVerdict) -> SurveyRow:
-    w = v.witness
-    return SurveyRow(v.n_modulus, v.k, v.size, v.sign, v.kind,
-                     w.size if w else None, w.x if w else None,
-                     w.y if w else None)
-
-
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
     """One row per (n, k), n ascending then k ascending. An empty range
     yields nothing."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
     for n in range(lo, hi + 1):
-        for v in monomial_row(n):
-            yield survey_row(v)
+        for k, r in enumerate(decide_row(n)):
+            yield SurveyRow(n, k, *r[:6])

@@ -11,10 +11,10 @@ import time
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import minimal_monomial_size, size_via_crt
-from frieze_mod.reduce import (is_irreducible_monomial, is_reducible_general,
-                               monomial_reduction_witness)
+from frieze_mod.reduce import is_irreducible_monomial, monomial_reduction_witness
 from frieze_mod.ring import factorize
 from frieze_mod.verify import run_all
+from routes import is_reducible_general
 
 # minimal constant-solution sizes, frozen from the definitional scan
 GOLDEN_SIZES = {

@@ -4,14 +4,14 @@ from hypothesis import given, settings, strategies as st
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import minimal_monomial_size, size_via_crt
-from frieze_mod.reduce import (ReductionWitness, bordered_solutions,
-                               decide_row, is_irreducible_monomial,
-                               is_reducible_general,
-                               monomial_reduction_witness,
-                               witness_structure_check)
+from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
+                               monomial_reduction_witness)
+from frieze_mod.rows import decide_row
 from frieze_mod.verify import monomial_row
 from oracles import (bordered_census, bordered_scan, pm_sign, product,
                      split_search, walk_min_size)
+from routes import (bordered_solutions, is_reducible_general,
+                    witness_structure_check)
 
 # smallest witnesses, pinned from the direct definitional scan
 SMALLEST_WITNESSES = {
@@ -32,7 +32,10 @@ SMALLEST_WITNESSES = {
 
 
 def test_bordered_matches_brute_force():
-    for n in range(2, 11):
+    # the closed-form endpoint solve against every (x, y), for every pair
+    # with n <= 16 (so 12 = 4 * 3 and a modulus divisible by 16 are in)
+    # and every size up to 12; budget about 2 s
+    for n in range(2, 17):
         for k in range(n):
             for size in range(2, 13):
                 got = sorted(bordered_solutions(n, k, size))
@@ -40,19 +43,14 @@ def test_bordered_matches_brute_force():
 
 
 def test_rejects_bad_modulus():
-    for fn in (is_irreducible_monomial, monomial_reduction_witness,
-               witness_structure_check):
+    for n in (1, 0, -3):
+        for fn in (is_irreducible_monomial, monomial_reduction_witness,
+                   witness_structure_check):
+            for k in (0, 5):
+                with pytest.raises(ValueError):
+                    fn(n, k)
         with pytest.raises(ValueError):
-            fn(1, 0)
-    with pytest.raises(ValueError):
-        decide_row(1)
-
-
-def test_bordered_guards():
-    with pytest.raises(ValueError):
-        bordered_solutions(1, 0, 4)
-    with pytest.raises(ValueError):
-        bordered_solutions(5, 2, 1)
+            decide_row(n)
 
 
 def test_at_most_one_bordered_solution_per_size():
@@ -121,6 +119,22 @@ def test_verdicts():
     assert (v.kind, v.size, v.witness) == ("zero-convention", 2, None)
 
     assert is_irreducible_monomial(9, 12) == is_irreducible_monomial(9, 3)
+
+
+def test_verdict_records_are_frozen_with_field_reprs():
+    v = is_irreducible_monomial(9, 3)
+    w = v.witness
+    assert repr(w) == ("ReductionWitness(n_modulus=9, k=3, size=4, x=6, y=6, "
+                       "sign=1)")
+    assert repr(v) == ("MonomialVerdict(n_modulus=9, k=3, size=6, sign=-1, "
+                       f"kind='reducible', witness={w!r})")
+    assert hash(w) == hash((9, 3, 4, 6, 6, 1))
+    assert hash(v) == hash((9, 3, 6, -1, "reducible", w))
+    assert v == is_irreducible_monomial(9, 12) and v != is_irreducible_monomial(9, 6)
+    assert (v.size, v.witness.size, v.witness.cycle().entries) == (6, 4, (6, 3, 3, 6))
+    for rec in (v, w):
+        with pytest.raises(AttributeError):
+            rec.k = 0
 
 
 def test_zero_bucket_and_short_size_laws():

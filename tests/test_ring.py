@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod.ring import (Residue, crt_combine, factorize, is_prime,
-                             prime_power_factors, project)
-from oracles import naive_crt, trial_factorize
+from frieze_mod.ring import Residue, factorize, is_prime
+from oracles import trial_factorize
 
 
 def test_factorize_examples():
@@ -69,11 +68,6 @@ def test_is_prime_rejects_pseudoprimes(n):
     assert not is_prime(n)
 
 
-def test_prime_power_factors():
-    assert prime_power_factors(360) == [8, 9, 5]
-    assert prime_power_factors(7) == [7]
-
-
 @given(st.integers(), st.integers(2, 500))
 @settings(max_examples=200, deadline=None)
 def test_residue_normalizes(v, n):
@@ -122,52 +116,3 @@ def test_residue_is_a_tuple_of_its_fields():
     assert Residue(3, 5)._replace(value=9) == Residue._make([4, 5]) == (4, 5)
     with pytest.raises(ValueError):
         Residue(3, 5)._replace(modulus=1)
-
-
-@given(st.integers(2, 500), st.integers())
-@settings(max_examples=200, deadline=None)
-def test_projection_chains_commute(n, v):
-    divs = [d for d in range(2, n + 1) if n % d == 0]
-    r = Residue(v, n)
-    for d2 in divs:
-        for d1 in (d for d in divs if d2 % d == 0):
-            assert project(project(r, d2), d1) == project(r, d1)
-
-
-def test_project_rejects_non_divisor():
-    r = Residue(3, 12)
-    with pytest.raises(ValueError):
-        project(r, 5)
-    with pytest.raises(ValueError):
-        project(r, 1)
-
-
-@given(st.integers(2, 500), st.integers())
-@settings(max_examples=300, deadline=None)
-def test_crt_roundtrip(n, v):
-    r = Residue(v, n)
-    parts = [project(r, q) for q in prime_power_factors(n)]
-    assert crt_combine(parts, n) == r
-
-
-def test_crt_roundtrip_exhaustive_small():
-    for n in range(2, 61):
-        qs = prime_power_factors(n)
-        for v in range(n):
-            r = Residue(v, n)
-            assert crt_combine([project(r, q) for q in qs], n) == r
-
-
-def test_crt_rejects_wrong_parts():
-    # 12 splits as 4 * 3; a mod-2 part is not a prime-power factor
-    with pytest.raises(ValueError):
-        crt_combine([Residue(1, 2), Residue(0, 3)], 12)
-    with pytest.raises(ValueError):
-        crt_combine([Residue(1, 4)], 12)
-
-
-def test_crt_agrees_with_naive_scan():
-    parts = [Residue(1, 2), Residue(2, 9), Residue(3, 5)]
-    got = crt_combine(parts, 90)
-    assert got.value == 83
-    assert got.value == naive_crt([(1, 2), (2, 9), (3, 5)], 90)

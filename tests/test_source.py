@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import frieze_mod
@@ -39,3 +40,12 @@ def test_no_module_imports_click():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if any(name.split(".")[0] == "click" for name in _imported(node))]
     assert not found, found
+
+
+def test_readme_lists_every_public_name():
+    # the Public names section of README names each name of __all__ in
+    # backticks
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Public names\n")[1].split("\n## ")[0]
+    public = set(frieze_mod.__all__) - {"__version__"}
+    assert sorted(public - set(re.findall(r"`(\w+)`", section))) == []

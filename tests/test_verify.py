@@ -1,16 +1,18 @@
 import json
 import time
+from math import gcd
 
 import pytest
 
 import frieze_mod.verify as verify_module
-from frieze_mod.reduce import decide_row
+from frieze_mod.rows import decide_row
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
-                               Counterexample, _power_shapes, _report,
-                               is_three_m_form, monomial_row, odd_half,
-                               prime_power_shape, run_all, run_verifier,
-                               survey_row, survey_rows, two_three_split,
+                               Counterexample, _crt_pair, _power_shapes,
+                               _report, is_three_m_form, monomial_row,
+                               odd_half, prime_power_shape, run_all,
+                               run_verifier, survey_rows, two_three_split,
                                verify_unbounded_family)
+from oracles import naive_crt
 
 
 def test_classifier_three_m_form():
@@ -35,6 +37,23 @@ def test_classifier_two_three_split():
     assert two_three_split(12) is None
     assert two_three_split(70) is None    # no factor of three
     assert two_three_split(7) is None
+
+
+def test_crt_pair_matches_the_naive_scan():
+    # size-n builds its reducible k with _crt_pair: every coprime pair of
+    # moduli in [2, 12], every pair of residues (3,294 cases, well under
+    # a second)
+    cases = 0
+    for q1 in range(2, 13):
+        for q2 in range(2, 13):
+            if gcd(q1, q2) != 1:
+                continue
+            for r1 in range(q1):
+                for r2 in range(q2):
+                    want = naive_crt([(r1, q1), (r2, q2)], q1 * q2)
+                    assert _crt_pair(r1, q1, r2, q2) == want, (r1, q1, r2, q2)
+                    cases += 1
+    assert cases == 3294
 
 
 def test_power_shapes_match_prime_power_shape():
@@ -113,7 +132,7 @@ def test_report_records_are_frozen_with_field_reprs():
     assert repr(report).startswith(
         "TheoremReport(theorem_id='eight-divides', range='n in [2, 20], "
         "n divisible by 8', status='pass', counterexamples=(), elapsed_ms=")
-    row = survey_row(monomial_row(9)[3])
+    row = list(survey_rows(9, 9))[3]
     assert repr(row) == ("SurveyRow(n_modulus=9, k=3, size=6, sign=-1, "
                          "verdict='reducible', witness_size=4, witness_x=6, "
                          "witness_y=6)")
@@ -247,9 +266,19 @@ def test_survey_rows_empty_range_and_guard():
 
 
 def test_survey_row_carries_the_witness():
-    row = survey_row(monomial_row(9)[3])
+    row = list(survey_rows(9, 9))[3]
     assert (row.n_modulus, row.k, row.verdict) == (9, 3, "reducible")
     assert (row.witness_size, row.witness_x, row.witness_y) == (4, 6, 6)
+
+
+def test_survey_rows_match_the_verdicts():
+    rows = list(survey_rows(2, 60))
+    verdicts = [v for n in range(2, 61) for v in monomial_row(n)]
+    assert len(rows) == len(verdicts)
+    for row, v in zip(rows, verdicts):
+        w = v.witness
+        assert row == (v.n_modulus, v.k, v.size, v.sign, v.kind,
+                       *((w.size, w.x, w.y) if w else (None,) * 3))
 
 
 def test_monomial_row_is_cached():

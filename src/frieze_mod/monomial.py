@@ -249,6 +249,8 @@ def shared_factor_size(n: int, k: int) -> int:
     to a_i); a prime of n missing from k is a ValueError. The prediction
     is checked against the scan; a mismatch raises AssertionError.
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     predicted = 2
     for p, a in factorize(n):

@@ -1,15 +1,17 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
-Each verifier checks one published law against every (n, k) in range,
-using only the flat rows of rows.py and ring's factorization, and
-collects counterexamples.
+A law is one check function registered with _law. check(n, row) reads
+the flat rows of rows.decide_row (one list per k, the size at index 0
+and the kind at index 2) from the row source row, and yields one item
+per (n, k) that meets the law's hypothesis: True when the pair obeys
+the law, else its Counterexample. The driver runs the check over its
+range of n, times it and builds the TheoremReport. The row source is
+decide_row itself by default, and in run_all a per-call memo shared by
+the whole battery. unbounded-family checks a fixed list of pairs from
+the same rows and ignores the range.
+
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
-
-The range verifiers read the flat rows of rows.decide_row, one list
-per k with the size at index 0 and the kind at index 2, from a row
-source passed as their last argument: decide_row itself by default, a
-per-call memo shared by the whole battery in run_all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import factorize, is_prime
-from .rows import _pair_row, decide_row
+from .rows import decide_row
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
@@ -70,11 +72,6 @@ def _report(theorem_id, range_text, hit, bad, t0) -> TheoremReport:
                          (time.perf_counter() - t0) * 1000.0)
 
 
-def _desc(lo, hi, extra=""):
-    base = f"n in [{lo}, {hi}]"
-    return f"{base}, {extra}" if extra else base
-
-
 @lru_cache(maxsize=2048)
 def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
     """All k classifications for one modulus, as verdict objects, kept in
@@ -114,17 +111,10 @@ def two_three_split(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def prime_power_shape(s: int) -> Optional[tuple[int, int]]:
-    """(p, e) when s = p**e for a prime p and e >= 1, else None."""
-    if s < 2:
-        return None
-    f = factorize(s)
-    return f[0] if len(f) == 1 else None
-
-
+@lru_cache(maxsize=4096)
 def _power_shapes(s: int) -> tuple:
-    """prime_power_shape of s, s / 2 and s / 4 from one factorization of
-    s >= 2; None where the quotient is not an integer."""
+    """(p, e) when s, s / 2 or s / 4 is p**e for a prime p and e >= 1,
+    else None, from one factorization of s >= 2."""
     f = factorize(s)
     twos = dict(f).get(2, 0)
     odd = [pe for pe in f if pe[0] != 2]
@@ -153,201 +143,154 @@ def _crt_pair(r1, q1, r2, q2):
     return (r1 + q1 * ((r2 - r1) * pow(q1, -1, q2) % q2)) % (q1 * q2)
 
 
-def verify_size_bound(lo: int = 2, hi: int = 150,
-                      row: RowSource = decide_row) -> TheoremReport:
+VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
+
+
+def _law(theorem_id, first_n, range_text):
+    """Register a check(n, row) as the range verifier theorem_id, under
+    the check's name and docstring. The verifier runs the check for n in
+    [max(lo, first_n), hi]; the report is hit when some item came back,
+    and fails on every Counterexample among them."""
+    def register(check):
+        def verifier(lo: int = 2, hi: int = 150,
+                     row: RowSource = decide_row) -> TheoremReport:
+            t0 = time.perf_counter()
+            bad, hit = [], False
+            for n in range(max(lo, first_n), hi + 1):
+                for item in check(n, row):
+                    hit = True
+                    if item is not True:
+                        bad.append(item)
+            text = f"n in [{lo}, {hi}]" + (f", {range_text}" if range_text else "")
+            return _report(theorem_id, text, hit, bad, t0)
+        verifier.__name__ = verifier.__qualname__ = check.__name__
+        verifier.__doc__ = check.__doc__
+        VERIFIERS[theorem_id] = verifier
+        return verifier
+    return register
+
+
+@_law("size-bound", 3, "excluding n = 2 and n = 3m with m odd coprime to 3")
+def verify_size_bound(n, row):
     """Irreducible minimal constant solutions have size at most n, except
     for n = 2 and the open family n = 3m with m odd coprime to 3."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 3), hi + 1):
-        if is_three_m_form(n):
-            continue
-        for k, r in enumerate(row(n)):
-            if r[2] != "irreducible":
-                continue
-            hit = True
-            if r[0] > n:
-                bad.append(Counterexample(
-                    n, k, f"irreducible of size {r[0]}", f"size <= {n}"))
-    return _report("size-bound",
-                   _desc(lo, hi, "excluding n = 2 and n = 3m with m odd coprime to 3"),
-                   hit, bad, t0)
+    if is_three_m_form(n):
+        return
+    for k, r in enumerate(row(n)):
+        if r[2] == "irreducible":
+            yield r[0] <= n or Counterexample(
+                n, k, f"irreducible of size {r[0]}", f"size <= {n}")
 
 
-def verify_eight_divides(lo: int = 2, hi: int = 150,
-                         row: RowSource = decide_row) -> TheoremReport:
+@_law("eight-divides", 2, "n divisible by 8")
+def verify_eight_divides(n, row):
     """When 8 divides n, every minimal constant-solution size is <= n."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 2), hi + 1):
-        if n % 8:
-            continue
-        for k, r in enumerate(row(n)):
-            hit = True
-            if r[0] > n:
-                bad.append(Counterexample(
-                    n, k, f"size {r[0]}", f"size <= {n}"))
-    return _report("eight-divides", _desc(lo, hi, "n divisible by 8"),
-                   hit, bad, t0)
+    if n % 8:
+        return
+    for k, r in enumerate(row(n)):
+        yield r[0] <= n or Counterexample(n, k, f"size {r[0]}", f"size <= {n}")
 
 
-def verify_odd_sizes(lo: int = 2, hi: int = 150,
-                     row: RowSource = decide_row) -> TheoremReport:
+@_law("odd-sizes", 3, "odd sizes; for n = 2m (m odd) only sizes divisible by 9")
+def verify_odd_sizes(n, row):
     """Odd minimal sizes force irreducibility, except when n = 2m with m
     odd, where the claim covers odd sizes divisible by 9."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 3), hi + 1):
-        m = odd_half(n)
-        for k, r in enumerate(row(n)):
-            if r[0] % 2 == 0:
-                continue
-            if m is None:
-                covered = True
-            else:
-                covered = m != 1 and r[0] % 9 == 0
-            if not covered:
-                continue
-            hit = True
-            if r[2] != "irreducible":
-                bad.append(Counterexample(
-                    n, k, f"{r[2]} of odd size {r[0]}", "irreducible"))
-    return _report("odd-sizes",
-                   _desc(lo, hi, "odd sizes; for n = 2m (m odd) only sizes divisible by 9"),
-                   hit, bad, t0)
+    m = odd_half(n)
+    for k, r in enumerate(row(n)):
+        if r[0] % 2 and (m is None or (m != 1 and r[0] % 9 == 0)):
+            yield r[2] == "irreducible" or Counterexample(
+                n, k, f"{r[2]} of odd size {r[0]}", "irreducible")
 
 
-def verify_three_h_criterion(lo: int = 2, hi: int = 150,
-                             row: RowSource = decide_row) -> TheoremReport:
+@_law("three-h-criterion", 6, "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3")
+def verify_three_h_criterion(n, row):
     """For n = 2m (m odd) and minimal size 3h with h > 1 odd coprime to 3,
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 6), hi + 1):
-        m = odd_half(n)
-        if m is None or m == 1:
-            continue
-        rows_m = row(m)
-        for k, r in enumerate(row(n)):
-            if r[0] % 3:
-                continue
-            h = r[0] // 3
-            if h == 1 or h % 2 == 0 or h % 3 == 0:
-                continue
-            hit = True
+    m = odd_half(n)
+    if m is None or m == 1:
+        return
+    rows_m = row(m)
+    for k, r in enumerate(row(n)):
+        h = r[0] // 3
+        if r[0] % 3 == 0 and h != 1 and h % 2 and h % 3:
             comp = rows_m[k % m][0]
             want = "irreducible" if comp % 3 == 0 else "reducible"
-            if r[2] != want:
-                bad.append(Counterexample(
-                    n, k, r[2], f"{want} (mod-{m} size {comp})"))
-    return _report("three-h-criterion",
-                   _desc(lo, hi, "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3"),
-                   hit, bad, t0)
+            yield r[2] == want or Counterexample(
+                n, k, r[2], f"{want} (mod-{m} size {comp})")
 
 
-def verify_size_n(lo: int = 2, hi: int = 150,
-                  row: RowSource = decide_row) -> TheoremReport:
+@_law("size-n", 3, "solutions of size exactly n")
+def verify_size_n(n, row):
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
     exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 3), hi + 1):
-        split = two_three_split(n)
-        rows = row(n)
-        if split is None:
-            for k, r in enumerate(rows):
-                if k == 0 or r[0] != n:
-                    continue
-                hit = True
-                if r[2] != "irreducible":
-                    bad.append(Counterexample(
-                        n, k, f"{r[2]} of size {n}", "irreducible"))
-        else:
-            a, b = split
-            hit = True
-            t = 3 ** a
-            k0 = _crt_pair(1, 2, _crt_pair(2 % t, t, -2 % b, b), t * b)
-            r = rows[k0]
-            if not (r[0] == n and r[2] == "reducible"):
-                bad.append(Counterexample(
-                    n, k0, f"{r[2]} of size {r[0]}",
-                    f"reducible of size {n}"))
-    return _report("size-n", _desc(lo, hi, "solutions of size exactly n"),
-                   hit, bad, t0)
+    split = two_three_split(n)
+    rows = row(n)
+    if split is None:
+        for k, r in enumerate(rows):
+            if k and r[0] == n:
+                yield r[2] == "irreducible" or Counterexample(
+                    n, k, f"{r[2]} of size {n}", "irreducible")
+        return
+    a, b = split
+    t = 3 ** a
+    k0 = _crt_pair(1, 2, _crt_pair(2 % t, t, -2 % b, b), t * b)
+    r = rows[k0]
+    yield (r[0] == n and r[2] == "reducible") or Counterexample(
+        n, k0, f"{r[2]} of size {r[0]}", f"reducible of size {n}")
 
 
-def verify_prime_powers(lo: int = 2, hi: int = 150,
-                        row: RowSource = decide_row) -> TheoremReport:
+@_law("prime-powers", 2, "prime-power moduli")
+def verify_prime_powers(n, row):
     """Prime-power moduli classify completely. For odd p: irreducible
     exactly when p does not divide k. For p = 2 (modulus 2**e):
     irreducible exactly when k is odd, or k = 2**(e-1), or e >= 2 with
     k/2 an odd integer."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 2), hi + 1):
-        shape = prime_power_shape(n)
-        if shape is None:
-            continue
-        p, e = shape
-        for k, r in enumerate(row(n)):
-            hit = True
-            if p != 2:
-                want = k % p != 0
-            else:
-                want = (k % 2 == 1 or k == 2 ** (e - 1)
-                        or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
-            if (r[2] == "irreducible") != want:
-                bad.append(Counterexample(
-                    n, k, r[2],
-                    "irreducible" if want else "not irreducible"))
-    return _report("prime-powers", _desc(lo, hi, "prime-power moduli"),
-                   hit, bad, t0)
+    shape = _power_shapes(n)[0]
+    if shape is None:
+        return
+    p, e = shape
+    for k, r in enumerate(row(n)):
+        if p != 2:
+            want = k % p != 0
+        else:
+            want = (k % 2 == 1 or k == 2 ** (e - 1)
+                    or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
+        yield (r[2] == "irreducible") == want or Counterexample(
+            n, k, r[2], "irreducible" if want else "not irreducible")
 
 
-def verify_reducible_constructions(lo: int = 2, hi: int = 150,
-                                   row: RowSource = decide_row) -> TheoremReport:
+@_law("reducible-constructions", 2, "")
+def verify_reducible_constructions(n, row):
     """Three reducible families. p**2 | n for odd p: k = n/p has size 2p,
     reducible. 16 | n: k = n/4 has size 8, reducible. Coprime splits
     n = u * m with u, m > 1 and m odd coprime to 3: some k coprime to n
     is reducible of size 6m (u > 2) or 3m (u = 2)."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 2), hi + 1):
-        rows = row(n)
-        for p, mult in factorize(n):
-            if p == 2 or mult < 2:
-                continue
-            hit = True
+    rows = row(n)
+    for p, mult in factorize(n):
+        if p != 2 and mult >= 2:
             r = rows[n // p]
-            if not (r[0] == 2 * p and r[2] == "reducible"):
-                bad.append(Counterexample(
-                    n, n // p, f"{r[2]} of size {r[0]}",
-                    f"reducible of size {2 * p}"))
-        if n % 16 == 0:
-            hit = True
-            r = rows[n // 4]
-            if not (r[0] == 8 and r[2] == "reducible"):
-                bad.append(Counterexample(
-                    n, n // 4, f"{r[2]} of size {r[0]}",
-                    "reducible of size 8"))
-        for m in _divisors(n):
-            u = n // m
-            if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
-                continue
-            hit = True
-            want = 6 * m if u > 2 else 3 * m
-            if not any(r[2] == "reducible" and r[0] == want
-                       and gcd(k, n) == 1 for k, r in enumerate(rows)):
-                bad.append(Counterexample(
-                    n, -1, f"no unit k reducible of size {want}",
-                    f"some unit k reducible of size {want} (split {u} * {m})"))
-    return _report("reducible-constructions", _desc(lo, hi), hit, bad, t0)
+            yield (r[0] == 2 * p and r[2] == "reducible") or Counterexample(
+                n, n // p, f"{r[2]} of size {r[0]}", f"reducible of size {2 * p}")
+    if n % 16 == 0:
+        r = rows[n // 4]
+        yield (r[0] == 8 and r[2] == "reducible") or Counterexample(
+            n, n // 4, f"{r[2]} of size {r[0]}", "reducible of size 8")
+    for m in _divisors(n):
+        u = n // m
+        if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
+            continue
+        want = 6 * m if u > 2 else 3 * m
+        found = any(r[2] == "reducible" and r[0] == want and gcd(k, n) == 1
+                    for k, r in enumerate(rows))
+        yield found or Counterexample(
+            n, -1, f"no unit k reducible of size {want}",
+            f"some unit k reducible of size {want} (split {u} * {m})")
 
 
-def verify_special_sizes(lo: int = 2, hi: int = 150,
-                         row: RowSource = decide_row) -> TheoremReport:
+@_law("special-sizes", 3, "nonzero k, shaped sizes")
+def verify_special_sizes(n, row):
     """Irreducibility forced by the size's arithmetic shape (nonzero k).
 
     Prime-power sizes > 2 on odd moduli, or with the prime odd; on even
@@ -355,110 +298,80 @@ def verify_special_sizes(lo: int = 2, hi: int = 150,
     n, and any 2**e >= 4 suffices when 16 does not divide n. Size 6 when
     3 does not divide n. Sizes 2 * p**e for odd p coprime to n. Sizes
     4 * p**e for odd n and odd p coprime to n."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    shapes = {}     # size -> shapes of size, size / 2, size / 4
-    for n in range(max(lo, 3), hi + 1):
-        for k, r in enumerate(row(n)):
-            if k == 0:
-                continue
-            s = r[0]
-            if s not in shapes:
-                shapes[s] = _power_shapes(s)
-            pp, half, quarter = shapes[s]
-            reasons = []
-            if pp and s != 2:
-                p, e = pp
-                if n % 2 == 1 or p != 2:
-                    reasons.append(f"prime-power size {s}")
-                elif e == 2 or e >= _two_adic(n):
-                    reasons.append(f"size 2**{e} vs 2-adic valuation of n")
-                if p == 2 and e >= 2 and n % 16:
-                    reasons.append(f"size {s} = 2**{e} with 16 not dividing n")
-            if s == 6 and n % 3:
-                reasons.append("size 6 with 3 not dividing n")
-            if half and half[0] != 2 and n % half[0]:
-                reasons.append(
-                    f"size 2 * {half[0]}**{half[1]}, prime coprime to n")
-            if quarter and n % 2 == 1 and quarter[0] != 2 and n % quarter[0]:
-                reasons.append(
-                    f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus")
-            if not reasons:
-                continue
-            hit = True
-            if r[2] != "irreducible":
-                bad.append(Counterexample(
-                    n, k, f"{r[2]} of size {s}",
-                    f"irreducible ({reasons[0]})"))
-    return _report("special-sizes", _desc(lo, hi, "nonzero k, shaped sizes"),
-                   hit, bad, t0)
+    for k, r in enumerate(row(n)):
+        if k == 0:
+            continue
+        s = r[0]
+        pp, half, quarter = _power_shapes(s)
+        reasons = []
+        if pp and s != 2:
+            p, e = pp
+            if n % 2 == 1 or p != 2:
+                reasons.append(f"prime-power size {s}")
+            elif e == 2 or e >= _two_adic(n):
+                reasons.append(f"size 2**{e} vs 2-adic valuation of n")
+            if p == 2 and e >= 2 and n % 16:
+                reasons.append(f"size {s} = 2**{e} with 16 not dividing n")
+        if s == 6 and n % 3:
+            reasons.append("size 6 with 3 not dividing n")
+        if half and half[0] != 2 and n % half[0]:
+            reasons.append(
+                f"size 2 * {half[0]}**{half[1]}, prime coprime to n")
+        if quarter and n % 2 == 1 and quarter[0] != 2 and n % quarter[0]:
+            reasons.append(
+                f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus")
+        if reasons:
+            yield r[2] == "irreducible" or Counterexample(
+                n, k, f"{r[2]} of size {s}", f"irreducible ({reasons[0]})")
 
 
-def verify_overshoot_3m(lo: int = 2, hi: int = 150,
-                        row: RowSource = decide_row) -> TheoremReport:
+@_law("overshoot-3m", 3, "n = 3m (m odd coprime to 3), sizes > n except n + n/3")
+def verify_overshoot_3m(n, row):
     """For n = 3m with m odd coprime to 3, minimal constant solutions of
     size above n are reducible; the size n + n/3 regime is open and the
     sweep skips it."""
-    t0 = time.perf_counter()
-    bad, hit = [], False
-    for n in range(max(lo, 3), hi + 1):
-        if not is_three_m_form(n):
-            continue
-        for k, r in enumerate(row(n)):
-            if r[0] <= n or r[0] == n + n // 3:
-                continue
-            hit = True
-            if r[2] != "reducible":
-                bad.append(Counterexample(
-                    n, k, f"{r[2]} of size {r[0]}", "reducible"))
-    return _report("overshoot-3m",
-                   _desc(lo, hi, "n = 3m (m odd coprime to 3), sizes > n except n + n/3"),
-                   hit, bad, t0)
+    if not is_three_m_form(n):
+        return
+    for k, r in enumerate(row(n)):
+        if n < r[0] != n + n // 3:
+            yield r[2] == "reducible" or Counterexample(
+                n, k, f"{r[2]} of size {r[0]}", "reducible")
 
 
 DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
 
 
-def verify_unbounded_family(primes=DEFAULT_FAMILY_PRIMES) -> TheoremReport:
+def verify_unbounded_family(lo: int = 2, hi: int = 150,
+                            row: RowSource = decide_row,
+                            primes=DEFAULT_FAMILY_PRIMES) -> TheoremReport:
     """The family witnessing that no additive gap bounds irreducible sizes:
     for an odd prime p >= 5, modulus 3p with k = p + 2 (p = 1 mod 3) or
-    k = p - 2 (p = 2 mod 3) is irreducible of size 4p."""
+    k = p - 2 (p = 2 mod 3) is irreducible of size 4p. The range is
+    ignored."""
     t0 = time.perf_counter()
-    bad, hit = [], False
+    bad = []
     for p in primes:
         if p < 5 or not is_prime(p):
             raise ValueError(f"family needs odd primes >= 5, got {p}")
         n = 3 * p
         k = p + 2 if p % 3 == 1 else p - 2
-        hit = True
-        size, _, kind = _pair_row(n, k)[:3]
+        size, _, kind = row(n)[k][:3]
         if not (size == 4 * p and kind == "irreducible"):
             bad.append(Counterexample(
                 n, k, f"{kind} of size {size}",
                 f"irreducible of size {4 * p}"))
-    return _report("unbounded-family", f"p in {list(primes)}", hit, bad, t0)
+    return _report("unbounded-family", f"p in {list(primes)}", bool(primes),
+                   bad, t0)
 
 
-VERIFIERS: dict[str, Callable[..., TheoremReport]] = {
-    "size-bound": verify_size_bound,
-    "eight-divides": verify_eight_divides,
-    "odd-sizes": verify_odd_sizes,
-    "three-h-criterion": verify_three_h_criterion,
-    "size-n": verify_size_n,
-    "prime-powers": verify_prime_powers,
-    "reducible-constructions": verify_reducible_constructions,
-    "special-sizes": verify_special_sizes,
-    "overshoot-3m": verify_overshoot_3m,
-}
+VERIFIERS["unbounded-family"] = verify_unbounded_family
 
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
-    """Run one verifier by id. unbounded-family ignores the range and uses
-    its default prime list."""
-    if theorem_id == "unbounded-family":
-        return verify_unbounded_family()
+    """Run one verifier by id over [lo, hi] (unbounded-family ignores the
+    range)."""
     if theorem_id not in VERIFIERS:
-        known = ", ".join(list(VERIFIERS) + ["unbounded-family"])
+        known = ", ".join(VERIFIERS)
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
     # decide_row is looked up here, at call time, rather than taken from
     # the verifier's default, so a wrapper put on it (a tracer) sees it
@@ -466,12 +379,13 @@ def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
-    """Every verifier in registry order, then the unbounded family.
+    """Every verifier in registry order.
 
     Each modulus is decided once, into a memo that lives for this call.
-    The rows the checks read (those of [lo, hi] and the odd halves that
-    three-h-criterion reads below lo) are decided before the first
-    verifier starts its clock, so each elapsed_ms is its own check time.
+    The rows the checks read (those of [lo, hi], the odd halves that
+    three-h-criterion reads below lo, and the moduli 3p of the unbounded
+    family) are decided before the first verifier starts its clock, so
+    each elapsed_ms is its own check time.
     """
     row = cache(decide_row)
     for n in range(max(lo, 2), hi + 1):
@@ -479,9 +393,9 @@ def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
         m = odd_half(n)
         if m is not None and m > 1:
             row(m)
-    reports = [fn(lo, hi, row) for fn in VERIFIERS.values()]
-    reports.append(verify_unbounded_family())
-    return reports
+    for p in DEFAULT_FAMILY_PRIMES:
+        row(3 * p)
+    return [fn(lo, hi, row) for fn in VERIFIERS.values()]
 
 
 class SurveyRow(NamedTuple):
@@ -498,10 +412,10 @@ class SurveyRow(NamedTuple):
 
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
-    """One row per (n, k), n ascending then k ascending. An empty range
-    yields nothing."""
+    """One row per (n, k), n ascending then k ascending, each modulus
+    decided as it is reached. An empty range yields nothing; lo below 2
+    raises ValueError at the call."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
-    for n in range(lo, hi + 1):
-        for k, r in enumerate(decide_row(n)):
-            yield SurveyRow(n, k, *r[:6])
+    return (SurveyRow(n, k, *r[:6]) for n in range(lo, hi + 1)
+            for k, r in enumerate(decide_row(n)))

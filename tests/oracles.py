@@ -141,6 +141,13 @@ def trial_factorize(n):
     return out
 
 
+def prime_power(s):
+    """(p, e) when s = p**e for a prime p and e >= 1, else None (by trial
+    division of s)."""
+    f = trial_factorize(s)
+    return f[0] if len(f) == 1 else None
+
+
 def order_sign(n, k, s):
     """The sign of M(k)**s when s is the least size with M(k)**s = +-Id,
     else None: M(k)**s must be +-Id and M(k)**(s/r) must not be, for

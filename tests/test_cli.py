@@ -89,7 +89,7 @@ def test_verify_unknown_id_lists_all_among_the_known(runner):
     from frieze_mod.verify import VERIFIERS
     res = runner.invoke(cli, ["verify", "no-such-law"])
     assert res.exit_code == 2
-    known = ", ".join([*VERIFIERS, "unbounded-family", "all"])
+    known = ", ".join([*VERIFIERS, "all"])
     assert res.stderr.endswith(
         f"Error: unknown theorem id 'no-such-law'; known: {known}\n")
 

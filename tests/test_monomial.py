@@ -217,6 +217,9 @@ def test_shared_factor_guards():
         shared_factor_size(12, 3)
     with pytest.raises(ValueError):
         shared_factor_size(10, 5)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            shared_factor_size(n, 5)
 
 
 def test_shared_factor_whole_range():

@@ -9,10 +9,9 @@ from frieze_mod.rows import decide_row
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
                                _report, is_three_m_form, monomial_row,
-                               odd_half, prime_power_shape, run_all,
-                               run_verifier, survey_rows, two_three_split,
-                               verify_unbounded_family)
-from oracles import naive_crt
+                               odd_half, run_all, run_verifier, survey_rows,
+                               two_three_split, verify_unbounded_family)
+from oracles import naive_crt, prime_power
 
 
 def test_classifier_three_m_form():
@@ -56,19 +55,21 @@ def test_crt_pair_matches_the_naive_scan():
     assert cases == 3294
 
 
-def test_power_shapes_match_prime_power_shape():
+def test_power_shapes_match_the_trial_division_oracle():
+    # prime-powers and special-sizes read these shapes: every s in
+    # [2, 3000), well under a second
+    assert prime_power(8) == (2, 3) and prime_power(12) is None
     for s in range(2, 3000):
-        want = tuple(prime_power_shape(s // d) if s % d == 0 else None
+        want = tuple(prime_power(s // d) if s % d == 0 else None
                      for d in (1, 2, 4))
         assert _power_shapes(s) == want, s
 
 
-def test_classifier_prime_power_shape():
-    assert prime_power_shape(8) == (2, 3)
-    assert prime_power_shape(7) == (7, 1)
-    assert prime_power_shape(2) == (2, 1)
-    assert prime_power_shape(12) is None
-    assert prime_power_shape(1) is None
+def test_registry_lists_the_ten_laws_in_report_order():
+    assert list(VERIFIERS) == [
+        "size-bound", "eight-divides", "odd-sizes", "three-h-criterion",
+        "size-n", "prime-powers", "reducible-constructions",
+        "special-sizes", "overshoot-3m", "unbounded-family"]
 
 
 @pytest.mark.parametrize("theorem_id", sorted(VERIFIERS))
@@ -149,8 +150,7 @@ def test_run_verifier_unknown_id_lists_the_known_ones():
         assert message.startswith(
             f"unknown theorem id {theorem_id!r}; known: ")
         # only the ids run_verifier accepts: "all" belongs to the CLI
-        assert message.split("; known: ")[1].split(", ") == \
-            list(VERIFIERS) + ["unbounded-family"]
+        assert message.split("; known: ")[1].split(", ") == list(VERIFIERS)
 
 
 def _row(size, kind):
@@ -179,6 +179,7 @@ TAMPERED = [
     ("reducible-constructions", 9, 3, _row(6, "irreducible")),
     ("special-sizes", 7, 1, _row(5, "reducible")),
     ("overshoot-3m", 15, 1, _row(16, "irreducible")),
+    ("unbounded-family", 15, 3, _row(20, "reducible")),     # p = 5
 ]
 
 
@@ -202,9 +203,8 @@ def _facts(report):
 @pytest.mark.parametrize("lo,hi", [(97, 181), (2, 150)])
 def test_run_all_matches_the_single_runs(lo, hi):
     # on [97, 181] three-h-criterion reads rows of moduli below lo
-    ids = list(VERIFIERS) + ["unbounded-family"]
     assert [_facts(r) for r in run_all(lo, hi)] == \
-        [_facts(run_verifier(i, lo, hi)) for i in ids]
+        [_facts(run_verifier(i, lo, hi)) for i in VERIFIERS]
 
 
 def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
@@ -223,11 +223,12 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
     monkeypatch.setattr(verify_module, "decide_row", counting)
     for vid, fn in VERIFIERS.items():
         monkeypatch.setitem(VERIFIERS, vid, marked(fn))
-    run_all(30, 60)
+    run_all(40, 60)
     first = events.index("check")
     decided = events[:first]
-    halves = range(15, 30, 2)   # odd m below 30 with 2m in range
-    assert sorted(decided) == sorted([*range(30, 61), *halves])
+    halves = range(21, 30, 2)   # odd m below 40 with 2m in range
+    family = [3 * p for p in DEFAULT_FAMILY_PRIMES]     # 15 lies below both
+    assert sorted(decided) == sorted({*range(40, 61), *halves, *family})
     assert events[first:] == ["check"] * len(VERIFIERS)
 
 
@@ -242,8 +243,7 @@ def test_ranges_below_two_start_at_two():
 
 def test_run_all_order_and_contents():
     reports = run_all(2, 40)
-    assert [r.theorem_id for r in reports] == \
-        list(VERIFIERS) + ["unbounded-family"]
+    assert [r.theorem_id for r in reports] == list(VERIFIERS)
     assert all(r.status in ("pass", "vacuous") for r in reports)
 
 
@@ -261,8 +261,9 @@ def test_survey_rows_order_and_content():
 
 def test_survey_rows_empty_range_and_guard():
     assert list(survey_rows(5, 4)) == []
+    # the guard runs at the call, not at the first row
     with pytest.raises(ValueError):
-        list(survey_rows(1, 5))
+        survey_rows(1, 5)
 
 
 def test_survey_row_carries_the_witness():

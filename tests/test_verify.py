@@ -55,14 +55,26 @@ def test_crt_pair_matches_the_naive_scan():
     assert cases == 3294
 
 
-def test_power_shapes_match_the_trial_division_oracle():
-    # prime-powers and special-sizes read these shapes: every s in
-    # [2, 3000), well under a second
+def test_power_shapes_match_prime_power_shape():
+    # prime-powers and special-sizes read these shapes; checked against
+    # the trial-division oracle for every s in [2, 3000), well under a
+    # second
     assert prime_power(8) == (2, 3) and prime_power(12) is None
     for s in range(2, 3000):
         want = tuple(prime_power(s // d) if s % d == 0 else None
                      for d in (1, 2, 4))
         assert _power_shapes(s) == want, s
+
+
+def test_classifier_prime_power_shape():
+    # the first slot is the shape of s itself; a quotient of 1 is no
+    # prime power
+    assert _power_shapes(8)[0] == (2, 3)
+    assert _power_shapes(7)[0] == (7, 1)
+    assert _power_shapes(2)[0] == (2, 1)
+    assert _power_shapes(12)[0] is None
+    assert _power_shapes(2)[1] is None and _power_shapes(4)[2] is None
+    assert _power_shapes(12) == (None, None, (3, 1))
 
 
 def test_registry_lists_the_ten_laws_in_report_order():

@@ -206,6 +206,31 @@ def test_each_verifier_fails_on_a_tampered_row(theorem_id, n, k, fake):
     assert (n, k) in [(c.n_modulus, c.k) for c in report.counterexamples]
 
 
+# special-sizes reports the first reason that applies to a size: one
+# tampered row per reason, marked reducible, and the expected text it
+# must give (None: no reason applies, so the row passes).
+SPECIAL_REASONS = [
+    (7, 1, 5, "prime-power size 5"),
+    (10, 1, 4, "size 2**2 vs 2-adic valuation of n"),
+    (10, 3, 8, "size 2**3 vs 2-adic valuation of n"),
+    (10, 1, 6, "size 6 with 3 not dividing n"),
+    (7, 1, 10, "size 2 * 5**1, prime coprime to n"),
+    (7, 1, 12, "size 4 * 3**1 on an odd modulus"),
+    (48, 5, 8, None),
+]
+
+
+@pytest.mark.parametrize("n,k,size,reason", SPECIAL_REASONS)
+def test_special_sizes_reports_the_first_reason(n, k, size, reason):
+    report = VERIFIERS["special-sizes"](
+        n, n, _tampered(n, k, _row(size, "reducible")))
+    if reason is None:
+        assert report.status == "pass", report.to_dict()
+        return
+    assert report.counterexamples == (Counterexample(
+        n, k, f"reducible of size {size}", f"irreducible ({reason})"),)
+
+
 def _facts(report):
     d = report.to_dict()
     del d["elapsed_ms"]

@@ -185,7 +185,8 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     """
     if lo < 2:
         raise UsageError(f"--min must be >= 2, got {lo}")
-    _check_force(hi, force)
+    if lo <= hi:
+        _check_force(hi, force)
     from .rows import decide_row
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []

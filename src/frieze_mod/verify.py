@@ -5,10 +5,10 @@ the flat rows of rows.decide_row (one list per k, the size at index 0
 and the kind at index 2) from the row source row, and yields one item
 per (n, k) that meets the law's hypothesis: True when the pair obeys
 the law, else its Counterexample. The driver runs the check over its
-range of n, times it and builds the TheoremReport. The row source is
-decide_row itself by default, and in run_all a per-call memo shared by
-the whole battery. unbounded-family checks a fixed list of pairs from
-the same rows and ignores the range.
+range of n, times it and builds the TheoremReport; it is the one report
+path. unbounded-family is such a check over six fixed moduli 3p and
+ignores the range. The row source is decide_row itself by default, and
+in run_all a per-call memo shared by the whole battery.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -21,7 +21,7 @@ from functools import cache, lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .ring import factorize, is_prime
+from .ring import factorize
 from .rows import decide_row
 
 if TYPE_CHECKING:
@@ -57,19 +57,8 @@ class TheoremReport(NamedTuple):
     elapsed_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "range": self.range,
-            "status": self.status,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def _report(theorem_id, range_text, hit, bad, t0) -> TheoremReport:
-    status = "fail" if bad else ("pass" if hit else "vacuous")
-    return TheoremReport(theorem_id, range_text, status, tuple(bad),
-                         (time.perf_counter() - t0) * 1000.0)
+        return {**self._asdict(), "counterexamples":
+                [c.to_dict() for c in self.counterexamples]}
 
 
 @lru_cache(maxsize=2048)
@@ -146,23 +135,28 @@ def _crt_pair(r1, q1, r2, q2):
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
 
 
-def _law(theorem_id, first_n, range_text):
-    """Register a check(n, row) as the range verifier theorem_id, under
-    the check's name and docstring. The verifier runs the check for n in
-    [max(lo, first_n), hi]; the report is hit when some item came back,
-    and fails on every Counterexample among them."""
+def _law(theorem_id, first_n, range_text, moduli=()):
+    """Register a check(n, row) as the verifier theorem_id, under the
+    check's name and docstring. The verifier runs the check for n in
+    [max(lo, first_n), hi], or over the fixed moduli (then the range is
+    ignored and range_text is the whole range field). It fails on every
+    Counterexample that came back, passes when some item came back, and
+    is vacuous otherwise."""
     def register(check):
         def verifier(lo: int = 2, hi: int = 150,
                      row: RowSource = decide_row) -> TheoremReport:
             t0 = time.perf_counter()
             bad, hit = [], False
-            for n in range(max(lo, first_n), hi + 1):
+            for n in moduli or range(max(lo, first_n), hi + 1):
                 for item in check(n, row):
                     hit = True
                     if item is not True:
                         bad.append(item)
-            text = f"n in [{lo}, {hi}]" + (f", {range_text}" if range_text else "")
-            return _report(theorem_id, text, hit, bad, t0)
+            text = range_text if moduli else f"n in [{lo}, {hi}]" + (
+                f", {range_text}" if range_text else "")
+            status = "fail" if bad else ("pass" if hit else "vacuous")
+            return TheoremReport(theorem_id, text, status, tuple(bad),
+                                 (time.perf_counter() - t0) * 1000.0)
         verifier.__name__ = verifier.__qualname__ = check.__name__
         verifier.__doc__ = check.__doc__
         VERIFIERS[theorem_id] = verifier
@@ -289,40 +283,40 @@ def verify_reducible_constructions(n, row):
             f"some unit k reducible of size {want} (split {u} * {m})")
 
 
+def _special_reason(n: int, s: int) -> Optional[str]:
+    """The first reason size s forces irreducibility mod n, else None."""
+    pp, half, quarter = _power_shapes(s)
+    if pp and s != 2:
+        p, e = pp
+        if n % 2 == 1 or p != 2:
+            return f"prime-power size {s}"
+        if e == 2 or e >= _two_adic(n):
+            return f"size 2**{e} vs 2-adic valuation of n"
+    if s == 6 and n % 3:
+        return "size 6 with 3 not dividing n"
+    if half and half[0] != 2 and n % half[0]:
+        return f"size 2 * {half[0]}**{half[1]}, prime coprime to n"
+    if quarter and n % 2 == 1 and quarter[0] != 2 and n % quarter[0]:
+        return f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus"
+    return None
+
+
 @_law("special-sizes", 3, "nonzero k, shaped sizes")
 def verify_special_sizes(n, row):
     """Irreducibility forced by the size's arithmetic shape (nonzero k).
 
     Prime-power sizes > 2 on odd moduli, or with the prime odd; on even
     moduli, sizes 2**e need e = 2 or e at least the 2-adic valuation of
-    n, and any 2**e >= 4 suffices when 16 does not divide n. Size 6 when
+    n (so any 2**e >= 4 suffices when 16 does not divide n). Size 6 when
     3 does not divide n. Sizes 2 * p**e for odd p coprime to n. Sizes
     4 * p**e for odd n and odd p coprime to n."""
-    for k, r in enumerate(row(n)):
-        if k == 0:
-            continue
-        s = r[0]
-        pp, half, quarter = _power_shapes(s)
-        reasons = []
-        if pp and s != 2:
-            p, e = pp
-            if n % 2 == 1 or p != 2:
-                reasons.append(f"prime-power size {s}")
-            elif e == 2 or e >= _two_adic(n):
-                reasons.append(f"size 2**{e} vs 2-adic valuation of n")
-            if p == 2 and e >= 2 and n % 16:
-                reasons.append(f"size {s} = 2**{e} with 16 not dividing n")
-        if s == 6 and n % 3:
-            reasons.append("size 6 with 3 not dividing n")
-        if half and half[0] != 2 and n % half[0]:
-            reasons.append(
-                f"size 2 * {half[0]}**{half[1]}, prime coprime to n")
-        if quarter and n % 2 == 1 and quarter[0] != 2 and n % quarter[0]:
-            reasons.append(
-                f"size 4 * {quarter[0]}**{quarter[1]} on an odd modulus")
-        if reasons:
+    rows = row(n)[1:]
+    reasons = {s: _special_reason(n, s) for s in {r[0] for r in rows}}
+    for k, r in enumerate(rows, 1):
+        if reasons[r[0]]:
             yield r[2] == "irreducible" or Counterexample(
-                n, k, f"{r[2]} of size {s}", f"irreducible ({reasons[0]})")
+                n, k, f"{r[2]} of size {r[0]}",
+                f"irreducible ({reasons[r[0]]})")
 
 
 @_law("overshoot-3m", 3, "n = 3m (m odd coprime to 3), sizes > n except n + n/3")
@@ -341,30 +335,18 @@ def verify_overshoot_3m(n, row):
 DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
 
 
-def verify_unbounded_family(lo: int = 2, hi: int = 150,
-                            row: RowSource = decide_row,
-                            primes=DEFAULT_FAMILY_PRIMES) -> TheoremReport:
+@_law("unbounded-family", 3, f"p in {list(DEFAULT_FAMILY_PRIMES)}",
+      moduli=tuple(3 * p for p in DEFAULT_FAMILY_PRIMES))
+def verify_unbounded_family(n, row):
     """The family witnessing that no additive gap bounds irreducible sizes:
     for an odd prime p >= 5, modulus 3p with k = p + 2 (p = 1 mod 3) or
     k = p - 2 (p = 2 mod 3) is irreducible of size 4p. The range is
     ignored."""
-    t0 = time.perf_counter()
-    bad = []
-    for p in primes:
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"family needs odd primes >= 5, got {p}")
-        n = 3 * p
-        k = p + 2 if p % 3 == 1 else p - 2
-        size, _, kind = row(n)[k][:3]
-        if not (size == 4 * p and kind == "irreducible"):
-            bad.append(Counterexample(
-                n, k, f"{kind} of size {size}",
-                f"irreducible of size {4 * p}"))
-    return _report("unbounded-family", f"p in {list(primes)}", bool(primes),
-                   bad, t0)
-
-
-VERIFIERS["unbounded-family"] = verify_unbounded_family
+    p = n // 3
+    k = p + 2 if p % 3 == 1 else p - 2
+    r = row(n)[k]
+    yield (r[0] == 4 * p and r[2] == "irreducible") or Counterexample(
+        n, k, f"{r[2]} of size {r[0]}", f"irreducible of size {4 * p}")
 
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:

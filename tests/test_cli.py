@@ -246,6 +246,10 @@ def test_survey_empty_range_is_header_only(runner):
     res = runner.invoke(cli, ["survey", "--min", "5", "--max", "4"])
     assert res.exit_code == 0
     assert res.output == _CSV_HEADER + "\n"
+    # the range walks no modulus, so the witness-search gate does not apply
+    res = runner.invoke(cli, ["survey", "--min", "3000", "--max", "2500"])
+    assert res.exit_code == 0
+    assert res.stdout == _CSV_HEADER + "\n"
 
 
 def test_survey_json_lines(runner):

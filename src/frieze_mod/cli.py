@@ -13,16 +13,17 @@ code; cli is the handle click.testing.CliRunner drives (a name and a
 main that raises SystemExit). Each command is a plain function of its
 parsed arguments that prints its answer and returns 1 on failure.
 
-classify and witness decide their one pair, and survey each modulus as a
-whole row, afresh on every run, and print straight from the flat rows of
-rows.py. --no-cache is accepted for compatibility and does nothing; no
-command reads or writes a file besides --out. N and K are plain integers;
-K is taken mod N and may be negative.
+classify and witness decide their one pair (rows._pair_row), and survey
+every modulus of its range as whole rows (rows.decide_rows), afresh on
+every run, and print straight from the flat rows of rows.py. --no-cache
+is accepted for compatibility and does nothing; no command reads or
+writes a file besides --out. N and K are plain integers; K is taken mod
+N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads monomial and ring,
-classify, witness and survey only rows, verify verify, rows and ring,
-and oplus cycles. No import runs per (n, k) pair.
+classify and witness only rows, survey rows and ring, verify verify,
+rows and ring, and oplus cycles. No import runs per (n, k) pair.
 """
 
 import sys
@@ -158,7 +159,7 @@ _CSV_HEADER = ",".join(_FIELDS)
 
 
 def _csv_lines(n: int, rows: list) -> list[str]:
-    """The lines of modulus n, one per row of decide_row(n)."""
+    """The lines of modulus n, one per row of rows, k ascending."""
     return [f"{n},{k},{size},{sign},{kind},,," if ws is None else
             f"{n},{k},{size},{sign},{kind},{ws},{x},{y}"
             for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
@@ -187,11 +188,11 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
         raise UsageError(f"--min must be >= 2, got {lo}")
     if lo <= hi:
         _check_force(hi, force)
-    from .rows import decide_row
+    from .rows import decide_rows
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
-    for n in range(lo, hi + 1):
-        lines += format_lines(n, decide_row(n))
+    for n, rows in decide_rows(lo, hi):
+        lines += format_lines(n, rows)
     return _emit("\n".join(lines), out)
 
 

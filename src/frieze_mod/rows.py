@@ -6,8 +6,16 @@ size of the constant solution, its sign and the inner powers around
 which a shorter bordered solution (x, k, ..., k, y) can close up. The
 results come as flat lists of plain ints and words, with no dataclass
 built per pair, so the commands that only print rows (classify,
-witness, survey) and the law battery need no other package module.
+witness, survey) and the law battery need no other package module than
+ring, which decide_rows loads to factor its moduli.
+
+decide_rows walks only prime-power moduli. A composite modulus takes
+each size and sign from the rows of its prime-power factors by the CRT
+size law (proved in decide_rows), and walks each pair only as far as
+its first witness.
 """
+
+from math import lcm
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
 # prime-power component sizes, each at most 3 * p**a / 2), so a size past
@@ -136,17 +144,90 @@ def _pair_row(n: int, k: int) -> list:
             None, None, None, None]
 
 
-def decide_row(n: int) -> list[list]:
-    """The flat rows (as _pair_row) of every k mod n, k ascending.
+def decide_rows(lo: int, hi: int):
+    """Yield (n, rows) for n in [lo, hi] ascending: the flat rows (as
+    _pair_row) of every k mod n, k ascending. An empty range yields
+    nothing; lo below 2 raises ValueError.
 
-    Only k <= n/2 are walked. M(-k) = -D * M(k) * D with D = diag(1, -1)
+    Only k <= n/2 are decided. M(-k) = -D * M(k) * D with D = diag(1, -1)
     gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
     So n - k has the size and kind of k, its sign times (-1)**size, and
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
+
+    A prime power is walked pair by pair (_pair_row). A composite
+    n = prod q, over coprime prime powers q, takes each size and sign
+    from the rows of its factors. By the CRT, M**s = eps * Id mod n
+    exactly when it holds mod every q. Mod q, the s with M**s = +-Id are
+    the multiples of the size S_q (they form a subgroup of Z), and
+    M**(t * S_q) = sign_q**t * Id. So every s with M**s = +-Id mod n is
+    a multiple of m = lcm(S_q), and mod q, M**m = sign_q**(m / S_q) * Id;
+    mod 2 the two signs coincide, so q = 2 has no say. When the signs
+    sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
+    sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
+    since M**(2 * m) = (M**m)**2 = Id mod every q. The witness is then
+    the search of _walk and _first_witness cut at (S - 2)/2: u_j for
+    1 <= j <= (S - 2)/2, stopping at the first +-1 corner that
+    _endpoints verifies.
+
+    The factor rows are kept while the generator runs, and no longer.
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    rows = [_pair_row(n, k) for k in range(n // 2 + 1)]
+    if lo < 2:
+        raise ValueError(f"modulus must be >= 2, got {lo}")
+    # loaded here, so that classify and witness load rows alone
+    from .ring import factorize
+    kept = {}   # prime power q -> [size, sign] of every k mod q
+
+    def walked(q):
+        return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
+
+    for n in range(lo, hi + 1):
+        qs = [p ** a for p, a in factorize(n)]
+        if len(qs) == 1:
+            rows = walked(n)
+            if 2 * n <= hi:
+                kept[n] = [r[:2] for r in rows]
+            yield n, rows
+            continue
+        for q in qs:
+            if q not in kept:
+                kept[q] = [r[:2] for r in walked(q)]
+        parts = [(q, kept[q]) for q in qs]
+        signed = [(q, t) for q, t in parts if q != 2]
+        minus = n - 1
+        rows = []
+        for k in range(n // 2 + 1):
+            m = 1
+            for q, t in parts:
+                m = lcm(m, t[k % q][0])
+            size, sign = m, 0
+            for q, t in signed:
+                s, e = t[k % q]
+                e = e if m // s % 2 else 1
+                if sign and e != sign:
+                    size, sign = 2 * m, 1
+                    break
+                sign = e
+            if size > _CAP_FACTOR * n + 1:
+                raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} "
+                                      f"for n={n}, k={k}")
+            a, b = 0, 1     # u_{j-2}, u_{j-1}
+            for j in range(1, size // 2):
+                c = (k * b - a) % n
+                if c == 1 or c == minus:
+                    w = _endpoints((c, -b % n, b, -a % n), n)
+                    if w:
+                        rows.append([size, sign, "reducible", j + 2, *w[0]])
+                        break
+                a, b = b, c
+            else:
+                rows.append([size, sign, "irreducible" if k else
+                             "zero-convention", None, None, None, None])
+        yield n, _mirror(rows, n)
+
+
+def _mirror(rows, n):
+    """rows, the rows of k <= n/2, extended to every k mod n by the
+    mirror of decide_rows."""
     for k in range((n - 1) // 2, 0, -1):
         size, sign, kind, w, x, y, w_sign = rows[k]
         if size % 2:
@@ -157,3 +238,10 @@ def decide_row(n: int) -> list[list]:
             rows.append([size, sign, kind, w, -x % n, -y % n,
                          -w_sign if w % 2 else w_sign])
     return rows
+
+
+def decide_row(n: int) -> list[list]:
+    """The flat rows of every k mod n, k ascending: the one row of
+    decide_rows(n, n)."""
+    for _, rows in decide_rows(n, n):
+        return rows

@@ -1,14 +1,16 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
 A law is one check function registered with _law. check(n, row) reads
-the flat rows of rows.decide_row (one list per k, the size at index 0
+the flat rows of rows.decide_rows (one list per k, the size at index 0
 and the kind at index 2) from the row source row, and yields one item
 per (n, k) that meets the law's hypothesis: True when the pair obeys
 the law, else its Counterexample. The driver runs the check over its
 range of n, times it and builds the TheoremReport; it is the one report
 path. unbounded-family is such a check over six fixed moduli 3p and
-ignores the range. The row source is decide_row itself by default, and
-in run_all a per-call memo shared by the whole battery.
+ignores the range. The row source is decide_row itself by default; in
+run_all and run_verifier it is _battery_rows, which takes the rows of
+the range from one decide_rows call and decides them all before the
+first check starts its clock.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -17,12 +19,12 @@ the one field that varies between runs.
 from __future__ import annotations
 
 import time
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import factorize
-from .rows import decide_row
+from .rows import decide_row, decide_rows
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
@@ -351,33 +353,33 @@ def verify_unbounded_family(n, row):
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
     """Run one verifier by id over [lo, hi] (unbounded-family ignores the
-    range)."""
+    range), on the rows of _battery_rows."""
     if theorem_id not in VERIFIERS:
         known = ", ".join(VERIFIERS)
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    # decide_row is looked up here, at call time, rather than taken from
-    # the verifier's default, so a wrapper put on it (a tracer) sees it
-    return VERIFIERS[theorem_id](lo, hi, decide_row)
+    return VERIFIERS[theorem_id](lo, hi, _battery_rows(lo, hi))
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
-    """Every verifier in registry order.
-
-    Each modulus is decided once, into a memo that lives for this call.
-    The rows the checks read (those of [lo, hi], the odd halves that
-    three-h-criterion reads below lo, and the moduli 3p of the unbounded
-    family) are decided before the first verifier starts its clock, so
-    each elapsed_ms is its own check time.
-    """
-    row = cache(decide_row)
-    for n in range(max(lo, 2), hi + 1):
-        row(n)
-        m = odd_half(n)
-        if m is not None and m > 1:
-            row(m)
-    for p in DEFAULT_FAMILY_PRIMES:
-        row(3 * p)
+    """Every verifier in registry order, all on the rows of one
+    _battery_rows call."""
+    row = _battery_rows(lo, hi)
     return [fn(lo, hi, row) for fn in VERIFIERS.values()]
+
+
+def _battery_rows(lo: int, hi: int) -> RowSource:
+    """The row source of a battery run over [lo, hi], every row decided
+    before it returns, so each verifier's elapsed_ms is its own check
+    time: the rows of decide_rows over the range, and by decide_row the
+    odd halves that three-h-criterion reads below lo and the moduli 3p
+    of the unbounded family outside the range."""
+    lo = max(lo, 2)
+    rows = dict(decide_rows(lo, hi))
+    more = [odd_half(n) for n in range(lo, hi + 1)]
+    for m in more + [3 * p for p in DEFAULT_FAMILY_PRIMES]:
+        if m and m > 1 and m not in rows:
+            rows[m] = decide_row(m)
+    return rows.__getitem__
 
 
 class SurveyRow(NamedTuple):
@@ -394,10 +396,11 @@ class SurveyRow(NamedTuple):
 
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
-    """One row per (n, k), n ascending then k ascending, each modulus
-    decided as it is reached. An empty range yields nothing; lo below 2
-    raises ValueError at the call."""
+    """One row per (n, k), n ascending then k ascending, from the rows
+    of decide_rows(lo, hi), each modulus decided as it is reached. An
+    empty range yields nothing; lo below 2 raises ValueError at the
+    call."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
-    return (SurveyRow(n, k, *r[:6]) for n in range(lo, hi + 1)
-            for k, r in enumerate(decide_row(n)))
+    return (SurveyRow(n, k, *r[:6]) for n, rows in decide_rows(lo, hi)
+            for k, r in enumerate(rows))

@@ -380,7 +380,7 @@ def _loaded_after(code):
     (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
     (["classify", "9", "3", "--no-cache"], ["frieze_mod.rows"]),
     (["witness", "9", "3"], ["frieze_mod.rows"]),
-    (["survey", "--max", "5"], ["frieze_mod.rows"]),
+    (["survey", "--max", "5"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["verify", "all", "--max", "5"],
      ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import frieze_mod.verify as verify_module
-from frieze_mod.rows import decide_row
+from frieze_mod.rows import decide_row, decide_rows
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
                                is_three_m_form, monomial_row,
@@ -234,6 +234,11 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
         events.append(n)
         return decide_row(n)
 
+    def counting_range(lo, hi):
+        for n, rows in decide_rows(lo, hi):
+            events.append(n)
+            yield n, rows
+
     def marked(fn):
         def run(lo, hi, row):
             events.append("check")
@@ -241,6 +246,7 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
         return run
 
     monkeypatch.setattr(verify_module, "decide_row", counting)
+    monkeypatch.setattr(verify_module, "decide_rows", counting_range)
     for vid, fn in VERIFIERS.items():
         monkeypatch.setitem(VERIFIERS, vid, marked(fn))
     run_all(40, 60)

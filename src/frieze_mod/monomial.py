@@ -14,13 +14,8 @@ from typing import NamedTuple
 from .ring import factorize, is_prime
 
 
-def __getattr__(name):
-    # SizeCapExceeded is defined next to the walk in rows and re-exported
-    # here on first use, so that size loads only monomial and ring
-    if name == "SizeCapExceeded":
-        from .rows import SizeCapExceeded
-        return SizeCapExceeded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class SizeCapExceeded(RuntimeError):
+    """Internal failure: a size search broke the proven 3N bound."""
 
 
 def _power_sign(n: int, k: int, e: int) -> int:
@@ -99,7 +94,6 @@ def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
         s *= r ** e
     sign = _power_sign(n, k, s)
     if not sign:
-        from .rows import SizeCapExceeded
         raise SizeCapExceeded(f"M({k})**{s} is not +-Id mod {n}")
     for r, e in exps.items():
         for _ in range(e):
@@ -109,7 +103,6 @@ def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
             s //= r
             sign = lower
     if s > 3 * n + 1:   # the proven 3N bound (rows._CAP_FACTOR)
-        from .rows import SizeCapExceeded
         raise SizeCapExceeded(f"size {s} > {3 * n + 1} for n={n}, k={k}")
     return s, sign
 

@@ -2,8 +2,9 @@
 
 For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
 follows one scalar recurrence. A single walk along it gives the minimal
-size of the constant solution, its sign and the inner powers around
-which a shorter bordered solution (x, k, ..., k, y) can close up. The
+size of the constant solution, its sign and its first inner power with
+a +-1 corner: a shorter bordered solution (x, k, ..., k, y) closes up
+exactly at those corners, so the first one is the smallest witness. The
 results come as flat lists of plain ints and words, with no dataclass
 built per pair, so the commands that only print rows (classify,
 witness, survey) and the law battery need no other package module than
@@ -12,7 +13,9 @@ ring, which decide_rows loads to factor its moduli.
 decide_rows walks only prime-power moduli. A composite modulus takes
 each size and sign from the rows of its prime-power factors by the CRT
 size law (proved in decide_rows), and walks each pair only as far as
-its first witness.
+its first witness. SizeCapExceeded is defined in monomial and imported
+only on the two paths that raise it, so that classify and witness still
+load rows alone.
 """
 
 from math import lcm
@@ -21,10 +24,6 @@ from math import lcm
 # prime-power component sizes, each at most 3 * p**a / 2), so a size past
 # 3N + 1 means the implementation is broken, not the input.
 _CAP_FACTOR = 3
-
-
-class SizeCapExceeded(RuntimeError):
-    """Internal failure: a size search broke the proven 3N bound."""
 
 
 # Matrices are row-major 4-tuples of plain ints.
@@ -69,12 +68,16 @@ def _walk(n: int, k: int):
     2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
     step S/2.
 
-    M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so the corner
-    u_j is +-1 exactly when u_{S-2-j} is: the powers with a +-1 corner
-    sit symmetrically about (S - 2)/2. Returns (size, sign, hits): hits
-    lists, ascending, each (j, M(k)**j) with 1 <= j <= (S - 2)/2 and
-    u_j = +-1. Those are the smaller half of the inner powers below S - 2
-    around which a bordered (x, k, ..., k, y) can close up.
+    A bordered solution (x, k, ..., k, y) of size j + 2 closes exactly at
+    the +-1 corners u_j, and every such corner closes: with
+    P = M(k)**j = [[p, q], [r, s]] and p = +-1, put eps = -p, x = eps*q and
+    y = -eps*r. Then m1(y) @ P @ m1(x) has bottom row (p*x + q, -p) =
+    (0, eps) and top-right entry r - p*y = 0, and determinant 1, so it is
+    eps * Id. M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so
+    u_j is +-1 exactly when u_{S-2-j} is: the corners below S - 2 sit
+    symmetrically about (S - 2)/2, and the first one is the smallest
+    witness. Returns (size, sign, corner): corner is the first
+    (j, M(k)**j) with 1 <= j <= (S - 2)/2 and u_j = +-1, or None.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -84,7 +87,7 @@ def _walk(n: int, k: int):
     # u_{h-1} = n/2 with n and k even
     half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
     a, b = 0, 1     # u_{h-2}, u_{h-1}
-    hits = []
+    corner = None
     for h in range(1, _CAP_FACTOR * n // 2 + 2):
         c = (k * b - a) % n
         if c == a or c == b or c + b == n or not b % half:
@@ -96,52 +99,49 @@ def _walk(n: int, k: int):
                 size, sign = 2 * h + 1, 1 if c + b == n else -1
             if size > _CAP_FACTOR * n + 1:
                 break
-            return size, sign, hits
-        if c == 1 or c == minus:
-            hits.append((h, (c, -b % n, b, -a % n)))
+            return size, sign, corner
+        if (c == 1 or c == minus) and corner is None:
+            corner = h, (c, -b % n, b, -a % n)
         a, b = b, c
+    from .monomial import SizeCapExceeded
     raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
 
 
 def _endpoints(p_mat, n):
-    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, as a list.
+    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, or None.
 
     With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
     so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
-    row, y = -eps*r: at most one solution exists. It is verified by
-    evaluating the full product before it is returned. Mod 2 the two
-    signs coincide and the sign is +1.
+    row, y = -eps*r: there is a solution only when p = +-1, and then
+    exactly one (proved in _walk). It is checked by evaluating the full
+    product, and a failed check raises RuntimeError. Mod 2 the two signs
+    coincide and the sign is +1.
     """
     p, q, r, _ = p_mat
     if p not in (1, n - 1):
-        return []
+        return None
     eps = 1 if p == n - 1 else -1
     x, y = eps * q % n, -eps * r % n
-    m = _mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n)
-    return [(x, y, eps)] if _sign(m, n) == eps else []
+    if _sign(_mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n), n) != eps:
+        raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
+    return x, y, eps
 
 
-def _first_witness(n, hits):
-    """(size, x, y, sign) of the smallest bordered solution among the
-    hits of _walk, all of size in [3, S); the mirror images of the hits
-    are larger, so this is the smallest below the minimal size S."""
-    for j, p_mat in hits:
-        for x, y, sign in _endpoints(p_mat, n):
-            return j + 2, x, y, sign
-    return None
+def _row(n, k, size, sign, corner):
+    """The flat row of k mod n from its size, sign and first corner."""
+    if corner is None:
+        return [size, sign, "irreducible" if k else "zero-convention",
+                None, None, None, None]
+    j, p_mat = corner
+    return [size, sign, "reducible", j + 2, *_endpoints(p_mat, n)]
 
 
 def _pair_row(n: int, k: int) -> list:
     """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
     size, x, y, witness sign], the four witness fields None when there
-    is no witness. kind is "reducible", "irreducible" or, for k = 0,
-    "zero-convention"."""
-    size, sign, hits = _walk(n, k)
-    w = _first_witness(n, hits)     # None when k = 0 (size 2)
-    if w:
-        return [size, sign, "reducible", *w]
-    return [size, sign, "irreducible" if k else "zero-convention",
-            None, None, None, None]
+    is no witness (always for k = 0, of size 2). kind is "reducible",
+    "irreducible" or, for k = 0, "zero-convention"."""
+    return _row(n, k, *_walk(n, k))
 
 
 def decide_rows(lo: int, hi: int):
@@ -164,10 +164,9 @@ def decide_rows(lo: int, hi: int):
     mod 2 the two signs coincide, so q = 2 has no say. When the signs
     sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
     sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
-    since M**(2 * m) = (M**m)**2 = Id mod every q. The witness is then
-    the search of _walk and _first_witness cut at (S - 2)/2: u_j for
-    1 <= j <= (S - 2)/2, stopping at the first +-1 corner that
-    _endpoints verifies.
+    since M**(2 * m) = (M**m)**2 = Id mod every q. The witness then
+    comes from the first +-1 corner u_j with 1 <= j <= (S - 2)/2, as in
+    _walk.
 
     The factor rows are kept while the generator runs, and no longer.
     """
@@ -208,20 +207,18 @@ def decide_rows(lo: int, hi: int):
                     break
                 sign = e
             if size > _CAP_FACTOR * n + 1:
+                from .monomial import SizeCapExceeded
                 raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} "
                                       f"for n={n}, k={k}")
             a, b = 0, 1     # u_{j-2}, u_{j-1}
+            corner = None
             for j in range(1, size // 2):
                 c = (k * b - a) % n
                 if c == 1 or c == minus:
-                    w = _endpoints((c, -b % n, b, -a % n), n)
-                    if w:
-                        rows.append([size, sign, "reducible", j + 2, *w[0]])
-                        break
+                    corner = j, (c, -b % n, b, -a % n)
+                    break
                 a, b = b, c
-            else:
-                rows.append([size, sign, "irreducible" if k else
-                             "zero-convention", None, None, None, None])
+            rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
 
 

@@ -83,6 +83,27 @@ def walk_min_size(n, k):
     raise AssertionError(f"no size found for n={n}, k={k}")
 
 
+def walk_first_corner(n, k):
+    """(size, sign, j, M(k)**j) from one walk: the size and sign as
+    walk_min_size gives them, and the least j in [1, size - 3] whose power
+    M(k)**j has top-left entry +-1, with that power; j and the power are
+    None when there is no such j."""
+    a = elementary(k, n)
+    m = a
+    ones = (1, n - 1)
+    j = mj = None
+    for size in range(1, 3 * n + 2):
+        s = pm_sign(m, n)
+        if s:
+            if j is not None and j > size - 3:
+                j = mj = None
+            return size, s, j, mj
+        if j is None and m[0][0] in ones:
+            j, mj = size, m
+        m = mat_mul(a, m, n)
+    raise AssertionError(f"no size found for n={n}, k={k}")
+
+
 def split_search(entries, n):
     """First split of a solution into two shorter ones, by brute force.
 

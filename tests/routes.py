@@ -17,7 +17,7 @@ from typing import Optional
 
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _prod, solution_sign
-from frieze_mod.rows import _endpoints, _first_witness, _mul, _walk
+from frieze_mod.rows import _endpoints, _mul, _walk
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
@@ -26,7 +26,8 @@ def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     size >= 2; size 2 means the bare pair (x, y). The list has at most
     one element (see _endpoints).
     """
-    return _endpoints(_prod((k,) * (size - 2), n), n)
+    sol = _endpoints(_prod((k,) * (size - 2), n), n)
+    return [sol] if sol else []
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,18 @@ def is_reducible_general(c: Cycle) -> Optional[Decomposition]:
         for l in range(3, total):
             m = total - l + 2
             interior = v[m:]
-            for b1, bl, _ in _endpoints(_prod(interior, n), n):
-                right = Cycle((b1,) + interior + (bl,), n)
-                left = Cycle((v[0] - bl,) + v[1:m - 1] + (v[m - 1] - b1,), n)
-                # right a solution + the sum a solution forces left to be
-                # one too; cheap to confirm on the way out.
-                if solution_sign(left) is None:
-                    raise RuntimeError(
-                        f"split of {rep} leaves the non-solution {left}")
-                return Decomposition(rep, left, right)
+            sol = _endpoints(_prod(interior, n), n)
+            if sol is None:
+                continue
+            b1, bl, _ = sol
+            right = Cycle((b1,) + interior + (bl,), n)
+            left = Cycle((v[0] - bl,) + v[1:m - 1] + (v[m - 1] - b1,), n)
+            # right a solution + the sum a solution forces left to be one
+            # too; cheap to confirm on the way out.
+            if solution_sign(left) is None:
+                raise RuntimeError(
+                    f"split of {rep} leaves the non-solution {left}")
+            return Decomposition(rep, left, right)
     return None
 
 
@@ -107,28 +111,34 @@ def witness_structure_check(n: int, k: int,
     the pattern is exact: those sizes all occur and no others do. Default
     cap is 3s + 2 (three full periods), and M(k)**s = sign * Id repeats
     the inner powers of the first period in every later one. Within the
-    period, M(k)**(s-2-j) = sign * M(k)**-2 * adj(M(k)**j) gives the
-    powers with a +-1 corner past (s - 2)/2 from those the walk passed.
+    period, only the powers with a +-1 corner can close up; those with
+    j <= (s - 2)/2 are walked here, and M(k)**(s-2-j) =
+    sign * M(k)**-2 * adj(M(k)**j) gives the ones past (s - 2)/2.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    s, sign, hits = _walk(n, k)
+    s, sign, first = _walk(n, k)
     if cap is None:
         cap = 3 * s + 2
-    irreducible = k != 0 and _first_witness(n, hits) is None
+    irreducible = k != 0 and first is None
     inv2 = (n - 1, k, -k % n, (k * k - 1) % n)     # M(k)**-2
     period = {}
-    for j, (a, b, c, d) in [(0, (1, 0, 0, 1)), *hits]:
-        period[j] = (a, b, c, d)
-        m = _mul(inv2, (d, -b % n, -c % n, a), n)
-        period[s - 2 - j] = tuple(sign * e % n for e in m)
+    u2, u1 = n - 1, 0       # u_{j-2}, u_{j-1} at j = 0
+    for j in range(s // 2):
+        u = (k * u1 - u2) % n
+        if u == 1 or u == n - 1:
+            a, b, c, d = period[j] = (u, -u1 % n, u1, -u2 % n)
+            m = _mul(inv2, (d, -b % n, -c % n, a), n)
+            period[s - 2 - j] = tuple(sign * e % n for e in m)
+        u2, u1 = u1, u
     found = []
     violations = []
     for l in range(2, cap + 1):
         q, j = divmod(l - 2, s)
         p_mat = tuple(sign ** q * e % n for e in period.get(j, ()))
-        sols = _endpoints(p_mat, n) if p_mat else []
+        sol = _endpoints(p_mat, n) if p_mat else None
+        sols = [sol] if sol else []
         r = l % s
         for x, y, sg in sols:
             found.append((l, x, y, sg))

@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frieze_mod import rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
-from frieze_mod.monomial import minimal_monomial_size, size_via_crt
+from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
+                                 size_via_crt)
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
-from frieze_mod.rows import decide_row, decide_rows
+from frieze_mod.rows import _pair_row, _walk, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
-from oracles import (bordered_census, bordered_scan, pm_sign, product,
-                     split_search, walk_min_size)
+from oracles import (bordered_census, bordered_scan, elementary, mat_mul,
+                     pm_sign, product, split_search, walk_first_corner,
+                     walk_min_size)
 from routes import (bordered_solutions, is_reducible_general,
                     witness_structure_check)
 
@@ -265,21 +268,53 @@ def _check_witness(n, k, row):
 
 def test_decide_row_matches_the_reference_walk():
     # half of each row is walked or assembled from its prime-power
-    # factors, and half mirrored; every pair against the full nested-list
-    # walk, against its own single-pair verdict and by its witness
-    # product. Budget 15 s; measured 9.6 s alone and 11.6 s in the full
-    # suite (2 cores, Python 3.11.7), nearly all of it in the two
-    # reference routes
+    # factors, and half mirrored; every pair against one nested-list walk
+    # (its size, sign and first +-1 corner), against its own single-pair
+    # verdict, and by its witness closed around the walked corner power.
+    # Budget 15 s; measured 10.0-12.5 s alone and 10.6 s in the full suite
+    # (2 cores, Python 3.11.7, shared host), about three quarters of it in
+    # the reference walk
     last = 1
     for n, rows in decide_rows(2, 400):
         assert n == last + 1
         last = n
         assert len(rows) == n
         for k, row in enumerate(rows):
-            assert tuple(row[:2]) == walk_min_size(n, k), (n, k)
+            size, sign, j, mj = walk_first_corner(n, k)
+            assert row[:2] == [size, sign], (n, k)
             assert row == _row(is_irreducible_monomial(n, k)), (n, k)
-            _check_witness(n, k, row)
+            w, x, y, w_sign = row[3:]
+            assert w == (None if j is None else j + 2), (n, k)
+            if j is not None:
+                closed = mat_mul(elementary(y, n),
+                                 mat_mul(mj, elementary(x, n), n), n)
+                assert pm_sign(closed, n) == w_sign, (n, k)
     assert last == 400
+
+
+def test_an_unverified_corner_raises(monkeypatch):
+    # every +-1 corner closes up (proved in rows._walk), so a corner whose
+    # product fails the check is an internal error, not a later witness
+    monkeypatch.setattr(rows_mod, "_sign", lambda m, n: 0)
+    for call, arg in ((_pair_row, (9, 3)), (is_irreducible_monomial, (9, 3)),
+                      (decide_row, (15,))):
+        with pytest.raises(RuntimeError, match="does not close up"):
+            call(*arg)
+
+
+def test_row_size_cap_raises(monkeypatch):
+    # the walk of a pair, and the size a composite row takes from its
+    # factors' rows, both check the proven 3N bound
+    monkeypatch.setattr(rows_mod, "_CAP_FACTOR", 0)
+    with pytest.raises(SizeCapExceeded, match="no size <= 1 for n=7"):
+        _walk(7, 3)
+    monkeypatch.undo()
+    rows = decide_rows(2, 15)
+    assert [next(rows)[0] for _ in range(2, 15)] == list(range(2, 15))
+    # the rows of 3 and 5 are kept; only the composite 15 remains
+    monkeypatch.setattr(rows_mod, "_CAP_FACTOR", 0)
+    with pytest.raises(SizeCapExceeded, match="size 2 > 1 for n=15, k=0"):
+        next(rows)
 
 
 @pytest.mark.parametrize("lo,hi", [(97, 181), (2, 2), (5, 4)])

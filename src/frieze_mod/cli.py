@@ -191,7 +191,7 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     from .rows import decide_rows
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
-    for n, rows in decide_rows(lo, hi):
+    for n, rows in decide_rows(range(lo, hi + 1)):
         lines += format_lines(n, rows)
     return _emit("\n".join(lines), out)
 

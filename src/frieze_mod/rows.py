@@ -144,10 +144,10 @@ def _pair_row(n: int, k: int) -> list:
     return _row(n, k, *_walk(n, k))
 
 
-def decide_rows(lo: int, hi: int):
-    """Yield (n, rows) for n in [lo, hi] ascending: the flat rows (as
-    _pair_row) of every k mod n, k ascending. An empty range yields
-    nothing; lo below 2 raises ValueError.
+def decide_rows(moduli):
+    """Yield (n, rows) for the distinct moduli n (a range or a set, in
+    any order) ascending: the flat rows (as _pair_row) of every k mod n,
+    k ascending. A modulus below 2 raises ValueError at the first next().
 
     Only k <= n/2 are decided. M(-k) = -D * M(k) * D with D = diag(1, -1)
     gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
@@ -168,10 +168,12 @@ def decide_rows(lo: int, hi: int):
     comes from the first +-1 corner u_j with 1 <= j <= (S - 2)/2, as in
     _walk.
 
-    The factor rows are kept while the generator runs, and no longer.
+    A prime power q's (size, sign) table is kept only while a later
+    modulus may be its multiple (2 * q at most the largest modulus).
     """
-    if lo < 2:
-        raise ValueError(f"modulus must be >= 2, got {lo}")
+    moduli = sorted(moduli)
+    if moduli and moduli[0] < 2:
+        raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     # loaded here, so that classify and witness load rows alone
     from .ring import factorize
     kept = {}   # prime power q -> [size, sign] of every k mod q
@@ -179,11 +181,11 @@ def decide_rows(lo: int, hi: int):
     def walked(q):
         return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
 
-    for n in range(lo, hi + 1):
+    for n in moduli:
         qs = [p ** a for p, a in factorize(n)]
         if len(qs) == 1:
             rows = walked(n)
-            if 2 * n <= hi:
+            if 2 * n <= moduli[-1]:
                 kept[n] = [r[:2] for r in rows]
             yield n, rows
             continue
@@ -239,6 +241,6 @@ def _mirror(rows, n):
 
 def decide_row(n: int) -> list[list]:
     """The flat rows of every k mod n, k ascending: the one row of
-    decide_rows(n, n)."""
-    for _, rows in decide_rows(n, n):
+    decide_rows((n,))."""
+    for _, rows in decide_rows((n,)):
         return rows

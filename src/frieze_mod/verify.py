@@ -1,16 +1,16 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
-A law is one check function registered with _law. check(n, row) reads
-the flat rows of rows.decide_rows (one list per k, the size at index 0
-and the kind at index 2) from the row source row, and yields one item
-per (n, k) that meets the law's hypothesis: True when the pair obeys
-the law, else its Counterexample. The driver runs the check over its
-range of n, times it and builds the TheoremReport; it is the one report
-path. unbounded-family is such a check over six fixed moduli 3p and
-ignores the range. The row source is decide_row itself by default; in
-run_all and run_verifier it is _battery_rows, which takes the rows of
-the range from one decide_rows call and decides them all before the
-first check starts its clock.
+A law is its hypothesis on n and one check function, registered with
+_law. check(n, row) reads the flat rows of rows.decide_rows (one list
+per k, the size at index 0 and the kind at index 2) from the row source
+row, and yields one item per k that the law covers: True when the pair
+obeys the law, else its Counterexample. The driver runs the check on
+the moduli of the range that meet the hypothesis (MODULI lists them per
+id), times it and builds the TheoremReport; it is the one report path.
+unbounded-family's check runs on six fixed moduli 3p instead. The row
+source is decide_row by default; run_all and run_verifier pass
+_battery_rows, which decides the rows their ids read in one decide_rows
+call before the first check starts its clock.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -135,21 +135,26 @@ def _crt_pair(r1, q1, r2, q2):
 
 
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
+# theorem id -> moduli(lo, hi), the moduli its verifier runs the check on
+MODULI: dict[str, Callable[[int, int], list[int]]] = {}
 
 
-def _law(theorem_id, first_n, range_text, moduli=()):
+def _law(theorem_id, hypothesis, range_text, moduli=()):
     """Register a check(n, row) as the verifier theorem_id, under the
-    check's name and docstring. The verifier runs the check for n in
-    [max(lo, first_n), hi], or over the fixed moduli (then the range is
-    ignored and range_text is the whole range field). It fails on every
-    Counterexample that came back, passes when some item came back, and
-    is vacuous otherwise."""
+    check's name and docstring. It runs the check on the n in
+    [max(lo, 2), hi] that meet the law's hypothesis(n), or on the fixed
+    moduli (hypothesis None: the range is ignored and range_text is the
+    whole range field). It fails on every Counterexample that came back,
+    passes when some item came back, and is vacuous otherwise."""
+    def read(lo, hi):
+        return moduli or [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
+
     def register(check):
         def verifier(lo: int = 2, hi: int = 150,
                      row: RowSource = decide_row) -> TheoremReport:
             t0 = time.perf_counter()
             bad, hit = [], False
-            for n in moduli or range(max(lo, first_n), hi + 1):
+            for n in read(lo, hi):
                 for item in check(n, row):
                     hit = True
                     if item is not True:
@@ -162,50 +167,47 @@ def _law(theorem_id, first_n, range_text, moduli=()):
         verifier.__name__ = verifier.__qualname__ = check.__name__
         verifier.__doc__ = check.__doc__
         VERIFIERS[theorem_id] = verifier
+        MODULI[theorem_id] = read
         return verifier
     return register
 
 
-@_law("size-bound", 3, "excluding n = 2 and n = 3m with m odd coprime to 3")
+@_law("size-bound", lambda n: n > 2 and not is_three_m_form(n),
+      "excluding n = 2 and n = 3m with m odd coprime to 3")
 def verify_size_bound(n, row):
     """Irreducible minimal constant solutions have size at most n, except
     for n = 2 and the open family n = 3m with m odd coprime to 3."""
-    if is_three_m_form(n):
-        return
     for k, r in enumerate(row(n)):
         if r[2] == "irreducible":
             yield r[0] <= n or Counterexample(
                 n, k, f"irreducible of size {r[0]}", f"size <= {n}")
 
 
-@_law("eight-divides", 2, "n divisible by 8")
+@_law("eight-divides", lambda n: n % 8 == 0, "n divisible by 8")
 def verify_eight_divides(n, row):
     """When 8 divides n, every minimal constant-solution size is <= n."""
-    if n % 8:
-        return
     for k, r in enumerate(row(n)):
         yield r[0] <= n or Counterexample(n, k, f"size {r[0]}", f"size <= {n}")
 
 
-@_law("odd-sizes", 3, "odd sizes; for n = 2m (m odd) only sizes divisible by 9")
+@_law("odd-sizes", lambda n: n > 2, "odd sizes; for n = 2m (m odd) only sizes divisible by 9")
 def verify_odd_sizes(n, row):
     """Odd minimal sizes force irreducibility, except when n = 2m with m
     odd, where the claim covers odd sizes divisible by 9."""
     m = odd_half(n)
     for k, r in enumerate(row(n)):
-        if r[0] % 2 and (m is None or (m != 1 and r[0] % 9 == 0)):
+        if r[0] % 2 and (m is None or r[0] % 9 == 0):
             yield r[2] == "irreducible" or Counterexample(
                 n, k, f"{r[2]} of odd size {r[0]}", "irreducible")
 
 
-@_law("three-h-criterion", 6, "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3")
+@_law("three-h-criterion", lambda n: odd_half(n) not in (None, 1),
+      "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3")
 def verify_three_h_criterion(n, row):
     """For n = 2m (m odd) and minimal size 3h with h > 1 odd coprime to 3,
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
     m = odd_half(n)
-    if m is None or m == 1:
-        return
     rows_m = row(m)
     for k, r in enumerate(row(n)):
         h = r[0] // 3
@@ -216,7 +218,7 @@ def verify_three_h_criterion(n, row):
                 n, k, r[2], f"{want} (mod-{m} size {comp})")
 
 
-@_law("size-n", 3, "solutions of size exactly n")
+@_law("size-n", lambda n: n > 2, "solutions of size exactly n")
 def verify_size_n(n, row):
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
@@ -237,16 +239,13 @@ def verify_size_n(n, row):
         n, k0, f"{r[2]} of size {r[0]}", f"reducible of size {n}")
 
 
-@_law("prime-powers", 2, "prime-power moduli")
+@_law("prime-powers", lambda n: _power_shapes(n)[0], "prime-power moduli")
 def verify_prime_powers(n, row):
     """Prime-power moduli classify completely. For odd p: irreducible
     exactly when p does not divide k. For p = 2 (modulus 2**e):
     irreducible exactly when k is odd, or k = 2**(e-1), or e >= 2 with
     k/2 an odd integer."""
-    shape = _power_shapes(n)[0]
-    if shape is None:
-        return
-    p, e = shape
+    p, e = _power_shapes(n)[0]
     for k, r in enumerate(row(n)):
         if p != 2:
             want = k % p != 0
@@ -257,7 +256,7 @@ def verify_prime_powers(n, row):
             n, k, r[2], "irreducible" if want else "not irreducible")
 
 
-@_law("reducible-constructions", 2, "")
+@_law("reducible-constructions", lambda n: True, "")
 def verify_reducible_constructions(n, row):
     """Three reducible families. p**2 | n for odd p: k = n/p has size 2p,
     reducible. 16 | n: k = n/4 has size 8, reducible. Coprime splits
@@ -303,7 +302,7 @@ def _special_reason(n: int, s: int) -> Optional[str]:
     return None
 
 
-@_law("special-sizes", 3, "nonzero k, shaped sizes")
+@_law("special-sizes", lambda n: n > 2, "nonzero k, shaped sizes")
 def verify_special_sizes(n, row):
     """Irreducibility forced by the size's arithmetic shape (nonzero k).
 
@@ -321,13 +320,12 @@ def verify_special_sizes(n, row):
                 f"irreducible ({reasons[r[0]]})")
 
 
-@_law("overshoot-3m", 3, "n = 3m (m odd coprime to 3), sizes > n except n + n/3")
+@_law("overshoot-3m", is_three_m_form,
+      "n = 3m (m odd coprime to 3), sizes > n except n + n/3")
 def verify_overshoot_3m(n, row):
     """For n = 3m with m odd coprime to 3, minimal constant solutions of
     size above n are reducible; the size n + n/3 regime is open and the
     sweep skips it."""
-    if not is_three_m_form(n):
-        return
     for k, r in enumerate(row(n)):
         if n < r[0] != n + n // 3:
             yield r[2] == "reducible" or Counterexample(
@@ -337,8 +335,8 @@ def verify_overshoot_3m(n, row):
 DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
 
 
-@_law("unbounded-family", 3, f"p in {list(DEFAULT_FAMILY_PRIMES)}",
-      moduli=tuple(3 * p for p in DEFAULT_FAMILY_PRIMES))
+@_law("unbounded-family", None, f"p in {list(DEFAULT_FAMILY_PRIMES)}",
+      moduli=[3 * p for p in DEFAULT_FAMILY_PRIMES])
 def verify_unbounded_family(n, row):
     """The family witnessing that no additive gap bounds irreducible sizes:
     for an odd prime p >= 5, modulus 3p with k = p + 2 (p = 1 mod 3) or
@@ -353,33 +351,29 @@ def verify_unbounded_family(n, row):
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
     """Run one verifier by id over [lo, hi] (unbounded-family ignores the
-    range), on the rows of _battery_rows."""
+    range), on the rows of _battery_rows: only the rows its law reads."""
     if theorem_id not in VERIFIERS:
         known = ", ".join(VERIFIERS)
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    return VERIFIERS[theorem_id](lo, hi, _battery_rows(lo, hi))
+    return VERIFIERS[theorem_id](lo, hi, _battery_rows(lo, hi, [theorem_id]))
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
     """Every verifier in registry order, all on the rows of one
     _battery_rows call."""
-    row = _battery_rows(lo, hi)
+    row = _battery_rows(lo, hi, VERIFIERS)
     return [fn(lo, hi, row) for fn in VERIFIERS.values()]
 
 
-def _battery_rows(lo: int, hi: int) -> RowSource:
-    """The row source of a battery run over [lo, hi], every row decided
-    before it returns, so each verifier's elapsed_ms is its own check
-    time: the rows of decide_rows over the range, and by decide_row the
-    odd halves that three-h-criterion reads below lo and the moduli 3p
-    of the unbounded family outside the range."""
-    lo = max(lo, 2)
-    rows = dict(decide_rows(lo, hi))
-    more = [odd_half(n) for n in range(lo, hi + 1)]
-    for m in more + [3 * p for p in DEFAULT_FAMILY_PRIMES]:
-        if m and m > 1 and m not in rows:
-            rows[m] = decide_row(m)
-    return rows.__getitem__
+def _battery_rows(lo: int, hi: int, ids) -> RowSource:
+    """The row source of a battery run of the ids over [lo, hi], every
+    row decided by one decide_rows call before it returns, so each
+    verifier's elapsed_ms is its own check time: the moduli the ids run
+    over (MODULI), plus the odd halves that three-h-criterion reads."""
+    moduli = {n for i in ids for n in MODULI[i](lo, hi)}
+    if "three-h-criterion" in ids:
+        moduli.update(odd_half(n) for n in MODULI["three-h-criterion"](lo, hi))
+    return dict(decide_rows(moduli)).__getitem__
 
 
 class SurveyRow(NamedTuple):
@@ -397,10 +391,11 @@ class SurveyRow(NamedTuple):
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
     """One row per (n, k), n ascending then k ascending, from the rows
-    of decide_rows(lo, hi), each modulus decided as it is reached. An
-    empty range yields nothing; lo below 2 raises ValueError at the
+    of decide_rows over [lo, hi], each modulus decided as it is reached.
+    An empty range yields nothing; lo below 2 raises ValueError at the
     call."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
-    return (SurveyRow(n, k, *r[:6]) for n, rows in decide_rows(lo, hi)
+    return (SurveyRow(n, k, *r[:6])
+            for n, rows in decide_rows(range(lo, hi + 1))
             for k, r in enumerate(rows))

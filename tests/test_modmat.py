@@ -57,6 +57,9 @@ def test_known_solutions_mod_2():
 def test_non_solutions():
     assert solution_sign([1, 0], 5) is None
     assert solution_sign((1,), 5) is None
+    # a scalar matrix other than +-Id is no solution
+    assert m_n((5, 5, 5), 8) == (3, 0, 0, 3)
+    assert solution_sign((5, 5, 5), 8) is None
 
 
 def test_cycle_input_carries_modulus():

@@ -159,6 +159,14 @@ def test_ladder_examples():
     assert prime_power_ladder(2, 5, 6) == [2, 4, 8, 16, 32]
 
 
+def test_ladder_break_raises(monkeypatch):
+    # a size that neither stays nor multiplies by p breaks the law
+    monkeypatch.setattr(monomial, "minimal_monomial_size",
+                        lambda n, k: (n + 1, 1))
+    with pytest.raises(AssertionError, match=r"ladder break at 3\*\*2: 4 -> 10"):
+        prime_power_ladder(3, 2, 1)
+
+
 def test_ladder_guards():
     with pytest.raises(ValueError):
         prime_power_ladder(6, 2, 1)
@@ -220,6 +228,13 @@ def test_shared_factor_guards():
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match="modulus"):
             shared_factor_size(n, 5)
+
+
+def test_shared_factor_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(monomial, "minimal_monomial_size", lambda n, k: (7, 1))
+    with pytest.raises(AssertionError,
+                       match="shared-factor law broke at n=9, k=3: 7 != 6"):
+        shared_factor_size(9, 3)
 
 
 def test_shared_factor_whole_range():

@@ -275,7 +275,7 @@ def test_decide_row_matches_the_reference_walk():
     # (2 cores, Python 3.11.7, shared host), about three quarters of it in
     # the reference walk
     last = 1
-    for n, rows in decide_rows(2, 400):
+    for n, rows in decide_rows(range(2, 401)):
         assert n == last + 1
         last = n
         assert len(rows) == n
@@ -309,7 +309,7 @@ def test_row_size_cap_raises(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="no size <= 1 for n=7"):
         _walk(7, 3)
     monkeypatch.undo()
-    rows = decide_rows(2, 15)
+    rows = decide_rows(range(2, 16))
     assert [next(rows)[0] for _ in range(2, 15)] == list(range(2, 15))
     # the rows of 3 and 5 are kept; only the composite 15 remains
     monkeypatch.setattr(rows_mod, "_CAP_FACTOR", 0)
@@ -320,15 +320,35 @@ def test_row_size_cap_raises(monkeypatch):
 @pytest.mark.parametrize("lo,hi", [(97, 181), (2, 2), (5, 4)])
 def test_decide_rows_equals_decide_row(lo, hi):
     # on [97, 181] the factor rows of many moduli lie below lo
-    assert list(decide_rows(lo, hi)) == \
+    assert list(decide_rows(range(lo, hi + 1))) == \
         [(n, decide_row(n)) for n in range(lo, hi + 1)]
+
+
+def test_decide_rows_of_a_set_equals_decide_row():
+    # moduli out of order and far apart: 45 and 242 are composites whose
+    # factor rows (9, 5; 2, 121) are not all asked for, and 9 and 121
+    # are prime powers that a later modulus is a multiple of
+    moduli = {242, 9, 181, 45, 121, 97}
+    assert list(decide_rows(moduli)) == \
+        [(n, decide_row(n)) for n in sorted(moduli)]
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 5), (0, -1), (-3, 10)])
 def test_decide_rows_below_two_raises(lo, hi):
-    # also on an empty range: the check comes first, at the first next()
+    # the check comes at the first next(); an empty range has no modulus
+    # below 2, so it yields nothing
+    rows = decide_rows(range(lo, hi + 1))
+    if lo > hi:
+        assert list(rows) == []
+        return
     with pytest.raises(ValueError, match=f"got {lo}"):
-        next(decide_rows(lo, hi))
+        next(rows)
+
+
+def test_decide_rows_of_a_set_below_two_raises():
+    rows = decide_rows({45, 1, 9})
+    with pytest.raises(ValueError, match="got 1"):
+        next(rows)
 
 
 def _mirrored(row, n):

@@ -37,6 +37,13 @@ def test_factorize_matches_trial_division_up_to_1e5():
         assert is_prime(n) == (f == [(n, 1)]), n
 
 
+# 1009 * 1049 and 1009**2 * 1049: factors just past trial division, where
+# Pollard-Brent's batch of gcds overshoots to n and is replayed singly
+@pytest.mark.parametrize("n", [1058441, 1009 ** 2 * 1049])
+def test_factorize_after_an_overshot_batch(n):
+    assert factorize(n) == trial_factorize(n)
+
+
 # products of known primes near 2**64: 2**32 - 5 and 2**32 - 17, 2**24 - 3
 # and 2**40 - 87, 2**61 - 1, and the largest prime below 2**64
 @pytest.mark.parametrize("parts", [

@@ -5,7 +5,7 @@ import pytest
 
 import frieze_mod.verify as verify_module
 from frieze_mod.rows import decide_row, decide_rows
-from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, VERIFIERS,
+from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, MODULI, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
                                is_three_m_form, monomial_row,
                                odd_half, run_all, run_verifier, survey_rows,
@@ -81,6 +81,7 @@ def test_registry_lists_the_ten_laws_in_report_order():
         "size-bound", "eight-divides", "odd-sizes", "three-h-criterion",
         "size-n", "prime-powers", "reducible-constructions",
         "special-sizes", "overshoot-3m", "unbounded-family"]
+    assert list(MODULI) == list(VERIFIERS)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(VERIFIERS))
@@ -234,8 +235,8 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
         events.append(n)
         return decide_row(n)
 
-    def counting_range(lo, hi):
-        for n, rows in decide_rows(lo, hi):
+    def counting_range(moduli):
+        for n, rows in decide_rows(moduli):
             events.append(n)
             yield n, rows
 
@@ -256,6 +257,25 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
     family = [3 * p for p in DEFAULT_FAMILY_PRIMES]     # 15 lies below both
     assert sorted(decided) == sorted({*range(40, 61), *halves, *family})
     assert events[first:] == ["check"] * len(VERIFIERS)
+
+
+def test_a_single_run_decides_only_the_rows_its_law_reads(monkeypatch):
+    calls = []
+
+    def recording(moduli):
+        calls.append(sorted(moduli))
+        return decide_rows(moduli)
+
+    monkeypatch.setattr(verify_module, "decide_rows", recording)
+    halved = [n for n in range(6, 251) if odd_half(n)]
+    reads = {"eight-divides": list(range(8, 251, 8)),
+             "unbounded-family": [15, 21, 33, 39, 51, 57],
+             # n = 2m with m odd, and the mod-m rows it compares with
+             "three-h-criterion": sorted({*halved, *(n // 2 for n in halved)})}
+    for theorem_id, moduli in reads.items():
+        calls.clear()
+        assert run_verifier(theorem_id, 2, 250).status == "pass"
+        assert calls == [moduli], theorem_id
 
 
 def test_ranges_below_two_start_at_two():

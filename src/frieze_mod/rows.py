@@ -168,8 +168,9 @@ def decide_rows(moduli):
     comes from the first +-1 corner u_j with 1 <= j <= (S - 2)/2, as in
     _walk.
 
-    A prime power q's (size, sign) table is kept only while a later
-    modulus may be its multiple (2 * q at most the largest modulus).
+    A prime power q in the moduli keeps its (size, sign) table for the
+    rest of the call when 2 * q is at most the largest modulus; a factor
+    walked for a composite keeps it for the rest of the call.
     """
     moduli = sorted(moduli)
     if moduli and moduli[0] < 2:

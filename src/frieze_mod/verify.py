@@ -5,8 +5,9 @@ _law. check(n, row) reads the flat rows of rows.decide_rows (one list
 per k, the size at index 0 and the kind at index 2) from the row source
 row, and yields one item per k that the law covers: True when the pair
 obeys the law, else its Counterexample. The driver runs the check on
-the moduli of the range that meet the hypothesis (MODULI lists them per
-id), times it and builds the TheoremReport; it is the one report path.
+the moduli of the range that meet the hypothesis, times it and builds
+the TheoremReport; it is the one report path. MODULI lists per id the
+moduli whose rows the check reads.
 unbounded-family's check runs on six fixed moduli 3p instead. The row
 source is decide_row by default; run_all and run_verifier pass
 _battery_rows, which decides the rows their ids read in one decide_rows
@@ -117,11 +118,7 @@ def _power_shapes(s: int) -> tuple:
 
 
 def _two_adic(n: int) -> int:
-    a = 0
-    while n % 2 == 0:
-        n //= 2
-        a += 1
-    return a
+    return (n & -n).bit_length() - 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -135,26 +132,32 @@ def _crt_pair(r1, q1, r2, q2):
 
 
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
-# theorem id -> moduli(lo, hi), the moduli its verifier runs the check on
+# theorem id -> moduli(lo, hi), the moduli whose rows its verifier reads
 MODULI: dict[str, Callable[[int, int], list[int]]] = {}
 
 
-def _law(theorem_id, hypothesis, range_text, moduli=()):
+def _law(theorem_id, hypothesis, range_text, moduli=(), also=None):
     """Register a check(n, row) as the verifier theorem_id, under the
     check's name and docstring. It runs the check on the n in
     [max(lo, 2), hi] that meet the law's hypothesis(n), or on the fixed
     moduli (hypothesis None: the range is ignored and range_text is the
-    whole range field). It fails on every Counterexample that came back,
-    passes when some item came back, and is vacuous otherwise."""
-    def read(lo, hi):
+    whole range field). also(n), when given, is the one more modulus
+    whose rows the check reads at n. It fails on every Counterexample
+    that came back, passes when some item came back, and is vacuous
+    otherwise."""
+    def run(lo, hi):
         return moduli or [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
+
+    def read(lo, hi):
+        ns = run(lo, hi)
+        return ns + [also(n) for n in ns] if also else ns
 
     def register(check):
         def verifier(lo: int = 2, hi: int = 150,
                      row: RowSource = decide_row) -> TheoremReport:
             t0 = time.perf_counter()
             bad, hit = [], False
-            for n in read(lo, hi):
+            for n in run(lo, hi):
                 for item in check(n, row):
                     hit = True
                     if item is not True:
@@ -202,7 +205,7 @@ def verify_odd_sizes(n, row):
 
 
 @_law("three-h-criterion", lambda n: odd_half(n) not in (None, 1),
-      "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3")
+      "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3", also=odd_half)
 def verify_three_h_criterion(n, row):
     """For n = 2m (m odd) and minimal size 3h with h > 1 odd coprime to 3,
     the verdict matches divisibility at the odd part: irreducible exactly
@@ -368,11 +371,9 @@ def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
 def _battery_rows(lo: int, hi: int, ids) -> RowSource:
     """The row source of a battery run of the ids over [lo, hi], every
     row decided by one decide_rows call before it returns, so each
-    verifier's elapsed_ms is its own check time: the moduli the ids run
-    over (MODULI), plus the odd halves that three-h-criterion reads."""
+    verifier's elapsed_ms is its own check time: the moduli the ids read
+    (MODULI)."""
     moduli = {n for i in ids for n in MODULI[i](lo, hi)}
-    if "three-h-criterion" in ids:
-        moduli.update(odd_half(n) for n in MODULI["three-h-criterion"](lo, hi))
     return dict(decide_rows(moduli)).__getitem__
 
 

@@ -221,7 +221,7 @@ def _facts(report):
     return d
 
 
-@pytest.mark.parametrize("lo,hi", [(97, 181), (2, 150)])
+@pytest.mark.parametrize("lo,hi", [(97, 181), (2, 150), (2, 250)])
 def test_run_all_matches_the_single_runs(lo, hi):
     # on [97, 181] three-h-criterion reads rows of moduli below lo
     assert [_facts(r) for r in run_all(lo, hi)] == \

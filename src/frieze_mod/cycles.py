@@ -7,27 +7,58 @@ both moves, which is what makes the quotient worth working in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 
-@dataclass(frozen=True, order=True)
+def _by_value(op):
+    """The comparison op of two Cycles by (entries, modulus); against any
+    other type it returns NotImplemented."""
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op((self.entries, self.modulus), (other.entries, other.modulus))
+    return compare
+
+
 class Cycle:
     """A nonempty tuple of residues sharing one modulus.
 
-    Entries normalize to [0, N) on construction. Ordering is lexicographic
-    on the entry tuple, which is what canonical_form relies on.
+    Entries normalize to [0, N) on construction. A Cycle is an immutable
+    value: equality, hashing and ordering go by (entries, modulus), so
+    ordering is lexicographic on the entry tuple, which is what
+    canonical_form relies on.
     """
 
-    entries: tuple[int, ...]
-    modulus: int
+    __slots__ = ("entries", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...], modulus: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if not entries:
             raise ValueError("a cycle needs at least one entry")
-        object.__setattr__(
-            self, "entries", tuple(v % self.modulus for v in self.entries))
+        object.__setattr__(self, "entries", tuple(v % modulus for v in entries))
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.entries, self.modulus)
+
+    __eq__ = _by_value(operator.eq)
+    __lt__ = _by_value(operator.lt)
+    __le__ = _by_value(operator.le)
+    __gt__ = _by_value(operator.gt)
+    __ge__ = _by_value(operator.ge)
+
+    def __hash__(self):
+        return hash((self.entries, self.modulus))
+
+    def __repr__(self):
+        return f"Cycle(entries={self.entries!r}, modulus={self.modulus!r})"
 
     @classmethod
     def of(cls, modulus: int, *entries: int) -> "Cycle":

@@ -11,11 +11,14 @@ witness, survey) and the law battery need no other package module than
 ring, which decide_rows loads to factor its moduli.
 
 decide_rows walks only prime-power moduli. A composite modulus takes
-each size and sign from the rows of its prime-power factors by the CRT
-size law (proved in decide_rows), and walks each pair only as far as
-its first witness. SizeCapExceeded is defined in monomial and imported
-only on the two paths that raise it, so that classify and witness still
-load rows alone.
+each size, sign and first corner from the corner classes of its
+prime-power factors' rows (the CRT size law and the corner lemma, both
+proved in decide_rows), composed once per tuple of classes. It runs the
+recurrence of a pair only to close the witness at that corner, or, when
+a factor's row has a corner of its own, to find the first one.
+SizeCapExceeded is defined in monomial and imported only on the two
+paths that raise it, so that classify and witness still load rows
+alone.
 """
 
 from math import lcm
@@ -155,8 +158,9 @@ def decide_rows(moduli):
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
 
     A prime power is walked pair by pair (_pair_row). A composite
-    n = prod q, over coprime prime powers q, takes each size and sign
-    from the rows of its factors. By the CRT, M**s = eps * Id mod n
+    n = prod q, over coprime prime powers q, is decided from the class of
+    k mod each q (_classes): the size S_q and sign of its row, and
+    whether that row has a witness. By the CRT, M**s = eps * Id mod n
     exactly when it holds mod every q. Mod q, the s with M**s = +-Id are
     the multiples of the size S_q (they form a subgroup of Z), and
     M**(t * S_q) = sign_q**t * Id. So every s with M**s = +-Id mod n is
@@ -164,20 +168,39 @@ def decide_rows(moduli):
     mod 2 the two signs coincide, so q = 2 has no say. When the signs
     sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
     sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
-    since M**(2 * m) = (M**m)**2 = Id mod every q. The witness then
-    comes from the first +-1 corner u_j with 1 <= j <= (S - 2)/2, as in
-    _walk.
+    since M**(2 * m) = (M**m)**2 = Id mod every q.
 
-    A prime power q in the moduli keeps its (size, sign) table for the
-    rest of the call when 2 * q is at most the largest modulus; a factor
-    walked for a composite keeps it for the rest of the call.
+    The witness comes from the first +-1 corner u_j with
+    1 <= j <= (S - 2)/2, as in _walk. The corner lemma: let the row of
+    k mod q have no witness, with size S and sign e. Then u_j = +-1 mod q
+    exactly when j = 0 or j = -2 mod S, and u_{tS} = e**t,
+    u_{tS-2} = -e**t. Proof: M**S = e * Id gives u_{j+S} = e * u_j. It
+    also gives u_0 = 1, u_{S-2} = -e and u_{S-1} = 0, which is not +-1.
+    No j in [1, (S - 2)/2] is a corner, and by the palindrome of _walk
+    (u_j = +-1 exactly when u_{S-2-j} = +-1) neither is any j in
+    [(S - 2)/2, S - 3]. So the corners in [0, S - 1] are 0 and S - 2,
+    and the rest follow by u_{j+S} = e * u_j. By the CRT, u_j = eps mod
+    n exactly when u_j = eps mod every q. So when the row of every q is
+    corner-free, the corners mod n are the j that lie on a corner class
+    of every q with one common sign (q = 2 again has no say), and the
+    size, sign and first corner depend only on the tuple of classes.
+    _compose finds them once per tuple and call. A pair with such a
+    corner j runs the recurrence j steps, raises RuntimeError unless
+    u_j = +-1, and closes its witness through _endpoints, which checks
+    the full product. A pair with a component whose row has a corner
+    walks to its first corner. The 3N size cap is checked per pair.
+
+    A prime power q in the moduli keeps its classes for the rest of the
+    call when 2 * q is at most the largest modulus; a factor walked for
+    a composite keeps them for the rest of the call.
     """
     moduli = sorted(moduli)
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     # loaded here, so that classify and witness load rows alone
     from .ring import factorize
-    kept = {}   # prime power q -> [size, sign] of every k mod q
+    kept = {}       # prime power q -> the class of every k mod q
+    composed = {}   # tuple of classes -> (size, sign, first corner)
 
     def walked(q):
         return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
@@ -187,42 +210,102 @@ def decide_rows(moduli):
         if len(qs) == 1:
             rows = walked(n)
             if 2 * n <= moduli[-1]:
-                kept[n] = [r[:2] for r in rows]
+                kept[n] = _classes(rows, n)
             yield n, rows
             continue
         for q in qs:
             if q not in kept:
-                kept[q] = [r[:2] for r in walked(q)]
-        parts = [(q, kept[q]) for q in qs]
-        signed = [(q, t) for q, t in parts if q != 2]
+                kept[q] = _classes(walked(q), q)
+        # the tuple of the classes of k mod every q, for each k <= n/2
+        keys = zip(*[kept[q] * (n // (2 * q) + 1) for q in qs])
+        cap = _CAP_FACTOR * n + 1
         minus = n - 1
         rows = []
-        for k in range(n // 2 + 1):
-            m = 1
-            for q, t in parts:
-                m = lcm(m, t[k % q][0])
-            size, sign = m, 0
-            for q, t in signed:
-                s, e = t[k % q]
-                e = e if m // s % 2 else 1
-                if sign and e != sign:
-                    size, sign = 2 * m, 1
-                    break
-                sign = e
-            if size > _CAP_FACTOR * n + 1:
+        for k, key in zip(range(n // 2 + 1), keys):
+            found = composed.get(key)
+            if found is None:
+                found = composed[key] = _compose(key)
+            size, sign, j = found
+            if size > cap:
                 from .monomial import SizeCapExceeded
-                raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} "
-                                      f"for n={n}, k={k}")
-            a, b = 0, 1     # u_{j-2}, u_{j-1}
+                raise SizeCapExceeded(f"size {size} > {cap} for n={n}, k={k}")
+            a, b = 0, 1     # u_{i-2}, u_{i-1}
             corner = None
-            for j in range(1, size // 2):
+            if j is _WALK:   # a component has a corner: walk to the first
+                for j in range(1, size // 2):
+                    c = (k * b - a) % n
+                    if c == 1 or c == minus:
+                        corner = j, (c, -b % n, b, -a % n)
+                        break
+                    a, b = b, c
+            elif j is not None:     # the corner of the classes, checked
+                for _ in range(j - 1):
+                    a, b = b, (k * b - a) % n
                 c = (k * b - a) % n
-                if c == 1 or c == minus:
-                    corner = j, (c, -b % n, b, -a % n)
-                    break
-                a, b = b, c
+                if c != 1 and c != minus:
+                    raise RuntimeError(f"u_{j} of k={k} mod {n} is {c}, not "
+                                       f"the +-1 corner its classes give")
+                corner = j, (c, -b % n, b, -a % n)
             rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
+
+
+_WALK = object()    # the first corner of a pair is found by walking it
+
+
+def _classes(rows, q):
+    """The corner class of every k mod the prime power q, from its rows:
+    (size, sign, corner-free), the sign 0 at q = 2."""
+    return [(r[0], r[1] if q != 2 else 0, r[3] is None) for r in rows]
+
+
+def _compose(classes):
+    """(size, sign, j) of a composite pair from its components' classes.
+
+    j is the first +-1 corner with 1 <= j <= (size - 2)/2, None when
+    there is none, and _WALK when a component has a corner. By the
+    corner lemma (decide_rows), every corner is t - 2 or t for a
+    multiple t of the largest component size.
+    """
+    m = 1
+    for s, _, _ in classes:
+        m = lcm(m, s)
+    size, sign = m, 0
+    for s, e, _ in classes:
+        if e:       # q = 2 (sign 0) has no say
+            e = e if m // s % 2 else 1
+            if sign and e != sign:
+                size, sign = 2 * m, 1
+                break
+            sign = e
+    if not all(free for _, _, free in classes):
+        return size, sign, _WALK
+    last = (size - 2) // 2
+    top = max(s for s, _, _ in classes)
+    for t in range(top, last + 3, top):
+        for j in (t - 2, t):
+            if 1 <= j <= last and _corner_sign(classes, j):
+                return size, sign, j
+    return size, sign, None
+
+
+def _corner_sign(classes, j):
+    """The common sign of u_j = +-1 mod corner-free components of these
+    classes, or 0 when u_j is not +-1 mod one of them or the signs differ.
+    """
+    eps = 0
+    for s, e, _ in classes:
+        if j % s == 0:
+            u = e if j // s % 2 else 1
+        elif (j + 2) % s == 0:
+            u = -e if (j + 2) // s % 2 else -1
+        else:
+            return 0
+        if e:       # q = 2 (e = 0) has no say on the sign
+            if eps and u != eps:
+                return 0
+            eps = u
+    return eps
 
 
 def _mirror(rows, n):

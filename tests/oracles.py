@@ -104,6 +104,20 @@ def walk_first_corner(n, k):
     raise AssertionError(f"no size found for n={n}, k={k}")
 
 
+def corner_entries(n, k, limit):
+    """Every (j, u) with 1 <= j <= limit where u, the top-left entry of
+    M(k)**j, is 1 or n - 1, multiplying one more elementary factor onto
+    the running power per j."""
+    a = elementary(k, n)
+    m = a
+    out = []
+    for j in range(1, limit + 1):
+        if m[0][0] in (1, n - 1):
+            out.append((j, m[0][0]))
+        m = mat_mul(a, m, n)
+    return out
+
+
 def split_search(entries, n):
     """First split of a solution into two shorter ones, by brute force.
 

@@ -385,11 +385,8 @@ def _loaded_after(code):
      ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])
 def test_commands_load_only_what_they_run(args, extra):
-    # nor click, nor dataclasses and inspect (about 13 ms of start-up),
-    # except that oplus loads the last two for the Cycle dataclass
-    heavy = ["click"]
-    if args[:1] != ["oplus"]:
-        heavy += ["dataclasses", "inspect"]
+    # nor click, nor dataclasses and inspect (about 13 ms of start-up)
+    heavy = ["click", "dataclasses", "inspect"]
     code = ("import contextlib, io, sys\n"
             f"heavy = set({heavy!r}) - set(sys.modules)\n"
             "import frieze_mod.cli")

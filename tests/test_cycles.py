@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,31 @@ def test_construction_guards():
         Cycle.constant(7, 1, 0)
     # size-1 cycles are valid values, just rejected by oplus
     assert len(Cycle.of(5, 3)) == 1
+
+
+def test_cycle_is_an_immutable_value():
+    # equality, ordering and hashing go by (entries, modulus), in that
+    # order; a Cycle compares with no other type and accepts no writes
+    a, b = Cycle.of(7, 1, 2), Cycle.of(7, 1, 3)
+    assert a == Cycle((8, 9), 7) and a != b
+    assert a != (1, 2) and a != ((1, 2), 7)
+    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
+    assert not a < a and not a > a
+    assert Cycle.of(5, 1, 2) < a < Cycle.of(5, 2, 0)
+    assert sorted([b, Cycle.of(5, 1, 2), a]) == [Cycle.of(5, 1, 2), a, b]
+    with pytest.raises(TypeError):
+        a < (1, 2)
+    assert hash(a) == hash(Cycle((8, 9), 7)) == hash(((1, 2), 7))
+    assert len({a, Cycle((8, 9), 7), b}) == 2
+    assert repr(a) == "Cycle(entries=(1, 2), modulus=7)"
+    for name in ("entries", "modulus", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (3,))
+    for name in ("entries", "modulus"):
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == Cycle.of(7, 1, 2)
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
 def test_canonical_form_example():

@@ -10,9 +10,9 @@ from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.rows import _pair_row, _walk, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
-from oracles import (bordered_census, bordered_scan, elementary, mat_mul,
-                     pm_sign, product, split_search, walk_first_corner,
-                     walk_min_size)
+from oracles import (bordered_census, bordered_scan, corner_entries,
+                     elementary, mat_mul, pm_sign, prime_power, product,
+                     split_search, walk_first_corner, walk_min_size)
 from routes import (bordered_solutions, is_reducible_general,
                     witness_structure_check)
 
@@ -290,6 +290,63 @@ def test_decide_row_matches_the_reference_walk():
                                  mat_mul(mj, elementary(x, n), n), n)
                 assert pm_sign(closed, n) == w_sign, (n, k)
     assert last == 400
+
+
+def test_corner_lemma_on_prime_powers():
+    # decide_rows composes witnesses by this lemma: mod a prime power q,
+    # a row with no witness, of size S and sign e, has its +-1 corners
+    # exactly at j = t*S, where u_j = e**t, and at j = t*S - 2, where
+    # u_j = -e**t. Every such row of every q <= 250 against the
+    # nested-list walk over j <= 2S. Budget 3 s; measured 0.7 s alone
+    # (2 cores, Python 3.11.7)
+    rows = 0
+    for q in filter(prime_power, range(2, 251)):
+        for k in range(q):
+            size, e, j, _ = walk_first_corner(q, k)
+            if j is not None:
+                continue
+            want = [(j, (e ** (j // size) if j % size == 0
+                         else -e ** ((j + 2) // size)) % q)
+                    for j in range(1, 2 * size + 1)
+                    if j % size in (0, size - 2)]
+            assert corner_entries(q, k, 2 * size) == want, (q, k)
+            rows += 1
+    assert rows == 6707
+
+
+def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
+    # composite rows whose factors' classes repeat across moduli with
+    # other factors, among them 2m against 4m (q = 2 has no say on the
+    # sign, q = 4 has): one call composes each tuple of classes once, and
+    # its rows equal one call per modulus and the walk of every pair
+    moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
+    compose, composed = rows_mod._compose, []
+
+    def counted(classes):
+        composed.append(classes)
+        return compose(classes)
+
+    monkeypatch.setattr(rows_mod, "_compose", counted)
+    rows = list(decide_rows(moduli))
+    shared = len(composed)
+    assert rows == [(n, decide_row(n)) for n in sorted(moduli)]
+    assert len(set(composed)) == shared < len(composed) - shared
+    for n, row in rows:
+        assert row == [_pair_row(n, k) for k in range(n)], n
+
+
+def test_a_class_corner_that_is_no_corner_raises(monkeypatch):
+    # the first corner composed from the classes is checked on the
+    # pair's own recurrence before its witness is built
+    compose = rows_mod._compose
+
+    def shifted(classes):
+        size, sign, j = compose(classes)
+        return size, sign, j + 1 if isinstance(j, int) else j
+
+    monkeypatch.setattr(rows_mod, "_compose", shifted)
+    with pytest.raises(RuntimeError, match="not the \\+-1 corner"):
+        decide_row(35)
 
 
 def test_an_unverified_corner_raises(monkeypatch):

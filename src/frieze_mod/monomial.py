@@ -240,7 +240,8 @@ def shared_factor_size(n: int, k: int) -> int:
     to n, the minimal size is 2 * prod(p_i ** (a_i - b_i)). The shape is
     read off the residue class of k (valuations at or above a_i collapse
     to a_i); a prime of n missing from k is a ValueError. The prediction
-    is checked against the scan; a mismatch raises AssertionError.
+    is checked against minimal_monomial_size (the descent); a mismatch
+    raises AssertionError.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")

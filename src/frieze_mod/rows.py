@@ -11,11 +11,11 @@ witness, survey) and the law battery need no other package module than
 ring, which decide_rows loads to factor its moduli.
 
 decide_rows walks only prime-power moduli. A composite modulus takes
-each size, sign and first corner from the corner classes of its
-prime-power factors' rows (the CRT size law and the corner lemma, both
-proved in decide_rows), composed once per tuple of classes. It runs the
-recurrence of a pair only to close the witness at that corner, or, when
-a factor's row has a corner of its own, to find the first one.
+each size and sign from the corner classes of its prime-power factors'
+rows (the CRT size law), composed once per tuple of classes, and walks
+each pair only to its first corner (_first_corner). By the corner
+lemma, no later pair of a tuple of corner-free classes walks when the
+tuple's first pair has no corner. Both laws are proved in decide_rows.
 SizeCapExceeded is defined in monomial and imported only on the two
 paths that raise it, so that classify and witness still load rows
 alone.
@@ -183,12 +183,13 @@ def decide_rows(moduli):
     n exactly when u_j = eps mod every q. So when the row of every q is
     corner-free, the corners mod n are the j that lie on a corner class
     of every q with one common sign (q = 2 again has no say), and the
-    size, sign and first corner depend only on the tuple of classes.
-    _compose finds them once per tuple and call. A pair with such a
-    corner j runs the recurrence j steps, raises RuntimeError unless
-    u_j = +-1, and closes its witness through _endpoints, which checks
-    the full product. A pair with a component whose row has a corner
-    walks to its first corner. The 3N size cap is checked per pair.
+    size, sign and corners depend only on the tuple of classes.
+    _compose finds size and sign once per tuple and call. The tuple's
+    first pair walks to (S - 2)/2 (_first_corner); when all its classes
+    are corner-free and that pair has no corner, no later pair of the
+    tuple walks. Every other pair walks to its first corner, and a later
+    pair of a corner-free tuple raises RuntimeError unless it stops at
+    the first pair's j. The 3N size cap is checked per pair.
 
     A prime power q in the moduli keeps its classes for the rest of the
     call when 2 * q is at most the largest modulus; a factor walked for
@@ -200,7 +201,7 @@ def decide_rows(moduli):
     # loaded here, so that classify and witness load rows alone
     from .ring import factorize
     kept = {}       # prime power q -> the class of every k mod q
-    composed = {}   # tuple of classes -> (size, sign, first corner)
+    composed = {}   # tuple of classes -> (size, sign, free, first pair's j)
 
     def walked(q):
         return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
@@ -219,38 +220,27 @@ def decide_rows(moduli):
         # the tuple of the classes of k mod every q, for each k <= n/2
         keys = zip(*[kept[q] * (n // (2 * q) + 1) for q in qs])
         cap = _CAP_FACTOR * n + 1
-        minus = n - 1
         rows = []
         for k, key in zip(range(n // 2 + 1), keys):
-            found = composed.get(key)
-            if found is None:
-                found = composed[key] = _compose(key)
-            size, sign, j = found
+            first = key not in composed
+            if first:
+                composed[key] = *_compose(key), all(c[2] for c in key), None
+            size, sign, free, j = composed[key]
             if size > cap:
                 from .monomial import SizeCapExceeded
                 raise SizeCapExceeded(f"size {size} > {cap} for n={n}, k={k}")
-            a, b = 0, 1     # u_{i-2}, u_{i-1}
             corner = None
-            if j is _WALK:   # a component has a corner: walk to the first
-                for j in range(1, size // 2):
-                    c = (k * b - a) % n
-                    if c == 1 or c == minus:
-                        corner = j, (c, -b % n, b, -a % n)
-                        break
-                    a, b = b, c
-            elif j is not None:     # the corner of the classes, checked
-                for _ in range(j - 1):
-                    a, b = b, (k * b - a) % n
-                c = (k * b - a) % n
-                if c != 1 and c != minus:
-                    raise RuntimeError(f"u_{j} of k={k} mod {n} is {c}, not "
-                                       f"the +-1 corner its classes give")
-                corner = j, (c, -b % n, b, -a % n)
+            if first or not free or j is not None:
+                corner = _first_corner(n, k, (size - 2) // 2)
+                found = corner and corner[0]
+                if first:
+                    composed[key] = size, sign, free, found
+                elif free and found != j:
+                    raise RuntimeError(
+                        f"k={k} mod {n} has its first corner at {found}, "
+                        f"not at {j} as the first pair of its classes")
             rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
-
-
-_WALK = object()    # the first corner of a pair is found by walking it
 
 
 def _classes(rows, q):
@@ -260,52 +250,32 @@ def _classes(rows, q):
 
 
 def _compose(classes):
-    """(size, sign, j) of a composite pair from its components' classes.
-
-    j is the first +-1 corner with 1 <= j <= (size - 2)/2, None when
-    there is none, and _WALK when a component has a corner. By the
-    corner lemma (decide_rows), every corner is t - 2 or t for a
-    multiple t of the largest component size.
-    """
+    """(size, sign) of a composite pair from its components' classes, by
+    the CRT size law (decide_rows)."""
     m = 1
     for s, _, _ in classes:
         m = lcm(m, s)
-    size, sign = m, 0
+    sign = 0
     for s, e, _ in classes:
         if e:       # q = 2 (sign 0) has no say
             e = e if m // s % 2 else 1
             if sign and e != sign:
-                size, sign = 2 * m, 1
-                break
+                return 2 * m, 1
             sign = e
-    if not all(free for _, _, free in classes):
-        return size, sign, _WALK
-    last = (size - 2) // 2
-    top = max(s for s, _, _ in classes)
-    for t in range(top, last + 3, top):
-        for j in (t - 2, t):
-            if 1 <= j <= last and _corner_sign(classes, j):
-                return size, sign, j
-    return size, sign, None
+    return m, sign
 
 
-def _corner_sign(classes, j):
-    """The common sign of u_j = +-1 mod corner-free components of these
-    classes, or 0 when u_j is not +-1 mod one of them or the signs differ.
-    """
-    eps = 0
-    for s, e, _ in classes:
-        if j % s == 0:
-            u = e if j // s % 2 else 1
-        elif (j + 2) % s == 0:
-            u = -e if (j + 2) // s % 2 else -1
-        else:
-            return 0
-        if e:       # q = 2 (e = 0) has no say on the sign
-            if eps and u != eps:
-                return 0
-            eps = u
-    return eps
+def _first_corner(n, k, last):
+    """The first (j, M(k)**j) with 1 <= j <= last and u_j = +-1, or None:
+    the recurrence of _walk without its size test."""
+    minus = n - 1
+    a, b = 0, 1     # u_{j-2}, u_{j-1}
+    for j in range(1, last + 1):
+        c = (k * b - a) % n
+        if c == 1 or c == minus:
+            return j, (c, -b % n, b, -a % n)
+        a, b = b, c
+    return None
 
 
 def _mirror(rows, n):

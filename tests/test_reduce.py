@@ -8,6 +8,7 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
                                  size_via_crt)
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
+from frieze_mod.ring import factorize
 from frieze_mod.rows import _pair_row, _walk, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
 from oracles import (bordered_census, bordered_scan, corner_entries,
@@ -335,18 +336,58 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
         assert row == [_pair_row(n, k) for k in range(n)], n
 
 
-def test_a_class_corner_that_is_no_corner_raises(monkeypatch):
-    # the first corner composed from the classes is checked on the
-    # pair's own recurrence before its witness is built
-    compose = rows_mod._compose
+def test_first_pairs_walk_and_corner_free_tuples_skip(monkeypatch):
+    # decide_rows walks the first pair of each class tuple, and a later
+    # pair unless every class is corner-free and the first pair had no
+    # corner (the corner lemma). The walked pairs over n <= 250 against
+    # class tuples and witnesses taken here from _pair_row
+    first_corner, walks = rows_mod._first_corner, []
 
-    def shifted(classes):
-        size, sign, j = compose(classes)
-        return size, sign, j + 1 if isinstance(j, int) else j
+    def counted(n, k, last):
+        walks.append((n, k))
+        return first_corner(n, k, last)
 
-    monkeypatch.setattr(rows_mod, "_compose", shifted)
-    with pytest.raises(RuntimeError, match="not the \\+-1 corner"):
-        decide_row(35)
+    monkeypatch.setattr(rows_mod, "_first_corner", counted)
+    for _ in decide_rows(range(2, 251)):
+        pass
+    classes, later, want = {}, {}, []
+    for n in range(2, 251):
+        qs = [p ** a for p, a in factorize(n)]
+        if len(qs) == 1:
+            continue
+        for q in qs:
+            if q not in classes:
+                classes[q] = rows_mod._classes(
+                    [_pair_row(q, k) for k in range(q)], q)
+        for k in range(n // 2 + 1):
+            key = tuple(classes[q][k % q] for q in qs)
+            if key not in later:
+                want.append((n, k))
+                later[key] = (not all(free for _, _, free in key)
+                              or _pair_row(n, k)[3] is not None)
+            elif later[key]:
+                want.append((n, k))
+    assert walks == want
+    assert (len(walks), len(later)) == (5086, 2093)
+
+
+def test_a_first_corner_that_differs_from_its_tuples_raises(monkeypatch):
+    # a later pair of a corner-free class tuple must stop at the first
+    # corner of the tuple's first pair; shifting the first corner walked
+    # (k = 4 mod 21) is caught at the next pair with its classes
+    first_corner, shifted = rows_mod._first_corner, []
+
+    def shift(n, k, last):
+        corner = first_corner(n, k, last)
+        if corner is None or shifted:
+            return corner
+        shifted.append((n, k))
+        return corner[0] + 1, corner[1]
+
+    monkeypatch.setattr(rows_mod, "_first_corner", shift)
+    with pytest.raises(RuntimeError, match="k=10 mod 21 .* at 4, not at 5"):
+        decide_row(21)
+    assert shifted == [(21, 4)]
 
 
 def test_an_unverified_corner_raises(monkeypatch):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from .ring import factorize, is_prime
+from .ring import _lucas, factorize, is_prime
 
 
 class SizeCapExceeded(RuntimeError):
@@ -21,20 +21,12 @@ class SizeCapExceeded(RuntimeError):
 def _power_sign(n: int, k: int, e: int) -> int:
     """The sign of M(k)**e when it is +-Id mod n (+1 mod 2), else 0.
 
-    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]] (see rows._walk), and
-    (u_{e-1}, u_e) comes by fast doubling in three products per bit of
-    e >= 1: with U_m = u_{m-1}, U_{2m} = U_m * (2 * U_{m+1} - k * U_m)
-    and U_{2m+1} = (U_{m+1} - U_m) * (U_{m+1} + U_m), then one
-    recurrence step for a set bit.
+    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]], with (u_{e-1}, u_e)
+    by fast doubling (ring._lucas); it is +-Id exactly when u_{e-1} = 0,
+    since u_e = -u_{e-2} then.
     """
-    a, b = 0, 1
-    for bit in bin(e)[2:]:
-        a, b = a * (2 * b - k * a) % n, (b - a) * (b + a) % n
-        if bit == "1":
-            a, b = b, (k * b - a) % n
-    if a:
-        return 0
-    return 1 if b == 1 else -1 if b == n - 1 else 0
+    a, b = _lucas(n, k, e)
+    return 0 if a else 1 if b == 1 else -1 if b == n - 1 else 0
 
 
 def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:

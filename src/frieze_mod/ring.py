@@ -1,4 +1,5 @@
-"""Residue arithmetic helpers: factorization, primality, residues.
+"""Residue arithmetic helpers: factorization, primality, residues, and
+the fast doubling (_lucas) of the recurrence behind the powers of M(k).
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -45,6 +46,24 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _lucas(n: int, k: int, e: int) -> tuple[int, int]:
+    """(u_{e-1}, u_e) mod n for e >= 0, where u_0 = 1, u_{-1} = 0 and
+    u_j = k * u_{j-1} - u_{j-2}, so that
+    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]].
+
+    Fast doubling in three products per bit of e: with U_m = u_{m-1},
+    U_{2m} = U_m * (2 * U_{m+1} - k * U_m) and
+    U_{2m+1} = (U_{m+1} - U_m) * (U_{m+1} + U_m), then one recurrence
+    step for a set bit.
+    """
+    a, b = 0, 1
+    for bit in bin(e)[2:]:
+        a, b = a * (2 * b - k * a) % n, (b - a) * (b + a) % n
+        if bit == "1":
+            a, b = b, (k * b - a) % n
+    return a, b
 
 
 def _brent(n: int) -> int:

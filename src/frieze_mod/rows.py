@@ -8,17 +8,17 @@ exactly at those corners, so the first one is the smallest witness. The
 results come as flat lists of plain ints and words, with no dataclass
 built per pair, so the commands that only print rows (classify,
 witness, survey) and the law battery need no other package module than
-ring, which decide_rows loads to factor its moduli.
+ring, which decide_rows loads to factor its moduli and to double
+powers.
 
 decide_rows walks only prime-power moduli. A composite modulus takes
-each size and sign from the corner classes of its prime-power factors'
-rows (the CRT size law), composed once per tuple of classes, and walks
-each pair only to its first corner (_first_corner). By the corner
-lemma, no later pair of a tuple of corner-free classes walks when the
-tuple's first pair has no corner. Both laws are proved in decide_rows.
-SizeCapExceeded is defined in monomial and imported only on the two
-paths that raise it, so that classify and witness still load rows
-alone.
+each size, sign and first corner from the corner classes of its
+prime-power factors' rows (the CRT size law and the corner lemma, both
+proved in decide_rows), composed once per tuple of classes; a pair with
+a corner builds that one power by fast doubling (ring._lucas) and
+walks nothing. SizeCapExceeded is defined in monomial and imported only
+on the two paths that raise it, so that classify and witness still load
+rows alone.
 """
 
 from math import lcm
@@ -159,37 +159,64 @@ def decide_rows(moduli):
 
     A prime power is walked pair by pair (_pair_row). A composite
     n = prod q, over coprime prime powers q, is decided from the class of
-    k mod each q (_classes): the size S_q and sign of its row, and
-    whether that row has a witness. By the CRT, M**s = eps * Id mod n
-    exactly when it holds mod every q. Mod q, the s with M**s = +-Id are
-    the multiples of the size S_q (they form a subgroup of Z), and
-    M**(t * S_q) = sign_q**t * Id. So every s with M**s = +-Id mod n is
-    a multiple of m = lcm(S_q), and mod q, M**m = sign_q**(m / S_q) * Id;
-    mod 2 the two signs coincide, so q = 2 has no say. When the signs
-    sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
-    sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
-    since M**(2 * m) = (M**m)**2 = Id mod every q.
+    k mod each q (_classes): (S_q, sign_q, D_q, f_q), the size and sign
+    of its row and the (D, f) of the corner lemma below. By the CRT,
+    M**s = eps * Id mod n exactly when it holds mod every q. Mod q, the s
+    with M**s = +-Id are the multiples of the size S_q (they form a
+    subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
+    M**s = +-Id mod n is a multiple of m = lcm(S_q), and mod q,
+    M**m = sign_q**(m / S_q) * Id; mod 2 the two signs coincide, so
+    q = 2 has no say. When the signs sign_q**(m / S_q) of all q != 2
+    agree, the size is m and that common sign is the row's sign.
+    Otherwise the size is 2 * m, with sign +1, since
+    M**(2 * m) = (M**m)**2 = Id mod every q.
 
     The witness comes from the first +-1 corner u_j with
-    1 <= j <= (S - 2)/2, as in _walk. The corner lemma: let the row of
-    k mod q have no witness, with size S and sign e. Then u_j = +-1 mod q
-    exactly when j = 0 or j = -2 mod S, and u_{tS} = e**t,
-    u_{tS-2} = -e**t. Proof: M**S = e * Id gives u_{j+S} = e * u_j. It
-    also gives u_0 = 1, u_{S-2} = -e and u_{S-1} = 0, which is not +-1.
-    No j in [1, (S - 2)/2] is a corner, and by the palindrome of _walk
-    (u_j = +-1 exactly when u_{S-2-j} = +-1) neither is any j in
-    [(S - 2)/2, S - 3]. So the corners in [0, S - 1] are 0 and S - 2,
-    and the rest follow by u_{j+S} = e * u_j. By the CRT, u_j = eps mod
-    n exactly when u_j = eps mod every q. So when the row of every q is
-    corner-free, the corners mod n are the j that lie on a corner class
-    of every q with one common sign (q = 2 again has no say), and the
-    size, sign and corners depend only on the tuple of classes.
-    _compose finds size and sign once per tuple and call. The tuple's
-    first pair walks to (S - 2)/2 (_first_corner); when all its classes
-    are corner-free and that pair has no corner, no later pair of the
-    tuple walks. Every other pair walks to its first corner, and a later
-    pair of a corner-free tuple raises RuntimeError unless it stops at
-    the first pair's j. The 3N size cap is checked per pair.
+    1 <= j <= (S - 2)/2, as in _walk. The corner lemma: mod a prime
+    power q = p**a, let D be the least j >= 1 with M**j in
+    H = {f * Id + v * M : f = +-1, v * k = v**2 = 0}, and
+    M**D = f * Id + v * M. Then u_j = +-1 exactly when j = 0 or
+    j = -2 mod D, and u_{tD} = f**t, u_{tD-2} = -f**t. Proof: by
+    Cayley-Hamilton (M**2 = k * M - Id), M**j = -u_{j-2} * Id +
+    u_{j-1} * M. H is a group: v**2 = w**2 = 0 mod p**a forces
+    v * w = 0, so (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M,
+    and f*Id - v*M is the inverse. So the j with M**j in H are the
+    multiples of D, and (f*Id + v*M)**t = f**t * Id + t * f**(t-1) * v * M
+    since (v*M)**2 = v**2 * (k*M - Id) = 0; this reads u_{tD-2} = -f**t,
+    u_{tD-1} = t * f**(t-1) * v and u_{tD} = k * u_{tD-1} - u_{tD-2} =
+    f**t, as v * k = 0. Conversely let u_j = eps = +-1, x = u_{j-1} and
+    y = u_{j+1} = eps * k - x. Then M**j = (eps - x*k) * Id + x * M,
+    M**(j+2) = -eps * Id + y * M, and det M**(j+1) = eps**2 - x*y = 1
+    gives x*y = 0, so x**2 = eps*x*k and y**2 = eps*y*k. If x*k = 0,
+    M**j is in H and j = 0 mod D; if y*k = 0, M**(j+2) is, and
+    j = -2 mod D. One of the two holds: k = 0 gives x*k = 0, and
+    otherwise x*k != 0 != y*k would put v_p(x) and v_p(y) below
+    a - v_p(k) while v_p(x) + v_p(y) >= a, so both would exceed v_p(k),
+    against x + y = eps * k.
+
+    D is read off the row. D >= 2, since M = 0 * Id + 1 * M is not in H.
+    When D >= 3 the first corner j >= 1 is D - 2, with u = -f: the row
+    has a witness exactly when D - 2 <= (S - 2)/2, and then (D, f) is
+    its witness size and sign, the sign being -u_{D-2}. D = 2 means
+    M**2 = -Id + k * M is in H, i.e. k**2 = 0, and f = -1: the corners
+    are the even j with u_{2t} = (-1)**t, exactly those of (4, +1), and
+    the first corner j = 2 gives the witness (4, +1) when S >= 6. With
+    no witness, D divides S, as M**S = sign * Id is in H. D = S gives
+    f = sign. D < S puts D <= S/2, and then the first corner (D - 2, or
+    2 when D = 2) lies in [1, (S - 2)/2] unless D = 2 and S = 4, where
+    M**4 = Id and (S, sign) = (4, +1) has the corners of (2, -1). So the
+    row's witness size and sign, or its size and sign when it has none,
+    give its corners; that is the (D, f) that _classes takes.
+
+    By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
+    the corners mod n are the j that lie on a corner class of every q
+    with one common sign (q = 2 again has no say), and size, sign and
+    first corner depend only on the tuple of classes. Each corner mod n
+    is one mod the q of the largest D, so _compose scans
+    j = t*D - 2, t*D for that D, once per tuple and call. A pair with a
+    corner builds M**j by fast doubling (ring._lucas) and raises
+    RuntimeError if u_j is not +-1; _endpoints checks the full
+    product. The 3N size cap is checked per pair.
 
     A prime power q in the moduli keeps its classes for the rest of the
     call when 2 * q is at most the largest modulus; a factor walked for
@@ -199,9 +226,9 @@ def decide_rows(moduli):
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     # loaded here, so that classify and witness load rows alone
-    from .ring import factorize
+    from .ring import _lucas, factorize
     kept = {}       # prime power q -> the class of every k mod q
-    composed = {}   # tuple of classes -> (size, sign, free, first pair's j)
+    composed = {}   # tuple of classes -> (size, sign, first corner j)
 
     def walked(q):
         return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
@@ -222,60 +249,59 @@ def decide_rows(moduli):
         cap = _CAP_FACTOR * n + 1
         rows = []
         for k, key in zip(range(n // 2 + 1), keys):
-            first = key not in composed
-            if first:
-                composed[key] = *_compose(key), all(c[2] for c in key), None
-            size, sign, free, j = composed[key]
+            if key not in composed:
+                composed[key] = _compose(key)
+            size, sign, j = composed[key]
             if size > cap:
                 from .monomial import SizeCapExceeded
                 raise SizeCapExceeded(f"size {size} > {cap} for n={n}, k={k}")
             corner = None
-            if first or not free or j is not None:
-                corner = _first_corner(n, k, (size - 2) // 2)
-                found = corner and corner[0]
-                if first:
-                    composed[key] = size, sign, free, found
-                elif free and found != j:
-                    raise RuntimeError(
-                        f"k={k} mod {n} has its first corner at {found}, "
-                        f"not at {j} as the first pair of its classes")
+            if j is not None:
+                a, b = _lucas(n, k, j)      # u_{j-1}, u_j
+                if b != 1 and b != n - 1:
+                    raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
+                corner = j, (b, -a % n, a, (b - k * a) % n)
             rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
 
 
 def _classes(rows, q):
     """The corner class of every k mod the prime power q, from its rows:
-    (size, sign, corner-free), the sign 0 at q = 2."""
-    return [(r[0], r[1] if q != 2 else 0, r[3] is None) for r in rows]
+    (size, sign, D, f), (D, f) the witness size and sign, or the size and
+    sign when there is no witness (decide_rows); the signs 0 at q = 2."""
+    say = q != 2    # mod 2 the two signs coincide: no say
+    return [(r[0], r[1] * say, r[3] or r[0], (r[6] or r[1]) * say)
+            for r in rows]
 
 
 def _compose(classes):
-    """(size, sign) of a composite pair from its components' classes, by
-    the CRT size law (decide_rows)."""
-    m = 1
-    for s, _, _ in classes:
-        m = lcm(m, s)
-    sign = 0
-    for s, e, _ in classes:
-        if e:       # q = 2 (sign 0) has no say
-            e = e if m // s % 2 else 1
-            if sign and e != sign:
-                return 2 * m, 1
-            sign = e
-    return m, sign
-
-
-def _first_corner(n, k, last):
-    """The first (j, M(k)**j) with 1 <= j <= last and u_j = +-1, or None:
-    the recurrence of _walk without its size test."""
-    minus = n - 1
-    a, b = 0, 1     # u_{j-2}, u_{j-1}
-    for j in range(1, last + 1):
-        c = (k * b - a) % n
-        if c == 1 or c == minus:
-            return j, (c, -b % n, b, -a % n)
-        a, b = b, c
-    return None
+    """(size, sign, j) of a composite pair from its components' classes:
+    size and sign by the CRT size law, j the first corner in
+    [1, (size - 2)/2] or None (decide_rows)."""
+    m = lcm(*(c[0] for c in classes))
+    # q = 2 (sign 0) has no say
+    signs = {e if m // s % 2 else 1 for s, e, _, _ in classes if e}
+    size, sign = (m, signs.pop()) if len(signs) == 1 else (2 * m, 1)
+    # every corner mod n is one of the class with the largest D. A class
+    # (D, f) has u_{tD-2} = -f**t and u_{tD} = f**t (q = 2, f = 0, gives
+    # no sign): the first j in [1, (size - 2)/2] on a corner of every
+    # class with one common sign
+    stop = size // 2
+    d = max(c[2] for c in classes)
+    for top in range(d, stop + 2, d):
+        for j in (top - 2, top):
+            if not 0 < j < stop:
+                continue
+            eps = 0
+            for _, _, e, f in classes:
+                t, r = divmod(j + 2, e)
+                u = -f ** t if r == 0 else f ** t if r == 2 else None
+                if u is None or u * eps < 0:
+                    break
+                eps = eps or u
+            else:
+                return size, sign, j
+    return size, sign, None
 
 
 def _mirror(rows, n):

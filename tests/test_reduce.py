@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import rows as rows_mod
+from frieze_mod import ring as ring_mod, rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
@@ -295,24 +295,24 @@ def test_decide_row_matches_the_reference_walk():
 
 def test_corner_lemma_on_prime_powers():
     # decide_rows composes witnesses by this lemma: mod a prime power q,
-    # a row with no witness, of size S and sign e, has its +-1 corners
-    # exactly at j = t*S, where u_j = e**t, and at j = t*S - 2, where
-    # u_j = -e**t. Every such row of every q <= 250 against the
-    # nested-list walk over j <= 2S. Budget 3 s; measured 0.7 s alone
-    # (2 cores, Python 3.11.7)
-    rows = 0
+    # with (D, f) the row's witness size and sign, or its size S and sign
+    # when it has no witness, the +-1 corners of k are exactly j = t*D,
+    # where u_j = f**t, and j = t*D - 2, where u_j = -f**t. Every row of
+    # every q <= 250 against the nested-list walk over j <= 2S. Budget
+    # 4 s; measured 1.2 s alone (2 cores, Python 3.11.7)
+    rows = witnessed = 0
     for q in filter(prime_power, range(2, 251)):
-        for k in range(q):
-            size, e, j, _ = walk_first_corner(q, k)
-            if j is not None:
-                continue
-            want = [(j, (e ** (j // size) if j % size == 0
-                         else -e ** ((j + 2) // size)) % q)
+        for k, row in enumerate(decide_row(q)):
+            size, sign, _, w, _, _, w_sign = row
+            d, f = (size, sign) if w is None else (w, w_sign)
+            want = [(j, (f ** (j // d) if j % d == 0
+                         else -f ** ((j + 2) // d)) % q)
                     for j in range(1, 2 * size + 1)
-                    if j % size in (0, size - 2)]
+                    if j % d in (0, d - 2)]
             assert corner_entries(q, k, 2 * size) == want, (q, k)
             rows += 1
-    assert rows == 6707
+            witnessed += w is not None
+    assert (rows, witnessed) == (6931, 224)
 
 
 def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
@@ -336,58 +336,55 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
         assert row == [_pair_row(n, k) for k in range(n)], n
 
 
-def test_first_pairs_walk_and_corner_free_tuples_skip(monkeypatch):
-    # decide_rows walks the first pair of each class tuple, and a later
-    # pair unless every class is corner-free and the first pair had no
-    # corner (the corner lemma). The walked pairs over n <= 250 against
-    # class tuples and witnesses taken here from _pair_row
-    first_corner, walks = rows_mod._first_corner, []
+def test_only_prime_powers_walk_and_composite_pairs_double(monkeypatch):
+    # over n <= 250, decide_rows walks each prime power's pairs k <= q/2
+    # once, and builds M**j by fast doubling once per composite pair
+    # with a witness, at j = witness size - 2; no other pair walks or
+    # doubles. The calls against prime powers and witnesses taken here
+    # from factorize and _pair_row
+    walk, lucas, walks, doubled = rows_mod._walk, ring_mod._lucas, [], []
 
-    def counted(n, k, last):
+    def counted_walk(n, k):
         walks.append((n, k))
-        return first_corner(n, k, last)
+        return walk(n, k)
 
-    monkeypatch.setattr(rows_mod, "_first_corner", counted)
+    def counted_lucas(n, k, e):
+        doubled.append((n, k, e))
+        return lucas(n, k, e)
+
+    monkeypatch.setattr(rows_mod, "_walk", counted_walk)
+    monkeypatch.setattr(ring_mod, "_lucas", counted_lucas)
     for _ in decide_rows(range(2, 251)):
         pass
-    classes, later, want = {}, {}, []
-    for n in range(2, 251):
-        qs = [p ** a for p, a in factorize(n)]
-        if len(qs) == 1:
-            continue
-        for q in qs:
-            if q not in classes:
-                classes[q] = rows_mod._classes(
-                    [_pair_row(q, k) for k in range(q)], q)
-        for k in range(n // 2 + 1):
-            key = tuple(classes[q][k % q] for q in qs)
-            if key not in later:
-                want.append((n, k))
-                later[key] = (not all(free for _, _, free in key)
-                              or _pair_row(n, k)[3] is not None)
-            elif later[key]:
-                want.append((n, k))
-    assert walks == want
-    assert (len(walks), len(later)) == (5086, 2093)
+    monkeypatch.undo()
+    powers = [n for n in range(2, 251) if len(factorize(n)) == 1]
+    assert walks == [(q, k) for q in powers for k in range(q // 2 + 1)]
+    assert doubled == [(n, k, row[3] - 2) for n in range(2, 251)
+                       if len(factorize(n)) > 1
+                       for k, row in ((k, _pair_row(n, k))
+                                      for k in range(n // 2 + 1))
+                       if row[3] is not None]
+    assert (len(walks), len(doubled)) == (3503, 3653)
 
 
-def test_a_first_corner_that_differs_from_its_tuples_raises(monkeypatch):
-    # a later pair of a corner-free class tuple must stop at the first
-    # corner of the tuple's first pair; shifting the first corner walked
-    # (k = 4 mod 21) is caught at the next pair with its classes
-    first_corner, shifted = rows_mod._first_corner, []
+def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
+    # each pair with a corner checks u_j = +-1 at the j its class tuple
+    # gives; shifting the j composed for the classes of k = 4 mod 21
+    # (from 4 to 5, where u_5 = 3) is caught at that pair
+    key = tuple(rows_mod._classes(decide_row(q), q)[4 % q] for q in (3, 7))
+    compose, shifted = rows_mod._compose, []
 
-    def shift(n, k, last):
-        corner = first_corner(n, k, last)
-        if corner is None or shifted:
-            return corner
-        shifted.append((n, k))
-        return corner[0] + 1, corner[1]
+    def shift(classes):
+        size, sign, j = compose(classes)
+        if classes != key:
+            return size, sign, j
+        shifted.append(j)
+        return size, sign, j + 1
 
-    monkeypatch.setattr(rows_mod, "_first_corner", shift)
-    with pytest.raises(RuntimeError, match="k=10 mod 21 .* at 4, not at 5"):
+    monkeypatch.setattr(rows_mod, "_compose", shift)
+    with pytest.raises(RuntimeError, match=r"u_5 is not \+-1 for n=21, k=4"):
         decide_row(21)
-    assert shifted == [(21, 4)]
+    assert shifted == [4]
 
 
 def test_an_unverified_corner_raises(monkeypatch):

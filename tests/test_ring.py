@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod.ring import Residue, factorize, is_prime
-from oracles import trial_factorize
+from frieze_mod.ring import Residue, _lucas, factorize, is_prime
+from oracles import elementary, mat_mul, trial_factorize
 
 
 def test_factorize_examples():
@@ -10,6 +10,18 @@ def test_factorize_examples():
     assert factorize(2) == [(2, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(1024) == [(2, 10)]
+
+
+def test_lucas_reads_the_nested_list_power():
+    # M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]]: the doubling
+    # against the nested-list power, one factor at a time, for every
+    # k mod every n <= 60 and every e <= 3n, e = 0 included
+    for n in range(2, 61):
+        for k in range(n):
+            m, step = [[1, 0], [0, 1]], elementary(k, n)
+            for e in range(3 * n + 1):
+                assert _lucas(n, k, e) == (m[1][0], m[0][0]), (n, k, e)
+                m = mat_mul(step, m, n)
 
 
 @pytest.mark.parametrize("bad", [1, 0, -6])

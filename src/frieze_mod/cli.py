@@ -15,15 +15,16 @@ parsed arguments that prints its answer and returns 1 on failure.
 
 classify and witness decide their one pair (rows._pair_row), and survey
 every modulus of its range as whole rows (rows.decide_rows), afresh on
-every run, and print straight from the flat rows of rows.py. --no-cache
+every run, and print straight from the flat rows of rows.py; both
+compose a composite pair from its prime-power factors. --no-cache
 is accepted for compatibility and does nothing; no command reads or
 writes a file besides --out. N and K are plain integers; K is taken mod
 N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads monomial and ring,
-classify and witness only rows, survey rows and ring, verify verify,
-rows and ring, and oplus cycles. No import runs per (n, k) pair.
+classify, witness and survey rows and ring, verify verify, rows and
+ring, and oplus cycles. No import runs per (n, k) pair.
 """
 
 import sys

@@ -8,20 +8,23 @@ exactly at those corners, so the first one is the smallest witness. The
 results come as flat lists of plain ints and words, with no dataclass
 built per pair, so the commands that only print rows (classify,
 witness, survey) and the law battery need no other package module than
-ring, which decide_rows loads to factor its moduli and to double
-powers.
+ring, which factors the moduli and doubles powers.
 
-decide_rows walks only prime-power moduli. A composite modulus takes
-each size, sign and first corner from the corner classes of its
+Only prime powers walk (_walk), in every command. A composite modulus
+takes each size, sign and first corner from the corner classes of its
 prime-power factors' rows (the CRT size law and the corner lemma, both
-proved in decide_rows), composed once per tuple of classes; a pair with
-a corner builds that one power by fast doubling (ring._lucas) and
-walks nothing. SizeCapExceeded is defined in monomial and imported only
-on the two paths that raise it, so that classify and witness still load
-rows alone.
+proved in decide_rows), composed once per tuple of classes (_compose):
+a single pair (_pair_row) walks its k mod each factor, a range of
+moduli (decide_rows) keeps the classes of every k. One row builder
+(_row) finishes every pair: a composed corner is built by fast doubling
+(ring._lucas) and checked, and every size is checked against the 3N
+cap. SizeCapExceeded is defined in monomial and imported only on the
+two paths that raise it.
 """
 
 from math import lcm
+
+from .ring import _lucas, factorize
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
 # prime-power component sizes, each at most 3 * p**a / 2), so a size past
@@ -131,11 +134,22 @@ def _endpoints(p_mat, n):
 
 
 def _row(n, k, size, sign, corner):
-    """The flat row of k mod n from its size, sign and first corner."""
+    """The flat row of k mod n from its size, sign and first corner: the
+    (j, M(k)**j) of _walk, or the (j, None) of _compose, whose power is
+    built here by fast doubling and raises RuntimeError unless
+    u_j = +-1. A size past the 3N cap raises SizeCapExceeded."""
+    if size > _CAP_FACTOR * n + 1:
+        from .monomial import SizeCapExceeded
+        raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} for n={n}, k={k}")
     if corner is None:
         return [size, sign, "irreducible" if k else "zero-convention",
                 None, None, None, None]
     j, p_mat = corner
+    if p_mat is None:
+        a, b = _lucas(n, k, j)      # u_{j-1}, u_j
+        if b != 1 and b != n - 1:
+            raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
+        p_mat = b, -a % n, a, (b - k * a) % n
     return [size, sign, "reducible", j + 2, *_endpoints(p_mat, n)]
 
 
@@ -143,8 +157,16 @@ def _pair_row(n: int, k: int) -> list:
     """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
     size, x, y, witness sign], the four witness fields None when there
     is no witness (always for k = 0, of size 2). kind is "reducible",
-    "irreducible" or, for k = 0, "zero-convention"."""
-    return _row(n, k, *_walk(n, k))
+    "irreducible" or, for k = 0, "zero-convention".
+
+    A prime power is walked. A composite n takes the row of k mod each
+    prime-power factor q, and composes the tuple of their classes as
+    decide_rows does."""
+    qs = [p ** a for p, a in factorize(n)]
+    if len(qs) == 1:
+        return _row(n, k, *_walk(n, k))
+    key = tuple(_classes([_pair_row(q, k % q)], q)[0] for q in qs)
+    return _row(n, k, *_compose(key))
 
 
 def decide_rows(moduli):
@@ -157,7 +179,7 @@ def decide_rows(moduli):
     So n - k has the size and kind of k, its sign times (-1)**size, and
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
 
-    A prime power is walked pair by pair (_pair_row). A composite
+    A prime power is walked pair by pair (_walk). A composite
     n = prod q, over coprime prime powers q, is decided from the class of
     k mod each q (_classes): (S_q, sign_q, D_q, f_q), the size and sign
     of its row and the (D, f) of the corner lemma below. By the CRT,
@@ -213,10 +235,10 @@ def decide_rows(moduli):
     with one common sign (q = 2 again has no say), and size, sign and
     first corner depend only on the tuple of classes. Each corner mod n
     is one mod the q of the largest D, so _compose scans
-    j = t*D - 2, t*D for that D, once per tuple and call. A pair with a
-    corner builds M**j by fast doubling (ring._lucas) and raises
-    RuntimeError if u_j is not +-1; _endpoints checks the full
-    product. The 3N size cap is checked per pair.
+    j = t*D - 2, t*D for that D, once per tuple and call. _row builds
+    M**j for a pair with a corner by fast doubling (ring._lucas) and
+    raises RuntimeError if u_j is not +-1; _endpoints checks the full
+    product. _row checks the 3N size cap of every pair.
 
     A prime power q in the moduli keeps its classes for the rest of the
     call when 2 * q is at most the largest modulus; a factor walked for
@@ -225,13 +247,11 @@ def decide_rows(moduli):
     moduli = sorted(moduli)
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
-    # loaded here, so that classify and witness load rows alone
-    from .ring import _lucas, factorize
     kept = {}       # prime power q -> the class of every k mod q
-    composed = {}   # tuple of classes -> (size, sign, first corner j)
+    composed = {}   # tuple of classes -> (size, sign, first corner)
 
     def walked(q):
-        return _mirror([_pair_row(q, k) for k in range(q // 2 + 1)], q)
+        return _mirror([_row(q, k, *_walk(q, k)) for k in range(q // 2 + 1)], q)
 
     for n in moduli:
         qs = [p ** a for p, a in factorize(n)]
@@ -246,21 +266,11 @@ def decide_rows(moduli):
                 kept[q] = _classes(walked(q), q)
         # the tuple of the classes of k mod every q, for each k <= n/2
         keys = zip(*[kept[q] * (n // (2 * q) + 1) for q in qs])
-        cap = _CAP_FACTOR * n + 1
         rows = []
         for k, key in zip(range(n // 2 + 1), keys):
             if key not in composed:
                 composed[key] = _compose(key)
-            size, sign, j = composed[key]
-            if size > cap:
-                from .monomial import SizeCapExceeded
-                raise SizeCapExceeded(f"size {size} > {cap} for n={n}, k={k}")
-            corner = None
-            if j is not None:
-                a, b = _lucas(n, k, j)      # u_{j-1}, u_j
-                if b != 1 and b != n - 1:
-                    raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
-                corner = j, (b, -a % n, a, (b - k * a) % n)
+            size, sign, corner = composed[key]
             rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
 
@@ -275,9 +285,9 @@ def _classes(rows, q):
 
 
 def _compose(classes):
-    """(size, sign, j) of a composite pair from its components' classes:
-    size and sign by the CRT size law, j the first corner in
-    [1, (size - 2)/2] or None (decide_rows)."""
+    """(size, sign, corner) of a composite pair from its components'
+    classes: size and sign by the CRT size law, corner (j, None) for the
+    first corner j in [1, (size - 2)/2], or None (decide_rows)."""
     m = lcm(*(c[0] for c in classes))
     # q = 2 (sign 0) has no say
     signs = {e if m // s % 2 else 1 for s, e, _, _ in classes if e}
@@ -300,7 +310,7 @@ def _compose(classes):
                     break
                 eps = eps or u
             else:
-                return size, sign, j
+                return size, sign, (j, None)
     return size, sign, None
 
 

@@ -325,6 +325,17 @@ def test_force_gate_on_large_moduli(runner):
     assert res.output == "120\n"
 
 
+def test_classify_a_large_composite_pair(runner):
+    # ten prime factors: the pair is composed from its factors' rows
+    # (test_large_composite_pairs_compose checks this row against the
+    # walk); budget 2 s, measured under 0.1 s
+    n, k, x = 6469693230, 6294801371, 5448162720
+    res = runner.invoke(cli, ["classify", str(n), str(k), "--force"])
+    assert res.exit_code == 0
+    entries = ",".join(map(str, [x, *[k] * 1008, x]))
+    assert res.output == f"reducible; witness size 1010: ({entries})\n"
+
+
 def test_survey_json_lines_are_json_dumps(runner):
     # the JSON lines are formatted directly; they must stay what
     # json.dumps gives for each row's dict, witness or not
@@ -378,8 +389,8 @@ def _loaded_after(code):
     ([], []),
     (["size", "35", "23"], ["frieze_mod.monomial", "frieze_mod.ring"]),
     (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
-    (["classify", "9", "3", "--no-cache"], ["frieze_mod.rows"]),
-    (["witness", "9", "3"], ["frieze_mod.rows"]),
+    (["classify", "9", "3", "--no-cache"], ["frieze_mod.ring", "frieze_mod.rows"]),
+    (["witness", "9", "3"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["survey", "--max", "5"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["verify", "all", "--max", "5"],
      ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),

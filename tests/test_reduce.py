@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import ring as ring_mod, rows as rows_mod
+from frieze_mod import rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
@@ -333,16 +333,18 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     assert rows == [(n, decide_row(n)) for n in sorted(moduli)]
     assert len(set(composed)) == shared < len(composed) - shared
     for n, row in rows:
-        assert row == [_pair_row(n, k) for k in range(n)], n
+        assert row == [rows_mod._row(n, k, *_walk(n, k)) for k in range(n)], n
 
 
 def test_only_prime_powers_walk_and_composite_pairs_double(monkeypatch):
     # over n <= 250, decide_rows walks each prime power's pairs k <= q/2
     # once, and builds M**j by fast doubling once per composite pair
     # with a witness, at j = witness size - 2; no other pair walks or
-    # doubles. The calls against prime powers and witnesses taken here
-    # from factorize and _pair_row
-    walk, lucas, walks, doubled = rows_mod._walk, ring_mod._lucas, [], []
+    # doubles. A single composite pair (_pair_row) walks k mod each of
+    # its prime-power factors q, and doubles once exactly when it has a
+    # witness. The calls against prime powers from factorize and
+    # witnesses from the walk of (n, k)
+    walk, lucas, walks, doubled = rows_mod._walk, rows_mod._lucas, [], []
 
     def counted_walk(n, k):
         walks.append((n, k))
@@ -352,39 +354,74 @@ def test_only_prime_powers_walk_and_composite_pairs_double(monkeypatch):
         doubled.append((n, k, e))
         return lucas(n, k, e)
 
+    def corner(n, k):
+        first = walk(n, k)[2]
+        return [] if first is None else [(n, k, first[0])]
+
     monkeypatch.setattr(rows_mod, "_walk", counted_walk)
-    monkeypatch.setattr(ring_mod, "_lucas", counted_lucas)
+    monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
     for _ in decide_rows(range(2, 251)):
         pass
-    monkeypatch.undo()
-    powers = [n for n in range(2, 251) if len(factorize(n)) == 1]
-    assert walks == [(q, k) for q in powers for k in range(q // 2 + 1)]
-    assert doubled == [(n, k, row[3] - 2) for n in range(2, 251)
-                       if len(factorize(n)) > 1
-                       for k, row in ((k, _pair_row(n, k))
-                                      for k in range(n // 2 + 1))
-                       if row[3] is not None]
+    factors = {n: [p ** a for p, a in factorize(n)] for n in range(2, 251)}
+    composites = [n for n, qs in factors.items() if len(qs) > 1]
+    assert walks == [(q, k) for q, qs in factors.items() if len(qs) == 1
+                     for k in range(q // 2 + 1)]
+    assert doubled == [pair for n in composites for k in range(n // 2 + 1)
+                       for pair in corner(n, k)]
     assert (len(walks), len(doubled)) == (3503, 3653)
+    for n in composites:
+        for k in range(n // 2 + 1):
+            del walks[:], doubled[:]
+            _pair_row(n, k)
+            assert walks == [(q, k % q) for q in factors[n]], (n, k)
+            assert doubled == corner(n, k), (n, k)
 
 
 def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # each pair with a corner checks u_j = +-1 at the j its class tuple
     # gives; shifting the j composed for the classes of k = 4 mod 21
-    # (from 4 to 5, where u_5 = 3) is caught at that pair
+    # (from 4 to 5, where u_5 = 3) is caught at that pair, whether its
+    # row is decided with the others of 21 or alone
     key = tuple(rows_mod._classes(decide_row(q), q)[4 % q] for q in (3, 7))
     compose, shifted = rows_mod._compose, []
 
     def shift(classes):
-        size, sign, j = compose(classes)
+        size, sign, corner = compose(classes)
         if classes != key:
-            return size, sign, j
+            return size, sign, corner
+        j, power = corner
         shifted.append(j)
-        return size, sign, j + 1
+        return size, sign, (j + 1, power)
 
     monkeypatch.setattr(rows_mod, "_compose", shift)
-    with pytest.raises(RuntimeError, match=r"u_5 is not \+-1 for n=21, k=4"):
-        decide_row(21)
-    assert shifted == [4]
+    for call, arg in ((decide_row, (21,)), (_pair_row, (21, 4)),
+                      (is_irreducible_monomial, (21, 4))):
+        with pytest.raises(RuntimeError,
+                           match=r"u_5 is not \+-1 for n=21, k=4"):
+            call(*arg)
+    assert shifted == [4, 4, 4]
+
+
+@pytest.mark.parametrize("n,k", [
+    (4003997, 5),               # 1999 * 2003, irreducible, size 667332
+    (212837625, 83203698),      # five prime powers, witness size 56000
+    (72576000, 6516561),        # 2**10 * 3**4 * 5**3 * 7, witness 100800
+    (6469693230, 6294801371),   # the ten primes up to 29, witness 1010
+])
+def test_large_composite_pairs_compose(n, k):
+    # a single composite pair is composed from its factors' rows, not
+    # walked: its size and sign equal the descent's, its witness, if
+    # any, multiplied out is a solution of its sign, and the row equals
+    # the walk of (n, k). Budget 2 s each; measured at most 0.11 s,
+    # nearly all of it in the walk and the product (2 cores, Python
+    # 3.11.7)
+    row = _pair_row(n, k)
+    assert tuple(row[:2]) == minimal_monomial_size(n, k)
+    w = is_irreducible_monomial(n, k).witness
+    if w is not None:
+        assert solution_sign(w.cycle()) == w.sign
+        assert w.size < row[0]
+    assert row == rows_mod._row(n, k, *_walk(n, k))
 
 
 def test_an_unverified_corner_raises(monkeypatch):

@@ -16,14 +16,14 @@ _HOMES = {
     "cycles": ("Cycle", "canonical_form", "equivalence_class", "equivalent",
                "oplus", "reversal", "rotations"),
     "modmat": ("m_n", "solution_sign"),
-    "monomial": ("Component", "LawCheck", "MonomialProfile", "SizeCapExceeded",
-                 "SizeLaw", "check_half_n_law", "check_prime_size_law",
+    "monomial": ("Component", "LawCheck", "MonomialProfile", "SizeLaw",
+                 "check_half_n_law", "check_prime_size_law",
                  "component_profile", "minimal_monomial_size",
                  "monomial_profile", "prime_power_ladder",
                  "shared_factor_size", "size_via_crt"),
     "reduce": ("MonomialVerdict", "ReductionWitness", "is_irreducible_monomial",
                "monomial_reduction_witness"),
-    "ring": ("Residue", "factorize", "is_prime"),
+    "ring": ("Residue", "SizeCapExceeded", "factorize", "is_prime"),
     "verify": ("VERIFIERS", "Counterexample", "SurveyRow", "TheoremReport",
                "monomial_row", "run_all", "run_verifier", "survey_rows"),
 }

@@ -3,7 +3,8 @@
 The central quantity: for k mod n, the smallest size at which the constant
 tuple (k, ..., k) multiplies out to plus or minus the identity. Everything
 else here relates that size across moduli (prime-power components, divisor
-ladders, closed-form special cases).
+ladders, closed-form special cases). SizeCapExceeded, raised by the
+descent in ring, is importable from here too.
 """
 
 from __future__ import annotations
@@ -11,54 +12,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from .ring import _lucas, factorize, is_prime
-
-
-class SizeCapExceeded(RuntimeError):
-    """Internal failure: a size search broke the proven 3N bound."""
-
-
-def _power_sign(n: int, k: int, e: int) -> int:
-    """The sign of M(k)**e when it is +-Id mod n (+1 mod 2), else 0.
-
-    M(k)**e = [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]], with (u_{e-1}, u_e)
-    by fast doubling (ring._lucas); it is +-Id exactly when u_{e-1} = 0,
-    since u_e = -u_{e-2} then.
-    """
-    a, b = _lucas(n, k, e)
-    return 0 if a else 1 if b == 1 else -1 if b == n - 1 else 0
-
-
-def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:
-    """The factorization {r: e} of a multiple of the size of k mod n.
-
-    Per p**a exactly dividing n, the size mod p**a divides 3 * 2**a for
-    p = 2, and p**(a-1) * m_p for odd p: m_p = p when p | k**2 - 4, else
-    (p - 1) / 2 or (p + 1) / 2 as k**2 - 4 is a square mod p or not. The
-    size mod n divides twice the lcm of these. factors is the [(p, a)]
-    of n when the caller already has it.
-    """
-    exps: dict[int, int] = {}
-
-    def put(r, e):
-        if exps.get(r, 0) < e:
-            exps[r] = e
-
-    disc = k * k - 4
-    for p, a in factors or factorize(n):
-        if p == 2:
-            put(2, a)
-            put(3, 1)
-        elif disc % p == 0:
-            put(p, a)
-        else:
-            put(p, a - 1)
-            half = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
-            if half > 2:
-                for r, e in factorize(half // 2):
-                    put(r, e)
-    exps[2] = exps.get(2, 0) + 1
-    return exps
+from .ring import SizeCapExceeded, _descend, _size_multiple, factorize, is_prime
 
 
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
@@ -68,35 +22,16 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     its negative, and +1 by convention mod 2 where the two coincide.
 
     The s with M(k)**s = +-Id are the multiples of the size, so it is
-    found by descent from the multiple E of _size_multiple: each prime r
-    of E is divided out while the power stays +-Id. Each power costs
-    O(log E) products, so the cost is polynomial in the digits of n once
-    n and the p +- 1 of its primes are factored.
+    found by descent (ring._descend, in the group +-Id) from the
+    multiple E of ring._size_multiple: each prime r of E is divided out
+    while the power stays +-Id. Each power costs O(log E) products, so
+    the cost is polynomial in the digits of n once n and the p +- 1 of
+    its primes are factored.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    return _descend(n, k, _size_multiple(n, k))
-
-
-def _descend(n: int, k: int, exps: dict[int, int]) -> tuple[int, int]:
-    """Size and sign of k mod n (0 <= k < n) from a multiple of the size."""
-    s = 1
-    for r, e in exps.items():
-        s *= r ** e
-    sign = _power_sign(n, k, s)
-    if not sign:
-        raise SizeCapExceeded(f"M({k})**{s} is not +-Id mod {n}")
-    for r, e in exps.items():
-        for _ in range(e):
-            lower = _power_sign(n, k, s // r)
-            if not lower:
-                break
-            s //= r
-            sign = lower
-    if s > 3 * n + 1:   # the proven 3N bound (rows._CAP_FACTOR)
-        raise SizeCapExceeded(f"size {s} > {3 * n + 1} for n={n}, k={k}")
-    return s, sign
+    return _descend(n, k, _size_multiple(n, k), 1)[:2]
 
 
 class Component(NamedTuple):
@@ -113,7 +48,7 @@ def component_profile(n: int, k: int) -> list[Component]:
     for p, a in factorize(n):
         q = p ** a
         comps.append(Component(
-            q, *_descend(q, k % q, _size_multiple(q, k % q, [(p, a)]))))
+            q, *_descend(q, k % q, _size_multiple(q, k % q, [(p, a)]), 1)[:2]))
     return comps
 
 

@@ -1,5 +1,7 @@
-"""Residue arithmetic helpers: factorization, primality, residues, and
-the fast doubling (_lucas) of the recurrence behind the powers of M(k).
+"""Residue arithmetic helpers: factorization, primality, residues, the
+fast doubling (_lucas) of the recurrence behind the powers of M(k), and
+the one descent (_descend) that finds the size of k mod n, and the D of
+its corner classes, from a known multiple (_size_multiple).
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -19,6 +21,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # factored by trial division alone, and a cofactor left after it goes to
 # Miller-Rabin and Pollard-Brent.
 _TRIAL = 1000
+
+
+class SizeCapExceeded(RuntimeError):
+    """Internal failure: a size search broke the proven 3N bound."""
 
 
 def is_prime(n: int) -> bool:
@@ -64,6 +70,75 @@ def _lucas(n: int, k: int, e: int) -> tuple[int, int]:
         if bit == "1":
             a, b = b, (k * b - a) % n
     return a, b
+
+
+def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:
+    """The factorization {r: e} of a multiple of the size of k mod n.
+
+    Per p**a exactly dividing n, the size mod p**a divides 3 * 2**a for
+    p = 2, and p**(a-1) * m_p for odd p: m_p = p when p | k**2 - 4, else
+    (p - 1) / 2 or (p + 1) / 2 as k**2 - 4 is a square mod p or not. The
+    size mod n divides twice the lcm of these. factors is the [(p, a)]
+    of n when the caller already has it.
+    """
+    exps: dict[int, int] = {}
+
+    def put(r, e):
+        if exps.get(r, 0) < e:
+            exps[r] = e
+
+    disc = k * k - 4
+    for p, a in factors or factorize(n):
+        if p == 2:
+            put(2, a)
+            put(3, 1)
+        elif disc % p == 0:
+            put(p, a)
+        else:
+            put(p, a - 1)
+            half = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
+            if half > 2:
+                for r, e in factorize(half // 2):
+                    put(r, e)
+    exps[2] = exps.get(2, 0) + 1
+    return exps
+
+
+def _descend(n: int, k: int, exps: dict[int, int], g: int):
+    """The least e dividing prod r**exps[r] with M(k)**e in G_g mod n
+    (0 <= k < n), as (e, f, {r: exponent of r in e}).
+
+    G_g is the group of the powers f * Id + v * M(k) with f = +-1 and
+    v * g = 0: +-Id for g = 1, and for g = k the group H of the corner
+    lemma (rows.decide_rows). By Cayley-Hamilton,
+    M**e = -u_{e-2} * Id + u_{e-1} * M with u_e = k * u_{e-1} - u_{e-2}
+    (_lucas), so M**e is in G_g exactly when u_{e-1} * g = 0 and
+    u_e = +-1, and then f = u_e, returned as +-1 (+1 mod 2). The e with
+    M**e in G_g are the multiples of the least one, so each prime r is
+    divided out while M**(e/r) stays in G_g. The start must be in G_g,
+    and the result, at most the size, within the proven 3N bound
+    (rows._CAP_FACTOR); either failure raises SizeCapExceeded.
+    """
+    def inside(e):
+        """u_e when M**e is in G_g, else 0."""
+        a, b = _lucas(n, k, e)
+        return 0 if g * a % n or b != 1 and b != n - 1 else b
+
+    e = 1
+    for r, x in exps.items():
+        e *= r ** x
+    f = inside(e)
+    if not f:
+        raise SizeCapExceeded(f"M({k})**{e} is not in G_{g} mod {n}")
+    exps = dict(exps)
+    for r in exps:
+        while exps[r] and (lower := inside(e // r)):
+            e //= r
+            exps[r] -= 1
+            f = lower
+    if e > 3 * n + 1:
+        raise SizeCapExceeded(f"size {e} > {3 * n + 1} for n={n}, k={k}")
+    return e, 1 if f == 1 else -1, exps
 
 
 def _brent(n: int) -> int:

@@ -8,23 +8,23 @@ exactly at those corners, so the first one is the smallest witness. The
 results come as flat lists of plain ints and words, with no dataclass
 built per pair, so the commands that only print rows (classify,
 witness, survey) and the law battery need no other package module than
-ring, which factors the moduli and doubles powers.
+ring, which factors the moduli, descends and doubles powers.
 
-Only prime powers walk (_walk), in every command. A composite modulus
-takes each size, sign and first corner from the corner classes of its
-prime-power factors' rows (the CRT size law and the corner lemma, both
-proved in decide_rows), composed once per tuple of classes (_compose):
-a single pair (_pair_row) walks its k mod each factor, a range of
-moduli (decide_rows) keeps the classes of every k. One row builder
-(_row) finishes every pair: a composed corner is built by fast doubling
-(ring._lucas) and checked, and every size is checked against the 3N
-cap. SizeCapExceeded is defined in monomial and imported only on the
-two paths that raise it.
+A composite modulus takes each size, sign and first corner from the
+corner classes of its prime-power factors (the CRT size law and the
+corner lemma, both proved in decide_rows), composed once per tuple of
+classes (_compose). A range of moduli (decide_rows) walks each prime
+power's row (_walk) and keeps the classes of every k. A single pair
+(_pair_row), prime power or composite, walks nothing: it takes the
+class of k mod each prime-power factor from two descents
+(ring._descend), as the size command takes the size. A corner is a bare
+j; one row builder (_row) builds M(k)**j by fast doubling (ring._lucas),
+closes and checks it, and checks every size against the 3N cap.
 """
 
 from math import lcm
 
-from .ring import _lucas, factorize
+from .ring import SizeCapExceeded, _descend, _lucas, _size_multiple, factorize
 
 # Minimal sizes never exceed 3N (worst case: twice the lcm of the
 # prime-power component sizes, each at most 3 * p**a / 2), so a size past
@@ -82,8 +82,8 @@ def _walk(n: int, k: int):
     eps * Id. M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so
     u_j is +-1 exactly when u_{S-2-j} is: the corners below S - 2 sit
     symmetrically about (S - 2)/2, and the first one is the smallest
-    witness. Returns (size, sign, corner): corner is the first
-    (j, M(k)**j) with 1 <= j <= (S - 2)/2 and u_j = +-1, or None.
+    witness. Returns (size, sign, corner): corner is the first j with
+    1 <= j <= (S - 2)/2 and u_j = +-1, or None.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -107,9 +107,8 @@ def _walk(n: int, k: int):
                 break
             return size, sign, corner
         if (c == 1 or c == minus) and corner is None:
-            corner = h, (c, -b % n, b, -a % n)
+            corner = h
         a, b = b, c
-    from .monomial import SizeCapExceeded
     raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
 
 
@@ -133,24 +132,21 @@ def _endpoints(p_mat, n):
     return x, y, eps
 
 
-def _row(n, k, size, sign, corner):
-    """The flat row of k mod n from its size, sign and first corner: the
-    (j, M(k)**j) of _walk, or the (j, None) of _compose, whose power is
-    built here by fast doubling and raises RuntimeError unless
+def _row(n, k, size, sign, j):
+    """The flat row of k mod n from its size, sign and first corner j
+    (or None), as _walk or _compose gives them. M(k)**j is built here by
+    fast doubling and closed by _endpoints; RuntimeError unless
     u_j = +-1. A size past the 3N cap raises SizeCapExceeded."""
     if size > _CAP_FACTOR * n + 1:
-        from .monomial import SizeCapExceeded
         raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} for n={n}, k={k}")
-    if corner is None:
+    if j is None:
         return [size, sign, "irreducible" if k else "zero-convention",
                 None, None, None, None]
-    j, p_mat = corner
-    if p_mat is None:
-        a, b = _lucas(n, k, j)      # u_{j-1}, u_j
-        if b != 1 and b != n - 1:
-            raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
-        p_mat = b, -a % n, a, (b - k * a) % n
-    return [size, sign, "reducible", j + 2, *_endpoints(p_mat, n)]
+    a, b = _lucas(n, k, j)      # u_{j-1}, u_j
+    ends = _endpoints((b, -a % n, a, (b - k * a) % n), n)
+    if ends is None:
+        raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
+    return [size, sign, "reducible", j + 2, *ends]
 
 
 def _pair_row(n: int, k: int) -> list:
@@ -159,14 +155,21 @@ def _pair_row(n: int, k: int) -> list:
     is no witness (always for k = 0, of size 2). kind is "reducible",
     "irreducible" or, for k = 0, "zero-convention".
 
-    A prime power is walked. A composite n takes the row of k mod each
-    prime-power factor q, and composes the tuple of their classes as
-    decide_rows does."""
-    qs = [p ** a for p, a in factorize(n)]
-    if len(qs) == 1:
-        return _row(n, k, *_walk(n, k))
-    key = tuple(_classes([_pair_row(q, k % q)], q)[0] for q in qs)
-    return _row(n, k, *_compose(key))
+    No pair is walked. The class (S_q, sign_q, D_q, f_q) of k mod each
+    prime-power factor q comes from two descents (ring._descend): S_q
+    and sign_q in +-Id, from the multiple of ring._size_multiple, then
+    D_q and f_q = u_{D_q} in the group H of the corner lemma, from S_q
+    (decide_rows). The tuple of classes is composed as decide_rows
+    composes it, a prime power's tuple of one class included."""
+    key = []
+    for p, a in factorize(n):
+        q = p ** a
+        r = k % q
+        size, sign, exps = _descend(q, r, _size_multiple(q, r, [(p, a)]), 1)
+        d, f, _ = _descend(q, r, exps, r)
+        say = q != 2    # mod 2 the two signs coincide: no say
+        key.append((size, sign * say, d, f * say))
+    return _row(n, k, *_compose(tuple(key)))
 
 
 def decide_rows(moduli):
@@ -179,10 +182,12 @@ def decide_rows(moduli):
     So n - k has the size and kind of k, its sign times (-1)**size, and
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
 
-    A prime power is walked pair by pair (_walk). A composite
-    n = prod q, over coprime prime powers q, is decided from the class of
-    k mod each q (_classes): (S_q, sign_q, D_q, f_q), the size and sign
-    of its row and the (D, f) of the corner lemma below. By the CRT,
+    A prime power is walked pair by pair (_walk): over q <= 250 that
+    takes about 5 us a pair against 20 us for the descents of _pair_row
+    (Python 3.11, 2 cores). A composite n = prod q, over coprime prime
+    powers q, is decided from the class of k mod each q (_classes):
+    (S_q, sign_q, D_q, f_q), the size and sign of its row and the (D, f)
+    of the corner lemma below. By the CRT,
     M**s = eps * Id mod n exactly when it holds mod every q. Mod q, the s
     with M**s = +-Id are the multiples of the size S_q (they form a
     subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
@@ -228,7 +233,12 @@ def decide_rows(moduli):
     2 when D = 2) lies in [1, (S - 2)/2] unless D = 2 and S = 4, where
     M**4 = Id and (S, sign) = (4, +1) has the corners of (2, -1). So the
     row's witness size and sign, or its size and sign when it has none,
-    give its corners; that is the (D, f) that _classes takes.
+    give its corners; that is the (D, f) that _classes takes. A single
+    pair (_pair_row) has no row to read: it descends to (D, f) itself
+    (ring._descend). M**S = sign * Id is in H, so D divides S, and the
+    descent in H from S divides out each prime of S while the power
+    stays in H; f = u_D. Where k**2 = 0 and k != 0 that gives (2, -1)
+    for the row's (4, +1), with the same corners.
 
     By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
     the corners mod n are the j that lie on a corner class of every q
@@ -236,9 +246,10 @@ def decide_rows(moduli):
     first corner depend only on the tuple of classes. Each corner mod n
     is one mod the q of the largest D, so _compose scans
     j = t*D - 2, t*D for that D, once per tuple and call. _row builds
-    M**j for a pair with a corner by fast doubling (ring._lucas) and
-    raises RuntimeError if u_j is not +-1; _endpoints checks the full
-    product. _row checks the 3N size cap of every pair.
+    M**j for every pair with a corner, walked or composed, by fast
+    doubling (ring._lucas) and raises RuntimeError if u_j is not +-1;
+    _endpoints checks the full product. _row checks the 3N size cap of
+    every pair.
 
     A prime power q in the moduli keeps its classes for the rest of the
     call when 2 * q is at most the largest modulus; a factor walked for
@@ -285,13 +296,13 @@ def _classes(rows, q):
 
 
 def _compose(classes):
-    """(size, sign, corner) of a composite pair from its components'
-    classes: size and sign by the CRT size law, corner (j, None) for the
-    first corner j in [1, (size - 2)/2], or None (decide_rows)."""
+    """(size, sign, corner) of a pair from the classes of its prime-power
+    factors: size and sign by the CRT size law, corner the first corner
+    j in [1, (size - 2)/2], or None (decide_rows)."""
     m = lcm(*(c[0] for c in classes))
-    # q = 2 (sign 0) has no say
+    # q = 2 (sign 0) has no say; alone, its size is m with sign +1
     signs = {e if m // s % 2 else 1 for s, e, _, _ in classes if e}
-    size, sign = (m, signs.pop()) if len(signs) == 1 else (2 * m, 1)
+    size, sign = (2 * m, 1) if len(signs) > 1 else (m, max(signs, default=1))
     # every corner mod n is one of the class with the largest D. A class
     # (D, f) has u_{tD-2} = -f**t and u_{tD} = f**t (q = 2, f = 0, gives
     # no sign): the first j in [1, (size - 2)/2] on a corner of every
@@ -310,7 +321,7 @@ def _compose(classes):
                     break
                 eps = eps or u
             else:
-                return size, sign, (j, None)
+                return size, sign, j
     return size, sign, None
 
 

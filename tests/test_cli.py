@@ -139,6 +139,11 @@ def test_no_arguments_is_a_usage_error(runner):
      "--max (10) is below --min (50)"),
     (["oplus", "10", "1,x,3", "0,0"], "N A B", "entry 2 ('x') is not an integer"),
     (["oplus", "10", "3", "0,0"], "N A B", "oplus needs both operands of size >= 2"),
+    # the size limit comes before the --force gate
+    (["classify", "18446744073709551616", "3"], "N K",
+     "classify needs a modulus below 2**64, got 18446744073709551616"),
+    (["witness", "18446744073709551629", "3", "--force"], "N K",
+     "witness needs a modulus below 2**64, got 18446744073709551629"),
 ])
 def test_package_usage_errors_are_byte_identical(runner, args, usage, error):
     res = runner.invoke(cli, args, prog_name="frieze-mod")
@@ -334,6 +339,18 @@ def test_classify_a_large_composite_pair(runner):
     assert res.exit_code == 0
     entries = ",".join(map(str, [x, *[k] * 1008, x]))
     assert res.output == f"reducible; witness size 1010: ({entries})\n"
+
+
+def test_classify_a_64_bit_prime(runner):
+    # a lone prime power descends: no walk, so any N < 2**64 answers in
+    # milliseconds (measured 1 ms in process); p does not divide 3, so
+    # the pair is irreducible, of the size the size command gives
+    p = 18446744073709551557
+    res = runner.invoke(cli, ["classify", str(p), "3", "--force"])
+    assert res.exit_code == 0
+    assert res.output == "irreducible; size 1317624576693539397\n"
+    assert runner.invoke(cli, ["size", str(p), "3"]).output == \
+        "1317624576693539397, -Id\n"
 
 
 def test_survey_json_lines_are_json_dumps(runner):

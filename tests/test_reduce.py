@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
                                  size_via_crt)
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
-from frieze_mod.ring import factorize
+from frieze_mod.ring import _descend, _size_multiple, factorize
 from frieze_mod.rows import _pair_row, _walk, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
 from oracles import (bordered_census, bordered_scan, corner_entries,
@@ -294,25 +296,41 @@ def test_decide_row_matches_the_reference_walk():
 
 
 def test_corner_lemma_on_prime_powers():
-    # decide_rows composes witnesses by this lemma: mod a prime power q,
-    # with (D, f) the row's witness size and sign, or its size S and sign
-    # when it has no witness, the +-1 corners of k are exactly j = t*D,
-    # where u_j = f**t, and j = t*D - 2, where u_j = -f**t. Every row of
-    # every q <= 250 against the nested-list walk over j <= 2S. Budget
-    # 4 s; measured 1.2 s alone (2 cores, Python 3.11.7)
-    rows = witnessed = 0
+    # decide_rows and _pair_row compose witnesses by this lemma: mod a
+    # prime power q, the +-1 corners of k are exactly j = t*D, where
+    # u_j = f**t, and j = t*D - 2, where u_j = -f**t. decide_rows reads
+    # (D, f) off the row: its witness size and sign, or its size S and
+    # sign when it has no witness. _pair_row descends to it: the size
+    # descent gives S, and the descent in H from S gives D and
+    # f = u_D. Both against the nested-list walk over j <= 2S, for
+    # every k mod every q <= 250. They differ only where k**2 = 0 mod q
+    # and k != 0: the row reads (4, +1), a witness of size 4 when
+    # S >= 6, or no witness and S = 4 at k = 2**(a-1) mod 2**a; the
+    # descent gives (2, -1), the least j with M**j in H. Both have the
+    # same corners. Budget 4 s; measured 1.2 s alone (2 cores, Python
+    # 3.11.7)
+    rows = witnessed = differ = 0
     for q in filter(prime_power, range(2, 251)):
         for k, row in enumerate(decide_row(q)):
             size, sign, _, w, _, _, w_sign = row
-            d, f = (size, sign) if w is None else (w, w_sign)
-            want = [(j, (f ** (j // d) if j % d == 0
-                         else -f ** ((j + 2) // d)) % q)
-                    for j in range(1, 2 * size + 1)
-                    if j % d in (0, d - 2)]
-            assert corner_entries(q, k, 2 * size) == want, (q, k)
+            read = (size, sign) if w is None else (w, w_sign)
+            s, s_sign, exps = _descend(q, k, _size_multiple(q, k), 1)
+            assert (s, s_sign) == (size, sign), (q, k)
+            descended = _descend(q, k, exps, k)[:2]
+            corners = corner_entries(q, k, 2 * size)
+            for d, f in (read, descended):
+                want = [(j, (f ** (j // d) if j % d == 0
+                             else -f ** ((j + 2) // d)) % q)
+                        for j in range(1, 2 * size + 1)
+                        if j % d in (0, d - 2)]
+                assert corners == want, (q, k, d, f)
+            if descended != read:
+                assert (read, descended) == ((4, 1), (2, -1)), (q, k)
+                assert k and k * k % q == 0, (q, k)
+                differ += 1
             rows += 1
             witnessed += w is not None
-    assert (rows, witnessed) == (6931, 224)
+    assert (rows, witnessed, differ) == (6931, 224, 78)
 
 
 def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
@@ -336,14 +354,14 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
         assert row == [rows_mod._row(n, k, *_walk(n, k)) for k in range(n)], n
 
 
-def test_only_prime_powers_walk_and_composite_pairs_double(monkeypatch):
+def test_only_prime_power_rows_walk_and_witnessed_pairs_double(monkeypatch):
     # over n <= 250, decide_rows walks each prime power's pairs k <= q/2
-    # once, and builds M**j by fast doubling once per composite pair
-    # with a witness, at j = witness size - 2; no other pair walks or
-    # doubles. A single composite pair (_pair_row) walks k mod each of
-    # its prime-power factors q, and doubles once exactly when it has a
-    # witness. The calls against prime powers from factorize and
-    # witnesses from the walk of (n, k)
+    # once, and builds M**j by fast doubling once per pair with a
+    # witness, at j = witness size - 2; no other pair walks or doubles.
+    # A single pair (_pair_row), prime power or composite, walks
+    # nothing, and doubles once exactly when it has a witness. The calls
+    # against prime powers from factorize and witnesses from the walk
+    # of (n, k)
     walk, lucas, walks, doubled = rows_mod._walk, rows_mod._lucas, [], []
 
     def counted_walk(n, k):
@@ -355,25 +373,23 @@ def test_only_prime_powers_walk_and_composite_pairs_double(monkeypatch):
         return lucas(n, k, e)
 
     def corner(n, k):
-        first = walk(n, k)[2]
-        return [] if first is None else [(n, k, first[0])]
+        j = walk(n, k)[2]
+        return [] if j is None else [(n, k, j)]
 
     monkeypatch.setattr(rows_mod, "_walk", counted_walk)
     monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
     for _ in decide_rows(range(2, 251)):
         pass
-    factors = {n: [p ** a for p, a in factorize(n)] for n in range(2, 251)}
-    composites = [n for n, qs in factors.items() if len(qs) > 1]
-    assert walks == [(q, k) for q, qs in factors.items() if len(qs) == 1
-                     for k in range(q // 2 + 1)]
-    assert doubled == [pair for n in composites for k in range(n // 2 + 1)
+    assert walks == [(n, k) for n in range(2, 251) if len(factorize(n)) == 1
+                     for k in range(n // 2 + 1)]
+    assert doubled == [pair for n in range(2, 251) for k in range(n // 2 + 1)
                        for pair in corner(n, k)]
-    assert (len(walks), len(doubled)) == (3503, 3653)
-    for n in composites:
+    assert (len(walks), len(doubled)) == (3503, 3765)
+    for n in range(2, 251):
         for k in range(n // 2 + 1):
             del walks[:], doubled[:]
             _pair_row(n, k)
-            assert walks == [(q, k % q) for q in factors[n]], (n, k)
+            assert walks == [], (n, k)
             assert doubled == corner(n, k), (n, k)
 
 
@@ -386,12 +402,11 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     compose, shifted = rows_mod._compose, []
 
     def shift(classes):
-        size, sign, corner = compose(classes)
+        size, sign, j = compose(classes)
         if classes != key:
-            return size, sign, corner
-        j, power = corner
+            return size, sign, j
         shifted.append(j)
-        return size, sign, (j + 1, power)
+        return size, sign, j + 1
 
     monkeypatch.setattr(rows_mod, "_compose", shift)
     for call, arg in ((decide_row, (21,)), (_pair_row, (21, 4)),
@@ -409,12 +424,12 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     (6469693230, 6294801371),   # the ten primes up to 29, witness 1010
 ])
 def test_large_composite_pairs_compose(n, k):
-    # a single composite pair is composed from its factors' rows, not
-    # walked: its size and sign equal the descent's, its witness, if
-    # any, multiplied out is a solution of its sign, and the row equals
-    # the walk of (n, k). Budget 2 s each; measured at most 0.11 s,
-    # nearly all of it in the walk and the product (2 cores, Python
-    # 3.11.7)
+    # a single composite pair is composed from its factors' descended
+    # classes, not walked: its size and sign equal the descent's, its
+    # witness, if any, multiplied out is a solution of its sign, and the
+    # row equals the walk of (n, k). Budget 2 s each; measured at most
+    # 0.11 s, nearly all of it in the walk and the product (2 cores,
+    # Python 3.11.7)
     row = _pair_row(n, k)
     assert tuple(row[:2]) == minimal_monomial_size(n, k)
     w = is_irreducible_monomial(n, k).witness
@@ -422,6 +437,31 @@ def test_large_composite_pairs_compose(n, k):
         assert solution_sign(w.cycle()) == w.sign
         assert w.size < row[0]
     assert row == rows_mod._row(n, k, *_walk(n, k))
+
+
+@pytest.mark.parametrize("n,k", [
+    (1999993, 2),       # prime, irreducible, size 1999993
+    (1048576, 12),      # 2**20, witness size 262144
+])
+def test_large_prime_power_pairs_descend(n, k):
+    # a lone prime power descends too: the row equals the walk of
+    # (n, k), which takes 40-150 ms here, while the descent stays
+    # within 0.1 s (measured 0.14 ms each). Budget 1 s each, nearly all
+    # of it in the walk (2 cores, Python 3.11.7)
+    t0 = time.perf_counter()
+    row = _pair_row(n, k)
+    assert time.perf_counter() - t0 < 0.1
+    assert row == rows_mod._row(n, k, *_walk(n, k))
+
+
+def test_a_64_bit_prime_pair_descends():
+    # past any walk: the size and sign equal minimal_monomial_size, and
+    # p does not divide k, so H = {+-Id}, D = S and the pair is
+    # irreducible
+    p, k = 18446744073709551557, 3
+    row = _pair_row(p, k)
+    assert tuple(row[:2]) == minimal_monomial_size(p, k)
+    assert row[2:] == ["irreducible", None, None, None, None]
 
 
 def test_an_unverified_corner_raises(monkeypatch):

@@ -285,7 +285,7 @@ def _parser(name: str):
         p.add_argument("--no-cache", action="store_true",
                        help="Accepted for compatibility; there is no cache.")
         p.add_argument("--force", action="store_true",
-                       help=f"Allow witness searches above modulus {FORCE_LIMIT}.")
+                       help=f"Allow moduli above {FORCE_LIMIT}.")
     return p
 
 

@@ -9,10 +9,9 @@ descent in ring, is importable from here too.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple
 
-from .ring import SizeCapExceeded, _descend, _size_multiple, factorize, is_prime
+from .ring import SizeCapExceeded, _class, _crt_size, factorize, is_prime
 
 
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
@@ -21,17 +20,16 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     Returns (size, sign): sign +1 when the product is the identity, -1 for
     its negative, and +1 by convention mod 2 where the two coincide.
 
-    The s with M(k)**s = +-Id are the multiples of the size, so it is
-    found by descent (ring._descend, in the group +-Id) from the
-    multiple E of ring._size_multiple: each prime r of E is divided out
-    while the power stays +-Id. Each power costs O(log E) products, so
-    the cost is polynomial in the digits of n once n and the p +- 1 of
-    its primes are factored.
+    It is read off the corner class of k mod n (ring._class): one descent
+    from the multiple E of ring._size_multiple divides out each prime r
+    of E while the power stays in the corner lemma's group H, which
+    holds +-Id, and the size is a known multiple of where it stops. Each
+    power costs O(log E) products, so the cost is polynomial in the
+    digits of n once n and the p +- 1 of its primes are factored.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    return _descend(n, k, _size_multiple(n, k), 1)[:2]
+    return _class(n, k % n)[:2]
 
 
 class Component(NamedTuple):
@@ -47,8 +45,7 @@ def component_profile(n: int, k: int) -> list[Component]:
     comps = []
     for p, a in factorize(n):
         q = p ** a
-        comps.append(Component(
-            q, *_descend(q, k % q, _size_multiple(q, k % q, [(p, a)]), 1)[:2]))
+        comps.append(Component(q, *_class(q, k % q, [(p, a)])[:2]))
     return comps
 
 
@@ -70,7 +67,8 @@ class SizeLaw(NamedTuple):
 
 
 def size_via_crt(n: int, k: int) -> SizeLaw:
-    """Assemble the minimal constant-solution size from the factor profile.
+    """Assemble the minimal constant-solution size from the factor profile
+    by the CRT size law (ring._crt_size).
 
     At the bare lcm m of the component sizes, the component at modulus q
     lands on sign_q ** (m / size_q). The component at modulus exactly 2
@@ -78,16 +76,8 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     size is m with that shared sign; otherwise doubling reconciles every
     component to +1.
     """
-    comps = component_profile(n, k)
-    m = lcm(*(c.size for c in comps))
-    adjusted = {c.sign if (m // c.size) % 2 else 1
-                for c in comps if c.modulus != 2}
-    if len(adjusted) <= 1:
-        mult = 1
-        sign = adjusted.pop() if adjusted else 1
-    else:
-        mult, sign = 2, 1
-    return SizeLaw(m, mult, sign)
+    return SizeLaw(*_crt_size([(c.size, c.sign * (c.modulus != 2))
+                               for c in component_profile(n, k)]))
 
 
 class MonomialProfile(NamedTuple):

@@ -1,7 +1,9 @@
 """Residue arithmetic helpers: factorization, primality, residues, the
-fast doubling (_lucas) of the recurrence behind the powers of M(k), and
-the one descent (_descend) that finds the size of k mod n, and the D of
-its corner classes, from a known multiple (_size_multiple).
+fast doubling (_lucas) of the recurrence behind the powers of M(k), the
+one descent (_descend) from a known multiple of the size
+(_size_multiple), the corner class of k mod n that it gives (_class),
+and the two rules every size obeys: the CRT size law (_crt_size) and
+the proven 3N cap (_size_cap, checked by _capped).
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -10,7 +12,7 @@ their canonical representative in [0, N) on construction.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, lcm, prod
 
 
 # The first thirteen primes. As Miller-Rabin bases they decide primality
@@ -23,8 +25,27 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _TRIAL = 1000
 
 
+# Minimal sizes never exceed 3N (worst case: twice the lcm of the
+# prime-power component sizes, each at most 3 * p**a / 2), so a size past
+# 3N + 1 means the implementation is broken, not the input.
+_CAP_FACTOR = 3
+
+
 class SizeCapExceeded(RuntimeError):
     """Internal failure: a size search broke the proven 3N bound."""
+
+
+def _size_cap(n: int) -> int:
+    """The largest size mod n that the 3N bound allows (_CAP_FACTOR)."""
+    return _CAP_FACTOR * n + 1
+
+
+def _capped(n: int, k: int, size: int) -> int:
+    """size, checked against the 3N cap of n (_size_cap): a size past it
+    raises SizeCapExceeded."""
+    if size > _size_cap(n):
+        raise SizeCapExceeded(f"size {size} > {_size_cap(n)} for n={n}, k={k}")
+    return size
 
 
 def is_prime(n: int) -> bool:
@@ -104,41 +125,69 @@ def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:
     return exps
 
 
-def _descend(n: int, k: int, exps: dict[int, int], g: int):
-    """The least e dividing prod r**exps[r] with M(k)**e in G_g mod n
-    (0 <= k < n), as (e, f, {r: exponent of r in e}).
+def _descend(n: int, k: int, exps: dict[int, int]):
+    """The least D dividing E = prod r**exps[r] with M(k)**D in H mod n
+    (0 <= k < n), as (D, f, v) with M**D = f * Id + v * M.
 
-    G_g is the group of the powers f * Id + v * M(k) with f = +-1 and
-    v * g = 0: +-Id for g = 1, and for g = k the group H of the corner
-    lemma (rows.decide_rows). By Cayley-Hamilton,
+    H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} is the group of the
+    corner lemma (rows.decide_rows), for any n: v**2 = w**2 = 0 forces
+    v * w = 0 at every prime power of n, so
+    (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M, with
+    f*Id - v*M the inverse. By Cayley-Hamilton,
     M**e = -u_{e-2} * Id + u_{e-1} * M with u_e = k * u_{e-1} - u_{e-2}
-    (_lucas), so M**e is in G_g exactly when u_{e-1} * g = 0 and
-    u_e = +-1, and then f = u_e, returned as +-1 (+1 mod 2). The e with
-    M**e in G_g are the multiples of the least one, so each prime r is
-    divided out while M**(e/r) stays in G_g. The start must be in G_g,
-    and the result, at most the size, within the proven 3N bound
-    (rows._CAP_FACTOR); either failure raises SizeCapExceeded.
+    (_lucas). With v = u_{e-1} and v * k = 0, u_e = -u_{e-2} = f, and
+    det M**e = f**2 + f*v*k + v**2 = 1 + v**2 = 1 gives v**2 = 0: M**e is
+    in H exactly when u_{e-1} * k = 0 and u_e = +-1. f is returned as
+    +-1 (+1 mod 2). The e with M**e in H are the multiples of D, so each
+    prime r is divided out while M**(e/r) stays in H. M**E must be in H
+    (E a multiple of the size: +-Id is in H), else SizeCapExceeded.
     """
     def inside(e):
-        """u_e when M**e is in G_g, else 0."""
+        """(f, v) when M**e = f * Id + v * M is in H, else None."""
         a, b = _lucas(n, k, e)
-        return 0 if g * a % n or b != 1 and b != n - 1 else b
+        if k * a % n or b != 1 and b != n - 1:
+            return None
+        return 1 if b == 1 else -1, a
 
-    e = 1
+    e = prod(r ** x for r, x in exps.items())
+    got = inside(e)
+    if not got:
+        raise SizeCapExceeded(f"M({k})**{e} is not in H mod {n}")
     for r, x in exps.items():
-        e *= r ** x
-    f = inside(e)
-    if not f:
-        raise SizeCapExceeded(f"M({k})**{e} is not in G_{g} mod {n}")
-    exps = dict(exps)
-    for r in exps:
-        while exps[r] and (lower := inside(e // r)):
+        while x and (lower := inside(e // r)):
             e //= r
-            exps[r] -= 1
-            f = lower
-    if e > 3 * n + 1:
-        raise SizeCapExceeded(f"size {e} > {3 * n + 1} for n={n}, k={k}")
-    return e, 1 if f == 1 else -1, exps
+            x -= 1
+            got = lower
+    return (e, *got)
+
+
+def _class(n: int, k: int, factors=None):
+    """The corner class (S, sign, D, f) of k mod n (0 <= k < n): the size
+    S and sign of M(k)**S = sign * Id, and the (D, f) of the one descent
+    in H (_descend) from the multiple of _size_multiple. factors is the
+    [(p, a)] of n when the caller already has it.
+
+    With M**D = f * Id + v * M, (v*M)**2 = v**2 * (k*M - Id) = 0, so
+    M**(tD) = f**t * Id + t * f**(t-1) * v * M. That is +-Id exactly when
+    t * v = 0, and +-Id lies in H, so the size is a multiple of D:
+    S = D * n / gcd(v, n), with sign f**(S/D) (+1 mod 2). S past the
+    proven cap raises SizeCapExceeded (_capped).
+    """
+    d, f, v = _descend(n, k, _size_multiple(n, k, factors))
+    t = n // gcd(v, n)
+    return _capped(n, k, d * t), f ** t, d, f
+
+
+def _crt_size(classes):
+    """The CRT size law, as (m, multiplier, sign): the size of a pair is
+    multiplier * m, from the (S_q, sign_q) at index 0 and 1 of each class
+    of its coprime prime-power factors q, sign_q 0 at q = 2 (proved in
+    rows.decide_rows). m = lcm(S_q); mod q, M**m = sign_q**(m / S_q) * Id,
+    and q = 2 has no say. When those signs agree, the size is m with that
+    sign, +1 when no q has a say; otherwise 2 * m with sign +1."""
+    m = lcm(*(c[0] for c in classes))
+    signs = {c[1] if m // c[0] % 2 else 1 for c in classes if c[1]}
+    return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))
 
 
 def _brent(n: int) -> int:

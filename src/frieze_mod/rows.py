@@ -10,26 +10,20 @@ built per pair, so the commands that only print rows (classify,
 witness, survey) and the law battery need no other package module than
 ring, which factors the moduli, descends and doubles powers.
 
-A composite modulus takes each size, sign and first corner from the
-corner classes of its prime-power factors (the CRT size law and the
-corner lemma, both proved in decide_rows), composed once per tuple of
-classes (_compose). A range of moduli (decide_rows) walks each prime
-power's row (_walk) and keeps the classes of every k. A single pair
-(_pair_row), prime power or composite, walks nothing: it takes the
-class of k mod each prime-power factor from two descents
-(ring._descend), as the size command takes the size. A corner is a bare
-j; one row builder (_row) builds M(k)**j by fast doubling (ring._lucas),
-closes and checks it, and checks every size against the 3N cap.
+Every pair takes its size, sign and first corner from the corner
+classes (S_q, sign_q, D_q, f_q) of k mod its prime-power factors q (the
+CRT size law and the corner lemma, both proved in decide_rows), composed
+once per tuple of classes (_compose). A range of moduli (decide_rows)
+walks each prime power's row (_walk), which gives the class of every k.
+A single pair (_pair_row) walks nothing: it takes the class of k mod
+each prime-power factor from one descent (ring._class), as the size
+command takes the size. A corner is a bare j; one row builder (_row)
+builds M(k)**j by fast doubling (ring._lucas), closes and checks it.
+Every size is checked against the 3N cap (ring._capped).
 """
 
-from math import lcm
-
-from .ring import SizeCapExceeded, _descend, _lucas, _size_multiple, factorize
-
-# Minimal sizes never exceed 3N (worst case: twice the lcm of the
-# prime-power component sizes, each at most 3 * p**a / 2), so a size past
-# 3N + 1 means the implementation is broken, not the input.
-_CAP_FACTOR = 3
+from .ring import (SizeCapExceeded, _capped, _class, _crt_size, _lucas,
+                   _size_cap, factorize)
 
 
 # Matrices are row-major 4-tuples of plain ints.
@@ -62,7 +56,8 @@ def _sign(m, n):
 
 
 def _walk(n: int, k: int):
-    """The one pass deciding when the constant product reaches +-Id.
+    """The one pass deciding when the constant product reaches +-Id, and
+    the corner class (S, sign, D, f) of k mod n that it gives.
 
     u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
     M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
@@ -82,19 +77,35 @@ def _walk(n: int, k: int):
     eps * Id. M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so
     u_j is +-1 exactly when u_{S-2-j} is: the corners below S - 2 sit
     symmetrically about (S - 2)/2, and the first one is the smallest
-    witness. Returns (size, sign, corner): corner is the first j with
-    1 <= j <= (S - 2)/2 and u_j = +-1, or None.
+    witness.
+
+    The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
+    meets a first corner j with 1 <= j <= (S - 2)/2, (S, sign, j + 2,
+    -u_j); else (S, sign, S, sign); f is +1 mod 2. Mod a prime power q
+    this is the class of the corner lemma (decide_rows), that is
+    ring._class(q, k): D >= 2, since M = 0 * Id + 1 * M is not in H.
+    k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
+    Otherwise D >= 3 and the first corner j >= 1 is D - 2, with
+    u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
+    no corner there, D divides S (M**S = sign * Id is in H), and D < S
+    would put D - 2 <= S/2 - 2 in that range, so D = S and f = u_S = sign.
+    For any n, _compose of the one class (S, sign, D, f) gives back S,
+    sign and the first corner: D - 2 when the walk met one (u_{D-2} =
+    -f), and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
+    u_2 = k**2 - 1 = -1) when S >= 6. So the walk is the reference row of
+    every pair.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     minus = n - 1
+    cap = _size_cap(n)
     # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
     # u_{h-1} = n/2 with n and k even
     half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
     a, b = 0, 1     # u_{h-2}, u_{h-1}
-    corner = None
-    for h in range(1, _CAP_FACTOR * n // 2 + 2):
+    d = f = None    # the first corner's j + 2 and -u_j
+    for h in range(1, cap // 2 + 2):
         c = (k * b - a) % n
         if c == a or c == b or c + b == n or not b % half:
             if not b % half:
@@ -103,13 +114,15 @@ def _walk(n: int, k: int):
                 size, sign = 2 * h, -1
             else:
                 size, sign = 2 * h + 1, 1 if c + b == n else -1
-            if size > _CAP_FACTOR * n + 1:
+            if size > cap:
                 break
-            return size, sign, corner
-        if (c == 1 or c == minus) and corner is None:
-            corner = h
+            if k * k % n == 0:
+                return size, sign, 2, -1 if n > 2 else 1
+            return (size, sign, d, f) if d else (size, sign, size, sign)
+        if (c == 1 or c == minus) and d is None:
+            d, f = h + 2, 1 if c == minus else -1
         a, b = b, c
-    raise SizeCapExceeded(f"no size <= {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+    raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
 
 
 def _endpoints(p_mat, n):
@@ -134,11 +147,9 @@ def _endpoints(p_mat, n):
 
 def _row(n, k, size, sign, j):
     """The flat row of k mod n from its size, sign and first corner j
-    (or None), as _walk or _compose gives them. M(k)**j is built here by
+    (or None), as _compose gives them. M(k)**j is built here by
     fast doubling and closed by _endpoints; RuntimeError unless
-    u_j = +-1. A size past the 3N cap raises SizeCapExceeded."""
-    if size > _CAP_FACTOR * n + 1:
-        raise SizeCapExceeded(f"size {size} > {_CAP_FACTOR * n + 1} for n={n}, k={k}")
+    u_j = +-1. Its callers check the size against the 3N cap."""
     if j is None:
         return [size, sign, "irreducible" if k else "zero-convention",
                 None, None, None, None]
@@ -156,20 +167,17 @@ def _pair_row(n: int, k: int) -> list:
     "irreducible" or, for k = 0, "zero-convention".
 
     No pair is walked. The class (S_q, sign_q, D_q, f_q) of k mod each
-    prime-power factor q comes from two descents (ring._descend): S_q
-    and sign_q in +-Id, from the multiple of ring._size_multiple, then
-    D_q and f_q = u_{D_q} in the group H of the corner lemma, from S_q
-    (decide_rows). The tuple of classes is composed as decide_rows
-    composes it, a prime power's tuple of one class included."""
+    prime-power factor q comes from one descent (ring._class), and the
+    tuple of classes is composed as decide_rows composes it, a prime
+    power's tuple of one class included."""
     key = []
     for p, a in factorize(n):
         q = p ** a
-        r = k % q
-        size, sign, exps = _descend(q, r, _size_multiple(q, r, [(p, a)]), 1)
-        d, f, _ = _descend(q, r, exps, r)
+        size, sign, d, f = _class(q, k % q, [(p, a)])
         say = q != 2    # mod 2 the two signs coincide: no say
         key.append((size, sign * say, d, f * say))
-    return _row(n, k, *_compose(tuple(key)))
+    size, sign, j = _compose(tuple(key))
+    return _row(n, k, _capped(n, k, size), sign, j)
 
 
 def decide_rows(moduli):
@@ -177,39 +185,38 @@ def decide_rows(moduli):
     any order) ascending: the flat rows (as _pair_row) of every k mod n,
     k ascending. A modulus below 2 raises ValueError at the first next().
 
-    Only k <= n/2 are decided. M(-k) = -D * M(k) * D with D = diag(1, -1)
-    gives M(-k)**s = (-1)**s * D * M(k)**s * D, and m1(-x) = -D * m1(x) * D.
+    Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
+    gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
     So n - k has the size and kind of k, its sign times (-1)**size, and
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
 
-    A prime power is walked pair by pair (_walk): over q <= 250 that
-    takes about 5 us a pair against 20 us for the descents of _pair_row
-    (Python 3.11, 2 cores). A composite n = prod q, over coprime prime
-    powers q, is decided from the class of k mod each q (_classes):
-    (S_q, sign_q, D_q, f_q), the size and sign of its row and the (D, f)
-    of the corner lemma below. By the CRT,
+    Every n = prod q, over coprime prime powers q, a prime power
+    included, is decided from the class of k mod each q:
+    (S_q, sign_q, D_q, f_q), the size and sign of k mod q and the (D, f)
+    of the corner lemma below. Each prime power's row is walked pair by
+    pair for k <= q/2 (_walk gives the class), and mirrored: u_j(-k) =
+    (-1)**j * u_j(k), and J maps H for k onto H for -k, so -k has the
+    class (S, sign * (-1)**S, D, f * (-1)**D). By the CRT,
     M**s = eps * Id mod n exactly when it holds mod every q. Mod q, the s
     with M**s = +-Id are the multiples of the size S_q (they form a
     subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
     M**s = +-Id mod n is a multiple of m = lcm(S_q), and mod q,
     M**m = sign_q**(m / S_q) * Id; mod 2 the two signs coincide, so
-    q = 2 has no say. When the signs sign_q**(m / S_q) of all q != 2
-    agree, the size is m and that common sign is the row's sign.
-    Otherwise the size is 2 * m, with sign +1, since
-    M**(2 * m) = (M**m)**2 = Id mod every q.
+    q = 2 has no say (its class carries the signs 0). When the signs
+    sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
+    sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
+    since M**(2 * m) = (M**m)**2 = Id mod every q (ring._crt_size).
 
     The witness comes from the first +-1 corner u_j with
     1 <= j <= (S - 2)/2, as in _walk. The corner lemma: mod a prime
     power q = p**a, let D be the least j >= 1 with M**j in
-    H = {f * Id + v * M : f = +-1, v * k = v**2 = 0}, and
-    M**D = f * Id + v * M. Then u_j = +-1 exactly when j = 0 or
-    j = -2 mod D, and u_{tD} = f**t, u_{tD-2} = -f**t. Proof: by
-    Cayley-Hamilton (M**2 = k * M - Id), M**j = -u_{j-2} * Id +
-    u_{j-1} * M. H is a group: v**2 = w**2 = 0 mod p**a forces
-    v * w = 0, so (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M,
-    and f*Id - v*M is the inverse. So the j with M**j in H are the
-    multiples of D, and (f*Id + v*M)**t = f**t * Id + t * f**(t-1) * v * M
-    since (v*M)**2 = v**2 * (k*M - Id) = 0; this reads u_{tD-2} = -f**t,
+    H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} (a group, proved in
+    ring._descend), and M**D = f * Id + v * M. Then u_j = +-1 exactly
+    when j = 0 or j = -2 mod D, and u_{tD} = f**t, u_{tD-2} = -f**t.
+    Proof: by Cayley-Hamilton (M**2 = k * M - Id), M**j = -u_{j-2} * Id +
+    u_{j-1} * M. The j with M**j in H are the multiples of D, and
+    (f*Id + v*M)**t = f**t * Id + t * f**(t-1) * v * M since
+    (v*M)**2 = v**2 * (k*M - Id) = 0; this reads u_{tD-2} = -f**t,
     u_{tD-1} = t * f**(t-1) * v and u_{tD} = k * u_{tD-1} - u_{tD-2} =
     f**t, as v * k = 0. Conversely let u_j = eps = +-1, x = u_{j-1} and
     y = u_{j+1} = eps * k - x. Then M**j = (eps - x*k) * Id + x * M,
@@ -221,39 +228,20 @@ def decide_rows(moduli):
     a - v_p(k) while v_p(x) + v_p(y) >= a, so both would exceed v_p(k),
     against x + y = eps * k.
 
-    D is read off the row. D >= 2, since M = 0 * Id + 1 * M is not in H.
-    When D >= 3 the first corner j >= 1 is D - 2, with u = -f: the row
-    has a witness exactly when D - 2 <= (S - 2)/2, and then (D, f) is
-    its witness size and sign, the sign being -u_{D-2}. D = 2 means
-    M**2 = -Id + k * M is in H, i.e. k**2 = 0, and f = -1: the corners
-    are the even j with u_{2t} = (-1)**t, exactly those of (4, +1), and
-    the first corner j = 2 gives the witness (4, +1) when S >= 6. With
-    no witness, D divides S, as M**S = sign * Id is in H. D = S gives
-    f = sign. D < S puts D <= S/2, and then the first corner (D - 2, or
-    2 when D = 2) lies in [1, (S - 2)/2] unless D = 2 and S = 4, where
-    M**4 = Id and (S, sign) = (4, +1) has the corners of (2, -1). So the
-    row's witness size and sign, or its size and sign when it has none,
-    give its corners; that is the (D, f) that _classes takes. A single
-    pair (_pair_row) has no row to read: it descends to (D, f) itself
-    (ring._descend). M**S = sign * Id is in H, so D divides S, and the
-    descent in H from S divides out each prime of S while the power
-    stays in H; f = u_D. Where k**2 = 0 and k != 0 that gives (2, -1)
-    for the row's (4, +1), with the same corners.
-
     By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
     the corners mod n are the j that lie on a corner class of every q
     with one common sign (q = 2 again has no say), and size, sign and
     first corner depend only on the tuple of classes. Each corner mod n
     is one mod the q of the largest D, so _compose scans
     j = t*D - 2, t*D for that D, once per tuple and call. _row builds
-    M**j for every pair with a corner, walked or composed, by fast
-    doubling (ring._lucas) and raises RuntimeError if u_j is not +-1;
-    _endpoints checks the full product. _row checks the 3N size cap of
-    every pair.
+    M**j for every pair with a corner by fast doubling (ring._lucas) and
+    raises RuntimeError if u_j is not +-1; _endpoints checks the full
+    product. The size of every pair is checked against the 3N cap
+    (ring._capped).
 
-    A prime power q in the moduli keeps its classes for the rest of the
-    call when 2 * q is at most the largest modulus; a factor walked for
-    a composite keeps them for the rest of the call.
+    A prime power q keeps its classes for the rest of the call when
+    2 * q is at most the largest modulus, that is when some other
+    modulus of the call may be a multiple of it.
     """
     moduli = sorted(moduli)
     if moduli and moduli[0] < 2:
@@ -261,48 +249,38 @@ def decide_rows(moduli):
     kept = {}       # prime power q -> the class of every k mod q
     composed = {}   # tuple of classes -> (size, sign, first corner)
 
-    def walked(q):
-        return _mirror([_row(q, k, *_walk(q, k)) for k in range(q // 2 + 1)], q)
+    def classes(q):
+        """The class of every k mod q: walked for k <= q/2, mirrored."""
+        if q not in kept:
+            half = [_walk(q, k) for k in range(q // 2 + 1)]
+            if q == 2:      # mod 2 the two signs coincide: no say
+                half = [(s, 0, d, 0) for s, _, d, _ in half]
+            kept[q] = half + [(s, -e if s % 2 else e, d, -f if d % 2 else f)
+                              for s, e, d, f in half[(q - 1) // 2:0:-1]]
+        return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)
 
     for n in moduli:
-        qs = [p ** a for p, a in factorize(n)]
-        if len(qs) == 1:
-            rows = walked(n)
-            if 2 * n <= moduli[-1]:
-                kept[n] = _classes(rows, n)
-            yield n, rows
-            continue
-        for q in qs:
-            if q not in kept:
-                kept[q] = _classes(walked(q), q)
         # the tuple of the classes of k mod every q, for each k <= n/2
-        keys = zip(*[kept[q] * (n // (2 * q) + 1) for q in qs])
-        rows = []
+        keys = zip(*[classes(q) * (n // (2 * q) + 1)
+                     for q in (p ** a for p, a in factorize(n))])
+        rows, cap = [], _size_cap(n)
         for k, key in zip(range(n // 2 + 1), keys):
-            if key not in composed:
-                composed[key] = _compose(key)
-            size, sign, corner = composed[key]
+            got = composed.get(key)
+            if got is None:
+                got = composed[key] = _compose(key)
+            size, sign, corner = got
+            if size > cap:
+                _capped(n, k, size)     # raises SizeCapExceeded
             rows.append(_row(n, k, size, sign, corner))
         yield n, _mirror(rows, n)
 
 
-def _classes(rows, q):
-    """The corner class of every k mod the prime power q, from its rows:
-    (size, sign, D, f), (D, f) the witness size and sign, or the size and
-    sign when there is no witness (decide_rows); the signs 0 at q = 2."""
-    say = q != 2    # mod 2 the two signs coincide: no say
-    return [(r[0], r[1] * say, r[3] or r[0], (r[6] or r[1]) * say)
-            for r in rows]
-
-
 def _compose(classes):
     """(size, sign, corner) of a pair from the classes of its prime-power
-    factors: size and sign by the CRT size law, corner the first corner
-    j in [1, (size - 2)/2], or None (decide_rows)."""
-    m = lcm(*(c[0] for c in classes))
-    # q = 2 (sign 0) has no say; alone, its size is m with sign +1
-    signs = {e if m // s % 2 else 1 for s, e, _, _ in classes if e}
-    size, sign = (2 * m, 1) if len(signs) > 1 else (m, max(signs, default=1))
+    factors: size and sign by the CRT size law (ring._crt_size), corner
+    the first corner j in [1, (size - 2)/2], or None (decide_rows)."""
+    m, multiplier, sign = _crt_size(classes)
+    size = multiplier * m
     # every corner mod n is one of the class with the largest D. A class
     # (D, f) has u_{tD-2} = -f**t and u_{tD} = f**t (q = 2, f = 0, gives
     # no sign): the first j in [1, (size - 2)/2] on a corner of every

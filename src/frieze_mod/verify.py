@@ -9,9 +9,10 @@ the moduli of the range that meet the hypothesis, times it and builds
 the TheoremReport; it is the one report path. MODULI lists per id the
 moduli whose rows the check reads.
 unbounded-family's check runs on six fixed moduli 3p instead. The row
-source is decide_row by default; run_all and run_verifier pass
-_battery_rows, which decides the rows their ids read in one decide_rows
-call before the first check starts its clock.
+source comes from _battery_rows, which decides the rows the ids of a
+run read in one decide_rows call before the first check starts its
+clock: run_all passes one for all ids, and a verifier called without
+one builds its own.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -138,7 +139,9 @@ MODULI: dict[str, Callable[[int, int], list[int]]] = {}
 
 def _law(theorem_id, hypothesis, range_text, moduli=(), also=None):
     """Register a check(n, row) as the verifier theorem_id, under the
-    check's name and docstring. It runs the check on the n in
+    check's name and docstring. Its row source is the one passed, or by
+    default the rows of its own id (_battery_rows), decided before its
+    clock starts. It runs the check on the n in
     [max(lo, 2), hi] that meet the law's hypothesis(n), or on the fixed
     moduli (hypothesis None: the range is ignored and range_text is the
     whole range field). also(n), when given, is the one more modulus
@@ -154,7 +157,8 @@ def _law(theorem_id, hypothesis, range_text, moduli=(), also=None):
 
     def register(check):
         def verifier(lo: int = 2, hi: int = 150,
-                     row: RowSource = decide_row) -> TheoremReport:
+                     row: Optional[RowSource] = None) -> TheoremReport:
+            row = row or _battery_rows(lo, hi, [theorem_id])
             t0 = time.perf_counter()
             bad, hit = [], False
             for n in run(lo, hi):
@@ -354,11 +358,11 @@ def verify_unbounded_family(n, row):
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
     """Run one verifier by id over [lo, hi] (unbounded-family ignores the
-    range), on the rows of _battery_rows: only the rows its law reads."""
+    range), on only the rows its law reads."""
     if theorem_id not in VERIFIERS:
         known = ", ".join(VERIFIERS)
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    return VERIFIERS[theorem_id](lo, hi, _battery_rows(lo, hi, [theorem_id]))
+    return VERIFIERS[theorem_id](lo, hi)
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _prod, solution_sign
-from frieze_mod.rows import _endpoints, _mul, _walk
+from frieze_mod.rows import _compose, _endpoints, _mul, _walk
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
@@ -118,7 +118,7 @@ def witness_structure_check(n: int, k: int,
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    s, sign, first = _walk(n, k)
+    s, sign, first = _compose((_walk(n, k),))
     if cap is None:
         cap = 3 * s + 2
     irreducible = k != 0 and first is None

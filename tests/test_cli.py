@@ -172,6 +172,16 @@ def test_help_lists_the_options(runner, args, options):
     assert not missing, res.stdout
 
 
+def test_force_help_is_one_string(runner):
+    # the gate is on the modulus (classify, witness) or the largest
+    # modulus of the range (survey), and its help says so for all three
+    for cmd in ("classify", "witness", "survey"):
+        res = runner.invoke(cli, [cmd, "--help"], prog_name="frieze-mod")
+        assert "--force" in res.stdout
+        assert " ".join(res.stdout.split("--force")[1].split()).startswith(
+            "Allow moduli above 2000."), res.stdout
+
+
 def test_verify_single_report_is_a_json_object(runner):
     res = runner.invoke(cli, ["verify", "size-bound", "--max", "40"])
     assert res.exit_code == 0, res.stderr
@@ -503,7 +513,7 @@ def test_a_reader_that_stops_early_gets_no_traceback():
 def test_a_failing_verify_exits_1():
     # no real range breaks a law, so one verifier is replaced by a broken one
     broken = ("from frieze_mod import verify\n"
-              "verify.VERIFIERS['size-bound'] = lambda lo, hi, row: verify.TheoremReport("
+              "verify.VERIFIERS['size-bound'] = lambda lo, hi, row=None: verify.TheoremReport("
               "'size-bound', 'planted', 'fail', (verify.Counterexample(lo, 0, 'x', 'y'),), 0.0)\n")
     for args in (["verify", "size-bound", "--max", "20"], ["verify", "all", "--max", "12"]):
         res = subprocess.run([sys.executable, "-c", broken + _ENTRY, *args],

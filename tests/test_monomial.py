@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import monomial
+from frieze_mod import monomial, ring
 from frieze_mod.monomial import (Component, SizeCapExceeded, check_half_n_law,
                                  check_prime_size_law, component_profile,
                                  minimal_monomial_size, monomial_profile,
@@ -74,7 +74,7 @@ def test_composite_moduli_near_1e9_are_the_order():
 def test_wrong_multiple_is_an_internal_error(monkeypatch):
     # the descent must start from a multiple of the size; 2 is not one
     # for k = 1 mod 7 (size 6)
-    monkeypatch.setattr(monomial, "_size_multiple", lambda n, k: {2: 1})
+    monkeypatch.setattr(ring, "_size_multiple", lambda n, k, factors=None: {2: 1})
     with pytest.raises(SizeCapExceeded):
         minimal_monomial_size(7, 1)
 

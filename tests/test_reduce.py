@@ -3,15 +3,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import rows as rows_mod
+from frieze_mod import ring, rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
                                  size_via_crt)
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
-from frieze_mod.ring import _descend, _size_multiple, factorize
-from frieze_mod.rows import _pair_row, _walk, decide_row, decide_rows
+from frieze_mod.ring import _class, factorize
+from frieze_mod.rows import _compose, _pair_row, _walk, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
@@ -252,6 +252,11 @@ def test_structure_census_sweep():
             assert list(rep.entries) == want, (n, k)
 
 
+def _walked(n, k):
+    """The reference row of k mod n: the walk's one class, composed."""
+    return rows_mod._row(n, k, *_compose((_walk(n, k),)))
+
+
 def _row(v):
     """The flat row of a verdict, as decide_row gives it."""
     w = v.witness
@@ -298,39 +303,26 @@ def test_decide_row_matches_the_reference_walk():
 def test_corner_lemma_on_prime_powers():
     # decide_rows and _pair_row compose witnesses by this lemma: mod a
     # prime power q, the +-1 corners of k are exactly j = t*D, where
-    # u_j = f**t, and j = t*D - 2, where u_j = -f**t. decide_rows reads
-    # (D, f) off the row: its witness size and sign, or its size S and
-    # sign when it has no witness. _pair_row descends to it: the size
-    # descent gives S, and the descent in H from S gives D and
-    # f = u_D. Both against the nested-list walk over j <= 2S, for
-    # every k mod every q <= 250. They differ only where k**2 = 0 mod q
-    # and k != 0: the row reads (4, +1), a witness of size 4 when
-    # S >= 6, or no witness and S = 4 at k = 2**(a-1) mod 2**a; the
-    # descent gives (2, -1), the least j with M**j in H. Both have the
-    # same corners. Budget 4 s; measured 1.2 s alone (2 cores, Python
-    # 3.11.7)
-    rows = witnessed = differ = 0
+    # u_j = f**t, and j = t*D - 2, where u_j = -f**t. decide_rows walks
+    # to the class (S, sign, D, f), _pair_row descends to it in H
+    # (ring._class): the two agree on every k mod every q <= 250, and the
+    # corners agree with the nested-list walk over j <= 2S. Budget 4 s;
+    # measured 1.0 s alone (2 cores, Python 3.11.7)
+    rows = witnessed = 0
     for q in filter(prime_power, range(2, 251)):
-        for k, row in enumerate(decide_row(q)):
-            size, sign, _, w, _, _, w_sign = row
-            read = (size, sign) if w is None else (w, w_sign)
-            s, s_sign, exps = _descend(q, k, _size_multiple(q, k), 1)
-            assert (s, s_sign) == (size, sign), (q, k)
-            descended = _descend(q, k, exps, k)[:2]
+        for k in range(q):
+            walked = _walk(q, k)
+            assert walked == _class(q, k), (q, k)
+            size, _, d, f = walked
             corners = corner_entries(q, k, 2 * size)
-            for d, f in (read, descended):
-                want = [(j, (f ** (j // d) if j % d == 0
-                             else -f ** ((j + 2) // d)) % q)
-                        for j in range(1, 2 * size + 1)
-                        if j % d in (0, d - 2)]
-                assert corners == want, (q, k, d, f)
-            if descended != read:
-                assert (read, descended) == ((4, 1), (2, -1)), (q, k)
-                assert k and k * k % q == 0, (q, k)
-                differ += 1
+            want = [(j, (f ** (j // d) if j % d == 0
+                         else -f ** ((j + 2) // d)) % q)
+                    for j in range(1, 2 * size + 1)
+                    if j % d in (0, d - 2)]
+            assert corners == want, (q, k, d, f)
             rows += 1
-            witnessed += w is not None
-    assert (rows, witnessed, differ) == (6931, 224, 78)
+            witnessed += _compose((walked,))[2] is not None
+    assert (rows, witnessed) == (6931, 224)
 
 
 def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
@@ -351,7 +343,7 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     assert rows == [(n, decide_row(n)) for n in sorted(moduli)]
     assert len(set(composed)) == shared < len(composed) - shared
     for n, row in rows:
-        assert row == [rows_mod._row(n, k, *_walk(n, k)) for k in range(n)], n
+        assert row == [_walked(n, k) for k in range(n)], n
 
 
 def test_only_prime_power_rows_walk_and_witnessed_pairs_double(monkeypatch):
@@ -373,7 +365,7 @@ def test_only_prime_power_rows_walk_and_witnessed_pairs_double(monkeypatch):
         return lucas(n, k, e)
 
     def corner(n, k):
-        j = walk(n, k)[2]
+        j = _compose((walk(n, k),))[2]
         return [] if j is None else [(n, k, j)]
 
     monkeypatch.setattr(rows_mod, "_walk", counted_walk)
@@ -398,7 +390,7 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # gives; shifting the j composed for the classes of k = 4 mod 21
     # (from 4 to 5, where u_5 = 3) is caught at that pair, whether its
     # row is decided with the others of 21 or alone
-    key = tuple(rows_mod._classes(decide_row(q), q)[4 % q] for q in (3, 7))
+    key = tuple(_walk(q, 4 % q) for q in (3, 7))
     compose, shifted = rows_mod._compose, []
 
     def shift(classes):
@@ -436,7 +428,7 @@ def test_large_composite_pairs_compose(n, k):
     if w is not None:
         assert solution_sign(w.cycle()) == w.sign
         assert w.size < row[0]
-    assert row == rows_mod._row(n, k, *_walk(n, k))
+    assert row == _walked(n, k)
 
 
 @pytest.mark.parametrize("n,k", [
@@ -451,7 +443,7 @@ def test_large_prime_power_pairs_descend(n, k):
     t0 = time.perf_counter()
     row = _pair_row(n, k)
     assert time.perf_counter() - t0 < 0.1
-    assert row == rows_mod._row(n, k, *_walk(n, k))
+    assert row == _walked(n, k)
 
 
 def test_a_64_bit_prime_pair_descends():
@@ -475,16 +467,19 @@ def test_an_unverified_corner_raises(monkeypatch):
 
 
 def test_row_size_cap_raises(monkeypatch):
-    # the walk of a pair, and the size a composite row takes from its
-    # factors' rows, both check the proven 3N bound
-    monkeypatch.setattr(rows_mod, "_CAP_FACTOR", 0)
+    # the walk of a pair, the size a composite row takes from its
+    # factors' classes, and the descended class all check the proven 3N
+    # bound, read from ring
+    monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
     with pytest.raises(SizeCapExceeded, match="no size <= 1 for n=7"):
         _walk(7, 3)
+    with pytest.raises(SizeCapExceeded, match="size 4 > 1 for n=7, k=3"):
+        _class(7, 3)
     monkeypatch.undo()
     rows = decide_rows(range(2, 16))
     assert [next(rows)[0] for _ in range(2, 15)] == list(range(2, 15))
-    # the rows of 3 and 5 are kept; only the composite 15 remains
-    monkeypatch.setattr(rows_mod, "_CAP_FACTOR", 0)
+    # the classes of 3 and 5 are kept; only the composite 15 remains
+    monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
     with pytest.raises(SizeCapExceeded, match="size 2 > 1 for n=15, k=0"):
         next(rows)
 

@@ -61,8 +61,7 @@ def _check_size_limit(command: str, n: int) -> None:
 def _check_force(n: int, force: bool) -> None:
     if n > FORCE_LIMIT and not force:
         raise UsageError(
-            f"witness search at modulus {n} exceeds {FORCE_LIMIT}; "
-            f"pass --force to run it")
+            f"modulus {n} is above {FORCE_LIMIT}; pass --force to allow it")
 
 
 def _emit(text: str, out: str | None) -> int:

@@ -14,13 +14,20 @@ Every pair takes its size, sign and first corner from the corner
 classes (S_q, sign_q, D_q, f_q) of k mod its prime-power factors q (the
 CRT size law and the corner lemma, both proved in decide_rows), composed
 once per tuple of classes (_compose). A range of moduli (decide_rows)
-walks each prime power's row (_walk), which gives the class of every k.
-A single pair (_pair_row) walks nothing: it takes the class of k mod
-each prime-power factor from one descent (ring._class), as the size
-command takes the size. A corner is a bare j; one row builder (_row)
-builds M(k)**j by fast doubling (ring._lucas), closes and checks it.
-Every size is checked against the 3N cap (ring._capped).
+fills the row of each odd prime p from two Chebyshev orbits (_orbits):
+the traces of the powers of two eigenvalues that generate the groups of
+order p - 1 and p + 1 meet every k once, and the order of the power
+gives the size (the orbit rule, proved in decide_rows). It walks
+(_walk) only the rows of 2 and of the prime powers p**a with a >= 2,
+which gives the class of every k. A single pair (_pair_row) walks
+nothing: it takes the class of k mod each prime-power factor from one
+descent (ring._class), as the size command takes the size. A corner
+is a bare j; one row builder (_row) builds M(k)**j by fast doubling
+(ring._lucas), closes and checks it. Every size is checked against the
+3N cap (ring._capped).
 """
+
+from math import gcd
 
 from .ring import (SizeCapExceeded, _capped, _class, _crt_size, _lucas,
                    _size_cap, factorize)
@@ -180,6 +187,29 @@ def _pair_row(n: int, k: int) -> list:
     return _row(n, k, _capped(n, k, size), sign, j)
 
 
+def _orbits(p: int) -> list:
+    """The class of every k mod the odd prime p, k ascending, from the
+    orbits of two generating eigenvalues; no pair is walked (the rule and
+    its proof are in decide_rows)."""
+    row = [None] * p
+    row[2], row[p - 2] = (p, 1, p, 1), (p, -1, p, -1)
+    for m in (p - 1, p + 1):
+        if m == 2:      # p = 3: only +-1 have order <= 2, so no k != +-2
+            continue
+        tops = [m // r for r, _ in factorize(m)]
+        # a k1 whose disc k1**2 - 4 is a nonzero square mod p exactly for
+        # m = p - 1, and whose M(k1)**(m/r) != Id for every prime r | m
+        k1 = next(k for k in range(p) if (k * k - 4) % p
+                  and (pow(k * k - 4, p // 2, p) == 1) == (m < p)
+                  and all(_lucas(p, k, e) != (0, 1) for e in tops))
+        a, b = 2, k1    # t_{i-1}, t_i
+        for i in range(1, m // 2):
+            o = m // gcd(i, m)
+            row[b] = (o, 1, o, 1) if o % 2 else (o // 2, -1, o // 2, -1)
+            a, b = b, (k1 * b - a) % p
+    return row
+
+
 def decide_rows(moduli):
     """Yield (n, rows) for the distinct moduli n (a range or a set, in
     any order) ascending: the flat rows (as _pair_row) of every k mod n,
@@ -193,10 +223,12 @@ def decide_rows(moduli):
     Every n = prod q, over coprime prime powers q, a prime power
     included, is decided from the class of k mod each q:
     (S_q, sign_q, D_q, f_q), the size and sign of k mod q and the (D, f)
-    of the corner lemma below. Each prime power's row is walked pair by
-    pair for k <= q/2 (_walk gives the class), and mirrored: u_j(-k) =
-    (-1)**j * u_j(k), and J maps H for k onto H for -k, so -k has the
-    class (S, sign * (-1)**S, D, f * (-1)**D). By the CRT,
+    of the corner lemma below. The row of an odd prime comes from two
+    orbits (the orbit rule below, _orbits). The row of q = 2 and of each
+    p**a with a >= 2 is walked pair by pair for k <= q/2 (_walk gives
+    the class), and mirrored: u_j(-k) = (-1)**j * u_j(k), and J maps H
+    for k onto H for -k, so -k has the class
+    (S, sign * (-1)**S, D, f * (-1)**D). By the CRT,
     M**s = eps * Id mod n exactly when it holds mod every q. Mod q, the s
     with M**s = +-Id are the multiples of the size S_q (they form a
     subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
@@ -228,6 +260,36 @@ def decide_rows(moduli):
     a - v_p(k) while v_p(x) + v_p(y) >= a, so both would exceed v_p(k),
     against x + y = eps * k.
 
+    The orbit rule, mod an odd prime p. Mod p, v**2 = 0 forces v = 0, so
+    H = {+-Id}, D = S and f = sign: the class of every k is
+    (S, sign, S, sign), and its first corner j = S - 2 lies past
+    (S - 2)/2, so no k mod p has a witness. For k = 2, M = Id + N with
+    N = M - Id != 0 and N**2 = 0, so M**s = Id + s*N is +-Id first at
+    s = p, with sign +1; M(-2) = -J * M(2) * J gives size p, sign -1. For
+    k != +-2, k**2 - 4 != 0 and M has the two distinct eigenvalues
+    lam**(+-1), the roots of x**2 - k*x + 1. When k**2 - 4 is a square
+    mod p they lie in F_p*, cyclic of order m = p - 1; otherwise in
+    F_{p**2}, where Frobenius swaps them, lam**p = 1/lam, so lam lies in
+    the norm-1 torus, cyclic of order m = p + 1. M is diagonalizable, so
+    M**s = eps * Id exactly when lam**s = lam**-s = eps, that is when
+    lam**s = eps = +-1. With o the order of lam: for o even,
+    lam**(o/2) = -1, the one element of order 2 of a cyclic group, so
+    the size is o/2 with sign -1; for o odd, -1 is not a power of lam,
+    so the size is o with sign +1. k = 0 has lam**2 = -1, o = 4, and
+    the class (2, -1, 2, -1). For each m > 2, take the first k1 of that
+    Legendre class whose lam1 generates the group of order m, that is
+    M(k1)**(m/r) != Id for every prime r | m (ring._lucas); the group is
+    cyclic, so one exists. t_i = lam1**i + lam1**-i is the trace of
+    M(k1)**i, so by Cayley-Hamilton t_0 = 2, t_1 = k1 and
+    t_{i+1} = k1 * t_i - t_{i-1}. M(t_i) has the eigenvalues
+    lam1**(+-i), of order o = m / gcd(i, m). For 1 <= i < m/2 the
+    lam1**(+-i) run once through the m - 2 elements other than +-1, and
+    mu + 1/mu fixes the pair {mu, 1/mu} (the roots of x**2 - t*x + 1),
+    so these t_i are distinct and are every k != +-2 of that Legendre
+    class. The two orbits, (p - 3)/2 and (p - 1)/2 values, and k = +-2
+    give all p values of k, each once. At p = 3 the group of order
+    p - 1 = 2 is {+-1}, and its orbit is empty.
+
     By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
     the corners mod n are the j that lie on a corner class of every q
     with one common sign (q = 2 again has no say), and size, sign and
@@ -249,9 +311,13 @@ def decide_rows(moduli):
     kept = {}       # prime power q -> the class of every k mod q
     composed = {}   # tuple of classes -> (size, sign, first corner)
 
-    def classes(q):
-        """The class of every k mod q: walked for k <= q/2, mirrored."""
-        if q not in kept:
+    def classes(p, a):
+        """The class of every k mod q = p**a: from the orbits (_orbits)
+        for an odd prime, else walked for k <= q/2 and mirrored."""
+        q = p ** a
+        if q not in kept and a == 1 and p > 2:
+            kept[q] = _orbits(p)
+        elif q not in kept:
             half = [_walk(q, k) for k in range(q // 2 + 1)]
             if q == 2:      # mod 2 the two signs coincide: no say
                 half = [(s, 0, d, 0) for s, _, d, _ in half]
@@ -261,8 +327,8 @@ def decide_rows(moduli):
 
     for n in moduli:
         # the tuple of the classes of k mod every q, for each k <= n/2
-        keys = zip(*[classes(q) * (n // (2 * q) + 1)
-                     for q in (p ** a for p, a in factorize(n))])
+        keys = zip(*[classes(p, a) * (n // (2 * p ** a) + 1)
+                     for p, a in factorize(n)])
         rows, cap = [], _size_cap(n)
         for k, key in zip(range(n // 2 + 1), keys):
             got = composed.get(key)

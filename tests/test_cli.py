@@ -127,9 +127,9 @@ def test_no_arguments_is_a_usage_error(runner):
     (["classify", "0", "1"], "N K", "modulus must be >= 2, got 0"),
     (["size", "1", "0"], "N K", "modulus must be >= 2, got 1"),
     (["witness", "2001", "5"], "N K",
-     "witness search at modulus 2001 exceeds 2000; pass --force to run it"),
+     "modulus 2001 is above 2000; pass --force to allow it"),
     (["survey", "--max", "2500"], "",
-     "witness search at modulus 2500 exceeds 2000; pass --force to run it"),
+     "modulus 2500 is above 2000; pass --force to allow it"),
     (["size", "18446744073709551616", "3"], "N K",
      "size needs a modulus below 2**64, got 18446744073709551616"),
     (["verify", "size-bound", "--min", "1"], "THEOREM_ID",

@@ -1,36 +1,34 @@
 """The per-pair recurrence: size, sign and smallest bordered witness.
 
 For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
-follows one scalar recurrence. A single walk along it gives the minimal
-size of the constant solution, its sign and its first inner power with
-a +-1 corner: a shorter bordered solution (x, k, ..., k, y) closes up
-exactly at those corners, so the first one is the smallest witness. The
-results come as flat lists of plain ints and words, with no dataclass
-built per pair, so the commands that only print rows (classify,
-witness, survey) and the law battery need no other package module than
-ring, which factors the moduli, descends and doubles powers.
+follows one scalar recurrence u_s. The minimal size of the constant
+solution, its sign and its first inner power with a +-1 corner decide
+the row: a shorter bordered solution (x, k, ..., k, y) closes up
+exactly at those corners (_endpoints), so the first one is the smallest
+witness. The results come as flat lists of plain ints and words, with
+no dataclass built per pair, so the commands that only print rows
+(classify, witness, survey) and the law battery need no other package
+module than ring, which factors the moduli, descends and doubles powers.
 
 Every pair takes its size, sign and first corner from the corner
 classes (S_q, sign_q, D_q, f_q) of k mod its prime-power factors q (the
 CRT size law and the corner lemma, both proved in decide_rows), composed
-once per tuple of classes (_compose). A range of moduli (decide_rows)
-fills the row of each odd prime p from two Chebyshev orbits (_orbits):
-the traces of the powers of two eigenvalues that generate the groups of
-order p - 1 and p + 1 meet every k once, and the order of the power
-gives the size (the orbit rule, proved in decide_rows). It walks
-(_walk) only the rows of 2 and of the prime powers p**a with a >= 2,
-which gives the class of every k. A single pair (_pair_row) walks
-nothing: it takes the class of k mod each prime-power factor from one
-descent (ring._class), as the size command takes the size. A corner
-is a bare j; one row builder (_row) builds M(k)**j by fast doubling
-(ring._lucas), closes and checks it. Every size is checked against the
-3N cap (ring._capped).
+once per tuple of classes (_compose). No pair is walked. The class has
+two sources. A range of moduli (decide_rows) fills the row of each odd
+prime p from two Chebyshev orbits (_orbits): the traces of the powers of
+two eigenvalues that generate the groups of order p - 1 and p + 1 meet
+every k once, and the order of the power gives the size (the orbit
+rule, proved in decide_rows). Every other prime power, in a range or
+for a single pair (_pair_row), takes the class of k from one descent
+(ring._class, through _prime_power_class), as the size command takes
+the size. A corner is a bare j; one row builder (_row) builds M(k)**j
+by fast doubling (ring._lucas), closes and checks it. Every size is
+checked against the 3N cap (ring._capped).
 """
 
 from math import gcd
 
-from .ring import (SizeCapExceeded, _capped, _class, _crt_size, _lucas,
-                   _size_cap, factorize)
+from .ring import _capped, _class, _crt_size, _lucas, _size_cap, factorize
 
 
 # Matrices are row-major 4-tuples of plain ints.
@@ -62,85 +60,25 @@ def _sign(m, n):
     return 0
 
 
-def _walk(n: int, k: int):
-    """The one pass deciding when the constant product reaches +-Id, and
-    the corner class (S, sign, D, f) of k mod n that it gives.
-
-    u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
-    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
-    u_{-s} = -u_{s-2}, so M(k)**-h = [[-u_{h-2}, u_{h-1}], [-u_{h-1}, u_h]].
-    Comparing M**h with +-M**-h, and M**(h+1) with +-M**-h, at step h:
-    M**(2h) = Id when 2 * u_{h-1} = 0 (u_{h-1} = 0, or u_{h-1} = n/2 with
-    n and k even), M**(2h) = -Id when u_h = u_{h-2}, and
-    M**(2h+1) = eps * Id when u_h = -eps * u_{h-1}. Testing 2h before
-    2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
-    step S/2.
-
-    A bordered solution (x, k, ..., k, y) of size j + 2 closes exactly at
-    the +-1 corners u_j, and every such corner closes: with
-    P = M(k)**j = [[p, q], [r, s]] and p = +-1, put eps = -p, x = eps*q and
-    y = -eps*r. Then m1(y) @ P @ m1(x) has bottom row (p*x + q, -p) =
-    (0, eps) and top-right entry r - p*y = 0, and determinant 1, so it is
-    eps * Id. M**S = eps * Id makes M**(S-2-j) = eps * M**-2 * M**-j, so
-    u_j is +-1 exactly when u_{S-2-j} is: the corners below S - 2 sit
-    symmetrically about (S - 2)/2, and the first one is the smallest
-    witness.
-
-    The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
-    meets a first corner j with 1 <= j <= (S - 2)/2, (S, sign, j + 2,
-    -u_j); else (S, sign, S, sign); f is +1 mod 2. Mod a prime power q
-    this is the class of the corner lemma (decide_rows), that is
-    ring._class(q, k): D >= 2, since M = 0 * Id + 1 * M is not in H.
-    k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
-    Otherwise D >= 3 and the first corner j >= 1 is D - 2, with
-    u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
-    no corner there, D divides S (M**S = sign * Id is in H), and D < S
-    would put D - 2 <= S/2 - 2 in that range, so D = S and f = u_S = sign.
-    For any n, _compose of the one class (S, sign, D, f) gives back S,
-    sign and the first corner: D - 2 when the walk met one (u_{D-2} =
-    -f), and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
-    u_2 = k**2 - 1 = -1) when S >= 6. So the walk is the reference row of
-    every pair.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    minus = n - 1
-    cap = _size_cap(n)
-    # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
-    # u_{h-1} = n/2 with n and k even
-    half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
-    a, b = 0, 1     # u_{h-2}, u_{h-1}
-    d = f = None    # the first corner's j + 2 and -u_j
-    for h in range(1, cap // 2 + 2):
-        c = (k * b - a) % n
-        if c == a or c == b or c + b == n or not b % half:
-            if not b % half:
-                size, sign = 2 * h, 1
-            elif c == a:
-                size, sign = 2 * h, -1
-            else:
-                size, sign = 2 * h + 1, 1 if c + b == n else -1
-            if size > cap:
-                break
-            if k * k % n == 0:
-                return size, sign, 2, -1 if n > 2 else 1
-            return (size, sign, d, f) if d else (size, sign, size, sign)
-        if (c == 1 or c == minus) and d is None:
-            d, f = h + 2, 1 if c == minus else -1
-        a, b = b, c
-    raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
-
-
 def _endpoints(p_mat, n):
     """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, or None.
 
     With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
     so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
     row, y = -eps*r: there is a solution only when p = +-1, and then
-    exactly one (proved in _walk). It is checked by evaluating the full
-    product, and a failed check raises RuntimeError. Mod 2 the two signs
-    coincide and the sign is +1.
+    exactly one. It is checked by evaluating the full product, and a
+    failed check raises RuntimeError. Mod 2 the two signs coincide and
+    the sign is +1.
+
+    So a bordered solution (x, k, ..., k, y) of size j + 2 closes exactly
+    at the +-1 corners u_j of M(k)**j = [[u_j, -u_{j-1}], [u_{j-1},
+    -u_{j-2}]], and every such corner closes: with p = +-1, eps = -p,
+    x = eps*q and y = -eps*r, m1(y) @ P @ m1(x) has bottom row
+    (p*x + q, -p) = (0, eps), top-right entry r - p*y = 0 and determinant
+    1, so it is eps * Id. M**S = sign * Id makes
+    M**(S-2-j) = sign * M**-2 * M**-j, so u_j is +-1 exactly when
+    u_{S-2-j} is: the corners below S - 2 sit symmetrically about
+    (S - 2)/2, and the first one is the smallest witness.
     """
     p, q, r, _ = p_mat
     if p not in (1, n - 1):
@@ -173,18 +111,23 @@ def _pair_row(n: int, k: int) -> list:
     is no witness (always for k = 0, of size 2). kind is "reducible",
     "irreducible" or, for k = 0, "zero-convention".
 
-    No pair is walked. The class (S_q, sign_q, D_q, f_q) of k mod each
-    prime-power factor q comes from one descent (ring._class), and the
-    tuple of classes is composed as decide_rows composes it, a prime
-    power's tuple of one class included."""
-    key = []
-    for p, a in factorize(n):
-        q = p ** a
-        size, sign, d, f = _class(q, k % q, [(p, a)])
-        say = q != 2    # mod 2 the two signs coincide: no say
-        key.append((size, sign * say, d, f * say))
-    size, sign, j = _compose(tuple(key))
+    The class (S_q, sign_q, D_q, f_q) of k mod each prime-power factor q
+    comes from one descent (_prime_power_class), and the tuple of classes
+    is composed as decide_rows composes it, a prime power's tuple of one
+    class included."""
+    key = tuple(_prime_power_class(p, a, k % p ** a) for p, a in factorize(n))
+    size, sign, j = _compose(key)
     return _row(n, k, _capped(n, k, size), sign, j)
+
+
+def _prime_power_class(p: int, a: int, k: int):
+    """The class (S, sign, D, f) of k mod q = p**a (0 <= k < q) from one
+    descent (ring._class), its signs 0 at q = 2: mod 2 the two signs
+    coincide, so q = 2 has no say (decide_rows)."""
+    q = p ** a
+    size, sign, d, f = _class(q, k, [(p, a)])
+    say = q != 2
+    return size, sign * say, d, f * say
 
 
 def _orbits(p: int) -> list:
@@ -225,12 +168,12 @@ def decide_rows(moduli):
     (S_q, sign_q, D_q, f_q), the size and sign of k mod q and the (D, f)
     of the corner lemma below. The row of an odd prime comes from two
     orbits (the orbit rule below, _orbits). The row of q = 2 and of each
-    p**a with a >= 2 is walked pair by pair for k <= q/2 (_walk gives
-    the class), and mirrored: u_j(-k) = (-1)**j * u_j(k), and J maps H
-    for k onto H for -k, so -k has the class
-    (S, sign * (-1)**S, D, f * (-1)**D). By the CRT,
-    M**s = eps * Id mod n exactly when it holds mod every q. Mod q, the s
-    with M**s = +-Id are the multiples of the size S_q (they form a
+    p**a with a >= 2 is descended pair by pair for k <= q/2
+    (_prime_power_class, as _pair_row takes the class of any k), and
+    mirrored: u_j(-k) = (-1)**j * u_j(k), and J maps H for k onto H for
+    -k, so -k has the class (S, sign * (-1)**S, D, f * (-1)**D). By the
+    CRT, M**s = eps * Id mod n exactly when it holds mod every q. Mod q,
+    the s with M**s = +-Id are the multiples of the size S_q (they form a
     subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
     M**s = +-Id mod n is a multiple of m = lcm(S_q), and mod q,
     M**m = sign_q**(m / S_q) * Id; mod 2 the two signs coincide, so
@@ -240,7 +183,7 @@ def decide_rows(moduli):
     since M**(2 * m) = (M**m)**2 = Id mod every q (ring._crt_size).
 
     The witness comes from the first +-1 corner u_j with
-    1 <= j <= (S - 2)/2, as in _walk. The corner lemma: mod a prime
+    1 <= j <= (S - 2)/2 (_endpoints). The corner lemma: mod a prime
     power q = p**a, let D be the least j >= 1 with M**j in
     H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} (a group, proved in
     ring._descend), and M**D = f * Id + v * M. Then u_j = +-1 exactly
@@ -313,14 +256,12 @@ def decide_rows(moduli):
 
     def classes(p, a):
         """The class of every k mod q = p**a: from the orbits (_orbits)
-        for an odd prime, else walked for k <= q/2 and mirrored."""
+        for an odd prime, else descended for k <= q/2 and mirrored."""
         q = p ** a
         if q not in kept and a == 1 and p > 2:
             kept[q] = _orbits(p)
         elif q not in kept:
-            half = [_walk(q, k) for k in range(q // 2 + 1)]
-            if q == 2:      # mod 2 the two signs coincide: no say
-                half = [(s, 0, d, 0) for s, _, d, _ in half]
+            half = [_prime_power_class(p, a, k) for k in range(q // 2 + 1)]
             kept[q] = half + [(s, -e if s % 2 else e, d, -f if d % 2 else f)
                               for s, e, d, f in half[(q - 1) // 2:0:-1]]
         return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)

@@ -2,8 +2,9 @@
 
 The package decides reducibility by the bordered witness search of
 rows.py alone. The routes here reach the same questions another way:
-the general decomposition search over a whole equivalence class, the
-census of bordered solutions up to a size cap, and the bordered
+the walk along the recurrence that gives the reference class of every
+pair, the general decomposition search over a whole equivalence class,
+the census of bordered solutions up to a size cap, and the bordered
 solutions of one size from the closed-form endpoint solve. The tests
 cross-check the fast path against them. They use the package's matrix
 and endpoint helpers, so unlike oracles.py they are not independent of
@@ -17,7 +18,72 @@ from typing import Optional
 
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _prod, solution_sign
-from frieze_mod.rows import _compose, _endpoints, _mul, _walk
+from frieze_mod.ring import SizeCapExceeded, _size_cap
+from frieze_mod.rows import _compose, _endpoints, _mul
+
+
+def _walk(n: int, k: int):
+    """The reference class of k mod n: one pass along the recurrence
+    deciding when the constant product reaches +-Id, and the corner class
+    (S, sign, D, f) of k mod n that it gives. No command walks; the
+    package takes every class from the orbits or the descent (rows.py),
+    and the tests compare both against this walk, pair by pair.
+
+    u_s = k * u_{s-1} - u_{s-2} mod n, from u_0 = 1 and u_{-1} = 0, gives
+    M(k)**s = [[u_s, -u_{s-1}], [u_{s-1}, -u_{s-2}]], and run backwards
+    u_{-s} = -u_{s-2}, so M(k)**-h = [[-u_{h-2}, u_{h-1}], [-u_{h-1}, u_h]].
+    Comparing M**h with +-M**-h, and M**(h+1) with +-M**-h, at step h:
+    M**(2h) = Id when 2 * u_{h-1} = 0 (u_{h-1} = 0, or u_{h-1} = n/2 with
+    n and k even), M**(2h) = -Id when u_h = u_{h-2}, and
+    M**(2h+1) = eps * Id when u_h = -eps * u_{h-1}. Testing 2h before
+    2h + 1 and +1 before -1 gives the size S and its sign (+1 mod 2) by
+    step S/2.
+
+    The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
+    meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
+    witness, rows._endpoints), (S, sign, j + 2, -u_j); else
+    (S, sign, S, sign); f is +1 mod 2. Mod a prime power q this is the
+    class of the corner lemma (rows.decide_rows), that is
+    ring._class(q, k): D >= 2, since M = 0 * Id + 1 * M is not in H.
+    k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
+    Otherwise D >= 3 and the first corner j >= 1 is D - 2, with
+    u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
+    no corner there, D divides S (M**S = sign * Id is in H), and D < S
+    would put D - 2 <= S/2 - 2 in that range, so D = S and f = u_S = sign.
+    For any n, _compose of the one class (S, sign, D, f) gives back S,
+    sign and the first corner: D - 2 when the walk met one (u_{D-2} =
+    -f), and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
+    u_2 = k**2 - 1 = -1) when S >= 6. So the walk is the reference row of
+    every pair.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    minus = n - 1
+    cap = _size_cap(n)
+    # u_{h-1} % half == 0 exactly when M**(2h) = Id: u_{h-1} = 0, or
+    # u_{h-1} = n/2 with n and k even
+    half = n // 2 if n % 2 == 0 and k % 2 == 0 else n
+    a, b = 0, 1     # u_{h-2}, u_{h-1}
+    d = f = None    # the first corner's j + 2 and -u_j
+    for h in range(1, cap // 2 + 2):
+        c = (k * b - a) % n
+        if c == a or c == b or c + b == n or not b % half:
+            if not b % half:
+                size, sign = 2 * h, 1
+            elif c == a:
+                size, sign = 2 * h, -1
+            else:
+                size, sign = 2 * h + 1, 1 if c + b == n else -1
+            if size > cap:
+                break
+            if k * k % n == 0:
+                return size, sign, 2, -1 if n > 2 else 1
+            return (size, sign, d, f) if d else (size, sign, size, sign)
+        if (c == 1 or c == minus) and d is None:
+            d, f = h + 2, 1 if c == minus else -1
+        a, b = b, c
+    raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:

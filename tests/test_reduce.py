@@ -11,12 +11,12 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.rows import _compose, _pair_row, _walk, decide_row, decide_rows
+from frieze_mod.rows import _compose, _pair_row, decide_row, decide_rows
 from frieze_mod.verify import monomial_row
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
-from routes import (bordered_solutions, is_reducible_general,
+from routes import (_walk, bordered_solutions, is_reducible_general,
                     witness_structure_check)
 
 # smallest witnesses, pinned from the direct definitional scan
@@ -275,13 +275,13 @@ def _check_witness(n, k, row):
 
 
 def test_decide_row_matches_the_reference_walk():
-    # half of each row is walked or assembled from its prime-power
-    # factors, and half mirrored; every pair against one nested-list walk
-    # (its size, sign and first +-1 corner), against its own single-pair
-    # verdict, and by its witness closed around the walked corner power.
-    # Budget 15 s; measured 10.0-12.5 s alone and 10.6 s in the full suite
-    # (2 cores, Python 3.11.7, shared host), about three quarters of it in
-    # the reference walk
+    # half of each row is composed from the classes of its prime-power
+    # factors (orbits or descent), and half mirrored; every pair against
+    # one nested-list walk (its size, sign and first +-1 corner), against
+    # its own single-pair verdict, and by its witness closed around the
+    # walked corner power. Budget 15 s; measured 10.0-11.0 s alone and
+    # 10.5-11.0 s in the full suite (2 cores, Python 3.11.7, shared host),
+    # about three quarters of it in the reference walk
     last = 1
     for n, rows in decide_rows(range(2, 401)):
         assert n == last + 1
@@ -300,14 +300,28 @@ def test_decide_row_matches_the_reference_walk():
     assert last == 400
 
 
+def test_higher_prime_power_rows_match_the_reference_walk():
+    # decide_rows descends the rows of every p**a with a >= 2 (and of
+    # q = 2); past the range above, every such q in (400, 1100], decided
+    # in one call, against the walk's one class of (q, k) composed, pair
+    # by pair. Budget 3 s; measured 0.3 s alone (2 cores, Python 3.11.7),
+    # nearly all of it in the reference walk
+    powers = [q for q in range(401, 1101)
+              if len(factorize(q)) == 1 and factorize(q)[0][1] >= 2]
+    assert powers == [512, 529, 625, 729, 841, 961, 1024]
+    for q, row in decide_rows(powers):
+        assert row == [_walked(q, k) for k in range(q)], q
+
+
 def test_corner_lemma_on_prime_powers():
     # decide_rows and _pair_row compose witnesses by this lemma: mod a
     # prime power q, the +-1 corners of k are exactly j = t*D, where
-    # u_j = f**t, and j = t*D - 2, where u_j = -f**t. decide_rows walks
-    # to the class (S, sign, D, f), _pair_row descends to it in H
-    # (ring._class): the two agree on every k mod every q <= 250, and the
-    # corners agree with the nested-list walk over j <= 2S. Budget 4 s;
-    # measured 1.0 s alone (2 cores, Python 3.11.7)
+    # u_j = f**t, and j = t*D - 2, where u_j = -f**t. The reference walk
+    # (routes._walk) reaches the class (S, sign, D, f), and decide_rows
+    # and _pair_row descend to it in H (ring._class): the two agree on
+    # every k mod every q <= 250, and the corners agree with the
+    # nested-list walk over j <= 2S. Budget 4 s; measured 1.0 s alone
+    # (2 cores, Python 3.11.7)
     rows = witnessed = 0
     for q in filter(prime_power, range(2, 251)):
         for k in range(q):
@@ -357,38 +371,43 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
         assert row == [_walked(n, k) for k in range(n)], n
 
 
-def test_only_prime_power_rows_walk_and_witnessed_pairs_double(monkeypatch):
-    # over n <= 250, decide_rows walks the pairs k <= q/2 of q = 2 and of
-    # each prime power q = p**a with a >= 2 once, fills the row of each
-    # odd prime p from two orbits, and builds M**j by fast doubling once
-    # per pair with a witness, at j = witness size - 2; no other pair
-    # walks or doubles. The only other doublings test the generators of
-    # the orbits: M(k1)**(m/r) at a prime r | m, with m = p - 1 or p + 1
-    # as k1**2 - 4 is a square mod p or not. A single pair (_pair_row),
-    # prime power or composite, walks nothing, and doubles once exactly
-    # when it has a witness. The calls against prime powers from
-    # factorize and witnesses from the walk of (n, k)
-    walk, lucas, walks, doubled = rows_mod._walk, rows_mod._lucas, [], []
+def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
+    # no row walks: rows defines no _walk. Over n <= 250, decide_rows
+    # descends (ring._class) to the class of each pair k <= q/2 of q = 2
+    # and of each prime power q = p**a with a >= 2 once, fills the row of
+    # each odd prime p from two orbits, and builds M**j by fast doubling
+    # once per pair with a witness, at j = witness size - 2; no other pair
+    # descends or doubles. The only other doublings test the generators
+    # of the orbits: M(k1)**(m/r) at a prime r | m, with m = p - 1 or
+    # p + 1 as k1**2 - 4 is a square mod p or not. A single pair
+    # (_pair_row), prime power or composite, descends once per
+    # prime-power factor, and doubles once exactly when it has a witness.
+    # The calls against prime powers from factorize and witnesses from
+    # the reference walk of (n, k)
+    assert not hasattr(rows_mod, "_walk")
+    descend, lucas = rows_mod._class, rows_mod._lucas
+    descents, doubled = [], []
 
-    def counted_walk(n, k):
-        walks.append((n, k))
-        return walk(n, k)
+    def counted_class(n, k, factors=None):
+        descents.append((n, k))
+        return descend(n, k, factors)
 
     def counted_lucas(n, k, e):
         doubled.append((n, k, e))
         return lucas(n, k, e)
 
     def corner(n, k):
-        j = _compose((walk(n, k),))[2]
+        j = _compose((_walk(n, k),))[2]
         return [] if j is None else [(n, k, j)]
 
-    monkeypatch.setattr(rows_mod, "_walk", counted_walk)
+    monkeypatch.setattr(rows_mod, "_class", counted_class)
     monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
     for _ in decide_rows(range(2, 251)):
         pass
     odd_primes = {n for n in range(3, 251) if factorize(n) == [(n, 1)]}
-    assert walks == [(n, k) for n in range(2, 251) if len(factorize(n)) == 1
-                     and n not in odd_primes for k in range(n // 2 + 1)]
+    assert descents == [(n, k) for n in range(2, 251)
+                        if len(factorize(n)) == 1 and n not in odd_primes
+                        for k in range(n // 2 + 1)]
     tests = [d for d in doubled if d[0] in odd_primes]
     assert {p for p, _, _ in tests} == odd_primes
     for p, k, e in tests:
@@ -397,12 +416,13 @@ def test_only_prime_power_rows_walk_and_witnessed_pairs_double(monkeypatch):
     assert [d for d in doubled if d[0] not in odd_primes] == \
         [pair for n in range(2, 251) for k in range(n // 2 + 1)
          for pair in corner(n, k)]
-    assert (len(walks), len(doubled) - len(tests)) == (563, 3765)
+    assert (len(descents), len(doubled) - len(tests)) == (563, 3765)
     for n in range(2, 251):
         for k in range(n // 2 + 1):
-            del walks[:], doubled[:]
+            del descents[:], doubled[:]
             _pair_row(n, k)
-            assert walks == [], (n, k)
+            assert descents == [(p ** a, k % p ** a)
+                                for p, a in factorize(n)], (n, k)
             assert doubled == corner(n, k), (n, k)
 
 
@@ -478,8 +498,9 @@ def test_a_64_bit_prime_pair_descends():
 
 
 def test_an_unverified_corner_raises(monkeypatch):
-    # every +-1 corner closes up (proved in rows._walk), so a corner whose
-    # product fails the check is an internal error, not a later witness
+    # every +-1 corner closes up (proved in rows._endpoints), so a corner
+    # whose product fails the check is an internal error, not a later
+    # witness
     monkeypatch.setattr(rows_mod, "_sign", lambda m, n: 0)
     for call, arg in ((_pair_row, (9, 3)), (is_irreducible_monomial, (9, 3)),
                       (decide_row, (15,))):
@@ -488,9 +509,9 @@ def test_an_unverified_corner_raises(monkeypatch):
 
 
 def test_row_size_cap_raises(monkeypatch):
-    # the walk of a pair, the size a composite row takes from its
-    # factors' classes, and the descended class all check the proven 3N
-    # bound, read from ring
+    # the reference walk of a pair (routes._walk), the size a composite
+    # row takes from its factors' classes, and the descended class all
+    # check the proven 3N bound, read from ring
     monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
     with pytest.raises(SizeCapExceeded, match="no size <= 1 for n=7"):
         _walk(7, 3)

@@ -3,15 +3,18 @@
 The central quantity: for k mod n, the smallest size at which the constant
 tuple (k, ..., k) multiplies out to plus or minus the identity. Everything
 else here relates that size across moduli (prime-power components, divisor
-ladders, closed-form special cases). SizeCapExceeded, raised by the
-descent in ring, is importable from here too.
+ladders, closed-form special cases). Every size, at a prime power or not,
+is composed from the classes of k mod the prime-power factors of n
+(ring._classes), the route every command takes. SizeCapExceeded, raised by
+the descent and the cap check in ring, is importable from here too.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import SizeCapExceeded, _class, _crt_size, factorize, is_prime
+from .ring import (SizeCapExceeded, _capped, _class, _classes, _crt_size,
+                   factorize, is_prime)
 
 
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
@@ -20,16 +23,20 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     Returns (size, sign): sign +1 when the product is the identity, -1 for
     its negative, and +1 by convention mod 2 where the two coincide.
 
-    It is read off the corner class of k mod n (ring._class): one descent
-    from the multiple E of ring._size_multiple divides out each prime r
-    of E while the power stays in the corner lemma's group H, which
-    holds +-Id, and the size is a known multiple of where it stops. Each
-    power costs O(log E) products, so the cost is polynomial in the
-    digits of n once n and the p +- 1 of its primes are factored.
+    It is composed from the class of k mod each prime-power factor q of n
+    (ring._classes) by the CRT size law (ring._crt_size), and checked
+    against the 3N cap (ring._capped). Per q, one descent from the
+    multiple E of ring._size_multiple divides out each prime r of E while
+    the power stays in the corner lemma's group H, which holds +-Id, and
+    the size mod q is a known multiple of where it stops. Each power
+    costs O(log E) products, so the cost is polynomial in the digits of n
+    once n and the p +- 1 of its primes are factored.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    return _class(n, k % n)[:2]
+    k %= n
+    m, multiplier, sign = _crt_size(_classes(n, k))
+    return _capped(n, k, multiplier * m), sign
 
 
 class Component(NamedTuple):
@@ -41,11 +48,12 @@ class Component(NamedTuple):
 
 
 def component_profile(n: int, k: int) -> list[Component]:
-    """Per prime-power-factor minimal sizes and signs for the constant k."""
+    """Per prime-power-factor minimal sizes and signs for the constant k,
+    the sign +1 mod 2, where the two signs coincide."""
     comps = []
     for p, a in factorize(n):
-        q = p ** a
-        comps.append(Component(q, *_class(q, k % q, [(p, a)])[:2]))
+        size, sign, _, _ = _class(p, a, k % p ** a)
+        comps.append(Component(p ** a, size, sign or 1))
     return comps
 
 
@@ -74,10 +82,10 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     lands on sign_q ** (m / size_q). The component at modulus exactly 2
     cannot veto (Id = -Id there). If the adjusted signs agree, the minimal
     size is m with that shared sign; otherwise doubling reconciles every
-    component to +1.
+    component to +1. The classes are those minimal_monomial_size composes
+    (ring._classes).
     """
-    return SizeLaw(*_crt_size([(c.size, c.sign * (c.modulus != 2))
-                               for c in component_profile(n, k)]))
+    return SizeLaw(*_crt_size(_classes(n, k)))
 
 
 class MonomialProfile(NamedTuple):

@@ -1,9 +1,11 @@
 """Residue arithmetic helpers: factorization, primality, residues, the
 fast doubling (_lucas) of the recurrence behind the powers of M(k), the
-one descent (_descend) from a known multiple of the size
-(_size_multiple), the corner class of k mod n that it gives (_class),
-and the two rules every size obeys: the CRT size law (_crt_size) and
-the proven 3N cap (_size_cap, checked by _capped).
+one descent (_descend) from a known multiple of the size mod a prime
+power (_size_multiple), the corner class of k mod a prime power that it
+gives (_class) and the class tuple of k mod any n (_classes), and the
+two rules every size obeys: the CRT size law (_crt_size), which composes
+a size from the class tuple, and the proven 3N cap (_size_cap, checked
+by _capped). Nothing descends on a composite modulus.
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -93,45 +95,34 @@ def _lucas(n: int, k: int, e: int) -> tuple[int, int]:
     return a, b
 
 
-def _size_multiple(n: int, k: int, factors=None) -> dict[int, int]:
-    """The factorization {r: e} of a multiple of the size of k mod n.
+def _size_multiple(p: int, a: int, k: int) -> dict[int, int]:
+    """The factorization {r: e} of a multiple E of the size of k mod
+    q = p**a (0 <= k < q).
 
-    Per p**a exactly dividing n, the size mod p**a divides 3 * 2**a for
-    p = 2, and p**(a-1) * m_p for odd p: m_p = p when p | k**2 - 4, else
-    (p - 1) / 2 or (p + 1) / 2 as k**2 - 4 is a square mod p or not. The
-    size mod n divides twice the lcm of these. factors is the [(p, a)]
-    of n when the caller already has it.
+    The size divides 3 * 2**a for p = 2, and p**(a-1) * m_p for odd p:
+    m_p = p when p | k**2 - 4, else (p - 1) / 2 or (p + 1) / 2 as
+    k**2 - 4 is a square mod p or not. E is twice that.
     """
-    exps: dict[int, int] = {}
-
-    def put(r, e):
-        if exps.get(r, 0) < e:
-            exps[r] = e
-
+    if p == 2:
+        return {2: a + 1, 3: 1}
     disc = k * k - 4
-    for p, a in factors or factorize(n):
-        if p == 2:
-            put(2, a)
-            put(3, 1)
-        elif disc % p == 0:
-            put(p, a)
-        else:
-            put(p, a - 1)
-            half = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
-            if half > 2:
-                for r, e in factorize(half // 2):
-                    put(r, e)
+    if disc % p == 0:
+        return {p: a, 2: 1}
+    m = (p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1) // 2
+    exps = {p: a - 1}
+    if m > 1:
+        exps.update(factorize(m))
     exps[2] = exps.get(2, 0) + 1
     return exps
 
 
-def _descend(n: int, k: int, exps: dict[int, int]):
-    """The least D dividing E = prod r**exps[r] with M(k)**D in H mod n
-    (0 <= k < n), as (D, f, v) with M**D = f * Id + v * M.
+def _descend(q: int, k: int, exps: dict[int, int]):
+    """The least D dividing E = prod r**exps[r] with M(k)**D in H mod the
+    prime power q (0 <= k < q), as (D, f, v) with M**D = f * Id + v * M.
 
     H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} is the group of the
-    corner lemma (rows.decide_rows), for any n: v**2 = w**2 = 0 forces
-    v * w = 0 at every prime power of n, so
+    corner lemma (rows.decide_rows): mod q = p**a, v**2 = w**2 = 0 puts
+    v_p(v) and v_p(w) at a/2 or more, so v * w = 0 and
     (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M, with
     f*Id - v*M the inverse. By Cayley-Hamilton,
     M**e = -u_{e-2} * Id + u_{e-1} * M with u_e = k * u_{e-1} - u_{e-2}
@@ -144,15 +135,15 @@ def _descend(n: int, k: int, exps: dict[int, int]):
     """
     def inside(e):
         """(f, v) when M**e = f * Id + v * M is in H, else None."""
-        a, b = _lucas(n, k, e)
-        if k * a % n or b != 1 and b != n - 1:
+        a, b = _lucas(q, k, e)
+        if k * a % q or b != 1 and b != q - 1:
             return None
         return 1 if b == 1 else -1, a
 
     e = prod(r ** x for r, x in exps.items())
     got = inside(e)
     if not got:
-        raise SizeCapExceeded(f"M({k})**{e} is not in H mod {n}")
+        raise SizeCapExceeded(f"M({k})**{e} is not in H mod {q}")
     for r, x in exps.items():
         while x and (lower := inside(e // r)):
             e //= r
@@ -161,30 +152,40 @@ def _descend(n: int, k: int, exps: dict[int, int]):
     return (e, *got)
 
 
-def _class(n: int, k: int, factors=None):
-    """The corner class (S, sign, D, f) of k mod n (0 <= k < n): the size
-    S and sign of M(k)**S = sign * Id, and the (D, f) of the one descent
-    in H (_descend) from the multiple of _size_multiple. factors is the
-    [(p, a)] of n when the caller already has it.
+def _class(p: int, a: int, k: int):
+    """The corner class (S, sign, D, f) of k mod q = p**a (0 <= k < q):
+    the size S and sign of M(k)**S = sign * Id, and the (D, f) of the one
+    descent in H (_descend) from the multiple of _size_multiple.
 
     With M**D = f * Id + v * M, (v*M)**2 = v**2 * (k*M - Id) = 0, so
     M**(tD) = f**t * Id + t * f**(t-1) * v * M. That is +-Id exactly when
     t * v = 0, and +-Id lies in H, so the size is a multiple of D:
-    S = D * n / gcd(v, n), with sign f**(S/D) (+1 mod 2). S past the
-    proven cap raises SizeCapExceeded (_capped).
+    S = D * q / gcd(v, q), with sign f**(S/D). S past the proven cap
+    raises SizeCapExceeded (_capped). Mod 2 the two signs coincide, so
+    q = 2 has no say on the sign of a pair (rows.decide_rows): its class
+    carries the signs 0.
     """
-    d, f, v = _descend(n, k, _size_multiple(n, k, factors))
-    t = n // gcd(v, n)
-    return _capped(n, k, d * t), f ** t, d, f
+    q = p ** a
+    d, f, v = _descend(q, k, _size_multiple(p, a, k))
+    t = q // gcd(v, q)
+    say = q != 2
+    return _capped(q, k, d * t), f ** t * say, d, f * say
+
+
+def _classes(n: int, k: int) -> tuple:
+    """The class tuple of k mod n: the class (_class) of k mod each
+    prime-power factor p**a of n, p ascending."""
+    return tuple(_class(p, a, k % p ** a) for p, a in factorize(n))
 
 
 def _crt_size(classes):
     """The CRT size law, as (m, multiplier, sign): the size of a pair is
     multiplier * m, from the (S_q, sign_q) at index 0 and 1 of each class
-    of its coprime prime-power factors q, sign_q 0 at q = 2 (proved in
-    rows.decide_rows). m = lcm(S_q); mod q, M**m = sign_q**(m / S_q) * Id,
-    and q = 2 has no say. When those signs agree, the size is m with that
-    sign, +1 when no q has a say; otherwise 2 * m with sign +1."""
+    of its coprime prime-power factors q, sign_q 0 at q = 2 (_class;
+    proved in rows.decide_rows). m = lcm(S_q); mod q,
+    M**m = sign_q**(m / S_q) * Id, and q = 2 has no say. When those signs
+    agree, the size is m with that sign, +1 when no q has a say;
+    otherwise 2 * m with sign +1."""
     m = lcm(*(c[0] for c in classes))
     signs = {c[1] if m // c[0] % 2 else 1 for c in classes if c[1]}
     return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))

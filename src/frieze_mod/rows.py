@@ -20,15 +20,16 @@ two eigenvalues that generate the groups of order p - 1 and p + 1 meet
 every k once, and the order of the power gives the size (the orbit
 rule, proved in decide_rows). Every other prime power, in a range or
 for a single pair (_pair_row), takes the class of k from one descent
-(ring._class, through _prime_power_class), as the size command takes
-the size. A corner is a bare j; one row builder (_row) builds M(k)**j
-by fast doubling (ring._lucas), closes and checks it. Every size is
-checked against the 3N cap (ring._capped).
+(ring._class, gathered per pair by ring._classes), as the size command
+composes the size. A corner is a bare j; one row builder (_row) builds
+M(k)**j by fast doubling (ring._lucas), closes and checks it. Every size
+is checked against the 3N cap (ring._capped).
 """
 
 from math import gcd
 
-from .ring import _capped, _class, _crt_size, _lucas, _size_cap, factorize
+from .ring import (_capped, _class, _classes, _crt_size, _lucas, _size_cap,
+                   factorize)
 
 
 # Matrices are row-major 4-tuples of plain ints.
@@ -112,22 +113,11 @@ def _pair_row(n: int, k: int) -> list:
     "irreducible" or, for k = 0, "zero-convention".
 
     The class (S_q, sign_q, D_q, f_q) of k mod each prime-power factor q
-    comes from one descent (_prime_power_class), and the tuple of classes
-    is composed as decide_rows composes it, a prime power's tuple of one
+    comes from one descent (ring._classes), and the tuple of classes is
+    composed as decide_rows composes it, a prime power's tuple of one
     class included."""
-    key = tuple(_prime_power_class(p, a, k % p ** a) for p, a in factorize(n))
-    size, sign, j = _compose(key)
+    size, sign, j = _compose(_classes(n, k))
     return _row(n, k, _capped(n, k, size), sign, j)
-
-
-def _prime_power_class(p: int, a: int, k: int):
-    """The class (S, sign, D, f) of k mod q = p**a (0 <= k < q) from one
-    descent (ring._class), its signs 0 at q = 2: mod 2 the two signs
-    coincide, so q = 2 has no say (decide_rows)."""
-    q = p ** a
-    size, sign, d, f = _class(q, k, [(p, a)])
-    say = q != 2
-    return size, sign * say, d, f * say
 
 
 def _orbits(p: int) -> list:
@@ -169,7 +159,7 @@ def decide_rows(moduli):
     of the corner lemma below. The row of an odd prime comes from two
     orbits (the orbit rule below, _orbits). The row of q = 2 and of each
     p**a with a >= 2 is descended pair by pair for k <= q/2
-    (_prime_power_class, as _pair_row takes the class of any k), and
+    (ring._class, as _pair_row takes the class of any k), and
     mirrored: u_j(-k) = (-1)**j * u_j(k), and J maps H for k onto H for
     -k, so -k has the class (S, sign * (-1)**S, D, f * (-1)**D). By the
     CRT, M**s = eps * Id mod n exactly when it holds mod every q. Mod q,
@@ -177,7 +167,7 @@ def decide_rows(moduli):
     subgroup of Z), and M**(t * S_q) = sign_q**t * Id. So every s with
     M**s = +-Id mod n is a multiple of m = lcm(S_q), and mod q,
     M**m = sign_q**(m / S_q) * Id; mod 2 the two signs coincide, so
-    q = 2 has no say (its class carries the signs 0). When the signs
+    q = 2 has no say (ring._class gives it the signs 0). When the signs
     sign_q**(m / S_q) of all q != 2 agree, the size is m and that common
     sign is the row's sign. Otherwise the size is 2 * m, with sign +1,
     since M**(2 * m) = (M**m)**2 = Id mod every q (ring._crt_size).
@@ -261,7 +251,7 @@ def decide_rows(moduli):
         if q not in kept and a == 1 and p > 2:
             kept[q] = _orbits(p)
         elif q not in kept:
-            half = [_prime_power_class(p, a, k) for k in range(q // 2 + 1)]
+            half = [_class(p, a, k) for k in range(q // 2 + 1)]
             kept[q] = half + [(s, -e if s % 2 else e, d, -f if d % 2 else f)
                               for s, e, d, f in half[(q - 1) // 2:0:-1]]
         return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)

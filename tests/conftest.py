@@ -1,6 +1,6 @@
 import pytest
 
-from frieze_mod.monomial import minimal_monomial_size
+from oracles import walk_min_size
 
 
 @pytest.fixture(scope="session")
@@ -8,10 +8,12 @@ def size_table():
     """(n, k) -> (size, sign) for every k at every modulus up to 200.
 
     Shared by the divisibility, bound and sign-law sweeps so the scan
-    runs once per session.
+    runs once per session. It comes from the nested-list walk
+    (oracles.walk_min_size), not from the package, so the sweeps that
+    compare the package's CRT composition against it stay independent.
     """
     table = {}
     for n in range(2, 201):
         for k in range(n):
-            table[(n, k)] = minimal_monomial_size(n, k)
+            table[(n, k)] = walk_min_size(n, k)
     return table

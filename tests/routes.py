@@ -19,7 +19,7 @@ from typing import Optional
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap
-from frieze_mod.rows import _compose, _endpoints, _mul
+from frieze_mod.rows import _compose, _endpoints, _mul, _row
 
 
 def _walk(n: int, k: int):
@@ -42,9 +42,10 @@ def _walk(n: int, k: int):
     The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
     meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
     witness, rows._endpoints), (S, sign, j + 2, -u_j); else
-    (S, sign, S, sign); f is +1 mod 2. Mod a prime power q this is the
-    class of the corner lemma (rows.decide_rows), that is
-    ring._class(q, k): D >= 2, since M = 0 * Id + 1 * M is not in H.
+    (S, sign, S, sign); f is +1 mod 2. Mod a prime power q = p**a this
+    is the class of the corner lemma (rows.decide_rows), that is
+    ring._class(p, a, k) but for q = 2, whose class there carries the
+    signs 0: D >= 2, since M = 0 * Id + 1 * M is not in H.
     k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
     Otherwise D >= 3 and the first corner j >= 1 is D - 2, with
     u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
@@ -84,6 +85,12 @@ def _walk(n: int, k: int):
             d, f = h + 2, 1 if c == minus else -1
         a, b = b, c
     raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
+
+
+def walked_row(n: int, k: int) -> list:
+    """The reference row of k mod n: the walk's one class, composed and
+    closed by the package's row builder (rows._row)."""
+    return _row(n, k, *_compose((_walk(n, k),)))
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:

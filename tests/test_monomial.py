@@ -45,12 +45,14 @@ PRIMES_1E9 = (999999937, 1000000007, 1000000009)
 P32, P64 = 4294967291, 18446744073709551557
 
 
-@pytest.mark.parametrize("p", PRIMES_1E9 + (P32, P64))
-def test_plus_minus_two_has_size_p(p):
-    # M(2)**s = [[s + 1, -s], [s, 1 - s]]: the identity first at s = p,
-    # and M(-2)**p = -M(2)**p
-    assert minimal_monomial_size(p, 2) == (p, 1)
-    assert minimal_monomial_size(p, -2) == (p, -1)
+# 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417, composed from
+# seven prime-power classes
+@pytest.mark.parametrize("n", PRIMES_1E9 + (P32, P64, 2 ** 64 - 1))
+def test_plus_minus_two_has_size_p(n):
+    # M(2)**s = [[s + 1, -s], [s, 1 - s]]: the identity first at s = n,
+    # for any n, and M(-2)**n = -M(2)**n
+    assert minimal_monomial_size(n, 2) == (n, 1)
+    assert minimal_monomial_size(n, -2) == (n, -1)
 
 
 @pytest.mark.parametrize("p", PRIMES_1E9)
@@ -74,7 +76,7 @@ def test_composite_moduli_near_1e9_are_the_order():
 def test_wrong_multiple_is_an_internal_error(monkeypatch):
     # the descent must start from a multiple of the size; 2 is not one
     # for k = 1 mod 7 (size 6)
-    monkeypatch.setattr(ring, "_size_multiple", lambda n, k, factors=None: {2: 1})
+    monkeypatch.setattr(ring, "_size_multiple", lambda p, a, k: {2: 1})
     with pytest.raises(SizeCapExceeded):
         minimal_monomial_size(7, 1)
 
@@ -114,13 +116,15 @@ def test_crt_law_agrees_with_scan(size_table):
             assert (law.size, law.sign) == size_table[(n, k)], (n, k)
 
 
-def test_doubled_odd_modulus_is_a_plain_lcm():
+def test_doubled_odd_modulus_is_a_plain_lcm(size_table):
     """n = 2u with u odd: the size is lcm of the mod-2 and mod-u sizes,
-    with no doubling correction."""
+    with no doubling correction. The size mod n is the walk's
+    (size_table), so the package's composition is not compared with
+    itself."""
     for u in range(3, 76, 2):
         n = 2 * u
         for k in range(n):
-            full = minimal_monomial_size(n, k)[0]
+            full = size_table[(n, k)][0]
             l1 = minimal_monomial_size(2, k % 2)[0]
             h = minimal_monomial_size(u, k % u)[0]
             assert full == lcm(l1, h), (n, k)

@@ -17,7 +17,7 @@ from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
 from routes import (_walk, bordered_solutions, is_reducible_general,
-                    witness_structure_check)
+                    walked_row, witness_structure_check)
 
 # smallest witnesses, pinned from the direct definitional scan
 SMALLEST_WITNESSES = {
@@ -252,11 +252,6 @@ def test_structure_census_sweep():
             assert list(rep.entries) == want, (n, k)
 
 
-def _walked(n, k):
-    """The reference row of k mod n: the walk's one class, composed."""
-    return rows_mod._row(n, k, *_compose((_walk(n, k),)))
-
-
 def _row(v):
     """The flat row of a verdict, as decide_row gives it."""
     w = v.witness
@@ -279,8 +274,8 @@ def test_decide_row_matches_the_reference_walk():
     # factors (orbits or descent), and half mirrored; every pair against
     # one nested-list walk (its size, sign and first +-1 corner), against
     # its own single-pair verdict, and by its witness closed around the
-    # walked corner power. Budget 15 s; measured 10.0-11.0 s alone and
-    # 10.5-11.0 s in the full suite (2 cores, Python 3.11.7, shared host),
+    # walked corner power. Budget 15 s; measured 8.6-10.8 s alone and
+    # 8.4-9.4 s in the full suite (2 cores, Python 3.11.7, shared host),
     # about three quarters of it in the reference walk
     last = 1
     for n, rows in decide_rows(range(2, 401)):
@@ -310,7 +305,7 @@ def test_higher_prime_power_rows_match_the_reference_walk():
               if len(factorize(q)) == 1 and factorize(q)[0][1] >= 2]
     assert powers == [512, 529, 625, 729, 841, 961, 1024]
     for q, row in decide_rows(powers):
-        assert row == [_walked(q, k) for k in range(q)], q
+        assert row == [walked_row(q, k) for k in range(q)], q
 
 
 def test_corner_lemma_on_prime_powers():
@@ -319,15 +314,17 @@ def test_corner_lemma_on_prime_powers():
     # u_j = f**t, and j = t*D - 2, where u_j = -f**t. The reference walk
     # (routes._walk) reaches the class (S, sign, D, f), and decide_rows
     # and _pair_row descend to it in H (ring._class): the two agree on
-    # every k mod every q <= 250, and the corners agree with the
-    # nested-list walk over j <= 2S. Budget 4 s; measured 1.0 s alone
-    # (2 cores, Python 3.11.7)
+    # every k mod every q <= 250, the descent's signs 0 at q = 2, and the
+    # corners agree with the nested-list walk over j <= 2S. Budget 4 s;
+    # measured 1.0 s alone (2 cores, Python 3.11.7)
     rows = witnessed = 0
     for q in filter(prime_power, range(2, 251)):
+        (p, a), = factorize(q)
+        say = q != 2
         for k in range(q):
             walked = _walk(q, k)
-            assert walked == _class(q, k), (q, k)
-            size, _, d, f = walked
+            size, sign, d, f = walked
+            assert (size, sign * say, d, f * say) == _class(p, a, k), (q, k)
             corners = corner_entries(q, k, 2 * size)
             want = [(j, (f ** (j // d) if j % d == 0
                          else -f ** ((j + 2) // d)) % q)
@@ -368,7 +365,7 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     assert rows == [(n, decide_row(n)) for n in sorted(moduli)]
     assert len(set(composed)) == shared < len(composed) - shared
     for n, row in rows:
-        assert row == [_walked(n, k) for k in range(n)], n
+        assert row == [walked_row(n, k) for k in range(n)], n
 
 
 def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
@@ -382,15 +379,21 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
     # p + 1 as k1**2 - 4 is a square mod p or not. A single pair
     # (_pair_row), prime power or composite, descends once per
     # prime-power factor, and doubles once exactly when it has a witness.
-    # The calls against prime powers from factorize and witnesses from
-    # the reference walk of (n, k)
+    # A size (minimal_monomial_size) descends once per prime-power factor
+    # too, and never on a composite modulus. The calls against prime
+    # powers from factorize and witnesses from the reference walk of
+    # (n, k)
     assert not hasattr(rows_mod, "_walk")
-    descend, lucas = rows_mod._class, rows_mod._lucas
-    descents, doubled = [], []
+    klass, descend, lucas = ring._class, ring._descend, rows_mod._lucas
+    descents, moduli, doubled = [], [], []
 
-    def counted_class(n, k, factors=None):
-        descents.append((n, k))
-        return descend(n, k, factors)
+    def counted_class(p, a, k):
+        descents.append((p ** a, k))
+        return klass(p, a, k)
+
+    def counted_descend(q, k, exps):
+        moduli.append(q)
+        return descend(q, k, exps)
 
     def counted_lucas(n, k, e):
         doubled.append((n, k, e))
@@ -401,6 +404,8 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
         return [] if j is None else [(n, k, j)]
 
     monkeypatch.setattr(rows_mod, "_class", counted_class)
+    monkeypatch.setattr(ring, "_class", counted_class)
+    monkeypatch.setattr(ring, "_descend", counted_descend)
     monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
     for _ in decide_rows(range(2, 251)):
         pass
@@ -419,11 +424,15 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
     assert (len(descents), len(doubled) - len(tests)) == (563, 3765)
     for n in range(2, 251):
         for k in range(n // 2 + 1):
+            factors = [(p ** a, k % p ** a) for p, a in factorize(n)]
             del descents[:], doubled[:]
             _pair_row(n, k)
-            assert descents == [(p ** a, k % p ** a)
-                                for p, a in factorize(n)], (n, k)
+            assert descents == factors, (n, k)
             assert doubled == corner(n, k), (n, k)
+            del descents[:], moduli[:]
+            minimal_monomial_size(n, k)
+            assert descents == factors, (n, k)
+            assert moduli == [q for q, _ in factors], (n, k)
 
 
 def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
@@ -469,7 +478,7 @@ def test_large_composite_pairs_compose(n, k):
     if w is not None:
         assert solution_sign(w.cycle()) == w.sign
         assert w.size < row[0]
-    assert row == _walked(n, k)
+    assert row == walked_row(n, k)
 
 
 @pytest.mark.parametrize("n,k", [
@@ -484,7 +493,7 @@ def test_large_prime_power_pairs_descend(n, k):
     t0 = time.perf_counter()
     row = _pair_row(n, k)
     assert time.perf_counter() - t0 < 0.1
-    assert row == _walked(n, k)
+    assert row == walked_row(n, k)
 
 
 def test_a_64_bit_prime_pair_descends():
@@ -516,7 +525,7 @@ def test_row_size_cap_raises(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="no size <= 1 for n=7"):
         _walk(7, 3)
     with pytest.raises(SizeCapExceeded, match="size 4 > 1 for n=7, k=3"):
-        _class(7, 3)
+        _class(7, 1, 3)
     monkeypatch.undo()
     rows = decide_rows(range(2, 16))
     assert [next(rows)[0] for _ in range(2, 15)] == list(range(2, 15))

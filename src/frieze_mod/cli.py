@@ -14,13 +14,13 @@ main that raises SystemExit). Each command is a plain function of its
 parsed arguments that prints its answer and returns 1 on failure.
 
 classify and witness decide their one pair (rows._pair_row) by
-descent, and survey every modulus of its range as whole rows
-(rows.decide_rows), afresh on every run, and print straight from the
-flat rows of rows.py; both compose a composite pair from its
-prime-power factors. --no-cache
-is accepted for compatibility and does nothing; no command reads or
-writes a file besides --out. N and K are plain integers; K is taken mod
-N and may be negative.
+descent, and print straight from its flat row; survey decides every
+modulus of its range at once (rows.fill_rows), afresh on every run, and
+prints straight from the (size, sign, kind) heads and the witnesses
+that fill gives; both compose a composite pair from its prime-power
+factors. --no-cache is accepted for compatibility and does nothing; no
+command reads or writes a file besides --out. N and K are plain
+integers; K is taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads monomial and ring,
@@ -171,23 +171,24 @@ _FIELDS = ("N", "k", "size", "sign", "verdict",
 _CSV_HEADER = ",".join(_FIELDS)
 
 
-def _csv_lines(n: int, rows: list) -> list[str]:
-    """The lines of modulus n, one per row of rows, k ascending."""
-    return [f"{n},{k},{size},{sign},{kind},,," if ws is None else
-            f"{n},{k},{size},{sign},{kind},{ws},{x},{y}"
-            for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
+def _csv_lines(n: int, heads: list, wits: list) -> list[str]:
+    """The lines of modulus n, one per k, from the heads and witnesses
+    of rows.fill_rows, k ascending."""
+    return [f"{n},{k},{size},{sign},{kind},,," if w is None else
+            f"{n},{k},{size},{sign},{kind},{w[0]},{w[1]},{w[2]}"
+            for k, ((size, sign, kind), w) in enumerate(zip(heads, wits))]
 
 
-def _json_lines(n: int, rows: list) -> list[str]:
-    """The lines json.dumps gives for each row's dict: every field is an
+def _json_lines(n: int, heads: list, wits: list) -> list[str]:
+    """The lines json.dumps gives for each pair's dict: every field is an
     int, null or one of the three bare verdict words."""
     return [f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
             f'"verdict": "{kind}", "witness_size": null, '
-            f'"witness_x": null, "witness_y": null}}' if ws is None else
+            f'"witness_x": null, "witness_y": null}}' if w is None else
             f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
-            f'"verdict": "{kind}", "witness_size": {ws}, '
-            f'"witness_x": {x}, "witness_y": {y}}}'
-            for k, (size, sign, kind, ws, x, y, _) in enumerate(rows)]
+            f'"verdict": "{kind}", "witness_size": {w[0]}, '
+            f'"witness_x": {w[1]}, "witness_y": {w[2]}}}'
+            for k, ((size, sign, kind), w) in enumerate(zip(heads, wits))]
 
 
 def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
@@ -201,11 +202,11 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
         raise UsageError(f"--min must be >= 2, got {lo}")
     if lo <= hi:
         _check_force(hi, force)
-    from .rows import decide_rows
+    from .rows import fill_rows
     format_lines = _csv_lines if fmt == "csv" else _json_lines
     lines = [_CSV_HEADER] if fmt == "csv" else []
-    for n, rows in decide_rows(range(lo, hi + 1)):
-        lines += format_lines(n, rows)
+    for n, heads, wits in fill_rows(range(lo, hi + 1)):
+        lines += format_lines(n, heads, wits)
     return _emit("\n".join(lines), out)
 
 

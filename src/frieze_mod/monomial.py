@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import (SizeCapExceeded, _capped, _class, _classes, _crt_size,
+from .ring import (SizeCapExceeded, _capped, _classes, _crt_size,
                    factorize, is_prime)
 
 
@@ -35,7 +35,13 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    m, multiplier, sign = _crt_size(_classes(n, k))
+    return _composed(n, k, _classes(factorize(n), k))
+
+
+def _composed(n: int, k: int, classes) -> tuple[int, int]:
+    """(size, sign) of k mod n from its class tuple by the CRT size law
+    (ring._crt_size), the size checked against the 3N cap."""
+    m, multiplier, sign = _crt_size(classes)
     return _capped(n, k, multiplier * m), sign
 
 
@@ -50,11 +56,7 @@ class Component(NamedTuple):
 def component_profile(n: int, k: int) -> list[Component]:
     """Per prime-power-factor minimal sizes and signs for the constant k,
     the sign +1 mod 2, where the two signs coincide."""
-    comps = []
-    for p, a in factorize(n):
-        size, sign, _, _ = _class(p, a, k % p ** a)
-        comps.append(Component(p ** a, size, sign or 1))
-    return comps
+    return list(monomial_profile(n, k).components)
 
 
 class SizeLaw(NamedTuple):
@@ -85,7 +87,7 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     component to +1. The classes are those minimal_monomial_size composes
     (ring._classes).
     """
-    return SizeLaw(*_crt_size(_classes(n, k)))
+    return SizeLaw(*_crt_size(_classes(factorize(n), k)))
 
 
 class MonomialProfile(NamedTuple):
@@ -99,8 +101,17 @@ class MonomialProfile(NamedTuple):
 
 
 def monomial_profile(n: int, k: int) -> MonomialProfile:
-    size, sign = minimal_monomial_size(n, k)
-    return MonomialProfile(n, k % n, size, sign, tuple(component_profile(n, k)))
+    """The size and sign of k mod n (as minimal_monomial_size) and its
+    prime-power components (as component_profile), both from one class
+    tuple: n is factored once and each factor descended once."""
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    factors = factorize(n)
+    classes = _classes(factors, k)
+    return MonomialProfile(n, k, *_composed(n, k, classes), tuple(
+        Component(p ** a, size, sign or 1)
+        for (p, a), (size, sign, _, _) in zip(factors, classes)))
 
 
 def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:

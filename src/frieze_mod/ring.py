@@ -97,22 +97,41 @@ def _lucas(n: int, k: int, e: int) -> tuple[int, int]:
 
 def _size_multiple(p: int, a: int, k: int) -> dict[int, int]:
     """The factorization {r: e} of a multiple E of the size of k mod
-    q = p**a (0 <= k < q).
+    q = p**a (0 <= k < q): E = 3 * 2**a for p = 2, and E = p**(a-1) * m_p
+    for odd p, with m_p = p when p | k**2 - 4, else (p - 1) / 2 or
+    (p + 1) / 2 as k**2 - 4 is a square mod p or not.
 
-    The size divides 3 * 2**a for p = 2, and p**(a-1) * m_p for odd p:
-    m_p = p when p | k**2 - 4, else (p - 1) / 2 or (p + 1) / 2 as
-    k**2 - 4 is a square mod p or not. E is twice that.
+    Proof. The s with M**s = +-Id form a subgroup of Z, so the size
+    divides every such s; it suffices that M**E = +-Id mod q. The kernel
+    of reduction mod p, the Y = Id + p*X in SL2(Z/q), has exponent
+    p**(a-1): for Y = Id + p**i * X with i >= 1, the binomial terms of
+    Y**p past Id + p**(i+1) * X are (p choose t) * p**(i*t) * X**t with
+    2 <= t < p, divisible by p**(1+2i), and p**(i*p) * X**p, with
+    i*p >= i + 1; so Y**p = Id mod p**(i+1), and a - 1 p-th powers take
+    Y = Id mod p to Id mod q. So if M**m = eps * Id mod p, then
+    M**m = eps * Y mod q with Y in the kernel, and
+    M**(m * p**(a-1)) = eps**(p**(a-1)) * Id mod q.
+    p = 2: SL2(Z/2) has order 6 and its elements have order 1, 2 or 3,
+    so M**6 = Id mod 2, and E = 6 * 2**(a-1) = 3 * 2**a.
+    p odd, p | k**2 - 4: mod p the characteristic polynomial of M is
+    (x - e)**2 with e = k/2 = +-1, so M = e * (Id + N), N**2 = 0, and
+    M**p = e**p * (Id + p*N) = e * Id mod p: m = p.
+    p odd otherwise: M has the distinct eigenvalues lam, 1/lam, roots of
+    x**2 - k*x + 1, and is diagonalizable. When k**2 - 4 is a nonzero
+    square mod p they lie in F_p*, and lam**((p-1)/2) = +-1 by Euler's
+    criterion; otherwise lam**p = 1/lam (Frobenius swaps the roots), so
+    lam**(p+1) = 1 and lam**((p+1)/2) = +-1. Then 1/lam has the same
+    power, so M**m_p = +-Id mod p: m = m_p.
     """
     if p == 2:
-        return {2: a + 1, 3: 1}
+        return {2: a, 3: 1}
     disc = k * k - 4
     if disc % p == 0:
-        return {p: a, 2: 1}
+        return {p: a}
     m = (p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1) // 2
     exps = {p: a - 1}
     if m > 1:
         exps.update(factorize(m))
-    exps[2] = exps.get(2, 0) + 1
     return exps
 
 
@@ -121,7 +140,7 @@ def _descend(q: int, k: int, exps: dict[int, int]):
     prime power q (0 <= k < q), as (D, f, v) with M**D = f * Id + v * M.
 
     H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} is the group of the
-    corner lemma (rows.decide_rows): mod q = p**a, v**2 = w**2 = 0 puts
+    corner lemma (rows.fill_rows): mod q = p**a, v**2 = w**2 = 0 puts
     v_p(v) and v_p(w) at a/2 or more, so v * w = 0 and
     (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M, with
     f*Id - v*M the inverse. By Cayley-Hamilton,
@@ -162,7 +181,7 @@ def _class(p: int, a: int, k: int):
     t * v = 0, and +-Id lies in H, so the size is a multiple of D:
     S = D * q / gcd(v, q), with sign f**(S/D). S past the proven cap
     raises SizeCapExceeded (_capped). Mod 2 the two signs coincide, so
-    q = 2 has no say on the sign of a pair (rows.decide_rows): its class
+    q = 2 has no say on the sign of a pair (rows.fill_rows): its class
     carries the signs 0.
     """
     q = p ** a
@@ -172,17 +191,18 @@ def _class(p: int, a: int, k: int):
     return _capped(q, k, d * t), f ** t * say, d, f * say
 
 
-def _classes(n: int, k: int) -> tuple:
-    """The class tuple of k mod n: the class (_class) of k mod each
-    prime-power factor p**a of n, p ascending."""
-    return tuple(_class(p, a, k % p ** a) for p, a in factorize(n))
+def _classes(factors, k: int) -> tuple:
+    """The class tuple of k mod n, given the factorization [(p, a)] of n
+    (factorize): the class (_class) of k mod each prime-power factor
+    p**a, p ascending."""
+    return tuple(_class(p, a, k % p ** a) for p, a in factors)
 
 
 def _crt_size(classes):
     """The CRT size law, as (m, multiplier, sign): the size of a pair is
     multiplier * m, from the (S_q, sign_q) at index 0 and 1 of each class
     of its coprime prime-power factors q, sign_q 0 at q = 2 (_class;
-    proved in rows.decide_rows). m = lcm(S_q); mod q,
+    proved in rows.fill_rows). m = lcm(S_q); mod q,
     M**m = sign_q**(m / S_q) * Id, and q = 2 has no say. When those signs
     agree, the size is m with that sign, +1 when no q has a say;
     otherwise 2 * m with sign +1."""

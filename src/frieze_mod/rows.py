@@ -5,25 +5,31 @@ follows one scalar recurrence u_s. The minimal size of the constant
 solution, its sign and its first inner power with a +-1 corner decide
 the row: a shorter bordered solution (x, k, ..., k, y) closes up
 exactly at those corners (_endpoints), so the first one is the smallest
-witness. The results come as flat lists of plain ints and words, with
-no dataclass built per pair, so the commands that only print rows
+witness. The results are plain ints, words and tuples, with no
+dataclass built per pair, so the commands that only print rows
 (classify, witness, survey) and the law battery need no other package
 module than ring, which factors the moduli, descends and doubles powers.
 
 Every pair takes its size, sign and first corner from the corner
 classes (S_q, sign_q, D_q, f_q) of k mod its prime-power factors q (the
-CRT size law and the corner lemma, both proved in decide_rows), composed
+CRT size law and the corner lemma, both proved in fill_rows), composed
 once per tuple of classes (_compose). No pair is walked. The class has
-two sources. A range of moduli (decide_rows) fills the row of each odd
+two sources. A range of moduli (fill_rows) fills the row of each odd
 prime p from two Chebyshev orbits (_orbits): the traces of the powers of
 two eigenvalues that generate the groups of order p - 1 and p + 1 meet
 every k once, and the order of the power gives the size (the orbit
-rule, proved in decide_rows). Every other prime power, in a range or
+rule, proved in fill_rows). Every other prime power, in a range or
 for a single pair (_pair_row), takes the class of k from one descent
 (ring._class, gathered per pair by ring._classes), as the size command
-composes the size. A corner is a bare j; one row builder (_row) builds
-M(k)**j by fast doubling (ring._lucas), closes and checks it. Every size
-is checked against the 3N cap (ring._capped).
+composes the size. A corner is a bare j; one witness step (_witness)
+builds M(k)**j by fast doubling (ring._lucas), closes and checks it.
+Every size is checked against the 3N cap (ring._capped).
+
+fill_rows yields, per modulus, the (size, sign, kind) heads of every k,
+one tuple shared by the pairs of a class tuple, and the witnesses
+(w, x, y, eps) or None: the law battery reads the heads alone, survey
+prints both, and decide_rows joins them into the flat rows
+[size, sign, kind, w, x, y, eps] that _pair_row gives for one pair.
 """
 
 from math import gcd
@@ -81,29 +87,38 @@ def _endpoints(p_mat, n):
     u_{S-2-j} is: the corners below S - 2 sit symmetrically about
     (S - 2)/2, and the first one is the smallest witness.
     """
-    p, q, r, _ = p_mat
+    p, q, r, s = p_mat
     if p not in (1, n - 1):
         return None
     eps = 1 if p == n - 1 else -1
     x, y = eps * q % n, -eps * r % n
-    if _sign(_mul(_m1(y, n), _mul(p_mat, _m1(x, n), n), n), n) != eps:
+    # m1(y) @ P @ m1(x) = [[y*c - r*x - s, r - p*y], [c, -p]], c = p*x + q
+    c = p * x + q
+    closed = ((y * c - r * x - s) % n, (r - p * y) % n, c % n, -p % n)
+    if _sign(closed, n) != eps:
         raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
     return x, y, eps
 
 
-def _row(n, k, size, sign, j):
-    """The flat row of k mod n from its size, sign and first corner j
-    (or None), as _compose gives them. M(k)**j is built here by
-    fast doubling and closed by _endpoints; RuntimeError unless
-    u_j = +-1. Its callers check the size against the 3N cap."""
-    if j is None:
-        return [size, sign, "irreducible" if k else "zero-convention",
-                None, None, None, None]
+def _witness(n, k, j):
+    """The witness (j + 2, x, y, eps) of k mod n at its first corner j,
+    as _compose gives it: M(k)**j by fast doubling (ring._lucas), closed
+    by _endpoints. RuntimeError unless u_j = +-1."""
     a, b = _lucas(n, k, j)      # u_{j-1}, u_j
     ends = _endpoints((b, -a % n, a, (b - k * a) % n), n)
     if ends is None:
         raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
-    return [size, sign, "reducible", j + 2, *ends]
+    return (j + 2, *ends)
+
+
+def _row(n, k, size, sign, j):
+    """The flat row of k mod n from its size, sign and first corner j
+    (or None), as _compose gives them, the witness by _witness. Its
+    callers check the size against the 3N cap."""
+    if j is None:
+        return [size, sign, "irreducible" if k else "zero-convention",
+                None, None, None, None]
+    return [size, sign, "reducible", *_witness(n, k, j)]
 
 
 def _pair_row(n: int, k: int) -> list:
@@ -114,16 +129,16 @@ def _pair_row(n: int, k: int) -> list:
 
     The class (S_q, sign_q, D_q, f_q) of k mod each prime-power factor q
     comes from one descent (ring._classes), and the tuple of classes is
-    composed as decide_rows composes it, a prime power's tuple of one
+    composed as fill_rows composes it, a prime power's tuple of one
     class included."""
-    size, sign, j = _compose(_classes(n, k))
+    size, sign, j = _compose(_classes(factorize(n), k))
     return _row(n, k, _capped(n, k, size), sign, j)
 
 
 def _orbits(p: int) -> list:
     """The class of every k mod the odd prime p, k ascending, from the
     orbits of two generating eigenvalues; no pair is walked (the rule and
-    its proof are in decide_rows)."""
+    its proof are in fill_rows)."""
     row = [None] * p
     row[2], row[p - 2] = (p, 1, p, 1), (p, -1, p, -1)
     for m in (p - 1, p + 1):
@@ -143,10 +158,15 @@ def _orbits(p: int) -> list:
     return row
 
 
-def decide_rows(moduli):
-    """Yield (n, rows) for the distinct moduli n (a range or a set, in
-    any order) ascending: the flat rows (as _pair_row) of every k mod n,
-    k ascending. A modulus below 2 raises ValueError at the first next().
+def fill_rows(moduli):
+    """Yield (n, heads, wits) for the distinct moduli n (a range or a set,
+    in any order) ascending, k ascending in both lists: heads[k] is the
+    (size, sign, kind) of k mod n and wits[k] its witness (w, x, y, eps),
+    or None (as _pair_row gives them). One heads tuple is shared by every
+    k of the call with the same class tuple and side of n/2, but k = 0,
+    whose kind is "zero-convention". A modulus below 2 raises ValueError
+    at the first next(). This is the one loop over class tuples:
+    decide_rows, the law battery (verify) and survey read it.
 
     Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
     gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
@@ -228,11 +248,11 @@ def decide_rows(moduli):
     with one common sign (q = 2 again has no say), and size, sign and
     first corner depend only on the tuple of classes. Each corner mod n
     is one mod the q of the largest D, so _compose scans
-    j = t*D - 2, t*D for that D, once per tuple and call. _row builds
-    M**j for every pair with a corner by fast doubling (ring._lucas) and
-    raises RuntimeError if u_j is not +-1; _endpoints checks the full
-    product. The size of every pair is checked against the 3N cap
-    (ring._capped).
+    j = t*D - 2, t*D for that D, once per tuple and call. _witness builds
+    M**j for every pair k <= n/2 with a corner by fast doubling
+    (ring._lucas) and raises RuntimeError if u_j is not +-1; _endpoints
+    checks the full product. The witness of n - k is mirrored from it.
+    The size of every pair is checked against the 3N cap (ring._capped).
 
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus, that is when some other
@@ -242,7 +262,7 @@ def decide_rows(moduli):
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     kept = {}       # prime power q -> the class of every k mod q
-    composed = {}   # tuple of classes -> (size, sign, first corner)
+    composed = {}   # tuple of classes -> (head of k, head of -k, corner)
 
     def classes(p, a):
         """The class of every k mod q = p**a: from the orbits (_orbits)
@@ -256,26 +276,47 @@ def decide_rows(moduli):
                               for s, e, d, f in half[(q - 1) // 2:0:-1]]
         return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)
 
+    def compose(key):
+        """The (head of k, head of -k, first corner) of a class tuple."""
+        size, sign, corner = _compose(key)
+        kind = "irreducible" if corner is None else "reducible"
+        entry = composed[key] = ((size, sign, kind), (
+            size, -sign if size % 2 else sign, kind), corner)
+        return entry
+
     for n in moduli:
         # the tuple of the classes of k mod every q, for each k <= n/2
         keys = zip(*[classes(p, a) * (n // (2 * p ** a) + 1)
                      for p, a in factorize(n)])
-        rows, cap = [], _size_cap(n)
-        for k, key in zip(range(n // 2 + 1), keys):
-            got = composed.get(key)
-            if got is None:
-                got = composed[key] = _compose(key)
-            size, sign, corner = got
-            if size > cap:
-                _capped(n, k, size)     # raises SizeCapExceeded
-            rows.append(_row(n, k, size, sign, corner))
-        yield n, _mirror(rows, n)
+        got = [composed.get(key) or compose(key)
+               for _, key in zip(range(n // 2 + 1), keys)]
+        heads, cap = [g[0] for g in got], _size_cap(n)
+        if max(heads)[0] > cap:     # some size of n is past the cap
+            k = next(k for k, h in enumerate(heads) if h[0] > cap)
+            _capped(n, k, heads[k][0])      # raises SizeCapExceeded
+        wits = [None if g[2] is None else _witness(n, k, g[2])
+                for k, g in enumerate(got)]
+        heads[0] = (*heads[0][:2], "zero-convention")
+        heads += [g[1] for g in got[(n - 1) // 2:0:-1]]
+        wits += [w and (w[0], -w[1] % n, -w[2] % n,
+                        -w[3] if w[0] % 2 else w[3])
+                 for w in wits[(n - 1) // 2:0:-1]]
+        yield n, heads, wits
+
+
+def decide_rows(moduli):
+    """Yield (n, rows) for the distinct moduli n (a range or a set, in
+    any order) ascending: the flat rows (as _pair_row) of every k mod n,
+    k ascending, read off fill_rows. A modulus below 2 raises ValueError
+    at the first next()."""
+    for n, heads, wits in fill_rows(moduli):
+        yield n, [[*h, *(w or (None,) * 4)] for h, w in zip(heads, wits)]
 
 
 def _compose(classes):
     """(size, sign, corner) of a pair from the classes of its prime-power
     factors: size and sign by the CRT size law (ring._crt_size), corner
-    the first corner j in [1, (size - 2)/2], or None (decide_rows)."""
+    the first corner j in [1, (size - 2)/2], or None (fill_rows)."""
     m, multiplier, sign = _crt_size(classes)
     size = multiplier * m
     # every corner mod n is one of the class with the largest D. A class
@@ -298,21 +339,6 @@ def _compose(classes):
             else:
                 return size, sign, j
     return size, sign, None
-
-
-def _mirror(rows, n):
-    """rows, the rows of k <= n/2, extended to every k mod n by the
-    mirror of decide_rows."""
-    for k in range((n - 1) // 2, 0, -1):
-        size, sign, kind, w, x, y, w_sign = rows[k]
-        if size % 2:
-            sign = -sign
-        if w is None:
-            rows.append([size, sign, kind, None, None, None, None])
-        else:
-            rows.append([size, sign, kind, w, -x % n, -y % n,
-                         -w_sign if w % 2 else w_sign])
-    return rows
 
 
 def decide_row(n: int) -> list[list]:

@@ -1,18 +1,19 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
 A law is its hypothesis on n and one check function, registered with
-_law. check(n, row) reads the flat rows of rows.decide_rows (one list
-per k, the size at index 0 and the kind at index 2) from the row source
-row, and yields one item per k that the law covers: True when the pair
-obeys the law, else its Counterexample. The driver runs the check on
-the moduli of the range that meet the hypothesis, times it and builds
-the TheoremReport; it is the one report path. MODULI lists per id the
-moduli whose rows the check reads.
+_law. check(n, row) reads the rows of n from the row source row, one
+per k with the size at index 0 and the kind at index 2 (no law reads a
+witness), and yields one item per k that the law covers: True when the
+pair obeys the law, else its Counterexample. The driver runs the check
+on the moduli of the range that meet the hypothesis, times it and
+builds the TheoremReport; it is the one report path. MODULI lists per
+id the moduli whose rows the check reads.
 unbounded-family's check runs on six fixed moduli 3p instead. The row
-source comes from _battery_rows, which decides the rows the ids of a
-run read in one decide_rows call before the first check starts its
-clock: run_all passes one for all ids, and a verifier called without
-one builds its own.
+source comes from _battery_rows, which keeps the (size, sign, kind)
+heads of rows.fill_rows for the moduli the ids of a run read, all
+decided in one call before the first check starts its clock: run_all
+passes one for all ids, and a verifier called without one builds its
+own.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -26,12 +27,12 @@ from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import factorize
-from .rows import decide_row, decide_rows
+from .rows import decide_row, fill_rows
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
 
-RowSource = Callable[[int], list[list]]
+RowSource = Callable[[int], list]
 
 
 class Counterexample(NamedTuple):
@@ -373,12 +374,13 @@ def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
 
 
 def _battery_rows(lo: int, hi: int, ids) -> RowSource:
-    """The row source of a battery run of the ids over [lo, hi], every
-    row decided by one decide_rows call before it returns, so each
-    verifier's elapsed_ms is its own check time: the moduli the ids read
-    (MODULI)."""
+    """The row source of a battery run of the ids over [lo, hi]: the
+    (size, sign, kind) heads of every k mod each modulus the ids read
+    (MODULI), all decided by one fill_rows call before it returns, so
+    each verifier's elapsed_ms is its own check time. The witnesses are
+    built, doubled and checked there too, and dropped."""
     moduli = {n for i in ids for n in MODULI[i](lo, hi)}
-    return dict(decide_rows(moduli)).__getitem__
+    return {n: heads for n, heads, _ in fill_rows(moduli)}.__getitem__
 
 
 class SurveyRow(NamedTuple):
@@ -395,12 +397,12 @@ class SurveyRow(NamedTuple):
 
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
-    """One row per (n, k), n ascending then k ascending, from the rows
-    of decide_rows over [lo, hi], each modulus decided as it is reached.
-    An empty range yields nothing; lo below 2 raises ValueError at the
-    call."""
+    """One row per (n, k), n ascending then k ascending, from the heads
+    and witnesses of fill_rows over [lo, hi], each modulus decided as it
+    is reached. An empty range yields nothing; lo below 2 raises
+    ValueError at the call."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
-    return (SurveyRow(n, k, *r[:6])
-            for n, rows in decide_rows(range(lo, hi + 1))
-            for k, r in enumerate(rows))
+    return (SurveyRow(n, k, *head, *(wit or (None,) * 3)[:3])
+            for n, heads, wits in fill_rows(range(lo, hi + 1))
+            for k, (head, wit) in enumerate(zip(heads, wits)))

@@ -43,7 +43,7 @@ def _walk(n: int, k: int):
     meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
     witness, rows._endpoints), (S, sign, j + 2, -u_j); else
     (S, sign, S, sign); f is +1 mod 2. Mod a prime power q = p**a this
-    is the class of the corner lemma (rows.decide_rows), that is
+    is the class of the corner lemma (rows.fill_rows), that is
     ring._class(p, a, k) but for q = 2, whose class there carries the
     signs 0: D >= 2, since M = 0 * Id + 1 * M is not in H.
     k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.

@@ -136,6 +136,34 @@ def test_monomial_profile_bundles_everything():
     assert tuple(p.components) == (Component(5, 5, -1), Component(7, 4, -1))
 
 
+@pytest.mark.parametrize("n,k", [(35, 3), (2, 1), (360, 7), (9699690, 2),
+                                 (4294967291 * 4294967279, 5)])
+def test_monomial_profile_descends_each_factor_once(monkeypatch, n, k):
+    # the size and the components come from one class tuple: n is
+    # factored once, and each prime-power factor descended once
+    # (ring._class), whichever module a call goes through
+    factored, descended = [], []
+    factor, descend = ring.factorize, ring._descend
+
+    def counted_factorize(m):
+        factored.append(m)
+        return factor(m)
+
+    def counted_descend(q, r, exps):
+        descended.append(q)
+        return descend(q, r, exps)
+
+    for module in (ring, monomial):
+        monkeypatch.setattr(module, "factorize", counted_factorize)
+    monkeypatch.setattr(ring, "_descend", counted_descend)
+    prof = monomial_profile(n, k)
+    # the other factorizations are of the (p -+ 1)/2 of ring._size_multiple
+    assert factored.count(n) == 1
+    assert descended == [c.modulus for c in prof.components] == \
+        [p ** a for p, a in factorize(n)]
+    assert (prof.size, prof.sign) == minimal_monomial_size(n, k)
+
+
 def test_records_are_frozen_with_field_reprs_and_hashes():
     law = size_via_crt(35, 3)
     assert law.size == 40

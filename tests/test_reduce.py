@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import ring, rows as rows_mod
+from frieze_mod import cli, ring, rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
@@ -11,8 +11,9 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.rows import _compose, _pair_row, decide_row, decide_rows
-from frieze_mod.verify import monomial_row
+from frieze_mod.rows import (_compose, _pair_row, decide_row, decide_rows,
+                             fill_rows)
+from frieze_mod.verify import monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
@@ -274,15 +275,20 @@ def test_decide_row_matches_the_reference_walk():
     # factors (orbits or descent), and half mirrored; every pair against
     # one nested-list walk (its size, sign and first +-1 corner), against
     # its own single-pair verdict, and by its witness closed around the
-    # walked corner power. Budget 15 s; measured 8.6-10.8 s alone and
-    # 8.4-9.4 s in the full suite (2 cores, Python 3.11.7, shared host),
-    # about three quarters of it in the reference walk
+    # walked corner power. The heads and witnesses of fill_rows, which
+    # decide_rows joins, are the two parts of each row. Budget 15 s;
+    # measured 8.6-10.8 s alone and 8.4-9.4 s in the full suite (2 cores,
+    # Python 3.11.7, shared host), about three quarters of it in the
+    # reference walk
     last = 1
-    for n, rows in decide_rows(range(2, 401)):
-        assert n == last + 1
+    for (n, rows), (m, heads, wits) in zip(decide_rows(range(2, 401)),
+                                           fill_rows(range(2, 401))):
+        assert n == m == last + 1
         last = n
-        assert len(rows) == n
+        assert len(rows) == len(heads) == len(wits) == n
         for k, row in enumerate(rows):
+            assert heads[k] == tuple(row[:3]), (n, k)
+            assert wits[k] == (row[3] and tuple(row[3:])), (n, k)
             size, sign, j, mj = walk_first_corner(n, k)
             assert row[:2] == [size, sign], (n, k)
             assert row == _row(is_irreducible_monomial(n, k)), (n, k)
@@ -351,7 +357,8 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # composite rows whose factors' classes repeat across moduli with
     # other factors, among them 2m against 4m (q = 2 has no say on the
     # sign, q = 4 has): one call composes each tuple of classes once, and
-    # its rows equal one call per modulus and the walk of every pair
+    # its rows equal one call per modulus and the walk of every pair.
+    # fill_rows shares one heads tuple per tuple and side of n/2
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
     compose, composed = rows_mod._compose, []
 
@@ -366,9 +373,13 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     assert len(set(composed)) == shared < len(composed) - shared
     for n, row in rows:
         assert row == [walked_row(n, k) for k in range(n)], n
+    del composed[:]
+    fills = list(fill_rows(moduli))
+    heads = {id(h) for _, hs, _ in fills for h in hs[1:]}
+    assert len(heads) <= 2 * len(composed) < sum(n - 1 for n in moduli)
 
 
-def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
+def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     # no row walks: rows defines no _walk. Over n <= 250, decide_rows
     # descends (ring._class) to the class of each pair k <= q/2 of q = 2
     # and of each prime power q = p**a with a >= 2 once, fills the row of
@@ -382,7 +393,9 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
     # A size (minimal_monomial_size) descends once per prime-power factor
     # too, and never on a composite modulus. The calls against prime
     # powers from factorize and witnesses from the reference walk of
-    # (n, k)
+    # (n, k). The law battery (run_all, which reads only sizes and kinds)
+    # and survey fill the same rows through fill_rows as decide_rows
+    # does: the same descents and doublings, every witness included
     assert not hasattr(rows_mod, "_walk")
     klass, descend, lucas = ring._class, ring._descend, rows_mod._lucas
     descents, moduli, doubled = [], [], []
@@ -422,6 +435,13 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch):
         [pair for n in range(2, 251) for k in range(n // 2 + 1)
          for pair in corner(n, k)]
     assert (len(descents), len(doubled) - len(tests)) == (563, 3765)
+    filled = descents[:], doubled[:]
+    out = str(tmp_path / "survey.csv")
+    for replay in (lambda: run_all(2, 250),
+                   lambda: cli.main(["survey", "--max", "250", "--out", out])):
+        del descents[:], doubled[:]
+        replay()
+        assert (descents, doubled) == filled
     for n in range(2, 251):
         for k in range(n // 2 + 1):
             factors = [(p ** a, k % p ** a) for p, a in factorize(n)]
@@ -439,7 +459,8 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # each pair with a corner checks u_j = +-1 at the j its class tuple
     # gives; shifting the j composed for the classes of k = 4 mod 21
     # (from 4 to 5, where u_5 = 3) is caught at that pair, whether its
-    # row is decided with the others of 21 or alone
+    # row is decided with the others of 21 (for the rows, a law of the
+    # battery or all of them) or alone
     key = tuple(_walk(q, 4 % q) for q in (3, 7))
     compose, shifted = rows_mod._compose, []
 
@@ -452,11 +473,13 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
 
     monkeypatch.setattr(rows_mod, "_compose", shift)
     for call, arg in ((decide_row, (21,)), (_pair_row, (21, 4)),
-                      (is_irreducible_monomial, (21, 4))):
+                      (is_irreducible_monomial, (21, 4)),
+                      (run_verifier, ("odd-sizes", 21, 21)),
+                      (run_all, (2, 21))):
         with pytest.raises(RuntimeError,
                            match=r"u_5 is not \+-1 for n=21, k=4"):
             call(*arg)
-    assert shifted == [4, 4, 4]
+    assert shifted == [4] * 5
 
 
 @pytest.mark.parametrize("n,k", [

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import frieze_mod.verify as verify_module
-from frieze_mod.rows import decide_row, decide_rows
+from frieze_mod.rows import decide_row, fill_rows
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, MODULI, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
                                is_three_m_form, monomial_row,
@@ -236,9 +236,9 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
         return decide_row(n)
 
     def counting_range(moduli):
-        for n, rows in decide_rows(moduli):
+        for n, heads, wits in fill_rows(moduli):
             events.append(n)
-            yield n, rows
+            yield n, heads, wits
 
     def marked(fn):
         def run(lo, hi, row):
@@ -247,7 +247,7 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
         return run
 
     monkeypatch.setattr(verify_module, "decide_row", counting)
-    monkeypatch.setattr(verify_module, "decide_rows", counting_range)
+    monkeypatch.setattr(verify_module, "fill_rows", counting_range)
     for vid, fn in VERIFIERS.items():
         monkeypatch.setitem(VERIFIERS, vid, marked(fn))
     run_all(40, 60)
@@ -264,9 +264,9 @@ def test_a_single_run_decides_only_the_rows_its_law_reads(monkeypatch):
 
     def recording(moduli):
         calls.append(sorted(moduli))
-        return decide_rows(moduli)
+        return fill_rows(moduli)
 
-    monkeypatch.setattr(verify_module, "decide_rows", recording)
+    monkeypatch.setattr(verify_module, "fill_rows", recording)
     halved = [n for n in range(6, 251) if odd_half(n)]
     reads = {"eight-divides": list(range(8, 251, 8)),
              "unbounded-family": [15, 21, 33, 39, 51, 57],

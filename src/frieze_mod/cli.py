@@ -14,13 +14,12 @@ main that raises SystemExit). Each command is a plain function of its
 parsed arguments that prints its answer and returns 1 on failure.
 
 classify and witness decide their one pair (rows._pair_row) by
-descent, and print straight from its flat row; survey decides every
-modulus of its range at once (rows.fill_rows), afresh on every run, and
-prints straight from the (size, sign, kind) heads and the witnesses
-that fill gives; both compose a composite pair from its prime-power
-factors. --no-cache is accepted for compatibility and does nothing; no
-command reads or writes a file besides --out. N and K are plain
-integers; K is taken mod N and may be negative.
+descent, and survey every modulus of its range at once (rows.fill_rows),
+afresh on every run; each prints straight from the (size, sign, kind)
+head and the witness of a pair, and both compose a composite pair from
+its prime-power factors. --no-cache is accepted for compatibility and
+does nothing; no command reads or writes a file besides --out. N and K
+are plain integers; K is taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads monomial and ring,
@@ -105,9 +104,9 @@ def classify(n: int, k: int, force: bool):
     _check_force(n, force)
     from .rows import _pair_row
     k %= n
-    size, _, kind, w, x, y, _ = _pair_row(n, k)
-    if w:
-        print(f"reducible; witness size {w}: ({_bordered(k, w, x, y)})")
+    (size, _, kind), wit = _pair_row(n, k)
+    if wit:
+        print(f"reducible; witness size {wit[0]}: ({_bordered(k, *wit[:3])})")
     elif kind == "irreducible":
         print(f"irreducible; size {size}")
     else:
@@ -125,8 +124,8 @@ def witness(n: int, k: int, force: bool):
     _check_force(n, force)
     from .rows import _pair_row
     k %= n
-    w, x, y = _pair_row(n, k)[3:6]
-    print(_bordered(k, w, x, y) if w else "none")
+    wit = _pair_row(n, k)[1]
+    print(_bordered(k, *wit[:3]) if wit else "none")
 
 
 def oplus_cmd(n: int, a: str, b: str):

@@ -11,9 +11,24 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .cycles import Cycle
-from .rows import _m1, _mul, _sign
+from .rows import _sign
 
 Entries = Union[Cycle, Iterable[int]]
+
+
+def _mul(a, b, n):
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        (a11 * b11 + a12 * b21) % n,
+        (a11 * b12 + a12 * b22) % n,
+        (a21 * b11 + a22 * b21) % n,
+        (a21 * b12 + a22 * b22) % n,
+    )
+
+
+def _m1(k, n):
+    return (k % n, n - 1, 1, 0)
 
 
 def _prod(vals, n):

@@ -1,7 +1,7 @@
 """Reducibility of minimal constant solutions, as verdict objects.
 
-The flat rows of rows.py become MonomialVerdict and ReductionWitness
-records here.
+The (head, wit) pairs of rows.py become MonomialVerdict and
+ReductionWitness records here.
 
 A solution of size l reduces when some member of its rotation/reversal
 class splits as the endpoint-merging sum of two strictly shorter
@@ -58,11 +58,11 @@ class MonomialVerdict(NamedTuple):
     witness: Optional[ReductionWitness]
 
     @classmethod
-    def from_row(cls, n: int, k: int, row: list) -> "MonomialVerdict":
-        """The verdict of k mod n (0 <= k < n) from its flat row."""
-        size, sign, kind, w, x, y, w_sign = row
-        return cls(n, k, size, sign, kind,
-                   None if w is None else ReductionWitness(n, k, w, x, y, w_sign))
+    def from_row(cls, n: int, k: int, head: tuple,
+                 wit: Optional[tuple]) -> "MonomialVerdict":
+        """The verdict of k mod n (0 <= k < n) from its (head, wit), as
+        rows._pair_row and rows.fill_rows give them."""
+        return cls(n, k, *head, wit and ReductionWitness(n, k, *wit))
 
 
 def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
@@ -77,4 +77,4 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    return MonomialVerdict.from_row(n, k, _pair_row(n, k))
+    return MonomialVerdict.from_row(n, k, *_pair_row(n, k))

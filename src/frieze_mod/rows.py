@@ -3,7 +3,7 @@
 For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
 follows one scalar recurrence u_s. The minimal size of the constant
 solution, its sign and its first inner power with a +-1 corner decide
-the row: a shorter bordered solution (x, k, ..., k, y) closes up
+the pair: a shorter bordered solution (x, k, ..., k, y) closes up
 exactly at those corners (_endpoints), so the first one is the smallest
 witness. The results are plain ints, words and tuples, with no
 dataclass built per pair, so the commands that only print rows
@@ -25,11 +25,11 @@ composes the size. A corner is a bare j; one witness step (_witness)
 builds M(k)**j by fast doubling (ring._lucas), closes and checks it.
 Every size is checked against the 3N cap (ring._capped).
 
-fill_rows yields, per modulus, the (size, sign, kind) heads of every k,
-one tuple shared by the pairs of a class tuple, and the witnesses
-(w, x, y, eps) or None: the law battery reads the heads alone, survey
-prints both, and decide_rows joins them into the flat rows
-[size, sign, kind, w, x, y, eps] that _pair_row gives for one pair.
+A decided pair is a (head, wit): head is its (size, sign, kind) and wit
+its witness (w, x, y, eps), or None. _pair_row gives one; fill_rows
+yields, per modulus, the heads of every k, one tuple shared by the pairs
+of a class tuple, and the witnesses: the law battery reads the heads
+alone, and survey prints both.
 """
 
 from math import gcd
@@ -38,22 +38,7 @@ from .ring import (_capped, _class, _classes, _crt_size, _lucas, _size_cap,
                    factorize)
 
 
-# Matrices are row-major 4-tuples of plain ints.
-
-def _mul(a, b, n):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        (a11 * b11 + a12 * b21) % n,
-        (a11 * b12 + a12 * b22) % n,
-        (a21 * b11 + a22 * b21) % n,
-        (a21 * b12 + a22 * b22) % n,
-    )
-
-
-def _m1(k, n):
-    return (k % n, n - 1, 1, 0)
-
+# Matrices are row-major 4-tuples (a, b, c, d) of plain ints.
 
 def _sign(m, n):
     """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
@@ -112,20 +97,19 @@ def _witness(n, k, j):
 
 
 def _row(n, k, size, sign, j):
-    """The flat row of k mod n from its size, sign and first corner j
+    """The (head, wit) of k mod n from its size, sign and first corner j
     (or None), as _compose gives them, the witness by _witness. Its
     callers check the size against the 3N cap."""
     if j is None:
-        return [size, sign, "irreducible" if k else "zero-convention",
-                None, None, None, None]
-    return [size, sign, "reducible", *_witness(n, k, j)]
+        return (size, sign, "irreducible" if k else "zero-convention"), None
+    return (size, sign, "reducible"), _witness(n, k, j)
 
 
-def _pair_row(n: int, k: int) -> list:
-    """The flat row of k mod n (0 <= k < n): [size, sign, kind, witness
-    size, x, y, witness sign], the four witness fields None when there
-    is no witness (always for k = 0, of size 2). kind is "reducible",
-    "irreducible" or, for k = 0, "zero-convention".
+def _pair_row(n: int, k: int) -> tuple:
+    """The (head, wit) of k mod n (0 <= k < n): head is (size, sign,
+    kind), kind "reducible", "irreducible" or, for k = 0,
+    "zero-convention", and wit the witness (w, x, y, eps), or None when
+    there is none (always for k = 0, of size 2).
 
     The class (S_q, sign_q, D_q, f_q) of k mod each prime-power factor q
     comes from one descent (ring._classes), and the tuple of classes is
@@ -162,11 +146,12 @@ def fill_rows(moduli):
     """Yield (n, heads, wits) for the distinct moduli n (a range or a set,
     in any order) ascending, k ascending in both lists: heads[k] is the
     (size, sign, kind) of k mod n and wits[k] its witness (w, x, y, eps),
-    or None (as _pair_row gives them). One heads tuple is shared by every
-    k of the call with the same class tuple and side of n/2, but k = 0,
-    whose kind is "zero-convention". A modulus below 2 raises ValueError
-    at the first next(). This is the one loop over class tuples:
-    decide_rows, the law battery (verify) and survey read it.
+    or None, so (heads[k], wits[k]) is the (head, wit) _pair_row gives.
+    One heads tuple is shared by every k of the call with the same class
+    tuple and side of n/2, but k = 0, whose kind is "zero-convention". A
+    modulus below 2 raises ValueError at the first next(). This is the
+    one loop over class tuples: the law battery (verify), survey and
+    verify.monomial_row read it.
 
     Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
     gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
@@ -304,15 +289,6 @@ def fill_rows(moduli):
         yield n, heads, wits
 
 
-def decide_rows(moduli):
-    """Yield (n, rows) for the distinct moduli n (a range or a set, in
-    any order) ascending: the flat rows (as _pair_row) of every k mod n,
-    k ascending, read off fill_rows. A modulus below 2 raises ValueError
-    at the first next()."""
-    for n, heads, wits in fill_rows(moduli):
-        yield n, [[*h, *(w or (None,) * 4)] for h, w in zip(heads, wits)]
-
-
 def _compose(classes):
     """(size, sign, corner) of a pair from the classes of its prime-power
     factors: size and sign by the CRT size law (ring._crt_size), corner
@@ -339,10 +315,3 @@ def _compose(classes):
             else:
                 return size, sign, j
     return size, sign, None
-
-
-def decide_row(n: int) -> list[list]:
-    """The flat rows of every k mod n, k ascending: the one row of
-    decide_rows((n,))."""
-    for _, rows in decide_rows((n,)):
-        return rows

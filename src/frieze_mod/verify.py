@@ -27,7 +27,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import factorize
-from .rows import decide_row, fill_rows
+from .rows import fill_rows
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
@@ -69,12 +69,14 @@ class TheoremReport(NamedTuple):
 @lru_cache(maxsize=2048)
 def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
     """All k classifications for one modulus, as verdict objects, kept in
-    an LRU across calls; built from the flat rows of decide_row, the same
-    rows survey prints. The verifiers read those rows directly."""
+    an LRU across calls; built from the heads and witnesses of
+    fill_rows((n,)), the same ones survey prints. The verifiers read the
+    heads directly."""
     # reduce (verdict objects) is loaded here, not by the battery
     from .reduce import MonomialVerdict
-    return tuple(MonomialVerdict.from_row(n, k, r)
-                 for k, r in enumerate(decide_row(n)))
+    (_, heads, wits), = fill_rows((n,))
+    return tuple(MonomialVerdict.from_row(n, k, head, wit)
+                 for k, (head, wit) in enumerate(zip(heads, wits)))
 
 
 # Hypothesis classifiers. Small and pure so they can be unit tested on

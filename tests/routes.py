@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from frieze_mod.cycles import Cycle, equivalence_class
-from frieze_mod.modmat import _prod, solution_sign
+from frieze_mod.modmat import _mul, _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap
-from frieze_mod.rows import _compose, _endpoints, _mul, _row
+from frieze_mod.rows import _compose, _endpoints, _row
 
 
 def _walk(n: int, k: int):
@@ -87,9 +87,9 @@ def _walk(n: int, k: int):
     raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
 
 
-def walked_row(n: int, k: int) -> list:
-    """The reference row of k mod n: the walk's one class, composed and
-    closed by the package's row builder (rows._row)."""
+def walked_row(n: int, k: int) -> tuple:
+    """The reference (head, wit) of k mod n: the walk's one class,
+    composed and closed by the package's row builder (rows._row)."""
     return _row(n, k, *_compose((_walk(n, k),)))
 
 

@@ -11,8 +11,7 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.rows import (_compose, _pair_row, decide_row, decide_rows,
-                             fill_rows)
+from frieze_mod.rows import _compose, _pair_row, fill_rows
 from frieze_mod.verify import monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
@@ -57,7 +56,7 @@ def test_rejects_bad_modulus():
                 with pytest.raises(ValueError):
                     fn(n, k)
         with pytest.raises(ValueError):
-            decide_row(n)
+            _filled(n)
 
 
 def test_at_most_one_bordered_solution_per_size():
@@ -253,48 +252,49 @@ def test_structure_census_sweep():
             assert list(rep.entries) == want, (n, k)
 
 
-def _row(v):
-    """The flat row of a verdict, as decide_row gives it."""
+def _filled(n):
+    """The (n, heads, wits) of the modulus n filled alone."""
+    return next(fill_rows((n,)))
+
+
+def _pair(v):
+    """The (head, wit) of a verdict, as _pair_row gives it."""
     w = v.witness
-    return [v.size, v.sign, v.kind,
-            *((w.size, w.x, w.y, w.sign) if w else (None,) * 4)]
+    return (v.size, v.sign, v.kind), w and (w.size, w.x, w.y, w.sign)
 
 
-def _check_witness(n, k, row):
-    """The row's witness, if any, multiplied out by the nested-list
+def _check_witness(n, k, head, wit):
+    """The pair's witness, if any, multiplied out by the nested-list
     product: a solution of its sign, shorter than the size."""
-    size, _, _, w, x, y, w_sign = row
-    if w is not None:
+    if wit is not None:
+        w, x, y, w_sign = wit
         entries = [x] + [k] * (w - 2) + [y]
         assert pm_sign(product(entries, n), n) == w_sign, (n, k)
-        assert w < size, (n, k)
+        assert w < head[0], (n, k)
 
 
 def test_decide_row_matches_the_reference_walk():
-    # half of each row is composed from the classes of its prime-power
-    # factors (orbits or descent), and half mirrored; every pair against
-    # one nested-list walk (its size, sign and first +-1 corner), against
-    # its own single-pair verdict, and by its witness closed around the
-    # walked corner power. The heads and witnesses of fill_rows, which
-    # decide_rows joins, are the two parts of each row. Budget 15 s;
-    # measured 8.6-10.8 s alone and 8.4-9.4 s in the full suite (2 cores,
-    # Python 3.11.7, shared host), about three quarters of it in the
-    # reference walk
+    # half of each row of fill_rows is composed from the classes of its
+    # prime-power factors (orbits or descent), and half mirrored; every
+    # pair (heads[k], wits[k]) against one nested-list walk (its size,
+    # sign and first +-1 corner), against its own single pair (_pair_row)
+    # and the walk's one class composed (walked_row), and by its witness
+    # closed around the walked corner power. Budget 15 s; measured 8.9 s
+    # alone (2 cores, Python 3.11.7, shared host): 5.9 s in the nested-list
+    # walk, 1.9 s in _pair_row, 1.0 s in walked_row and 0.1 s in the fill
     last = 1
-    for (n, rows), (m, heads, wits) in zip(decide_rows(range(2, 401)),
-                                           fill_rows(range(2, 401))):
-        assert n == m == last + 1
+    for n, heads, wits in fill_rows(range(2, 401)):
+        assert n == last + 1
         last = n
-        assert len(rows) == len(heads) == len(wits) == n
-        for k, row in enumerate(rows):
-            assert heads[k] == tuple(row[:3]), (n, k)
-            assert wits[k] == (row[3] and tuple(row[3:])), (n, k)
+        assert len(heads) == len(wits) == n
+        for k, pair in enumerate(zip(heads, wits)):
             size, sign, j, mj = walk_first_corner(n, k)
-            assert row[:2] == [size, sign], (n, k)
-            assert row == _row(is_irreducible_monomial(n, k)), (n, k)
-            w, x, y, w_sign = row[3:]
-            assert w == (None if j is None else j + 2), (n, k)
+            assert pair[0][:2] == (size, sign), (n, k)
+            assert pair == _pair_row(n, k) == walked_row(n, k), (n, k)
+            wit = pair[1]
+            assert (wit and wit[0]) == (None if j is None else j + 2), (n, k)
             if j is not None:
+                w, x, y, w_sign = wit
                 closed = mat_mul(elementary(y, n),
                                  mat_mul(mj, elementary(x, n), n), n)
                 assert pm_sign(closed, n) == w_sign, (n, k)
@@ -302,23 +302,23 @@ def test_decide_row_matches_the_reference_walk():
 
 
 def test_higher_prime_power_rows_match_the_reference_walk():
-    # decide_rows descends the rows of every p**a with a >= 2 (and of
-    # q = 2); past the range above, every such q in (400, 1100], decided
+    # fill_rows descends the rows of every p**a with a >= 2 (and of
+    # q = 2); past the range above, every such q in (400, 1100], filled
     # in one call, against the walk's one class of (q, k) composed, pair
     # by pair. Budget 3 s; measured 0.3 s alone (2 cores, Python 3.11.7),
     # nearly all of it in the reference walk
     powers = [q for q in range(401, 1101)
               if len(factorize(q)) == 1 and factorize(q)[0][1] >= 2]
     assert powers == [512, 529, 625, 729, 841, 961, 1024]
-    for q, row in decide_rows(powers):
-        assert row == [walked_row(q, k) for k in range(q)], q
+    for q, heads, wits in fill_rows(powers):
+        assert list(zip(heads, wits)) == [walked_row(q, k) for k in range(q)], q
 
 
 def test_corner_lemma_on_prime_powers():
-    # decide_rows and _pair_row compose witnesses by this lemma: mod a
+    # fill_rows and _pair_row compose witnesses by this lemma: mod a
     # prime power q, the +-1 corners of k are exactly j = t*D, where
     # u_j = f**t, and j = t*D - 2, where u_j = -f**t. The reference walk
-    # (routes._walk) reaches the class (S, sign, D, f), and decide_rows
+    # (routes._walk) reaches the class (S, sign, D, f), and fill_rows
     # and _pair_row descend to it in H (ring._class): the two agree on
     # every k mod every q <= 250, the descent's signs 0 at q = 2, and the
     # corners agree with the nested-list walk over j <= 2S. Budget 4 s;
@@ -343,7 +343,7 @@ def test_corner_lemma_on_prime_powers():
 
 
 def test_orbit_classes_equal_the_walk_on_odd_primes():
-    # decide_rows fills the row of an odd prime p from two Chebyshev
+    # fill_rows fills the row of an odd prime p from two Chebyshev
     # orbits (rows._orbits) instead of walking it: the class of every k
     # mod every odd prime p < 400 equals the walk's. Budget 2 s; measured
     # 0.2 s alone (2 cores, Python 3.11.7)
@@ -357,8 +357,8 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # composite rows whose factors' classes repeat across moduli with
     # other factors, among them 2m against 4m (q = 2 has no say on the
     # sign, q = 4 has): one call composes each tuple of classes once, and
-    # its rows equal one call per modulus and the walk of every pair.
-    # fill_rows shares one heads tuple per tuple and side of n/2
+    # its rows equal one call per modulus and the walk of every pair. It
+    # shares one heads tuple per tuple and side of n/2
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
     compose, composed = rows_mod._compose, []
 
@@ -367,20 +367,18 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
         return compose(classes)
 
     monkeypatch.setattr(rows_mod, "_compose", counted)
-    rows = list(decide_rows(moduli))
-    shared = len(composed)
-    assert rows == [(n, decide_row(n)) for n in sorted(moduli)]
-    assert len(set(composed)) == shared < len(composed) - shared
-    for n, row in rows:
-        assert row == [walked_row(n, k) for k in range(n)], n
-    del composed[:]
     fills = list(fill_rows(moduli))
+    shared = len(composed)
+    assert fills == [_filled(n) for n in sorted(moduli)]
+    assert len(set(composed)) == shared < len(composed) - shared
+    for n, heads, wits in fills:
+        assert list(zip(heads, wits)) == [walked_row(n, k) for k in range(n)], n
     heads = {id(h) for _, hs, _ in fills for h in hs[1:]}
-    assert len(heads) <= 2 * len(composed) < sum(n - 1 for n in moduli)
+    assert len(heads) <= 2 * shared < sum(n - 1 for n in moduli)
 
 
 def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
-    # no row walks: rows defines no _walk. Over n <= 250, decide_rows
+    # no row walks: rows defines no _walk. Over n <= 250, fill_rows
     # descends (ring._class) to the class of each pair k <= q/2 of q = 2
     # and of each prime power q = p**a with a >= 2 once, fills the row of
     # each odd prime p from two orbits, and builds M**j by fast doubling
@@ -394,8 +392,8 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     # too, and never on a composite modulus. The calls against prime
     # powers from factorize and witnesses from the reference walk of
     # (n, k). The law battery (run_all, which reads only sizes and kinds)
-    # and survey fill the same rows through fill_rows as decide_rows
-    # does: the same descents and doublings, every witness included
+    # and survey read the same fill: the same descents and doublings,
+    # every witness included
     assert not hasattr(rows_mod, "_walk")
     klass, descend, lucas = ring._class, ring._descend, rows_mod._lucas
     descents, moduli, doubled = [], [], []
@@ -420,7 +418,7 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     monkeypatch.setattr(ring, "_class", counted_class)
     monkeypatch.setattr(ring, "_descend", counted_descend)
     monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
-    for _ in decide_rows(range(2, 251)):
+    for _ in fill_rows(range(2, 251)):
         pass
     odd_primes = {n for n in range(3, 251) if factorize(n) == [(n, 1)]}
     assert descents == [(n, k) for n in range(2, 251)
@@ -472,7 +470,7 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
         return size, sign, j + 1
 
     monkeypatch.setattr(rows_mod, "_compose", shift)
-    for call, arg in ((decide_row, (21,)), (_pair_row, (21, 4)),
+    for call, arg in ((_filled, (21,)), (_pair_row, (21, 4)),
                       (is_irreducible_monomial, (21, 4)),
                       (run_verifier, ("odd-sizes", 21, 21)),
                       (run_all, (2, 21))):
@@ -496,11 +494,11 @@ def test_large_composite_pairs_compose(n, k):
     # 0.11 s, nearly all of it in the walk and the product (2 cores,
     # Python 3.11.7)
     row = _pair_row(n, k)
-    assert tuple(row[:2]) == minimal_monomial_size(n, k)
+    assert row[0][:2] == minimal_monomial_size(n, k)
     w = is_irreducible_monomial(n, k).witness
     if w is not None:
         assert solution_sign(w.cycle()) == w.sign
-        assert w.size < row[0]
+        assert w.size < row[0][0]
     assert row == walked_row(n, k)
 
 
@@ -524,9 +522,9 @@ def test_a_64_bit_prime_pair_descends():
     # p does not divide k, so H = {+-Id}, D = S and the pair is
     # irreducible
     p, k = 18446744073709551557, 3
-    row = _pair_row(p, k)
-    assert tuple(row[:2]) == minimal_monomial_size(p, k)
-    assert row[2:] == ["irreducible", None, None, None, None]
+    head, wit = _pair_row(p, k)
+    assert head[:2] == minimal_monomial_size(p, k)
+    assert (head[2], wit) == ("irreducible", None)
 
 
 def test_an_unverified_corner_raises(monkeypatch):
@@ -535,7 +533,7 @@ def test_an_unverified_corner_raises(monkeypatch):
     # witness
     monkeypatch.setattr(rows_mod, "_sign", lambda m, n: 0)
     for call, arg in ((_pair_row, (9, 3)), (is_irreducible_monomial, (9, 3)),
-                      (decide_row, (15,))):
+                      (_filled, (15,))):
         with pytest.raises(RuntimeError, match="does not close up"):
             call(*arg)
 
@@ -550,7 +548,7 @@ def test_row_size_cap_raises(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="size 4 > 1 for n=7, k=3"):
         _class(7, 1, 3)
     monkeypatch.undo()
-    rows = decide_rows(range(2, 16))
+    rows = fill_rows(range(2, 16))
     assert [next(rows)[0] for _ in range(2, 15)] == list(range(2, 15))
     # the classes of 3 and 5 are kept; only the composite 15 remains
     monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
@@ -560,9 +558,10 @@ def test_row_size_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("lo,hi", [(97, 181), (2, 2), (5, 4)])
 def test_decide_rows_equals_decide_row(lo, hi):
-    # on [97, 181] the factor rows of many moduli lie below lo
-    assert list(decide_rows(range(lo, hi + 1))) == \
-        [(n, decide_row(n)) for n in range(lo, hi + 1)]
+    # a range filled at once equals its moduli filled one by one; on
+    # [97, 181] the factor rows of many moduli lie below lo
+    assert list(fill_rows(range(lo, hi + 1))) == \
+        [_filled(n) for n in range(lo, hi + 1)]
 
 
 def test_decide_rows_of_a_set_equals_decide_row():
@@ -570,15 +569,14 @@ def test_decide_rows_of_a_set_equals_decide_row():
     # factor rows (9, 5; 2, 121) are not all asked for, and 9 and 121
     # are prime powers that a later modulus is a multiple of
     moduli = {242, 9, 181, 45, 121, 97}
-    assert list(decide_rows(moduli)) == \
-        [(n, decide_row(n)) for n in sorted(moduli)]
+    assert list(fill_rows(moduli)) == [_filled(n) for n in sorted(moduli)]
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 5), (0, -1), (-3, 10)])
 def test_decide_rows_below_two_raises(lo, hi):
     # the check comes at the first next(); an empty range has no modulus
     # below 2, so it yields nothing
-    rows = decide_rows(range(lo, hi + 1))
+    rows = fill_rows(range(lo, hi + 1))
     if lo > hi:
         assert list(rows) == []
         return
@@ -587,17 +585,18 @@ def test_decide_rows_below_two_raises(lo, hi):
 
 
 def test_decide_rows_of_a_set_below_two_raises():
-    rows = decide_rows({45, 1, 9})
+    rows = fill_rows({45, 1, 9})
     with pytest.raises(ValueError, match="got 1"):
         next(rows)
 
 
-def _mirrored(row, n):
-    size, sign, kind, w, x, y, w_sign = row
-    sign *= (-1) ** size
-    if w is None:
-        return [size, sign, kind, None, None, None, None]
-    return [size, sign, kind, w, -x % n, -y % n, w_sign * (-1) ** w]
+def _mirrored(pair, n):
+    (size, sign, kind), wit = pair
+    head = size, sign * (-1) ** size, kind
+    if wit is None:
+        return head, None
+    w, x, y, w_sign = wit
+    return head, (w, -x % n, -y % n, w_sign * (-1) ** w)
 
 
 @given(st.integers(401, 5000), st.lists(st.integers(0, 10 ** 6), min_size=1,
@@ -606,15 +605,16 @@ def _mirrored(row, n):
 def test_decide_row_beyond_400(n, ks):
     # the k <-> -k mirror, and agreement with the descent and with the
     # CRT assembly from the prime-power components
-    rows = decide_row(n)
+    _, heads, wits = _filled(n)
     for k in (k % n for k in ks):
-        row = rows[k]
-        assert rows[-k % n] == (row if k in (0, n - k) else _mirrored(row, n))
-        assert row == _row(is_irreducible_monomial(n, k)), (n, k)
-        assert tuple(row[:2]) == minimal_monomial_size(n, k), (n, k)
+        pair = heads[k], wits[k]
+        mirror = heads[-k % n], wits[-k % n]
+        assert mirror == (pair if k in (0, n - k) else _mirrored(pair, n))
+        assert pair == _pair(is_irreducible_monomial(n, k)), (n, k)
+        assert pair[0][:2] == minimal_monomial_size(n, k), (n, k)
         law = size_via_crt(n, k)
-        assert (law.size, law.sign) == tuple(row[:2]), (n, k)
-        _check_witness(n, k, row)
+        assert (law.size, law.sign) == pair[0][:2], (n, k)
+        _check_witness(n, k, *pair)
 
 
 @pytest.mark.parametrize("half_cap", [False, True])

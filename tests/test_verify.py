@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import frieze_mod.verify as verify_module
-from frieze_mod.rows import decide_row, fill_rows
+from frieze_mod.rows import fill_rows
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, MODULI, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
                                is_three_m_form, monomial_row,
@@ -149,33 +149,34 @@ def test_run_verifier_unknown_id_lists_the_known_ones():
         assert message.split("; known: ")[1].split(", ") == list(VERIFIERS)
 
 
-def _row(size, kind):
-    return [size, 1, kind, None, None, None, None]
+def _head(size, kind):
+    return size, 1, kind
 
 
 def _tampered(n0, k0, fake):
-    """decide_row, except that row k0 of modulus n0 reads fake."""
+    """The heads of fill_rows((n,)), as the battery reads them, except
+    that head k0 of modulus n0 reads fake."""
     def row(n):
-        rows = decide_row(n)
+        (_, heads, _), = fill_rows((n,))
         if n == n0:
-            rows[k0] = fake
-        return rows
+            heads[k0] = fake
+        return heads
     return row
 
 
-# One row per law, tampered to break it: (id, n, k, fake row).
+# One head per law, tampered to break it: (id, n, k, fake head).
 TAMPERED = [
-    ("size-bound", 10, 1, _row(11, "irreducible")),
-    ("eight-divides", 16, 3, _row(17, "irreducible")),
-    ("odd-sizes", 7, 1, _row(7, "reducible")),
-    ("three-h-criterion", 10, 3, _row(15, "irreducible")),   # mod-5 size 5
-    ("size-n", 7, 2, _row(7, "reducible")),
-    ("size-n", 30, 23, _row(30, "irreducible")),     # the forced reducible k
-    ("prime-powers", 9, 1, _row(9, "reducible")),
-    ("reducible-constructions", 9, 3, _row(6, "irreducible")),
-    ("special-sizes", 7, 1, _row(5, "reducible")),
-    ("overshoot-3m", 15, 1, _row(16, "irreducible")),
-    ("unbounded-family", 15, 3, _row(20, "reducible")),     # p = 5
+    ("size-bound", 10, 1, _head(11, "irreducible")),
+    ("eight-divides", 16, 3, _head(17, "irreducible")),
+    ("odd-sizes", 7, 1, _head(7, "reducible")),
+    ("three-h-criterion", 10, 3, _head(15, "irreducible")),   # mod-5 size 5
+    ("size-n", 7, 2, _head(7, "reducible")),
+    ("size-n", 30, 23, _head(30, "irreducible")),     # the forced reducible k
+    ("prime-powers", 9, 1, _head(9, "reducible")),
+    ("reducible-constructions", 9, 3, _head(6, "irreducible")),
+    ("special-sizes", 7, 1, _head(5, "reducible")),
+    ("overshoot-3m", 15, 1, _head(16, "irreducible")),
+    ("unbounded-family", 15, 3, _head(20, "reducible")),     # p = 5
 ]
 
 
@@ -207,7 +208,7 @@ SPECIAL_REASONS = [
 @pytest.mark.parametrize("n,k,size,reason", SPECIAL_REASONS)
 def test_special_sizes_reports_the_first_reason(n, k, size, reason):
     report = VERIFIERS["special-sizes"](
-        n, n, _tampered(n, k, _row(size, "reducible")))
+        n, n, _tampered(n, k, _head(size, "reducible")))
     if reason is None:
         assert report.status == "pass", report.to_dict()
         return
@@ -231,10 +232,6 @@ def test_run_all_matches_the_single_runs(lo, hi):
 def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
     events = []
 
-    def counting(n):
-        events.append(n)
-        return decide_row(n)
-
     def counting_range(moduli):
         for n, heads, wits in fill_rows(moduli):
             events.append(n)
@@ -246,7 +243,6 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
             return fn(lo, hi, row)
         return run
 
-    monkeypatch.setattr(verify_module, "decide_row", counting)
     monkeypatch.setattr(verify_module, "fill_rows", counting_range)
     for vid, fn in VERIFIERS.items():
         monkeypatch.setitem(VERIFIERS, vid, marked(fn))

@@ -2,9 +2,10 @@
 
 Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
 0 on success, 1 on verification failure or unwritable output, 2 on usage
-errors. All stdout output ends with exactly one trailing newline. A usage
-error prints the shape click gave to stderr: the line "Usage: frieze-mod
-CMD [OPTIONS] ARGS", the hint "Try 'frieze-mod CMD --help' for help.", a
+errors. All stdout output ends with exactly one trailing newline; only
+an empty JSON survey prints nothing, to stdout or --out. A usage error
+prints the shape click gave to stderr: the line "Usage: frieze-mod CMD
+[OPTIONS] ARGS", the hint "Try 'frieze-mod CMD --help' for help.", a
 blank line and "Error: <message>". --help lists the commands, and after
 a command its options.
 
@@ -13,13 +14,13 @@ code; cli is the handle click.testing.CliRunner drives (a name and a
 main that raises SystemExit). Each command is a plain function of its
 parsed arguments that prints its answer and returns 1 on failure.
 
-classify and witness decide their one pair (rows._pair_row) by
-descent, and survey every modulus of its range at once (rows.fill_rows),
-afresh on every run; each prints straight from the (size, sign, kind)
-head and the witness of a pair, and both compose a composite pair from
-its prime-power factors. --no-cache is accepted for compatibility and
-does nothing; no command reads or writes a file besides --out. N and K
-are plain integers; K is taken mod N and may be negative.
+classify and witness share one front (_pair): the modulus, size-limit
+and --force gates, then their one pair by descent (rows._pair_row);
+survey decides every modulus of its range at once (rows.fill_rows). Each
+decides afresh on every run and prints straight from a pair's (size,
+sign, kind) head and witness. --no-cache is accepted for compatibility
+and does nothing; no command reads or writes a file besides --out. N and
+K are plain integers; K is taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads monomial and ring,
@@ -66,13 +67,13 @@ def _check_force(n: int, force: bool) -> None:
 
 
 def _emit(text: str, out: str | None) -> int:
-    """Print text, or write it to the file out; 1 if that fails."""
+    """Print text as it is, or write it to the file out; 1 if that fails."""
     if out is None:
-        print(text)
+        print(text, end="")
         return 0
     try:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     except OSError as e:
         print(f"cannot write {out}: {e}", file=sys.stderr)
         return 1
@@ -97,14 +98,19 @@ def _bordered(k: int, w: int, x: int, y: int) -> str:
     return ",".join(map(str, (x, *(k,) * (w - 2), y)))
 
 
-def classify(n: int, k: int, force: bool):
-    """Verdict for the minimal constant-K solution mod N."""
+def _pair(command: str, n: int, k: int, force: bool):
+    """The front of classify and witness: the modulus, size-limit and
+    --force gates, then (k mod n, its (head, wit) from rows._pair_row)."""
     _check_modulus(n)
-    _check_size_limit("classify", n)
+    _check_size_limit(command, n)
     _check_force(n, force)
     from .rows import _pair_row
-    k %= n
-    (size, _, kind), wit = _pair_row(n, k)
+    return k % n, _pair_row(n, k % n)
+
+
+def classify(n: int, k: int, force: bool):
+    """Verdict for the minimal constant-K solution mod N."""
+    k, ((size, _, kind), wit) = _pair("classify", n, k, force)
     if wit:
         print(f"reducible; witness size {wit[0]}: ({_bordered(k, *wit[:3])})")
     elif kind == "irreducible":
@@ -119,12 +125,7 @@ def witness(n: int, k: int, force: bool):
     Prints "none" when the minimal solution has no witness (it is
     irreducible or the zero pair).
     """
-    _check_modulus(n)
-    _check_size_limit("witness", n)
-    _check_force(n, force)
-    from .rows import _pair_row
-    k %= n
-    wit = _pair_row(n, k)[1]
+    k, (_, wit) = _pair("witness", n, k, force)
     print(_bordered(k, *wit[:3]) if wit else "none")
 
 
@@ -162,7 +163,7 @@ def verify(theorem_id: str, lo: int, hi: int, out: str | None):
             raise UsageError(f"{e.args[0]}, all") from None
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    return _emit(text, out) or int(any(r.status == "fail" for r in reports))
+    return _emit(text + "\n", out) or int(any(r.status == "fail" for r in reports))
 
 
 _FIELDS = ("N", "k", "size", "sign", "verdict",
@@ -206,7 +207,8 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     lines = [_CSV_HEADER] if fmt == "csv" else []
     for n, heads, wits in fill_rows(range(lo, hi + 1)):
         lines += format_lines(n, heads, wits)
-    return _emit("\n".join(lines), out)
+    # one newline after each line: an empty JSON range prints nothing
+    return _emit("\n".join([*lines, ""]), out)
 
 
 # Command name -> its function. main calls the module global of that

@@ -4,9 +4,10 @@ The central quantity: for k mod n, the smallest size at which the constant
 tuple (k, ..., k) multiplies out to plus or minus the identity. Everything
 else here relates that size across moduli (prime-power components, divisor
 ladders, closed-form special cases). Every size, at a prime power or not,
-is composed from the classes of k mod the prime-power factors of n
-(ring._classes), the route every command takes. SizeCapExceeded, raised by
-the descent and the cap check in ring, is importable from here too.
+comes from one front (_front), the route every command takes: it checks
+n, factors it once, composes the classes of k mod its prime-power factors
+(ring._classes) and checks the 3N cap. SizeCapExceeded, raised by the
+descent and the cap check in ring, is importable from here too.
 """
 
 from __future__ import annotations
@@ -23,26 +24,16 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     Returns (size, sign): sign +1 when the product is the identity, -1 for
     its negative, and +1 by convention mod 2 where the two coincide.
 
-    It is composed from the class of k mod each prime-power factor q of n
-    (ring._classes) by the CRT size law (ring._crt_size), and checked
-    against the 3N cap (ring._capped). Per q, one descent from the
+    It is composed by the CRT size law from the class of k mod each
+    prime-power factor q of n (_front). Per q, one descent from the
     multiple E of ring._size_multiple divides out each prime r of E while
     the power stays in the corner lemma's group H, which holds +-Id, and
     the size mod q is a known multiple of where it stops. Each power
     costs O(log E) products, so the cost is polynomial in the digits of n
     once n and the p +- 1 of its primes are factored.
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    return _composed(n, k, _classes(factorize(n), k))
-
-
-def _composed(n: int, k: int, classes) -> tuple[int, int]:
-    """(size, sign) of k mod n from its class tuple by the CRT size law
-    (ring._crt_size), the size checked against the 3N cap."""
-    m, multiplier, sign = _crt_size(classes)
-    return _capped(n, k, multiplier * m), sign
+    law = _front(n, k)[3]
+    return law.size, law.sign
 
 
 class Component(NamedTuple):
@@ -84,10 +75,9 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     lands on sign_q ** (m / size_q). The component at modulus exactly 2
     cannot veto (Id = -Id there). If the adjusted signs agree, the minimal
     size is m with that shared sign; otherwise doubling reconciles every
-    component to +1. The classes are those minimal_monomial_size composes
-    (ring._classes).
+    component to +1. The size is checked against the 3N cap (_front).
     """
-    return SizeLaw(*_crt_size(_classes(factorize(n), k)))
+    return _front(n, k)[3]
 
 
 class MonomialProfile(NamedTuple):
@@ -102,16 +92,25 @@ class MonomialProfile(NamedTuple):
 
 def monomial_profile(n: int, k: int) -> MonomialProfile:
     """The size and sign of k mod n (as minimal_monomial_size) and its
-    prime-power components (as component_profile), both from one class
-    tuple: n is factored once and each factor descended once."""
+    prime-power components (as component_profile), both from one _front:
+    n is factored once and each factor descended once."""
+    k, factors, classes, law = _front(n, k)
+    return MonomialProfile(n, k, law.size, law.sign, tuple(
+        Component(p ** a, size, sign or 1)
+        for (p, a), (size, sign, _, _) in zip(factors, classes)))
+
+
+def _front(n: int, k: int):
+    """(k mod n, the factors of n, the class tuple of k, its SizeLaw),
+    the 3N cap checked: the one front of every size (module docstring)."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     factors = factorize(n)
     classes = _classes(factors, k)
-    return MonomialProfile(n, k, *_composed(n, k, classes), tuple(
-        Component(p ** a, size, sign or 1)
-        for (p, a), (size, sign, _, _) in zip(factors, classes)))
+    law = SizeLaw(*_crt_size(classes))
+    _capped(n, k, law.size)
+    return k, factors, classes, law
 
 
 def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:

@@ -10,26 +10,25 @@ dataclass built per pair, so the commands that only print rows
 (classify, witness, survey) and the law battery need no other package
 module than ring, which factors the moduli, descends and doubles powers.
 
-Every pair takes its size, sign and first corner from the corner
-classes (S_q, sign_q, D_q, f_q) of k mod its prime-power factors q (the
-CRT size law and the corner lemma, both proved in fill_rows), composed
-once per tuple of classes (_compose). No pair is walked. The class has
-two sources. A range of moduli (fill_rows) fills the row of each odd
-prime p from two Chebyshev orbits (_orbits): the traces of the powers of
-two eigenvalues that generate the groups of order p - 1 and p + 1 meet
-every k once, and the order of the power gives the size (the orbit
-rule, proved in fill_rows). Every other prime power, in a range or
-for a single pair (_pair_row), takes the class of k from one descent
-(ring._class, gathered per pair by ring._classes), as the size command
-composes the size. A corner is a bare j; one witness step (_witness)
-builds M(k)**j by fast doubling (ring._lucas), closes and checks it.
-Every size is checked against the 3N cap (ring._capped).
+Every pair takes its verdict (_verdict: size, sign, kind and first
+corner) from the corner classes (S_q, sign_q, D_q, f_q) of k mod its
+prime-power factors q (the CRT size law and the corner lemma, both
+proved in fill_rows). No pair is walked. The class has two sources. A
+range of moduli (fill_rows) fills the row of each odd prime p from two
+Chebyshev orbits (_orbits): the traces of the powers of two eigenvalues
+that generate the groups of order p - 1 and p + 1 meet every k once, and
+the order of the power gives the size (the orbit rule, proved in
+fill_rows). Every other prime power, in a range or for a single pair
+(_pair_row), takes the class of k from one descent (ring._class,
+gathered per pair by ring._classes), as the size command composes the
+size. A corner is a bare j; one witness step (_witness) builds M(k)**j
+by fast doubling (ring._lucas), closes and checks it. Every size is
+checked against the 3N cap (ring._capped).
 
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
-its witness (w, x, y, eps), or None. _pair_row gives one; fill_rows
-yields, per modulus, the heads of every k, one tuple shared by the pairs
-of a class tuple, and the witnesses: the law battery reads the heads
-alone, and survey prints both.
+its witness (w, x, y, eps), or None. _row gives one (for _pair_row);
+fill_rows yields, per modulus, the heads of every k, one tuple per class
+tuple, and the witnesses: the battery reads the heads, survey both.
 """
 
 from math import gcd
@@ -96,27 +95,35 @@ def _witness(n, k, j):
     return (j + 2, *ends)
 
 
-def _row(n, k, size, sign, j):
-    """The (head, wit) of k mod n from its size, sign and first corner j
-    (or None), as _compose gives them, the witness by _witness. Its
-    callers check the size against the 3N cap."""
-    if j is None:
-        return (size, sign, "irreducible" if k else "zero-convention"), None
-    return (size, sign, "reducible"), _witness(n, k, j)
+def _verdict(classes):
+    """(head of k, head of -k, first corner j or None) for the k of one
+    class tuple, from _compose; a head is (size, sign, kind), and -k has
+    the sign times (-1)**size (fill_rows). The kind is "zero-convention"
+    exactly at size 2, else "reducible" with a corner, "irreducible"
+    without. Only k = 0 has size 2, and it has no corner in [1, 0]:
+    M(k)**2 = k * M(k) - Id (Cayley-Hamilton) is +-Id only when k * M(k)
+    is 0 or 2 * Id, so its bottom-left entry k is 0, and M(0)**2 = -Id;
+    no size is 1, as M(k) has the off-diagonal entries -1 and 1."""
+    size, sign, corner = _compose(classes)
+    kind = ("zero-convention" if size == 2 else
+            "irreducible" if corner is None else "reducible")
+    return (size, sign, kind), (size, sign * (-1) ** size, kind), corner
+
+
+def _row(n, k, classes):
+    """The (head, wit) of k mod n from its class tuple: its verdict's head
+    (_verdict), the 3N cap checked, and the witness at its corner, or None."""
+    head, _, j = _verdict(classes)
+    _capped(n, k, head[0])
+    return head, None if j is None else _witness(n, k, j)
 
 
 def _pair_row(n: int, k: int) -> tuple:
-    """The (head, wit) of k mod n (0 <= k < n): head is (size, sign,
-    kind), kind "reducible", "irreducible" or, for k = 0,
-    "zero-convention", and wit the witness (w, x, y, eps), or None when
-    there is none (always for k = 0, of size 2).
-
-    The class (S_q, sign_q, D_q, f_q) of k mod each prime-power factor q
-    comes from one descent (ring._classes), and the tuple of classes is
-    composed as fill_rows composes it, a prime power's tuple of one
-    class included."""
-    size, sign, j = _compose(_classes(factorize(n), k))
-    return _row(n, k, _capped(n, k, size), sign, j)
+    """The (head, wit) of k mod n (0 <= k < n), by _row from the class of
+    k mod each prime-power factor of n, one descent each (ring._classes):
+    kind "reducible", "irreducible" or, for k = 0, "zero-convention", and
+    wit None when there is no witness (always for k = 0, of size 2)."""
+    return _row(n, k, _classes(factorize(n), k))
 
 
 def _orbits(p: int) -> list:
@@ -148,10 +155,11 @@ def fill_rows(moduli):
     (size, sign, kind) of k mod n and wits[k] its witness (w, x, y, eps),
     or None, so (heads[k], wits[k]) is the (head, wit) _pair_row gives.
     One heads tuple is shared by every k of the call with the same class
-    tuple and side of n/2, but k = 0, whose kind is "zero-convention". A
-    modulus below 2 raises ValueError at the first next(). This is the
-    one loop over class tuples: the law battery (verify), survey and
-    verify.monomial_row read it.
+    tuple and side of n/2: each tuple's verdict (_verdict) is decided once
+    per call. A repeated modulus is filled once; one below 2 raises
+    ValueError at the first next(). This is the one loop over class
+    tuples: the law battery (verify), survey and verify.monomial_row read
+    it.
 
     Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
     gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
@@ -230,24 +238,24 @@ def fill_rows(moduli):
 
     By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
     the corners mod n are the j that lie on a corner class of every q
-    with one common sign (q = 2 again has no say), and size, sign and
-    first corner depend only on the tuple of classes. Each corner mod n
-    is one mod the q of the largest D, so _compose scans
-    j = t*D - 2, t*D for that D, once per tuple and call. _witness builds
-    M**j for every pair k <= n/2 with a corner by fast doubling
-    (ring._lucas) and raises RuntimeError if u_j is not +-1; _endpoints
-    checks the full product. The witness of n - k is mirrored from it.
-    The size of every pair is checked against the 3N cap (ring._capped).
+    with one common sign (q = 2 again has no say), and size, sign, kind
+    and first corner depend only on the tuple of classes (_verdict).
+    Each corner mod n is one mod the q of the largest D, so _compose
+    scans j = t*D - 2, t*D for that D, once per tuple and call. _witness
+    doubles to M**j for every pair k <= n/2 with a corner, and raises
+    RuntimeError unless u_j = +-1 and the full product closes
+    (_endpoints); the witness of n - k is mirrored. Every size is
+    checked against the 3N cap, once per modulus (ring._capped).
 
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus, that is when some other
     modulus of the call may be a multiple of it.
     """
-    moduli = sorted(moduli)
+    moduli = sorted(set(moduli))
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     kept = {}       # prime power q -> the class of every k mod q
-    composed = {}   # tuple of classes -> (head of k, head of -k, corner)
+    verdicts = {}   # tuple of classes -> its _verdict
 
     def classes(p, a):
         """The class of every k mod q = p**a: from the orbits (_orbits)
@@ -261,19 +269,11 @@ def fill_rows(moduli):
                               for s, e, d, f in half[(q - 1) // 2:0:-1]]
         return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)
 
-    def compose(key):
-        """The (head of k, head of -k, first corner) of a class tuple."""
-        size, sign, corner = _compose(key)
-        kind = "irreducible" if corner is None else "reducible"
-        entry = composed[key] = ((size, sign, kind), (
-            size, -sign if size % 2 else sign, kind), corner)
-        return entry
-
     for n in moduli:
         # the tuple of the classes of k mod every q, for each k <= n/2
         keys = zip(*[classes(p, a) * (n // (2 * p ** a) + 1)
                      for p, a in factorize(n)])
-        got = [composed.get(key) or compose(key)
+        got = [verdicts.get(key) or verdicts.setdefault(key, _verdict(key))
                for _, key in zip(range(n // 2 + 1), keys)]
         heads, cap = [g[0] for g in got], _size_cap(n)
         if max(heads)[0] > cap:     # some size of n is past the cap
@@ -281,7 +281,6 @@ def fill_rows(moduli):
             _capped(n, k, heads[k][0])      # raises SizeCapExceeded
         wits = [None if g[2] is None else _witness(n, k, g[2])
                 for k, g in enumerate(got)]
-        heads[0] = (*heads[0][:2], "zero-convention")
         heads += [g[1] for g in got[(n - 1) // 2:0:-1]]
         wits += [w and (w[0], -w[1] % n, -w[2] % n,
                         -w[3] if w[0] % 2 else w[3])

@@ -88,9 +88,13 @@ def _walk(n: int, k: int):
 
 
 def walked_row(n: int, k: int) -> tuple:
-    """The reference (head, wit) of k mod n: the walk's one class,
-    composed and closed by the package's row builder (rows._row)."""
-    return _row(n, k, *_compose((_walk(n, k),)))
+    """The reference (head, wit) of k mod n: the package's row builder
+    (rows._row) over the walk's one class, in place of the class tuple
+    of n's prime-power factors. It shares the package's kind rule
+    (rows._verdict: "zero-convention" exactly at size 2), which
+    test_zero_bucket_and_short_size_laws and the oracle of
+    perfbench/oracle.py check on their own."""
+    return _row(n, k, (_walk(n, k),))
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:

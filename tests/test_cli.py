@@ -257,7 +257,7 @@ def test_survey_row_with_witness(runner):
     assert rows == ["9,3,6,-1,reducible,4,6,6"]
 
 
-def test_survey_empty_range_is_header_only(runner):
+def test_survey_empty_range_is_header_only(runner, tmp_path):
     res = runner.invoke(cli, ["survey", "--min", "5", "--max", "4"])
     assert res.exit_code == 0
     assert res.output == _CSV_HEADER + "\n"
@@ -265,6 +265,15 @@ def test_survey_empty_range_is_header_only(runner):
     res = runner.invoke(cli, ["survey", "--min", "3000", "--max", "2500"])
     assert res.exit_code == 0
     assert res.stdout == _CSV_HEADER + "\n"
+    # JSON has no header: nothing at all, not a blank line that a
+    # JSON-lines reader would fail on, to stdout or to --out
+    res = runner.invoke(cli, ["survey", "--min", "5", "--max", "4",
+                              "--format", "json"])
+    assert (res.exit_code, res.stdout) == (0, "")
+    out = tmp_path / "empty.json"
+    res = runner.invoke(cli, ["survey", "--min", "5", "--max", "4",
+                              "--format", "json", "--out", str(out)])
+    assert (res.exit_code, res.stdout, out.read_text()) == (0, "", "")
 
 
 def test_survey_json_lines(runner):

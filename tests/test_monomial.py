@@ -87,8 +87,25 @@ def test_k_normalizes():
 
 
 def test_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        minimal_monomial_size(1, 0)
+    # every size entry point reads the one front, which checks n first
+    for fn in (minimal_monomial_size, size_via_crt, monomial_profile,
+               component_profile):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                fn(n, 0)
+
+
+def test_an_oversized_crt_size_is_an_internal_error(monkeypatch):
+    # the front checks the composed size against the 3N cap, so a CRT
+    # size law that overshoots it fails every size entry point,
+    # size_via_crt included: k = 1 mod 7 has the lcm 3, and 10 * 3 is past
+    # the cap 3 * 7 + 1
+    law = monomial._crt_size
+    monkeypatch.setattr(monomial, "_crt_size",
+                        lambda classes: (law(classes)[0], 10, 1))
+    for fn in (size_via_crt, minimal_monomial_size, monomial_profile):
+        with pytest.raises(SizeCapExceeded, match="size 30 > 22 for n=7, k=1"):
+            fn(7, 1)
 
 
 def test_cap_error_is_internal():

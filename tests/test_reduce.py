@@ -567,9 +567,11 @@ def test_decide_rows_equals_decide_row(lo, hi):
 def test_decide_rows_of_a_set_equals_decide_row():
     # moduli out of order and far apart: 45 and 242 are composites whose
     # factor rows (9, 5; 2, 121) are not all asked for, and 9 and 121
-    # are prime powers that a later modulus is a multiple of
-    moduli = {242, 9, 181, 45, 121, 97}
-    assert list(fill_rows(moduli)) == [_filled(n) for n in sorted(moduli)]
+    # are prime powers that a later modulus is a multiple of. A list
+    # that repeats moduli yields each distinct modulus once
+    for moduli in ({242, 9, 181, 45, 121, 97}, [5, 15, 5, 3, 15]):
+        assert list(fill_rows(moduli)) == \
+            [_filled(n) for n in sorted(set(moduli))]
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 5), (0, -1), (-3, 10)])

@@ -9,10 +9,15 @@ prints the shape click gave to stderr: the line "Usage: frieze-mod CMD
 blank line and "Error: <message>". --help lists the commands, and after
 a command its options.
 
-main(argv) parses one command line with argparse and returns the exit
-code; cli is the handle click.testing.CliRunner drives (a name and a
-main that raises SystemExit). Each command is a plain function of its
-parsed arguments that prints its answer and returns 1 on failure.
+main(argv) parses one command line and returns the exit code; cli is
+the handle click.testing.CliRunner drives (a name and a main that raises
+SystemExit). Each command is a plain function of its parsed arguments
+that prints its answer and returns 1 on failure. One table (_SPECS)
+declares each command's arguments and options. A well-formed line is
+read from it directly (_well_formed); argparse builds a parser from the
+same table (_parser) only for --help, for a line it declines (--out,
+--opt=value, --, a repeated option, and every oplus line) and for a
+usage error, so it stays the one source of help text and parse errors.
 
 classify and witness share one front (_pair): the modulus, size-limit
 and --force gates, then their one pair by descent (rows._pair_row);
@@ -23,9 +28,9 @@ and does nothing; no command reads or writes a file besides --out. N and
 K are plain integers; K is taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
-package modules (and json) it runs: size loads monomial and ring,
-classify, witness and survey rows and ring, verify verify, rows and
-ring, and oplus cycles. No import runs per (n, k) pair.
+package modules (and json) it runs: size loads ring alone (its size
+front, ring._front), classify, witness and survey rows and ring, verify
+verify, rows and ring, and oplus cycles. No import runs per (n, k) pair.
 """
 
 import sys
@@ -88,8 +93,9 @@ def size(n: int, k: int):
     """
     _check_modulus(n)
     _check_size_limit("size", n)
-    from .monomial import minimal_monomial_size
-    s, sign = minimal_monomial_size(n, k)
+    from .ring import _front
+    lcm_value, multiplier, sign = _front(n, k)[3]
+    s = multiplier * lcm_value
     print(f"{s}, -Id" if sign < 0 else s)
 
 
@@ -217,9 +223,36 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
 _COMMANDS = {"classify": classify, "oplus": oplus_cmd, "size": size,
              "survey": survey, "verify": verify, "witness": witness}
 
-# Each command's positional arguments; N and K are integers.
-_ARGS = {"size": "N K", "classify": "N K", "witness": "N K",
-         "oplus": "N A B", "verify": "THEOREM_ID", "survey": ""}
+# Each command's declaration, which both the argparse parser (_parser)
+# and the parse of a well-formed command line (_well_formed) read: its
+# positional arguments (N and K are integers, the others strings), then
+# its options in the order --help lists them, each as (flag, dest, kind,
+# default, help). kind is int, "FILE" (a path that is not a directory),
+# a tuple of choices, or None for a switch; the default ... marks a
+# required option.
+_SWITCHES = (
+    # scripts written while the commands kept a result cache still pass it
+    ("--no-cache", "no_cache", None, False,
+     "Accepted for compatibility; there is no cache."),
+    ("--force", "force", None, False, f"Allow moduli above {FORCE_LIMIT}."))
+_SPECS = {
+    "size": ("N K", ()),
+    "classify": ("N K", _SWITCHES),
+    "witness": ("N K", _SWITCHES),
+    "oplus": ("N A B", ()),
+    "verify": ("THEOREM_ID", (
+        ("--min", "lo", int, 2, "Smallest modulus in the sweep. [default: 2]"),
+        ("--max", "hi", int, 150, "Largest modulus in the sweep. [default: 150]"),
+        ("--out", "out", "FILE", None,
+         "Write the JSON report to this file instead of stdout."))),
+    "survey": ("", (
+        ("--min", "lo", int, 2, "Smallest modulus surveyed. [default: 2]"),
+        ("--max", "hi", int, ..., "Largest modulus surveyed. [required]"),
+        ("--format", "fmt", ("csv", "json"), "csv", "[default: csv]"),
+        ("--out", "out", "FILE", None,
+         "Write the table to this file instead of stdout."),
+        *_SWITCHES)),
+}
 
 _USAGE = "frieze-mod [OPTIONS] COMMAND [ARGS]..."
 
@@ -239,9 +272,15 @@ def _help() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _usage(name: str) -> str:
+    """The usage line of one command, after "Usage: "."""
+    return f"frieze-mod {name} [OPTIONS] {_SPECS[name][0]}".rstrip()
+
+
 def _parser(name: str):
-    """The argparse parser of one command (only the one that runs is
-    built). It raises UsageError instead of exiting, and, like click,
+    """The argparse parser of one command, built from its _SPECS entry
+    (only for the one that runs, and only when _well_formed declines
+    the line). It raises UsageError instead of exiting, and, like click,
     knows only --help, no abbreviations."""
     import argparse
 
@@ -259,37 +298,83 @@ def _parser(name: str):
             raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
         return path
 
-    prog = f"frieze-mod {name}"
-    p = Parser(prog=prog, usage=f"{prog} [OPTIONS] {_ARGS[name]}".rstrip(),
+    args, options = _SPECS[name]
+    p = Parser(prog=f"frieze-mod {name}", usage=_usage(name),
                description=_doc(_COMMANDS[name]), formatter_class=Formatter,
                add_help=False, allow_abbrev=False)
     p.add_argument("--help", action="help", help="Show this message and exit.")
-    for metavar in _ARGS[name].split():
+    for metavar in args.split():
         p.add_argument(metavar.lower(), metavar=metavar,
                        type=int if metavar in ("N", "K") else str)
-    if name == "verify":
-        p.add_argument("--min", dest="lo", type=int, default=2, metavar="INTEGER",
-                       help="Smallest modulus in the sweep. [default: 2]")
-        p.add_argument("--max", dest="hi", type=int, default=150, metavar="INTEGER",
-                       help="Largest modulus in the sweep. [default: 150]")
-        p.add_argument("--out", type=out_file, metavar="FILE",
-                       help="Write the JSON report to this file instead of stdout.")
-    if name == "survey":
-        p.add_argument("--min", dest="lo", type=int, default=2, metavar="INTEGER",
-                       help="Smallest modulus surveyed. [default: 2]")
-        p.add_argument("--max", dest="hi", type=int, required=True, metavar="INTEGER",
-                       help="Largest modulus surveyed. [required]")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv", help="[default: csv]")
-        p.add_argument("--out", type=out_file, metavar="FILE",
-                       help="Write the table to this file instead of stdout.")
-    if name in ("classify", "witness", "survey"):
-        # scripts written while the commands kept a result cache still pass it
-        p.add_argument("--no-cache", action="store_true",
-                       help="Accepted for compatibility; there is no cache.")
-        p.add_argument("--force", action="store_true",
-                       help=f"Allow moduli above {FORCE_LIMIT}.")
+    for flag, dest, kind, default, text in options:
+        if kind is None:
+            p.add_argument(flag, dest=dest, action="store_true", help=text)
+        elif isinstance(kind, tuple):
+            p.add_argument(flag, dest=dest, choices=kind, default=default,
+                           help=text)
+        else:
+            p.add_argument(flag, dest=dest, type=int if kind is int else out_file,
+                           default=None if default is ... else default,
+                           required=default is ..., help=text,
+                           metavar="INTEGER" if kind is int else kind)
     return p
+
+
+def _operand(token: str) -> bool:
+    """Whether argparse takes token as an argument, not an option, by
+    the rule _well_formed keeps to: it does not start with a dash, or it
+    is a dash and ASCII digits (a negative integer)."""
+    return token[:1] != "-" or token[1:].isdigit() and token[1:].isascii()
+
+
+def _well_formed(name: str, rest: list):
+    """The arguments of a well-formed command line as a dict, exactly
+    what _parser(name).parse_args(rest) gives less no_cache, read from
+    the command's _SPECS entry without argparse; None for any other
+    line, which the argparse parser then reads (and reports): --help,
+    --out, --opt=value, --, a repeated or unknown option, a dash token
+    that is not a negative integer, a value int() or the choices reject,
+    a wrong count of arguments, and every oplus line."""
+    if name == "oplus":
+        return None
+    args, options = _SPECS[name]
+    flags = {flag: (dest, kind) for flag, dest, kind, _, _ in options
+             if kind != "FILE"}
+    opts = {dest: default for _, dest, _, default, _ in options}
+    values, operands = [], []       # (dest, kind, token); tokens
+    tokens = iter(rest)
+    for token in tokens:
+        if _operand(token):
+            operands.append(token)
+        elif token not in flags:
+            return None
+        else:
+            dest, kind = flags.pop(token)     # so a repeat is unknown
+            if kind is None:
+                opts[dest] = True
+            elif _operand(value := next(tokens, "-")):
+                values.append((dest, kind, value))
+            else:
+                return None
+    metavars = args.split()
+    if len(operands) != len(metavars):
+        return None
+    values += [(m.lower(), int if m in ("N", "K") else str, token)
+               for m, token in zip(metavars, operands)]
+    for dest, kind, token in values:
+        if isinstance(kind, tuple):
+            if token not in kind:
+                return None
+            opts[dest] = token
+            continue
+        try:
+            opts[dest] = kind(token)
+        except ValueError:
+            return None
+    if ... in opts.values():
+        return None
+    opts.pop("no_cache", None)
+    return opts
 
 
 def main(argv=None) -> int:
@@ -307,16 +392,17 @@ def main(argv=None) -> int:
                 f"No such option: {args[0]}" if args[0].startswith("-") else
                 f"No such command '{args[0]}'.")
         name, rest = args[0], args[1:]
-        parser = _parser(name)
-        usage, prog = parser.usage, parser.prog
-        if name == "oplus" and "--help" not in rest:
-            # entry lists such as -2,0,2 are operands, not options
-            rest = ["--", *(a for a in rest if a != "--")]
-        try:
-            opts = vars(parser.parse_args(rest))
-        except SystemExit as e:     # --help printed the command's help
-            return e.code
-        opts.pop("no_cache", None)
+        usage, prog = _usage(name), f"frieze-mod {name}"
+        opts = _well_formed(name, rest)
+        if opts is None:
+            if name == "oplus" and "--help" not in rest:
+                # entry lists such as -2,0,2 are operands, not options
+                rest = ["--", *(a for a in rest if a != "--")]
+            try:
+                opts = vars(_parser(name).parse_args(rest))
+            except SystemExit as e:     # --help printed the command's help
+                return e.code
+            opts.pop("no_cache", None)
         code = globals()[_COMMANDS[name].__name__](**opts) or 0
         sys.stdout.flush()
         return code

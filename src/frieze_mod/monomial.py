@@ -3,19 +3,21 @@
 The central quantity: for k mod n, the smallest size at which the constant
 tuple (k, ..., k) multiplies out to plus or minus the identity. Everything
 else here relates that size across moduli (prime-power components, divisor
-ladders, closed-form special cases). Every size, at a prime power or not,
-comes from one front (_front), the route every command takes: it checks
-n, factors it once, composes the classes of k mod its prime-power factors
-(ring._classes) and checks the 3N cap. SizeCapExceeded, raised by the
-descent and the cap check in ring, is importable from here too.
+ladders, closed-form special cases) and reports it in named records.
+Every size, at a prime power or not, comes from one front (ring._front,
+read here through _front), the route every command takes: it checks n,
+factors it once, composes the classes of k mod its prime-power factors
+(ring._classes) and checks the 3N cap. The size command reads ring's
+front directly and never loads this module. SizeCapExceeded, raised by
+the descent and the cap check in ring, is importable from here too.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import (SizeCapExceeded, _capped, _classes, _crt_size,
-                   factorize, is_prime)
+from . import ring
+from .ring import SizeCapExceeded, is_prime
 
 
 def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
@@ -101,16 +103,11 @@ def monomial_profile(n: int, k: int) -> MonomialProfile:
 
 
 def _front(n: int, k: int):
-    """(k mod n, the factors of n, the class tuple of k, its SizeLaw),
-    the 3N cap checked: the one front of every size (module docstring)."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    factors = factorize(n)
-    classes = _classes(factors, k)
-    law = SizeLaw(*_crt_size(classes))
-    _capped(n, k, law.size)
-    return k, factors, classes, law
+    """(k mod n, the factors of n, the class tuple of k, its SizeLaw):
+    ring._front, the one front of every size (module docstring), with
+    its size law as a record."""
+    k, factors, classes, law = ring._front(n, k)
+    return k, factors, classes, SizeLaw(*law)
 
 
 def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:
@@ -175,14 +172,13 @@ def shared_factor_size(n: int, k: int) -> int:
     to n, the minimal size is 2 * prod(p_i ** (a_i - b_i)). The shape is
     read off the residue class of k (valuations at or above a_i collapse
     to a_i); a prime of n missing from k is a ValueError. The prediction
-    is checked against minimal_monomial_size (the descent); a mismatch
-    raises AssertionError.
+    is checked against the size of the front (_front), which also gives
+    the factors of n, so n is factored once; a mismatch raises
+    AssertionError.
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
+    k, factors, _, law = _front(n, k)
     predicted = 2
-    for p, a in factorize(n):
+    for p, a in factors:
         if k % p:
             raise ValueError(
                 f"k={k} is not divisible by {p}, a prime factor of {n}")
@@ -195,8 +191,7 @@ def shared_factor_size(n: int, k: int) -> int:
                 t //= p
                 b += 1
         predicted *= p ** (a - b)
-    size, _ = minimal_monomial_size(n, k)
-    if size != predicted:
+    if law.size != predicted:
         raise AssertionError(
-            f"shared-factor law broke at n={n}, k={k}: {size} != {predicted}")
-    return size
+            f"shared-factor law broke at n={n}, k={k}: {law.size} != {predicted}")
+    return law.size

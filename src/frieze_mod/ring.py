@@ -5,7 +5,9 @@ power (_size_multiple), the corner class of k mod a prime power that it
 gives (_class) and the class tuple of k mod any n (_classes), and the
 two rules every size obeys: the CRT size law (_crt_size), which composes
 a size from the class tuple, and the proven 3N cap (_size_cap, checked
-by _capped). Nothing descends on a composite modulus.
+by _capped). Every size comes from one front (_front) that applies
+them: it checks n, factors it once, composes the class tuple of k and
+checks the cap. Nothing descends on a composite modulus.
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -209,6 +211,22 @@ def _crt_size(classes):
     m = lcm(*(c[0] for c in classes))
     signs = {c[1] if m // c[0] % 2 else 1 for c in classes if c[1]}
     return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))
+
+
+def _front(n: int, k: int):
+    """(k mod n, the factors of n, the class tuple of k, its CRT size law
+    (m, multiplier, sign)): the one front of every size. It checks n,
+    factors it once (factorize), takes the classes of k mod its
+    prime-power factors (_classes), composes them (_crt_size) and checks
+    the size, multiplier * m, against the 3N cap (_capped)."""
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    k %= n
+    factors = factorize(n)
+    classes = _classes(factors, k)
+    law = _crt_size(classes)
+    _capped(n, k, law[0] * law[1])
+    return k, factors, classes, law
 
 
 def _brent(n: int) -> int:

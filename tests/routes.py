@@ -8,14 +8,21 @@ the census of bordered solutions up to a size cap, and the bordered
 solutions of one size from the closed-form endpoint solve. The tests
 cross-check the fast path against them. They use the package's matrix
 and endpoint helpers, so unlike oracles.py they are not independent of
-it; oracles.py checks those helpers in turn.
+it; oracles.py checks those helpers in turn. The command line has a
+second route too: the argparse parser of each command (cli._parser),
+against which argv_mismatches checks the parse of well-formed lines
+(cli._well_formed).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from frieze_mod.cli import _SPECS, UsageError, _parser, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _mul, _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap
@@ -241,3 +248,50 @@ def witness_structure_check(n: int, k: int,
                     f"size {l}: bordered solutions {got} != {expected} "
                     f"required for an irreducible minimal solution")
     return StructureReport(n, k, s, cap, tuple(found), tuple(violations))
+
+
+# The tokens argv_mismatches draws command lines from, besides each
+# command's own options: small, negative and 2**64-sized integers,
+# strings int() rejects, dash tokens that are no option, an
+# --opt=value, both --format values and one it rejects, and --help.
+ARGV_TOKENS = ("5", "0", "-3", "18446744073709551616", "x", "", "-", "--",
+               "-2.5", "--max=5", "csv", "json", "xml", "--help")
+
+
+def parsed_by_argparse(parser, argv: list):
+    """vars(parser.parse_args(argv)) less no_cache, or None when the
+    parser rejects the line or prints its help."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            opts = vars(parser.parse_args(argv))
+        except (UsageError, SystemExit):
+            return None
+    opts.pop("no_cache", None)
+    return opts
+
+
+def typed(opts):
+    """opts with the type of each value, so that True differs from 1."""
+    return None if opts is None else {k: (type(v), v) for k, v in opts.items()}
+
+
+def argv_mismatches(max_tokens: int):
+    """(mismatches, lines tried, lines cli._well_formed accepted) over
+    every command and every line of up to max_tokens tokens drawn from
+    ARGV_TOKENS and the command's options: a mismatch is a line that
+    _well_formed accepts but parses other than the command's argparse
+    parser (parsed_by_argparse)."""
+    bad, tried, accepted = [], 0, 0
+    for name, (_, options) in _SPECS.items():
+        parser = _parser(name)
+        alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
+        for size in range(max_tokens + 1):
+            for argv in itertools.product(alphabet, repeat=size):
+                tried += 1
+                got = _well_formed(name, list(argv))
+                if got is None:
+                    continue
+                accepted += 1
+                if typed(got) != typed(parsed_by_argparse(parser, list(argv))):
+                    bad.append((name, argv))
+    return bad, tried, accepted

@@ -1,0 +1,39 @@
+"""The BENCH file driver (tools/bench.py) at its smallest setting: the
+shape of the file it writes, not its timings."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIGURE = {"median", "q1", "q3", "runs", "previous", "vs_previous"}
+
+
+def test_smoke_run_writes_a_bench_file(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    res = subprocess.run([sys.executable, str(ROOT / "tools" / "bench.py"),
+                          "--smoke", "--out", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    bench = json.loads(out.read_text())
+    assert set(bench) == {"description", "setting", "python", "nproc", "commit",
+                          "dirty", "seed", "seconds", "runs", "previous",
+                          "correct", "workloads", "commands_ms",
+                          "commands_rss_mb"}
+    assert bench["setting"] == "smoke" and bench["runs"] >= 3
+    assert bench["python"] == sys.version.split()[0]
+    assert isinstance(bench["nproc"], int) and bench["nproc"] >= 1
+    assert bench["commit"] is None or len(bench["commit"]) == 40
+    assert bench["correct"] == {"sweep": True}
+    assert set(bench["workloads"]["sweep"]) >= {"setup_s", "wall_s", "core_p50_ms",
+                                                "peak_rss_mb"}
+    assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) >= {
+        "python -c pass"}
+    figures = [*bench["workloads"]["sweep"].values(),
+               *bench["commands_ms"].values(), *bench["commands_rss_mb"].values()]
+    for fig in figures:
+        assert set(fig) == FIGURE, fig
+        assert fig["runs"] == bench["runs"]
+        assert fig["q1"] <= fig["median"] <= fig["q3"]
+        assert (fig["previous"] is None) == (fig["vs_previous"] is None)

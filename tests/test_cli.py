@@ -10,10 +10,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import frieze_mod
-from frieze_mod.cli import _CSV_HEADER, classify, cli, witness
+from frieze_mod.cli import (_CSV_HEADER, _SPECS, _parser, _well_formed,
+                            classify, cli, witness)
 from frieze_mod.reduce import is_irreducible_monomial
+from routes import ARGV_TOKENS, argv_mismatches, parsed_by_argparse, typed
 
 
 @pytest.fixture()
@@ -423,17 +426,26 @@ def _loaded_after(code):
 
 @pytest.mark.parametrize("args,extra", [
     ([], []),
-    (["size", "35", "23"], ["frieze_mod.monomial", "frieze_mod.ring"]),
+    (["size", "35", "23"], ["frieze_mod.ring"]),
     (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
     (["classify", "9", "3", "--no-cache"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["witness", "9", "3"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["survey", "--max", "5"], ["frieze_mod.ring", "frieze_mod.rows"]),
     (["verify", "all", "--max", "5"],
      ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
+    (["classify", "--force", "2001", "-5"], ["frieze_mod.ring", "frieze_mod.rows"]),
+    (["survey", "--format", "json", "--min", "3", "--max", "5", "--force",
+      "--no-cache"], ["frieze_mod.ring", "frieze_mod.rows"]),
+    (["verify", "size-bound", "--min", "3", "--max", "5"],
+     ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])
 def test_commands_load_only_what_they_run(args, extra):
-    # nor click, nor dataclasses and inspect (about 13 ms of start-up)
+    # nor click, nor dataclasses and inspect (about 13 ms of start-up);
+    # and a well-formed line is parsed without argparse, which with
+    # gettext and locale costs about 3 ms (oplus always builds its parser)
     heavy = ["click", "dataclasses", "inspect"]
+    if args[:1] != ["oplus"]:
+        heavy += ["argparse", "gettext", "locale"]
     code = ("import contextlib, io, sys\n"
             f"heavy = set({heavy!r}) - set(sys.modules)\n"
             "import frieze_mod.cli")
@@ -443,6 +455,88 @@ def test_commands_load_only_what_they_run(args, extra):
     code += ("\nloaded = sorted(heavy & set(sys.modules))"
              "\nassert not loaded, f'{loaded} imported'")
     assert _loaded_after(code) == sorted(["frieze_mod", "frieze_mod.cli", *extra])
+
+
+# A usage error that a command raises on a well-formed line still names
+# the command's usage, from its _SPECS entry, with no parser built; one
+# that the parse finds, and --help, come from the argparse parser.
+@pytest.mark.parametrize("args,parser", [
+    (["size", "0", "3"], False),
+    (["classify", "3000", "2"], False),
+    (["survey", "--min", "1", "--max", "3"], False),
+    (["verify", "size-bound", "--max", "1"], False),
+    (["size", "5"], True),
+    (["survey", "--max", "3", "--format", "xml"], True),
+    (["classify", "9", "3", "--bogus"], True),
+    (["verify", "--help"], True),
+])
+def test_usage_errors_build_a_parser_only_when_the_parse_fails(runner, args, parser):
+    code = ("import contextlib, io, json, sys\n"
+            "import frieze_mod.cli\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            f"    code = frieze_mod.cli.main({args!r})\n"
+            "print(json.dumps([code, out.getvalue(), err.getvalue(),"
+            " 'argparse' in sys.modules]))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env_with_src(), timeout=60)
+    assert res.returncode == 0, res.stderr
+    clicked = runner.invoke(cli, args, prog_name="frieze-mod")
+    assert json.loads(res.stdout) == [clicked.exit_code, clicked.stdout,
+                                      clicked.stderr, parser]
+    assert clicked.exit_code == (0 if args[-1] == "--help" else 2)
+    assert (clicked.stdout + clicked.stderr).startswith(
+        f"Usage: {_parser(args[0]).usage}\n")
+
+
+def test_well_formed_lines_parse_as_argparse_parses_them():
+    # every line of up to three tokens from a fixed alphabet; CI's "CLI
+    # smoke" step runs up to four
+    bad, tried, accepted = argv_mismatches(3)
+    assert not bad, bad[:5]
+    assert (tried, accepted) == (28289, 413)
+
+
+@pytest.mark.parametrize("args", [
+    ["size", "5", "0"], ["size", "-7", "-12"], ["classify", "9", "-6"],
+    ["witness", "--no-cache", "9", "3", "--force"],
+    ["verify", "all"], ["verify", "--max", "-5", "size-n", "--min", "3"],
+    ["survey", "--max", "12", "--format", "json", "--no-cache", "--force"],
+    ["size", "18446744073709551616", "3"], ["verify", ""],
+])
+def test_well_formed_lines_skip_argparse(args):
+    name, rest = args[0], args[1:]
+    got = _well_formed(name, rest)
+    assert got is not None
+    assert typed(got) == typed(parsed_by_argparse(_parser(name), rest))
+
+
+@pytest.mark.parametrize("args", [
+    ["size", "5"], ["size", "5", "0", "1"], ["size", "x", "0"],
+    ["size", "-", "0"], ["size", "-2.5", "0"], ["size", "5", "0", "--help"],
+    ["size", "--", "5", "0"], ["size", "-٣", "0"], ["size", "-3\n", "0"],
+    ["classify", "9", "3", "--force", "--force"], ["classify", "9", "3", "-f"],
+    ["verify", "all", "--max=5"], ["verify", "all", "--out", "x"],
+    ["verify", "all", "--max"], ["verify", "all", "--max", "--min"],
+    ["verify", "all", "--max", ""], ["survey"], ["survey", "--format", "xml", "--max", "3"],
+    ["oplus", "10", "1,1,3", "0,0"],
+])
+def test_other_lines_go_to_argparse(args):
+    assert _well_formed(args[0], args[1:]) is None
+
+
+_ARGV = st.lists(st.one_of(st.sampled_from(ARGV_TOKENS + (
+    "--min", "--max", "--format", "--out", "--no-cache", "--force")),
+    st.integers(-10 ** 20, 10 ** 20).map(str), st.text(max_size=4)),
+    max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_SPECS)), argv=_ARGV)
+def test_any_line_the_fast_parse_accepts_parses_as_argparse_does(name, argv):
+    got = _well_formed(name, argv)
+    if got is not None:
+        assert typed(got) == typed(parsed_by_argparse(_parser(name), argv))
 
 
 # Every command through main() in a process where importing click fails.

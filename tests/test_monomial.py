@@ -100,8 +100,8 @@ def test_an_oversized_crt_size_is_an_internal_error(monkeypatch):
     # size law that overshoots it fails every size entry point,
     # size_via_crt included: k = 1 mod 7 has the lcm 3, and 10 * 3 is past
     # the cap 3 * 7 + 1
-    law = monomial._crt_size
-    monkeypatch.setattr(monomial, "_crt_size",
+    law = ring._crt_size
+    monkeypatch.setattr(ring, "_crt_size",
                         lambda classes: (law(classes)[0], 10, 1))
     for fn in (size_via_crt, minimal_monomial_size, monomial_profile):
         with pytest.raises(SizeCapExceeded, match="size 30 > 22 for n=7, k=1"):
@@ -170,8 +170,7 @@ def test_monomial_profile_descends_each_factor_once(monkeypatch, n, k):
         descended.append(q)
         return descend(q, r, exps)
 
-    for module in (ring, monomial):
-        monkeypatch.setattr(module, "factorize", counted_factorize)
+    monkeypatch.setattr(ring, "factorize", counted_factorize)
     monkeypatch.setattr(ring, "_descend", counted_descend)
     prof = monomial_profile(n, k)
     # the other factorizations are of the (p -+ 1)/2 of ring._size_multiple
@@ -280,10 +279,28 @@ def test_shared_factor_guards():
 
 
 def test_shared_factor_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(monomial, "minimal_monomial_size", lambda n, k: (7, 1))
+    front = monomial._front
+    monkeypatch.setattr(monomial, "_front", lambda n, k: (
+        *front(n, k)[:3], monomial.SizeLaw(7, 1, 1)))
     with pytest.raises(AssertionError,
                        match="shared-factor law broke at n=9, k=3: 7 != 6"):
         shared_factor_size(9, 3)
+
+
+@pytest.mark.parametrize("n,k", [(12, 6), (9, 3), (360, 30),
+                                 (9 * 4294967291 * 4294967279, 0)])
+def test_shared_factor_size_factors_once(monkeypatch, n, k):
+    # the prediction reads the factors of the front that gives the size
+    factored = []
+    factor = ring.factorize
+
+    def counted_factorize(m):
+        factored.append(m)
+        return factor(m)
+
+    monkeypatch.setattr(ring, "factorize", counted_factorize)
+    shared_factor_size(n, k)
+    assert factored.count(n) == 1
 
 
 def test_shared_factor_whole_range():

@@ -1,6 +1,6 @@
 """Write a BENCH_<pr>.json: the end-to-end figures of this checkout.
 
-    python3 tools/bench.py --out BENCH_31.json        # about 8 minutes
+    python3 tools/bench.py --out BENCH_31.json        # about 2 minutes
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:

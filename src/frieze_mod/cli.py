@@ -20,12 +20,15 @@ same table (_parser) only for --help, for a line it declines (--out,
 usage error, so it stays the one source of help text and parse errors.
 
 classify and witness share one front (_pair): the modulus, size-limit
-and --force gates, then their one pair by descent (rows._pair_row);
-survey decides every modulus of its range at once (rows.fill_rows). Each
-decides afresh on every run and prints straight from a pair's (size,
-sign, kind) head and witness. --no-cache is accepted for compatibility
-and does nothing; no command reads or writes a file besides --out. N and
-K are plain integers; K is taken mod N and may be negative.
+and --force gates, then their one pair by descent (rows._pair_row).
+survey opens its destination (stdout or --out), then writes its range a
+modulus at a time as rows.fill_rows decides each, so its memory does not
+grow with its table, and an internal error comes after the lines of the
+moduli before it. Each decides afresh on every run and prints straight
+from a pair's (size, sign, kind) head and witness. --no-cache is
+accepted for compatibility and does nothing; no command reads or writes
+a file besides --out. N and K are plain integers; K is taken mod N and
+may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads ring alone (its size
@@ -71,14 +74,16 @@ def _check_force(n: int, force: bool) -> None:
             f"modulus {n} is above {FORCE_LIMIT}; pass --force to allow it")
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Print text as it is, or write it to the file out; 1 if that fails."""
+def _emit(chunks, out: str | None) -> int:
+    """Write each string of chunks as it comes, to stdout or to the file
+    out, which is opened before the first chunk is made; 1 if the file
+    cannot be written."""
     if out is None:
-        print(text, end="")
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as e:
         print(f"cannot write {out}: {e}", file=sys.stderr)
         return 1
@@ -169,7 +174,7 @@ def verify(theorem_id: str, lo: int, hi: int, out: str | None):
             raise UsageError(f"{e.args[0]}, all") from None
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    return _emit(text + "\n", out) or int(any(r.status == "fail" for r in reports))
+    return _emit([text + "\n"], out) or int(any(r.status == "fail" for r in reports))
 
 
 _FIELDS = ("N", "k", "size", "sign", "verdict",
@@ -177,24 +182,50 @@ _FIELDS = ("N", "k", "size", "sign", "verdict",
 _CSV_HEADER = ",".join(_FIELDS)
 
 
-def _csv_lines(n: int, heads: list, wits: list) -> list[str]:
-    """The lines of modulus n, one per k, from the heads and witnesses
-    of rows.fill_rows, k ascending."""
-    return [f"{n},{k},{size},{sign},{kind},,," if w is None else
-            f"{n},{k},{size},{sign},{kind},{w[0]},{w[1]},{w[2]}"
-            for k, ((size, sign, kind), w) in enumerate(zip(heads, wits))]
+class _Rendered(dict):
+    """The text of each key, rendered by render(*key) on first use and
+    kept."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(*key)
+        return text
 
 
-def _json_lines(n: int, heads: list, wits: list) -> list[str]:
-    """The lines json.dumps gives for each pair's dict: every field is an
-    int, null or one of the three bare verdict words."""
-    return [f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
-            f'"verdict": "{kind}", "witness_size": null, '
-            f'"witness_x": null, "witness_y": null}}' if w is None else
-            f'{{"N": {n}, "k": {k}, "size": {size}, "sign": {sign}, '
-            f'"verdict": "{kind}", "witness_size": {w[0]}, '
-            f'"witness_x": {w[1]}, "witness_y": {w[2]}}}'
-            for k, ((size, sign, kind), w) in enumerate(zip(heads, wits))]
+def _table(fmt: str, rows):
+    """The text of survey in fmt from rows, the (n, heads, wits) of
+    rows.fill_rows: the CSV header, then one string per modulus, its
+    lines, k ascending, each ending in a newline. JSON lines are what
+    json.dumps gives for each pair's dict: every field is an int, null or
+    one of the three bare verdict words. A head is shared by the k of a
+    class tuple and side, across moduli too (rows.fill_rows), so the part
+    of a line each distinct head gives, and each k, is rendered once."""
+    csv = fmt == "csv"
+    if csv:
+        yield _CSV_HEADER + "\n"
+    parts = _Rendered(
+        (lambda size, sign, kind: f",{size},{sign},{kind},") if csv else
+        (lambda size, sign, kind:
+         f'"size": {size}, "sign": {sign}, "verdict": "{kind}", '))
+    ks = []     # str(k) for every k below the largest modulus so far
+    for n, heads, wits in rows:
+        ks += map(str, range(len(ks), n))
+        lines = zip(ks, map(parts.__getitem__, heads), wits)
+        if csv:
+            p = f"{n},"
+            yield "".join([f"{p}{k}{part},,\n" if w is None else
+                           f"{p}{k}{part}{w[0]},{w[1]},{w[2]}\n"
+                           for k, part, w in lines])
+        else:
+            p = f'{{"N": {n}, "k": '
+            yield "".join([f'{p}{k}, {part}"witness_size": null, '
+                           f'"witness_x": null, "witness_y": null}}\n' if w is None else
+                           f'{p}{k}, {part}"witness_size": {w[0]}, '
+                           f'"witness_x": {w[1]}, "witness_y": {w[2]}}}\n'
+                           for k, part, w in lines])
 
 
 def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
@@ -209,12 +240,9 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     if lo <= hi:
         _check_force(hi, force)
     from .rows import fill_rows
-    format_lines = _csv_lines if fmt == "csv" else _json_lines
-    lines = [_CSV_HEADER] if fmt == "csv" else []
-    for n, heads, wits in fill_rows(range(lo, hi + 1)):
-        lines += format_lines(n, heads, wits)
-    # one newline after each line: an empty JSON range prints nothing
-    return _emit("\n".join([*lines, ""]), out)
+    # lazy: _emit opens the destination, then each modulus is decided and
+    # written in one write (not one per line: stdout may be unbuffered)
+    return _emit(_table(fmt, fill_rows(range(lo, hi + 1))), out)
 
 
 # Command name -> its function. main calls the module global of that

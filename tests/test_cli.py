@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import frieze_mod
 from frieze_mod.cli import (_CSV_HEADER, _SPECS, _parser, _well_formed,
                             classify, cli, witness)
 from frieze_mod.reduce import is_irreducible_monomial
+from frieze_mod.rows import _pair_row
 from routes import ARGV_TOKENS, argv_mismatches, parsed_by_argparse, typed
 
 
@@ -206,10 +208,95 @@ def test_verify_all_writes_an_array(runner, tmp_path):
     assert out.read_text().endswith("\n")
 
 
-def test_unwritable_out_exits_1(runner, tmp_path):
-    res = runner.invoke(cli, ["verify", "size-bound", "--max", "20",
-                              "--out", str(tmp_path / "no-dir" / "x.json")])
-    assert res.exit_code == 1
+def _watched_fill(monkeypatch, stop=None):
+    """Patch the fill_rows that survey reads: the real one over its
+    moduli, or over 2..stop and then RuntimeError. Returns the list of
+    the moduli it has yielded."""
+    from frieze_mod import rows
+    real, yielded = rows.fill_rows, []
+
+    def fill(moduli):
+        for row in real(moduli if stop is None else range(2, stop + 1)):
+            yielded.append(row[0])
+            yield row
+        if stop is not None:
+            raise RuntimeError("planted")
+    monkeypatch.setattr(rows, "fill_rows", fill)
+    return yielded
+
+
+def test_unwritable_out_exits_1(runner, tmp_path, monkeypatch):
+    # survey opens --out before it decides a row: the fill never advances
+    yielded = _watched_fill(monkeypatch)
+    unwritable = str(tmp_path / "no-dir" / "x.json")
+    for args in (["verify", "size-bound", "--max", "20"],
+                 ["survey", "--max", "20"],
+                 ["survey", "--max", "20", "--format", "json"]):
+        yielded.clear()
+        res = runner.invoke(cli, [*args, "--out", unwritable])
+        assert res.exit_code == 1, args
+        assert res.stderr.startswith(f"cannot write {unwritable}: "), args
+        assert args[0] == "verify" or yielded == [], args
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_survey_writes_each_modulus_as_it_is_decided(runner, tmp_path,
+                                                     monkeypatch, fmt):
+    # the fill fails after modulus 5: the header and the lines of 2..5
+    # are already out, on stdout or in --out, when the error surfaces
+    want = runner.invoke(cli, ["survey", "--max", "5", "--format", fmt]).stdout
+    _watched_fill(monkeypatch, stop=5)
+    res = runner.invoke(cli, ["survey", "--max", "9", "--format", fmt])
+    assert isinstance(res.exception, RuntimeError)
+    assert res.stdout == want
+    out = tmp_path / "table"
+    res = runner.invoke(cli, ["survey", "--max", "9", "--format", fmt,
+                              "--out", str(out)])
+    assert isinstance(res.exception, RuntimeError)
+    assert (res.stdout, out.read_text()) == ("", want)
+
+
+def test_a_survey_write_that_fails_exits_1(runner, tmp_path, monkeypatch):
+    # --out takes the header and modulus 2, then its disk is full: exit 1
+    # with the message of an unwritable --out, and no further modulus is
+    # decided
+    lines = runner.invoke(cli, ["survey", "--max", "2"]).stdout.splitlines(True)
+    written = []
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            written.append(text)
+            return len(text)
+
+    monkeypatch.setattr(importlib.import_module("frieze_mod.cli"), "open",
+                        lambda path, mode: Full(), raising=False)
+    yielded = _watched_fill(monkeypatch)
+    out = str(tmp_path / "table.csv")
+    res = runner.invoke(cli, ["survey", "--max", "30", "--out", out])
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == f"cannot write {out}: [Errno 28] No space left on device\n"
+    assert written == [lines[0], "".join(lines[1:])]
+    assert yielded == [2, 3]
+
+
+def test_survey_memory_does_not_grow_with_its_table(tmp_path):
+    # survey --max 600 prints 180,000 lines (5.3 MB); written a modulus
+    # at a time, the traced peak stays near the fill's own memory (about
+    # 3.6 MB), where the whole table held until the end peaked at 26 MB
+    code = ("import sys, tracemalloc\n"
+            "tracemalloc.start()\n"
+            "from frieze_mod.cli import main\n"
+            "code = main(['survey', '--max', '600'])\n"
+            "sys.stderr.write(f'{code} {tracemalloc.get_traced_memory()[1]}')\n")
+    with open(tmp_path / "table.csv", "w") as out:
+        res = subprocess.run([sys.executable, "-c", code], stdout=out,
+                             stderr=subprocess.PIPE, text=True,
+                             env=_env_with_src(), timeout=120)
+    code, peak = map(int, res.stderr.split())
+    assert code == 0 and (tmp_path / "table.csv").stat().st_size > 5_000_000
+    assert peak < 8 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 def _object_lines(n, k):
@@ -251,6 +338,24 @@ def test_survey_csv(runner):
     assert lines[-1] == "3,2,3,1,irreducible,,,"
     assert len(lines) == 6
     assert res.output.endswith("\n") and not res.output.endswith("\n\n")
+
+
+def test_survey_lines_are_each_pairs_own(runner):
+    # survey renders the text of each distinct head once and reuses it,
+    # across moduli too; every line must still be the one its own pair
+    # gives when decided alone (rows._pair_row)
+    for fmt in ("csv", "json"):
+        want = [_CSV_HEADER] if fmt == "csv" else []
+        for n in range(2, 61):
+            for k in range(n):
+                (size, sign, kind), wit = _pair_row(n, k)
+                row = {"N": n, "k": k, "size": size, "sign": sign,
+                       "verdict": kind, "witness_size": wit and wit[0],
+                       "witness_x": wit and wit[1], "witness_y": wit and wit[2]}
+                want.append(json.dumps(row) if fmt == "json" else ",".join(
+                    "" if v is None else str(v) for v in row.values()))
+        res = runner.invoke(cli, ["survey", "--max", "60", "--format", fmt])
+        assert res.stdout.splitlines() == want, fmt
 
 
 def test_survey_row_with_witness(runner):

@@ -14,7 +14,8 @@ Every pair takes its verdict (_verdict: size, sign, kind and first
 corner) from the corner classes (S_q, sign_q, D_q, f_q) of k mod its
 prime-power factors q (the CRT size law and the corner lemma, both
 proved in fill_rows). No pair is walked. The class has two sources. A
-range of moduli (fill_rows) fills the row of each odd prime p from two
+range of moduli (fill_rows, and the law battery's verify.fill_tuples:
+one class source, _class_source) fills the row of each odd prime p from two
 Chebyshev orbits (_orbits): the traces of the powers of two eigenvalues
 that generate the groups of order p - 1 and p + 1 meet every k once, and
 the order of the power gives the size (the orbit rule, proved in
@@ -28,7 +29,9 @@ checked against the 3N cap (ring._capped).
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
 its witness (w, x, y, eps), or None. _row gives one (for _pair_row);
 fill_rows yields, per modulus, the heads of every k, one tuple per class
-tuple, and the witnesses: the battery reads the heads, survey both.
+tuple, and the witnesses, which survey prints. The law battery reads
+size, sign and kind alone, one head per class tuple (verify.fill_tuples),
+and builds no witness.
 """
 
 from math import gcd
@@ -157,9 +160,9 @@ def fill_rows(moduli):
     One heads tuple is shared by every k of the call with the same class
     tuple and side of n/2: each tuple's verdict (_verdict) is decided once
     per call. A repeated modulus is filled once; one below 2 raises
-    ValueError at the first next(). This is the one loop over class
-    tuples: the law battery (verify), survey and verify.monomial_row read
-    it.
+    ValueError at the first next(). survey and verify.monomial_row read
+    it; the law battery reads verify.fill_tuples, which takes its classes
+    from the same source (_class_source) and builds no witness.
 
     Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
     gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
@@ -248,26 +251,13 @@ def fill_rows(moduli):
     checked against the 3N cap, once per modulus (ring._capped).
 
     A prime power q keeps its classes for the rest of the call when
-    2 * q is at most the largest modulus, that is when some other
-    modulus of the call may be a multiple of it.
+    2 * q is at most the largest modulus (_class_source).
     """
     moduli = sorted(set(moduli))
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
-    kept = {}       # prime power q -> the class of every k mod q
+    classes = _class_source(moduli[-1] if moduli else 0)
     verdicts = {}   # tuple of classes -> its _verdict
-
-    def classes(p, a):
-        """The class of every k mod q = p**a: from the orbits (_orbits)
-        for an odd prime, else descended for k <= q/2 and mirrored."""
-        q = p ** a
-        if q not in kept and a == 1 and p > 2:
-            kept[q] = _orbits(p)
-        elif q not in kept:
-            half = [_class(p, a, k) for k in range(q // 2 + 1)]
-            kept[q] = half + [(s, -e if s % 2 else e, d, -f if d % 2 else f)
-                              for s, e, d, f in half[(q - 1) // 2:0:-1]]
-        return kept[q] if 2 * q <= moduli[-1] else kept.pop(q)
 
     for n in moduli:
         # the tuple of the classes of k mod every q, for each k <= n/2
@@ -286,6 +276,34 @@ def fill_rows(moduli):
                         -w[3] if w[0] % 2 else w[3])
                  for w in wits[(n - 1) // 2:0:-1]]
         yield n, heads, wits
+
+
+def _negated(c):
+    """The class of -k, from the class c of k (fill_rows)."""
+    s, e, d, f = c
+    return s, -e if s % 2 else e, d, -f if d % 2 else f
+
+
+def _class_source(top, shape=None):
+    """classes(p, a): the class of every k mod q = p**a, k ascending, as
+    shape(row) when a shape is given: from the orbits (_orbits) for an
+    odd prime, else descended for k <= q/2 (ring._class) and mirrored
+    (fill_rows). Each q is decided and shaped once per source and kept
+    while 2 * q <= top, that is while some other modulus up to top may
+    be a multiple of it; past that it is handed out and dropped."""
+    kept = {}
+
+    def classes(p, a):
+        q = p ** a
+        if q not in kept:
+            if a == 1 and p > 2:
+                row = _orbits(p)
+            else:
+                half = [_class(p, a, k) for k in range(q // 2 + 1)]
+                row = half + [_negated(c) for c in half[(q - 1) // 2:0:-1]]
+            kept[q] = shape(row) if shape else row
+        return kept[q] if 2 * q <= top else kept.pop(q)
+    return classes
 
 
 def _compose(classes):

@@ -1,19 +1,24 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
 A law is its hypothesis on n and one check function, registered with
-_law. check(n, row) reads the rows of n from the row source row, one
-per k with the size at index 0 and the kind at index 2 (no law reads a
-witness), and yields one item per k that the law covers: True when the
-pair obeys the law, else its Counterexample. The driver runs the check
-on the moduli of the range that meet the hypothesis, times it and
-builds the TheoremReport; it is the one report path. MODULI lists per
-id the moduli whose rows the check reads.
-unbounded-family's check runs on six fixed moduli 3p instead. The row
-source comes from _battery_rows, which keeps the (size, sign, kind)
-heads of rows.fill_rows for the moduli the ids of a run read, all
-decided in one call before the first check starts its clock: run_all
-passes one for all ids, and a verifier called without one builds its
-own.
+_law. check(n, t) reads t, the class tuples of n and their (size, sign,
+kind) heads (Tuples; no law reads a witness), and yields one item
+(where, verdict) for each class tuple or pair of n that the law covers.
+where is the index of a class tuple, standing for every k of that
+tuple, or a list of k (a single pair, or -1 for an existence claim);
+verdict is True when they obey the law, else the (observed, expected)
+texts of their Counterexample. So a law that reads size, sign and kind
+alone decides once per class tuple, and one that reads k itself (a
+single pair, or each k of a prime power) reads pairs. The driver runs
+the check on the moduli of the range that meet the hypothesis, expands
+each failed tuple to its k by the CRT, n ascending and then k
+ascending, times it and builds the TheoremReport; it is the one report
+path. MODULI lists per id the moduli the check reads. unbounded-family's
+check runs on six fixed moduli 3p instead.
+The source of the tuples comes from _battery, which keeps the
+fill_tuples of the moduli the ids of a run read, all decided in one call
+before the first check starts its clock: run_all passes one for all ids,
+and a verifier called without one builds its own.
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -23,16 +28,126 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .ring import factorize
+from . import rows
+from .ring import _capped, _crt_size, _size_cap, factorize
 from .rows import fill_rows
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
 
-RowSource = Callable[[int], list]
+
+class Part(NamedTuple):
+    """The classes mod one prime power q, grouped: keys lists the distinct
+    classes by their least k, and slot[k] is the index of the class of k
+    in keys."""
+
+    q: int
+    slot: list
+    keys: list
+
+
+def _grouped(row) -> Part:
+    """The Part of a class row (the class of every k mod q, k ascending)."""
+    index = {}
+    return Part(len(row), [index.setdefault(c, len(index)) for c in row],
+                list(index))
+
+
+class Tuples(NamedTuple):
+    """The class tuples of one modulus n and their heads (fill_tuples).
+
+    parts holds the grouped classes (Part) of each prime-power factor q
+    of n, p ascending; a class tuple takes one class of each, and tuple
+    i is the i-th of their product, the last factor varying fastest.
+    heads[i] is its (size, sign, kind). By the CRT its k are those with
+    k mod q among the residues of its class for every q (ks); tuple 0
+    is k = 0 alone."""
+
+    n: int
+    parts: tuple
+    heads: list
+
+    def _cell(self, i):
+        """The index of the class of tuple i in each part, p ascending."""
+        cell = []
+        for part in reversed(self.parts):
+            i, j = divmod(i, len(part.keys))
+            cell.append(j)
+        return cell[::-1]
+
+    def index(self, k):
+        """The tuple of k mod n."""
+        i = 0
+        for part in self.parts:
+            i = i * len(part.keys) + part.slot[k % part.q]
+        return i
+
+    def head(self, k):
+        """The (size, sign, kind) of k mod n."""
+        return self.heads[self.index(k)]
+
+    def classes(self, i):
+        """Tuple i: its class mod each q."""
+        return tuple(part.keys[j] for part, j in zip(self.parts, self._cell(i)))
+
+    def ks(self, i):
+        """The k of tuple i, ascending: k = sum of r_q * e_q mod n, over
+        one k mod q of its class, r_q, per q, e_q = 1 mod q and 0 mod n/q."""
+        ks = [0]
+        for part, j in zip(self.parts, self._cell(i)):
+            c = self.n // part.q
+            e = c * pow(c, -1, part.q)
+            ks = [k + r * e for k in ks
+                  for r, s in enumerate(part.slot) if s == j]
+        return sorted(k % self.n for k in ks)
+
+
+def fill_tuples(moduli):
+    """Yield the Tuples of the distinct moduli n (a range or a set, in any
+    order) ascending: the grouped classes of each prime-power factor q
+    (one class source with rows.fill_rows, rows._class_source) and the
+    head of each class tuple of n. Size, sign and kind depend only on the
+    tuple (rows.fill_rows), so every k of a tuple shares its head. By the
+    CRT the tuples of n are exactly the product of the classes of its
+    factors; each is decided once per call (rows._verdict), together
+    with its mirror, the tuple of -k, whose head has the sign times
+    (-1)**size (rows.fill_rows). No witness is built. The class of 0 mod
+    q, of size 2, is held by k = 0 mod q alone (rows._verdict), and it is
+    the first class of q, so tuple 0 is k = 0 alone. Every size is checked against the
+    3N cap, once per modulus (ring._capped), at its least k. A repeated
+    modulus is decided once; one below 2 raises ValueError at the first
+    next()."""
+    moduli = sorted(set(moduli))
+    if moduli and moduli[0] < 2:
+        raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
+    parts = rows._class_source(moduli[-1] if moduli else 0, _grouped)
+    decided = {}    # class tuple -> its head
+    shared = {}     # one object per distinct class and head met
+
+    def decide(key):
+        head, mirrored, _ = rows._verdict(key)
+        twin = tuple(shared.setdefault(c, c) for c in map(rows._negated, key))
+        if twin != key:
+            decided[twin] = shared.setdefault(mirrored, mirrored)
+        head = decided[key] = shared.setdefault(head, head)
+        return head
+
+    for n in moduli:
+        ps = tuple(parts(p, a) for p, a in factorize(n))
+        tuples = Tuples(n, ps, [decided.get(key) or decide(key)
+                                for key in product(*(p.keys for p in ps))])
+        if max(tuples.heads)[0] > _size_cap(n):     # some size past the cap
+            k = min(k for i, h in enumerate(tuples.heads)
+                    if h[0] > _size_cap(n) for k in tuples.ks(i))
+            _capped(n, k, tuples.head(k)[0])     # raises SizeCapExceeded
+        yield tuples
+
+
+RowSource = Callable[[int], Tuples]
 
 
 class Counterexample(NamedTuple):
@@ -71,7 +186,7 @@ def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
     """All k classifications for one modulus, as verdict objects, kept in
     an LRU across calls; built from the heads and witnesses of
     fill_rows((n,)), the same ones survey prints. The verifiers read the
-    heads directly."""
+    heads of class tuples instead (fill_tuples)."""
     # reduce (verdict objects) is loaded here, not by the battery
     from .reduce import MonomialVerdict
     (_, heads, wits), = fill_rows((n,))
@@ -121,6 +236,18 @@ def _power_shapes(s: int) -> tuple:
     return tuple(shapes)
 
 
+def _unit_class(p: int, size: int) -> bool:
+    """Whether the k of a class of this size mod a power q of the prime p
+    are units: p divides k exactly when size = 2 * p**i. Mod p, only
+    k = 0 has size 2 (rows._verdict), and every other size mod p is 3
+    (p = 2), p, or at most p + 1 (the orbit rule, rows.fill_rows), so
+    never 2 * p**i. The size mod q is the size mod p times a power of p,
+    since it is a multiple of it and divides it times p**(a - 1)
+    (ring._size_multiple)."""
+    half = _power_shapes(size)[1]
+    return size != 2 and (half is None or half[0] != p)
+
+
 def _two_adic(n: int) -> int:
     return (n & -n).bit_length() - 1
 
@@ -136,39 +263,43 @@ def _crt_pair(r1, q1, r2, q2):
 
 
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
-# theorem id -> moduli(lo, hi), the moduli whose rows its verifier reads
+# theorem id -> moduli(lo, hi), the moduli whose tuples its verifier reads
 MODULI: dict[str, Callable[[int, int], list[int]]] = {}
 
 
-def _law(theorem_id, hypothesis, range_text, moduli=(), also=None):
-    """Register a check(n, row) as the verifier theorem_id, under the
-    check's name and docstring. Its row source is the one passed, or by
-    default the rows of its own id (_battery_rows), decided before its
-    clock starts. It runs the check on the n in
-    [max(lo, 2), hi] that meet the law's hypothesis(n), or on the fixed
-    moduli (hypothesis None: the range is ignored and range_text is the
-    whole range field). also(n), when given, is the one more modulus
-    whose rows the check reads at n. It fails on every Counterexample
-    that came back, passes when some item came back, and is vacuous
-    otherwise."""
+def _law(theorem_id, hypothesis, range_text, moduli=()):
+    """Register a check(n, t) as the verifier theorem_id, under the
+    check's name and docstring (the check itself is its attribute
+    check). Its source of tuples is the one passed (row), or by default
+    the tuples of its own id (_battery), decided before its clock
+    starts. It runs the check on the n in [max(lo, 2), hi] that meet the
+    law's hypothesis(n), or on the fixed moduli (hypothesis None: the
+    range is ignored and range_text is the whole range field). It fails
+    on every pair of an item whose verdict is not True: a list of k in
+    the order the check gives them, the k of the failed class tuples of
+    a modulus merged ascending. It passes when some item came back, and
+    is vacuous otherwise."""
     def run(lo, hi):
         return moduli or [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
-
-    def read(lo, hi):
-        ns = run(lo, hi)
-        return ns + [also(n) for n in ns] if also else ns
 
     def register(check):
         def verifier(lo: int = 2, hi: int = 150,
                      row: Optional[RowSource] = None) -> TheoremReport:
-            row = row or _battery_rows(lo, hi, [theorem_id])
+            row = row or _battery(lo, hi, [theorem_id])
             t0 = time.perf_counter()
             bad, hit = [], False
             for n in run(lo, hi):
-                for item in check(n, row):
+                t, failed = row(n), []
+                for where, verdict in check(n, t):
                     hit = True
-                    if item is not True:
-                        bad.append(item)
+                    if verdict is True:
+                        continue
+                    if isinstance(where, list):
+                        bad += [Counterexample(n, k, *verdict) for k in where]
+                    else:
+                        failed += [(k, verdict) for k in t.ks(where)]
+                bad += [Counterexample(n, k, *verdict)
+                        for k, verdict in sorted(failed)]
             text = range_text if moduli else f"n in [{lo}, {hi}]" + (
                 f", {range_text}" if range_text else "")
             status = "fail" if bad else ("pass" if hit else "vacuous")
@@ -176,121 +307,125 @@ def _law(theorem_id, hypothesis, range_text, moduli=(), also=None):
                                  (time.perf_counter() - t0) * 1000.0)
         verifier.__name__ = verifier.__qualname__ = check.__name__
         verifier.__doc__ = check.__doc__
+        verifier.check = check
         VERIFIERS[theorem_id] = verifier
-        MODULI[theorem_id] = read
+        MODULI[theorem_id] = run
         return verifier
     return register
 
 
 @_law("size-bound", lambda n: n > 2 and not is_three_m_form(n),
       "excluding n = 2 and n = 3m with m odd coprime to 3")
-def verify_size_bound(n, row):
+def verify_size_bound(n, t):
     """Irreducible minimal constant solutions have size at most n, except
     for n = 2 and the open family n = 3m with m odd coprime to 3."""
-    for k, r in enumerate(row(n)):
+    for i, r in enumerate(t.heads):
         if r[2] == "irreducible":
-            yield r[0] <= n or Counterexample(
-                n, k, f"irreducible of size {r[0]}", f"size <= {n}")
+            yield i, r[0] <= n or (f"irreducible of size {r[0]}", f"size <= {n}")
 
 
 @_law("eight-divides", lambda n: n % 8 == 0, "n divisible by 8")
-def verify_eight_divides(n, row):
+def verify_eight_divides(n, t):
     """When 8 divides n, every minimal constant-solution size is <= n."""
-    for k, r in enumerate(row(n)):
-        yield r[0] <= n or Counterexample(n, k, f"size {r[0]}", f"size <= {n}")
+    for i, r in enumerate(t.heads):
+        yield i, r[0] <= n or (f"size {r[0]}", f"size <= {n}")
 
 
 @_law("odd-sizes", lambda n: n > 2, "odd sizes; for n = 2m (m odd) only sizes divisible by 9")
-def verify_odd_sizes(n, row):
+def verify_odd_sizes(n, t):
     """Odd minimal sizes force irreducibility, except when n = 2m with m
     odd, where the claim covers odd sizes divisible by 9."""
     m = odd_half(n)
-    for k, r in enumerate(row(n)):
+    for i, r in enumerate(t.heads):
         if r[0] % 2 and (m is None or r[0] % 9 == 0):
-            yield r[2] == "irreducible" or Counterexample(
-                n, k, f"{r[2]} of odd size {r[0]}", "irreducible")
+            yield i, r[2] == "irreducible" or (
+                f"{r[2]} of odd size {r[0]}", "irreducible")
 
 
 @_law("three-h-criterion", lambda n: odd_half(n) not in (None, 1),
-      "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3", also=odd_half)
-def verify_three_h_criterion(n, row):
+      "n = 2m (m odd), sizes 3h with h > 1 odd coprime to 3")
+def verify_three_h_criterion(n, t):
     """For n = 2m (m odd) and minimal size 3h with h > 1 odd coprime to 3,
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
     m = odd_half(n)
-    rows_m = row(m)
-    for k, r in enumerate(row(n)):
+    for i, r in enumerate(t.heads):
         h = r[0] // 3
         if r[0] % 3 == 0 and h != 1 and h % 2 and h % 3:
-            comp = rows_m[k % m][0]
+            # the classes of k mod m: the tuple without its class mod 2
+            size, multiplier, _ = _crt_size(t.classes(i)[1:])
+            comp = multiplier * size
             want = "irreducible" if comp % 3 == 0 else "reducible"
-            yield r[2] == want or Counterexample(
-                n, k, r[2], f"{want} (mod-{m} size {comp})")
+            yield i, r[2] == want or (r[2], f"{want} (mod-{m} size {comp})")
 
 
 @_law("size-n", lambda n: n > 2, "solutions of size exactly n")
-def verify_size_n(n, row):
+def verify_size_n(n, t):
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
     exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
     split = two_three_split(n)
-    rows = row(n)
     if split is None:
-        for k, r in enumerate(rows):
-            if k and r[0] == n:
-                yield r[2] == "irreducible" or Counterexample(
-                    n, k, f"{r[2]} of size {n}", "irreducible")
+        for i, r in enumerate(t.heads):
+            if i and r[0] == n:     # tuple 0 is k = 0 alone
+                yield i, r[2] == "irreducible" or (
+                    f"{r[2]} of size {n}", "irreducible")
         return
     a, b = split
-    t = 3 ** a
-    k0 = _crt_pair(1, 2, _crt_pair(2 % t, t, -2 % b, b), t * b)
-    r = rows[k0]
-    yield (r[0] == n and r[2] == "reducible") or Counterexample(
-        n, k0, f"{r[2]} of size {r[0]}", f"reducible of size {n}")
+    c = 3 ** a
+    k0 = _crt_pair(1, 2, _crt_pair(2 % c, c, -2 % b, b), c * b)
+    r = t.head(k0)
+    yield [k0], (r[0] == n and r[2] == "reducible") or (
+        f"{r[2]} of size {r[0]}", f"reducible of size {n}")
 
 
 @_law("prime-powers", lambda n: _power_shapes(n)[0], "prime-power moduli")
-def verify_prime_powers(n, row):
+def verify_prime_powers(n, t):
     """Prime-power moduli classify completely. For odd p: irreducible
     exactly when p does not divide k. For p = 2 (modulus 2**e):
     irreducible exactly when k is odd, or k = 2**(e-1), or e >= 2 with
     k/2 an odd integer."""
     p, e = _power_shapes(n)[0]
-    for k, r in enumerate(row(n)):
+    (part,) = t.parts
+    for k, i in enumerate(part.slot):    # k by k: the law reads k itself
+        r = t.heads[i]
         if p != 2:
             want = k % p != 0
         else:
             want = (k % 2 == 1 or k == 2 ** (e - 1)
                     or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
-        yield (r[2] == "irreducible") == want or Counterexample(
-            n, k, r[2], "irreducible" if want else "not irreducible")
+        yield [k], (r[2] == "irreducible") == want or (
+            r[2], "irreducible" if want else "not irreducible")
 
 
 @_law("reducible-constructions", lambda n: True, "")
-def verify_reducible_constructions(n, row):
+def verify_reducible_constructions(n, t):
     """Three reducible families. p**2 | n for odd p: k = n/p has size 2p,
     reducible. 16 | n: k = n/4 has size 8, reducible. Coprime splits
     n = u * m with u, m > 1 and m odd coprime to 3: some k coprime to n
     is reducible of size 6m (u > 2) or 3m (u = 2)."""
-    rows = row(n)
-    for p, mult in factorize(n):
+    factors = factorize(n)
+    for p, mult in factors:
         if p != 2 and mult >= 2:
-            r = rows[n // p]
-            yield (r[0] == 2 * p and r[2] == "reducible") or Counterexample(
-                n, n // p, f"{r[2]} of size {r[0]}", f"reducible of size {2 * p}")
+            r = t.head(n // p)
+            yield [n // p], (r[0] == 2 * p and r[2] == "reducible") or (
+                f"{r[2]} of size {r[0]}", f"reducible of size {2 * p}")
     if n % 16 == 0:
-        r = rows[n // 4]
-        yield (r[0] == 8 and r[2] == "reducible") or Counterexample(
-            n, n // 4, f"{r[2]} of size {r[0]}", "reducible of size 8")
+        r = t.head(n // 4)
+        yield [n // 4], (r[0] == 8 and r[2] == "reducible") or (
+            f"{r[2]} of size {r[0]}", "reducible of size 8")
     for m in _divisors(n):
         u = n // m
         if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
             continue
         want = 6 * m if u > 2 else 3 * m
-        found = any(r[2] == "reducible" and r[0] == want and gcd(k, n) == 1
-                    for k, r in enumerate(rows))
-        yield found or Counterexample(
-            n, -1, f"no unit k reducible of size {want}",
+        # by the CRT, the k of a tuple are units exactly when those of
+        # each of its classes are units mod its q (_unit_class)
+        found = any(r[2] == "reducible" and r[0] == want and all(
+            _unit_class(p, c[0]) for (p, _), c in zip(factors, t.classes(i)))
+            for i, r in enumerate(t.heads))
+        yield [-1], found or (
+            f"no unit k reducible of size {want}",
             f"some unit k reducible of size {want} (split {u} * {m})")
 
 
@@ -313,7 +448,7 @@ def _special_reason(n: int, s: int) -> Optional[str]:
 
 
 @_law("special-sizes", lambda n: n > 2, "nonzero k, shaped sizes")
-def verify_special_sizes(n, row):
+def verify_special_sizes(n, t):
     """Irreducibility forced by the size's arithmetic shape (nonzero k).
 
     Prime-power sizes > 2 on odd moduli, or with the prime odd; on even
@@ -321,25 +456,23 @@ def verify_special_sizes(n, row):
     n (so any 2**e >= 4 suffices when 16 does not divide n). Size 6 when
     3 does not divide n. Sizes 2 * p**e for odd p coprime to n. Sizes
     4 * p**e for odd n and odd p coprime to n."""
-    rows = row(n)[1:]
-    reasons = {s: _special_reason(n, s) for s in {r[0] for r in rows}}
-    for k, r in enumerate(rows, 1):
+    heads = t.heads[1:]     # tuple 0 is k = 0 alone
+    reasons = {s: _special_reason(n, s) for s in {r[0] for r in heads}}
+    for i, r in enumerate(heads, 1):
         if reasons[r[0]]:
-            yield r[2] == "irreducible" or Counterexample(
-                n, k, f"{r[2]} of size {r[0]}",
-                f"irreducible ({reasons[r[0]]})")
+            yield i, r[2] == "irreducible" or (
+                f"{r[2]} of size {r[0]}", f"irreducible ({reasons[r[0]]})")
 
 
 @_law("overshoot-3m", is_three_m_form,
       "n = 3m (m odd coprime to 3), sizes > n except n + n/3")
-def verify_overshoot_3m(n, row):
+def verify_overshoot_3m(n, t):
     """For n = 3m with m odd coprime to 3, minimal constant solutions of
     size above n are reducible; the size n + n/3 regime is open and the
     sweep skips it."""
-    for k, r in enumerate(row(n)):
+    for i, r in enumerate(t.heads):
         if n < r[0] != n + n // 3:
-            yield r[2] == "reducible" or Counterexample(
-                n, k, f"{r[2]} of size {r[0]}", "reducible")
+            yield i, r[2] == "reducible" or (f"{r[2]} of size {r[0]}", "reducible")
 
 
 DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
@@ -347,21 +480,21 @@ DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
 
 @_law("unbounded-family", None, f"p in {list(DEFAULT_FAMILY_PRIMES)}",
       moduli=[3 * p for p in DEFAULT_FAMILY_PRIMES])
-def verify_unbounded_family(n, row):
+def verify_unbounded_family(n, t):
     """The family witnessing that no additive gap bounds irreducible sizes:
     for an odd prime p >= 5, modulus 3p with k = p + 2 (p = 1 mod 3) or
     k = p - 2 (p = 2 mod 3) is irreducible of size 4p. The range is
     ignored."""
     p = n // 3
     k = p + 2 if p % 3 == 1 else p - 2
-    r = row(n)[k]
-    yield (r[0] == 4 * p and r[2] == "irreducible") or Counterexample(
-        n, k, f"{r[2]} of size {r[0]}", f"irreducible of size {4 * p}")
+    r = t.head(k)
+    yield [k], (r[0] == 4 * p and r[2] == "irreducible") or (
+        f"{r[2]} of size {r[0]}", f"irreducible of size {4 * p}")
 
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
     """Run one verifier by id over [lo, hi] (unbounded-family ignores the
-    range), on only the rows its law reads."""
+    range), on only the tuples of the moduli its law reads."""
     if theorem_id not in VERIFIERS:
         known = ", ".join(VERIFIERS)
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
@@ -369,20 +502,21 @@ def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
-    """Every verifier in registry order, all on the rows of one
-    _battery_rows call."""
-    row = _battery_rows(lo, hi, VERIFIERS)
+    """Every verifier in registry order, all on the tuples of one
+    _battery call."""
+    row = _battery(lo, hi, VERIFIERS)
     return [fn(lo, hi, row) for fn in VERIFIERS.values()]
 
 
-def _battery_rows(lo: int, hi: int, ids) -> RowSource:
-    """The row source of a battery run of the ids over [lo, hi]: the
-    (size, sign, kind) heads of every k mod each modulus the ids read
-    (MODULI), all decided by one fill_rows call before it returns, so
-    each verifier's elapsed_ms is its own check time. The witnesses are
-    built, doubled and checked there too, and dropped."""
+def _battery(lo: int, hi: int, ids) -> RowSource:
+    """The source of a battery run of the ids over [lo, hi]: the Tuples
+    of each modulus the ids read (MODULI), every class tuple's head
+    decided by one fill_tuples call before it returns, so each
+    verifier's elapsed_ms is its own check time. It holds one head per
+    class tuple of each modulus, not one per pair, and builds no
+    witness."""
     moduli = {n for i in ids for n in MODULI[i](lo, hi)}
-    return {n: heads for n, heads, _ in fill_rows(moduli)}.__getitem__
+    return {t.n: t for t in fill_tuples(moduli)}.__getitem__
 
 
 class SurveyRow(NamedTuple):

@@ -11,7 +11,10 @@ and endpoint helpers, so unlike oracles.py they are not independent of
 it; oracles.py checks those helpers in turn. The command line has a
 second route too: the argparse parser of each command (cli._parser),
 against which argv_mismatches checks the parse of well-formed lines
-(cli._well_formed).
+(cli._well_formed). So does the law battery, which decides each law once
+per class tuple (verify): REFERENCE holds each law's check pair by pair
+over the (size, sign, kind) heads of rows.fill_rows, and law_items gives
+both sides' verdicts pair by pair (law_mismatches compares them).
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ import contextlib
 import io
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from frieze_mod.cli import _SPECS, UsageError, _parser, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _mul, _prod, solution_sign
-from frieze_mod.ring import SizeCapExceeded, _size_cap
-from frieze_mod.rows import _compose, _endpoints, _row
+from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
+from frieze_mod.rows import _compose, _endpoints, _row, fill_rows
+from frieze_mod.verify import (MODULI, VERIFIERS, _crt_pair, _divisors,
+                               _special_reason, fill_tuples, odd_half,
+                               two_three_split)
 
 
 def _walk(n: int, k: int):
@@ -295,3 +302,200 @@ def argv_mismatches(max_tokens: int):
                 if typed(got) != typed(parsed_by_argparse(parser, list(argv))):
                     bad.append((name, argv))
     return bad, tried, accepted
+
+
+# The reference of each law of the battery: its hypothesis on n (or its
+# fixed moduli) and its check over heads(n), the (size, sign, kind) of
+# every k mod n from rows.fill_rows, yielding (k, verdict) pair by pair
+# (k = -1 for an existence claim): verdict True, or the (observed,
+# expected) texts of the Counterexample. The shapes of sizes and moduli
+# (_special_reason, odd_half, two_three_split, _crt_pair, _divisors)
+# come from verify, whose tests check them on their own.
+REFERENCE = {}
+
+
+def _reference(theorem_id, hypothesis):
+    def register(check):
+        REFERENCE[theorem_id] = hypothesis, check
+        return check
+    return register
+
+
+def _three_m(n):
+    return n % 3 == 0 and gcd(n // 3, 6) == 1
+
+
+@_reference("size-bound", lambda n: n > 2 and not _three_m(n))
+def _size_bound(n, heads):
+    for k, r in enumerate(heads(n)):
+        if r[2] == "irreducible":
+            yield k, r[0] <= n or (f"irreducible of size {r[0]}", f"size <= {n}")
+
+
+@_reference("eight-divides", lambda n: n % 8 == 0)
+def _eight_divides(n, heads):
+    for k, r in enumerate(heads(n)):
+        yield k, r[0] <= n or (f"size {r[0]}", f"size <= {n}")
+
+
+@_reference("odd-sizes", lambda n: n > 2)
+def _odd_sizes(n, heads):
+    m = odd_half(n)
+    for k, r in enumerate(heads(n)):
+        if r[0] % 2 and (m is None or r[0] % 9 == 0):
+            yield k, r[2] == "irreducible" or (
+                f"{r[2]} of odd size {r[0]}", "irreducible")
+
+
+@_reference("three-h-criterion", lambda n: odd_half(n) not in (None, 1))
+def _three_h_criterion(n, heads):
+    m = odd_half(n)
+    rows_m = heads(m)
+    for k, r in enumerate(heads(n)):
+        h = r[0] // 3
+        if r[0] % 3 == 0 and h != 1 and h % 2 and h % 3:
+            comp = rows_m[k % m][0]
+            want = "irreducible" if comp % 3 == 0 else "reducible"
+            yield k, r[2] == want or (r[2], f"{want} (mod-{m} size {comp})")
+
+
+@_reference("size-n", lambda n: n > 2)
+def _size_n(n, heads):
+    split = two_three_split(n)
+    rows = heads(n)
+    if split is None:
+        for k, r in enumerate(rows):
+            if k and r[0] == n:
+                yield k, r[2] == "irreducible" or (
+                    f"{r[2]} of size {n}", "irreducible")
+        return
+    a, b = split
+    t = 3 ** a
+    k0 = _crt_pair(1, 2, _crt_pair(2 % t, t, -2 % b, b), t * b)
+    r = rows[k0]
+    yield k0, (r[0] == n and r[2] == "reducible") or (
+        f"{r[2]} of size {r[0]}", f"reducible of size {n}")
+
+
+@_reference("prime-powers", lambda n: len(factorize(n)) == 1)
+def _prime_powers(n, heads):
+    (p, e), = factorize(n)
+    for k, r in enumerate(heads(n)):
+        if p != 2:
+            want = k % p != 0
+        else:
+            want = (k % 2 == 1 or k == 2 ** (e - 1)
+                    or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
+        yield k, (r[2] == "irreducible") == want or (
+            r[2], "irreducible" if want else "not irreducible")
+
+
+@_reference("reducible-constructions", lambda n: True)
+def _reducible_constructions(n, heads):
+    rows = heads(n)
+    for p, mult in factorize(n):
+        if p != 2 and mult >= 2:
+            r = rows[n // p]
+            yield n // p, (r[0] == 2 * p and r[2] == "reducible") or (
+                f"{r[2]} of size {r[0]}", f"reducible of size {2 * p}")
+    if n % 16 == 0:
+        r = rows[n // 4]
+        yield n // 4, (r[0] == 8 and r[2] == "reducible") or (
+            f"{r[2]} of size {r[0]}", "reducible of size 8")
+    for m in _divisors(n):
+        u = n // m
+        if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
+            continue
+        want = 6 * m if u > 2 else 3 * m
+        found = any(r[2] == "reducible" and r[0] == want and gcd(k, n) == 1
+                    for k, r in enumerate(rows))
+        yield -1, found or (
+            f"no unit k reducible of size {want}",
+            f"some unit k reducible of size {want} (split {u} * {m})")
+
+
+@_reference("special-sizes", lambda n: n > 2)
+def _special_sizes(n, heads):
+    rows = heads(n)[1:]
+    reasons = {s: _special_reason(n, s) for s in {r[0] for r in rows}}
+    for k, r in enumerate(rows, 1):
+        if reasons[r[0]]:
+            yield k, r[2] == "irreducible" or (
+                f"{r[2]} of size {r[0]}", f"irreducible ({reasons[r[0]]})")
+
+
+@_reference("overshoot-3m", _three_m)
+def _overshoot_3m(n, heads):
+    for k, r in enumerate(heads(n)):
+        if n < r[0] != n + n // 3:
+            yield k, r[2] == "reducible" or (f"{r[2]} of size {r[0]}", "reducible")
+
+
+@_reference("unbounded-family", [3 * p for p in (5, 7, 11, 13, 17, 19)])
+def _unbounded_family(n, heads):
+    p = n // 3
+    k = p + 2 if p % 3 == 1 else p - 2
+    r = heads(n)[k]
+    yield k, (r[0] == 4 * p and r[2] == "irreducible") or (
+        f"{r[2]} of size {r[0]}", f"irreducible of size {4 * p}")
+
+
+def reference_moduli(theorem_id, lo, hi):
+    """The moduli the reference of the law runs on over [lo, hi]."""
+    hypothesis, _ = REFERENCE[theorem_id]
+    if not callable(hypothesis):
+        return hypothesis
+    return [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
+
+
+def reference_heads(lo, hi):
+    """heads(n): the fill_rows heads of every modulus the references
+    read over [lo, hi], the odd halves that three-h-criterion reads
+    included."""
+    moduli = {n for i in REFERENCE for n in reference_moduli(i, lo, hi)}
+    moduli |= {n // 2 for n in reference_moduli("three-h-criterion", lo, hi)}
+    return {n: heads for n, heads, _ in fill_rows(moduli)}.__getitem__
+
+
+def law_items(theorem_id, lo, hi, heads=None, tuples=None):
+    """(reference, battery): the (n, k, verdict) of every pair the law
+    covers over [lo, hi], as the reference yields them over heads
+    (reference_heads by default) and as the battery's check yields them
+    over the Tuples of the source tuples (a fill_tuples of the law's
+    MODULI by default), each class tuple expanded to its k. Both are n
+    ascending, the reference in its own order and the battery's tuples
+    expanded and merged by k (an existence claim, k = -1, keeps its
+    place among the items of its modulus)."""
+    heads = heads or reference_heads(lo, hi)
+    if tuples is None:
+        tuples = {t.n: t for t in fill_tuples(MODULI[theorem_id](lo, hi))}.__getitem__
+    check = REFERENCE[theorem_id][1]
+    reference = [(n, k, verdict)
+                 for n in reference_moduli(theorem_id, lo, hi)
+                 for k, verdict in check(n, heads)]
+    battery = []
+    for n in MODULI[theorem_id](lo, hi):
+        t, expanded = tuples(n), []
+        for where, verdict in VERIFIERS[theorem_id].check(n, t):
+            if isinstance(where, list):
+                battery += [(n, k, verdict) for k in where]
+            else:
+                expanded += [(k, verdict) for k in t.ks(where)]
+        battery += [(n, k, verdict) for k, verdict in sorted(expanded, key=lambda e: e[0])]
+    return reference, battery
+
+
+def law_mismatches(lo, hi, heads=None):
+    """(theorem id, first differing item) for every law whose battery
+    covers other pairs over [lo, hi] than its reference, or reports
+    other verdicts for them; and the number of pairs compared."""
+    heads = heads or reference_heads(lo, hi)
+    bad, pairs = [], 0
+    for theorem_id in REFERENCE:
+        reference, battery = law_items(theorem_id, lo, hi, heads)
+        pairs += len(reference)
+        if reference != battery:
+            first = next((a, b) for a, b in itertools.zip_longest(reference, battery)
+                         if a != b)
+            bad.append((theorem_id, first))
+    return bad, pairs

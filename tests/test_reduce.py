@@ -12,7 +12,7 @@ from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
 from frieze_mod.rows import _compose, _pair_row, fill_rows
-from frieze_mod.verify import monomial_row, run_all, run_verifier
+from frieze_mod.verify import fill_tuples, monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
@@ -391,9 +391,11 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     # A size (minimal_monomial_size) descends once per prime-power factor
     # too, and never on a composite modulus. The calls against prime
     # powers from factorize and witnesses from the reference walk of
-    # (n, k). The law battery (run_all, which reads only sizes and kinds)
-    # and survey read the same fill: the same descents and doublings,
-    # every witness included
+    # (n, k). survey reads the same fill: the same descents and
+    # doublings, every witness included. The law battery (run_all, which
+    # reads only sizes and kinds) takes the same classes from the same
+    # source (the same descents) and builds no witness: its only
+    # doublings test the orbits' generators
     assert not hasattr(rows_mod, "_walk")
     klass, descend, lucas = ring._class, ring._descend, rows_mod._lucas
     descents, moduli, doubled = [], [], []
@@ -435,11 +437,12 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     assert (len(descents), len(doubled) - len(tests)) == (563, 3765)
     filled = descents[:], doubled[:]
     out = str(tmp_path / "survey.csv")
-    for replay in (lambda: run_all(2, 250),
-                   lambda: cli.main(["survey", "--max", "250", "--out", out])):
+    for replay, want in ((lambda: run_all(2, 250), (filled[0], tests)),
+                         (lambda: cli.main(["survey", "--max", "250", "--out", out]),
+                          filled)):
         del descents[:], doubled[:]
         replay()
-        assert (descents, doubled) == filled
+        assert (descents, doubled) == want
     for n in range(2, 251):
         for k in range(n // 2 + 1):
             factors = [(p ** a, k % p ** a) for p, a in factorize(n)]
@@ -457,8 +460,9 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # each pair with a corner checks u_j = +-1 at the j its class tuple
     # gives; shifting the j composed for the classes of k = 4 mod 21
     # (from 4 to 5, where u_5 = 3) is caught at that pair, whether its
-    # row is decided with the others of 21 (for the rows, a law of the
-    # battery or all of them) or alone
+    # row is decided with the others of 21 or alone. The law battery
+    # reads size and kind alone and builds no witness: it composes the
+    # tuple once per run and still finds the pair reducible
     key = tuple(_walk(q, 4 % q) for q in (3, 7))
     compose, shifted = rows_mod._compose, []
 
@@ -471,12 +475,12 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
 
     monkeypatch.setattr(rows_mod, "_compose", shift)
     for call, arg in ((_filled, (21,)), (_pair_row, (21, 4)),
-                      (is_irreducible_monomial, (21, 4)),
-                      (run_verifier, ("odd-sizes", 21, 21)),
-                      (run_all, (2, 21))):
+                      (is_irreducible_monomial, (21, 4))):
         with pytest.raises(RuntimeError,
                            match=r"u_5 is not \+-1 for n=21, k=4"):
             call(*arg)
+    assert run_verifier("odd-sizes", 21, 21).status == "pass"
+    assert {r.status for r in run_all(2, 21)} == {"pass"}
     assert shifted == [4] * 5
 
 
@@ -538,6 +542,25 @@ def test_an_unverified_corner_raises(monkeypatch):
             call(*arg)
 
 
+def test_class_tuples_expand_to_the_heads_of_the_rows():
+    # fill_tuples decides one head per class tuple, and a tuple with its
+    # mirror: expanded to their k by the CRT, the tuples of each n <= 300
+    # hold every k exactly once (tuple 0 k = 0 alone), and each k has the
+    # head fill_rows gives it, sign included (no law reads the sign).
+    # About 0.2 s
+    tuples = fill_tuples(range(2, 301))
+    for (n, heads, _), t in zip(fill_rows(range(2, 301)), tuples):
+        assert t.n == n and t.ks(0) == [0]
+        got = [None] * n
+        for i, head in enumerate(t.heads):
+            for k in t.ks(i):
+                assert got[k] is None, (n, k)
+                got[k] = head
+                assert t.index(k) == i and t.head(k) == head, (n, k)
+        assert got == heads, n
+    assert next(tuples, None) is None
+
+
 def test_row_size_cap_raises(monkeypatch):
     # the reference walk of a pair (routes._walk), the size a composite
     # row takes from its factors' classes, and the descended class all
@@ -554,6 +577,28 @@ def test_row_size_cap_raises(monkeypatch):
     monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
     with pytest.raises(SizeCapExceeded, match="size 2 > 1 for n=15, k=0"):
         next(rows)
+
+
+def test_class_tuples_check_the_size_cap(monkeypatch):
+    # fill_tuples checks every size of a modulus against the 3N cap, at
+    # its least k past the cap, as fill_rows does; a modulus below 2
+    # raises at the first next()
+    tuples = fill_tuples(range(2, 16))
+    assert [next(tuples).n for _ in range(2, 15)] == list(range(2, 15))
+    monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
+    with pytest.raises(SizeCapExceeded, match="size 2 > 1 for n=15, k=0"):
+        next(tuples)
+    # with a cap of n + 1, 15 has sizes past it (20 for k = 3): both
+    # fills name the same least k
+    monkeypatch.setattr(ring, "_CAP_FACTOR", 1)
+    raised = []
+    for fill in (fill_rows, fill_tuples):
+        with pytest.raises(SizeCapExceeded) as e:
+            next(fill([15]))
+        raised.append(str(e.value))
+    assert raised == ["size 20 > 16 for n=15, k=3"] * 2
+    with pytest.raises(ValueError, match="got 1"):
+        next(fill_tuples({45, 1, 9}))
 
 
 @pytest.mark.parametrize("lo,hi", [(97, 181), (2, 2), (5, 4)])

@@ -3,14 +3,16 @@ from math import gcd
 
 import pytest
 
+import frieze_mod.rows as rows_module
 import frieze_mod.verify as verify_module
-from frieze_mod.rows import fill_rows
 from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, MODULI, VERIFIERS,
                                Counterexample, _crt_pair, _power_shapes,
-                               is_three_m_form, monomial_row,
+                               _unit_class, fill_tuples, is_three_m_form,
+                               monomial_row,
                                odd_half, run_all, run_verifier, survey_rows,
                                two_three_split, verify_unbounded_family)
 from oracles import naive_crt, prime_power
+from routes import REFERENCE, _walk, law_items, law_mismatches, reference_heads
 
 
 def test_classifier_three_m_form():
@@ -63,6 +65,21 @@ def test_power_shapes_match_prime_power_shape():
         want = tuple(prime_power(s // d) if s % d == 0 else None
                      for d in (1, 2, 4))
         assert _power_shapes(s) == want, s
+
+
+def test_unit_class_matches_the_gcd():
+    # reducible-constructions reads whether the k of a class mod a prime
+    # power q are units from the class's size alone: checked against
+    # gcd(k, q) for every k mod every prime power q <= 1000 (about 0.2 s)
+    powers = [q for q in range(2, 1001) if prime_power(q)]
+    pairs = 0
+    for t in fill_tuples(powers):
+        p, _ = prime_power(t.n)
+        part, = t.parts
+        for k, j in enumerate(part.slot):
+            assert _unit_class(p, part.keys[j][0]) == (gcd(k, t.n) == 1), (t.n, k)
+        pairs += t.n
+    assert pairs == sum(powers)
 
 
 def test_classifier_prime_power_shape():
@@ -154,17 +171,20 @@ def _head(size, kind):
 
 
 def _tampered(n0, k0, fake):
-    """The heads of fill_rows((n,)), as the battery reads them, except
-    that head k0 of modulus n0 reads fake."""
+    """The Tuples of fill_tuples((n,)), as the battery reads them, except
+    that the class tuple of k0 mod n0 has the head fake: a failure
+    planted on k0 and the other k of its tuple, if any."""
     def row(n):
-        (_, heads, _), = fill_rows((n,))
+        t, = fill_tuples((n,))
         if n == n0:
-            heads[k0] = fake
-        return heads
+            t.heads[t.index(k0)] = fake
+        return t
     return row
 
 
-# One head per law, tampered to break it: (id, n, k, fake head).
+# One head per law, tampered to break it: (id, n, k, fake head). The
+# fake is planted on the class tuple of k; each k of special-sizes (and
+# the size-n pair (7, 2)) is alone in its tuple.
 TAMPERED = [
     ("size-bound", 10, 1, _head(11, "irreducible")),
     ("eight-divides", 16, 3, _head(17, "irreducible")),
@@ -233,9 +253,9 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
     events = []
 
     def counting_range(moduli):
-        for n, heads, wits in fill_rows(moduli):
-            events.append(n)
-            yield n, heads, wits
+        for t in fill_tuples(moduli):
+            events.append(t.n)
+            yield t
 
     def marked(fn):
         def run(lo, hi, row):
@@ -243,15 +263,16 @@ def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
             return fn(lo, hi, row)
         return run
 
-    monkeypatch.setattr(verify_module, "fill_rows", counting_range)
+    monkeypatch.setattr(verify_module, "fill_tuples", counting_range)
     for vid, fn in VERIFIERS.items():
         monkeypatch.setitem(VERIFIERS, vid, marked(fn))
     run_all(40, 60)
     first = events.index("check")
     decided = events[:first]
-    halves = range(21, 30, 2)   # odd m below 40 with 2m in range
+    # three-h-criterion reads the mod-m size from the tuple of n = 2m,
+    # so no odd half m below 40 is decided
     family = [3 * p for p in DEFAULT_FAMILY_PRIMES]     # 15 lies below both
-    assert sorted(decided) == sorted({*range(40, 61), *halves, *family})
+    assert sorted(decided) == sorted({*range(40, 61), *family})
     assert events[first:] == ["check"] * len(VERIFIERS)
 
 
@@ -260,18 +281,78 @@ def test_a_single_run_decides_only_the_rows_its_law_reads(monkeypatch):
 
     def recording(moduli):
         calls.append(sorted(moduli))
-        return fill_rows(moduli)
+        return fill_tuples(moduli)
 
-    monkeypatch.setattr(verify_module, "fill_rows", recording)
-    halved = [n for n in range(6, 251) if odd_half(n)]
+    monkeypatch.setattr(verify_module, "fill_tuples", recording)
     reads = {"eight-divides": list(range(8, 251, 8)),
              "unbounded-family": [15, 21, 33, 39, 51, 57],
-             # n = 2m with m odd, and the mod-m rows it compares with
-             "three-h-criterion": sorted({*halved, *(n // 2 for n in halved)})}
+             # n = 2m with m odd; the mod-m size comes from its tuple
+             "three-h-criterion": [n for n in range(6, 251) if odd_half(n)]}
     for theorem_id, moduli in reads.items():
         calls.clear()
         assert run_verifier(theorem_id, 2, 250).status == "pass"
         assert calls == [moduli], theorem_id
+
+
+def test_every_law_has_a_per_pair_reference():
+    assert list(REFERENCE) == list(VERIFIERS)
+
+
+@pytest.fixture(scope="module")
+def heads_to_250():
+    return reference_heads(2, 250)
+
+
+@pytest.mark.parametrize("theorem_id", list(VERIFIERS))
+def test_each_law_matches_its_per_pair_reference(theorem_id, heads_to_250):
+    # the battery decides each law once per class tuple: over every
+    # n <= 250, its tuples expanded to their k cover the same pairs as
+    # the law checked pair by pair over the heads of fill_rows, with the
+    # same verdicts and texts (under a second, about 0.5 s for all ten)
+    reference, battery = law_items(theorem_id, 2, 250, heads_to_250)
+    assert reference, theorem_id
+    assert battery == reference
+
+
+def test_law_mismatches_counts_every_pair(heads_to_250):
+    # the comparison CI runs over n <= 1000, here over n <= 250
+    assert law_mismatches(2, 250, heads_to_250) == ([], 51014)
+
+
+# Two class tuples, each shared by several k mod an odd prime p: M(k) of
+# order 16 (four k, when 16 divides p - 1 or p + 1) and of order 8 (two
+# k, when 8 does), so size 8 and size 4, sign -1, irreducible at a
+# prime; 49 has the second too. Each is its own mirror (S and D even),
+# so the tampered verdicts below are consistent under k -> -k.
+SHARED = {((8, -1, 8, -1),): (8, -1, "reducible"),
+          ((4, -1, 4, -1),): (4, -1, "reducible")}
+
+
+@pytest.mark.parametrize("theorem_id", ["prime-powers", "special-sizes"])
+def test_tampered_tuples_fail_at_every_pair_they_hold(theorem_id, monkeypatch):
+    # the verdicts of the shared tuples, tampered to reducible, plant a
+    # failure on every k of those tuples at every modulus they occur at
+    # (12 prime powers below 100, both tuples at 17): the report lists
+    # exactly those pairs, n ascending then k ascending, as the walk
+    # finds them, and as the reference finds them over the fill_rows
+    # heads decided from the same tampered verdicts
+    verdict = rows_module._verdict
+
+    def tampered(classes):
+        head = SHARED.get(classes)
+        # no corner: fill_rows builds no witness for it
+        return (head, head, None) if head else verdict(classes)
+
+    monkeypatch.setattr(rows_module, "_verdict", tampered)
+    report = run_verifier(theorem_id, 2, 100)
+    reference, _ = law_items(theorem_id, 2, 100)
+    assert report.counterexamples == tuple(
+        Counterexample(n, k, *v) for n, k, v in reference if v is not True)
+    planted = [(q, k) for q in filter(prime_power, range(2, 101))
+               for k in range(q) if (_walk(q, k),) in SHARED]
+    assert [(c.n_modulus, c.k) for c in report.counterexamples] == planted
+    assert len({q for q, _ in planted}) == 12
+    assert len(planted) == 44 and sum(q == 17 for q, _ in planted) == 6
 
 
 def test_ranges_below_two_start_at_two():

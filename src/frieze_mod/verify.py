@@ -117,10 +117,10 @@ def fill_tuples(moduli):
     with its mirror, the tuple of -k, whose head has the sign times
     (-1)**size (rows.fill_rows). No witness is built. The class of 0 mod
     q, of size 2, is held by k = 0 mod q alone (rows._verdict), and it is
-    the first class of q, so tuple 0 is k = 0 alone. Every size is checked against the
-    3N cap, once per modulus (ring._capped), at its least k. A repeated
-    modulus is decided once; one below 2 raises ValueError at the first
-    next()."""
+    the first class of q, so tuple 0 is k = 0 alone. Every size is
+    checked against the 3N cap, once per modulus (ring._capped), at its
+    least k. A repeated modulus is decided once; one below 2 raises
+    ValueError at the first next()."""
     moduli = sorted(set(moduli))
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")

@@ -22,13 +22,14 @@ usage error, so it stays the one source of help text and parse errors.
 classify and witness share one front (_pair): the modulus, size-limit
 and --force gates, then their one pair by descent (rows._pair_row).
 survey opens its destination (stdout or --out), then writes its range a
-modulus at a time as rows.fill_rows decides each, so its memory does not
-grow with its table, and an internal error comes after the lines of the
-moduli before it. Each decides afresh on every run and prints straight
-from a pair's (size, sign, kind) head and witness. --no-cache is
-accepted for compatibility and does nothing; no command reads or writes
-a file besides --out. N and K are plain integers; K is taken mod N and
-may be negative.
+modulus at a time as rows.fill_rows reads each from the one class-tuple
+fill that the law battery reads too (rows.fill_tuples), so its memory
+does not grow with its table, and an internal error comes after the
+lines of the moduli before it. Each decides afresh on every run and
+prints straight from a pair's (size, sign, kind) head and witness.
+--no-cache is accepted for compatibility and does nothing; no command
+reads or writes a file besides --out. N and K are plain integers; K is
+taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads ring alone (its size
@@ -200,9 +201,10 @@ def _table(fmt: str, rows):
     rows.fill_rows: the CSV header, then one string per modulus, its
     lines, k ascending, each ending in a newline. JSON lines are what
     json.dumps gives for each pair's dict: every field is an int, null or
-    one of the three bare verdict words. A head is shared by the k of a
-    class tuple and side, across moduli too (rows.fill_rows), so the part
-    of a line each distinct head gives, and each k, is rendered once."""
+    one of the three bare verdict words. A head is shared by every k of
+    the survey with that head, across moduli too (rows.fill_tuples), so
+    the part of a line each distinct head gives, and each k, is rendered
+    once."""
     csv = fmt == "csv"
     if csv:
         yield _CSV_HEADER + "\n"

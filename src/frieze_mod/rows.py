@@ -14,26 +14,30 @@ Every pair takes its verdict (_verdict: size, sign, kind and first
 corner) from the corner classes (S_q, sign_q, D_q, f_q) of k mod its
 prime-power factors q (the CRT size law and the corner lemma, both
 proved in fill_rows). No pair is walked. The class has two sources. A
-range of moduli (fill_rows, and the law battery's verify.fill_tuples:
-one class source, _class_source) fills the row of each odd prime p from two
-Chebyshev orbits (_orbits): the traces of the powers of two eigenvalues
-that generate the groups of order p - 1 and p + 1 meet every k once, and
-the order of the power gives the size (the orbit rule, proved in
-fill_rows). Every other prime power, in a range or for a single pair
-(_pair_row), takes the class of k from one descent (ring._class,
-gathered per pair by ring._classes), as the size command composes the
-size. A corner is a bare j; one witness step (_witness) builds M(k)**j
-by fast doubling (ring._lucas), closes and checks it. Every size is
-checked against the 3N cap (ring._capped).
+range of moduli (fill_tuples, from one class source, _class_source)
+fills the row of each odd prime p from two Chebyshev orbits (_orbits):
+the traces of the powers of two eigenvalues that generate the groups of
+order p - 1 and p + 1 meet every k once, and the order of the power
+gives the size (the orbit rule, proved in fill_rows). Every other prime
+power, in a range or for a single pair (_pair_row), takes the class of k
+from one descent (ring._class, gathered per pair by ring._classes), as
+the size command composes the size. A corner is a bare j; one witness
+step (_witness) builds M(k)**j by fast doubling (ring._lucas), closes
+and checks it. Every size is checked against the 3N cap (ring._capped).
 
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
-its witness (w, x, y, eps), or None. _row gives one (for _pair_row);
-fill_rows yields, per modulus, the heads of every k, one tuple per class
-tuple, and the witnesses, which survey prints. The law battery reads
-size, sign and kind alone, one head per class tuple (verify.fill_tuples),
-and builds no witness.
+its witness (w, x, y, eps), or None. _row gives one (for _pair_row). A
+range has one fill, fill_tuples: per modulus, the grouped classes of
+its prime-power factors (Part) and one head per class tuple (Tuples),
+each tuple decided once per call. The law battery (verify) reads it as
+it is, and builds no witness; fill_rows, which survey prints, reads it
+per k: the head of the tuple of every k, and the witness of each
+k <= n/2 doubled at its tuple's first corner, which the fill's memo
+keeps beside the tuple's head.
 """
 
+from collections import namedtuple
+from itertools import product
 from math import gcd
 
 from .ring import (_capped, _class, _classes, _crt_size, _lucas, _size_cap,
@@ -157,14 +161,16 @@ def fill_rows(moduli):
     in any order) ascending, k ascending in both lists: heads[k] is the
     (size, sign, kind) of k mod n and wits[k] its witness (w, x, y, eps),
     or None, so (heads[k], wits[k]) is the (head, wit) _pair_row gives.
-    One heads tuple is shared by every k of the call with the same class
-    tuple and side of n/2: each tuple's verdict (_verdict) is decided once
-    per call. A repeated modulus is filled once; one below 2 raises
-    ValueError at the first next(). survey and verify.monomial_row read
-    it; the law battery reads verify.fill_tuples, which takes its classes
-    from the same source (_class_source) and builds no witness.
+    It is a view of fill_tuples, which decides each class tuple once per
+    call (_verdict) and checks every size against the 3N cap: heads[k] is
+    the head of the tuple of k, found through the parts' slots, and the
+    witness of each k <= n/2 is built at its tuple's first corner. A
+    repeated modulus is filled once; one below 2 raises ValueError at the
+    first next(). survey and verify.monomial_row read it; the law battery
+    reads fill_tuples, and builds no witness.
 
-    Only k <= n/2 are decided. M(-k) = -J * M(k) * J with J = diag(1, -1)
+    The tuple of -k is decided with that of k, and the witness of n - k
+    is mirrored from that of k. M(-k) = -J * M(k) * J with J = diag(1, -1)
     gives M(-k)**s = (-1)**s * J * M(k)**s * J, and m1(-x) = -J * m1(x) * J.
     So n - k has the size and kind of k, its sign times (-1)**size, and
     the witness (-x, -y) of the same size w, its sign times (-1)**w.
@@ -253,29 +259,141 @@ def fill_rows(moduli):
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus (_class_source).
     """
-    moduli = sorted(set(moduli))
-    if moduli and moduli[0] < 2:
-        raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
-    classes = _class_source(moduli[-1] if moduli else 0)
-    verdicts = {}   # tuple of classes -> its _verdict
-
-    for n in moduli:
-        # the tuple of the classes of k mod every q, for each k <= n/2
-        keys = zip(*[classes(p, a) * (n // (2 * p ** a) + 1)
-                     for p, a in factorize(n)])
-        got = [verdicts.get(key) or verdicts.setdefault(key, _verdict(key))
-               for _, key in zip(range(n // 2 + 1), keys)]
-        heads, cap = [g[0] for g in got], _size_cap(n)
-        if max(heads)[0] > cap:     # some size of n is past the cap
-            k = next(k for k, h in enumerate(heads) if h[0] > cap)
-            _capped(n, k, heads[k][0])      # raises SizeCapExceeded
-        wits = [None if g[2] is None else _witness(n, k, g[2])
-                for k, g in enumerate(got)]
-        heads += [g[1] for g in got[(n - 1) // 2:0:-1]]
+    for t, corners in _tuples(moduli):
+        (first, *rest), n = t.parts, t.n
+        index = first.slot * (n // first.q)     # the tuple of each k
+        for part in rest:       # the mixed-radix rule of Tuples.index
+            m, slot = len(part.keys), part.slot * (n // part.q)
+            index = [i * m + s for i, s in zip(index, slot)]
+        # the first corner of each tuple, in the order of t.heads
+        js = list(map(corners.get, product(*(p.keys for p in t.parts))))
+        # no corner is 0, so j and its witness is None when j is None
+        wits = [j and _witness(n, k, j) for k, j in
+                enumerate(map(js.__getitem__, index[:n // 2 + 1]))]
         wits += [w and (w[0], -w[1] % n, -w[2] % n,
                         -w[3] if w[0] % 2 else w[3])
                  for w in wits[(n - 1) // 2:0:-1]]
-        yield n, heads, wits
+        yield n, list(map(t.heads.__getitem__, index)), wits
+
+
+class Part(namedtuple("Part", "q slot keys")):
+    """The classes mod one prime power q, grouped: keys lists the distinct
+    classes by their least k, and slot[k] is the index of the class of k
+    in keys."""
+
+    __slots__ = ()
+
+
+def _grouped(row) -> Part:
+    """The Part of a class row (the class of every k mod q, k ascending)."""
+    index = {}
+    return Part(len(row), [index.setdefault(c, len(index)) for c in row],
+                list(index))
+
+
+class Tuples(namedtuple("Tuples", "n parts heads")):
+    """The class tuples of one modulus n and their heads (fill_tuples).
+
+    parts holds the grouped classes (Part) of each prime-power factor q
+    of n, p ascending; a class tuple takes one class of each, and tuple
+    i is the i-th of their product, the last factor varying fastest.
+    heads[i] is its (size, sign, kind). By the CRT its k are those with
+    k mod q among the residues of its class for every q (ks); tuple 0
+    is k = 0 alone."""
+
+    __slots__ = ()
+
+    def _cell(self, i):
+        """The index of the class of tuple i in each part, p ascending."""
+        cell = []
+        for part in reversed(self.parts):
+            i, j = divmod(i, len(part.keys))
+            cell.append(j)
+        return cell[::-1]
+
+    def index(self, k):
+        """The tuple of k mod n."""
+        i = 0
+        for part in self.parts:
+            i = i * len(part.keys) + part.slot[k % part.q]
+        return i
+
+    def head(self, k):
+        """The (size, sign, kind) of k mod n."""
+        return self.heads[self.index(k)]
+
+    def classes(self, i):
+        """Tuple i: its class mod each q."""
+        return tuple(part.keys[j] for part, j in zip(self.parts, self._cell(i)))
+
+    def ks(self, i):
+        """The k of tuple i, ascending: k = sum of r_q * e_q mod n, over
+        one k mod q of its class, r_q, per q, e_q = 1 mod q and 0 mod n/q."""
+        ks = [0]
+        for part, j in zip(self.parts, self._cell(i)):
+            c = self.n // part.q
+            e = c * pow(c, -1, part.q)
+            ks = [k + r * e for k in ks
+                  for r, s in enumerate(part.slot) if s == j]
+        return sorted(k % self.n for k in ks)
+
+
+def fill_tuples(moduli):
+    """Yield the Tuples of the distinct moduli n (a range or a set, in any
+    order) ascending: the grouped classes of each prime-power factor q
+    (_class_source) and the head of each class tuple of n. Size, sign and
+    kind depend only on the tuple (fill_rows), so every k of a tuple
+    shares its head. By the CRT the tuples of n are exactly the product
+    of the classes of its factors; each is decided once per call
+    (_verdict), together with its mirror, the tuple of -k, whose head has
+    the sign times (-1)**size (fill_rows). No witness is built. The class
+    of 0 mod q, of size 2, is held by k = 0 mod q alone (_verdict), and
+    it is the first class of q, so tuple 0 is k = 0 alone. Every size is
+    checked against the 3N cap, once per modulus (ring._capped), at its
+    least k. A repeated modulus is decided once; one below 2 raises
+    ValueError at the first next(). The law battery (verify) reads it,
+    and fill_rows reads the same fill."""
+    return (t for t, _ in _tuples(moduli))
+
+
+def _tuples(moduli):
+    """Yield (t, corners) for each Tuples t of fill_tuples(moduli):
+    corners maps each class tuple decided so far that has a corner to its
+    first corner (_verdict). The memo of the call keeps it beside the
+    head of each tuple, and enters a tuple and its mirror together: the
+    tuple of -k has the same corners, as u_j(-k) = (-1)**j * u_j(k)
+    (fill_rows). t keeps no corner, so the Tuples the law battery holds
+    stay as small."""
+    moduli = sorted(set(moduli))
+    if moduli and moduli[0] < 2:
+        raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
+    parts = _class_source(moduli[-1] if moduli else 0)
+    decided = {}    # class tuple -> its head
+    corners = {}    # class tuple with a corner -> its first corner
+    shared = {}     # one object per distinct class and head met
+
+    def one(x):
+        return shared.setdefault(x, x)
+
+    def decide(key):
+        head, mirrored, j = _verdict(key)
+        twin = tuple(map(one, map(_negated, key)))
+        if j is not None:
+            corners[key] = corners[twin] = j
+        if twin != key:
+            decided[twin] = one(mirrored)
+        head = decided[key] = one(head)
+        return head
+
+    for n in moduli:
+        ps = tuple(parts(p, a) for p, a in factorize(n))
+        t = Tuples(n, ps, [decided.get(key) or decide(key)
+                           for key in product(*(p.keys for p in ps))])
+        if max(t.heads)[0] > _size_cap(n):     # some size past the cap
+            k = min(k for i, h in enumerate(t.heads)
+                    if h[0] > _size_cap(n) for k in t.ks(i))
+            _capped(n, k, t.head(k)[0])     # raises SizeCapExceeded
+        yield t, corners
 
 
 def _negated(c):
@@ -284,16 +402,16 @@ def _negated(c):
     return s, -e if s % 2 else e, d, -f if d % 2 else f
 
 
-def _class_source(top, shape=None):
-    """classes(p, a): the class of every k mod q = p**a, k ascending, as
-    shape(row) when a shape is given: from the orbits (_orbits) for an
-    odd prime, else descended for k <= q/2 (ring._class) and mirrored
-    (fill_rows). Each q is decided and shaped once per source and kept
-    while 2 * q <= top, that is while some other modulus up to top may
-    be a multiple of it; past that it is handed out and dropped."""
+def _class_source(top):
+    """parts(p, a): the classes of every k mod q = p**a, k ascending,
+    grouped (Part): from the orbits (_orbits) for an odd prime, else
+    descended for k <= q/2 (ring._class) and mirrored (fill_rows). Each q
+    is decided and grouped once per source and kept while 2 * q <= top,
+    that is while some other modulus up to top may be a multiple of it;
+    past that it is handed out and dropped."""
     kept = {}
 
-    def classes(p, a):
+    def parts(p, a):
         q = p ** a
         if q not in kept:
             if a == 1 and p > 2:
@@ -301,9 +419,9 @@ def _class_source(top, shape=None):
             else:
                 half = [_class(p, a, k) for k in range(q // 2 + 1)]
                 row = half + [_negated(c) for c in half[(q - 1) // 2:0:-1]]
-            kept[q] = shape(row) if shape else row
+            kept[q] = _grouped(row)
         return kept[q] if 2 * q <= top else kept.pop(q)
-    return classes
+    return parts
 
 
 def _compose(classes):

@@ -16,9 +16,10 @@ ascending, times it and builds the TheoremReport; it is the one report
 path. MODULI lists per id the moduli the check reads. unbounded-family's
 check runs on six fixed moduli 3p instead.
 The source of the tuples comes from _battery, which keeps the
-fill_tuples of the moduli the ids of a run read, all decided in one call
-before the first check starts its clock: run_all passes one for all ids,
-and a verifier called without one builds its own.
+rows.fill_tuples of the moduli the ids of a run read, all decided in one
+call before the first check starts its clock: run_all passes one for all
+ids, and a verifier called without one builds its own. survey reads the
+same fill, per k, through rows.fill_rows (survey_rows, monomial_row).
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -28,123 +29,14 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from . import rows
-from .ring import _capped, _crt_size, _size_cap, factorize
-from .rows import fill_rows
+from .ring import _crt_size, factorize
+from .rows import Tuples, fill_rows, fill_tuples
 
 if TYPE_CHECKING:
     from .reduce import MonomialVerdict
-
-
-class Part(NamedTuple):
-    """The classes mod one prime power q, grouped: keys lists the distinct
-    classes by their least k, and slot[k] is the index of the class of k
-    in keys."""
-
-    q: int
-    slot: list
-    keys: list
-
-
-def _grouped(row) -> Part:
-    """The Part of a class row (the class of every k mod q, k ascending)."""
-    index = {}
-    return Part(len(row), [index.setdefault(c, len(index)) for c in row],
-                list(index))
-
-
-class Tuples(NamedTuple):
-    """The class tuples of one modulus n and their heads (fill_tuples).
-
-    parts holds the grouped classes (Part) of each prime-power factor q
-    of n, p ascending; a class tuple takes one class of each, and tuple
-    i is the i-th of their product, the last factor varying fastest.
-    heads[i] is its (size, sign, kind). By the CRT its k are those with
-    k mod q among the residues of its class for every q (ks); tuple 0
-    is k = 0 alone."""
-
-    n: int
-    parts: tuple
-    heads: list
-
-    def _cell(self, i):
-        """The index of the class of tuple i in each part, p ascending."""
-        cell = []
-        for part in reversed(self.parts):
-            i, j = divmod(i, len(part.keys))
-            cell.append(j)
-        return cell[::-1]
-
-    def index(self, k):
-        """The tuple of k mod n."""
-        i = 0
-        for part in self.parts:
-            i = i * len(part.keys) + part.slot[k % part.q]
-        return i
-
-    def head(self, k):
-        """The (size, sign, kind) of k mod n."""
-        return self.heads[self.index(k)]
-
-    def classes(self, i):
-        """Tuple i: its class mod each q."""
-        return tuple(part.keys[j] for part, j in zip(self.parts, self._cell(i)))
-
-    def ks(self, i):
-        """The k of tuple i, ascending: k = sum of r_q * e_q mod n, over
-        one k mod q of its class, r_q, per q, e_q = 1 mod q and 0 mod n/q."""
-        ks = [0]
-        for part, j in zip(self.parts, self._cell(i)):
-            c = self.n // part.q
-            e = c * pow(c, -1, part.q)
-            ks = [k + r * e for k in ks
-                  for r, s in enumerate(part.slot) if s == j]
-        return sorted(k % self.n for k in ks)
-
-
-def fill_tuples(moduli):
-    """Yield the Tuples of the distinct moduli n (a range or a set, in any
-    order) ascending: the grouped classes of each prime-power factor q
-    (one class source with rows.fill_rows, rows._class_source) and the
-    head of each class tuple of n. Size, sign and kind depend only on the
-    tuple (rows.fill_rows), so every k of a tuple shares its head. By the
-    CRT the tuples of n are exactly the product of the classes of its
-    factors; each is decided once per call (rows._verdict), together
-    with its mirror, the tuple of -k, whose head has the sign times
-    (-1)**size (rows.fill_rows). No witness is built. The class of 0 mod
-    q, of size 2, is held by k = 0 mod q alone (rows._verdict), and it is
-    the first class of q, so tuple 0 is k = 0 alone. Every size is
-    checked against the 3N cap, once per modulus (ring._capped), at its
-    least k. A repeated modulus is decided once; one below 2 raises
-    ValueError at the first next()."""
-    moduli = sorted(set(moduli))
-    if moduli and moduli[0] < 2:
-        raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
-    parts = rows._class_source(moduli[-1] if moduli else 0, _grouped)
-    decided = {}    # class tuple -> its head
-    shared = {}     # one object per distinct class and head met
-
-    def decide(key):
-        head, mirrored, _ = rows._verdict(key)
-        twin = tuple(shared.setdefault(c, c) for c in map(rows._negated, key))
-        if twin != key:
-            decided[twin] = shared.setdefault(mirrored, mirrored)
-        head = decided[key] = shared.setdefault(head, head)
-        return head
-
-    for n in moduli:
-        ps = tuple(parts(p, a) for p, a in factorize(n))
-        tuples = Tuples(n, ps, [decided.get(key) or decide(key)
-                                for key in product(*(p.keys for p in ps))])
-        if max(tuples.heads)[0] > _size_cap(n):     # some size past the cap
-            k = min(k for i, h in enumerate(tuples.heads)
-                    if h[0] > _size_cap(n) for k in tuples.ks(i))
-            _capped(n, k, tuples.head(k)[0])     # raises SizeCapExceeded
-        yield tuples
 
 
 RowSource = Callable[[int], Tuples]
@@ -186,7 +78,7 @@ def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
     """All k classifications for one modulus, as verdict objects, kept in
     an LRU across calls; built from the heads and witnesses of
     fill_rows((n,)), the same ones survey prints. The verifiers read the
-    heads of class tuples instead (fill_tuples)."""
+    heads of class tuples instead (rows.fill_tuples)."""
     # reduce (verdict objects) is loaded here, not by the battery
     from .reduce import MonomialVerdict
     (_, heads, wits), = fill_rows((n,))

@@ -11,8 +11,8 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.rows import _compose, _pair_row, fill_rows
-from frieze_mod.verify import fill_tuples, monomial_row, run_all, run_verifier
+from frieze_mod.rows import _compose, _pair_row, fill_rows, fill_tuples
+from frieze_mod.verify import monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
@@ -358,7 +358,7 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # other factors, among them 2m against 4m (q = 2 has no say on the
     # sign, q = 4 has): one call composes each tuple of classes once, and
     # its rows equal one call per modulus and the walk of every pair. It
-    # shares one heads tuple per tuple and side of n/2
+    # shares one head object per distinct head
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
     compose, composed = rows_mod._compose, []
 
@@ -559,6 +559,27 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
                 assert t.index(k) == i and t.head(k) == head, (n, k)
         assert got == heads, n
     assert next(tuples, None) is None
+
+
+def test_both_fills_decide_each_class_tuple_once(monkeypatch):
+    # survey's fill_rows is a per-k view of the one class-tuple fill that
+    # the law battery reads: over n <= 250 each decides the same 1,507
+    # distinct tuples, each once (a tuple's mirror is decided with it),
+    # where a fill with its own per-k memo decided 2,308
+    verdict, decided = rows_mod._verdict, []
+
+    def counted(classes):
+        decided.append(classes)
+        return verdict(classes)
+
+    monkeypatch.setattr(rows_mod, "_verdict", counted)
+    counts = []
+    for fill in (fill_rows, fill_tuples):
+        del decided[:]
+        for _ in fill(range(2, 251)):
+            pass
+        counts.append((len(decided), len(set(decided))))
+    assert counts == [(1507, 1507)] * 2
 
 
 def test_row_size_cap_raises(monkeypatch):

@@ -9,17 +9,21 @@ tuple, or a list of k (a single pair, or -1 for an existence claim);
 verdict is True when they obey the law, else the (observed, expected)
 texts of their Counterexample. So a law that reads size, sign and kind
 alone decides once per class tuple, and one that reads k itself (a
-single pair, or each k of a prime power) reads pairs. The driver runs
-the check on the moduli of the range that meet the hypothesis, expands
-each failed tuple to its k by the CRT, n ascending and then k
-ascending, times it and builds the TheoremReport; it is the one report
-path. MODULI lists per id the moduli the check reads. unbounded-family's
-check runs on six fixed moduli 3p instead.
-The source of the tuples comes from _battery, which keeps the
-rows.fill_tuples of the moduli the ids of a run read, all decided in one
-call before the first check starts its clock: run_all passes one for all
-ids, and a verifier called without one builds its own. survey reads the
-same fill, per k, through rows.fill_rows (survey_rows, monomial_row).
+single pair, or each k of a prime power) reads pairs. MODULI lists per
+id the moduli the check reads: those of the range that meet the
+hypothesis, or, for unbounded-family, six fixed moduli 3p.
+
+One driver, _sweep, serves run_all (every id) and each verifier (its
+own id, as run_verifier calls it). It walks one rows.fill_tuples over
+the union of the moduli the ids read, n ascending, runs on each modulus
+the check of every id that reads it, then drops its Tuples: a run holds
+the fill's memo and one modulus. It expands each failed tuple to its k
+by the CRT, n then k ascending, and builds each TheoremReport, whose
+elapsed_ms sums the id's check calls, each on its own clock, not the
+fill. An internal error of the fill (SizeCapExceeded) comes after the
+checks of the moduli before it, and no report is returned, so verify
+prints none. survey reads the same fill, per k, through rows.fill_rows
+(survey_rows, monomial_row).
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -28,45 +32,35 @@ the one field that varies between runs.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .ring import _crt_size, factorize
-from .rows import Tuples, fill_rows, fill_tuples
-
-if TYPE_CHECKING:
-    from .reduce import MonomialVerdict
+from .rows import fill_rows, fill_tuples
 
 
-RowSource = Callable[[int], Tuples]
-
-
-class Counterexample(NamedTuple):
+class Counterexample(namedtuple("Counterexample",
+                                "n_modulus k observed expected")):
     """One (n, k) violating a law; k is -1 for a failed existence claim."""
 
-    n_modulus: int
-    k: int
-    observed: str
-    expected: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"n": self.n_modulus, "k": self.k,
                 "observed": self.observed, "expected": self.expected}
 
 
-class TheoremReport(NamedTuple):
+class TheoremReport(namedtuple("TheoremReport", "theorem_id range status "
+                               "counterexamples elapsed_ms")):
     """Outcome of one verifier run.
 
     status is "fail" exactly when counterexamples is nonempty, "vacuous"
     when nothing in range satisfied the hypothesis, and "pass" otherwise.
     """
 
-    theorem_id: str
-    range: str
-    status: str
-    counterexamples: tuple[Counterexample, ...]
-    elapsed_ms: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "counterexamples":
@@ -74,7 +68,7 @@ class TheoremReport(NamedTuple):
 
 
 @lru_cache(maxsize=2048)
-def monomial_row(n: int) -> tuple[MonomialVerdict, ...]:
+def monomial_row(n: int) -> tuple:
     """All k classifications for one modulus, as verdict objects, kept in
     an LRU across calls; built from the heads and witnesses of
     fill_rows((n,)), the same ones survey prints. The verifiers read the
@@ -95,12 +89,12 @@ def is_three_m_form(n: int) -> bool:
     return n % 3 == 0 and gcd(n // 3, 6) == 1
 
 
-def odd_half(n: int) -> Optional[int]:
+def odd_half(n: int) -> int | None:
     """m when n = 2m with m odd, else None."""
     return n // 2 if n % 2 == 0 and (n // 2) % 2 == 1 else None
 
 
-def two_three_split(n: int) -> Optional[tuple[int, int]]:
+def two_three_split(n: int) -> tuple[int, int] | None:
     """(a, b) when n = 2 * 3**a * b with a >= 1 and b > 1 odd coprime to 3."""
     if n % 6:
         return None
@@ -157,51 +151,35 @@ def _crt_pair(r1, q1, r2, q2):
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
 # theorem id -> moduli(lo, hi), the moduli whose tuples its verifier reads
 MODULI: dict[str, Callable[[int, int], list[int]]] = {}
+# theorem id -> (check, text(lo, hi), the range field of its report): what
+# the driver runs, kept apart from VERIFIERS, whose values a caller may wrap
+_LAWS = {}
 
 
 def _law(theorem_id, hypothesis, range_text, moduli=()):
     """Register a check(n, t) as the verifier theorem_id, under the
     check's name and docstring (the check itself is its attribute
-    check). Its source of tuples is the one passed (row), or by default
-    the tuples of its own id (_battery), decided before its clock
-    starts. It runs the check on the n in [max(lo, 2), hi] that meet the
-    law's hypothesis(n), or on the fixed moduli (hypothesis None: the
-    range is ignored and range_text is the whole range field). It fails
-    on every pair of an item whose verdict is not True: a list of k in
-    the order the check gives them, the k of the failed class tuples of
-    a modulus merged ascending. It passes when some item came back, and
-    is vacuous otherwise."""
+    check): the driver (_sweep) over its id alone, which reads the check
+    and the report's range text from _LAWS. The law reads the n in
+    [max(lo, 2), hi] that meet its hypothesis(n) (MODULI), or the fixed
+    moduli (hypothesis None: the range is ignored and range_text is the
+    whole range field)."""
     def run(lo, hi):
         return moduli or [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
 
+    def text(lo, hi):
+        return range_text if moduli else f"n in [{lo}, {hi}]" + (
+            f", {range_text}" if range_text else "")
+
     def register(check):
-        def verifier(lo: int = 2, hi: int = 150,
-                     row: Optional[RowSource] = None) -> TheoremReport:
-            row = row or _battery(lo, hi, [theorem_id])
-            t0 = time.perf_counter()
-            bad, hit = [], False
-            for n in run(lo, hi):
-                t, failed = row(n), []
-                for where, verdict in check(n, t):
-                    hit = True
-                    if verdict is True:
-                        continue
-                    if isinstance(where, list):
-                        bad += [Counterexample(n, k, *verdict) for k in where]
-                    else:
-                        failed += [(k, verdict) for k in t.ks(where)]
-                bad += [Counterexample(n, k, *verdict)
-                        for k, verdict in sorted(failed)]
-            text = range_text if moduli else f"n in [{lo}, {hi}]" + (
-                f", {range_text}" if range_text else "")
-            status = "fail" if bad else ("pass" if hit else "vacuous")
-            return TheoremReport(theorem_id, text, status, tuple(bad),
-                                 (time.perf_counter() - t0) * 1000.0)
+        def verifier(lo: int = 2, hi: int = 150) -> TheoremReport:
+            return _sweep([theorem_id], lo, hi)[0]
         verifier.__name__ = verifier.__qualname__ = check.__name__
         verifier.__doc__ = check.__doc__
         verifier.check = check
         VERIFIERS[theorem_id] = verifier
         MODULI[theorem_id] = run
+        _LAWS[theorem_id] = check, text
         return verifier
     return register
 
@@ -321,7 +299,7 @@ def verify_reducible_constructions(n, t):
             f"some unit k reducible of size {want} (split {u} * {m})")
 
 
-def _special_reason(n: int, s: int) -> Optional[str]:
+def _special_reason(n: int, s: int) -> str | None:
     """The first reason size s forces irreducibility mod n, else None."""
     pp, half, quarter = _power_shapes(s)
     if pp and s != 2:
@@ -394,34 +372,52 @@ def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
 
 
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
-    """Every verifier in registry order, all on the tuples of one
-    _battery call."""
-    row = _battery(lo, hi, VERIFIERS)
-    return [fn(lo, hi, row) for fn in VERIFIERS.values()]
+    """Every verifier in registry order, from one walk of the fill
+    (_sweep)."""
+    return _sweep(VERIFIERS, lo, hi)
 
 
-def _battery(lo: int, hi: int, ids) -> RowSource:
-    """The source of a battery run of the ids over [lo, hi]: the Tuples
-    of each modulus the ids read (MODULI), every class tuple's head
-    decided by one fill_tuples call before it returns, so each
-    verifier's elapsed_ms is its own check time. It holds one head per
-    class tuple of each modulus, not one per pair, and builds no
-    witness."""
-    moduli = {n for i in ids for n in MODULI[i](lo, hi)}
-    return {t.n: t for t in fill_tuples(moduli)}.__getitem__
+def _sweep(ids, lo, hi):
+    """The TheoremReport of each id over [lo, hi], in the order of ids,
+    from one walk of the fill (module docstring). An id fails on every
+    pair of an item whose verdict is not True: a list of k in the order
+    the check gives them, the k of the failed class tuples of a modulus
+    merged ascending. It passes when some item came back, and is vacuous
+    otherwise."""
+    readers = {}    # modulus -> the ids that read it
+    for i in ids:
+        for n in MODULI[i](lo, hi):
+            readers.setdefault(n, []).append(i)
+    bad = {i: [] for i in ids}
+    hit = dict.fromkeys(ids, False)
+    seconds = dict.fromkeys(ids, 0.0)
+    for t in fill_tuples(readers):
+        n = t.n
+        for i in readers[n]:
+            t0 = time.perf_counter()
+            failed, seen = [], False
+            for where, verdict in _LAWS[i][0](n, t):
+                seen = True
+                if verdict is True:
+                    continue
+                if isinstance(where, list):
+                    bad[i] += [Counterexample(n, k, *verdict) for k in where]
+                else:
+                    failed += [(k, verdict) for k in t.ks(where)]
+            bad[i] += [Counterexample(n, k, *verdict)
+                       for k, verdict in sorted(failed)]
+            hit[i] = hit[i] or seen
+            seconds[i] += time.perf_counter() - t0
+    return [TheoremReport(i, _LAWS[i][1](lo, hi),
+                          "fail" if bad[i] else "pass" if hit[i] else "vacuous",
+                          tuple(bad[i]), seconds[i] * 1000.0) for i in ids]
 
 
-class SurveyRow(NamedTuple):
+class SurveyRow(namedtuple("SurveyRow", "n_modulus k size sign verdict "
+                           "witness_size witness_x witness_y")):
     """One (n, k) line of the survey table."""
 
-    n_modulus: int
-    k: int
-    size: int
-    sign: int
-    verdict: str
-    witness_size: Optional[int]
-    witness_x: Optional[int]
-    witness_y: Optional[int]
+    __slots__ = ()
 
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:

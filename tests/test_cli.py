@@ -719,10 +719,11 @@ def test_a_reader_that_stops_early_gets_no_traceback():
 
 
 def test_a_failing_verify_exits_1():
-    # no real range breaks a law, so one verifier is replaced by a broken one
+    # no real range breaks a law, so the driver is handed a broken check
+    # for one law: k = 0 of every modulus it reads fails
     broken = ("from frieze_mod import verify\n"
-              "verify.VERIFIERS['size-bound'] = lambda lo, hi, row=None: verify.TheoremReport("
-              "'size-bound', 'planted', 'fail', (verify.Counterexample(lo, 0, 'x', 'y'),), 0.0)\n")
+              "_, text = verify._LAWS['size-bound']\n"
+              "verify._LAWS['size-bound'] = (lambda n, t: [([0], ('x', 'y'))], text)\n")
     for args in (["verify", "size-bound", "--max", "20"], ["verify", "all", "--max", "12"]):
         res = subprocess.run([sys.executable, "-c", broken + _ENTRY, *args],
                              capture_output=True, text=True, env=_env_with_src(),

@@ -1,4 +1,5 @@
 import json
+import time
 from math import gcd
 
 import pytest
@@ -170,16 +171,16 @@ def _head(size, kind):
     return size, 1, kind
 
 
-def _tampered(n0, k0, fake):
-    """The Tuples of fill_tuples((n,)), as the battery reads them, except
-    that the class tuple of k0 mod n0 has the head fake: a failure
-    planted on k0 and the other k of its tuple, if any."""
-    def row(n):
-        t, = fill_tuples((n,))
-        if n == n0:
-            t.heads[t.index(k0)] = fake
-        return t
-    return row
+def _tampered(monkeypatch, n0, k0, fake):
+    """Patch the fill the battery walks (verify.fill_tuples) so that the
+    class tuple of k0 mod n0 has the head fake: a failure planted on k0
+    and the other k of its tuple, if any."""
+    def tampered(moduli):
+        for t in fill_tuples(moduli):
+            if t.n == n0:
+                t.heads[t.index(k0)] = fake
+            yield t
+    monkeypatch.setattr(verify_module, "fill_tuples", tampered)
 
 
 # One head per law, tampered to break it: (id, n, k, fake head). The
@@ -205,8 +206,9 @@ def test_every_range_verifier_has_a_tampered_row():
 
 
 @pytest.mark.parametrize("theorem_id,n,k,fake", TAMPERED)
-def test_each_verifier_fails_on_a_tampered_row(theorem_id, n, k, fake):
-    report = VERIFIERS[theorem_id](2, 40, _tampered(n, k, fake))
+def test_each_verifier_fails_on_a_tampered_row(monkeypatch, theorem_id, n, k, fake):
+    _tampered(monkeypatch, n, k, fake)
+    report = VERIFIERS[theorem_id](2, 40)
     assert report.status == "fail", report.to_dict()
     assert (n, k) in [(c.n_modulus, c.k) for c in report.counterexamples]
 
@@ -226,9 +228,9 @@ SPECIAL_REASONS = [
 
 
 @pytest.mark.parametrize("n,k,size,reason", SPECIAL_REASONS)
-def test_special_sizes_reports_the_first_reason(n, k, size, reason):
-    report = VERIFIERS["special-sizes"](
-        n, n, _tampered(n, k, _head(size, "reducible")))
+def test_special_sizes_reports_the_first_reason(monkeypatch, n, k, size, reason):
+    _tampered(monkeypatch, n, k, _head(size, "reducible"))
+    report = VERIFIERS["special-sizes"](n, n)
     if reason is None:
         assert report.status == "pass", report.to_dict()
         return
@@ -249,31 +251,40 @@ def test_run_all_matches_the_single_runs(lo, hi):
         [_facts(run_verifier(i, lo, hi)) for i in VERIFIERS]
 
 
-def test_run_all_decides_each_row_once_before_any_check(monkeypatch):
+def test_run_all_decides_each_row_once_and_times_only_the_checks(monkeypatch):
+    # the fill sleeps after deciding each modulus: a report whose clock
+    # ran over the fill would count every sleep of its moduli
+    pause = 0.005
     events = []
 
-    def counting_range(moduli):
+    def slow_fill(moduli):
         for t in fill_tuples(moduli):
             events.append(t.n)
+            time.sleep(pause)
             yield t
 
-    def marked(fn):
-        def run(lo, hi, row):
+    def marked(check):
+        def run(n, t):
             events.append("check")
-            return fn(lo, hi, row)
+            return check(n, t)
         return run
 
-    monkeypatch.setattr(verify_module, "fill_tuples", counting_range)
-    for vid, fn in VERIFIERS.items():
-        monkeypatch.setitem(VERIFIERS, vid, marked(fn))
-    run_all(40, 60)
-    first = events.index("check")
-    decided = events[:first]
+    monkeypatch.setattr(verify_module, "fill_tuples", slow_fill)
+    for vid, (check, text) in verify_module._LAWS.items():
+        monkeypatch.setitem(verify_module._LAWS, vid, (marked(check), text))
+    reports = run_all(40, 60)
+    decided = [e for e in events if e != "check"]
     # three-h-criterion reads the mod-m size from the tuple of n = 2m,
     # so no odd half m below 40 is decided
     family = [3 * p for p in DEFAULT_FAMILY_PRIMES]     # 15 lies below both
     assert sorted(decided) == sorted({*range(40, 61), *family})
-    assert events[first:] == ["check"] * len(VERIFIERS)
+    # streamed: the first modulus (15, read by unbounded-family alone)
+    # is checked before the next is decided
+    assert events[:3] == [15, "check", 21]
+    slept_ms = pause * len(decided) * 1000.0
+    assert [r.theorem_id for r in reports] == list(VERIFIERS)
+    assert all(r.elapsed_ms < slept_ms for r in reports), \
+        [(r.theorem_id, r.elapsed_ms) for r in reports]
 
 
 def test_a_single_run_decides_only_the_rows_its_law_reads(monkeypatch):

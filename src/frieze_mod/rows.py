@@ -28,12 +28,11 @@ and checks it. Every size is checked against the 3N cap (ring._capped).
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
 its witness (w, x, y, eps), or None. _row gives one (for _pair_row). A
 range has one fill, fill_tuples: per modulus, the grouped classes of
-its prime-power factors (Part) and one head per class tuple (Tuples),
-each tuple decided once per call. The law battery (verify) reads it as
-it is, and builds no witness; fill_rows, which survey prints, reads it
-per k: the head of the tuple of every k, and the witness of each
-k <= n/2 doubled at its tuple's first corner, which the fill's memo
-keeps beside the tuple's head.
+its prime-power factors (Part) and one head and first corner per class
+tuple (Tuples), each tuple decided once per call. The law battery
+(verify) reads its heads, and builds no witness; fill_rows, which
+survey prints, reads it per k: the head of the tuple of every k, and
+the witness of each k <= n/2 doubled at its tuple's first corner.
 """
 
 from collections import namedtuple
@@ -259,17 +258,15 @@ def fill_rows(moduli):
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus (_class_source).
     """
-    for t, corners in _tuples(moduli):
+    for t in fill_tuples(moduli):
         (first, *rest), n = t.parts, t.n
         index = first.slot * (n // first.q)     # the tuple of each k
         for part in rest:       # the mixed-radix rule of Tuples.index
             m, slot = len(part.keys), part.slot * (n // part.q)
             index = [i * m + s for i, s in zip(index, slot)]
-        # the first corner of each tuple, in the order of t.heads
-        js = list(map(corners.get, product(*(p.keys for p in t.parts))))
         # no corner is 0, so j and its witness is None when j is None
         wits = [j and _witness(n, k, j) for k, j in
-                enumerate(map(js.__getitem__, index[:n // 2 + 1]))]
+                enumerate(map(t.corners.__getitem__, index[:n // 2 + 1]))]
         wits += [w and (w[0], -w[1] % n, -w[2] % n,
                         -w[3] if w[0] % 2 else w[3])
                  for w in wits[(n - 1) // 2:0:-1]]
@@ -291,13 +288,15 @@ def _grouped(row) -> Part:
                 list(index))
 
 
-class Tuples(namedtuple("Tuples", "n parts heads")):
-    """The class tuples of one modulus n and their heads (fill_tuples).
+class Tuples(namedtuple("Tuples", "n parts heads corners")):
+    """The class tuples of one modulus n and their verdicts (fill_tuples).
 
     parts holds the grouped classes (Part) of each prime-power factor q
     of n, p ascending; a class tuple takes one class of each, and tuple
     i is the i-th of their product, the last factor varying fastest.
-    heads[i] is its (size, sign, kind). By the CRT its k are those with
+    heads[i] is its (size, sign, kind) and corners[i] its first corner
+    j, or None (_verdict): every k of the tuple has its smallest witness
+    there, of size j + 2 (fill_rows). By the CRT its k are those with
     k mod q among the residues of its class for every q (ks); tuple 0
     is k = 0 alone."""
 
@@ -341,36 +340,27 @@ class Tuples(namedtuple("Tuples", "n parts heads")):
 def fill_tuples(moduli):
     """Yield the Tuples of the distinct moduli n (a range or a set, in any
     order) ascending: the grouped classes of each prime-power factor q
-    (_class_source) and the head of each class tuple of n. Size, sign and
-    kind depend only on the tuple (fill_rows), so every k of a tuple
-    shares its head. By the CRT the tuples of n are exactly the product
-    of the classes of its factors; each is decided once per call
-    (_verdict), together with its mirror, the tuple of -k, whose head has
-    the sign times (-1)**size (fill_rows). No witness is built. The class
-    of 0 mod q, of size 2, is held by k = 0 mod q alone (_verdict), and
-    it is the first class of q, so tuple 0 is k = 0 alone. Every size is
-    checked against the 3N cap, once per modulus (ring._capped), at its
-    least k. A repeated modulus is decided once; one below 2 raises
-    ValueError at the first next(). The law battery (verify) reads it,
-    and fill_rows reads the same fill."""
-    return (t for t, _ in _tuples(moduli))
-
-
-def _tuples(moduli):
-    """Yield (t, corners) for each Tuples t of fill_tuples(moduli):
-    corners maps each class tuple decided so far that has a corner to its
-    first corner (_verdict). The memo of the call keeps it beside the
-    head of each tuple, and enters a tuple and its mirror together: the
-    tuple of -k has the same corners, as u_j(-k) = (-1)**j * u_j(k)
-    (fill_rows). t keeps no corner, so the Tuples the law battery holds
-    stay as small."""
+    (_class_source) and the head and first corner of each class tuple of
+    n. Size, sign, kind and first corner depend only on the tuple
+    (fill_rows), so every k of a tuple shares them. By the CRT the
+    tuples of n are exactly the product of the classes of its factors;
+    each is decided once per call (_verdict), together with its mirror,
+    the tuple of -k, whose head has the sign times (-1)**size and whose
+    first corner is the same, as u_j(-k) = (-1)**j * u_j(k) (fill_rows).
+    The memo of the call maps each tuple decided so far to one shared
+    (head, first corner) pair. No witness is built. The class of 0 mod
+    q, of size 2, is held by k = 0 mod q alone (_verdict), and it is the
+    first class of q, so tuple 0 is k = 0 alone. Every size is checked
+    against the 3N cap, once per modulus (ring._capped), at its least k.
+    A repeated modulus is decided once; one below 2 raises ValueError at
+    the first next(). The law battery (verify) reads it, and fill_rows
+    reads the same fill."""
     moduli = sorted(set(moduli))
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     parts = _class_source(moduli[-1] if moduli else 0)
-    decided = {}    # class tuple -> its head
-    corners = {}    # class tuple with a corner -> its first corner
-    shared = {}     # one object per distinct class and head met
+    decided = {}    # class tuple -> its (head, first corner)
+    shared = {}     # one object per distinct class, head and pair met
 
     def one(x):
         return shared.setdefault(x, x)
@@ -378,22 +368,21 @@ def _tuples(moduli):
     def decide(key):
         head, mirrored, j = _verdict(key)
         twin = tuple(map(one, map(_negated, key)))
-        if j is not None:
-            corners[key] = corners[twin] = j
         if twin != key:
-            decided[twin] = one(mirrored)
-        head = decided[key] = one(head)
-        return head
+            decided[twin] = one((one(mirrored), j))
+        decided[key] = pair = one((one(head), j))
+        return pair
 
     for n in moduli:
         ps = tuple(parts(p, a) for p, a in factorize(n))
-        t = Tuples(n, ps, [decided.get(key) or decide(key)
-                           for key in product(*(p.keys for p in ps))])
+        pairs = [decided.get(key) or decide(key)
+                 for key in product(*(p.keys for p in ps))]
+        t = Tuples(n, ps, [h for h, _ in pairs], [j for _, j in pairs])
         if max(t.heads)[0] > _size_cap(n):     # some size past the cap
             k = min(k for i, h in enumerate(t.heads)
                     if h[0] > _size_cap(n) for k in t.ks(i))
             _capped(n, k, t.head(k)[0])     # raises SizeCapExceeded
-        yield t, corners
+        yield t
 
 
 def _negated(c):

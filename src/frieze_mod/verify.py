@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .ring import _crt_size, factorize
@@ -108,7 +108,7 @@ def two_three_split(n: int) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _power_shapes(s: int) -> tuple:
     """(p, e) when s, s / 2 or s / 4 is p**e for a prime p and e >= 1,
     else None, from one factorization of s >= 2."""

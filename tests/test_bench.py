@@ -20,7 +20,7 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench) == {"description", "setting", "python", "nproc", "commit",
                           "dirty", "seed", "seconds", "runs", "previous",
                           "correct", "workloads", "commands_ms",
-                          "commands_rss_mb"}
+                          "commands_rss_mb", "reach"}
     assert bench["setting"] == "smoke" and bench["runs"] >= 3
     assert bench["python"] == sys.version.split()[0]
     assert isinstance(bench["nproc"], int) and bench["nproc"] >= 1
@@ -30,8 +30,12 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
                                                 "peak_rss_mb"}
     assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) >= {
         "python -c pass"}
+    assert set(bench["reach"]) == {"verify all --max 100",
+                                   "survey --max 100 --force"}
+    assert all(set(fig) == {"ms", "rss_mb"} for fig in bench["reach"].values())
     figures = [*bench["workloads"]["sweep"].values(),
-               *bench["commands_ms"].values(), *bench["commands_rss_mb"].values()]
+               *bench["commands_ms"].values(), *bench["commands_rss_mb"].values(),
+               *(f for fig in bench["reach"].values() for f in fig.values())]
     for fig in figures:
         assert set(fig) == FIGURE, fig
         assert fig["runs"] == bench["runs"]

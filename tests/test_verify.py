@@ -68,6 +68,19 @@ def test_power_shapes_match_prime_power_shape():
         assert _power_shapes(s) == want, s
 
 
+def test_power_shapes_keep_every_size_asked():
+    # the checks ask about sizes up to 3n, so a cache bounded at 4,096
+    # sizes thrashed past n = 3000 (18,528 misses for run_all(2, 6000),
+    # against 8,175 distinct sizes): a second pass over every s <= 6000
+    # makes no miss. A few milliseconds
+    for s in range(2, 6001):
+        _power_shapes(s)
+    misses = _power_shapes.cache_info().misses
+    for s in range(2, 6001):
+        _power_shapes(s)
+    assert _power_shapes.cache_info().misses == misses
+
+
 def test_unit_class_matches_the_gcd():
     # reducible-constructions reads whether the k of a class mod a prime
     # power q are units from the class's size alone: checked against

@@ -1,6 +1,6 @@
 """Write a BENCH_<pr>.json: the end-to-end figures of this checkout.
 
-    python3 tools/bench.py --out BENCH_31.json        # about 2 minutes
+    python3 tools/bench.py --out BENCH_31.json        # about 3 minutes
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:
@@ -9,7 +9,8 @@ Each of RUNS rounds runs, as children of this process:
     end-to-end metrics of its last line;
   - each command of COMMANDS, and the interpreter floor python -c pass,
     as a child of its own: its spawn-to-exit wall time, and its peak RSS
-    from os.wait4.
+    from os.wait4;
+  - each command of REACH the same way, reported in its own section.
 The order rotates from round to round, so that a host whose speed drifts
 spreads the drift over every figure rather than over the last ones.
 Each figure is the median and quartiles (inclusive method) of its runs,
@@ -17,9 +18,9 @@ next to the median the previous BENCH file (the highest-numbered
 BENCH_<n>.json at the root, other than --out) holds for it, and the
 ratio of the two. The Python version, the commit and the CPUs this
 process may run on (nproc; perfbench pins itself to one CPU, so it
-reports 1) are read here. --smoke runs the sweep workload for 1 s and
-the two quickest commands only; it checks the file's shape, and its
-figures are no measurement.
+reports 1) are read here. --smoke runs the sweep workload for 1 s, the
+two quickest commands and the reach commands over small ranges only; it
+checks the file's shape, and its figures are no measurement.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ COMMANDS = ("verify all --max 600", "verify all --max 2000",
             "classify 18446744073709551557 3 --force",
             "size 18446744073709551615 3")
 SMOKE_COMMANDS = ("size 18446744073709551615 3",)
+# Ranges past the headline commands, where the range fill's memo, not
+# start-up, sets the time and the peak RSS.
+REACH = ("verify all --max 10000", "survey --max 5000 --force")
+SMOKE_REACH = ("verify all --max 100", "survey --max 100 --force")
 
 
 def child(argv: list[str]) -> tuple[float, float]:
@@ -122,19 +127,21 @@ def main() -> int:
     names = ["sweep"] if args.smoke else [w["name"] for w in spec["workloads"]]
     seconds = 1 if args.smoke else spec["run_seconds"]
     commands = [FLOOR, *(SMOKE_COMMANDS if args.smoke else COMMANDS)]
+    reach = list(SMOKE_REACH if args.smoke else REACH)
+    children = commands + reach
     nproc = len(os.sched_getaffinity(0))
 
     metrics = {name: {} for name in names}
     correct = {name: True for name in names}
-    walls = {c: [] for c in commands}
-    rss = {c: [] for c in commands}
+    walls = {c: [] for c in children}
+    rss = {c: [] for c in children}
     for r in range(RUNS):
         for name in names[r % len(names):] + names[:r % len(names)]:
             ok, values = workload(name, seconds)
             correct[name] &= ok
             for m, v in values.items():
                 metrics[name].setdefault(m, []).append(v)
-        for c in commands[r % len(commands):] + commands[:r % len(commands)]:
+        for c in children[r % len(children):] + children[:r % len(children)]:
             argv = ["-c", "pass"] if c == FLOOR else ["-c", ENTRY, *c.split()]
             wall, peak = child(argv)
             walls[c].append(wall)
@@ -146,7 +153,8 @@ def main() -> int:
         "description": "Medians and quartiles of perfbench/run.py --trace 0 "
                        "(end-to-end metrics, one child per run) and of child "
                        "process wall times and peak RSS of the headline "
-                       "commands, at one checkout, written by tools/bench.py.",
+                       "and reach commands, at one checkout, written by "
+                       "tools/bench.py.",
         "setting": "smoke" if args.smoke else "full",
         "python": sys.version.split()[0],
         "nproc": nproc,
@@ -158,10 +166,13 @@ def main() -> int:
         "workloads": {name: {m: compare(v, prev, "workloads", name, m)
                              for m, v in ms.items()}
                       for name, ms in metrics.items()},
-        "commands_ms": {c: compare(v, prev, "commands_ms", c)
-                        for c, v in walls.items()},
-        "commands_rss_mb": {c: compare(v, prev, "commands_rss_mb", c)
-                            for c, v in rss.items()},
+        "commands_ms": {c: compare(walls[c], prev, "commands_ms", c)
+                        for c in commands},
+        "commands_rss_mb": {c: compare(rss[c], prev, "commands_rss_mb", c)
+                            for c in commands},
+        "reach": {c: {"ms": compare(walls[c], prev, "reach", c, "ms"),
+                      "rss_mb": compare(rss[c], prev, "reach", c, "rss_mb")}
+                  for c in reach},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0 if all(correct.values()) else 1

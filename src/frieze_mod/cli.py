@@ -15,26 +15,30 @@ SystemExit). Each command is a plain function of its parsed arguments
 that prints its answer and returns 1 on failure. One table (_SPECS)
 declares each command's arguments and options. A well-formed line is
 read from it directly (_well_formed); argparse builds a parser from the
-same table (_parser) only for --help, for a line it declines (--out,
---opt=value, --, a repeated option, and every oplus line) and for a
-usage error, so it stays the one source of help text and parse errors.
+same table (usage._parser) only for --help, for a line it declines
+(--out, --opt=value, --, a repeated option, and every oplus line) and
+for a usage error, so it stays the one source of help text and parse
+errors.
 
 classify and witness share one front (_pair): the modulus, size-limit
-and --force gates, then their one pair by descent (rows._pair_row).
+and --force gates, then their one pair by descent (pair._pair_row).
 survey opens its destination (stdout or --out), then writes its range a
-modulus at a time as rows.fill_rows reads each from the one class-tuple
-fill that the law battery reads too (rows.fill_tuples), so its memory
-does not grow with its table, and an internal error comes after the
-lines of the moduli before it. Each decides afresh on every run and
-prints straight from a pair's (size, sign, kind) head and witness.
---no-cache is accepted for compatibility and does nothing; no command
-reads or writes a file besides --out. N and K are plain integers; K is
-taken mod N and may be negative.
+modulus at a time (rows._table) as rows.fill_rows reads each from the
+one class-tuple fill that the law battery reads too (rows.fill_tuples),
+so its memory does not grow with its table, and an internal error comes
+after the lines of the moduli before it. Each decides afresh on every
+run and prints straight from a pair's (size, sign, kind) head and
+witness. --no-cache is accepted for compatibility and does nothing; no
+command reads or writes a file besides --out. N and K are plain
+integers; K is taken mod N and may be negative.
 
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads ring alone (its size
-front, ring._front), classify, witness and survey rows and ring, verify
-verify, rows and ring, and oplus cycles. No import runs per (n, k) pair.
+front, ring._front), classify and witness pair and ring, survey rows,
+pair and ring, verify verify, rows, pair and ring, and oplus cycles and
+usage (every oplus line goes to argparse). The help texts and the
+argparse parser (usage) load only for --help and for a line the direct
+parse declines. No import runs per (n, k) pair.
 """
 
 import sys
@@ -43,7 +47,7 @@ import sys
 # past it, need --force. For classify and witness the gate bounds what
 # they print, not how long they search. Below SIZE_LIMIT a pair's size
 # and prime-power classes take milliseconds, but nothing bounds the
-# first-corner scan of rows._compose, about S / (2 * max D_q) steps: at
+# first-corner scan of pair._compose, about S / (2 * max D_q) steps: at
 # N = 2**64 - 1, k = 3 needs about 2.3e8 of them. A witness prints all
 # its entries, and of 200 random pairs with 2**20 <= N < 2**64, 76 were
 # reducible, with witnesses of 5.3e11 to 1.7e18 entries.
@@ -112,11 +116,11 @@ def _bordered(k: int, w: int, x: int, y: int) -> str:
 
 def _pair(command: str, n: int, k: int, force: bool):
     """The front of classify and witness: the modulus, size-limit and
-    --force gates, then (k mod n, its (head, wit) from rows._pair_row)."""
+    --force gates, then (k mod n, its (head, wit) from pair._pair_row)."""
     _check_modulus(n)
     _check_size_limit(command, n)
     _check_force(n, force)
-    from .rows import _pair_row
+    from .pair import _pair_row
     return k % n, _pair_row(n, k % n)
 
 
@@ -178,58 +182,6 @@ def verify(theorem_id: str, lo: int, hi: int, out: str | None):
     return _emit([text + "\n"], out) or int(any(r.status == "fail" for r in reports))
 
 
-_FIELDS = ("N", "k", "size", "sign", "verdict",
-           "witness_size", "witness_x", "witness_y")
-_CSV_HEADER = ",".join(_FIELDS)
-
-
-class _Rendered(dict):
-    """The text of each key, rendered by render(*key) on first use and
-    kept."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(*key)
-        return text
-
-
-def _table(fmt: str, rows):
-    """The text of survey in fmt from rows, the (n, heads, wits) of
-    rows.fill_rows: the CSV header, then one string per modulus, its
-    lines, k ascending, each ending in a newline. JSON lines are what
-    json.dumps gives for each pair's dict: every field is an int, null or
-    one of the three bare verdict words. A head is shared by every k of
-    the survey with that head, across moduli too (rows.fill_tuples), so
-    the part of a line each distinct head gives, and each k, is rendered
-    once."""
-    csv = fmt == "csv"
-    if csv:
-        yield _CSV_HEADER + "\n"
-    parts = _Rendered(
-        (lambda size, sign, kind: f",{size},{sign},{kind},") if csv else
-        (lambda size, sign, kind:
-         f'"size": {size}, "sign": {sign}, "verdict": "{kind}", '))
-    ks = []     # str(k) for every k below the largest modulus so far
-    for n, heads, wits in rows:
-        ks += map(str, range(len(ks), n))
-        lines = zip(ks, map(parts.__getitem__, heads), wits)
-        if csv:
-            p = f"{n},"
-            yield "".join([f"{p}{k}{part},,\n" if w is None else
-                           f"{p}{k}{part}{w[0]},{w[1]},{w[2]}\n"
-                           for k, part, w in lines])
-        else:
-            p = f'{{"N": {n}, "k": '
-            yield "".join([f'{p}{k}, {part}"witness_size": null, '
-                           f'"witness_x": null, "witness_y": null}}\n' if w is None else
-                           f'{p}{k}, {part}"witness_size": {w[0]}, '
-                           f'"witness_x": {w[1]}, "witness_y": {w[2]}}}\n'
-                           for k, part, w in lines])
-
-
 def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
     """Classification table for every k over a range of moduli.
 
@@ -241,7 +193,7 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
         raise UsageError(f"--min must be >= 2, got {lo}")
     if lo <= hi:
         _check_force(hi, force)
-    from .rows import fill_rows
+    from .rows import _table, fill_rows
     # lazy: _emit opens the destination, then each modulus is decided and
     # written in one write (not one per line: stdout may be unbuffered)
     return _emit(_table(fmt, fill_rows(range(lo, hi + 1))), out)
@@ -253,7 +205,7 @@ def survey(lo: int, hi: int, fmt: str, out: str | None, force: bool):
 _COMMANDS = {"classify": classify, "oplus": oplus_cmd, "size": size,
              "survey": survey, "verify": verify, "witness": witness}
 
-# Each command's declaration, which both the argparse parser (_parser)
+# Each command's declaration, which both the argparse parser (usage._parser)
 # and the parse of a well-formed command line (_well_formed) read: its
 # positional arguments (N and K are integers, the others strings), then
 # its options in the order --help lists them, each as (flag, dest, kind,
@@ -287,67 +239,9 @@ _SPECS = {
 _USAGE = "frieze-mod [OPTIONS] COMMAND [ARGS]..."
 
 
-def _doc(fn) -> str:
-    return "\n".join(line.strip() for line in (fn.__doc__ or "").splitlines())
-
-
-def _help() -> str:
-    lines = [f"Usage: {_USAGE}", "",
-             "  Minimal constant solutions of the 2x2 plus/minus identity "
-             "congruence.", "",
-             "Options:", "  --help  Show this message and exit.", "", "Commands:"]
-    for name, fn in _COMMANDS.items():
-        summary = _doc(fn).partition("\n")[0]
-        lines.append(f"  {name:<9} {summary}")
-    return "\n".join(lines) + "\n"
-
-
 def _usage(name: str) -> str:
     """The usage line of one command, after "Usage: "."""
     return f"frieze-mod {name} [OPTIONS] {_SPECS[name][0]}".rstrip()
-
-
-def _parser(name: str):
-    """The argparse parser of one command, built from its _SPECS entry
-    (only for the one that runs, and only when _well_formed declines
-    the line). It raises UsageError instead of exiting, and, like click,
-    knows only --help, no abbreviations."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    class Formatter(argparse.RawDescriptionHelpFormatter):
-        def add_usage(self, usage, actions, groups, prefix="Usage: "):
-            super().add_usage(usage, actions, groups, prefix)
-
-    def out_file(path: str) -> str:
-        import os
-        if os.path.isdir(path):
-            raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
-        return path
-
-    args, options = _SPECS[name]
-    p = Parser(prog=f"frieze-mod {name}", usage=_usage(name),
-               description=_doc(_COMMANDS[name]), formatter_class=Formatter,
-               add_help=False, allow_abbrev=False)
-    p.add_argument("--help", action="help", help="Show this message and exit.")
-    for metavar in args.split():
-        p.add_argument(metavar.lower(), metavar=metavar,
-                       type=int if metavar in ("N", "K") else str)
-    for flag, dest, kind, default, text in options:
-        if kind is None:
-            p.add_argument(flag, dest=dest, action="store_true", help=text)
-        elif isinstance(kind, tuple):
-            p.add_argument(flag, dest=dest, choices=kind, default=default,
-                           help=text)
-        else:
-            p.add_argument(flag, dest=dest, type=int if kind is int else out_file,
-                           default=None if default is ... else default,
-                           required=default is ..., help=text,
-                           metavar="INTEGER" if kind is int else kind)
-    return p
 
 
 def _operand(token: str) -> bool:
@@ -359,9 +253,9 @@ def _operand(token: str) -> bool:
 
 def _well_formed(name: str, rest: list):
     """The arguments of a well-formed command line as a dict, exactly
-    what _parser(name).parse_args(rest) gives less no_cache, read from
-    the command's _SPECS entry without argparse; None for any other
-    line, which the argparse parser then reads (and reports): --help,
+    what usage._parser(cli, name).parse_args(rest) gives less no_cache,
+    read from the command's _SPECS entry without argparse; None for any
+    other line, which the argparse parser then reads (and reports): --help,
     --out, --opt=value, --, a repeated or unknown option, a dash token
     that is not a negative integer, a value int() or the choices reject,
     a wrong count of arguments, and every oplus line."""
@@ -412,7 +306,8 @@ def main(argv=None) -> int:
     code: 0, 1 when the command fails, 2 on a usage error."""
     args = sys.argv[1:] if argv is None else list(argv)
     if args[:1] == ["--help"]:
-        print(_help(), end="")
+        from .usage import _help
+        print(_help(sys.modules[__name__]), end="")
         return 0
     usage, prog = _USAGE, "frieze-mod"
     try:
@@ -428,8 +323,10 @@ def main(argv=None) -> int:
             if name == "oplus" and "--help" not in rest:
                 # entry lists such as -2,0,2 are operands, not options
                 rest = ["--", *(a for a in rest if a != "--")]
+            from .usage import _parser
+            parser = _parser(sys.modules[__name__], name)
             try:
-                opts = vars(_parser(name).parse_args(rest))
+                opts = vars(parser.parse_args(rest))
             except SystemExit as e:     # --help printed the command's help
                 return e.code
             opts.pop("no_cache", None)

@@ -3,7 +3,7 @@
 The product convention applies entries last first: appending an entry
 multiplies on the LEFT, so the product over a concatenation satisfies
 m_n(c1 ++ c2) = m_n(c2) @ m_n(c1). Matrices are the row-major 4-tuples
-(a, b, c, d) of plain ints that rows.py works on.
+(a, b, c, d) of plain ints that pair.py works on.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .cycles import Cycle
-from .rows import _sign
+from .pair import _sign
 
 Entries = Union[Cycle, Iterable[int]]
 

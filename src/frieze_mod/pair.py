@@ -1,0 +1,190 @@
+"""The single-pair decider: size, sign and smallest bordered witness.
+
+For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
+follows one scalar recurrence u_s. The minimal size of the constant
+solution, its sign and its first inner power with a +-1 corner decide
+the pair: a shorter bordered solution (x, k, ..., k, y) closes up
+exactly at those corners (_endpoints), so the first one is the smallest
+witness. The results are plain ints, words and tuples, with no
+dataclass built per pair.
+
+Every pair takes its verdict (_verdict: size, sign, kind and first
+corner) from the corner classes (S_q, sign_q, D_q, f_q) of k mod its
+prime-power factors q (the CRT size law and the corner lemma, both
+proved in _compose). No pair is walked. A single pair (_pair_row) takes
+the class of k mod each q from one descent (ring._class, gathered by
+ring._classes), as the size command composes the size. A corner is a
+bare j; one witness step (_witness) builds M(k)**j by fast doubling
+(ring._lucas), closes and checks it. Every size is checked against the
+3N cap (ring._capped).
+
+A decided pair is a (head, wit): head is its (size, sign, kind) and wit
+its witness (w, x, y, eps), or None. _row gives one (for _pair_row).
+The range fill (rows.fill_tuples, rows.fill_rows) decides each class
+tuple with _verdict and builds each witness with _witness. This module
+imports ring alone, so classify, witness and the single-pair library
+calls compile no range fill.
+"""
+
+from .ring import _capped, _classes, _crt_size, _lucas, factorize
+
+
+# Matrices are row-major 4-tuples (a, b, c, d) of plain ints.
+
+def _sign(m, n):
+    """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
+    a, b, c, d = m
+    if b or c or a != d:
+        return 0
+    if a == 1:
+        return 1
+    if a == n - 1:
+        return -1
+    return 0
+
+
+def _endpoints(p_mat, n):
+    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, or None.
+
+    With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
+    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
+    row, y = -eps*r: there is a solution only when p = +-1, and then
+    exactly one. It is checked by evaluating the full product, and a
+    failed check raises RuntimeError. Mod 2 the two signs coincide and
+    the sign is +1.
+
+    So a bordered solution (x, k, ..., k, y) of size j + 2 closes exactly
+    at the +-1 corners u_j of M(k)**j = [[u_j, -u_{j-1}], [u_{j-1},
+    -u_{j-2}]], and every such corner closes: with p = +-1, eps = -p,
+    x = eps*q and y = -eps*r, m1(y) @ P @ m1(x) has bottom row
+    (p*x + q, -p) = (0, eps), top-right entry r - p*y = 0 and determinant
+    1, so it is eps * Id. M**S = sign * Id makes
+    M**(S-2-j) = sign * M**-2 * M**-j, so u_j is +-1 exactly when
+    u_{S-2-j} is: the corners below S - 2 sit symmetrically about
+    (S - 2)/2, and the first one is the smallest witness.
+    """
+    p, q, r, s = p_mat
+    if p not in (1, n - 1):
+        return None
+    eps = 1 if p == n - 1 else -1
+    x, y = eps * q % n, -eps * r % n
+    # m1(y) @ P @ m1(x) = [[y*c - r*x - s, r - p*y], [c, -p]], c = p*x + q
+    c = p * x + q
+    closed = ((y * c - r * x - s) % n, (r - p * y) % n, c % n, -p % n)
+    if _sign(closed, n) != eps:
+        raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
+    return x, y, eps
+
+
+def _witness(n, k, j):
+    """The witness (j + 2, x, y, eps) of k mod n at its first corner j,
+    as _compose gives it: M(k)**j by fast doubling (ring._lucas), closed
+    by _endpoints. RuntimeError unless u_j = +-1."""
+    a, b = _lucas(n, k, j)      # u_{j-1}, u_j
+    ends = _endpoints((b, -a % n, a, (b - k * a) % n), n)
+    if ends is None:
+        raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
+    return (j + 2, *ends)
+
+
+def _verdict(classes):
+    """(head of k, head of -k, first corner j or None) for the k of one
+    class tuple, from _compose; a head is (size, sign, kind), and -k has
+    the sign times (-1)**size (rows.fill_rows). The kind is
+    "zero-convention" exactly at size 2, else "reducible" with a corner,
+    "irreducible" without. Only k = 0 has size 2, and it has no corner in
+    [1, 0]: M(k)**2 = k * M(k) - Id (Cayley-Hamilton) is +-Id only when
+    k * M(k) is 0 or 2 * Id, so its bottom-left entry k is 0, and
+    M(0)**2 = -Id; no size is 1, as M(k) has the off-diagonal entries -1
+    and 1."""
+    size, sign, corner = _compose(classes)
+    kind = ("zero-convention" if size == 2 else
+            "irreducible" if corner is None else "reducible")
+    return (size, sign, kind), (size, sign * (-1) ** size, kind), corner
+
+
+def _row(n, k, classes):
+    """The (head, wit) of k mod n from its class tuple: its verdict's head
+    (_verdict), the 3N cap checked, and the witness at its corner, or None."""
+    head, _, j = _verdict(classes)
+    _capped(n, k, head[0])
+    return head, None if j is None else _witness(n, k, j)
+
+
+def _pair_row(n: int, k: int) -> tuple:
+    """The (head, wit) of k mod n (0 <= k < n), by _row from the class of
+    k mod each prime-power factor of n, one descent each (ring._classes):
+    kind "reducible", "irreducible" or, for k = 0, "zero-convention", and
+    wit None when there is no witness (always for k = 0, of size 2)."""
+    return _row(n, k, _classes(factorize(n), k))
+
+
+def _compose(classes):
+    """(size, sign, corner) of a pair from the classes of its prime-power
+    factors: size and sign by the CRT size law (ring._crt_size), corner
+    the first corner j in [1, (size - 2)/2], or None.
+
+    The CRT size law. Every n = prod q, over coprime prime powers q, a
+    prime power included, is decided from the class of k mod each q:
+    (S_q, sign_q, D_q, f_q), the size and sign of k mod q and the (D, f)
+    of the corner lemma below. By the CRT, M**s = eps * Id mod n exactly
+    when it holds mod every q. Mod q, the s with M**s = +-Id are the
+    multiples of the size S_q (they form a subgroup of Z), and
+    M**(t * S_q) = sign_q**t * Id. So every s with M**s = +-Id mod n is a
+    multiple of m = lcm(S_q), and mod q, M**m = sign_q**(m / S_q) * Id;
+    mod 2 the two signs coincide, so q = 2 has no say (ring._class gives
+    it the signs 0). When the signs sign_q**(m / S_q) of all q != 2
+    agree, the size is m and that common sign is the row's sign.
+    Otherwise the size is 2 * m, with sign +1, since
+    M**(2 * m) = (M**m)**2 = Id mod every q (ring._crt_size).
+
+    The witness comes from the first +-1 corner u_j with
+    1 <= j <= (S - 2)/2 (_endpoints). The corner lemma: mod a prime
+    power q = p**a, let D be the least j >= 1 with M**j in
+    H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} (a group, proved in
+    ring._descend), and M**D = f * Id + v * M. Then u_j = +-1 exactly
+    when j = 0 or j = -2 mod D, and u_{tD} = f**t, u_{tD-2} = -f**t.
+    Proof: by Cayley-Hamilton (M**2 = k * M - Id), M**j = -u_{j-2} * Id +
+    u_{j-1} * M. The j with M**j in H are the multiples of D, and
+    (f*Id + v*M)**t = f**t * Id + t * f**(t-1) * v * M since
+    (v*M)**2 = v**2 * (k*M - Id) = 0; this reads u_{tD-2} = -f**t,
+    u_{tD-1} = t * f**(t-1) * v and u_{tD} = k * u_{tD-1} - u_{tD-2} =
+    f**t, as v * k = 0. Conversely let u_j = eps = +-1, x = u_{j-1} and
+    y = u_{j+1} = eps * k - x. Then M**j = (eps - x*k) * Id + x * M,
+    M**(j+2) = -eps * Id + y * M, and det M**(j+1) = eps**2 - x*y = 1
+    gives x*y = 0, so x**2 = eps*x*k and y**2 = eps*y*k. If x*k = 0,
+    M**j is in H and j = 0 mod D; if y*k = 0, M**(j+2) is, and
+    j = -2 mod D. One of the two holds: k = 0 gives x*k = 0, and
+    otherwise x*k != 0 != y*k would put v_p(x) and v_p(y) below
+    a - v_p(k) while v_p(x) + v_p(y) >= a, so both would exceed v_p(k),
+    against x + y = eps * k.
+
+    By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
+    the corners mod n are the j that lie on a corner class of every q
+    with one common sign (q = 2 again has no say), and size, sign, kind
+    and first corner depend only on the tuple of classes (_verdict).
+    Each corner mod n is one mod the q of the largest D, so the scan
+    steps j = t*D - 2, t*D for that D.
+    """
+    m, multiplier, sign = _crt_size(classes)
+    size = multiplier * m
+    # every corner mod n is one of the class with the largest D. A class
+    # (D, f) has u_{tD-2} = -f**t and u_{tD} = f**t (q = 2, f = 0, gives
+    # no sign): the first j in [1, (size - 2)/2] on a corner of every
+    # class with one common sign
+    stop = size // 2
+    d = max(c[2] for c in classes)
+    for top in range(d, stop + 2, d):
+        for j in (top - 2, top):
+            if not 0 < j < stop:
+                continue
+            eps = 0
+            for _, _, e, f in classes:
+                t, r = divmod(j + 2, e)
+                u = -f ** t if r == 0 else f ** t if r == 2 else None
+                if u is None or u * eps < 0:
+                    break
+                eps = eps or u
+            else:
+                return size, sign, j
+    return size, sign, None

@@ -1,6 +1,6 @@
 """Reducibility of minimal constant solutions, as verdict objects.
 
-The (head, wit) pairs of rows.py become MonomialVerdict and
+The (head, wit) pairs of pair.py become MonomialVerdict and
 ReductionWitness records here.
 
 A solution of size l reduces when some member of its rotation/reversal
@@ -8,7 +8,7 @@ class splits as the endpoint-merging sum of two strictly shorter
 solutions (both of size >= 3). For a constant solution the right summand
 can always be steered into bordered shape (x, k, ..., k, y), which closes
 up exactly where the inner power M(k)**j has a +-1 corner, and there in
-one way (proved in rows._endpoints). So the smallest witness is the bordered
+one way (proved in pair._endpoints). So the smallest witness is the bordered
 solution at the first such corner, of size j + 2.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .cycles import Cycle
-from .rows import _pair_row
+from .pair import _pair_row
 
 
 class ReductionWitness(NamedTuple):
@@ -61,7 +61,7 @@ class MonomialVerdict(NamedTuple):
     def from_row(cls, n: int, k: int, head: tuple,
                  wit: Optional[tuple]) -> "MonomialVerdict":
         """The verdict of k mod n (0 <= k < n) from its (head, wit), as
-        rows._pair_row and rows.fill_rows give them."""
+        pair._pair_row and rows.fill_rows give them."""
         return cls(n, k, *head, wit and ReductionWitness(n, k, *wit))
 
 

@@ -125,8 +125,8 @@ def _power_shapes(s: int) -> tuple:
 def _unit_class(p: int, size: int) -> bool:
     """Whether the k of a class of this size mod a power q of the prime p
     are units: p divides k exactly when size = 2 * p**i. Mod p, only
-    k = 0 has size 2 (rows._verdict), and every other size mod p is 3
-    (p = 2), p, or at most p + 1 (the orbit rule, rows.fill_rows), so
+    k = 0 has size 2 (pair._verdict), and every other size mod p is 3
+    (p = 2), p, or at most p + 1 (the orbit rule, rows._orbits), so
     never 2 * p**i. The size mod q is the size mod p times a power of p,
     since it is a multiple of it and divides it times p**(a - 1)
     (ring._size_multiple)."""

@@ -1,7 +1,7 @@
 """Second routes to the reduction verdict, built on the package internals.
 
 The package decides reducibility by the bordered witness search of
-rows.py alone. The routes here reach the same questions another way:
+pair.py alone. The routes here reach the same questions another way:
 the walk along the recurrence that gives the reference class of every
 pair, the general decomposition search over a whole equivalence class,
 the census of bordered solutions up to a size cap, and the bordered
@@ -9,7 +9,7 @@ solutions of one size from the closed-form endpoint solve. The tests
 cross-check the fast path against them. They use the package's matrix
 and endpoint helpers, so unlike oracles.py they are not independent of
 it; oracles.py checks those helpers in turn. The command line has a
-second route too: the argparse parser of each command (cli._parser),
+second route too: the argparse parser of each command (usage._parser),
 against which argv_mismatches checks the parse of well-formed lines
 (cli._well_formed). So does the law battery, which decides each law once
 per class tuple (verify): REFERENCE holds each law's check pair by pair
@@ -26,11 +26,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from frieze_mod.cli import _SPECS, UsageError, _parser, _well_formed
+from frieze_mod import cli
+from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _mul, _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
-from frieze_mod.rows import _compose, _endpoints, _row, fill_rows
+from frieze_mod.pair import _compose, _endpoints, _row
+from frieze_mod.rows import fill_rows
+from frieze_mod.usage import _parser
 from frieze_mod.verify import (MODULI, VERIFIERS, _crt_pair, _divisors,
                                _special_reason, fill_tuples, odd_half,
                                two_three_split)
@@ -55,9 +58,9 @@ def _walk(n: int, k: int):
 
     The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
     meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
-    witness, rows._endpoints), (S, sign, j + 2, -u_j); else
+    witness, pair._endpoints), (S, sign, j + 2, -u_j); else
     (S, sign, S, sign); f is +1 mod 2. Mod a prime power q = p**a this
-    is the class of the corner lemma (rows.fill_rows), that is
+    is the class of the corner lemma (pair._compose), that is
     ring._class(p, a, k) but for q = 2, whose class there carries the
     signs 0: D >= 2, since M = 0 * Id + 1 * M is not in H.
     k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
@@ -103,9 +106,9 @@ def _walk(n: int, k: int):
 
 def walked_row(n: int, k: int) -> tuple:
     """The reference (head, wit) of k mod n: the package's row builder
-    (rows._row) over the walk's one class, in place of the class tuple
+    (pair._row) over the walk's one class, in place of the class tuple
     of n's prime-power factors. It shares the package's kind rule
-    (rows._verdict: "zero-convention" exactly at size 2), which
+    (pair._verdict: "zero-convention" exactly at size 2), which
     test_zero_bucket_and_short_size_laws and the oracle of
     perfbench/oracle.py check on their own."""
     return _row(n, k, (_walk(n, k),))
@@ -290,7 +293,7 @@ def argv_mismatches(max_tokens: int):
     parser (parsed_by_argparse)."""
     bad, tried, accepted = [], 0, 0
     for name, (_, options) in _SPECS.items():
-        parser = _parser(name)
+        parser = _parser(cli, name)
         alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
         for size in range(max_tokens + 1):
             for argv in itertools.product(alphabet, repeat=size):

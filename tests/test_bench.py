@@ -8,6 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGURE = {"median", "q1", "q3", "runs", "previous", "vs_previous"}
+FLOOR = "python -c pass"
 
 
 def test_smoke_run_writes_a_bench_file(tmp_path):
@@ -28,8 +29,16 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert bench["correct"] == {"sweep": True}
     assert set(bench["workloads"]["sweep"]) >= {"setup_s", "wall_s", "core_p50_ms",
                                                 "peak_rss_mb"}
-    assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) >= {
-        "python -c pass"}
+    assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) > {FLOOR}
+    # each command's wall time less the floor's, both medians of the
+    # same rounds
+    floor = bench["commands_ms"].pop(FLOOR)
+    for fig in bench["commands_ms"].values():
+        extra = fig.pop("above_floor")
+        assert set(extra) == {"value", "previous", "vs_previous"}
+        assert extra["value"] == fig["median"] - floor["median"]
+        assert (extra["previous"] is None) == (extra["vs_previous"] is None)
+    bench["commands_ms"][FLOOR] = floor
     assert set(bench["reach"]) == {"verify all --max 100",
                                    "survey --max 100 --force"}
     assert all(set(fig) == {"ms", "rss_mb"} for fig in bench["reach"].values())

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -14,10 +14,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import frieze_mod
-from frieze_mod.cli import (_CSV_HEADER, _SPECS, _parser, _well_formed,
-                            classify, cli, witness)
+import frieze_mod.cli as cli_mod
+from frieze_mod.cli import _SPECS, _well_formed, classify, cli, witness
+from frieze_mod.pair import _pair_row
 from frieze_mod.reduce import is_irreducible_monomial
-from frieze_mod.rows import _pair_row
+from frieze_mod.rows import _CSV_HEADER
+from frieze_mod.usage import _parser
 from routes import ARGV_TOKENS, argv_mismatches, parsed_by_argparse, typed
 
 
@@ -343,7 +345,7 @@ def test_survey_csv(runner):
 def test_survey_lines_are_each_pairs_own(runner):
     # survey renders the text of each distinct head once and reuses it,
     # across moduli too; every line must still be the one its own pair
-    # gives when decided alone (rows._pair_row)
+    # gives when decided alone (pair._pair_row)
     for fmt in ("csv", "json"):
         want = [_CSV_HEADER] if fmt == "csv" else []
         for n in range(2, 61):
@@ -532,22 +534,25 @@ def _loaded_after(code):
 @pytest.mark.parametrize("args,extra", [
     ([], []),
     (["size", "35", "23"], ["frieze_mod.ring"]),
-    (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
-    (["classify", "9", "3", "--no-cache"], ["frieze_mod.ring", "frieze_mod.rows"]),
-    (["witness", "9", "3"], ["frieze_mod.ring", "frieze_mod.rows"]),
-    (["survey", "--max", "5"], ["frieze_mod.ring", "frieze_mod.rows"]),
+    (["oplus", "10", "1,1,3", "-2,0,2"],
+     ["frieze_mod.cycles", "frieze_mod.usage"]),
+    (["classify", "9", "3", "--no-cache"], ["frieze_mod.pair", "frieze_mod.ring"]),
+    (["witness", "9", "3"], ["frieze_mod.pair", "frieze_mod.ring"]),
+    (["survey", "--max", "5"],
+     ["frieze_mod.pair", "frieze_mod.ring", "frieze_mod.rows"]),
     (["verify", "all", "--max", "5"],
-     ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
-    (["classify", "--force", "2001", "-5"], ["frieze_mod.ring", "frieze_mod.rows"]),
+     ["frieze_mod.pair", "frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
+    (["classify", "--force", "2001", "-5"], ["frieze_mod.pair", "frieze_mod.ring"]),
     (["survey", "--format", "json", "--min", "3", "--max", "5", "--force",
-      "--no-cache"], ["frieze_mod.ring", "frieze_mod.rows"]),
+      "--no-cache"], ["frieze_mod.pair", "frieze_mod.ring", "frieze_mod.rows"]),
     (["verify", "size-bound", "--min", "3", "--max", "5"],
-     ["frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
+     ["frieze_mod.pair", "frieze_mod.ring", "frieze_mod.rows", "frieze_mod.verify"]),
 ])
 def test_commands_load_only_what_they_run(args, extra):
     # nor click, nor dataclasses and inspect (about 13 ms of start-up);
     # and a well-formed line is parsed without argparse, which with
-    # gettext and locale costs about 3 ms (oplus always builds its parser)
+    # gettext and locale costs about 3 ms (oplus always builds its parser,
+    # from usage). classify and witness compile no range fill (rows)
     heavy = ["click", "dataclasses", "inspect"]
     if args[:1] != ["oplus"]:
         heavy += ["argparse", "gettext", "locale"]
@@ -562,9 +567,23 @@ def test_commands_load_only_what_they_run(args, extra):
     assert _loaded_after(code) == sorted(["frieze_mod", "frieze_mod.cli", *extra])
 
 
+@pytest.mark.parametrize("call,want", [
+    ("frieze_mod.is_irreducible_monomial(9, 3)",
+     ["cycles", "pair", "reduce", "ring"]),
+    ("frieze_mod.solution_sign((6, 3, 3, 6), 9)",
+     ["cycles", "modmat", "pair", "ring"]),
+])
+def test_single_pair_library_calls_load_no_range_fill(call, want):
+    # one pair is decided (reduce) or multiplied out (modmat) by pair.py
+    # alone: neither compiles rows, the range fill
+    got = _loaded_after(f"import frieze_mod\n{call}")
+    assert got == sorted(["frieze_mod", *(f"frieze_mod.{m}" for m in want)])
+
+
 # A usage error that a command raises on a well-formed line still names
-# the command's usage, from its _SPECS entry, with no parser built; one
-# that the parse finds, and --help, come from the argparse parser.
+# the command's usage, from its _SPECS entry, with no parser built and
+# no usage module loaded; one that the parse finds, and --help, come
+# from the argparse parser (usage._parser).
 @pytest.mark.parametrize("args,parser", [
     (["size", "0", "3"], False),
     (["classify", "3000", "2"], False),
@@ -582,16 +601,16 @@ def test_usage_errors_build_a_parser_only_when_the_parse_fails(runner, args, par
             "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             f"    code = frieze_mod.cli.main({args!r})\n"
             "print(json.dumps([code, out.getvalue(), err.getvalue(),"
-            " 'argparse' in sys.modules]))")
+            " 'argparse' in sys.modules, 'frieze_mod.usage' in sys.modules]))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_env_with_src(), timeout=60)
     assert res.returncode == 0, res.stderr
     clicked = runner.invoke(cli, args, prog_name="frieze-mod")
     assert json.loads(res.stdout) == [clicked.exit_code, clicked.stdout,
-                                      clicked.stderr, parser]
+                                      clicked.stderr, parser, parser]
     assert clicked.exit_code == (0 if args[-1] == "--help" else 2)
     assert (clicked.stdout + clicked.stderr).startswith(
-        f"Usage: {_parser(args[0]).usage}\n")
+        f"Usage: {_parser(cli_mod, args[0]).usage}\n")
 
 
 def test_well_formed_lines_parse_as_argparse_parses_them():
@@ -613,7 +632,7 @@ def test_well_formed_lines_skip_argparse(args):
     name, rest = args[0], args[1:]
     got = _well_formed(name, rest)
     assert got is not None
-    assert typed(got) == typed(parsed_by_argparse(_parser(name), rest))
+    assert typed(got) == typed(parsed_by_argparse(_parser(cli_mod, name), rest))
 
 
 @pytest.mark.parametrize("args", [
@@ -641,7 +660,7 @@ _ARGV = st.lists(st.one_of(st.sampled_from(ARGV_TOKENS + (
 def test_any_line_the_fast_parse_accepts_parses_as_argparse_does(name, argv):
     got = _well_formed(name, argv)
     if got is not None:
-        assert typed(got) == typed(parsed_by_argparse(_parser(name), argv))
+        assert typed(got) == typed(parsed_by_argparse(_parser(cli_mod, name), argv))
 
 
 # Every command through main() in a process where importing click fails.
@@ -693,6 +712,40 @@ def test_module_entry_point_exits_2_on_a_usage_error():
                          timeout=60)
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr.endswith("\nError: modulus must be >= 2, got 0\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["classify", "--help"], ["size", "5"],
+    ["oplus", "10", "1,1,3", "-2,0,2"],
+    ["survey", "--max", "5", "--out", "FILE"],
+])
+def test_module_entry_point_prints_what_main_prints(args, tmp_path, monkeypatch):
+    # python -m frieze_mod.cli runs cli as __main__, a second copy beside
+    # frieze_mod.cli, and usage builds its help and parser from the copy
+    # it is handed: its help, a parse error and lines the direct parse
+    # declines (every oplus line, --out) give the exit code, stdout,
+    # stderr and --out file of main() in process, byte for byte. COLUMNS
+    # fixes the width argparse wraps help to
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(in_process):
+        path = tmp_path / ("main.csv" if in_process else "module.csv")
+        argv = [str(path) if a == "FILE" else a for a in args]
+        if in_process:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli_mod.main(argv)
+            got = code, out.getvalue().encode(), err.getvalue().encode()
+        else:
+            res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", *argv],
+                                 capture_output=True, env=_env_with_src(),
+                                 timeout=60)
+            got = res.returncode, res.stdout, res.stderr
+        return got, path.read_bytes() if path.exists() else None
+
+    got = run(True)
+    assert got == run(False)
+    assert (got[1] is not None) == ("FILE" in args)
 
 
 _ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod import cli, ring, rows as rows_mod
+from frieze_mod import cli, pair as pair_mod, ring, rows as rows_mod
 from frieze_mod.cycles import Cycle, equivalence_class, oplus
 from frieze_mod.modmat import solution_sign
 from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
@@ -11,7 +11,8 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.rows import _compose, _pair_row, fill_rows, fill_tuples
+from frieze_mod.pair import _compose, _pair_row
+from frieze_mod.rows import fill_rows, fill_tuples
 from frieze_mod.verify import monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
@@ -360,13 +361,13 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # its rows equal one call per modulus and the walk of every pair. It
     # shares one head object per distinct head
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
-    compose, composed = rows_mod._compose, []
+    compose, composed = pair_mod._compose, []
 
     def counted(classes):
         composed.append(classes)
         return compose(classes)
 
-    monkeypatch.setattr(rows_mod, "_compose", counted)
+    monkeypatch.setattr(pair_mod, "_compose", counted)
     fills = list(fill_rows(moduli))
     shared = len(composed)
     assert fills == [_filled(n) for n in sorted(moduli)]
@@ -378,7 +379,7 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
 
 
 def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
-    # no row walks: rows defines no _walk. Over n <= 250, fill_rows
+    # no row walks: rows and pair define no _walk. Over n <= 250, fill_rows
     # descends (ring._class) to the class of each pair k <= q/2 of q = 2
     # and of each prime power q = p**a with a >= 2 once, fills the row of
     # each odd prime p from two orbits, and builds M**j by fast doubling
@@ -396,8 +397,8 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     # reads only sizes and kinds) takes the same classes from the same
     # source (the same descents) and builds no witness: its only
     # doublings test the orbits' generators
-    assert not hasattr(rows_mod, "_walk")
-    klass, descend, lucas = ring._class, ring._descend, rows_mod._lucas
+    assert not hasattr(rows_mod, "_walk") and not hasattr(pair_mod, "_walk")
+    klass, descend, lucas = ring._class, ring._descend, ring._lucas
     descents, moduli, doubled = [], [], []
 
     def counted_class(p, a, k):
@@ -419,7 +420,9 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
     monkeypatch.setattr(rows_mod, "_class", counted_class)
     monkeypatch.setattr(ring, "_class", counted_class)
     monkeypatch.setattr(ring, "_descend", counted_descend)
+    # the orbits' generator tests (rows) and the witnesses (pair)
     monkeypatch.setattr(rows_mod, "_lucas", counted_lucas)
+    monkeypatch.setattr(pair_mod, "_lucas", counted_lucas)
     for _ in fill_rows(range(2, 251)):
         pass
     odd_primes = {n for n in range(3, 251) if factorize(n) == [(n, 1)]}
@@ -464,7 +467,7 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # reads size and kind alone and builds no witness: it composes the
     # tuple once per run and still finds the pair reducible
     key = tuple(_walk(q, 4 % q) for q in (3, 7))
-    compose, shifted = rows_mod._compose, []
+    compose, shifted = pair_mod._compose, []
 
     def shift(classes):
         size, sign, j = compose(classes)
@@ -473,7 +476,7 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
         shifted.append(j)
         return size, sign, j + 1
 
-    monkeypatch.setattr(rows_mod, "_compose", shift)
+    monkeypatch.setattr(pair_mod, "_compose", shift)
     for call, arg in ((_filled, (21,)), (_pair_row, (21, 4)),
                       (is_irreducible_monomial, (21, 4))):
         with pytest.raises(RuntimeError,
@@ -532,10 +535,10 @@ def test_a_64_bit_prime_pair_descends():
 
 
 def test_an_unverified_corner_raises(monkeypatch):
-    # every +-1 corner closes up (proved in rows._endpoints), so a corner
+    # every +-1 corner closes up (proved in pair._endpoints), so a corner
     # whose product fails the check is an internal error, not a later
     # witness
-    monkeypatch.setattr(rows_mod, "_sign", lambda m, n: 0)
+    monkeypatch.setattr(pair_mod, "_sign", lambda m, n: 0)
     for call, arg in ((_pair_row, (9, 3)), (is_irreducible_monomial, (9, 3)),
                       (_filled, (15,))):
         with pytest.raises(RuntimeError, match="does not close up"):

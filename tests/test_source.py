@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import frieze_mod
@@ -31,6 +32,18 @@ def test_cli_imports_only_sys_at_load_time():
     # every other import sits in the command that needs it
     tree = ast.parse((SRC / "cli.py").read_text())
     assert [name for node in tree.body for name in _imported(node)] == ["sys"]
+
+
+def test_pair_imports_only_ring_and_the_standard_library():
+    # classify and witness load pair: it may bring in no range fill
+    # (rows), parser (usage) or other package module
+    found = [(node.level, node.module) if isinstance(node, ast.ImportFrom)
+             else (0, name)
+             for node in ast.walk(ast.parse((SRC / "pair.py").read_text()))
+             for name in _imported(node)]
+    assert found and all((level, name) == (1, "ring") or level == 0
+                         and name.split(".")[0] in sys.stdlib_module_names
+                         for level, name in found), found
 
 
 def test_no_module_imports_click():

@@ -16,7 +16,11 @@ spreads the drift over every figure rather than over the last ones.
 Each figure is the median and quartiles (inclusive method) of its runs,
 next to the median the previous BENCH file (the highest-numbered
 BENCH_<n>.json at the root, other than --out) holds for it, and the
-ratio of the two. The Python version, the commit and the CPUs this
+ratio of the two. Each command's wall time also has an above_floor
+value: its median less the floor's median of the same rounds, next to
+the same difference in the previous file and the ratio of the two. The
+floor drifts with the host from session to session, and the difference
+is what the package's own start-up and work cost. The Python version, the commit and the CPUs this
 process may run on (nproc; perfbench pins itself to one CPU, so it
 reports 1) are read here. --smoke runs the sweep workload for 1 s, the
 two quickest commands and the reach commands over small ranges only; it
@@ -44,6 +48,7 @@ FLOOR = "python -c pass"
 # The headline commands of ROADMAP.md's table, which no workload runs.
 COMMANDS = ("verify all --max 600", "verify all --max 2000",
             "survey --max 1000 --force", "survey --max 2000 --force",
+            "classify 1999 77", "witness 1234 617",
             "classify 9699690 2 --force",
             "classify 18446744073709551557 3 --force",
             "size 18446744073709551615 3")
@@ -111,6 +116,18 @@ def compare(values: list[float], prev: dict, *keys: str) -> dict:
             "vs_previous": fig["median"] / base - 1 if base else None}
 
 
+def above_floor(fig: dict, floor: dict) -> dict:
+    """The median of the wall-time figure fig less that of the floor's
+    figure of the same rounds, with the same difference of the previous
+    medians and the ratio of the two."""
+    value = fig["median"] - floor["median"]
+    base = (fig["previous"] - floor["previous"]
+            if fig["previous"] is not None and floor["previous"] is not None
+            else None)
+    return {"value": value, "previous": base,
+            "vs_previous": value / base - 1 if base else None}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True).stdout.strip()
@@ -149,6 +166,11 @@ def main() -> int:
 
     prev_path = previous_file(args.out)
     prev = json.loads(prev_path.read_text()) if prev_path else {}
+    commands_ms = {c: compare(walls[c], prev, "commands_ms", c)
+                   for c in commands}
+    for c in commands[1:]:
+        commands_ms[c]["above_floor"] = above_floor(commands_ms[c],
+                                                    commands_ms[FLOOR])
     report = {
         "description": "Medians and quartiles of perfbench/run.py --trace 0 "
                        "(end-to-end metrics, one child per run) and of child "
@@ -166,8 +188,7 @@ def main() -> int:
         "workloads": {name: {m: compare(v, prev, "workloads", name, m)
                              for m, v in ms.items()}
                       for name, ms in metrics.items()},
-        "commands_ms": {c: compare(walls[c], prev, "commands_ms", c)
-                        for c in commands},
+        "commands_ms": commands_ms,
         "commands_rss_mb": {c: compare(rss[c], prev, "commands_rss_mb", c)
                             for c in commands},
         "reach": {c: {"ms": compare(walls[c], prev, "reach", c, "ms"),

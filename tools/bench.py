@@ -19,12 +19,13 @@ BENCH_<n>.json at the root, other than --out) holds for it, and the
 ratio of the two. Each command's wall time also has an above_floor
 value: its median less the floor's median of the same rounds, next to
 the same difference in the previous file and the ratio of the two. The
-floor drifts with the host from session to session, and the difference
-is what the package's own start-up and work cost. The Python version, the commit and the CPUs this
-process may run on (nproc; perfbench pins itself to one CPU, so it
-reports 1) are read here. --smoke runs the sweep workload for 1 s, the
-two quickest commands and the reach commands over small ranges only; it
-checks the file's shape, and its figures are no measurement.
+floor drifts with the host from one BENCH file to the next, and the
+difference is what the package's own start-up and work cost. The
+Python version, the commit and the CPUs this process may run on (nproc;
+perfbench pins itself to one CPU, so it reports 1) are read here.
+--smoke runs the sweep workload for 1 s, the two quickest commands and
+the reach commands over small ranges only; it checks the file's shape,
+and its figures are no measurement.
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ SystemExit). Each command is a plain function of its parsed arguments
 that prints its answer and returns 1 on failure. One table (_SPECS)
 declares each command's arguments and options. A well-formed line is
 read from it directly (_well_formed); argparse builds a parser from the
-same table (usage._parser) only for --help, for a line it declines
-(--out, --opt=value, --, a repeated option, and every oplus line) and
-for a usage error, so it stays the one source of help text and parse
-errors.
+same table (usage._parse) only for --help, for a line it declines
+(--out, --opt=value, --, a repeated option) and for a usage error, so
+it stays the one source of help text and parse errors.
 
 classify and witness share one front (_pair): the modulus, size-limit
 and --force gates, then their one pair by descent (pair._pair_row).
@@ -35,10 +34,9 @@ integers; K is taken mod N and may be negative.
 This module imports only sys at load time. Each command imports the
 package modules (and json) it runs: size loads ring alone (its size
 front, ring._front), classify and witness pair and ring, survey rows,
-pair and ring, verify verify, rows, pair and ring, and oplus cycles and
-usage (every oplus line goes to argparse). The help texts and the
-argparse parser (usage) load only for --help and for a line the direct
-parse declines. No import runs per (n, k) pair.
+pair and ring, verify verify, rows, pair and ring, and oplus cycles.
+The help texts and the argparse parser (usage) load only for --help and
+for a line the direct parse declines. No import runs per (n, k) pair.
 """
 
 import sys
@@ -253,14 +251,18 @@ def _operand(token: str) -> bool:
 
 def _well_formed(name: str, rest: list):
     """The arguments of a well-formed command line as a dict, exactly
-    what usage._parser(cli, name).parse_args(rest) gives less no_cache,
-    read from the command's _SPECS entry without argparse; None for any
-    other line, which the argparse parser then reads (and reports): --help,
-    --out, --opt=value, --, a repeated or unknown option, a dash token
-    that is not a negative integer, a value int() or the choices reject,
-    a wrong count of arguments, and every oplus line."""
-    if name == "oplus":
-        return None
+    what usage._parse(cli, name, rest) gives, read from the command's
+    _SPECS entry without argparse; None for any other line, which the
+    argparse parser then reads (and reports): --help, --out, --opt=value,
+    --, a repeated or unknown option, a dash token that is not a negative
+    integer, a value int() or the choices reject, and a wrong count of
+    arguments. Every token of an oplus line but -- is an operand, as
+    usage._parse reads it (entry lists such as -2,0,2 are no options)."""
+    oplus = name == "oplus"
+    if oplus:
+        if "--help" in rest:
+            return None
+        rest = [token for token in rest if token != "--"]
     args, options = _SPECS[name]
     flags = {flag: (dest, kind) for flag, dest, kind, _, _ in options
              if kind != "FILE"}
@@ -268,7 +270,7 @@ def _well_formed(name: str, rest: list):
     values, operands = [], []       # (dest, kind, token); tokens
     tokens = iter(rest)
     for token in tokens:
-        if _operand(token):
+        if oplus or _operand(token):
             operands.append(token)
         elif token not in flags:
             return None
@@ -320,16 +322,11 @@ def main(argv=None) -> int:
         usage, prog = _usage(name), f"frieze-mod {name}"
         opts = _well_formed(name, rest)
         if opts is None:
-            if name == "oplus" and "--help" not in rest:
-                # entry lists such as -2,0,2 are operands, not options
-                rest = ["--", *(a for a in rest if a != "--")]
-            from .usage import _parser
-            parser = _parser(sys.modules[__name__], name)
+            from .usage import _parse
             try:
-                opts = vars(parser.parse_args(rest))
+                opts = _parse(sys.modules[__name__], name, rest)
             except SystemExit as e:     # --help printed the command's help
                 return e.code
-            opts.pop("no_cache", None)
         code = globals()[_COMMANDS[name].__name__](**opts) or 0
         sys.stdout.flush()
         return code

@@ -24,8 +24,7 @@ from collections import namedtuple
 from itertools import product
 from math import gcd
 
-# _pair_row, which this module does not call, stays importable from it
-from .pair import _pair_row, _verdict, _witness
+from .pair import _verdict, _witness
 from .ring import _capped, _class, _lucas, _size_cap, factorize
 
 
@@ -120,11 +119,7 @@ def fill_rows(moduli):
     2 * q is at most the largest modulus (_class_source).
     """
     for t in fill_tuples(moduli):
-        (first, *rest), n = t.parts, t.n
-        index = first.slot * (n // first.q)     # the tuple of each k
-        for part in rest:       # the mixed-radix rule of Tuples.index
-            m, slot = len(part.keys), part.slot * (n // part.q)
-            index = [i * m + s for i, s in zip(index, slot)]
+        n, index = t.n, t.indexes()
         # no corner is 0, so j and its witness is None when j is None
         wits = [j and _witness(n, k, j) for k, j in
                 enumerate(map(t.corners.__getitem__, index[:n // 2 + 1]))]
@@ -208,19 +203,12 @@ class Tuples(namedtuple("Tuples", "n parts heads corners")):
     i is the i-th of their product, the last factor varying fastest.
     heads[i] is its (size, sign, kind) and corners[i] its first corner
     j, or None (_verdict): every k of the tuple has its smallest witness
-    there, of size j + 2 (pair._endpoints). By the CRT its k are those with
-    k mod q among the residues of its class for every q (ks); tuple 0
-    is k = 0 alone."""
+    there, of size j + 2 (pair._endpoints). By the CRT its k are those
+    with k mod q among the residues of its class for every q (indexes);
+    tuple 0 is k = 0 alone. The tuples themselves are not kept: classes()
+    yields them again, in index order."""
 
     __slots__ = ()
-
-    def _cell(self, i):
-        """The index of the class of tuple i in each part, p ascending."""
-        cell = []
-        for part in reversed(self.parts):
-            i, j = divmod(i, len(part.keys))
-            cell.append(j)
-        return cell[::-1]
 
     def index(self, k):
         """The tuple of k mod n."""
@@ -229,24 +217,22 @@ class Tuples(namedtuple("Tuples", "n parts heads corners")):
             i = i * len(part.keys) + part.slot[k % part.q]
         return i
 
+    def indexes(self):
+        """The tuple of every k mod n, k ascending, by the rule of index."""
+        (first, *rest), n = self.parts, self.n
+        index = first.slot * (n // first.q)
+        for part in rest:
+            m, slot = len(part.keys), part.slot * (n // part.q)
+            index = [i * m + s for i, s in zip(index, slot)]
+        return index
+
+    def classes(self):
+        """Every class tuple, by index: the product of the parts' classes."""
+        return product(*(part.keys for part in self.parts))
+
     def head(self, k):
         """The (size, sign, kind) of k mod n."""
         return self.heads[self.index(k)]
-
-    def classes(self, i):
-        """Tuple i: its class mod each q."""
-        return tuple(part.keys[j] for part, j in zip(self.parts, self._cell(i)))
-
-    def ks(self, i):
-        """The k of tuple i, ascending: k = sum of r_q * e_q mod n, over
-        one k mod q of its class, r_q, per q, e_q = 1 mod q and 0 mod n/q."""
-        ks = [0]
-        for part, j in zip(self.parts, self._cell(i)):
-            c = self.n // part.q
-            e = c * pow(c, -1, part.q)
-            ks = [k + r * e for k in ks
-                  for r, s in enumerate(part.slot) if s == j]
-        return sorted(k % self.n for k in ks)
 
 
 def fill_tuples(moduli):
@@ -291,8 +277,8 @@ def fill_tuples(moduli):
                  for key in product(*(p.keys for p in ps))]
         t = Tuples(n, ps, [h for h, _ in pairs], [j for _, j in pairs])
         if max(t.heads)[0] > _size_cap(n):     # some size past the cap
-            k = min(k for i, h in enumerate(t.heads)
-                    if h[0] > _size_cap(n) for k in t.ks(i))
+            k = next(k for k, i in enumerate(t.indexes())
+                     if t.heads[i][0] > _size_cap(n))
             _capped(n, k, t.head(k)[0])     # raises SizeCapExceeded
         yield t
 

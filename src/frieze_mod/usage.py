@@ -2,11 +2,11 @@
 
 cli.main imports this module only for --help, for a line that its
 direct parse (cli._well_formed) declines, and for the usage error the
-parse then finds, so a well-formed line compiles none of it. Each
-function reads the tables of the cli module it is handed (_SPECS,
-_COMMANDS): python -m frieze_mod.cli runs cli as __main__, and an import
-of frieze_mod.cli from here would load a second copy of it, whose
-UsageError that main does not catch.
+parse then finds, so a well-formed line compiles none of it; main reads
+such a line with _parse. Each function reads the tables of the cli
+module it is handed (_SPECS, _COMMANDS): python -m frieze_mod.cli runs
+cli as __main__, and an import of frieze_mod.cli from here would load a
+second copy of it, whose UsageError that main does not catch.
 """
 
 import argparse
@@ -70,3 +70,16 @@ def _parser(cli, name: str):
                            required=default is ..., help=text,
                            metavar="INTEGER" if kind is int else kind)
     return p
+
+
+def _parse(cli, name: str, rest: list) -> dict:
+    """The arguments of the command line rest of one command of cli, as
+    its parser (_parser) reads them, less no_cache. Every token of an
+    oplus line but -- is an operand (entry lists such as -2,0,2 are no
+    options), unless the line asks for --help. Raises cli.UsageError, or
+    SystemExit once --help has printed the command's help."""
+    if name == "oplus" and "--help" not in rest:
+        rest = ["--", *(a for a in rest if a != "--")]
+    opts = vars(_parser(cli, name).parse_args(rest))
+    opts.pop("no_cache", None)
+    return opts

@@ -1,29 +1,31 @@
 """Sweep verifiers: replay the structural laws over ranges of moduli.
 
-A law is its hypothesis on n and one check function, registered with
-_law. check(n, t) reads t, the class tuples of n and their (size, sign,
-kind) heads (Tuples; no law reads a witness), and yields one item
+A law is one record in _LAWS, (check, hypothesis, range text),
+registered with _law; its check is the module's verify_* function of
+that law. check(n, t) reads t, the class tuples of n and their (size,
+sign, kind) heads (Tuples; no law reads a witness), and yields one item
 (where, verdict) for each class tuple or pair of n that the law covers.
 where is the index of a class tuple, standing for every k of that
 tuple, or a list of k (a single pair, or -1 for an existence claim);
 verdict is True when they obey the law, else the (observed, expected)
 texts of their Counterexample. So a law that reads size, sign and kind
 alone decides once per class tuple, and one that reads k itself (a
-single pair, or each k of a prime power) reads pairs. MODULI lists per
-id the moduli the check reads: those of the range that meet the
-hypothesis, or, for unbounded-family, six fixed moduli 3p.
+single pair, or each k of a prime power) reads pairs; a claim on a
+single pair is one _claim. _moduli gives per id the moduli the check
+reads: those of the range that meet the hypothesis, or, for
+unbounded-family, six fixed moduli 3p.
 
 One driver, _sweep, serves run_all (every id) and each verifier (its
 own id, as run_verifier calls it). It walks one rows.fill_tuples over
 the union of the moduli the ids read, n ascending, runs on each modulus
 the check of every id that reads it, then drops its Tuples: a run holds
 the fill's memo and one modulus. It expands each failed tuple to its k
-by the CRT, n then k ascending, and builds each TheoremReport, whose
-elapsed_ms sums the id's check calls, each on its own clock, not the
-fill. An internal error of the fill (SizeCapExceeded) comes after the
-checks of the moduli before it, and no report is returned, so verify
-prints none. survey reads the same fill, per k, through rows.fill_rows
-(survey_rows, monomial_row).
+through Tuples.indexes, n then k ascending, and builds each
+TheoremReport, whose elapsed_ms sums the id's check calls, each on its
+own clock, not the fill. An internal error of the fill
+(SizeCapExceeded) comes after the checks of the moduli before it, and
+no report is returned, so verify prints none. survey reads the same
+fill, per k, through rows.fill_rows (survey_rows, monomial_row).
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -149,39 +151,46 @@ def _crt_pair(r1, q1, r2, q2):
 
 
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
-# theorem id -> moduli(lo, hi), the moduli whose tuples its verifier reads
-MODULI: dict[str, Callable[[int, int], list[int]]] = {}
-# theorem id -> (check, text(lo, hi), the range field of its report): what
-# the driver runs, kept apart from VERIFIERS, whose values a caller may wrap
+# theorem id -> (check, hypothesis, range text): the record of each law,
+# which _sweep reads, so a caller may wrap the values of VERIFIERS
 _LAWS = {}
 
 
-def _law(theorem_id, hypothesis, range_text, moduli=()):
-    """Register a check(n, t) as the verifier theorem_id, under the
-    check's name and docstring (the check itself is its attribute
-    check): the driver (_sweep) over its id alone, which reads the check
-    and the report's range text from _LAWS. The law reads the n in
-    [max(lo, 2), hi] that meet its hypothesis(n) (MODULI), or the fixed
-    moduli (hypothesis None: the range is ignored and range_text is the
-    whole range field)."""
-    def run(lo, hi):
-        return moduli or [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
-
-    def text(lo, hi):
-        return range_text if moduli else f"n in [{lo}, {hi}]" + (
-            f", {range_text}" if range_text else "")
-
+def _law(theorem_id, hypothesis, range_text):
+    """Register a check(n, t) as the law theorem_id, in _LAWS, and as the
+    verifier VERIFIERS[theorem_id](lo, hi), which runs _sweep over its
+    id alone. hypothesis(n) picks the moduli of the range the law reads
+    (_moduli); a tuple of fixed moduli stands for a law that ignores the
+    range, and then range_text is the whole range field (_range)."""
     def register(check):
-        def verifier(lo: int = 2, hi: int = 150) -> TheoremReport:
-            return _sweep([theorem_id], lo, hi)[0]
-        verifier.__name__ = verifier.__qualname__ = check.__name__
-        verifier.__doc__ = check.__doc__
-        verifier.check = check
-        VERIFIERS[theorem_id] = verifier
-        MODULI[theorem_id] = run
-        _LAWS[theorem_id] = check, text
-        return verifier
+        _LAWS[theorem_id] = check, hypothesis, range_text
+        VERIFIERS[theorem_id] = lambda lo=2, hi=150: _sweep([theorem_id], lo, hi)[0]
+        return check
     return register
+
+
+def _moduli(theorem_id, lo, hi):
+    """The moduli whose tuples the law reads over [lo, hi], ascending."""
+    _, hypothesis, _ = _LAWS[theorem_id]
+    if isinstance(hypothesis, tuple):
+        return hypothesis
+    return [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
+
+
+def _range(theorem_id, lo, hi):
+    """The range field of the law's report over [lo, hi]."""
+    _, hypothesis, text = _LAWS[theorem_id]
+    if isinstance(hypothesis, tuple):
+        return text
+    return f"n in [{lo}, {hi}]" + (f", {text}" if text else "")
+
+
+def _claim(t, k, kind, size):
+    """The item of a single-pair claim: k mod t.n is of this kind and
+    size."""
+    s, _, got = t.head(k)
+    return [k], (s == size and got == kind) or (
+        f"{got} of size {s}", f"{kind} of size {size}")
 
 
 @_law("size-bound", lambda n: n > 2 and not is_three_m_form(n),
@@ -219,11 +228,11 @@ def verify_three_h_criterion(n, t):
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
     m = odd_half(n)
-    for i, r in enumerate(t.heads):
+    for i, (r, classes) in enumerate(zip(t.heads, t.classes())):
         h = r[0] // 3
         if r[0] % 3 == 0 and h != 1 and h % 2 and h % 3:
             # the classes of k mod m: the tuple without its class mod 2
-            size, multiplier, _ = _crt_size(t.classes(i)[1:])
+            size, multiplier, _ = _crt_size(classes[1:])
             comp = multiplier * size
             want = "irreducible" if comp % 3 == 0 else "reducible"
             yield i, r[2] == want or (r[2], f"{want} (mod-{m} size {comp})")
@@ -244,9 +253,7 @@ def verify_size_n(n, t):
     a, b = split
     c = 3 ** a
     k0 = _crt_pair(1, 2, _crt_pair(2 % c, c, -2 % b, b), c * b)
-    r = t.head(k0)
-    yield [k0], (r[0] == n and r[2] == "reducible") or (
-        f"{r[2]} of size {r[0]}", f"reducible of size {n}")
+    yield _claim(t, k0, "reducible", n)
 
 
 @_law("prime-powers", lambda n: _power_shapes(n)[0], "prime-power moduli")
@@ -277,13 +284,9 @@ def verify_reducible_constructions(n, t):
     factors = factorize(n)
     for p, mult in factors:
         if p != 2 and mult >= 2:
-            r = t.head(n // p)
-            yield [n // p], (r[0] == 2 * p and r[2] == "reducible") or (
-                f"{r[2]} of size {r[0]}", f"reducible of size {2 * p}")
+            yield _claim(t, n // p, "reducible", 2 * p)
     if n % 16 == 0:
-        r = t.head(n // 4)
-        yield [n // 4], (r[0] == 8 and r[2] == "reducible") or (
-            f"{r[2]} of size {r[0]}", "reducible of size 8")
+        yield _claim(t, n // 4, "reducible", 8)
     for m in _divisors(n):
         u = n // m
         if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
@@ -292,8 +295,8 @@ def verify_reducible_constructions(n, t):
         # by the CRT, the k of a tuple are units exactly when those of
         # each of its classes are units mod its q (_unit_class)
         found = any(r[2] == "reducible" and r[0] == want and all(
-            _unit_class(p, c[0]) for (p, _), c in zip(factors, t.classes(i)))
-            for i, r in enumerate(t.heads))
+            _unit_class(p, c[0]) for (p, _), c in zip(factors, classes))
+            for r, classes in zip(t.heads, t.classes()))
         yield [-1], found or (
             f"no unit k reducible of size {want}",
             f"some unit k reducible of size {want} (split {u} * {m})")
@@ -348,18 +351,15 @@ def verify_overshoot_3m(n, t):
 DEFAULT_FAMILY_PRIMES = (5, 7, 11, 13, 17, 19)
 
 
-@_law("unbounded-family", None, f"p in {list(DEFAULT_FAMILY_PRIMES)}",
-      moduli=[3 * p for p in DEFAULT_FAMILY_PRIMES])
+@_law("unbounded-family", tuple(3 * p for p in DEFAULT_FAMILY_PRIMES),
+      f"p in {list(DEFAULT_FAMILY_PRIMES)}")
 def verify_unbounded_family(n, t):
     """The family witnessing that no additive gap bounds irreducible sizes:
     for an odd prime p >= 5, modulus 3p with k = p + 2 (p = 1 mod 3) or
     k = p - 2 (p = 2 mod 3) is irreducible of size 4p. The range is
     ignored."""
     p = n // 3
-    k = p + 2 if p % 3 == 1 else p - 2
-    r = t.head(k)
-    yield [k], (r[0] == 4 * p and r[2] == "irreducible") or (
-        f"{r[2]} of size {r[0]}", f"irreducible of size {4 * p}")
+    yield _claim(t, p + 2 if p % 3 == 1 else p - 2, "irreducible", 4 * p)
 
 
 def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
@@ -386,7 +386,7 @@ def _sweep(ids, lo, hi):
     otherwise."""
     readers = {}    # modulus -> the ids that read it
     for i in ids:
-        for n in MODULI[i](lo, hi):
+        for n in _moduli(i, lo, hi):
             readers.setdefault(n, []).append(i)
     bad = {i: [] for i in ids}
     hit = dict.fromkeys(ids, False)
@@ -395,7 +395,7 @@ def _sweep(ids, lo, hi):
         n = t.n
         for i in readers[n]:
             t0 = time.perf_counter()
-            failed, seen = [], False
+            failed, seen = {}, False    # failed: tuple -> its verdict
             for where, verdict in _LAWS[i][0](n, t):
                 seen = True
                 if verdict is True:
@@ -403,12 +403,13 @@ def _sweep(ids, lo, hi):
                 if isinstance(where, list):
                     bad[i] += [Counterexample(n, k, *verdict) for k in where]
                 else:
-                    failed += [(k, verdict) for k in t.ks(where)]
-            bad[i] += [Counterexample(n, k, *verdict)
-                       for k, verdict in sorted(failed)]
+                    failed[where] = verdict
+            if failed:
+                bad[i] += [Counterexample(n, k, *failed[j])
+                           for k, j in enumerate(t.indexes()) if j in failed]
             hit[i] = hit[i] or seen
             seconds[i] += time.perf_counter() - t0
-    return [TheoremReport(i, _LAWS[i][1](lo, hi),
+    return [TheoremReport(i, _range(i, lo, hi),
                           "fail" if bad[i] else "pass" if hit[i] else "vacuous",
                           tuple(bad[i]), seconds[i] * 1000.0) for i in ids]
 

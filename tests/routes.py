@@ -9,12 +9,13 @@ solutions of one size from the closed-form endpoint solve. The tests
 cross-check the fast path against them. They use the package's matrix
 and endpoint helpers, so unlike oracles.py they are not independent of
 it; oracles.py checks those helpers in turn. The command line has a
-second route too: the argparse parser of each command (usage._parser),
-against which argv_mismatches checks the parse of well-formed lines
-(cli._well_formed). So does the law battery, which decides each law once
-per class tuple (verify): REFERENCE holds each law's check pair by pair
-over the (size, sign, kind) heads of rows.fill_rows, and law_items gives
-both sides' verdicts pair by pair (law_mismatches compares them).
+second route too: the argparse parse of each command (usage._parse, as
+cli.main reads a line it declines), against which argv_mismatches
+checks the parse of well-formed lines (cli._well_formed). So does the
+law battery, which decides each law once per class tuple (verify):
+REFERENCE holds each law's check pair by pair over the (size, sign,
+kind) heads of rows.fill_rows, and law_items gives both sides' verdicts
+pair by pair (law_mismatches compares them).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from frieze_mod.modmat import _mul, _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
 from frieze_mod.pair import _compose, _endpoints, _row
 from frieze_mod.rows import fill_rows
-from frieze_mod.usage import _parser
-from frieze_mod.verify import (MODULI, VERIFIERS, _crt_pair, _divisors,
+from frieze_mod.usage import _parse
+from frieze_mod.verify import (_LAWS, _crt_pair, _divisors, _moduli,
                                _special_reason, fill_tuples, odd_half,
                                two_three_split)
 
@@ -268,16 +269,15 @@ ARGV_TOKENS = ("5", "0", "-3", "18446744073709551616", "x", "", "-", "--",
                "-2.5", "--max=5", "csv", "json", "xml", "--help")
 
 
-def parsed_by_argparse(parser, argv: list):
-    """vars(parser.parse_args(argv)) less no_cache, or None when the
-    parser rejects the line or prints its help."""
+def parsed_by_argparse(name: str, argv: list):
+    """The arguments of the line argv of the command name as cli.main
+    reads them through argparse (usage._parse), or None when the parser
+    rejects the line or prints its help."""
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            opts = vars(parser.parse_args(argv))
+            return _parse(cli, name, argv)
         except (UsageError, SystemExit):
             return None
-    opts.pop("no_cache", None)
-    return opts
 
 
 def typed(opts):
@@ -293,7 +293,6 @@ def argv_mismatches(max_tokens: int):
     parser (parsed_by_argparse)."""
     bad, tried, accepted = [], 0, 0
     for name, (_, options) in _SPECS.items():
-        parser = _parser(cli, name)
         alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
         for size in range(max_tokens + 1):
             for argv in itertools.product(alphabet, repeat=size):
@@ -302,7 +301,7 @@ def argv_mismatches(max_tokens: int):
                 if got is None:
                     continue
                 accepted += 1
-                if typed(got) != typed(parsed_by_argparse(parser, list(argv))):
+                if typed(got) != typed(parsed_by_argparse(name, list(argv))):
                     bad.append((name, argv))
     return bad, tried, accepted
 
@@ -465,25 +464,28 @@ def law_items(theorem_id, lo, hi, heads=None, tuples=None):
     covers over [lo, hi], as the reference yields them over heads
     (reference_heads by default) and as the battery's check yields them
     over the Tuples of the source tuples (a fill_tuples of the law's
-    MODULI by default), each class tuple expanded to its k. Both are n
+    verify._moduli by default), each class tuple expanded to its k
+    (Tuples.indexes). Both are n
     ascending, the reference in its own order and the battery's tuples
     expanded and merged by k (an existence claim, k = -1, keeps its
     place among the items of its modulus)."""
     heads = heads or reference_heads(lo, hi)
     if tuples is None:
-        tuples = {t.n: t for t in fill_tuples(MODULI[theorem_id](lo, hi))}.__getitem__
+        tuples = {t.n: t for t in fill_tuples(_moduli(theorem_id, lo, hi))}.__getitem__
     check = REFERENCE[theorem_id][1]
     reference = [(n, k, verdict)
                  for n in reference_moduli(theorem_id, lo, hi)
                  for k, verdict in check(n, heads)]
     battery = []
-    for n in MODULI[theorem_id](lo, hi):
-        t, expanded = tuples(n), []
-        for where, verdict in VERIFIERS[theorem_id].check(n, t):
+    for n in _moduli(theorem_id, lo, hi):
+        t, expanded, ks = tuples(n), [], {}     # ks: tuple -> its k
+        for k, i in enumerate(t.indexes()):
+            ks.setdefault(i, []).append(k)
+        for where, verdict in _LAWS[theorem_id][0](n, t):
             if isinstance(where, list):
                 battery += [(n, k, verdict) for k in where]
             else:
-                expanded += [(k, verdict) for k in t.ks(where)]
+                expanded += [(k, verdict) for k in ks[where]]
         battery += [(n, k, verdict) for k, verdict in sorted(expanded, key=lambda e: e[0])]
     return reference, battery
 

@@ -534,8 +534,7 @@ def _loaded_after(code):
 @pytest.mark.parametrize("args,extra", [
     ([], []),
     (["size", "35", "23"], ["frieze_mod.ring"]),
-    (["oplus", "10", "1,1,3", "-2,0,2"],
-     ["frieze_mod.cycles", "frieze_mod.usage"]),
+    (["oplus", "10", "1,1,3", "-2,0,2"], ["frieze_mod.cycles"]),
     (["classify", "9", "3", "--no-cache"], ["frieze_mod.pair", "frieze_mod.ring"]),
     (["witness", "9", "3"], ["frieze_mod.pair", "frieze_mod.ring"]),
     (["survey", "--max", "5"],
@@ -550,12 +549,10 @@ def _loaded_after(code):
 ])
 def test_commands_load_only_what_they_run(args, extra):
     # nor click, nor dataclasses and inspect (about 13 ms of start-up);
-    # and a well-formed line is parsed without argparse, which with
-    # gettext and locale costs about 3 ms (oplus always builds its parser,
-    # from usage). classify and witness compile no range fill (rows)
-    heavy = ["click", "dataclasses", "inspect"]
-    if args[:1] != ["oplus"]:
-        heavy += ["argparse", "gettext", "locale"]
+    # and a well-formed line, an oplus line with a negative entry list
+    # included, is parsed without argparse, which with gettext and locale
+    # costs about 3 ms. classify and witness compile no range fill (rows)
+    heavy = ["click", "dataclasses", "inspect", "argparse", "gettext", "locale"]
     code = ("import contextlib, io, sys\n"
             f"heavy = set({heavy!r}) - set(sys.modules)\n"
             "import frieze_mod.cli")
@@ -618,7 +615,7 @@ def test_well_formed_lines_parse_as_argparse_parses_them():
     # smoke" step runs up to four
     bad, tried, accepted = argv_mismatches(3)
     assert not bad, bad[:5]
-    assert (tried, accepted) == (28289, 413)
+    assert (tried, accepted) == (28289, 989)
 
 
 @pytest.mark.parametrize("args", [
@@ -627,12 +624,13 @@ def test_well_formed_lines_parse_as_argparse_parses_them():
     ["verify", "all"], ["verify", "--max", "-5", "size-n", "--min", "3"],
     ["survey", "--max", "12", "--format", "json", "--no-cache", "--force"],
     ["size", "18446744073709551616", "3"], ["verify", ""],
+    ["oplus", "10", "1,1,3", "-2,0,2"], ["oplus", "--", "-3", "--", "x", "-"],
 ])
 def test_well_formed_lines_skip_argparse(args):
     name, rest = args[0], args[1:]
     got = _well_formed(name, rest)
     assert got is not None
-    assert typed(got) == typed(parsed_by_argparse(_parser(cli_mod, name), rest))
+    assert typed(got) == typed(parsed_by_argparse(name, rest))
 
 
 @pytest.mark.parametrize("args", [
@@ -643,7 +641,7 @@ def test_well_formed_lines_skip_argparse(args):
     ["verify", "all", "--max=5"], ["verify", "all", "--out", "x"],
     ["verify", "all", "--max"], ["verify", "all", "--max", "--min"],
     ["verify", "all", "--max", ""], ["survey"], ["survey", "--format", "xml", "--max", "3"],
-    ["oplus", "10", "1,1,3", "0,0"],
+    ["oplus", "10", "1,1,3", "0,0", "--help"], ["oplus", "10", "1,1,3"],
 ])
 def test_other_lines_go_to_argparse(args):
     assert _well_formed(args[0], args[1:]) is None
@@ -660,7 +658,7 @@ _ARGV = st.lists(st.one_of(st.sampled_from(ARGV_TOKENS + (
 def test_any_line_the_fast_parse_accepts_parses_as_argparse_does(name, argv):
     got = _well_formed(name, argv)
     if got is not None:
-        assert typed(got) == typed(parsed_by_argparse(_parser(cli_mod, name), argv))
+        assert typed(got) == typed(parsed_by_argparse(name, argv))
 
 
 # Every command through main() in a process where importing click fails.
@@ -775,8 +773,9 @@ def test_a_failing_verify_exits_1():
     # no real range breaks a law, so the driver is handed a broken check
     # for one law: k = 0 of every modulus it reads fails
     broken = ("from frieze_mod import verify\n"
-              "_, text = verify._LAWS['size-bound']\n"
-              "verify._LAWS['size-bound'] = (lambda n, t: [([0], ('x', 'y'))], text)\n")
+              "_, hypothesis, text = verify._LAWS['size-bound']\n"
+              "verify._LAWS['size-bound'] = (\n"
+              "    lambda n, t: [([0], ('x', 'y'))], hypothesis, text)\n")
     for args in (["verify", "size-bound", "--max", "20"], ["verify", "all", "--max", "12"]):
         res = subprocess.run([sys.executable, "-c", broken + _ENTRY, *args],
                              capture_output=True, text=True, env=_env_with_src(),

@@ -547,26 +547,29 @@ def test_an_unverified_corner_raises(monkeypatch):
 
 def test_class_tuples_expand_to_the_heads_of_the_rows():
     # fill_tuples decides one head and first corner per class tuple, and
-    # a tuple with its mirror: expanded to their k by the CRT, the tuples
-    # of each n <= 300 hold every k exactly once (tuple 0 k = 0 alone),
-    # and each k has the head fill_rows gives it, sign included (no law
-    # reads the sign). Each tuple's corner is the one its classes compose
-    # to, and each k <= n/2 has a witness exactly when its tuple has a
-    # corner, of size that corner + 2. About 0.3 s
+    # a tuple with its mirror. For each n <= 300, the tuple of every k
+    # (indexes) is its class mod each q, read from the parts' slots; every
+    # tuple holds some k (tuple 0 k = 0 alone), and each k has the head
+    # fill_rows gives it, sign included (no law reads the sign). Each
+    # tuple's corner is the one its classes compose to, and each k <= n/2
+    # has a witness exactly when its tuple has a corner, of size that
+    # corner + 2. About 0.3 s
     tuples = fill_tuples(range(2, 301))
     for (n, heads, wits), t in zip(fill_rows(range(2, 301)), tuples):
-        assert t.n == n and t.ks(0) == [0]
-        assert len(t.corners) == len(t.heads)
-        got = [None] * n
-        for i, head in enumerate(t.heads):
-            assert t.corners[i] == rows_mod._verdict(t.classes(i))[2], (n, i)
-            for k in t.ks(i):
-                assert got[k] is None, (n, k)
-                got[k] = head
-                assert t.index(k) == i and t.head(k) == head, (n, k)
-        assert got == heads, n
+        index, classes = t.indexes(), list(t.classes())
+        assert t.n == n and len(index) == n
+        assert len(classes) == len(t.heads) == len(t.corners)
+        assert sorted(set(index)) == list(range(len(t.heads)))
+        assert [k for k, i in enumerate(index) if i == 0] == [0]
+        for k, i in enumerate(index):
+            assert classes[i] == tuple(p.keys[p.slot[k % p.q]]
+                                       for p in t.parts), (n, k)
+            assert t.index(k) == i and t.head(k) == t.heads[i], (n, k)
+        assert [t.heads[i] for i in index] == heads, n
+        for i, key in enumerate(classes):
+            assert t.corners[i] == rows_mod._verdict(key)[2], (n, i)
         for k in range(n // 2 + 1):
-            j = t.corners[t.index(k)]
+            j = t.corners[index[k]]
             assert (wits[k] is None) == (j is None), (n, k)
             assert j is None or wits[k][0] == j + 2, (n, k)
     assert next(tuples, None) is None

@@ -6,12 +6,12 @@ import pytest
 
 import frieze_mod.rows as rows_module
 import frieze_mod.verify as verify_module
-from frieze_mod.verify import (DEFAULT_FAMILY_PRIMES, MODULI, VERIFIERS,
-                               Counterexample, _crt_pair, _power_shapes,
-                               _unit_class, fill_tuples, is_three_m_form,
-                               monomial_row,
-                               odd_half, run_all, run_verifier, survey_rows,
-                               two_three_split, verify_unbounded_family)
+from frieze_mod.verify import (_LAWS, DEFAULT_FAMILY_PRIMES, VERIFIERS,
+                               Counterexample, _crt_pair, _moduli,
+                               _power_shapes, _unit_class, fill_tuples,
+                               is_three_m_form, monomial_row, odd_half,
+                               run_all, run_verifier, survey_rows,
+                               two_three_split)
 from oracles import naive_crt, prime_power
 from routes import REFERENCE, _walk, law_items, law_mismatches, reference_heads
 
@@ -112,7 +112,10 @@ def test_registry_lists_the_ten_laws_in_report_order():
         "size-bound", "eight-divides", "odd-sizes", "three-h-criterion",
         "size-n", "prime-powers", "reducible-constructions",
         "special-sizes", "overshoot-3m", "unbounded-family"]
-    assert list(MODULI) == list(VERIFIERS)
+    assert list(_LAWS) == list(VERIFIERS)
+    # the fixed moduli of unbounded-family ignore the range
+    assert _moduli("unbounded-family", 100, 200) == (15, 21, 33, 39, 51, 57)
+    assert _moduli("eight-divides", 0, 20) == [8, 16]
 
 
 @pytest.mark.parametrize("theorem_id", sorted(VERIFIERS))
@@ -124,7 +127,7 @@ def test_each_verifier_passes_on_a_medium_range(theorem_id):
 
 
 def test_unbounded_family_passes():
-    report = verify_unbounded_family()
+    report = VERIFIERS["unbounded-family"]()
     assert report.status == "pass"
     assert report.counterexamples == ()
 
@@ -226,6 +229,30 @@ def test_each_verifier_fails_on_a_tampered_row(monkeypatch, theorem_id, n, k, fa
     assert (n, k) in [(c.n_modulus, c.k) for c in report.counterexamples]
 
 
+# The single-pair claims (verify._claim), each tampered at its one k:
+# (id, n, k, fake head, observed, expected). The family pair of 21 is
+# k = 9 (p = 7), of size 28; the split of 30 forces k = 23 reducible of
+# size 30.
+CLAIMS = [
+    ("size-n", 30, 23, _head(30, "irreducible"),
+     "irreducible of size 30", "reducible of size 30"),
+    ("reducible-constructions", 9, 3, _head(6, "irreducible"),
+     "irreducible of size 6", "reducible of size 6"),
+    ("reducible-constructions", 16, 4, _head(6, "reducible"),
+     "reducible of size 6", "reducible of size 8"),
+    ("unbounded-family", 21, 9, _head(28, "reducible"),
+     "reducible of size 28", "irreducible of size 28"),
+]
+
+
+@pytest.mark.parametrize("theorem_id,n,k,fake,observed,expected", CLAIMS)
+def test_single_pair_claims_give_their_texts(monkeypatch, theorem_id, n, k,
+                                             fake, observed, expected):
+    _tampered(monkeypatch, n, k, fake)
+    report = VERIFIERS[theorem_id](n, n)
+    assert report.counterexamples == (Counterexample(n, k, observed, expected),)
+
+
 # special-sizes reports the first reason that applies to a size: one
 # tampered row per reason, marked reducible, and the expected text it
 # must give (None: no reason applies, so the row passes).
@@ -283,8 +310,8 @@ def test_run_all_decides_each_row_once_and_times_only_the_checks(monkeypatch):
         return run
 
     monkeypatch.setattr(verify_module, "fill_tuples", slow_fill)
-    for vid, (check, text) in verify_module._LAWS.items():
-        monkeypatch.setitem(verify_module._LAWS, vid, (marked(check), text))
+    for vid, (check, hypothesis, text) in _LAWS.items():
+        monkeypatch.setitem(_LAWS, vid, (marked(check), hypothesis, text))
     reports = run_all(40, 60)
     decided = [e for e in events if e != "check"]
     # three-h-criterion reads the mod-m size from the tuple of n = 2m,

@@ -46,10 +46,11 @@ ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"
 RUNS = 3
 SEED = 1
 FLOOR = "python -c pass"
-# The headline commands of ROADMAP.md's table, which no workload runs.
+# The headline commands of ROADMAP.md's table, which no workload runs,
+# and one oplus line, whose time is start-up and the parse of its line.
 COMMANDS = ("verify all --max 600", "verify all --max 2000",
             "survey --max 1000 --force", "survey --max 2000 --force",
-            "classify 1999 77", "witness 1234 617",
+            "classify 1999 77", "witness 1234 617", "oplus 10 1,1,3 -2,0,2",
             "classify 9699690 2 --force",
             "classify 18446744073709551557 3 --force",
             "size 18446744073709551615 3")

@@ -20,7 +20,8 @@ same table (usage._parse) only for --help, for a line it declines
 it stays the one source of help text and parse errors.
 
 classify and witness share one front (_pair): the modulus, size-limit
-and --force gates, then their one pair by descent (pair._pair_row).
+and --force gates, then their one pair by descent (pair._pair_row,
+through ring._front, the size command's front).
 survey opens its destination (stdout or --out), then writes its range a
 modulus at a time (rows._table) as rows.fill_rows reads each from the
 one class-tuple fill that the law battery reads too (rows.fill_tuples),
@@ -114,12 +115,14 @@ def _bordered(k: int, w: int, x: int, y: int) -> str:
 
 def _pair(command: str, n: int, k: int, force: bool):
     """The front of classify and witness: the modulus, size-limit and
-    --force gates, then (k mod n, its (head, wit) from pair._pair_row)."""
+    --force gates, then (k mod n, its (head, wit) from pair._pair_row),
+    which reads ring._front: n factored once, one descent per
+    prime-power factor and the 3N cap checked before any corner scan."""
     _check_modulus(n)
     _check_size_limit(command, n)
     _check_force(n, force)
     from .pair import _pair_row
-    return k % n, _pair_row(n, k % n)
+    return k % n, _pair_row(n, k)
 
 
 def classify(n: int, k: int, force: bool):

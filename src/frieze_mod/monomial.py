@@ -7,8 +7,9 @@ ladders, closed-form special cases) and reports it in named records.
 Every size, at a prime power or not, comes from one front (ring._front,
 read here through _front), the route every command takes: it checks n,
 factors it once, composes the classes of k mod its prime-power factors
-(ring._classes) and checks the 3N cap. The size command reads ring's
-front directly and never loads this module. SizeCapExceeded, raised by
+(ring._class, one descent each) and checks the 3N cap. The size command
+reads ring's front directly and never loads this module, and classify
+and witness read it through pair._pair_row. SizeCapExceeded, raised by
 the descent and the cap check in ring, is importable from here too.
 """
 
@@ -182,14 +183,10 @@ def shared_factor_size(n: int, k: int) -> int:
         if k % p:
             raise ValueError(
                 f"k={k} is not divisible by {p}, a prime factor of {n}")
-        if k % p ** a == 0:
-            b = a
-        else:
-            b = 0
-            t = k
-            while t % p == 0:
-                t //= p
-                b += 1
+        b, t = 0, k
+        while b < a and t % p == 0:
+            t //= p
+            b += 1
         predicted *= p ** (a - b)
     if law.size != predicted:
         raise AssertionError(

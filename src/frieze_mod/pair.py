@@ -8,25 +8,24 @@ exactly at those corners (_endpoints), so the first one is the smallest
 witness. The results are plain ints, words and tuples, with no
 dataclass built per pair.
 
-Every pair takes its verdict (_verdict: size, sign, kind and first
-corner) from the corner classes (S_q, sign_q, D_q, f_q) of k mod its
-prime-power factors q (the CRT size law and the corner lemma, both
-proved in _compose). No pair is walked. A single pair (_pair_row) takes
-the class of k mod each q from one descent (ring._class, gathered by
-ring._classes), as the size command composes the size. A corner is a
-bare j; one witness step (_witness) builds M(k)**j by fast doubling
-(ring._lucas), closes and checks it. Every size is checked against the
-3N cap (ring._capped).
+Every pair takes its verdict (_verdict: its head, the size, sign and
+kind, and its first corner) from the corner classes (S_q, sign_q, D_q,
+f_q) of k mod its prime-power factors q (the CRT size law and the corner
+lemma, both proved in _compose). No pair is walked. A single pair
+(_pair_row) takes k mod n, the class of k mod each q, one descent each,
+and its size checked against the 3N cap from ring._front, the front the
+size command reads too, so a size past the cap raises before any corner
+is scanned. A corner is a bare j; one witness step (_witness) builds
+M(k)**j by fast doubling (ring._lucas), closes and checks it.
 
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
-its witness (w, x, y, eps), or None. _row gives one (for _pair_row).
-The range fill (rows.fill_tuples, rows.fill_rows) decides each class
-tuple with _verdict and builds each witness with _witness. This module
-imports ring alone, so classify, witness and the single-pair library
-calls compile no range fill.
+its witness (w, x, y, eps), or None. The range fill (rows.fill_tuples,
+rows.fill_rows) decides each class tuple with _verdict and builds each
+witness with _witness. This module imports ring alone, so classify,
+witness and the single-pair library calls compile no range fill.
 """
 
-from .ring import _capped, _classes, _crt_size, _lucas, factorize
+from .ring import _crt_size, _front, _lucas
 
 
 # Matrices are row-major 4-tuples (a, b, c, d) of plain ints.
@@ -88,9 +87,8 @@ def _witness(n, k, j):
 
 
 def _verdict(classes):
-    """(head of k, head of -k, first corner j or None) for the k of one
-    class tuple, from _compose; a head is (size, sign, kind), and -k has
-    the sign times (-1)**size (rows.fill_rows). The kind is
+    """(head, first corner j or None) for the k of one class tuple, from
+    _compose; the head is (size, sign, kind). The kind is
     "zero-convention" exactly at size 2, else "reducible" with a corner,
     "irreducible" without. Only k = 0 has size 2, and it has no corner in
     [1, 0]: M(k)**2 = k * M(k) - Id (Cayley-Hamilton) is +-Id only when
@@ -100,23 +98,18 @@ def _verdict(classes):
     size, sign, corner = _compose(classes)
     kind = ("zero-convention" if size == 2 else
             "irreducible" if corner is None else "reducible")
-    return (size, sign, kind), (size, sign * (-1) ** size, kind), corner
-
-
-def _row(n, k, classes):
-    """The (head, wit) of k mod n from its class tuple: its verdict's head
-    (_verdict), the 3N cap checked, and the witness at its corner, or None."""
-    head, _, j = _verdict(classes)
-    _capped(n, k, head[0])
-    return head, None if j is None else _witness(n, k, j)
+    return (size, sign, kind), corner
 
 
 def _pair_row(n: int, k: int) -> tuple:
-    """The (head, wit) of k mod n (0 <= k < n), by _row from the class of
-    k mod each prime-power factor of n, one descent each (ring._classes):
-    kind "reducible", "irreducible" or, for k = 0, "zero-convention", and
-    wit None when there is no witness (always for k = 0, of size 2)."""
-    return _row(n, k, _classes(factorize(n), k))
+    """The (head, wit) of k mod n: its verdict (_verdict) from the class
+    tuple that ring._front gives, after the front has checked n and the
+    size against the 3N cap, and the witness at its corner: kind
+    "reducible", "irreducible" or, for k = 0 mod n, "zero-convention",
+    and wit None when there is no witness (always for k = 0, of size 2)."""
+    k, _, classes, _ = _front(n, k)
+    head, j = _verdict(classes)
+    return head, None if j is None else _witness(n, k, j)
 
 
 def _compose(classes):

@@ -74,7 +74,5 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     which for constant solutions is equivalent to the general
     decomposition search (cross-checked in the tests).
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    k %= n
-    return MonomialVerdict.from_row(n, k, *_pair_row(n, k))
+    head, wit = _pair_row(n, k)     # checks n (ring._front)
+    return MonomialVerdict.from_row(n, k % n, head, wit)

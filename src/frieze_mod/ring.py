@@ -2,12 +2,13 @@
 fast doubling (_lucas) of the recurrence behind the powers of M(k), the
 one descent (_descend) from a known multiple of the size mod a prime
 power (_size_multiple), the corner class of k mod a prime power that it
-gives (_class) and the class tuple of k mod any n (_classes), and the
-two rules every size obeys: the CRT size law (_crt_size), which composes
-a size from the class tuple, and the proven 3N cap (_size_cap, checked
-by _capped). Every size comes from one front (_front) that applies
-them: it checks n, factors it once, composes the class tuple of k and
-checks the cap. Nothing descends on a composite modulus.
+gives (_class), and the two rules every size obeys: the CRT size law
+(_crt_size), which composes a size from the class tuple of k mod any n,
+and the proven 3N cap (_size_cap, checked by _capped). Every size and
+every lone pair's class tuple come from one front (_front) that applies
+them: it checks n, factors it once, takes the class tuple of k,
+composes it and checks the cap. Nothing descends on a composite
+modulus.
 
 Moduli throughout the package are plain ints >= 2. Values normalize to
 their canonical representative in [0, N) on construction.
@@ -193,13 +194,6 @@ def _class(p: int, a: int, k: int):
     return _capped(q, k, d * t), f ** t * say, d, f * say
 
 
-def _classes(factors, k: int) -> tuple:
-    """The class tuple of k mod n, given the factorization [(p, a)] of n
-    (factorize): the class (_class) of k mod each prime-power factor
-    p**a, p ascending."""
-    return tuple(_class(p, a, k % p ** a) for p, a in factors)
-
-
 def _crt_size(classes):
     """The CRT size law, as (m, multiplier, sign): the size of a pair is
     multiplier * m, from the (S_q, sign_q) at index 0 and 1 of each class
@@ -215,15 +209,16 @@ def _crt_size(classes):
 
 def _front(n: int, k: int):
     """(k mod n, the factors of n, the class tuple of k, its CRT size law
-    (m, multiplier, sign)): the one front of every size. It checks n,
-    factors it once (factorize), takes the classes of k mod its
-    prime-power factors (_classes), composes them (_crt_size) and checks
-    the size, multiplier * m, against the 3N cap (_capped)."""
+    (m, multiplier, sign)): the one front of every size and of a lone
+    pair (pair._pair_row). It checks n, factors it once (factorize), takes
+    the class (_class) of k mod each prime-power factor p**a, p
+    ascending, composes them (_crt_size) and checks the size,
+    multiplier * m, against the 3N cap (_capped)."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
     factors = factorize(n)
-    classes = _classes(factors, k)
+    classes = tuple(_class(p, a, k % p ** a) for p, a in factors)
     law = _crt_size(classes)
     _capped(n, k, law[0] * law[1])
     return k, factors, classes, law

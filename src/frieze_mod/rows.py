@@ -230,10 +230,6 @@ class Tuples(namedtuple("Tuples", "n parts heads corners")):
         """Every class tuple, by index: the product of the parts' classes."""
         return product(*(part.keys for part in self.parts))
 
-    def head(self, k):
-        """The (size, sign, kind) of k mod n."""
-        return self.heads[self.index(k)]
-
 
 def fill_tuples(moduli):
     """Yield the Tuples of the distinct moduli n (a range or a set, in any
@@ -243,8 +239,10 @@ def fill_tuples(moduli):
     (pair._compose), so every k of a tuple shares them. By the CRT the
     tuples of n are exactly the product of the classes of its factors;
     each is decided once per call (_verdict), together with its mirror,
-    the tuple of -k, whose head has the sign times (-1)**size and whose
-    first corner is the same, as u_j(-k) = (-1)**j * u_j(k) (fill_rows).
+    the tuple of -k (_negated), whose head is built here from that of k
+    with the sign times (-1)**size, and whose first corner is the same,
+    as u_j(-k) = (-1)**j * u_j(k) (the mirror rule, proved in
+    fill_rows).
     The memo of the call maps each tuple decided so far to one shared
     (head, first corner) pair. No witness is built. The class of 0 mod
     q, of size 2, is held by k = 0 mod q alone (_verdict), and it is the
@@ -264,10 +262,11 @@ def fill_tuples(moduli):
         return shared.setdefault(x, x)
 
     def decide(key):
-        head, mirrored, j = _verdict(key)
+        head, j = _verdict(key)
         twin = tuple(map(one, map(_negated, key)))
         if twin != key:
-            decided[twin] = one((one(mirrored), j))
+            s, e, kind = head   # -k: the sign times (-1)**size
+            decided[twin] = one((one((s, -e if s % 2 else e, kind)), j))
         decided[key] = pair = one((one(head), j))
         return pair
 
@@ -277,9 +276,9 @@ def fill_tuples(moduli):
                  for key in product(*(p.keys for p in ps))]
         t = Tuples(n, ps, [h for h, _ in pairs], [j for _, j in pairs])
         if max(t.heads)[0] > _size_cap(n):     # some size past the cap
-            k = next(k for k, i in enumerate(t.indexes())
-                     if t.heads[i][0] > _size_cap(n))
-            _capped(n, k, t.head(k)[0])     # raises SizeCapExceeded
+            k, i = next((k, i) for k, i in enumerate(t.indexes())
+                        if t.heads[i][0] > _size_cap(n))
+            _capped(n, k, t.heads[i][0])    # raises SizeCapExceeded
         yield t
 
 

@@ -188,7 +188,7 @@ def _range(theorem_id, lo, hi):
 def _claim(t, k, kind, size):
     """The item of a single-pair claim: k mod t.n is of this kind and
     size."""
-    s, _, got = t.head(k)
+    s, _, got = t.heads[t.index(k)]
     return [k], (s == size and got == kind) or (
         f"{got} of size {s}", f"{kind} of size {size}")
 

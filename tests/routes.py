@@ -32,7 +32,7 @@ from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _mul, _prod, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
-from frieze_mod.pair import _compose, _endpoints, _row
+from frieze_mod.pair import _compose, _endpoints, _verdict, _witness
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
 from frieze_mod.verify import (_LAWS, _crt_pair, _divisors, _moduli,
@@ -106,13 +106,15 @@ def _walk(n: int, k: int):
 
 
 def walked_row(n: int, k: int) -> tuple:
-    """The reference (head, wit) of k mod n: the package's row builder
-    (pair._row) over the walk's one class, in place of the class tuple
-    of n's prime-power factors. It shares the package's kind rule
-    (pair._verdict: "zero-convention" exactly at size 2), which
+    """The reference (head, wit) of k mod n: the package's verdict
+    (pair._verdict) and witness step (pair._witness) over the walk's one
+    class, in place of the class tuple of n's prime-power factors; the
+    walk checks the 3N cap itself. It shares the package's kind rule
+    ("zero-convention" exactly at size 2), which
     test_zero_bucket_and_short_size_laws and the oracle of
     perfbench/oracle.py check on their own."""
-    return _row(n, k, (_walk(n, k),))
+    head, j = _verdict((_walk(n, k),))
+    return head, None if j is None else _witness(n, k, j)
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:

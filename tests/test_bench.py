@@ -21,7 +21,7 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench) == {"description", "setting", "python", "nproc", "commit",
                           "dirty", "seed", "seconds", "runs", "previous",
                           "correct", "workloads", "commands_ms",
-                          "commands_rss_mb", "reach"}
+                          "commands_rss_mb", "reach", "code_lines"}
     assert bench["setting"] == "smoke" and bench["runs"] >= 3
     assert bench["python"] == sys.version.split()[0]
     assert isinstance(bench["nproc"], int) and bench["nproc"] >= 1
@@ -42,6 +42,11 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench["reach"]) == {"verify all --max 100",
                                    "survey --max 100 --force"}
     assert all(set(fig) == {"ms", "rss_mb"} for fig in bench["reach"].values())
+    # the package's code lines, per module and in total
+    lines = bench["code_lines"]
+    assert set(lines) == {"modules", "total", "previous"}
+    assert "cli.py" in lines["modules"] and "__init__.py" in lines["modules"]
+    assert lines["total"] == sum(lines["modules"].values()) > 0
     figures = [*bench["workloads"]["sweep"].values(),
                *bench["commands_ms"].values(), *bench["commands_rss_mb"].values(),
                *(f for fig in bench["reach"].values() for f in fig.values())]
@@ -50,3 +55,16 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
         assert fig["runs"] == bench["runs"]
         assert fig["q1"] <= fig["median"] <= fig["q3"]
         assert (fig["previous"] is None) == (fig["vs_previous"] is None)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from bench import code_lines
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    source = ('"""Module\n    docstring."""\n\n# a comment\nimport sys\n\n'
+              'def f(x):\n    """Doc."""\n    return (x +  # trailing\n'
+              '            1)\n\n\nclass C:\n    """Doc\n    two."""\n'
+              '    y = """not a\n    docstring"""\n')
+    assert code_lines(source) == 7

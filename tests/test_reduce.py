@@ -58,6 +58,8 @@ def test_rejects_bad_modulus():
                     fn(n, k)
         with pytest.raises(ValueError):
             _filled(n)
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            _pair_row(n, 0)
 
 
 def test_at_most_one_bordered_solution_per_size():
@@ -564,10 +566,10 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
         for k, i in enumerate(index):
             assert classes[i] == tuple(p.keys[p.slot[k % p.q]]
                                        for p in t.parts), (n, k)
-            assert t.index(k) == i and t.head(k) == t.heads[i], (n, k)
+            assert t.index(k) == i, (n, k)
         assert [t.heads[i] for i in index] == heads, n
         for i, key in enumerate(classes):
-            assert t.corners[i] == rows_mod._verdict(key)[2], (n, i)
+            assert t.corners[i] == rows_mod._verdict(key)[1], (n, i)
         for k in range(n // 2 + 1):
             j = t.corners[index[k]]
             assert (wits[k] is None) == (j is None), (n, k)
@@ -617,21 +619,35 @@ def test_row_size_cap_raises(monkeypatch):
 def test_class_tuples_check_the_size_cap(monkeypatch):
     # fill_tuples checks every size of a modulus against the 3N cap, at
     # its least k past the cap, as fill_rows does; a modulus below 2
-    # raises at the first next()
+    # raises at the first next(). A lone pair past the cap raises from
+    # its front (ring._front) before any corner scan (pair._compose)
     tuples = fill_tuples(range(2, 16))
     assert [next(tuples).n for _ in range(2, 15)] == list(range(2, 15))
     monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
     with pytest.raises(SizeCapExceeded, match="size 2 > 1 for n=15, k=0"):
         next(tuples)
     # with a cap of n + 1, 15 has sizes past it (20 for k = 3): both
-    # fills name the same least k
+    # fills name the same least k, and the lone pair (15, 3) raises the
+    # same before it composes anything
     monkeypatch.setattr(ring, "_CAP_FACTOR", 1)
     raised = []
     for fill in (fill_rows, fill_tuples):
         with pytest.raises(SizeCapExceeded) as e:
             next(fill([15]))
         raised.append(str(e.value))
-    assert raised == ["size 20 > 16 for n=15, k=3"] * 2
+    compose, composed = pair_mod._compose, []
+
+    def counted(classes):
+        composed.append(classes)
+        return compose(classes)
+
+    monkeypatch.setattr(pair_mod, "_compose", counted)
+    for call in (_pair_row, is_irreducible_monomial):
+        with pytest.raises(SizeCapExceeded) as e:
+            call(15, 3)
+        raised.append(str(e.value))
+    assert raised == ["size 20 > 16 for n=15, k=3"] * 4
+    assert composed == []
     with pytest.raises(ValueError, match="got 1"):
         next(fill_tuples({45, 1, 9}))
 

@@ -392,7 +392,7 @@ def test_tampered_tuples_fail_at_every_pair_they_hold(theorem_id, monkeypatch):
     def tampered(classes):
         head = SHARED.get(classes)
         # no corner: fill_rows builds no witness for it
-        return (head, head, None) if head else verdict(classes)
+        return (head, None) if head else verdict(classes)
 
     monkeypatch.setattr(rows_module, "_verdict", tampered)
     report = run_verifier(theorem_id, 2, 100)

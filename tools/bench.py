@@ -11,6 +11,9 @@ Each of RUNS rounds runs, as children of this process:
     as a child of its own: its spawn-to-exit wall time, and its peak RSS
     from os.wait4;
   - each command of REACH the same way, reported in its own section.
+The code_lines section counts the lines of each module of
+src/frieze_mod/ that hold code (not blank, not comment-only, not inside
+a docstring), and their total beside the previous file's total.
 The order rotates from round to round, so that a host whose speed drifts
 spreads the drift over every figure rather than over the last ones.
 Each figure is the median and quartiles (inclusive method) of its runs,
@@ -31,6 +34,8 @@ and its figures are no measurement.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import re
@@ -39,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +65,9 @@ SMOKE_COMMANDS = ("size 18446744073709551615 3",)
 # start-up, sets the time and the peak RSS.
 REACH = ("verify all --max 10000", "survey --max 5000 --force")
 SMOKE_REACH = ("verify all --max 100", "survey --max 100 --force")
+PACKAGE = ROOT / "src" / "frieze_mod"
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def child(argv: list[str]) -> tuple[float, float]:
@@ -105,14 +114,11 @@ def previous_file(out: Path) -> Path | None:
 
 def compare(values: list[float], prev: dict, *keys: str) -> dict:
     """The figure of values, with the median that prev holds under keys
-    and the ratio to it. A previous file that measured a parent and a
-    change holds the change's figure."""
+    and the ratio to it."""
     fig = figure(values)
     old = prev
     for key in keys:
         old = old.get(key) if isinstance(old, dict) else None
-    if isinstance(old, dict) and "change" in old:
-        old = old["change"]
     base = old.get("median") if isinstance(old, dict) else None
     return {**fig, "previous": base,
             "vs_previous": fig["median"] / base - 1 if base else None}
@@ -128,6 +134,25 @@ def above_floor(fig: dict, floor: dict) -> dict:
             else None)
     return {"value": value, "previous": base,
             "vs_previous": value / base - 1 if base else None}
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold code: not blank, not
+    comment-only and not inside a docstring (the first statement of a
+    module, class or function body, when it is a bare string)."""
+    tree = ast.parse(source)
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            first = node.body[0]
+            docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
 
 
 def git(*args: str) -> str:
@@ -168,6 +193,8 @@ def main() -> int:
 
     prev_path = previous_file(args.out)
     prev = json.loads(prev_path.read_text()) if prev_path else {}
+    modules = {p.name: code_lines(p.read_text())
+               for p in sorted(PACKAGE.glob("*.py"))}
     commands_ms = {c: compare(walls[c], prev, "commands_ms", c)
                    for c in commands}
     for c in commands[1:]:
@@ -196,6 +223,8 @@ def main() -> int:
         "reach": {c: {"ms": compare(walls[c], prev, "reach", c, "ms"),
                       "rss_mb": compare(rss[c], prev, "reach", c, "rss_mb")}
                   for c in reach},
+        "code_lines": {"modules": modules, "total": sum(modules.values()),
+                       "previous": prev.get("code_lines", {}).get("total")},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0 if all(correct.values()) else 1

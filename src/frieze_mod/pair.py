@@ -4,19 +4,21 @@ For k mod n the constant product M(k)**s, M(k) = [[k, -1], [1, 0]],
 follows one scalar recurrence u_s. The minimal size of the constant
 solution, its sign and its first inner power with a +-1 corner decide
 the pair: a shorter bordered solution (x, k, ..., k, y) closes up
-exactly at those corners (_endpoints), so the first one is the smallest
-witness. The results are plain ints, words and tuples, with no
-dataclass built per pair.
+exactly at those corners, with x = y (proved in _witness), so the first
+one is the smallest witness. The results are plain ints, words and
+tuples, with no dataclass built per pair.
 
 Every pair takes its verdict (_verdict: its head, the size, sign and
 kind, and its first corner) from the corner classes (S_q, sign_q, D_q,
-f_q) of k mod its prime-power factors q (the CRT size law and the corner
-lemma, both proved in _compose). No pair is walked. A single pair
-(_pair_row) takes k mod n, the class of k mod each q, one descent each,
-and its size checked against the 3N cap from ring._front, the front the
-size command reads too, so a size past the cap raises before any corner
-is scanned. A corner is a bare j; one witness step (_witness) builds
-M(k)**j by fast doubling (ring._lucas), closes and checks it.
+f_q) of k mod its prime-power factors q and their CRT size law (the
+law and the corner lemma, both proved in _compose). No pair is walked.
+A single pair (_pair_row) takes k mod n, the class of k mod each q, one
+descent each, and their size law, checked against the 3N cap, from
+ring._front, the front the size command reads too, so a size past the
+cap raises before any corner is scanned, and the law is composed once.
+A corner is a bare j; one witness step (_witness) doubles to u_j by
+ring._lucas, checks that the corner closes up and closes it in closed
+form.
 
 A decided pair is a (head, wit): head is its (size, sign, kind) and wit
 its witness (w, x, y, eps), or None. The range fill (rows.fill_tuples,
@@ -25,7 +27,7 @@ witness with _witness. This module imports ring alone, so classify,
 witness and the single-pair library calls compile no range fill.
 """
 
-from .ring import _crt_size, _front, _lucas
+from .ring import _front, _lucas
 
 
 # Matrices are row-major 4-tuples (a, b, c, d) of plain ints.
@@ -42,60 +44,55 @@ def _sign(m, n):
     return 0
 
 
-def _endpoints(p_mat, n):
-    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, or None.
+def _witness(n, k, j):
+    """The witness (j + 2, x, y, eps) of k mod n at its first corner j,
+    as _compose gives it: x = y = u_j * u_{j-1} and eps = -u_j, from the
+    u_{j-1} and u_j of one fast doubling (ring._lucas). RuntimeError
+    unless u_j = +-1 and u_{j-1} * (k - u_j * u_{j-1}) = 0, that is
+    unless the corner closes up. Mod 2 the two signs coincide and eps is
+    +1.
 
-    With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
-    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
-    row, y = -eps*r: there is a solution only when p = +-1, and then
-    exactly one. It is checked by evaluating the full product, and a
-    failed check raises RuntimeError. Mod 2 the two signs coincide and
-    the sign is +1.
-
-    So a bordered solution (x, k, ..., k, y) of size j + 2 closes exactly
-    at the +-1 corners u_j of M(k)**j = [[u_j, -u_{j-1}], [u_{j-1},
-    -u_{j-2}]], and every such corner closes: with p = +-1, eps = -p,
-    x = eps*q and y = -eps*r, m1(y) @ P @ m1(x) has bottom row
-    (p*x + q, -p) = (0, eps), top-right entry r - p*y = 0 and determinant
-    1, so it is eps * Id. M**S = sign * Id makes
+    A bordered solution (x, k, ..., k, y) of size j + 2 is
+    m1(y) @ P @ m1(x) = eps * Id, m1(x) = [[x, -1], [1, 0]], with
+    P = M(k)**j = [[p, q], [r, s]] = [[u_j, -u_{j-1}], [u_{j-1},
+    -u_{j-2}]]. The product is [[y*c - r*x - s, r - p*y], [c, -p]] with
+    c = p*x + q: its bottom row (c, -p) = (0, eps) pins eps = -p and
+    x = eps*q, and its top-right entry r - p*y = 0 pins y = -eps*r. So
+    there is a solution only when p = u_j = +-1, and then exactly one,
+    x = y = u_j * u_{j-1}. Its top-left entry is then
+    u_{j-2} - u_j * u_{j-1}**2 = -u_j + u_{j-1} * (k - u_j * u_{j-1}),
+    by u_{j-2} = k * u_{j-1} - u_j, and it equals eps exactly when
+    u_{j-1} * (k - u_j * u_{j-1}) = 0. That is det P = 1: det P =
+    u_{j-1}**2 - u_j * u_{j-2} = 1 - u_j * u_{j-1} * (k - u_j * u_{j-1}).
+    So the check is the full product's (its other three entries hold by
+    the choice of x, y and eps), and every +-1 corner of a true M**j
+    closes up: a bordered solution of size j + 2 exists exactly at the
+    +-1 corners u_j. M**S = sign * Id makes
     M**(S-2-j) = sign * M**-2 * M**-j, so u_j is +-1 exactly when
     u_{S-2-j} is: the corners below S - 2 sit symmetrically about
     (S - 2)/2, and the first one is the smallest witness.
     """
-    p, q, r, s = p_mat
-    if p not in (1, n - 1):
-        return None
-    eps = 1 if p == n - 1 else -1
-    x, y = eps * q % n, -eps * r % n
-    # m1(y) @ P @ m1(x) = [[y*c - r*x - s, r - p*y], [c, -p]], c = p*x + q
-    c = p * x + q
-    closed = ((y * c - r * x - s) % n, (r - p * y) % n, c % n, -p % n)
-    if _sign(closed, n) != eps:
-        raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
-    return x, y, eps
-
-
-def _witness(n, k, j):
-    """The witness (j + 2, x, y, eps) of k mod n at its first corner j,
-    as _compose gives it: M(k)**j by fast doubling (ring._lucas), closed
-    by _endpoints. RuntimeError unless u_j = +-1."""
     a, b = _lucas(n, k, j)      # u_{j-1}, u_j
-    ends = _endpoints((b, -a % n, a, (b - k * a) % n), n)
-    if ends is None:
+    if b != 1 and b != n - 1:
         raise RuntimeError(f"u_{j} is not +-1 for n={n}, k={k}")
-    return (j + 2, *ends)
+    if a * (k - b * a) % n:
+        p_mat = b, -a % n, a, (b - k * a) % n
+        raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
+    x = b * a % n
+    return j + 2, x, x, 1 if b == n - 1 else -1
 
 
-def _verdict(classes):
-    """(head, first corner j or None) for the k of one class tuple, from
-    _compose; the head is (size, sign, kind). The kind is
+def _verdict(classes, law):
+    """(head, first corner j or None) for the k of one class tuple and
+    its CRT size law (m, multiplier, sign), from _compose; the head is
+    (size, sign, kind). The kind is
     "zero-convention" exactly at size 2, else "reducible" with a corner,
     "irreducible" without. Only k = 0 has size 2, and it has no corner in
     [1, 0]: M(k)**2 = k * M(k) - Id (Cayley-Hamilton) is +-Id only when
     k * M(k) is 0 or 2 * Id, so its bottom-left entry k is 0, and
     M(0)**2 = -Id; no size is 1, as M(k) has the off-diagonal entries -1
     and 1."""
-    size, sign, corner = _compose(classes)
+    size, sign, corner = _compose(classes, law)
     kind = ("zero-convention" if size == 2 else
             "irreducible" if corner is None else "reducible")
     return (size, sign, kind), corner
@@ -107,15 +104,16 @@ def _pair_row(n: int, k: int) -> tuple:
     size against the 3N cap, and the witness at its corner: kind
     "reducible", "irreducible" or, for k = 0 mod n, "zero-convention",
     and wit None when there is no witness (always for k = 0, of size 2)."""
-    k, _, classes, _ = _front(n, k)
-    head, j = _verdict(classes)
+    k, _, classes, law = _front(n, k)
+    head, j = _verdict(classes, law)
     return head, None if j is None else _witness(n, k, j)
 
 
-def _compose(classes):
+def _compose(classes, law):
     """(size, sign, corner) of a pair from the classes of its prime-power
-    factors: size and sign by the CRT size law (ring._crt_size), corner
-    the first corner j in [1, (size - 2)/2], or None.
+    factors: size and sign from their CRT size law, the (m, multiplier,
+    sign) of ring._crt_size that the caller holds, corner the first
+    corner j in [1, (size - 2)/2], or None.
 
     The CRT size law. Every n = prod q, over coprime prime powers q, a
     prime power included, is decided from the class of k mod each q:
@@ -132,7 +130,7 @@ def _compose(classes):
     M**(2 * m) = (M**m)**2 = Id mod every q (ring._crt_size).
 
     The witness comes from the first +-1 corner u_j with
-    1 <= j <= (S - 2)/2 (_endpoints). The corner lemma: mod a prime
+    1 <= j <= (S - 2)/2 (_witness). The corner lemma: mod a prime
     power q = p**a, let D be the least j >= 1 with M**j in
     H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} (a group, proved in
     ring._descend), and M**D = f * Id + v * M. Then u_j = +-1 exactly
@@ -159,7 +157,7 @@ def _compose(classes):
     Each corner mod n is one mod the q of the largest D, so the scan
     steps j = t*D - 2, t*D for that D.
     """
-    m, multiplier, sign = _crt_size(classes)
+    m, multiplier, sign = law
     size = multiplier * m
     # every corner mod n is one of the class with the largest D. A class
     # (D, f) has u_{tD-2} = -f**t and u_{tD} = f**t (q = 2, f = 0, gives

@@ -8,7 +8,7 @@ class splits as the endpoint-merging sum of two strictly shorter
 solutions (both of size >= 3). For a constant solution the right summand
 can always be steered into bordered shape (x, k, ..., k, y), which closes
 up exactly where the inner power M(k)**j has a +-1 corner, and there in
-one way (proved in pair._endpoints). So the smallest witness is the bordered
+one way (proved in pair._witness). So the smallest witness is the bordered
 solution at the first such corner, of size j + 2.
 """
 

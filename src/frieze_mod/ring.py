@@ -201,10 +201,27 @@ def _crt_size(classes):
     proved in pair._compose). m = lcm(S_q); mod q,
     M**m = sign_q**(m / S_q) * Id, and q = 2 has no say. When those signs
     agree, the size is m with that sign, +1 when no q has a say;
-    otherwise 2 * m with sign +1."""
-    m = lcm(*(c[0] for c in classes))
-    signs = {c[1] if m // c[0] % 2 else 1 for c in classes if c[1]}
-    return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))
+    otherwise 2 * m with sign +1.
+
+    One pass, in any order of the classes: m is the lcm of the sizes
+    met so far, and sign the common sign of M**m mod the q met so far
+    that have a say (0 while none has, 2 once two disagree). When m
+    grows to m2 = lcm(m, S_q), M**m2 = (M**m)**(m2 / m) mod each q met,
+    so an even m2 / m turns every sign met, disagreeing ones included,
+    into +1, and an odd one keeps them."""
+    m, sign = 1, 0
+    for s, e, _, _ in classes:
+        if m % s:
+            m2 = lcm(m, s)
+            if sign and m2 // m % 2 == 0:
+                sign = 1
+            m = m2
+        if e:
+            if m // s % 2 == 0:
+                e = 1
+            if sign != e:
+                sign = e if not sign else 2
+    return (m, 2, 1) if sign == 2 else (m, 1, sign or 1)
 
 
 def _front(n: int, k: int):

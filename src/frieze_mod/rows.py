@@ -21,11 +21,11 @@ kind) and a witness (w, x, y, eps), or None, as in pair.py.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import compress, product
 from math import gcd
 
 from .pair import _verdict, _witness
-from .ring import _capped, _class, _lucas, _size_cap, factorize
+from .ring import _capped, _class, _crt_size, _lucas, _size_cap, factorize
 
 
 def _orbits(p: int) -> list:
@@ -90,10 +90,11 @@ def fill_rows(moduli):
     It is a view of fill_tuples, which decides each class tuple once per
     call (_verdict) and checks every size against the 3N cap: heads[k] is
     the head of the tuple of k, found through the parts' slots, and the
-    witness of each k <= n/2 is built at its tuple's first corner. A
-    repeated modulus is filled once; one below 2 raises ValueError at the
-    first next(). survey and verify.monomial_row read it; the law battery
-    reads fill_tuples, and builds no witness.
+    witness of each k <= n/2 whose tuple has a corner is built there,
+    those k picked in one pass over the corners, and mirrored to n - k.
+    A repeated modulus is filled once; one below 2 raises ValueError at
+    the first next(). survey and verify.monomial_row read it; the law
+    battery reads fill_tuples, and builds no witness.
 
     The tuple of -k is decided with that of k, and the witness of n - k
     is mirrored from that of k. M(-k) = -J * M(k) * J with J = diag(1, -1)
@@ -110,9 +111,10 @@ def fill_rows(moduli):
     pair._pair_row takes the class of any k), and mirrored:
     u_j(-k) = (-1)**j * u_j(k), and J maps H for k onto H for -k, so -k
     has the class (S, sign * (-1)**S, D, f * (-1)**D). pair._witness
-    doubles to M**j for every pair k <= n/2 with a corner, and raises
-    RuntimeError unless u_j = +-1 and the full product closes
-    (pair._endpoints); the witness of n - k is mirrored. Every size is
+    doubles to u_j for every pair k <= n/2 with a corner, and raises
+    RuntimeError unless u_j = +-1 and the corner closes up
+    (det M**j = 1, proved there); the witness (w, x, x, eps) of k gives
+    n - k the witness (w, -x, -x, eps * (-1)**w). Every size is
     checked against the 3N cap, once per modulus (ring._capped).
 
     A prime power q keeps its classes for the rest of the call when
@@ -120,12 +122,15 @@ def fill_rows(moduli):
     """
     for t in fill_tuples(moduli):
         n, index = t.n, t.indexes()
-        # no corner is 0, so j and its witness is None when j is None
-        wits = [j and _witness(n, k, j) for k, j in
-                enumerate(map(t.corners.__getitem__, index[:n // 2 + 1]))]
-        wits += [w and (w[0], -w[1] % n, -w[2] % n,
-                        -w[3] if w[0] % 2 else w[3])
-                 for w in wits[(n - 1) // 2:0:-1]]
+        half = n // 2 + 1
+        corners = list(map(t.corners.__getitem__, index[:half]))
+        wits = [None] * n
+        # no corner is 0, so compress picks the k <= n/2 with a corner
+        for k in compress(range(half), corners):
+            wits[k] = w, x, _, e = _witness(n, k, corners[k])
+            if k + k != n:
+                x = -x % n
+                wits[n - k] = w, x, x, -e if w % 2 else e
         yield n, list(map(t.heads.__getitem__, index)), wits
 
 
@@ -135,8 +140,9 @@ _CSV_HEADER = ",".join(_FIELDS)
 
 
 class _Rendered(dict):
-    """The text of each key, rendered by render(*key) on first use and
-    kept."""
+    """The value of each key, rendered by render(*key) on first use and
+    kept: the text of a head (_table), the mirror of a class
+    (fill_tuples)."""
 
     def __init__(self, render):
         super().__init__()
@@ -203,7 +209,7 @@ class Tuples(namedtuple("Tuples", "n parts heads corners")):
     i is the i-th of their product, the last factor varying fastest.
     heads[i] is its (size, sign, kind) and corners[i] its first corner
     j, or None (_verdict): every k of the tuple has its smallest witness
-    there, of size j + 2 (pair._endpoints). By the CRT its k are those
+    there, of size j + 2 (pair._witness). By the CRT its k are those
     with k mod q among the residues of its class for every q (indexes);
     tuple 0 is k = 0 alone. The tuples themselves are not kept: classes()
     yields them again, in index order."""
@@ -238,11 +244,12 @@ def fill_tuples(moduli):
     n. Size, sign, kind and first corner depend only on the tuple
     (pair._compose), so every k of a tuple shares them. By the CRT the
     tuples of n are exactly the product of the classes of its factors;
-    each is decided once per call (_verdict), together with its mirror,
-    the tuple of -k (_negated), whose head is built here from that of k
-    with the sign times (-1)**size, and whose first corner is the same,
-    as u_j(-k) = (-1)**j * u_j(k) (the mirror rule, proved in
-    fill_rows).
+    each is decided once per call (_verdict, with its CRT size law
+    ring._crt_size), together with its mirror, the tuple of -k, whose
+    head is built here from that of k with the sign times (-1)**size,
+    and whose first corner is the same, as u_j(-k) = (-1)**j * u_j(k)
+    (the mirror rule, proved in fill_rows). The mirror of each distinct
+    class (_negated) is computed once per call and shared.
     The memo of the call maps each tuple decided so far to one shared
     (head, first corner) pair. No witness is built. The class of 0 mod
     q, of size 2, is held by k = 0 mod q alone (_verdict), and it is the
@@ -261,9 +268,12 @@ def fill_tuples(moduli):
     def one(x):
         return shared.setdefault(x, x)
 
+    # class -> its mirror (_negated), one shared object each
+    mirrors = _Rendered(lambda *c: one(_negated(*c)))
+
     def decide(key):
-        head, j = _verdict(key)
-        twin = tuple(map(one, map(_negated, key)))
+        head, j = _verdict(key, _crt_size(key))
+        twin = tuple(map(mirrors.__getitem__, key))
         if twin != key:
             s, e, kind = head   # -k: the sign times (-1)**size
             decided[twin] = one((one((s, -e if s % 2 else e, kind)), j))
@@ -282,9 +292,8 @@ def fill_tuples(moduli):
         yield t
 
 
-def _negated(c):
-    """The class of -k, from the class c of k (fill_rows)."""
-    s, e, d, f = c
+def _negated(s, e, d, f):
+    """The class of -k, from the class (s, e, d, f) of k (fill_rows)."""
     return s, -e if s % 2 else e, d, -f if d % 2 else f
 
 
@@ -304,7 +313,7 @@ def _class_source(top):
                 row = _orbits(p)
             else:
                 half = [_class(p, a, k) for k in range(q // 2 + 1)]
-                row = half + [_negated(c) for c in half[(q - 1) // 2:0:-1]]
+                row = half + [_negated(*c) for c in half[(q - 1) // 2:0:-1]]
             kept[q] = _grouped(row)
         return kept[q] if 2 * q <= top else kept.pop(q)
     return parts

@@ -3,12 +3,14 @@
 The package decides reducibility by the bordered witness search of
 pair.py alone. The routes here reach the same questions another way:
 the walk along the recurrence that gives the reference class of every
-pair, the general decomposition search over a whole equivalence class,
-the census of bordered solutions up to a size cap, and the bordered
-solutions of one size from the closed-form endpoint solve. The tests
-cross-check the fast path against them. They use the package's matrix
-and endpoint helpers, so unlike oracles.py they are not independent of
-it; oracles.py checks those helpers in turn. The command line has a
+pair, the reference witness closed by the general endpoint solve
+(_endpoints) on the recurrence's own corner power, the general
+decomposition search over a whole equivalence class, the census of
+bordered solutions up to a size cap, and the bordered solutions of one
+size from the endpoint solve. The tests cross-check the fast path
+against them. They use the package's matrix helpers and its verdict
+rule, so unlike oracles.py they are not independent of it; oracles.py
+checks those helpers in turn. The command line has a
 second route too: the argparse parse of each command (usage._parse, as
 cli.main reads a line it declines), against which argv_mismatches
 checks the parse of well-formed lines (cli._well_formed). So does the
@@ -24,15 +26,15 @@ import contextlib
 import io
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from frieze_mod import cli
 from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _mul, _prod, solution_sign
-from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
-from frieze_mod.pair import _compose, _endpoints, _verdict, _witness
+from frieze_mod.ring import SizeCapExceeded, _crt_size, _size_cap, factorize
+from frieze_mod.pair import _compose, _sign, _verdict
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
 from frieze_mod.verify import (_LAWS, _crt_pair, _divisors, _moduli,
@@ -59,7 +61,7 @@ def _walk(n: int, k: int):
 
     The class: when k**2 = 0 it is (S, sign, 2, -1); else, when the walk
     meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
-    witness, pair._endpoints), (S, sign, j + 2, -u_j); else
+    witness, pair._witness), (S, sign, j + 2, -u_j); else
     (S, sign, S, sign); f is +1 mod 2. Mod a prime power q = p**a this
     is the class of the corner lemma (pair._compose), that is
     ring._class(p, a, k) but for q = 2, whose class there carries the
@@ -105,16 +107,74 @@ def _walk(n: int, k: int):
     raise SizeCapExceeded(f"no size <= {cap} for n={n}, k={k}")
 
 
+def crt_size_reference(classes):
+    """The CRT size law (ring._crt_size) as its statement reads, from
+    the whole tuple at once: m = lcm(S_q), the set of the signs
+    sign_q**(m / S_q) of the q with a say, and (m, 2, 1) when that set
+    holds both signs, else (m, 1, its sign or +1)."""
+    m = lcm(*(c[0] for c in classes))
+    signs = {c[1] if m // c[0] % 2 else 1 for c in classes if c[1]}
+    return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))
+
+
+def walked_compose(walked):
+    """pair._compose of the one class walked (_walk), with its CRT size
+    law (ring._crt_size): the (size, sign, first corner) of its pair."""
+    return _compose((walked,), _crt_size((walked,)))
+
+
+def corner_power(n: int, k: int, j: int):
+    """M(k)**j = [[u_j, -u_{j-1}], [u_{j-1}, -u_{j-2}]] mod n for j >= 0,
+    from j steps of the scalar recurrence u_i = k * u_{i-1} - u_{i-2},
+    u_0 = 1, u_{-1} = 0 (so u_{-2} = -1), with no fast doubling."""
+    a, b, c = n - 1, 0, 1       # u_{i-2}, u_{i-1}, u_i at i = 0
+    for _ in range(j):
+        a, b, c = b, c, (k * c - b) % n
+    return c, -b % n, b, -a % n
+
+
 def walked_row(n: int, k: int) -> tuple:
     """The reference (head, wit) of k mod n: the package's verdict
-    (pair._verdict) and witness step (pair._witness) over the walk's one
-    class, in place of the class tuple of n's prime-power factors; the
-    walk checks the 3N cap itself. It shares the package's kind rule
-    ("zero-convention" exactly at size 2), which
+    (pair._verdict) over the walk's one class, in place of the class
+    tuple of n's prime-power factors (the walk checks the 3N cap
+    itself), and the witness at its first corner j closed by the general
+    endpoint solve (_endpoints) on M(k)**j from the recurrence
+    (corner_power). So the witness shares neither ring._lucas nor the
+    closed form of pair._witness; the head shares the package's kind
+    rule ("zero-convention" exactly at size 2), which
     test_zero_bucket_and_short_size_laws and the oracle of
     perfbench/oracle.py check on their own."""
-    head, j = _verdict((_walk(n, k),))
-    return head, None if j is None else _witness(n, k, j)
+    walked = (_walk(n, k),)
+    head, j = _verdict(walked, _crt_size(walked))
+    if j is None:
+        return head, None
+    ends = _endpoints(corner_power(n, k, j), n)
+    return head, ends and (j + 2, *ends)
+
+
+def _endpoints(p_mat, n):
+    """The (x, y, sign) with m1(y) @ P @ m1(x) = sign * Id, or None.
+
+    With P = [[p, q], [r, s]], the product's bottom row is (p*x + q, -p),
+    so equality with (0, eps) pins eps = -p, x = eps*q and, from the top
+    row, y = -eps*r: there is a solution only when p = +-1, and then
+    exactly one. It is checked by evaluating the full product, and a
+    failed check raises RuntimeError. Mod 2 the two signs coincide and
+    the sign is +1. The package closes its witnesses in closed form
+    (pair._witness, which proves that every +-1 corner of M(k)**j
+    closes up, with x = y); this is the general solve, for any P.
+    """
+    p, q, r, s = p_mat
+    if p not in (1, n - 1):
+        return None
+    eps = 1 if p == n - 1 else -1
+    x, y = eps * q % n, -eps * r % n
+    # m1(y) @ P @ m1(x) = [[y*c - r*x - s, r - p*y], [c, -p]], c = p*x + q
+    c = p * x + q
+    closed = ((y * c - r * x - s) % n, (r - p * y) % n, c % n, -p % n)
+    if _sign(closed, n) != eps:
+        raise RuntimeError(f"the corner {p_mat} mod {n} does not close up")
+    return x, y, eps
 
 
 def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
@@ -215,7 +275,7 @@ def witness_structure_check(n: int, k: int,
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    s, sign, first = _compose((_walk(n, k),))
+    s, sign, first = walked_compose(_walk(n, k))
     if cap is None:
         cap = 3 * s + 2
     irreducible = k != 0 and first is None

@@ -21,7 +21,7 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench) == {"description", "setting", "python", "nproc", "commit",
                           "dirty", "seed", "seconds", "runs", "previous",
                           "correct", "workloads", "commands_ms",
-                          "commands_rss_mb", "reach", "code_lines"}
+                          "commands_rss_mb", "reach", "layers", "code_lines"}
     assert bench["setting"] == "smoke" and bench["runs"] >= 3
     assert bench["python"] == sys.version.split()[0]
     assert isinstance(bench["nproc"], int) and bench["nproc"] >= 1
@@ -42,6 +42,27 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench["reach"]) == {"verify all --max 100",
                                    "survey --max 100 --force"}
     assert all(set(fig) == {"ms", "rss_mb"} for fig in bench["reach"].values())
+    # the layer runs: each phase's own time and calls, each law's check
+    # time (run_all only) and the rest of the run. survey fills its rows
+    # once and builds witnesses; run_all reads the tuples alone
+    layers = bench["layers"]
+    assert set(layers) == {"survey --max 60", "run_all 2 60"}
+    phases = {"rows.fill_tuples", "rows.fill_rows", "rows._orbits", "ring._class",
+              "pair._verdict", "pair._witness", "rows._table"}
+    layer_figures = []
+    for run, layer in layers.items():
+        assert set(layer) == {"total_ms", "other_ms", "phases", "checks_ms"}
+        assert set(layer["phases"]) == phases
+        calls = {name: p["calls"] for name, p in layer["phases"].items()}
+        assert calls["rows.fill_tuples"] == 1
+        assert calls["pair._verdict"] > 0 and calls["ring._class"] > 0
+        survey = run.startswith("survey")
+        assert (calls["rows.fill_rows"], calls["rows._table"]) == (survey, survey)
+        assert (calls["pair._witness"] > 0) == survey
+        assert (len(layer["checks_ms"]) == 10) != survey
+        layer_figures += [layer["total_ms"], layer["other_ms"],
+                          *(p["own_ms"] for p in layer["phases"].values()),
+                          *layer["checks_ms"].values()]
     # the package's code lines, per module and in total
     lines = bench["code_lines"]
     assert set(lines) == {"modules", "total", "previous"}
@@ -49,7 +70,8 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert lines["total"] == sum(lines["modules"].values()) > 0
     figures = [*bench["workloads"]["sweep"].values(),
                *bench["commands_ms"].values(), *bench["commands_rss_mb"].values(),
-               *(f for fig in bench["reach"].values() for f in fig.values())]
+               *(f for fig in bench["reach"].values() for f in fig.values()),
+               *layer_figures]
     for fig in figures:
         assert set(fig) == FIGURE, fig
         assert fig["runs"] == bench["runs"]

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -11,13 +12,14 @@ from frieze_mod.monomial import (SizeCapExceeded, minimal_monomial_size,
 from frieze_mod.reduce import (ReductionWitness, is_irreducible_monomial,
                                monomial_reduction_witness)
 from frieze_mod.ring import _class, factorize
-from frieze_mod.pair import _compose, _pair_row
+from frieze_mod.pair import _pair_row
 from frieze_mod.rows import fill_rows, fill_tuples
 from frieze_mod.verify import monomial_row, run_all, run_verifier
 from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
-from routes import (_walk, bordered_solutions, is_reducible_general,
+from routes import (_endpoints, _walk, bordered_solutions, corner_power,
+                    crt_size_reference, is_reducible_general, walked_compose,
                     walked_row, witness_structure_check)
 
 # smallest witnesses, pinned from the direct definitional scan
@@ -282,9 +284,9 @@ def test_decide_row_matches_the_reference_walk():
     # pair (heads[k], wits[k]) against one nested-list walk (its size,
     # sign and first +-1 corner), against its own single pair (_pair_row)
     # and the walk's one class composed (walked_row), and by its witness
-    # closed around the walked corner power. Budget 15 s; measured 8.9 s
-    # alone (2 cores, Python 3.11.7, shared host): 5.9 s in the nested-list
-    # walk, 1.9 s in _pair_row, 1.0 s in walked_row and 0.1 s in the fill
+    # closed around the walked corner power. Budget 15 s; measured 4.9 s
+    # alone (2 cores, Python 3.11.7, shared host): 3.1 s in the nested-list
+    # walk, 0.9 s in _pair_row, 0.5 s in walked_row and 0.05 s in the fill
     last = 1
     for n, heads, wits in fill_rows(range(2, 401)):
         assert n == last + 1
@@ -341,7 +343,7 @@ def test_corner_lemma_on_prime_powers():
                     if j % d in (0, d - 2)]
             assert corners == want, (q, k, d, f)
             rows += 1
-            witnessed += _compose((walked,))[2] is not None
+            witnessed += walked_compose(walked)[2] is not None
     assert (rows, witnessed) == (6931, 224)
 
 
@@ -365,9 +367,9 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
     compose, composed = pair_mod._compose, []
 
-    def counted(classes):
+    def counted(classes, law):
         composed.append(classes)
-        return compose(classes)
+        return compose(classes, law)
 
     monkeypatch.setattr(pair_mod, "_compose", counted)
     fills = list(fill_rows(moduli))
@@ -416,7 +418,7 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
         return lucas(n, k, e)
 
     def corner(n, k):
-        j = _compose((_walk(n, k),))[2]
+        j = walked_compose(_walk(n, k))[2]
         return [] if j is None else [(n, k, j)]
 
     monkeypatch.setattr(rows_mod, "_class", counted_class)
@@ -471,8 +473,8 @@ def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     key = tuple(_walk(q, 4 % q) for q in (3, 7))
     compose, shifted = pair_mod._compose, []
 
-    def shift(classes):
-        size, sign, j = compose(classes)
+    def shift(classes, law):
+        size, sign, j = compose(classes, law)
         if classes != key:
             return size, sign, j
         shifted.append(j)
@@ -537,14 +539,79 @@ def test_a_64_bit_prime_pair_descends():
 
 
 def test_an_unverified_corner_raises(monkeypatch):
-    # every +-1 corner closes up (proved in pair._endpoints), so a corner
-    # whose product fails the check is an internal error, not a later
-    # witness
-    monkeypatch.setattr(pair_mod, "_sign", lambda m, n: 0)
+    # every +-1 corner of a true M**j closes up (proved in pair._witness),
+    # so a corner that fails the check is an internal error, not a later
+    # witness: a doubling that keeps u_j = +-1 but shifts u_{j-1} by one
+    # breaks det M**j = 1 at each pair below, and the pair raises
+    lucas, faulty = pair_mod._lucas, []
+
+    def shifted(n, k, e):
+        a, b = lucas(n, k, e)
+        assert b in (1, n - 1) and (a + 1) * (k - b * (a + 1)) % n
+        faulty.append((n, k, e))
+        return (a + 1) % n, b
+
+    monkeypatch.setattr(pair_mod, "_lucas", shifted)
     for call, arg in ((_pair_row, (9, 3)), (is_irreducible_monomial, (9, 3)),
                       (_filled, (15,))):
         with pytest.raises(RuntimeError, match="does not close up"):
             call(*arg)
+    assert faulty == [(9, 3, 2)] * 2 + [(15, 7, 3)]
+
+
+def test_witnesses_equal_the_general_endpoint_solve():
+    # pair._witness closes a corner in closed form, x = y = u_j * u_{j-1}
+    # and eps = -u_j: for every pair with a corner at n <= 300, k > n/2
+    # included, it equals the general endpoint solve (routes._endpoints)
+    # on M(k)**j from the recurrence, with x == y. About 0.1 s
+    pairs = 0
+    for t in fill_tuples(range(2, 301)):
+        n = t.n
+        for k, i in enumerate(t.indexes()):
+            j = t.corners[i]
+            if j is None:
+                continue
+            w, x, y, eps = pair_mod._witness(n, k, j)
+            assert (w, x, y, eps) == (j + 2, *_endpoints(corner_power(n, k, j), n)), (n, k)
+            assert x == y, (n, k)
+            pairs += 1
+    assert pairs == sum(wit is not None for _, _, wits in fill_rows(range(2, 301))
+                        for wit in wits)
+
+
+def test_the_one_pass_crt_size_law_equals_its_statement(monkeypatch):
+    # ring._crt_size keeps a running lcm and one common sign; against
+    # the law as stated (routes.crt_size_reference), over every class
+    # tuple the fill decides at n <= 400, and over hand-built tuples in
+    # every order: q = 2's sign 0, all signs 0, two disagreeing signs,
+    # a sign -1 kept by an odd m / S_q and one turned +1 by an even one,
+    # and two signs that disagree until a later size doubles m
+    verdict, laws = rows_mod._verdict, []
+
+    def seen(classes, law):
+        laws.append((classes, law))
+        return verdict(classes, law)
+
+    monkeypatch.setattr(rows_mod, "_verdict", seen)
+    for _ in fill_tuples(range(2, 401)):
+        pass
+    assert len(laws) == len(dict(laws)) == 2765
+    for classes, law in laws:
+        assert law == crt_size_reference(classes), classes
+    built = [((3, 0, 3, 0), (3, -1, 3, -1)), ((3, 0, 3, 0),), (),
+             ((3, 0, 3, 0), (2, 0, 2, 0)), ((3, 1, 3, 1), (3, -1, 3, -1)),
+             ((6, -1, 6, -1), (2, -1, 2, -1)),
+             ((4, -1, 4, -1), (2, -1, 2, -1)),
+             ((3, -1, 3, -1), (3, 1, 3, 1), (2, -1, 2, -1)),
+             ((3, -1, 3, -1), (3, 1, 3, 1), (4, 1, 4, 1))]
+    got = {}
+    for classes in built:
+        for order in itertools.permutations(classes):
+            assert ring._crt_size(order) == crt_size_reference(order), order
+        got[classes] = ring._crt_size(classes)
+    assert list(got.values()) == [(3, 1, -1), (3, 1, 1), (1, 1, 1),
+                                  (6, 1, 1), (3, 2, 1), (6, 1, -1),
+                                  (4, 2, 1), (6, 2, 1), (12, 1, 1)]
 
 
 def test_class_tuples_expand_to_the_heads_of_the_rows():
@@ -569,7 +636,7 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
             assert t.index(k) == i, (n, k)
         assert [t.heads[i] for i in index] == heads, n
         for i, key in enumerate(classes):
-            assert t.corners[i] == rows_mod._verdict(key)[1], (n, i)
+            assert t.corners[i] == rows_mod._verdict(key, ring._crt_size(key))[1], (n, i)
         for k in range(n // 2 + 1):
             j = t.corners[index[k]]
             assert (wits[k] is None) == (j is None), (n, k)
@@ -584,9 +651,9 @@ def test_both_fills_decide_each_class_tuple_once(monkeypatch):
     # where a fill with its own per-k memo decided 2,308
     verdict, decided = rows_mod._verdict, []
 
-    def counted(classes):
+    def counted(classes, law):
         decided.append(classes)
-        return verdict(classes)
+        return verdict(classes, law)
 
     monkeypatch.setattr(rows_mod, "_verdict", counted)
     counts = []
@@ -637,9 +704,9 @@ def test_class_tuples_check_the_size_cap(monkeypatch):
         raised.append(str(e.value))
     compose, composed = pair_mod._compose, []
 
-    def counted(classes):
+    def counted(classes, law):
         composed.append(classes)
-        return compose(classes)
+        return compose(classes, law)
 
     monkeypatch.setattr(pair_mod, "_compose", counted)
     for call in (_pair_row, is_irreducible_monomial):

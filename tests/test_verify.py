@@ -389,10 +389,10 @@ def test_tampered_tuples_fail_at_every_pair_they_hold(theorem_id, monkeypatch):
     # heads decided from the same tampered verdicts
     verdict = rows_module._verdict
 
-    def tampered(classes):
+    def tampered(classes, law):
         head = SHARED.get(classes)
         # no corner: fill_rows builds no witness for it
-        return (head, None) if head else verdict(classes)
+        return (head, None) if head else verdict(classes, law)
 
     monkeypatch.setattr(rows_module, "_verdict", tampered)
     report = run_verifier(theorem_id, 2, 100)

@@ -11,6 +11,10 @@ Each of RUNS rounds runs, as children of this process:
     as a child of its own: its spawn-to-exit wall time, and its peak RSS
     from os.wait4;
   - each command of REACH the same way, reported in its own section.
+  - each run of LAYERS in a child of its own, in process: the own time
+    and call count of each phase of PHASES (layer_child), the time of
+    each law's check from its report's elapsed_ms, and the rest of the
+    run, reported in the layers section.
 The code_lines section counts the lines of each module of
 src/frieze_mod/ that hold code (not blank, not comment-only, not inside
 a docstring), and their total beside the previous file's total.
@@ -27,8 +31,8 @@ difference is what the package's own start-up and work cost. The
 Python version, the commit and the CPUs this process may run on (nproc;
 perfbench pins itself to one CPU, so it reports 1) are read here.
 --smoke runs the sweep workload for 1 s, the two quickest commands and
-the reach commands over small ranges only; it checks the file's shape,
-and its figures are no measurement.
+the reach commands and layer runs over small ranges only; it checks the
+file's shape, and its figures are no measurement.
 """
 
 from __future__ import annotations
@@ -65,6 +69,23 @@ SMOKE_COMMANDS = ("size 18446744073709551615 3",)
 # start-up, sets the time and the peak RSS.
 REACH = ("verify all --max 10000", "survey --max 5000 --force")
 SMOKE_REACH = ("verify all --max 100", "survey --max 100 --force")
+# In-process runs split into phases: a survey command line, or run_all
+# over [lo, hi], as the sweep workload's verify all runs it.
+LAYERS = ("survey --max 250", "run_all 2 250",
+          "survey --max 1000 --force", "run_all 2 2000")
+SMOKE_LAYERS = ("survey --max 60", "run_all 2 60")
+# Each phase a layer run times: its name, whether it is a generator
+# function (timed per next()), and the modules that hold it, the
+# importers by name included. A phase's own time leaves out the phases
+# it calls (rows.fill_rows pulls rows.fill_tuples, and survey's
+# rows._table pulls rows.fill_rows).
+PHASES = (("rows.fill_tuples", True, ("rows", "verify")),
+          ("rows.fill_rows", True, ("rows", "verify")),
+          ("rows._orbits", False, ("rows",)),
+          ("ring._class", False, ("ring", "rows")),
+          ("pair._verdict", False, ("pair", "rows")),
+          ("pair._witness", False, ("pair", "rows")),
+          ("rows._table", True, ("rows",)))
 PACKAGE = ROOT / "src" / "frieze_mod"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
@@ -155,6 +176,88 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def layer_child(run: str) -> None:
+    """Print, as one JSON line, the layers of one run of LAYERS in this
+    process: its total ms, the own ms and call count of each phase of
+    PHASES, each law's check ms (run_all only, from its report's
+    elapsed_ms) and the other ms, the rest of the total. Each phase is
+    wrapped where its module and the modules that import it by name
+    hold it; the wrappers' own cost falls in the phases: survey --max
+    1000 --force took 393 ms wrapped against 359 ms bare, about 0.4 us
+    per call (2 cores, Python 3.11.7)."""
+    from frieze_mod import cli, pair, ring, rows, verify
+
+    modules = {"cli": cli, "pair": pair, "ring": ring, "rows": rows,
+               "verify": verify}
+    own, calls, stack = {}, {}, []     # stack: the nested time of each open phase
+
+    def leave(name, t0):
+        spent = time.perf_counter() - t0
+        own[name] += spent - stack.pop()
+        if stack:
+            stack[-1] += spent
+
+    def timed(name, fn):
+        def call(*args):
+            calls[name] += 1
+            stack.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                leave(name, t0)
+        return call
+
+    def timed_gen(name, fn):
+        def call(*args):
+            calls[name] += 1
+            items = fn(*args)
+            while True:
+                stack.append(0.0)
+                t0 = time.perf_counter()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    leave(name, t0)
+                yield item
+        return call
+
+    for name, gen, holders in PHASES:
+        own[name], calls[name] = 0.0, 0
+        home, attr = name.split(".")
+        wrapped = (timed_gen if gen else timed)(name, getattr(modules[home], attr))
+        for module in holders:
+            setattr(modules[module], attr, wrapped)
+    argv = run.split()
+    t0 = time.perf_counter()
+    if argv[0] == "run_all":
+        checks = {r.theorem_id: r.elapsed_ms
+                  for r in verify.run_all(int(argv[1]), int(argv[2]))}
+    else:
+        checks = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            if cli.main([*argv, "--out", os.path.join(tmp, "out")]):
+                raise RuntimeError(f"{run} failed")
+    total = (time.perf_counter() - t0) * 1000
+    phases = {name: {"own_ms": own[name] * 1000, "calls": calls[name]}
+              for name, _, _ in PHASES}
+    other = total - sum(p["own_ms"] for p in phases.values()) - sum(checks.values())
+    print(json.dumps({"total_ms": total, "other_ms": other, "phases": phases,
+                      "checks_ms": checks}))
+
+
+def layers(run: str) -> dict:
+    """One layer run (layer_child) in a child python: its figures."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bench import layer_child; layer_child(sys.argv[2])")
+    res = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), run],
+                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True).stdout.strip()
@@ -172,6 +275,7 @@ def main() -> int:
     seconds = 1 if args.smoke else spec["run_seconds"]
     commands = [FLOOR, *(SMOKE_COMMANDS if args.smoke else COMMANDS)]
     reach = list(SMOKE_REACH if args.smoke else REACH)
+    runs = list(SMOKE_LAYERS if args.smoke else LAYERS)
     children = commands + reach
     nproc = len(os.sched_getaffinity(0))
 
@@ -179,6 +283,7 @@ def main() -> int:
     correct = {name: True for name in names}
     walls = {c: [] for c in children}
     rss = {c: [] for c in children}
+    split = {run: [] for run in runs}
     for r in range(RUNS):
         for name in names[r % len(names):] + names[:r % len(names)]:
             ok, values = workload(name, seconds)
@@ -190,6 +295,8 @@ def main() -> int:
             wall, peak = child(argv)
             walls[c].append(wall)
             rss[c].append(peak)
+        for run in runs[r % len(runs):] + runs[:r % len(runs)]:
+            split[run].append(layers(run))
 
     prev_path = previous_file(args.out)
     prev = json.loads(prev_path.read_text()) if prev_path else {}
@@ -223,6 +330,20 @@ def main() -> int:
         "reach": {c: {"ms": compare(walls[c], prev, "reach", c, "ms"),
                       "rss_mb": compare(rss[c], prev, "reach", c, "rss_mb")}
                   for c in reach},
+        "layers": {run: {
+            "total_ms": compare([f["total_ms"] for f in figs], prev,
+                                "layers", run, "total_ms"),
+            "other_ms": compare([f["other_ms"] for f in figs], prev,
+                                "layers", run, "other_ms"),
+            "phases": {name: {
+                "own_ms": compare([f["phases"][name]["own_ms"] for f in figs],
+                                  prev, "layers", run, "phases", name, "own_ms"),
+                "calls": figs[-1]["phases"][name]["calls"]}
+                for name, _, _ in PHASES},
+            "checks_ms": {i: compare([f["checks_ms"][i] for f in figs], prev,
+                                     "layers", run, "checks_ms", i)
+                          for i in figs[-1]["checks_ms"]}}
+            for run, figs in split.items()},
         "code_lines": {"modules": modules, "total": sum(modules.values()),
                        "previous": prev.get("code_lines", {}).get("total")},
     }

@@ -46,7 +46,7 @@ import sys
 # past it, need --force. For classify and witness the gate bounds what
 # they print, not how long they search. Below SIZE_LIMIT a pair's size
 # and prime-power classes take milliseconds, but nothing bounds the
-# first-corner scan of pair._compose, about S / (2 * max D_q) steps: at
+# first-corner scan of pair._verdict, about S / (2 * max D_q) steps: at
 # N = 2**64 - 1, k = 3 needs about 2.3e8 of them. A witness prints all
 # its entries, and of 200 random pairs with 2**20 <= N < 2**64, 76 were
 # reducible, with witnesses of 5.3e11 to 1.7e18 entries.

@@ -2,8 +2,9 @@
 
 The product convention applies entries last first: appending an entry
 multiplies on the LEFT, so the product over a concatenation satisfies
-m_n(c1 ++ c2) = m_n(c2) @ m_n(c1). Matrices are the row-major 4-tuples
-(a, b, c, d) of plain ints that pair.py works on.
+m_n(c1 ++ c2) = m_n(c2) @ m_n(c1). Matrices are row-major 4-tuples
+(a, b, c, d) of plain ints. This module imports cycles alone, so
+solution_sign compiles no decider.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .cycles import Cycle
-from .pair import _sign
 
 Entries = Union[Cycle, Iterable[int]]
 
@@ -25,6 +25,18 @@ def _mul(a, b, n):
         (a21 * b11 + a22 * b21) % n,
         (a21 * b12 + a22 * b22) % n,
     )
+
+
+def _sign(m, n):
+    """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
+    a, b, c, d = m
+    if b or c or a != d:
+        return 0
+    if a == 1:
+        return 1
+    if a == n - 1:
+        return -1
+    return 0
 
 
 def _m1(k, n):

@@ -8,10 +8,10 @@ exactly at those corners, with x = y (proved in _witness), so the first
 one is the smallest witness. The results are plain ints, words and
 tuples, with no dataclass built per pair.
 
-Every pair takes its verdict (_verdict: its head, the size, sign and
-kind, and its first corner) from the corner classes (S_q, sign_q, D_q,
-f_q) of k mod its prime-power factors q and their CRT size law (the
-law and the corner lemma, both proved in _compose). No pair is walked.
+Every pair takes its verdict (_verdict: one record of its size, sign,
+kind and first corner) from the corner classes (S_q, sign_q, D_q, f_q)
+of k mod its prime-power factors q and their CRT size law (the law and
+the corner lemma, both proved there). No pair is walked.
 A single pair (_pair_row) takes k mod n, the class of k mod each q, one
 descent each, and their size law, checked against the 3N cap, from
 ring._front, the front the size command reads too, so a size past the
@@ -20,33 +20,20 @@ A corner is a bare j; one witness step (_witness) doubles to u_j by
 ring._lucas, checks that the corner closes up and closes it in closed
 form.
 
-A decided pair is a (head, wit): head is its (size, sign, kind) and wit
-its witness (w, x, y, eps), or None. The range fill (rows.fill_tuples,
-rows.fill_rows) decides each class tuple with _verdict and builds each
-witness with _witness. This module imports ring alone, so classify,
-witness and the single-pair library calls compile no range fill.
+A decided pair is a (head, wit): head is the (size, sign, kind) of its
+verdict and wit its witness (w, x, y, eps), or None. The range fill
+(rows.fill_tuples, rows.fill_rows) decides each class tuple with
+_verdict, keeping the record itself, and builds each witness with
+_witness. This module imports ring alone, so classify, witness and
+is_irreducible_monomial compile no range fill.
 """
 
 from .ring import _front, _lucas
 
 
-# Matrices are row-major 4-tuples (a, b, c, d) of plain ints.
-
-def _sign(m, n):
-    """+1 if m is Id, -1 if -Id, else 0. Mod 2 the two coincide; report +1."""
-    a, b, c, d = m
-    if b or c or a != d:
-        return 0
-    if a == 1:
-        return 1
-    if a == n - 1:
-        return -1
-    return 0
-
-
 def _witness(n, k, j):
     """The witness (j + 2, x, y, eps) of k mod n at its first corner j,
-    as _compose gives it: x = y = u_j * u_{j-1} and eps = -u_j, from the
+    as _verdict gives it: x = y = u_j * u_{j-1} and eps = -u_j, from the
     u_{j-1} and u_j of one fast doubling (ring._lucas). RuntimeError
     unless u_j = +-1 and u_{j-1} * (k - u_j * u_{j-1}) = 0, that is
     unless the corner closes up. Mod 2 the two signs coincide and eps is
@@ -83,37 +70,16 @@ def _witness(n, k, j):
 
 
 def _verdict(classes, law):
-    """(head, first corner j or None) for the k of one class tuple and
-    its CRT size law (m, multiplier, sign), from _compose; the head is
-    (size, sign, kind). The kind is
-    "zero-convention" exactly at size 2, else "reducible" with a corner,
-    "irreducible" without. Only k = 0 has size 2, and it has no corner in
-    [1, 0]: M(k)**2 = k * M(k) - Id (Cayley-Hamilton) is +-Id only when
-    k * M(k) is 0 or 2 * Id, so its bottom-left entry k is 0, and
-    M(0)**2 = -Id; no size is 1, as M(k) has the off-diagonal entries -1
-    and 1."""
-    size, sign, corner = _compose(classes, law)
-    kind = ("zero-convention" if size == 2 else
-            "irreducible" if corner is None else "reducible")
-    return (size, sign, kind), corner
-
-
-def _pair_row(n: int, k: int) -> tuple:
-    """The (head, wit) of k mod n: its verdict (_verdict) from the class
-    tuple that ring._front gives, after the front has checked n and the
-    size against the 3N cap, and the witness at its corner: kind
-    "reducible", "irreducible" or, for k = 0 mod n, "zero-convention",
-    and wit None when there is no witness (always for k = 0, of size 2)."""
-    k, _, classes, law = _front(n, k)
-    head, j = _verdict(classes, law)
-    return head, None if j is None else _witness(n, k, j)
-
-
-def _compose(classes, law):
-    """(size, sign, corner) of a pair from the classes of its prime-power
-    factors: size and sign from their CRT size law, the (m, multiplier,
-    sign) of ring._crt_size that the caller holds, corner the first
-    corner j in [1, (size - 2)/2], or None.
+    """The verdict (size, sign, kind, first corner) of the k of one class
+    tuple, the classes of its prime-power factors: size and sign from
+    their CRT size law, the (m, multiplier, sign) of ring._crt_size that
+    the caller holds, and the first corner j in [1, (size - 2)/2], or
+    None. A corner makes the kind "reducible"; without one it is
+    "zero-convention" at size 2 and "irreducible" otherwise. Only k = 0
+    has size 2, and it has no corner in [1, 0]: M(k)**2 = k * M(k) - Id
+    (Cayley-Hamilton) is +-Id only when k * M(k) is 0 or 2 * Id, so its
+    bottom-left entry k is 0, and M(0)**2 = -Id; no size is 1, as M(k)
+    has the off-diagonal entries -1 and 1.
 
     The CRT size law. Every n = prod q, over coprime prime powers q, a
     prime power included, is decided from the class of k mod each q:
@@ -153,7 +119,7 @@ def _compose(classes, law):
     By the CRT, u_j = eps mod n exactly when u_j = eps mod every q. So
     the corners mod n are the j that lie on a corner class of every q
     with one common sign (q = 2 again has no say), and size, sign, kind
-    and first corner depend only on the tuple of classes (_verdict).
+    and first corner depend only on the tuple of classes.
     Each corner mod n is one mod the q of the largest D, so the scan
     steps j = t*D - 2, t*D for that D.
     """
@@ -177,5 +143,16 @@ def _compose(classes, law):
                     break
                 eps = eps or u
             else:
-                return size, sign, j
-    return size, sign, None
+                return size, sign, "reducible", j
+    return size, sign, "zero-convention" if size == 2 else "irreducible", None
+
+
+def _pair_row(n: int, k: int) -> tuple:
+    """The (head, wit) of k mod n: its verdict (_verdict) from the class
+    tuple that ring._front gives, after the front has checked n and the
+    size against the 3N cap, and the witness at its corner: kind
+    "reducible", "irreducible" or, for k = 0 mod n, "zero-convention",
+    and wit None when there is no witness (always for k = 0, of size 2)."""
+    k, _, classes, law = _front(n, k)
+    size, sign, kind, j = _verdict(classes, law)
+    return (size, sign, kind), None if j is None else _witness(n, k, j)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .cycles import Cycle
 from .pair import _pair_row
 
 
@@ -35,6 +34,7 @@ class ReductionWitness(NamedTuple):
     sign: int
 
     def cycle(self) -> Cycle:
+        from .cycles import Cycle   # loaded here: a verdict needs no cycles
         inner = (self.k,) * (self.size - 2)
         return Cycle((self.x,) + inner + (self.y,), self.n_modulus)
 

@@ -143,7 +143,7 @@ def _descend(q: int, k: int, exps: dict[int, int]):
     prime power q (0 <= k < q), as (D, f, v) with M**D = f * Id + v * M.
 
     H = {f * Id + v * M : f = +-1, v * k = v**2 = 0} is the group of the
-    corner lemma (pair._compose): mod q = p**a, v**2 = w**2 = 0 puts
+    corner lemma (pair._verdict): mod q = p**a, v**2 = w**2 = 0 puts
     v_p(v) and v_p(w) at a/2 or more, so v * w = 0 and
     (f*Id + v*M)(g*Id + w*M) = fg * Id + (f*w + g*v) * M, with
     f*Id - v*M the inverse. By Cayley-Hamilton,
@@ -184,7 +184,7 @@ def _class(p: int, a: int, k: int):
     t * v = 0, and +-Id lies in H, so the size is a multiple of D:
     S = D * q / gcd(v, q), with sign f**(S/D). S past the proven cap
     raises SizeCapExceeded (_capped). Mod 2 the two signs coincide, so
-    q = 2 has no say on the sign of a pair (pair._compose): its class
+    q = 2 has no say on the sign of a pair (pair._verdict): its class
     carries the signs 0.
     """
     q = p ** a
@@ -198,7 +198,7 @@ def _crt_size(classes):
     """The CRT size law, as (m, multiplier, sign): the size of a pair is
     multiplier * m, from the (S_q, sign_q) at index 0 and 1 of each class
     of its coprime prime-power factors q, sign_q 0 at q = 2 (_class;
-    proved in pair._compose). m = lcm(S_q); mod q,
+    proved in pair._verdict). m = lcm(S_q); mod q,
     M**m = sign_q**(m / S_q) * Id, and q = 2 has no say. When those signs
     agree, the size is m with that sign, +1 when no q has a say;
     otherwise 2 * m with sign +1.

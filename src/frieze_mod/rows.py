@@ -2,10 +2,10 @@
 time, and the survey table read from it.
 
 A range has one fill, fill_tuples: per modulus, the grouped classes of
-its prime-power factors (Part) and one head and first corner per class
-tuple (Tuples), each tuple decided once per call by the single-pair
-decider (pair._verdict: the CRT size law and the corner lemma, both
-proved in pair._compose). No pair is walked. The classes come from one
+its prime-power factors (Part) and one verdict record (size, sign, kind,
+first corner) per class tuple (Tuples), each tuple decided once per call
+by the single-pair decider (pair._verdict, where the CRT size law and
+the corner lemma are proved). No pair is walked. The classes come from one
 class source (_class_source): the row of each odd prime p from two
 Chebyshev orbits (_orbits), as the traces of the powers of two
 eigenvalues that generate the groups of order p - 1 and p + 1 meet
@@ -13,11 +13,11 @@ every k once and the order of the power gives the size (the orbit rule,
 proved in _orbits); every other prime power from one descent per k
 (ring._class), as a single pair (pair._pair_row) takes it.
 
-The law battery (verify) reads the heads of fill_tuples, and builds no
-witness; fill_rows, which survey prints (_table), reads it per k: the
-head of the tuple of every k, and the witness of each k <= n/2 doubled
-at its tuple's first corner (pair._witness). A head is (size, sign,
-kind) and a witness (w, x, y, eps), or None, as in pair.py.
+The law battery (verify) reads the verdicts of fill_tuples, and builds
+no witness; fill_rows, which survey prints (_table), reads it per k: the
+head, the (size, sign, kind) of the verdict of the tuple of every k, and
+the witness of each k <= n/2 doubled at its tuple's first corner
+(pair._witness). A witness is (w, x, y, eps), or None, as in pair.py.
 """
 
 from collections import namedtuple
@@ -33,7 +33,7 @@ def _orbits(p: int) -> list:
     orbits of two generating eigenvalues; no pair is walked.
 
     The orbit rule, mod an odd prime p. Mod p, v**2 = 0 forces v = 0, so
-    the group H of the corner lemma (pair._compose) is {+-Id}, D = S and
+    the group H of the corner lemma (pair._verdict) is {+-Id}, D = S and
     f = sign: the class of every k is (S, sign, S, sign), and its first
     corner j = S - 2 lies past (S - 2)/2, so no k mod p has a witness.
     For k = 2, M = Id + N with N = M - Id != 0 and N**2 = 0, so
@@ -89,9 +89,11 @@ def fill_rows(moduli):
     or None, so (heads[k], wits[k]) is the (head, wit) pair._pair_row gives.
     It is a view of fill_tuples, which decides each class tuple once per
     call (_verdict) and checks every size against the 3N cap: heads[k] is
-    the head of the tuple of k, found through the parts' slots, and the
-    witness of each k <= n/2 whose tuple has a corner is built there,
-    those k picked in one pass over the corners, and mirrored to n - k.
+    the head of the verdict of the tuple of k, found through the parts'
+    slots, one object per distinct head of the call, and the witness of
+    each k <= n/2 whose tuple has a corner (field 3 of its verdict) is
+    built there, those k picked in one pass over the corners, and
+    mirrored to n - k.
     A repeated modulus is filled once; one below 2 raises ValueError at
     the first next(). survey and verify.monomial_row read it; the law
     battery reads fill_tuples, and builds no witness.
@@ -104,8 +106,8 @@ def fill_rows(moduli):
 
     Every n = prod q, over coprime prime powers q, is decided from the
     tuple of the classes (S_q, sign_q, D_q, f_q) of k mod each q
-    (pair._verdict; the CRT size law and the corner lemma are proved in
-    pair._compose). The row of an odd prime comes from two orbits (the
+    (pair._verdict, where the CRT size law and the corner lemma are
+    proved). The row of an odd prime comes from two orbits (the
     orbit rule, _orbits). The row of q = 2 and of each p**a with a >= 2
     is descended pair by pair for k <= q/2 (ring._class, as
     pair._pair_row takes the class of any k), and mirrored:
@@ -120,18 +122,19 @@ def fill_rows(moduli):
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus (_class_source).
     """
+    head = _Rendered(lambda h: h)   # one object per distinct head
     for t in fill_tuples(moduli):
         n, index = t.n, t.indexes()
-        half = n // 2 + 1
-        corners = list(map(t.corners.__getitem__, index[:half]))
+        heads = [head[v[:3]] for v in t.verdicts]
+        corners = [v[3] for v in t.verdicts]
         wits = [None] * n
         # no corner is 0, so compress picks the k <= n/2 with a corner
-        for k in compress(range(half), corners):
-            wits[k] = w, x, _, e = _witness(n, k, corners[k])
+        for k in compress(range(n // 2 + 1), map(corners.__getitem__, index)):
+            wits[k] = w, x, _, e = _witness(n, k, corners[index[k]])
             if k + k != n:
                 x = -x % n
                 wits[n - k] = w, x, x, -e if w % 2 else e
-        yield n, list(map(t.heads.__getitem__, index)), wits
+        yield n, list(map(heads.__getitem__, index)), wits
 
 
 _FIELDS = ("N", "k", "size", "sign", "verdict",
@@ -140,16 +143,17 @@ _CSV_HEADER = ",".join(_FIELDS)
 
 
 class _Rendered(dict):
-    """The value of each key, rendered by render(*key) on first use and
-    kept: the text of a head (_table), the mirror of a class
-    (fill_tuples)."""
+    """The value of each key, rendered by render(key) on first use and
+    kept: the text of a head (_table), the verdict of a class tuple, the
+    mirror of a class and the one object of each distinct verdict
+    (fill_tuples), the one object of each distinct head (fill_rows)."""
 
     def __init__(self, render):
         super().__init__()
         self.render = render
 
     def __missing__(self, key):
-        text = self[key] = self.render(*key)
+        text = self[key] = self.render(key)
         return text
 
 
@@ -159,15 +163,14 @@ def _table(fmt: str, rows):
     ascending, each ending in a newline. JSON lines are what json.dumps
     gives for each pair's dict: every field is an int, null or one of the
     three bare verdict words. A head is shared by every k of the survey
-    with that head, across moduli too (fill_tuples), so the part of a
+    with that head, across moduli too (fill_rows), so the part of a
     line each distinct head gives, and each k, is rendered once."""
     csv = fmt == "csv"
     if csv:
         yield _CSV_HEADER + "\n"
     parts = _Rendered(
-        (lambda size, sign, kind: f",{size},{sign},{kind},") if csv else
-        (lambda size, sign, kind:
-         f'"size": {size}, "sign": {sign}, "verdict": "{kind}", '))
+        (lambda head: ",{},{},{},".format(*head)) if csv else
+        (lambda head: '"size": {}, "sign": {}, "verdict": "{}", '.format(*head)))
     ks = []     # str(k) for every k below the largest modulus so far
     for n, heads, wits in rows:
         ks += map(str, range(len(ks), n))
@@ -201,15 +204,17 @@ def _grouped(row) -> Part:
                 list(index))
 
 
-class Tuples(namedtuple("Tuples", "n parts heads corners")):
+class Tuples(namedtuple("Tuples", "n parts verdicts")):
     """The class tuples of one modulus n and their verdicts (fill_tuples).
 
     parts holds the grouped classes (Part) of each prime-power factor q
     of n, p ascending; a class tuple takes one class of each, and tuple
     i is the i-th of their product, the last factor varying fastest.
-    heads[i] is its (size, sign, kind) and corners[i] its first corner
-    j, or None (_verdict): every k of the tuple has its smallest witness
-    there, of size j + 2 (pair._witness). By the CRT its k are those
+    verdicts[i] is its one (size, sign, kind, first corner) record
+    (_verdict), shared by every tuple of the call with that verdict:
+    fields 0-2 are the head of each of its k, and field 3 is the first
+    corner j, or None, where each k has its smallest witness, of size
+    j + 2 (pair._witness). By the CRT its k are those
     with k mod q among the residues of its class for every q (indexes);
     tuple 0 is k = 0 alone. The tuples themselves are not kept: classes()
     yields them again, in index order."""
@@ -240,20 +245,20 @@ class Tuples(namedtuple("Tuples", "n parts heads corners")):
 def fill_tuples(moduli):
     """Yield the Tuples of the distinct moduli n (a range or a set, in any
     order) ascending: the grouped classes of each prime-power factor q
-    (_class_source) and the head and first corner of each class tuple of
-    n. Size, sign, kind and first corner depend only on the tuple
-    (pair._compose), so every k of a tuple shares them. By the CRT the
+    (_class_source) and the verdict (size, sign, kind, first corner) of
+    each class tuple of n. The verdict depends only on the tuple
+    (pair._verdict), so every k of a tuple shares it. By the CRT the
     tuples of n are exactly the product of the classes of its factors;
     each is decided once per call (_verdict, with its CRT size law
     ring._crt_size), together with its mirror, the tuple of -k, whose
-    head is built here from that of k with the sign times (-1)**size,
+    verdict is built here from that of k with the sign times (-1)**size,
     and whose first corner is the same, as u_j(-k) = (-1)**j * u_j(k)
     (the mirror rule, proved in fill_rows). The mirror of each distinct
-    class (_negated) is computed once per call and shared.
-    The memo of the call maps each tuple decided so far to one shared
-    (head, first corner) pair. No witness is built. The class of 0 mod
-    q, of size 2, is held by k = 0 mod q alone (_verdict), and it is the
-    first class of q, so tuple 0 is k = 0 alone. Every size is checked
+    class (_negated) is computed once per call and shared. The memo of
+    the call maps each tuple decided so far to its verdict, one object
+    per distinct verdict of the call. No witness is built. The class of
+    0 mod q, of size 2, is held by k = 0 mod q alone (_verdict), and it
+    is the first class of q, so tuple 0 is k = 0 alone. Every size is checked
     against the 3N cap, once per modulus (ring._capped), at its least k.
     A repeated modulus is decided once; one below 2 raises ValueError at
     the first next(). The law battery (verify) reads it, and fill_rows
@@ -262,33 +267,26 @@ def fill_tuples(moduli):
     if moduli and moduli[0] < 2:
         raise ValueError(f"modulus must be >= 2, got {moduli[0]}")
     parts = _class_source(moduli[-1] if moduli else 0)
-    decided = {}    # class tuple -> its (head, first corner)
-    shared = {}     # one object per distinct class, head and pair met
-
-    def one(x):
-        return shared.setdefault(x, x)
-
-    # class -> its mirror (_negated), one shared object each
-    mirrors = _Rendered(lambda *c: one(_negated(*c)))
+    one = _Rendered(lambda v: v).__getitem__    # one object per verdict
+    mirrors = _Rendered(lambda c: _negated(*c))     # class -> its mirror
 
     def decide(key):
-        head, j = _verdict(key, _crt_size(key))
+        verdict = one(_verdict(key, _crt_size(key)))
         twin = tuple(map(mirrors.__getitem__, key))
         if twin != key:
-            s, e, kind = head   # -k: the sign times (-1)**size
-            decided[twin] = one((one((s, -e if s % 2 else e, kind)), j))
-        decided[key] = pair = one((one(head), j))
-        return pair
+            s, e, kind, j = verdict     # -k: the sign times (-1)**size
+            decided[twin] = one((s, -e if s % 2 else e, kind, j))
+        return verdict
 
+    decided = _Rendered(decide)     # class tuple -> its verdict
     for n in moduli:
         ps = tuple(parts(p, a) for p, a in factorize(n))
-        pairs = [decided.get(key) or decide(key)
-                 for key in product(*(p.keys for p in ps))]
-        t = Tuples(n, ps, [h for h, _ in pairs], [j for _, j in pairs])
-        if max(t.heads)[0] > _size_cap(n):     # some size past the cap
-            k, i = next((k, i) for k, i in enumerate(t.indexes())
-                        if t.heads[i][0] > _size_cap(n))
-            _capped(n, k, t.heads[i][0])    # raises SizeCapExceeded
+        t = Tuples(n, ps, list(map(decided.__getitem__,
+                                   product(*(p.keys for p in ps)))))
+        # the kind fixes whether j is None: max orders no None and int
+        if max(t.verdicts)[0] > _size_cap(n):      # some size past the cap
+            for k, i in enumerate(t.indexes()):     # the least k past it
+                _capped(n, k, t.verdicts[i][0])     # raises SizeCapExceeded
         yield t
 
 

@@ -82,4 +82,11 @@ def _parse(cli, name: str, rest: list) -> dict:
         rest = ["--", *(a for a in rest if a != "--")]
     opts = vars(_parser(cli, name).parse_args(rest))
     opts.pop("no_cache", None)
+    # argparse drops a second -- that is a positional's operand and
+    # hands that positional an empty list: the -- is its operand
+    for m in cli._SPECS[name][0].split():
+        if opts[m.lower()] == []:
+            if m in ("N", "K"):
+                raise cli.UsageError(f"argument {m}: invalid int value: '--'")
+            opts[m.lower()] = "--"
     return opts

@@ -2,9 +2,11 @@
 
 A law is one record in _LAWS, (check, hypothesis, range text),
 registered with _law; its check is the module's verify_* function of
-that law. check(n, t) reads t, the class tuples of n and their (size,
-sign, kind) heads (Tuples; no law reads a witness), and yields one item
-(where, verdict) for each class tuple or pair of n that the law covers.
+that law. check(n, t) reads t, the class tuples of n and their
+verdicts (Tuples) through fields 0-2, the (size, sign, kind) of a head
+(no law reads a corner or a witness; only _claim unpacks all four), and
+yields one item (where, verdict) for each class tuple or pair of n that
+the law covers.
 where is the index of a class tuple, standing for every k of that
 tuple, or a list of k (a single pair, or -1 for an existence claim);
 verdict is True when they obey the law, else the (observed, expected)
@@ -74,7 +76,7 @@ def monomial_row(n: int) -> tuple:
     """All k classifications for one modulus, as verdict objects, kept in
     an LRU across calls; built from the heads and witnesses of
     fill_rows((n,)), the same ones survey prints. The verifiers read the
-    heads of class tuples instead (rows.fill_tuples)."""
+    verdicts of class tuples instead (rows.fill_tuples)."""
     # reduce (verdict objects) is loaded here, not by the battery
     from .reduce import MonomialVerdict
     (_, heads, wits), = fill_rows((n,))
@@ -188,7 +190,7 @@ def _range(theorem_id, lo, hi):
 def _claim(t, k, kind, size):
     """The item of a single-pair claim: k mod t.n is of this kind and
     size."""
-    s, _, got = t.heads[t.index(k)]
+    s, _, got, _ = t.verdicts[t.index(k)]
     return [k], (s == size and got == kind) or (
         f"{got} of size {s}", f"{kind} of size {size}")
 
@@ -198,7 +200,7 @@ def _claim(t, k, kind, size):
 def verify_size_bound(n, t):
     """Irreducible minimal constant solutions have size at most n, except
     for n = 2 and the open family n = 3m with m odd coprime to 3."""
-    for i, r in enumerate(t.heads):
+    for i, r in enumerate(t.verdicts):
         if r[2] == "irreducible":
             yield i, r[0] <= n or (f"irreducible of size {r[0]}", f"size <= {n}")
 
@@ -206,7 +208,7 @@ def verify_size_bound(n, t):
 @_law("eight-divides", lambda n: n % 8 == 0, "n divisible by 8")
 def verify_eight_divides(n, t):
     """When 8 divides n, every minimal constant-solution size is <= n."""
-    for i, r in enumerate(t.heads):
+    for i, r in enumerate(t.verdicts):
         yield i, r[0] <= n or (f"size {r[0]}", f"size <= {n}")
 
 
@@ -215,7 +217,7 @@ def verify_odd_sizes(n, t):
     """Odd minimal sizes force irreducibility, except when n = 2m with m
     odd, where the claim covers odd sizes divisible by 9."""
     m = odd_half(n)
-    for i, r in enumerate(t.heads):
+    for i, r in enumerate(t.verdicts):
         if r[0] % 2 and (m is None or r[0] % 9 == 0):
             yield i, r[2] == "irreducible" or (
                 f"{r[2]} of odd size {r[0]}", "irreducible")
@@ -228,7 +230,7 @@ def verify_three_h_criterion(n, t):
     the verdict matches divisibility at the odd part: irreducible exactly
     when 3 divides the mod-m minimal size of k."""
     m = odd_half(n)
-    for i, (r, classes) in enumerate(zip(t.heads, t.classes())):
+    for i, (r, classes) in enumerate(zip(t.verdicts, t.classes())):
         h = r[0] // 3
         if r[0] % 3 == 0 and h != 1 and h % 2 and h % 3:
             # the classes of k mod m: the tuple without its class mod 2
@@ -245,7 +247,7 @@ def verify_size_n(n, t):
     exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
     split = two_three_split(n)
     if split is None:
-        for i, r in enumerate(t.heads):
+        for i, r in enumerate(t.verdicts):
             if i and r[0] == n:     # tuple 0 is k = 0 alone
                 yield i, r[2] == "irreducible" or (
                     f"{r[2]} of size {n}", "irreducible")
@@ -265,7 +267,7 @@ def verify_prime_powers(n, t):
     p, e = _power_shapes(n)[0]
     (part,) = t.parts
     for k, i in enumerate(part.slot):    # k by k: the law reads k itself
-        r = t.heads[i]
+        r = t.verdicts[i]
         if p != 2:
             want = k % p != 0
         else:
@@ -296,7 +298,7 @@ def verify_reducible_constructions(n, t):
         # each of its classes are units mod its q (_unit_class)
         found = any(r[2] == "reducible" and r[0] == want and all(
             _unit_class(p, c[0]) for (p, _), c in zip(factors, classes))
-            for r, classes in zip(t.heads, t.classes()))
+            for r, classes in zip(t.verdicts, t.classes()))
         yield [-1], found or (
             f"no unit k reducible of size {want}",
             f"some unit k reducible of size {want} (split {u} * {m})")
@@ -329,9 +331,9 @@ def verify_special_sizes(n, t):
     n (so any 2**e >= 4 suffices when 16 does not divide n). Size 6 when
     3 does not divide n. Sizes 2 * p**e for odd p coprime to n. Sizes
     4 * p**e for odd n and odd p coprime to n."""
-    heads = t.heads[1:]     # tuple 0 is k = 0 alone
-    reasons = {s: _special_reason(n, s) for s in {r[0] for r in heads}}
-    for i, r in enumerate(heads, 1):
+    verdicts = t.verdicts[1:]   # tuple 0 is k = 0 alone
+    reasons = {s: _special_reason(n, s) for s in {r[0] for r in verdicts}}
+    for i, r in enumerate(verdicts, 1):
         if reasons[r[0]]:
             yield i, r[2] == "irreducible" or (
                 f"{r[2]} of size {r[0]}", f"irreducible ({reasons[r[0]]})")
@@ -343,7 +345,7 @@ def verify_overshoot_3m(n, t):
     """For n = 3m with m odd coprime to 3, minimal constant solutions of
     size above n are reducible; the size n + n/3 regime is open and the
     sweep skips it."""
-    for i, r in enumerate(t.heads):
+    for i, r in enumerate(t.verdicts):
         if n < r[0] != n + n // 3:
             yield i, r[2] == "reducible" or (f"{r[2]} of size {r[0]}", "reducible")
 

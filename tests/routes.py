@@ -13,11 +13,13 @@ rule, so unlike oracles.py they are not independent of it; oracles.py
 checks those helpers in turn. The command line has a
 second route too: the argparse parse of each command (usage._parse, as
 cli.main reads a line it declines), against which argv_mismatches
-checks the parse of well-formed lines (cli._well_formed). So does the
+checks the parse of well-formed lines (cli._well_formed), and
+double_dash_failures the parse of lines with a second --. So does the
 law battery, which decides each law once per class tuple (verify):
 REFERENCE holds each law's check pair by pair over the (size, sign,
-kind) heads of rows.fill_rows, and law_items gives both sides' verdicts
-pair by pair (law_mismatches compares them).
+kind) heads of rows.fill_rows, where the battery reads fields 0-2 of
+the verdict records of rows.fill_tuples, and law_items gives both
+sides' verdicts pair by pair (law_mismatches compares them).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import Optional
 from frieze_mod import cli
 from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
-from frieze_mod.modmat import _mul, _prod, solution_sign
+from frieze_mod.modmat import _mul, _prod, _sign, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _crt_size, _size_cap, factorize
-from frieze_mod.pair import _compose, _sign, _verdict
+from frieze_mod.pair import _verdict
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
 from frieze_mod.verify import (_LAWS, _crt_pair, _divisors, _moduli,
@@ -63,7 +65,7 @@ def _walk(n: int, k: int):
     meets a first corner j with 1 <= j <= (S - 2)/2 (the smallest
     witness, pair._witness), (S, sign, j + 2, -u_j); else
     (S, sign, S, sign); f is +1 mod 2. Mod a prime power q = p**a this
-    is the class of the corner lemma (pair._compose), that is
+    is the class of the corner lemma (pair._verdict), that is
     ring._class(p, a, k) but for q = 2, whose class there carries the
     signs 0: D >= 2, since M = 0 * Id + 1 * M is not in H.
     k**2 = 0 exactly when M**2 = -Id + k * M is in H, so D = 2 and f = -1.
@@ -71,7 +73,7 @@ def _walk(n: int, k: int):
     u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
     no corner there, D divides S (M**S = sign * Id is in H), and D < S
     would put D - 2 <= S/2 - 2 in that range, so D = S and f = u_S = sign.
-    For any n, _compose of the one class (S, sign, D, f) gives back S,
+    For any n, _verdict of the one class (S, sign, D, f) gives back S,
     sign and the first corner: D - 2 when the walk met one (u_{D-2} =
     -f), and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
     u_2 = k**2 - 1 = -1) when S >= 6. So the walk is the reference row of
@@ -117,10 +119,11 @@ def crt_size_reference(classes):
     return (m, 2, 1) if len(signs) > 1 else (m, 1, max(signs, default=1))
 
 
-def walked_compose(walked):
-    """pair._compose of the one class walked (_walk), with its CRT size
-    law (ring._crt_size): the (size, sign, first corner) of its pair."""
-    return _compose((walked,), _crt_size((walked,)))
+def walked_verdict(walked):
+    """pair._verdict of the one class walked (_walk), with its CRT size
+    law (ring._crt_size): the (size, sign, kind, first corner) of its
+    pair."""
+    return _verdict((walked,), _crt_size((walked,)))
 
 
 def corner_power(n: int, k: int, j: int):
@@ -144,8 +147,8 @@ def walked_row(n: int, k: int) -> tuple:
     rule ("zero-convention" exactly at size 2), which
     test_zero_bucket_and_short_size_laws and the oracle of
     perfbench/oracle.py check on their own."""
-    walked = (_walk(n, k),)
-    head, j = _verdict(walked, _crt_size(walked))
+    verdict = walked_verdict(_walk(n, k))
+    head, j = verdict[:3], verdict[3]
     if j is None:
         return head, None
     ends = _endpoints(corner_power(n, k, j), n)
@@ -275,7 +278,7 @@ def witness_structure_check(n: int, k: int,
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k %= n
-    s, sign, first = walked_compose(_walk(n, k))
+    s, sign, _, first = walked_verdict(_walk(n, k))
     if cap is None:
         cap = 3 * s + 2
     irreducible = k != 0 and first is None
@@ -366,6 +369,47 @@ def argv_mismatches(max_tokens: int):
                 if typed(got) != typed(parsed_by_argparse(name, list(argv))):
                     bad.append((name, argv))
     return bad, tried, accepted
+
+
+def _declared(name: str, opts: dict) -> bool:
+    """Whether opts holds the arguments of the command name, each of the
+    type its _SPECS entry declares: N and K int, the other positionals
+    str; an int option int, a FILE option str or None, a choice one of
+    its choices, a switch bool."""
+    args, options = _SPECS[name]
+    kinds = {m.lower(): int if m in ("N", "K") else str for m in args.split()}
+    kinds.update((dest, kind) for _, dest, kind, _, _ in options
+                 if dest != "no_cache")
+    return opts.keys() == kinds.keys() and all(
+        type(v) is bool if kind is None else
+        v in kind if isinstance(kind, tuple) else
+        v is None or type(v) is str if kind == "FILE" else type(v) is kind
+        for v, kind in ((opts[dest], kind) for dest, kind in kinds.items()))
+
+
+def double_dash_failures(max_tokens: int):
+    """(failures, lines tried) over every command and every line of up to
+    max_tokens tokens, drawn as argv_mismatches draws them, that holds
+    two or more --: a failure is a line whose argparse parse
+    (usage._parse) neither raises UsageError, nor prints the command's
+    help, nor gives the arguments of the types _SPECS declares
+    (_declared)."""
+    bad, tried = [], 0
+    for name, (_, options) in _SPECS.items():
+        alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
+        for size in range(2, max_tokens + 1):
+            for argv in itertools.product(alphabet, repeat=size):
+                if argv.count("--") < 2:
+                    continue
+                tried += 1
+                with contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        opts = _parse(cli, name, list(argv))
+                    except (UsageError, SystemExit):
+                        continue
+                if not _declared(name, opts):
+                    bad.append((name, argv))
+    return bad, tried
 
 
 # The reference of each law of the battery: its hypothesis on n (or its

@@ -19,7 +19,7 @@ from oracles import (bordered_census, bordered_scan, corner_entries,
                      elementary, mat_mul, pm_sign, prime_power, product,
                      split_search, walk_first_corner, walk_min_size)
 from routes import (_endpoints, _walk, bordered_solutions, corner_power,
-                    crt_size_reference, is_reducible_general, walked_compose,
+                    crt_size_reference, is_reducible_general, walked_verdict,
                     walked_row, witness_structure_check)
 
 # smallest witnesses, pinned from the direct definitional scan
@@ -343,7 +343,7 @@ def test_corner_lemma_on_prime_powers():
                     if j % d in (0, d - 2)]
             assert corners == want, (q, k, d, f)
             rows += 1
-            witnessed += walked_compose(walked)[2] is not None
+            witnessed += walked_verdict(walked)[3] is not None
     assert (rows, witnessed) == (6931, 224)
 
 
@@ -361,25 +361,32 @@ def test_orbit_classes_equal_the_walk_on_odd_primes():
 def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # composite rows whose factors' classes repeat across moduli with
     # other factors, among them 2m against 4m (q = 2 has no say on the
-    # sign, q = 4 has): one call composes each tuple of classes once, and
-    # its rows equal one call per modulus and the walk of every pair. It
-    # shares one head object per distinct head
+    # sign, q = 4 has): one call decides each tuple of classes once, and
+    # its rows equal one call per modulus and the walk of every pair.
+    # Within one call, fill_tuples holds one object per distinct verdict
+    # and fill_rows one object per distinct head, over these moduli and
+    # over n <= 250
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
-    compose, composed = pair_mod._compose, []
+    verdict, decided = rows_mod._verdict, []
 
     def counted(classes, law):
-        composed.append(classes)
-        return compose(classes, law)
+        decided.append(classes)
+        return verdict(classes, law)
 
-    monkeypatch.setattr(pair_mod, "_compose", counted)
+    monkeypatch.setattr(rows_mod, "_verdict", counted)
     fills = list(fill_rows(moduli))
-    shared = len(composed)
+    shared = len(decided)
     assert fills == [_filled(n) for n in sorted(moduli)]
-    assert len(set(composed)) == shared < len(composed) - shared
+    assert len(set(decided)) == shared < len(decided) - shared
     for n, heads, wits in fills:
         assert list(zip(heads, wits)) == [walked_row(n, k) for k in range(n)], n
     heads = {id(h) for _, hs, _ in fills for h in hs[1:]}
     assert len(heads) <= 2 * shared < sum(n - 1 for n in moduli)
+    for ms in (moduli, range(2, 251)):
+        verdicts = [v for t in list(fill_tuples(ms)) for v in t.verdicts]
+        assert len({id(v) for v in verdicts}) == len(set(verdicts)), ms
+        heads = [h for _, hs, _ in list(fill_rows(ms)) for h in hs]
+        assert len({id(h) for h in heads}) == len(set(heads)), ms
 
 
 def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
@@ -418,7 +425,7 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
         return lucas(n, k, e)
 
     def corner(n, k):
-        j = walked_compose(_walk(n, k))[2]
+        j = walked_verdict(_walk(n, k))[3]
         return [] if j is None else [(n, k, j)]
 
     monkeypatch.setattr(rows_mod, "_class", counted_class)
@@ -465,22 +472,24 @@ def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
 
 def test_a_first_corner_that_is_not_a_corner_raises(monkeypatch):
     # each pair with a corner checks u_j = +-1 at the j its class tuple
-    # gives; shifting the j composed for the classes of k = 4 mod 21
+    # gives; shifting the j decided for the classes of k = 4 mod 21
     # (from 4 to 5, where u_5 = 3) is caught at that pair, whether its
     # row is decided with the others of 21 or alone. The law battery
-    # reads size and kind alone and builds no witness: it composes the
-    # tuple once per run and still finds the pair reducible
+    # reads size and kind alone and builds no witness: it decides the
+    # tuple once per run and still finds the pair reducible. The fill
+    # (rows) imports _verdict by name, so both names are shifted
     key = tuple(_walk(q, 4 % q) for q in (3, 7))
-    compose, shifted = pair_mod._compose, []
+    verdict, shifted = pair_mod._verdict, []
 
     def shift(classes, law):
-        size, sign, j = compose(classes, law)
+        size, sign, kind, j = verdict(classes, law)
         if classes != key:
-            return size, sign, j
+            return size, sign, kind, j
         shifted.append(j)
-        return size, sign, j + 1
+        return size, sign, kind, j + 1
 
-    monkeypatch.setattr(pair_mod, "_compose", shift)
+    monkeypatch.setattr(pair_mod, "_verdict", shift)
+    monkeypatch.setattr(rows_mod, "_verdict", shift)
     for call, arg in ((_filled, (21,)), (_pair_row, (21, 4)),
                       (is_irreducible_monomial, (21, 4))):
         with pytest.raises(RuntimeError,
@@ -568,7 +577,7 @@ def test_witnesses_equal_the_general_endpoint_solve():
     for t in fill_tuples(range(2, 301)):
         n = t.n
         for k, i in enumerate(t.indexes()):
-            j = t.corners[i]
+            j = t.verdicts[i][3]
             if j is None:
                 continue
             w, x, y, eps = pair_mod._witness(n, k, j)
@@ -615,30 +624,31 @@ def test_the_one_pass_crt_size_law_equals_its_statement(monkeypatch):
 
 
 def test_class_tuples_expand_to_the_heads_of_the_rows():
-    # fill_tuples decides one head and first corner per class tuple, and
-    # a tuple with its mirror. For each n <= 300, the tuple of every k
-    # (indexes) is its class mod each q, read from the parts' slots; every
-    # tuple holds some k (tuple 0 k = 0 alone), and each k has the head
+    # fill_tuples decides one verdict (size, sign, kind, first corner)
+    # per class tuple, and a tuple with its mirror. For each n <= 300,
+    # the tuple of every k (indexes) is its class mod each q, read from
+    # the parts' slots; every tuple holds some k (tuple 0 k = 0 alone),
+    # and each k has as its head the fields 0-2 of that verdict, which
     # fill_rows gives it, sign included (no law reads the sign). Each
-    # tuple's corner is the one its classes compose to, and each k <= n/2
+    # tuple's verdict is the one its classes decide, and each k <= n/2
     # has a witness exactly when its tuple has a corner, of size that
     # corner + 2. About 0.3 s
     tuples = fill_tuples(range(2, 301))
     for (n, heads, wits), t in zip(fill_rows(range(2, 301)), tuples):
         index, classes = t.indexes(), list(t.classes())
         assert t.n == n and len(index) == n
-        assert len(classes) == len(t.heads) == len(t.corners)
-        assert sorted(set(index)) == list(range(len(t.heads)))
+        assert len(classes) == len(t.verdicts)
+        assert sorted(set(index)) == list(range(len(t.verdicts)))
         assert [k for k, i in enumerate(index) if i == 0] == [0]
         for k, i in enumerate(index):
             assert classes[i] == tuple(p.keys[p.slot[k % p.q]]
                                        for p in t.parts), (n, k)
             assert t.index(k) == i, (n, k)
-        assert [t.heads[i] for i in index] == heads, n
+        assert [t.verdicts[i][:3] for i in index] == heads, n
         for i, key in enumerate(classes):
-            assert t.corners[i] == rows_mod._verdict(key, ring._crt_size(key))[1], (n, i)
+            assert t.verdicts[i] == rows_mod._verdict(key, ring._crt_size(key)), (n, i)
         for k in range(n // 2 + 1):
-            j = t.corners[index[k]]
+            j = t.verdicts[index[k]][3]
             assert (wits[k] is None) == (j is None), (n, k)
             assert j is None or wits[k][0] == j + 2, (n, k)
     assert next(tuples, None) is None
@@ -687,7 +697,7 @@ def test_class_tuples_check_the_size_cap(monkeypatch):
     # fill_tuples checks every size of a modulus against the 3N cap, at
     # its least k past the cap, as fill_rows does; a modulus below 2
     # raises at the first next(). A lone pair past the cap raises from
-    # its front (ring._front) before any corner scan (pair._compose)
+    # its front (ring._front) before any corner scan (pair._verdict)
     tuples = fill_tuples(range(2, 16))
     assert [next(tuples).n for _ in range(2, 15)] == list(range(2, 15))
     monkeypatch.setattr(ring, "_CAP_FACTOR", 0)
@@ -695,26 +705,26 @@ def test_class_tuples_check_the_size_cap(monkeypatch):
         next(tuples)
     # with a cap of n + 1, 15 has sizes past it (20 for k = 3): both
     # fills name the same least k, and the lone pair (15, 3) raises the
-    # same before it composes anything
+    # same before it decides anything
     monkeypatch.setattr(ring, "_CAP_FACTOR", 1)
     raised = []
     for fill in (fill_rows, fill_tuples):
         with pytest.raises(SizeCapExceeded) as e:
             next(fill([15]))
         raised.append(str(e.value))
-    compose, composed = pair_mod._compose, []
+    verdict, decided = pair_mod._verdict, []
 
     def counted(classes, law):
-        composed.append(classes)
-        return compose(classes, law)
+        decided.append(classes)
+        return verdict(classes, law)
 
-    monkeypatch.setattr(pair_mod, "_compose", counted)
+    monkeypatch.setattr(pair_mod, "_verdict", counted)
     for call in (_pair_row, is_irreducible_monomial):
         with pytest.raises(SizeCapExceeded) as e:
             call(15, 3)
         raised.append(str(e.value))
     assert raised == ["size 20 > 16 for n=15, k=3"] * 4
-    assert composed == []
+    assert decided == []
     with pytest.raises(ValueError, match="got 1"):
         next(fill_tuples({45, 1, 9}))
 

@@ -183,37 +183,39 @@ def test_run_verifier_unknown_id_lists_the_known_ones():
         assert message.split("; known: ")[1].split(", ") == list(VERIFIERS)
 
 
-def _head(size, kind):
-    return size, 1, kind
+def _record(size, kind):
+    """A verdict record (size, sign, kind, first corner) with this size
+    and kind; no law reads its corner."""
+    return size, 1, kind, None
 
 
 def _tampered(monkeypatch, n0, k0, fake):
     """Patch the fill the battery walks (verify.fill_tuples) so that the
-    class tuple of k0 mod n0 has the head fake: a failure planted on k0
-    and the other k of its tuple, if any."""
+    class tuple of k0 mod n0 has the verdict record fake: a failure
+    planted on k0 and the other k of its tuple, if any."""
     def tampered(moduli):
         for t in fill_tuples(moduli):
             if t.n == n0:
-                t.heads[t.index(k0)] = fake
+                t.verdicts[t.index(k0)] = fake
             yield t
     monkeypatch.setattr(verify_module, "fill_tuples", tampered)
 
 
-# One head per law, tampered to break it: (id, n, k, fake head). The
+# One verdict per law, tampered to break it: (id, n, k, fake record). The
 # fake is planted on the class tuple of k; each k of special-sizes (and
 # the size-n pair (7, 2)) is alone in its tuple.
 TAMPERED = [
-    ("size-bound", 10, 1, _head(11, "irreducible")),
-    ("eight-divides", 16, 3, _head(17, "irreducible")),
-    ("odd-sizes", 7, 1, _head(7, "reducible")),
-    ("three-h-criterion", 10, 3, _head(15, "irreducible")),   # mod-5 size 5
-    ("size-n", 7, 2, _head(7, "reducible")),
-    ("size-n", 30, 23, _head(30, "irreducible")),     # the forced reducible k
-    ("prime-powers", 9, 1, _head(9, "reducible")),
-    ("reducible-constructions", 9, 3, _head(6, "irreducible")),
-    ("special-sizes", 7, 1, _head(5, "reducible")),
-    ("overshoot-3m", 15, 1, _head(16, "irreducible")),
-    ("unbounded-family", 15, 3, _head(20, "reducible")),     # p = 5
+    ("size-bound", 10, 1, _record(11, "irreducible")),
+    ("eight-divides", 16, 3, _record(17, "irreducible")),
+    ("odd-sizes", 7, 1, _record(7, "reducible")),
+    ("three-h-criterion", 10, 3, _record(15, "irreducible")),   # mod-5 size 5
+    ("size-n", 7, 2, _record(7, "reducible")),
+    ("size-n", 30, 23, _record(30, "irreducible")),     # the forced reducible k
+    ("prime-powers", 9, 1, _record(9, "reducible")),
+    ("reducible-constructions", 9, 3, _record(6, "irreducible")),
+    ("special-sizes", 7, 1, _record(5, "reducible")),
+    ("overshoot-3m", 15, 1, _record(16, "irreducible")),
+    ("unbounded-family", 15, 3, _record(20, "reducible")),     # p = 5
 ]
 
 
@@ -230,17 +232,17 @@ def test_each_verifier_fails_on_a_tampered_row(monkeypatch, theorem_id, n, k, fa
 
 
 # The single-pair claims (verify._claim), each tampered at its one k:
-# (id, n, k, fake head, observed, expected). The family pair of 21 is
+# (id, n, k, fake record, observed, expected). The family pair of 21 is
 # k = 9 (p = 7), of size 28; the split of 30 forces k = 23 reducible of
 # size 30.
 CLAIMS = [
-    ("size-n", 30, 23, _head(30, "irreducible"),
+    ("size-n", 30, 23, _record(30, "irreducible"),
      "irreducible of size 30", "reducible of size 30"),
-    ("reducible-constructions", 9, 3, _head(6, "irreducible"),
+    ("reducible-constructions", 9, 3, _record(6, "irreducible"),
      "irreducible of size 6", "reducible of size 6"),
-    ("reducible-constructions", 16, 4, _head(6, "reducible"),
+    ("reducible-constructions", 16, 4, _record(6, "reducible"),
      "reducible of size 6", "reducible of size 8"),
-    ("unbounded-family", 21, 9, _head(28, "reducible"),
+    ("unbounded-family", 21, 9, _record(28, "reducible"),
      "reducible of size 28", "irreducible of size 28"),
 ]
 
@@ -269,7 +271,7 @@ SPECIAL_REASONS = [
 
 @pytest.mark.parametrize("n,k,size,reason", SPECIAL_REASONS)
 def test_special_sizes_reports_the_first_reason(monkeypatch, n, k, size, reason):
-    _tampered(monkeypatch, n, k, _head(size, "reducible"))
+    _tampered(monkeypatch, n, k, _record(size, "reducible"))
     report = VERIFIERS["special-sizes"](n, n)
     if reason is None:
         assert report.status == "pass", report.to_dict()
@@ -392,7 +394,7 @@ def test_tampered_tuples_fail_at_every_pair_they_hold(theorem_id, monkeypatch):
     def tampered(classes, law):
         head = SHARED.get(classes)
         # no corner: fill_rows builds no witness for it
-        return (head, None) if head else verdict(classes, law)
+        return (*head, None) if head else verdict(classes, law)
 
     monkeypatch.setattr(rows_module, "_verdict", tampered)
     report = run_verifier(theorem_id, 2, 100)

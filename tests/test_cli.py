@@ -147,13 +147,13 @@ def test_no_arguments_is_a_usage_error(runner):
      "--max (10) is below --min (50)"),
     (["oplus", "10", "1,x,3", "0,0"], "N A B", "entry 2 ('x') is not an integer"),
     (["oplus", "10", "3", "0,0"], "N A B", "oplus needs both operands of size >= 2"),
-    # argparse drops a second --, the operand of K (usage._parse)
-    (["size", "5", "--", "--"], "N K", "argument K: invalid int value: '--'"),
     # the size limit comes before the --force gate
     (["classify", "18446744073709551616", "3"], "N K",
      "classify needs a modulus below 2**64, got 18446744073709551616"),
     (["witness", "18446744073709551629", "3", "--force"], "N K",
      "witness needs a modulus below 2**64, got 18446744073709551629"),
+    # argparse drops a second --, the operand of K (usage._parse)
+    (["size", "5", "--", "--"], "N K", "argument K: invalid int value: '--'"),
 ])
 def test_package_usage_errors_are_byte_identical(runner, args, usage, error):
     res = runner.invoke(cli, args, prog_name="frieze-mod")

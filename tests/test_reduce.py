@@ -383,9 +383,9 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     heads = {id(h) for _, hs, _ in fills for h in hs[1:]}
     assert len(heads) <= 2 * shared < sum(n - 1 for n in moduli)
     for ms in (moduli, range(2, 251)):
-        verdicts = [v for t in list(fill_tuples(ms)) for v in t.verdicts]
+        verdicts = [v for t in fill_tuples(ms) for v in t.verdicts]
         assert len({id(v) for v in verdicts}) == len(set(verdicts)), ms
-        heads = [h for _, hs, _ in list(fill_rows(ms)) for h in hs]
+        heads = [h for _, hs, _ in fill_rows(ms) for h in hs]
         assert len({id(h) for h in heads}) == len(set(heads)), ms
 
 

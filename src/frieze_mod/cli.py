@@ -1,9 +1,10 @@
 """Command line front end, on the standard library alone.
 
 Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
-0 on success, 1 on verification failure or unwritable output, 2 on usage
-errors. All stdout output ends with exactly one trailing newline; only
-an empty JSON survey prints nothing, to stdout or --out. A usage error
+0 on success, 1 on verification failure or unwritable output (stdout or
+--out, reported in one stderr line), 2 on usage errors. All stdout
+output ends with exactly one trailing newline; only an empty JSON
+survey prints nothing, to stdout or --out. A usage error
 prints the shape click gave to stderr: the line "Usage: frieze-mod CMD
 [OPTIONS] ARGS", the hint "Try 'frieze-mod CMD --help' for help.", a
 blank line and "Error: <message>". --help lists the commands, and after
@@ -308,7 +309,8 @@ def _well_formed(name: str, rest: list):
 
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] by default); returns the exit
-    code: 0, 1 when the command fails, 2 on a usage error."""
+    code: 0, 1 when the command fails or stdout cannot be written, 2 on a
+    usage error."""
     args = sys.argv[1:] if argv is None else list(argv)
     if args[:1] == ["--help"]:
         from .usage import _help
@@ -337,9 +339,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"Usage: {usage}\nTry '{prog} --help' for help.\n"
                          f"\nError: {e}\n")
         return 2
-    except BrokenPipeError:
-        # the reader went away (say, | head): stop quietly, the
-        # unflushed rest of stdout going nowhere
+    except OSError as e:
+        # a reader that went away (say, | head) stops quietly; any other
+        # failed write to stdout (a full disk) says so. Either way the
+        # unflushed rest of stdout goes nowhere
+        if not isinstance(e, BrokenPipeError):
+            sys.stderr.write(f"cannot write stdout: {e}\n")
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -189,27 +189,31 @@ def _table(fmt: str, rows):
                            for k, part, w in lines])
 
 
-class Part(namedtuple("Part", "q slot keys")):
-    """The classes mod one prime power q, grouped: keys lists the distinct
-    classes by their least k, and slot[k] is the index of the class of k
-    in keys."""
+class Part(namedtuple("Part", "p q slot keys")):
+    """The classes mod one prime power q of the prime p, grouped: keys
+    lists the distinct classes by their least k, and slot[k] is the index
+    of the class of k in keys. The parts of a modulus are its
+    factorization (Tuples.parts), which the law checks read."""
 
     __slots__ = ()
 
 
-def _grouped(row) -> Part:
-    """The Part of a class row (the class of every k mod q, k ascending)."""
+def _grouped(p, row) -> Part:
+    """The Part of a class row (the class of every k mod a power q of the
+    prime p, k ascending)."""
     index = {}
-    return Part(len(row), [index.setdefault(c, len(index)) for c in row],
+    return Part(p, len(row), [index.setdefault(c, len(index)) for c in row],
                 list(index))
 
 
 class Tuples(namedtuple("Tuples", "n parts verdicts")):
     """The class tuples of one modulus n and their verdicts (fill_tuples).
 
-    parts holds the grouped classes (Part) of each prime-power factor q
-    of n, p ascending; a class tuple takes one class of each, and tuple
-    i is the i-th of their product, the last factor varying fastest.
+    parts holds the grouped classes (Part) of each prime-power factor
+    q = p**a of n with its prime p, p ascending, so it is also the
+    factorization of n, which the law checks read. A class tuple takes
+    one class of each, and tuple i is the i-th of their product, the
+    last factor varying fastest.
     verdicts[i] is its one (size, sign, kind, first corner) record
     (_verdict), shared by every tuple of the call with that verdict:
     fields 0-2 are the head of each of its k, and field 3 is the first
@@ -244,10 +248,11 @@ class Tuples(namedtuple("Tuples", "n parts verdicts")):
 
 def fill_tuples(moduli):
     """Yield the Tuples of the distinct moduli n (a range or a set, in any
-    order) ascending: the grouped classes of each prime-power factor q
-    (_class_source) and the verdict (size, sign, kind, first corner) of
-    each class tuple of n. The verdict depends only on the tuple
-    (pair._verdict), so every k of a tuple shares it. By the CRT the
+    order) ascending: the grouped classes of each prime-power factor q of
+    n with its prime p (Part, from _class_source), n factored once, and
+    the verdict (size, sign, kind, first corner) of each class tuple of
+    n. The verdict depends only on the tuple (pair._verdict), so every k
+    of a tuple shares it. By the CRT the
     tuples of n are exactly the product of the classes of its factors;
     each is decided once per call (_verdict, with its CRT size law
     ring._crt_size), together with its mirror, the tuple of -k, whose
@@ -312,6 +317,6 @@ def _class_source(top):
             else:
                 half = [_class(p, a, k) for k in range(q // 2 + 1)]
                 row = half + [_negated(*c) for c in half[(q - 1) // 2:0:-1]]
-            kept[q] = _grouped(row)
+            kept[q] = _grouped(p, row)
         return kept[q] if 2 * q <= top else kept.pop(q)
     return parts

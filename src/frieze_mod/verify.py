@@ -5,6 +5,8 @@ registered with _law; its check is the module's verify_* function of
 that law. check(n, t) reads t, the class tuples of n and their
 verdicts (Tuples) through fields 0-2, the (size, sign, kind) of a head
 (no law reads a corner or a witness; only _claim unpacks all four), and
+the factorization of n from t.parts, each Part the prime p and the
+prime power q of one factor (rows.Part), so no check factors n again. It
 yields one item (where, verdict) for each class tuple or pair of n that
 the law covers.
 where is the index of a class tuple, standing for every k of that
@@ -84,9 +86,10 @@ def monomial_row(n: int) -> tuple:
                  for k, (head, wit) in enumerate(zip(heads, wits)))
 
 
-# Hypothesis classifiers. Small and pure so they can be unit tested on
-# their own; every verifier filters through these rather than inlining
-# the arithmetic.
+# Hypothesis classifiers: they pick the moduli of a law (_moduli) before
+# the fill has factored any, so they work from n alone. Small and pure so
+# they can be unit tested on their own. A check reads the factorization
+# of its modulus from the fill instead: t.parts, one Part per prime power.
 
 def is_three_m_form(n: int) -> bool:
     """n = 3m with m odd and coprime to 3 (the open bound family)."""
@@ -96,20 +99,6 @@ def is_three_m_form(n: int) -> bool:
 def odd_half(n: int) -> int | None:
     """m when n = 2m with m odd, else None."""
     return n // 2 if n % 2 == 0 and (n // 2) % 2 == 1 else None
-
-
-def two_three_split(n: int) -> tuple[int, int] | None:
-    """(a, b) when n = 2 * 3**a * b with a >= 1 and b > 1 odd coprime to 3."""
-    if n % 6:
-        return None
-    m = n // 2
-    a = 0
-    while m % 3 == 0:
-        m //= 3
-        a += 1
-    if m > 1 and m % 2 == 1:
-        return (a, m)
-    return None
 
 
 @cache
@@ -136,15 +125,6 @@ def _unit_class(p: int, size: int) -> bool:
     (ring._size_multiple)."""
     half = _power_shapes(size)[1]
     return size != 2 and (half is None or half[0] != p)
-
-
-def _two_adic(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
 
 
 def _crt_pair(r1, q1, r2, q2):
@@ -245,15 +225,15 @@ def verify_size_n(n, t):
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
     exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
-    split = two_three_split(n)
-    if split is None:
+    ps = t.parts    # n = 2 * 3**a * b: the parts 2, 3**a and those of b
+    if len(ps) < 3 or ps[0].q != 2 or ps[1].p != 3:
         for i, r in enumerate(t.verdicts):
             if i and r[0] == n:     # tuple 0 is k = 0 alone
                 yield i, r[2] == "irreducible" or (
                     f"{r[2]} of size {n}", "irreducible")
         return
-    a, b = split
-    c = 3 ** a
+    c = ps[1].q
+    b = n // (2 * c)
     k0 = _crt_pair(1, 2, _crt_pair(2 % c, c, -2 % b, b), c * b)
     yield _claim(t, k0, "reducible", n)
 
@@ -264,15 +244,15 @@ def verify_prime_powers(n, t):
     exactly when p does not divide k. For p = 2 (modulus 2**e):
     irreducible exactly when k is odd, or k = 2**(e-1), or e >= 2 with
     k/2 an odd integer."""
-    p, e = _power_shapes(n)[0]
     (part,) = t.parts
+    p, q = part.p, part.q
     for k, i in enumerate(part.slot):    # k by k: the law reads k itself
         r = t.verdicts[i]
         if p != 2:
             want = k % p != 0
         else:
-            want = (k % 2 == 1 or k == 2 ** (e - 1)
-                    or (e >= 2 and k % 2 == 0 and (k // 2) % 2 == 1))
+            want = (k % 2 == 1 or k == q // 2
+                    or (q >= 4 and k % 2 == 0 and (k // 2) % 2 == 1))
         yield [k], (r[2] == "irreducible") == want or (
             r[2], "irreducible" if want else "not irreducible")
 
@@ -283,21 +263,24 @@ def verify_reducible_constructions(n, t):
     reducible. 16 | n: k = n/4 has size 8, reducible. Coprime splits
     n = u * m with u, m > 1 and m odd coprime to 3: some k coprime to n
     is reducible of size 6m (u > 2) or 3m (u = 2)."""
-    factors = factorize(n)
-    for p, mult in factors:
-        if p != 2 and mult >= 2:
-            yield _claim(t, n // p, "reducible", 2 * p)
+    for part in t.parts:
+        if part.p != 2 and part.q != part.p:
+            yield _claim(t, n // part.p, "reducible", 2 * part.p)
     if n % 16 == 0:
         yield _claim(t, n // 4, "reducible", 8)
-    for m in _divisors(n):
+    # m coprime to u = n/m is a product of whole parts, and odd and
+    # coprime to 3 when those parts all have p > 3
+    ms = [1]
+    for part in t.parts:
+        if part.p > 3:
+            ms += [m * part.q for m in ms]
+    for m in sorted(m for m in ms if 1 < m < n):
         u = n // m
-        if m <= 1 or u <= 1 or gcd(m, u) != 1 or m % 2 == 0 or m % 3 == 0:
-            continue
         want = 6 * m if u > 2 else 3 * m
         # by the CRT, the k of a tuple are units exactly when those of
         # each of its classes are units mod its q (_unit_class)
         found = any(r[2] == "reducible" and r[0] == want and all(
-            _unit_class(p, c[0]) for (p, _), c in zip(factors, classes))
+            _unit_class(part.p, c[0]) for part, c in zip(t.parts, classes))
             for r, classes in zip(t.verdicts, t.classes()))
         yield [-1], found or (
             f"no unit k reducible of size {want}",
@@ -311,7 +294,7 @@ def _special_reason(n: int, s: int) -> str | None:
         p, e = pp
         if n % 2 == 1 or p != 2:
             return f"prime-power size {s}"
-        if e == 2 or e >= _two_adic(n):
+        if e == 2 or n % 2 ** (e + 1):      # e >= the 2-adic valuation of n
             return f"size 2**{e} vs 2-adic valuation of n"
     if s == 6 and n % 3:
         return "size 6 with 3 not dividing n"

@@ -19,7 +19,10 @@ law battery, which decides each law once per class tuple (verify):
 REFERENCE holds each law's check pair by pair over the (size, sign,
 kind) heads of rows.fill_rows, where the battery reads fields 0-2 of
 the verdict records of rows.fill_tuples, and law_items gives both
-sides' verdicts pair by pair (law_mismatches compares them).
+sides' verdicts pair by pair (law_mismatches compares them). The
+battery reads each modulus's factorization from the fill's parts; the
+references factor n, and split it by helpers of their own
+(two_three_split, _divisors), so the two sides share no split.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from frieze_mod.ring import SizeCapExceeded, _crt_size, _size_cap, factorize
 from frieze_mod.pair import _verdict
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
-from frieze_mod.verify import (_LAWS, _crt_pair, _divisors, _moduli,
-                               _special_reason, fill_tuples, odd_half,
-                               two_three_split)
+from frieze_mod.verify import (_LAWS, _crt_pair, _moduli, _special_reason,
+                               fill_tuples, odd_half)
 
 
 def _walk(n: int, k: int):
@@ -417,9 +419,31 @@ def double_dash_failures(max_tokens: int):
 # every k mod n from rows.fill_rows, yielding (k, verdict) pair by pair
 # (k = -1 for an existence claim): verdict True, or the (observed,
 # expected) texts of the Counterexample. The shapes of sizes and moduli
-# (_special_reason, odd_half, two_three_split, _crt_pair, _divisors)
-# come from verify, whose tests check them on their own.
+# (_special_reason, odd_half, _crt_pair) come from verify, whose tests
+# check them on their own; the battery reads the factorization of each
+# modulus from its parts (rows.Part), and the references work it out
+# from n alone (factorize, two_three_split, _divisors).
 REFERENCE = {}
+
+
+def two_three_split(n: int) -> tuple[int, int] | None:
+    """(a, b) when n = 2 * 3**a * b with a >= 1 and b > 1 odd coprime to 3."""
+    if n % 6:
+        return None
+    m = n // 2
+    a = 0
+    while m % 3 == 0:
+        m //= 3
+        a += 1
+    if m > 1 and m % 2 == 1:
+        return (a, m)
+    return None
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def _reference(theorem_id, hypothesis):

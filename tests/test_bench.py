@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 FIGURE = {"median", "q1", "q3", "runs", "previous", "vs_previous"}
 FLOOR = "python -c pass"
@@ -30,14 +32,25 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert set(bench["workloads"]["sweep"]) >= {"setup_s", "wall_s", "core_p50_ms",
                                                 "peak_rss_mb"}
     assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) > {FLOOR}
-    # each command's wall time less the floor's, both medians of the
-    # same rounds
+    # each command's wall time less that of the floor run just before it,
+    # round by round: the figure of those paired differences, with no
+    # previous file's value. The smoke setting runs one command, so the
+    # floor runs once per round, before it. Of 3 runs, the inclusive
+    # quartiles are the means of the lower two and of the upper two, so
+    # a figure gives back the sum of its runs, and the differences sum
+    # to the command's runs less the floor's (the difference of the
+    # medians, 3 times over, would not)
+    def total(fig):
+        return 2 * (fig["q1"] + fig["q3"]) - fig["median"]
+
     floor = bench["commands_ms"].pop(FLOOR)
+    assert len(bench["commands_ms"]) == 1 and bench["runs"] == 3
     for fig in bench["commands_ms"].values():
         extra = fig.pop("above_floor")
-        assert set(extra) == {"value", "previous", "vs_previous"}
-        assert extra["value"] == fig["median"] - floor["median"]
-        assert (extra["previous"] is None) == (extra["vs_previous"] is None)
+        assert set(extra) == {"median", "q1", "q3", "runs"}
+        assert extra["runs"] == bench["runs"]
+        assert extra["q1"] <= extra["median"] <= extra["q3"]
+        assert total(extra) == pytest.approx(total(fig) - total(floor), abs=1e-6)
     bench["commands_ms"][FLOOR] = floor
     assert set(bench["reach"]) == {"verify all --max 100",
                                    "survey --max 100 --force"}

@@ -784,6 +784,23 @@ def test_a_reader_that_stops_early_gets_no_traceback():
     assert child.wait(timeout=60) in (0, 1) and err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [["survey", "--max", "3"],
+                                  ["verify", "all", "--max", "5"],
+                                  ["classify", "9", "3"], ["size", "35", "23"]])
+def test_a_full_stdout_exits_1_with_one_line(args):
+    # stdout on a device that takes no byte, buffered or not: exit 1 and
+    # one line on stderr, as for an unwritable --out, and no traceback
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "w") as full:
+            res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", *args],
+                                 stdout=full, stderr=subprocess.PIPE, text=True,
+                                 env={**_env_with_src(), "PYTHONUNBUFFERED": unbuffered},
+                                 timeout=60)
+        assert (res.returncode, res.stderr) == (
+            1, "cannot write stdout: [Errno 28] No space left on device\n"), unbuffered
+
+
 def test_a_failing_verify_exits_1():
     # no real range breaks a law, so the driver is handed a broken check
     # for one law: k = 0 of every modulus it reads fails

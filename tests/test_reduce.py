@@ -626,10 +626,13 @@ def test_the_one_pass_crt_size_law_equals_its_statement(monkeypatch):
 def test_class_tuples_expand_to_the_heads_of_the_rows():
     # fill_tuples decides one verdict (size, sign, kind, first corner)
     # per class tuple, and a tuple with its mirror. For each n <= 300,
-    # the tuple of every k (indexes) is its class mod each q, read from
-    # the parts' slots; every tuple holds some k (tuple 0 k = 0 alone),
-    # and each k has as its head the fields 0-2 of that verdict, which
-    # fill_rows gives it, sign included (no law reads the sign). Each
+    # the parts are the factorization of n, each the prime p and the
+    # power q = p**a of one factor, p ascending (the law checks read it
+    # there); the tuple of every k (indexes) is its class mod each q,
+    # read from the parts' slots; every tuple holds some k (tuple 0
+    # k = 0 alone), and each k has as its head the fields 0-2 of that
+    # verdict, which fill_rows gives it, sign included (no law reads the
+    # sign). Each
     # tuple's verdict is the one its classes decide, and each k <= n/2
     # has a witness exactly when its tuple has a corner, of size that
     # corner + 2. About 0.3 s
@@ -637,6 +640,8 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
     for (n, heads, wits), t in zip(fill_rows(range(2, 301)), tuples):
         index, classes = t.indexes(), list(t.classes())
         assert t.n == n and len(index) == n
+        assert [(p.p, p.q) for p in t.parts] == [
+            (p, p ** a) for p, a in factorize(n)], n
         assert len(classes) == len(t.verdicts)
         assert sorted(set(index)) == list(range(len(t.verdicts)))
         assert [k for k, i in enumerate(index) if i == 0] == [0]

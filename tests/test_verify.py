@@ -10,10 +10,10 @@ from frieze_mod.verify import (_LAWS, DEFAULT_FAMILY_PRIMES, VERIFIERS,
                                Counterexample, _crt_pair, _moduli,
                                _power_shapes, _unit_class, fill_tuples,
                                is_three_m_form, monomial_row, odd_half,
-                               run_all, run_verifier, survey_rows,
-                               two_three_split)
+                               run_all, run_verifier, survey_rows)
 from oracles import naive_crt, prime_power
-from routes import REFERENCE, _walk, law_items, law_mismatches, reference_heads
+from routes import (REFERENCE, _walk, law_items, law_mismatches,
+                    reference_heads, two_three_split)
 
 
 def test_classifier_three_m_form():
@@ -32,6 +32,8 @@ def test_classifier_odd_half():
 
 
 def test_classifier_two_three_split():
+    # the size-n reference splits n = 2 * 3**a * b with this helper of
+    # its own (the battery reads the split off the parts)
     assert two_three_split(30) == (1, 5)
     assert two_three_split(90) == (2, 5)
     assert two_three_split(18) is None    # cofactor collapses to 1
@@ -365,6 +367,13 @@ def test_each_law_matches_its_per_pair_reference(theorem_id, heads_to_250):
     reference, battery = law_items(theorem_id, 2, 250, heads_to_250)
     assert reference, theorem_id
     assert battery == reference
+    # n <= 250 has no split with two factors p > 3, nor a size-n split
+    # n = 2 * 3**a * b whose b has three: the first moduli with three
+    # prime-power factors above 3, alone (about 0.2 s)
+    if theorem_id in ("reducible-constructions", "size-n"):
+        for n in (385, 770, 1155, 2310):
+            reference, battery = law_items(theorem_id, n, n)
+            assert reference and battery == reference, (theorem_id, n)
 
 
 def test_law_mismatches_counts_every_pair(heads_to_250):

@@ -7,10 +7,11 @@ Each of RUNS rounds runs, as children of this process:
   - perfbench/run.py --trace 0, unchanged, once per workload of
     BENCHMARK.json, at its run_seconds and seed SEED; the figures are the
     end-to-end metrics of its last line;
-  - each command of COMMANDS, and the interpreter floor python -c pass,
-    as a child of its own: its spawn-to-exit wall time, and its peak RSS
-    from os.wait4;
-  - each command of REACH the same way, reported in its own section.
+  - each command of COMMANDS as a child of its own, right after a child
+    of the interpreter floor python -c pass: each one's spawn-to-exit
+    wall time, and its peak RSS from os.wait4;
+  - each command of REACH the same way, with no floor run before it,
+    reported in its own section.
   - each run of LAYERS in a child of its own, in process: the own time
     and call count of each phase of PHASES (layer_child), the time of
     each law's check from its report's elapsed_ms, and the rest of the
@@ -23,11 +24,14 @@ spreads the drift over every figure rather than over the last ones.
 Each figure is the median and quartiles (inclusive method) of its runs,
 next to the median the previous BENCH file (the highest-numbered
 BENCH_<n>.json at the root, other than --out) holds for it, and the
-ratio of the two. Each command's wall time also has an above_floor
-value: its median less the floor's median of the same rounds, next to
-the same difference in the previous file and the ratio of the two. The
-floor drifts with the host from one BENCH file to the next, and the
-difference is what the package's own start-up and work cost. The
+ratio of the two. The floor's figure holds every floor run, one per
+command and round. Each command's wall time also has an above_floor
+figure: the median and quartiles of its per-round differences to the
+floor run just before it. The floor drifts with the host, from one
+BENCH file to the next and within one, and a difference of adjacent
+runs is what the package's own start-up and work cost; it is not
+compared with the previous file, whose host may have been loaded
+otherwise (compare two trees by alternated runs instead). The
 Python version, the commit and the CPUs this process may run on (nproc;
 perfbench pins itself to one CPU, so it reports 1) are read here.
 --smoke runs the sweep workload for 1 s, the two quickest commands and
@@ -143,18 +147,6 @@ def compare(values: list[float], prev: dict, *keys: str) -> dict:
     base = old.get("median") if isinstance(old, dict) else None
     return {**fig, "previous": base,
             "vs_previous": fig["median"] / base - 1 if base else None}
-
-
-def above_floor(fig: dict, floor: dict) -> dict:
-    """The median of the wall-time figure fig less that of the floor's
-    figure of the same rounds, with the same difference of the previous
-    medians and the ratio of the two."""
-    value = fig["median"] - floor["median"]
-    base = (fig["previous"] - floor["previous"]
-            if fig["previous"] is not None and floor["previous"] is not None
-            else None)
-    return {"value": value, "previous": base,
-            "vs_previous": value / base - 1 if base else None}
 
 
 def code_lines(source: str) -> int:
@@ -276,13 +268,14 @@ def main() -> int:
     commands = [FLOOR, *(SMOKE_COMMANDS if args.smoke else COMMANDS)]
     reach = list(SMOKE_REACH if args.smoke else REACH)
     runs = list(SMOKE_LAYERS if args.smoke else LAYERS)
-    children = commands + reach
+    children = commands[1:] + reach
     nproc = len(os.sched_getaffinity(0))
 
     metrics = {name: {} for name in names}
     correct = {name: True for name in names}
-    walls = {c: [] for c in children}
-    rss = {c: [] for c in children}
+    walls = {c: [] for c in commands + reach}
+    rss = {c: [] for c in commands + reach}
+    paired = {c: [] for c in commands[1:]}     # command less the floor before it
     split = {run: [] for run in runs}
     for r in range(RUNS):
         for name in names[r % len(names):] + names[:r % len(names)]:
@@ -291,10 +284,15 @@ def main() -> int:
             for m, v in values.items():
                 metrics[name].setdefault(m, []).append(v)
         for c in children[r % len(children):] + children[:r % len(children)]:
-            argv = ["-c", "pass"] if c == FLOOR else ["-c", ENTRY, *c.split()]
-            wall, peak = child(argv)
+            if c in paired:
+                floor, peak = child(["-c", "pass"])
+                walls[FLOOR].append(floor)
+                rss[FLOOR].append(peak)
+            wall, peak = child(["-c", ENTRY, *c.split()])
             walls[c].append(wall)
             rss[c].append(peak)
+            if c in paired:
+                paired[c].append(wall - floor)
         for run in runs[r % len(runs):] + runs[:r % len(runs)]:
             split[run].append(layers(run))
 
@@ -304,9 +302,8 @@ def main() -> int:
                for p in sorted(PACKAGE.glob("*.py"))}
     commands_ms = {c: compare(walls[c], prev, "commands_ms", c)
                    for c in commands}
-    for c in commands[1:]:
-        commands_ms[c]["above_floor"] = above_floor(commands_ms[c],
-                                                    commands_ms[FLOOR])
+    for c, diffs in paired.items():
+        commands_ms[c]["above_floor"] = figure(diffs)
     report = {
         "description": "Medians and quartiles of perfbench/run.py --trace 0 "
                        "(end-to-end metrics, one child per run) and of child "

@@ -1,10 +1,10 @@
 """Command line front end, on the standard library alone.
 
 Subcommands: size, classify, oplus, witness, verify, survey. Exit codes:
-0 on success, 1 on verification failure or unwritable output (stdout or
---out, reported in one stderr line), 2 on usage errors. All stdout
-output ends with exactly one trailing newline; only an empty JSON
-survey prints nothing, to stdout or --out. A usage error
+0 on success, 1 on verification failure or unwritable output (stdout,
+help text included, or --out, reported in one stderr line), 2 on usage
+errors. All stdout output ends with exactly one trailing newline; only
+an empty JSON survey prints nothing, to stdout or --out. A usage error
 prints the shape click gave to stderr: the line "Usage: frieze-mod CMD
 [OPTIONS] ARGS", the hint "Try 'frieze-mod CMD --help' for help.", a
 blank line and "Error: <message>". --help lists the commands, and after
@@ -312,12 +312,13 @@ def main(argv=None) -> int:
     code: 0, 1 when the command fails or stdout cannot be written, 2 on a
     usage error."""
     args = sys.argv[1:] if argv is None else list(argv)
-    if args[:1] == ["--help"]:
-        from .usage import _help
-        print(_help(sys.modules[__name__]), end="")
-        return 0
     usage, prog = _USAGE, "frieze-mod"
     try:
+        if args[:1] == ["--help"]:
+            from .usage import _help
+            print(_help(sys.modules[__name__]), end="")
+            sys.stdout.flush()
+            return 0
         if not args or args[0] not in _COMMANDS:
             raise UsageError(
                 "Missing command." if not args else
@@ -331,6 +332,7 @@ def main(argv=None) -> int:
             try:
                 opts = _parse(sys.modules[__name__], name, rest)
             except SystemExit as e:     # --help printed the command's help
+                sys.stdout.flush()
                 return e.code
         code = globals()[_COMMANDS[name].__name__](**opts) or 0
         sys.stdout.flush()

@@ -3,7 +3,9 @@
 The product convention applies entries last first: appending an entry
 multiplies on the LEFT, so the product over a concatenation satisfies
 m_n(c1 ++ c2) = m_n(c2) @ m_n(c1). Matrices are row-major 4-tuples
-(a, b, c, d) of plain ints. This module imports cycles alone, so
+(a, b, c, d) of plain ints. The product is the continuant recurrence on
+its rows (_prod), the one scalar recurrence of the package; no general
+2x2 product is formed. This module imports cycles alone, so
 solution_sign compiles no decider.
 """
 
@@ -14,17 +16,6 @@ from typing import Iterable, Optional, Union
 from .cycles import Cycle
 
 Entries = Union[Cycle, Iterable[int]]
-
-
-def _mul(a, b, n):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        (a11 * b11 + a12 * b21) % n,
-        (a11 * b12 + a12 * b22) % n,
-        (a21 * b11 + a22 * b21) % n,
-        (a21 * b12 + a22 * b22) % n,
-    )
 
 
 def _sign(m, n):
@@ -39,15 +30,21 @@ def _sign(m, n):
     return 0
 
 
-def _m1(k, n):
-    return (k % n, n - 1, 1, 0)
-
-
 def _prod(vals, n):
-    m = (1, 0, 0, 1)
+    """The product of the factors M(v) = [[v, -1], [1, 0]] of vals mod n,
+    applied last first, by the recurrence on its rows.
+
+    M(v) @ [[a, b], [c, d]] = [[v*a - c, v*b - d], [a, b]]: each column
+    follows u_j = v_j * u_{j-1} - u_{j-2} and the new bottom row is the
+    old top row. So the top-left entry is the continuant of the entries,
+    a constant tuple (k,) * e gives ring._lucas's
+    [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]], and every entry stays in
+    [0, n).
+    """
+    a, b, c, d = 1, 0, 0, 1
     for v in vals:
-        m = _mul(_m1(v, n), m, n)
-    return m
+        a, b, c, d = (v * a - c) % n, (v * b - d) % n, a, b
+    return a, b, c, d
 
 
 def _coerce(entries: Entries, modulus: Optional[int]):

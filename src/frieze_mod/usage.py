@@ -49,6 +49,11 @@ def _parser(cli, name: str):
         def error(self, message):
             raise cli.UsageError(message)
 
+        def _print_message(self, message, file=None):
+            # argparse's own swallows an OSError: a help text that cannot
+            # be written must reach cli.main's stdout handler
+            file.write(message)
+
     args, options = cli._SPECS[name]
     p = Parser(prog=f"frieze-mod {name}", usage=cli._usage(name),
                description=_doc(cli._COMMANDS[name]),

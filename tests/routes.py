@@ -8,13 +8,15 @@ pair, the reference witness closed by the general endpoint solve
 decomposition search over a whole equivalence class, the census of
 bordered solutions up to a size cap, and the bordered solutions of one
 size from the endpoint solve. The tests cross-check the fast path
-against them. They use the package's matrix helpers and its verdict
-rule, so unlike oracles.py they are not independent of it; oracles.py
-checks those helpers in turn. The command line has a
-second route too: the argparse parse of each command (usage._parse, as
-cli.main reads a line it declines), against which argv_mismatches
-checks the parse of well-formed lines (cli._well_formed), and
-double_dash_failures the parse of lines with a second --. So does the
+against them. They take their matrix products from oracles.py
+(product, mat_mul), so they share no product with modmat, but they use
+the package's sign rule (modmat._sign, solution_sign) and its verdict
+rule, so unlike oracles.py they are not independent of it. The command
+line has a second route too: the argparse parse of each command
+(usage._parse, as cli.main reads a line it declines), against which
+argv_mismatches checks the parse of well-formed lines
+(cli._well_formed), and double_dash_failures the parse of lines with a
+second --. So does the
 law battery, which decides each law once per class tuple (verify):
 REFERENCE holds each law's check pair by pair over the (size, sign,
 kind) heads of rows.fill_rows, where the battery reads fields 0-2 of
@@ -37,13 +39,20 @@ from typing import Optional
 from frieze_mod import cli
 from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
-from frieze_mod.modmat import _mul, _prod, _sign, solution_sign
+from frieze_mod.modmat import _sign, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _crt_size, _size_cap, factorize
 from frieze_mod.pair import _verdict
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
 from frieze_mod.verify import (_LAWS, _crt_pair, _moduli, _special_reason,
                                fill_tuples, odd_half)
+from oracles import mat_mul, product
+
+
+def _flat(m):
+    """The nested-list matrix m of oracles.py as a row-major 4-tuple."""
+    (a, b), (c, d) = m
+    return a, b, c, d
 
 
 def _walk(n: int, k: int):
@@ -188,7 +197,7 @@ def bordered_solutions(n: int, k: int, size: int) -> list[tuple[int, int, int]]:
     size >= 2; size 2 means the bare pair (x, y). The list has at most
     one element (see _endpoints).
     """
-    sol = _endpoints(_prod((k,) * (size - 2), n), n)
+    sol = _endpoints(_flat(product((k,) * (size - 2), n)), n)
     return [sol] if sol else []
 
 
@@ -227,7 +236,7 @@ def is_reducible_general(c: Cycle) -> Optional[Decomposition]:
         for l in range(3, total):
             m = total - l + 2
             interior = v[m:]
-            sol = _endpoints(_prod(interior, n), n)
+            sol = _endpoints(_flat(product(interior, n)), n)
             if sol is None:
                 continue
             b1, bl, _ = sol
@@ -284,15 +293,15 @@ def witness_structure_check(n: int, k: int,
     if cap is None:
         cap = 3 * s + 2
     irreducible = k != 0 and first is None
-    inv2 = (n - 1, k, -k % n, (k * k - 1) % n)     # M(k)**-2
+    inv2 = [[n - 1, k], [-k % n, (k * k - 1) % n]]     # M(k)**-2
     period = {}
     u2, u1 = n - 1, 0       # u_{j-2}, u_{j-1} at j = 0
     for j in range(s // 2):
         u = (k * u1 - u2) % n
         if u == 1 or u == n - 1:
             a, b, c, d = period[j] = (u, -u1 % n, u1, -u2 % n)
-            m = _mul(inv2, (d, -b % n, -c % n, a), n)
-            period[s - 2 - j] = tuple(sign * e % n for e in m)
+            m = mat_mul(inv2, [[d, -b % n], [-c % n, a]], n)
+            period[s - 2 - j] = tuple(sign * e % n for row in m for e in row)
         u2, u1 = u1, u
     found = []
     violations = []

@@ -787,10 +787,13 @@ def test_a_reader_that_stops_early_gets_no_traceback():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("args", [["survey", "--max", "3"],
                                   ["verify", "all", "--max", "5"],
-                                  ["classify", "9", "3"], ["size", "35", "23"]])
+                                  ["classify", "9", "3"], ["size", "35", "23"],
+                                  ["--help"], ["survey", "--help"],
+                                  ["classify", "--help"], ["oplus", "--help"]])
 def test_a_full_stdout_exits_1_with_one_line(args):
     # stdout on a device that takes no byte, buffered or not: exit 1 and
-    # one line on stderr, as for an unwritable --out, and no traceback
+    # one line on stderr, as for an unwritable --out, and no traceback;
+    # a help text too
     for unbuffered in ("", "1"):
         with open("/dev/full", "w") as full:
             res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", *args],

@@ -3,14 +3,18 @@ from hypothesis import given, settings, strategies as st
 
 from frieze_mod.cycles import Cycle
 from frieze_mod.modmat import m_n, solution_sign
+from frieze_mod.ring import _lucas
 from oracles import direct_min_size, mat_mul, product
 
 MOD = st.integers(2, 40)
 ENTRIES = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
+# moduli up to 2**64 - 1, and tuples of up to 40 entries of any size
+WIDE_MOD = st.integers(2, 2 ** 64 - 1)
+LONG_ENTRIES = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=40)
 
 
-@given(MOD, ENTRIES)
-@settings(max_examples=200, deadline=None)
+@given(st.one_of(MOD, WIDE_MOD), st.one_of(ENTRIES, LONG_ENTRIES))
+@settings(max_examples=400, deadline=None)
 def test_product_matches_reference(n, entries):
     a, b, c, d = m_n(entries, n)
     assert [[a, b], [c, d]] == product(entries, n)
@@ -92,3 +96,9 @@ def test_sign_matches_reference_at_minimal_size():
         for k in range(n):
             size, sign = direct_min_size(n, k)
             assert solution_sign([k] * size, n) == sign
+    # a constant product is ring._lucas's power of M(k):
+    # [[u_e, -u_{e-1}], [u_{e-1}, -u_{e-2}]], with u_{e-2} = k*u_{e-1} - u_e
+    for n, k, e in [(2, 1, 3), (7, 3, 1), (12, 6, 1000), (1000003, -5, 999),
+                    (2 ** 64 - 59, 12345, 1000), (2 ** 64 - 1, 2 ** 63, 777)]:
+        u1, u = _lucas(n, k % n, e)
+        assert m_n((k,) * e, n) == (u, -u1 % n, u1, (u - k * u1) % n), (n, k, e)

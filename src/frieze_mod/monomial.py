@@ -4,13 +4,13 @@ The central quantity: for k mod n, the smallest size at which the constant
 tuple (k, ..., k) multiplies out to plus or minus the identity. Everything
 else here relates that size across moduli (prime-power components, divisor
 ladders, closed-form special cases) and reports it in named records.
-Every size, at a prime power or not, comes from one front (ring._front,
-read here through _front), the route every command takes: it checks n,
-factors it once, composes the classes of k mod its prime-power factors
-(ring._class, one descent each) and checks the 3N cap. The size command
-reads ring's front directly and never loads this module, and classify
-and witness read it through pair._pair_row. SizeCapExceeded, raised by
-the descent and the cap check in ring, is importable from here too.
+Every size, at a prime power or not, comes from one front (ring._front),
+the route every command takes: it checks n, factors it once, composes
+the classes of k mod its prime-power factors (ring._class, one descent
+each) and checks the 3N cap. The size command reads that front directly
+and never loads this module, and classify and witness read it through
+pair._pair_row. SizeCapExceeded, raised by the descent and the cap
+check in ring, is importable from here too.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ def minimal_monomial_size(n: int, k: int) -> tuple[int, int]:
     its negative, and +1 by convention mod 2 where the two coincide.
 
     It is composed by the CRT size law from the class of k mod each
-    prime-power factor q of n (_front). Per q, one descent from the
+    prime-power factor q of n (ring._front). Per q, one descent from the
     multiple E of ring._size_multiple divides out each prime r of E while
     the power stays in the corner lemma's group H, which holds +-Id, and
     the size mod q is a known multiple of where it stops. Each power
     costs O(log E) products, so the cost is polynomial in the digits of n
     once n and the p +- 1 of its primes are factored.
     """
-    law = _front(n, k)[3]
-    return law.size, law.sign
+    m, multiplier, sign = ring._front(n, k)[3]
+    return multiplier * m, sign
 
 
 class Component(NamedTuple):
@@ -78,9 +78,10 @@ def size_via_crt(n: int, k: int) -> SizeLaw:
     lands on sign_q ** (m / size_q). The component at modulus exactly 2
     cannot veto (Id = -Id there). If the adjusted signs agree, the minimal
     size is m with that shared sign; otherwise doubling reconciles every
-    component to +1. The size is checked against the 3N cap (_front).
+    component to +1. The size is checked against the 3N cap
+    (ring._front).
     """
-    return _front(n, k)[3]
+    return SizeLaw(*ring._front(n, k)[3])
 
 
 class MonomialProfile(NamedTuple):
@@ -95,20 +96,12 @@ class MonomialProfile(NamedTuple):
 
 def monomial_profile(n: int, k: int) -> MonomialProfile:
     """The size and sign of k mod n (as minimal_monomial_size) and its
-    prime-power components (as component_profile), both from one _front:
-    n is factored once and each factor descended once."""
-    k, factors, classes, law = _front(n, k)
-    return MonomialProfile(n, k, law.size, law.sign, tuple(
-        Component(p ** a, size, sign or 1)
-        for (p, a), (size, sign, _, _) in zip(factors, classes)))
-
-
-def _front(n: int, k: int):
-    """(k mod n, the factors of n, the class tuple of k, its SizeLaw):
-    ring._front, the one front of every size (module docstring), with
-    its size law as a record."""
-    k, factors, classes, law = ring._front(n, k)
-    return k, factors, classes, SizeLaw(*law)
+    prime-power components (as component_profile), both from one
+    ring._front: n is factored once and each factor descended once."""
+    k, factors, classes, (m, multiplier, sign) = ring._front(n, k)
+    return MonomialProfile(n, k, multiplier * m, sign, tuple(
+        Component(p ** a, s, e or 1)
+        for (p, a), (s, e, _, _) in zip(factors, classes)))
 
 
 def prime_power_ladder(p: int, n_max: int, k: int) -> list[int]:
@@ -173,11 +166,11 @@ def shared_factor_size(n: int, k: int) -> int:
     to n, the minimal size is 2 * prod(p_i ** (a_i - b_i)). The shape is
     read off the residue class of k (valuations at or above a_i collapse
     to a_i); a prime of n missing from k is a ValueError. The prediction
-    is checked against the size of the front (_front), which also gives
-    the factors of n, so n is factored once; a mismatch raises
+    is checked against the size of the front (ring._front), which also
+    gives the factors of n, so n is factored once; a mismatch raises
     AssertionError.
     """
-    k, factors, _, law = _front(n, k)
+    k, factors, _, (m, multiplier, _) = ring._front(n, k)
     predicted = 2
     for p, a in factors:
         if k % p:
@@ -188,7 +181,7 @@ def shared_factor_size(n: int, k: int) -> int:
             t //= p
             b += 1
         predicted *= p ** (a - b)
-    if law.size != predicted:
+    if multiplier * m != predicted:
         raise AssertionError(
-            f"shared-factor law broke at n={n}, k={k}: {law.size} != {predicted}")
-    return law.size
+            f"shared-factor law broke at n={n}, k={k}: {multiplier * m} != {predicted}")
+    return predicted

@@ -224,11 +224,13 @@ def verify_three_h_criterion(n, t):
 def verify_size_n(n, t):
     """Nonzero solutions of size exactly n are irreducible, unless
     n = 2 * 3**a * b (b > 1 odd coprime to 3) where a reducible one must
-    exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b."""
+    exist: the k that is 1 mod 2, 2 mod 3**a and -2 mod b. k = 0 is the
+    one pair of size 2 (pair._verdict), so no tuple of size n > 2 holds
+    it."""
     ps = t.parts    # n = 2 * 3**a * b: the parts 2, 3**a and those of b
     if len(ps) < 3 or ps[0].q != 2 or ps[1].p != 3:
         for i, r in enumerate(t.verdicts):
-            if i and r[0] == n:     # tuple 0 is k = 0 alone
+            if r[0] == n:
                 yield i, r[2] == "irreducible" or (
                     f"{r[2]} of size {n}", "irreducible")
         return
@@ -313,10 +315,10 @@ def verify_special_sizes(n, t):
     moduli, sizes 2**e need e = 2 or e at least the 2-adic valuation of
     n (so any 2**e >= 4 suffices when 16 does not divide n). Size 6 when
     3 does not divide n. Sizes 2 * p**e for odd p coprime to n. Sizes
-    4 * p**e for odd n and odd p coprime to n."""
-    verdicts = t.verdicts[1:]   # tuple 0 is k = 0 alone
-    reasons = {s: _special_reason(n, s) for s in {r[0] for r in verdicts}}
-    for i, r in enumerate(verdicts, 1):
+    4 * p**e for odd n and odd p coprime to n. k = 0 is the one pair of
+    size 2 (pair._verdict), and no shape names size 2."""
+    reasons = {s: _special_reason(n, s) for s in {r[0] for r in t.verdicts}}
+    for i, r in enumerate(t.verdicts):
         if reasons[r[0]]:
             yield i, r[2] == "irreducible" or (
                 f"{r[2]} of size {r[0]}", f"irreducible ({reasons[r[0]]})")

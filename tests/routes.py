@@ -9,9 +9,10 @@ decomposition search over a whole equivalence class, the census of
 bordered solutions up to a size cap, and the bordered solutions of one
 size from the endpoint solve. The tests cross-check the fast path
 against them. They take their matrix products from oracles.py
-(product, mat_mul), so they share no product with modmat, but they use
-the package's sign rule (modmat._sign, solution_sign) and its verdict
-rule, so unlike oracles.py they are not independent of it. The command
+(product, mat_mul), so they share no product with modmat, and the
+reference row decides each verdict from its own walk (walked_verdict),
+but they use the package's sign rule (modmat._sign, solution_sign), so
+unlike oracles.py they are not independent of it. The command
 line has a second route too: the argparse parse of each command
 (usage._parse, as cli.main reads a line it declines), against which
 argv_mismatches checks the parse of well-formed lines
@@ -40,8 +41,7 @@ from frieze_mod import cli
 from frieze_mod.cli import _SPECS, UsageError, _well_formed
 from frieze_mod.cycles import Cycle, equivalence_class
 from frieze_mod.modmat import _sign, solution_sign
-from frieze_mod.ring import SizeCapExceeded, _crt_size, _size_cap, factorize
-from frieze_mod.pair import _verdict
+from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
 from frieze_mod.verify import (_LAWS, _crt_pair, _moduli, _special_reason,
@@ -84,9 +84,9 @@ def _walk(n: int, k: int):
     u_{D-2} = -f; the walk meets it when it lies in [1, (S - 2)/2]. With
     no corner there, D divides S (M**S = sign * Id is in H), and D < S
     would put D - 2 <= S/2 - 2 in that range, so D = S and f = u_S = sign.
-    For any n, _verdict of the one class (S, sign, D, f) gives back S,
-    sign and the first corner: D - 2 when the walk met one (u_{D-2} =
-    -f), and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
+    For any n, the one class (S, sign, D, f) gives S, sign and the first
+    corner (walked_verdict): D - 2 when the walk met one (u_{D-2} = -f),
+    and for k**2 = 0 the first corner j = 2 (u_1 = k != +-1,
     u_2 = k**2 - 1 = -1) when S >= 6. So the walk is the reference row of
     every pair.
     """
@@ -131,10 +131,19 @@ def crt_size_reference(classes):
 
 
 def walked_verdict(walked):
-    """pair._verdict of the one class walked (_walk), with its CRT size
-    law (ring._crt_size): the (size, sign, kind, first corner) of its
-    pair."""
-    return _verdict((walked,), _crt_size((walked,)))
+    """The (size, sign, kind, first corner) of the pair whose walked
+    class (_walk) is walked = (S, sign, D, f), by the corner lemma alone:
+    its first corner is j = D - 2 when D > 2, and j = 2 when D = 2
+    (k**2 = 0, where u_2 = k**2 - 1 = -1), kept when j < S // 2, that is
+    1 <= j <= (S - 2)/2. A corner makes the kind "reducible"; without one
+    it is "zero-convention" at size 2 and "irreducible" otherwise. So the
+    reference decides each pair from its own walk, not by pair._verdict
+    and ring._crt_size."""
+    size, sign, d, _ = walked
+    j = d - 2 if d > 2 else 2
+    if j < size // 2:
+        return size, sign, "reducible", j
+    return size, sign, "zero-convention" if size == 2 else "irreducible", None
 
 
 def corner_power(n: int, k: int, j: int):
@@ -148,16 +157,14 @@ def corner_power(n: int, k: int, j: int):
 
 
 def walked_row(n: int, k: int) -> tuple:
-    """The reference (head, wit) of k mod n: the package's verdict
-    (pair._verdict) over the walk's one class, in place of the class
-    tuple of n's prime-power factors (the walk checks the 3N cap
-    itself), and the witness at its first corner j closed by the general
-    endpoint solve (_endpoints) on M(k)**j from the recurrence
-    (corner_power). So the witness shares neither ring._lucas nor the
-    closed form of pair._witness; the head shares the package's kind
-    rule ("zero-convention" exactly at size 2), which
-    test_zero_bucket_and_short_size_laws and the oracle of
-    perfbench/oracle.py check on their own."""
+    """The reference (head, wit) of k mod n: the verdict of the walk's
+    one class (walked_verdict), in place of the package's verdict
+    (pair._verdict) over the class tuple of n's prime-power factors (the
+    walk checks the 3N cap itself), and the witness at its first corner
+    j closed by the general endpoint solve (_endpoints) on M(k)**j from
+    the recurrence (corner_power). So the head shares neither
+    pair._verdict nor ring._crt_size, and the witness neither
+    ring._lucas nor the closed form of pair._witness."""
     verdict = walked_verdict(_walk(n, k))
     head, j = verdict[:3], verdict[3]
     if j is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FIGURE = {"median", "q1", "q3", "runs", "previous", "vs_previous"}
+FIGURE = {"median", "q1", "q3", "runs"}
 FLOOR = "python -c pass"
 
 
@@ -21,25 +21,20 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
     assert res.returncode == 0, res.stderr
     bench = json.loads(out.read_text())
     assert set(bench) == {"description", "setting", "python", "nproc", "commit",
-                          "dirty", "seed", "seconds", "runs", "previous",
-                          "correct", "workloads", "commands_ms",
-                          "commands_rss_mb", "reach", "layers", "code_lines"}
+                          "dirty", "runs", "commands_ms", "commands_rss_mb",
+                          "reach", "layers", "code_lines"}
     assert bench["setting"] == "smoke" and bench["runs"] >= 3
     assert bench["python"] == sys.version.split()[0]
     assert isinstance(bench["nproc"], int) and bench["nproc"] >= 1
     assert bench["commit"] is None or len(bench["commit"]) == 40
-    assert bench["correct"] == {"sweep": True}
-    assert set(bench["workloads"]["sweep"]) >= {"setup_s", "wall_s", "core_p50_ms",
-                                                "peak_rss_mb"}
     assert set(bench["commands_ms"]) == set(bench["commands_rss_mb"]) > {FLOOR}
     # each command's wall time less that of the floor run just before it,
-    # round by round: the figure of those paired differences, with no
-    # previous file's value. The smoke setting runs one command, so the
-    # floor runs once per round, before it. Of 3 runs, the inclusive
-    # quartiles are the means of the lower two and of the upper two, so
-    # a figure gives back the sum of its runs, and the differences sum
-    # to the command's runs less the floor's (the difference of the
-    # medians, 3 times over, would not)
+    # round by round: the figure of those paired differences. The smoke
+    # setting runs one command, so the floor runs once per round, before
+    # it. Of 3 runs, the inclusive quartiles are the means of the lower
+    # two and of the upper two, so a figure gives back the sum of its
+    # runs, and the differences sum to the command's runs less the
+    # floor's (the difference of the medians, 3 times over, would not)
     def total(fig):
         return 2 * (fig["q1"] + fig["q3"]) - fig["median"]
 
@@ -78,18 +73,16 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
                           *layer["checks_ms"].values()]
     # the package's code lines, per module and in total
     lines = bench["code_lines"]
-    assert set(lines) == {"modules", "total", "previous"}
+    assert set(lines) == {"modules", "total"}
     assert "cli.py" in lines["modules"] and "__init__.py" in lines["modules"]
     assert lines["total"] == sum(lines["modules"].values()) > 0
-    figures = [*bench["workloads"]["sweep"].values(),
-               *bench["commands_ms"].values(), *bench["commands_rss_mb"].values(),
+    figures = [*bench["commands_ms"].values(), *bench["commands_rss_mb"].values(),
                *(f for fig in bench["reach"].values() for f in fig.values()),
                *layer_figures]
     for fig in figures:
         assert set(fig) == FIGURE, fig
         assert fig["runs"] == bench["runs"]
         assert fig["q1"] <= fig["median"] <= fig["q3"]
-        assert (fig["previous"] is None) == (fig["vs_previous"] is None)
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

@@ -279,9 +279,8 @@ def test_shared_factor_guards():
 
 
 def test_shared_factor_mismatch_raises(monkeypatch):
-    front = monomial._front
-    monkeypatch.setattr(monomial, "_front", lambda n, k: (
-        *front(n, k)[:3], monomial.SizeLaw(7, 1, 1)))
+    front = ring._front
+    monkeypatch.setattr(ring, "_front", lambda n, k: (*front(n, k)[:3], (7, 1, 1)))
     with pytest.raises(AssertionError,
                        match="shared-factor law broke at n=9, k=3: 7 != 6"):
         shared_factor_size(9, 3)

@@ -259,7 +259,8 @@ def test_single_pair_claims_give_their_texts(monkeypatch, theorem_id, n, k,
 
 # special-sizes reports the first reason that applies to a size: one
 # tampered row per reason, marked reducible, and the expected text it
-# must give (None: no reason applies, so the row passes).
+# must give (None: no reason applies, so the row passes). The check
+# reads k = 0 too: its size 2 has no reason.
 SPECIAL_REASONS = [
     (7, 1, 5, "prime-power size 5"),
     (10, 1, 4, "size 2**2 vs 2-adic valuation of n"),
@@ -268,6 +269,8 @@ SPECIAL_REASONS = [
     (7, 1, 10, "size 2 * 5**1, prime coprime to n"),
     (7, 1, 12, "size 4 * 3**1 on an odd modulus"),
     (48, 5, 8, None),
+    (7, 0, 2, None),
+    (10, 0, 2, None),
 ]
 
 

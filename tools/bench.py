@@ -1,12 +1,10 @@
-"""Write a BENCH_<pr>.json: the end-to-end figures of this checkout.
+"""Write a BENCH_<pr>.json: the figures of this checkout that no other
+tool measures.
 
-    python3 tools/bench.py --out BENCH_31.json        # about 3 minutes
+    python3 tools/bench.py --out BENCH_31.json        # about 2.5 minutes
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:
-  - perfbench/run.py --trace 0, unchanged, once per workload of
-    BENCHMARK.json, at its run_seconds and seed SEED; the figures are the
-    end-to-end metrics of its last line;
   - each command of COMMANDS as a child of its own, right after a child
     of the interpreter floor python -c pass: each one's spawn-to-exit
     wall time, and its peak RSS from os.wait4;
@@ -18,25 +16,24 @@ Each of RUNS rounds runs, as children of this process:
     run, reported in the layers section.
 The code_lines section counts the lines of each module of
 src/frieze_mod/ that hold code (not blank, not comment-only, not inside
-a docstring), and their total beside the previous file's total.
+a docstring), and their total.
 The order rotates from round to round, so that a host whose speed drifts
 spreads the drift over every figure rather than over the last ones.
-Each figure is the median and quartiles (inclusive method) of its runs,
-next to the median the previous BENCH file (the highest-numbered
-BENCH_<n>.json at the root, other than --out) holds for it, and the
-ratio of the two. The floor's figure holds every floor run, one per
-command and round. Each command's wall time also has an above_floor
-figure: the median and quartiles of its per-round differences to the
-floor run just before it. The floor drifts with the host, from one
-BENCH file to the next and within one, and a difference of adjacent
-runs is what the package's own start-up and work cost; it is not
-compared with the previous file, whose host may have been loaded
-otherwise (compare two trees by alternated runs instead). The
-Python version, the commit and the CPUs this process may run on (nproc;
-perfbench pins itself to one CPU, so it reports 1) are read here.
---smoke runs the sweep workload for 1 s, the two quickest commands and
-the reach commands and layer runs over small ranges only; it checks the
-file's shape, and its figures are no measurement.
+Each figure is the median and quartiles (inclusive method) of its runs.
+The floor's figure holds every floor run, one per command and round.
+Each command's wall time also has an above_floor figure: the median and
+quartiles of its per-round differences to the floor run just before it,
+since the floor drifts with the host within one file, and a difference
+of adjacent runs is what the package's own start-up and work cost.
+A BENCH file holds the figures of one checkout; two trees are compared
+by alternated runs, not across files, whose hosts may have been loaded
+otherwise. No perfbench workload runs here: perfbench/run.py measures
+them itself, and the tests and CI check the commands' outputs. The
+Python version, the commit and the CPUs this process may run on (nproc)
+are read here.
+--smoke runs the two quickest commands and the reach commands and layer
+runs over small ranges only; it checks the file's shape, and its
+figures are no measurement.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import ast
 import io
 import json
 import os
-import re
 import statistics
 import subprocess
 import sys
@@ -58,7 +54,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"
 RUNS = 3
-SEED = 1
 FLOOR = "python -c pass"
 # The headline commands of ROADMAP.md's table, which no workload runs,
 # and one oplus line, whose time is start-up and the parse of its line.
@@ -113,40 +108,10 @@ def child(argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def workload(name: str, seconds: int) -> tuple[bool, dict]:
-    """One perfbench run of a workload: (correct, {metric: value})."""
-    res = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                          "--seed", str(SEED), "--seconds", str(seconds),
-                          "--trace", "0"],
-                         cwd=ROOT, capture_output=True, text=True, check=True)
-    result = json.loads(res.stdout.splitlines()[-1])
-    return result["correct"], {m: v["value"] for m, v in result["metrics"].items()}
-
-
 def figure(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "runs": len(values)}
-
-
-def previous_file(out: Path) -> Path | None:
-    """The highest-numbered BENCH_<n>.json at the root, other than out."""
-    found = [(int(m.group(1)), p) for p in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))
-             and p.resolve() != out.resolve()]
-    return max(found)[1] if found else None
-
-
-def compare(values: list[float], prev: dict, *keys: str) -> dict:
-    """The figure of values, with the median that prev holds under keys
-    and the ratio to it."""
-    fig = figure(values)
-    old = prev
-    for key in keys:
-        old = old.get(key) if isinstance(old, dict) else None
-    base = old.get("median") if isinstance(old, dict) else None
-    return {**fig, "previous": base,
-            "vs_previous": fig["median"] / base - 1 if base else None}
 
 
 def code_lines(source: str) -> int:
@@ -255,34 +220,24 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def main() -> int:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True,
                         help="the BENCH file to write")
     parser.add_argument("--smoke", action="store_true",
                         help="the smallest setting: checks the file's shape only")
     args = parser.parse_args()
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = ["sweep"] if args.smoke else [w["name"] for w in spec["workloads"]]
-    seconds = 1 if args.smoke else spec["run_seconds"]
     commands = [FLOOR, *(SMOKE_COMMANDS if args.smoke else COMMANDS)]
     reach = list(SMOKE_REACH if args.smoke else REACH)
     runs = list(SMOKE_LAYERS if args.smoke else LAYERS)
     children = commands[1:] + reach
     nproc = len(os.sched_getaffinity(0))
 
-    metrics = {name: {} for name in names}
-    correct = {name: True for name in names}
     walls = {c: [] for c in commands + reach}
     rss = {c: [] for c in commands + reach}
     paired = {c: [] for c in commands[1:]}     # command less the floor before it
     split = {run: [] for run in runs}
     for r in range(RUNS):
-        for name in names[r % len(names):] + names[:r % len(names)]:
-            ok, values = workload(name, seconds)
-            correct[name] &= ok
-            for m, v in values.items():
-                metrics[name].setdefault(m, []).append(v)
         for c in children[r % len(children):] + children[:r % len(children)]:
             if c in paired:
                 floor, peak = child(["-c", "pass"])
@@ -296,57 +251,40 @@ def main() -> int:
         for run in runs[r % len(runs):] + runs[:r % len(runs)]:
             split[run].append(layers(run))
 
-    prev_path = previous_file(args.out)
-    prev = json.loads(prev_path.read_text()) if prev_path else {}
     modules = {p.name: code_lines(p.read_text())
                for p in sorted(PACKAGE.glob("*.py"))}
-    commands_ms = {c: compare(walls[c], prev, "commands_ms", c)
-                   for c in commands}
+    commands_ms = {c: figure(walls[c]) for c in commands}
     for c, diffs in paired.items():
         commands_ms[c]["above_floor"] = figure(diffs)
     report = {
-        "description": "Medians and quartiles of perfbench/run.py --trace 0 "
-                       "(end-to-end metrics, one child per run) and of child "
-                       "process wall times and peak RSS of the headline "
-                       "and reach commands, at one checkout, written by "
-                       "tools/bench.py.",
+        "description": "Medians and quartiles of child process wall times "
+                       "and peak RSS of the headline and reach commands, "
+                       "and of the phases of in-process layer runs, at one "
+                       "checkout, written by tools/bench.py.",
         "setting": "smoke" if args.smoke else "full",
         "python": sys.version.split()[0],
         "nproc": nproc,
         "commit": git("rev-parse", "HEAD") or None,
-        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
-        "seed": SEED, "seconds": seconds, "runs": RUNS,
-        "previous": prev_path.name if prev_path else None,
-        "correct": correct,
-        "workloads": {name: {m: compare(v, prev, "workloads", name, m)
-                             for m, v in ms.items()}
-                      for name, ms in metrics.items()},
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "runs": RUNS,
         "commands_ms": commands_ms,
-        "commands_rss_mb": {c: compare(rss[c], prev, "commands_rss_mb", c)
-                            for c in commands},
-        "reach": {c: {"ms": compare(walls[c], prev, "reach", c, "ms"),
-                      "rss_mb": compare(rss[c], prev, "reach", c, "rss_mb")}
+        "commands_rss_mb": {c: figure(rss[c]) for c in commands},
+        "reach": {c: {"ms": figure(walls[c]), "rss_mb": figure(rss[c])}
                   for c in reach},
         "layers": {run: {
-            "total_ms": compare([f["total_ms"] for f in figs], prev,
-                                "layers", run, "total_ms"),
-            "other_ms": compare([f["other_ms"] for f in figs], prev,
-                                "layers", run, "other_ms"),
+            "total_ms": figure([f["total_ms"] for f in figs]),
+            "other_ms": figure([f["other_ms"] for f in figs]),
             "phases": {name: {
-                "own_ms": compare([f["phases"][name]["own_ms"] for f in figs],
-                                  prev, "layers", run, "phases", name, "own_ms"),
+                "own_ms": figure([f["phases"][name]["own_ms"] for f in figs]),
                 "calls": figs[-1]["phases"][name]["calls"]}
                 for name, _, _ in PHASES},
-            "checks_ms": {i: compare([f["checks_ms"][i] for f in figs], prev,
-                                     "layers", run, "checks_ms", i)
+            "checks_ms": {i: figure([f["checks_ms"][i] for f in figs])
                           for i in figs[-1]["checks_ms"]}}
             for run, figs in split.items()},
-        "code_lines": {"modules": modules, "total": sum(modules.values()),
-                       "previous": prev.get("code_lines", {}).get("total")},
+        "code_lines": {"modules": modules, "total": sum(modules.values())},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0 if all(correct.values()) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

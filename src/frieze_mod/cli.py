@@ -28,8 +28,8 @@ modulus at a time (rows._table) as rows.fill_rows reads each from the
 one class-tuple fill that the law battery reads too (rows.fill_tuples),
 so its memory does not grow with its table, and an internal error comes
 after the lines of the moduli before it. Each decides afresh on every
-run and prints straight from a pair's (size, sign, kind) head and
-witness. --no-cache is accepted for compatibility and does nothing; no
+run and prints straight from fields 0-2 of a pair's verdict record,
+its (size, sign, kind), and its witness. --no-cache is accepted for compatibility and does nothing; no
 command reads or writes a file besides --out. N and K are plain
 integers; K is taken mod N and may be negative.
 
@@ -116,7 +116,7 @@ def _bordered(k: int, w: int, x: int, y: int) -> str:
 
 def _pair(command: str, n: int, k: int, force: bool):
     """The front of classify and witness: the modulus, size-limit and
-    --force gates, then (k mod n, its (head, wit) from pair._pair_row),
+    --force gates, then (k mod n, its (verdict, wit) from pair._pair_row),
     which reads ring._front: n factored once, one descent per
     prime-power factor and the 3N cap checked before any corner scan."""
     _check_modulus(n)
@@ -128,7 +128,7 @@ def _pair(command: str, n: int, k: int, force: bool):
 
 def classify(n: int, k: int, force: bool):
     """Verdict for the minimal constant-K solution mod N."""
-    k, ((size, _, kind), wit) = _pair("classify", n, k, force)
+    k, ((size, _, kind, _), wit) = _pair("classify", n, k, force)
     if wit:
         print(f"reducible; witness size {wit[0]}: ({_bordered(k, *wit[:3])})")
     elif kind == "irreducible":

@@ -20,12 +20,13 @@ A corner is a bare j; one witness step (_witness) doubles to u_j by
 ring._lucas, checks that the corner closes up and closes it in closed
 form.
 
-A decided pair is a (head, wit): head is the (size, sign, kind) of its
-verdict and wit its witness (w, x, y, eps), or None. The range fill
-(rows.fill_tuples, rows.fill_rows) decides each class tuple with
-_verdict, keeping the record itself, and builds each witness with
-_witness. This module imports ring alone, so classify, witness and
-is_irreducible_monomial compile no range fill.
+A decided pair is a (verdict, wit): verdict is the record _verdict
+gives, (size, sign, kind, first corner), and wit its witness
+(w, x, y, eps), or None. The range fill (rows.fill_tuples,
+rows.fill_rows) decides each class tuple with _verdict, hands on the
+record itself, and builds each witness with _witness. This module
+imports ring alone, so classify, witness and is_irreducible_monomial
+compile no range fill.
 """
 
 from .ring import _front, _lucas
@@ -148,11 +149,13 @@ def _verdict(classes, law):
 
 
 def _pair_row(n: int, k: int) -> tuple:
-    """The (head, wit) of k mod n: its verdict (_verdict) from the class
-    tuple that ring._front gives, after the front has checked n and the
-    size against the 3N cap, and the witness at its corner: kind
+    """The (verdict, wit) of k mod n: its verdict record (size, sign,
+    kind, first corner), as _verdict gives it from the class tuple that
+    ring._front gives, after the front has checked n and the size
+    against the 3N cap, and the witness at its first corner: kind
     "reducible", "irreducible" or, for k = 0 mod n, "zero-convention",
-    and wit None when there is no witness (always for k = 0, of size 2)."""
+    and wit None when there is no corner (always for k = 0, of size 2)."""
     k, _, classes, law = _front(n, k)
-    size, sign, kind, j = _verdict(classes, law)
-    return (size, sign, kind), None if j is None else _witness(n, k, j)
+    verdict = _verdict(classes, law)
+    # no corner is 0, so a verdict without one gives wit None
+    return verdict, verdict[3] and _witness(n, k, verdict[3])

@@ -1,6 +1,6 @@
 """Reducibility of minimal constant solutions, as verdict objects.
 
-The (head, wit) pairs of pair.py become MonomialVerdict and
+The (verdict, wit) pairs of pair.py become MonomialVerdict and
 ReductionWitness records here.
 
 A solution of size l reduces when some member of its rotation/reversal
@@ -60,9 +60,11 @@ class MonomialVerdict(NamedTuple):
     @classmethod
     def from_row(cls, n: int, k: int, head: tuple,
                  wit: Optional[tuple]) -> "MonomialVerdict":
-        """The verdict of k mod n (0 <= k < n) from its (head, wit), as
-        pair._pair_row and rows.fill_rows give them."""
-        return cls(n, k, *head, wit and ReductionWitness(n, k, *wit))
+        """The verdict of k mod n (0 <= k < n) from its (verdict, wit), as
+        pair._pair_row and rows.fill_rows give them: head is the verdict
+        record (size, sign, kind, first corner), or its first three
+        fields, and only those three are read."""
+        return cls(n, k, *head[:3], wit and ReductionWitness(n, k, *wit))
 
 
 def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
@@ -74,5 +76,5 @@ def is_irreducible_monomial(n: int, k: int) -> MonomialVerdict:
     which for constant solutions is equivalent to the general
     decomposition search (cross-checked in the tests).
     """
-    head, wit = _pair_row(n, k)     # checks n (ring._front)
-    return MonomialVerdict.from_row(n, k % n, head, wit)
+    verdict, wit = _pair_row(n, k)      # checks n (ring._front)
+    return MonomialVerdict.from_row(n, k % n, verdict, wit)

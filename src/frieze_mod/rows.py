@@ -15,14 +15,15 @@ proved in _orbits); every other prime power from one descent per k
 
 The law battery (verify) reads the verdicts of fill_tuples, and builds
 no witness; fill_rows, which survey prints (_table), reads it per k: the
-head, the (size, sign, kind) of the verdict of the tuple of every k, and
-the witness of each k <= n/2 doubled at its tuple's first corner
-(pair._witness). A witness is (w, x, y, eps), or None, as in pair.py.
+verdict record of the tuple of every k, that object itself, and the
+witness of each k <= n/2 doubled at its first corner (pair._witness). A
+witness is (w, x, y, eps), or None, as in pair.py.
 """
 
 from collections import namedtuple
 from itertools import compress, product
 from math import gcd
+from operator import itemgetter
 
 from .pair import _verdict, _witness
 from .ring import _capped, _class, _crt_size, _lucas, _size_cap, factorize
@@ -83,17 +84,17 @@ def _orbits(p: int) -> list:
 
 
 def fill_rows(moduli):
-    """Yield (n, heads, wits) for the distinct moduli n (a range or a set,
-    in any order) ascending, k ascending in both lists: heads[k] is the
-    (size, sign, kind) of k mod n and wits[k] its witness (w, x, y, eps),
-    or None, so (heads[k], wits[k]) is the (head, wit) pair._pair_row gives.
+    """Yield (n, verdicts, wits) for the distinct moduli n (a range or a
+    set, in any order) ascending, k ascending in both lists: verdicts[k]
+    is the verdict record (size, sign, kind, first corner) of k mod n and
+    wits[k] its witness (w, x, y, eps), or None, so
+    (verdicts[k], wits[k]) is the (verdict, wit) pair._pair_row gives.
     It is a view of fill_tuples, which decides each class tuple once per
-    call (_verdict) and checks every size against the 3N cap: heads[k] is
-    the head of the verdict of the tuple of k, found through the parts'
-    slots, one object per distinct head of the call, and the witness of
-    each k <= n/2 whose tuple has a corner (field 3 of its verdict) is
-    built there, those k picked in one pass over the corners, and
-    mirrored to n - k.
+    call (_verdict) and checks every size against the 3N cap:
+    verdicts[k] is the very record fill_tuples holds for the tuple of k,
+    found through the parts' slots, and the witness of each k <= n/2
+    with a corner (field 3 of its record) is built there, those k picked
+    in one pass over the corners, and mirrored to n - k.
     A repeated modulus is filled once; one below 2 raises ValueError at
     the first next(). survey and verify.monomial_row read it; the law
     battery reads fill_tuples, and builds no witness.
@@ -122,19 +123,16 @@ def fill_rows(moduli):
     A prime power q keeps its classes for the rest of the call when
     2 * q is at most the largest modulus (_class_source).
     """
-    head = _Rendered(lambda h: h)   # one object per distinct head
     for t in fill_tuples(moduli):
-        n, index = t.n, t.indexes()
-        heads = [head[v[:3]] for v in t.verdicts]
-        corners = [v[3] for v in t.verdicts]
+        n, verdicts = t.n, list(map(t.verdicts.__getitem__, t.indexes()))
         wits = [None] * n
         # no corner is 0, so compress picks the k <= n/2 with a corner
-        for k in compress(range(n // 2 + 1), map(corners.__getitem__, index)):
-            wits[k] = w, x, _, e = _witness(n, k, corners[index[k]])
+        for k in compress(range(n // 2 + 1), map(itemgetter(3), verdicts)):
+            wits[k] = w, x, _, e = _witness(n, k, verdicts[k][3])
             if k + k != n:
                 x = -x % n
                 wits[n - k] = w, x, x, -e if w % 2 else e
-        yield n, list(map(heads.__getitem__, index)), wits
+        yield n, verdicts, wits
 
 
 _FIELDS = ("N", "k", "size", "sign", "verdict",
@@ -144,9 +142,9 @@ _CSV_HEADER = ",".join(_FIELDS)
 
 class _Rendered(dict):
     """The value of each key, rendered by render(key) on first use and
-    kept: the text of a head (_table), the verdict of a class tuple, the
-    mirror of a class and the one object of each distinct verdict
-    (fill_tuples), the one object of each distinct head (fill_rows)."""
+    kept: the text of a verdict record (_table), the verdict of a class
+    tuple, the mirror of a class and the one object of each distinct
+    verdict (fill_tuples)."""
 
     def __init__(self, render):
         super().__init__()
@@ -158,23 +156,25 @@ class _Rendered(dict):
 
 
 def _table(fmt: str, rows):
-    """The text of survey in fmt from rows, the (n, heads, wits) of
+    """The text of survey in fmt from rows, the (n, verdicts, wits) of
     fill_rows: the CSV header, then one string per modulus, its lines, k
     ascending, each ending in a newline. JSON lines are what json.dumps
     gives for each pair's dict: every field is an int, null or one of the
-    three bare verdict words. A head is shared by every k of the survey
-    with that head, across moduli too (fill_rows), so the part of a
-    line each distinct head gives, and each k, is rendered once."""
+    three bare verdict words. A line reads fields 0-2 of its verdict
+    record, the (size, sign, kind), and each distinct record of the
+    survey, across moduli too (fill_tuples), renders that part of a line
+    once, as each k is rendered once."""
     csv = fmt == "csv"
     if csv:
         yield _CSV_HEADER + "\n"
+    # format reads fields 0-2 and leaves the first corner unread
     parts = _Rendered(
-        (lambda head: ",{},{},{},".format(*head)) if csv else
-        (lambda head: '"size": {}, "sign": {}, "verdict": "{}", '.format(*head)))
+        (lambda v: ",{},{},{},".format(*v)) if csv else
+        (lambda v: '"size": {}, "sign": {}, "verdict": "{}", '.format(*v)))
     ks = []     # str(k) for every k below the largest modulus so far
-    for n, heads, wits in rows:
+    for n, verdicts, wits in rows:
         ks += map(str, range(len(ks), n))
-        lines = zip(ks, map(parts.__getitem__, heads), wits)
+        lines = zip(ks, map(parts.__getitem__, verdicts), wits)
         if csv:
             p = f"{n},"
             yield "".join([f"{p}{k}{part},,\n" if w is None else
@@ -215,10 +215,10 @@ class Tuples(namedtuple("Tuples", "n parts verdicts")):
     one class of each, and tuple i is the i-th of their product, the
     last factor varying fastest.
     verdicts[i] is its one (size, sign, kind, first corner) record
-    (_verdict), shared by every tuple of the call with that verdict:
-    fields 0-2 are the head of each of its k, and field 3 is the first
-    corner j, or None, where each k has its smallest witness, of size
-    j + 2 (pair._witness). By the CRT its k are those
+    (_verdict), shared by every tuple of the call with that verdict and
+    handed on as the verdict of each of its k (fill_rows): field 3 is
+    the first corner j, or None, where each k has its smallest witness,
+    of size j + 2 (pair._witness). By the CRT its k are those
     with k mod q among the residues of its class for every q (indexes);
     tuple 0 is k = 0 alone. The tuples themselves are not kept: classes()
     yields them again, in index order."""

@@ -3,8 +3,8 @@
 A law is one record in _LAWS, (check, hypothesis, range text),
 registered with _law; its check is the module's verify_* function of
 that law. check(n, t) reads t, the class tuples of n and their
-verdicts (Tuples) through fields 0-2, the (size, sign, kind) of a head
-(no law reads a corner or a witness; only _claim unpacks all four), and
+verdicts (Tuples) through fields 0-2 of each record, its (size, sign,
+kind) (no law reads a corner or a witness; only _claim unpacks all four), and
 the factorization of n from t.parts, each Part the prime p and the
 prime power q of one factor (rows.Part), so no check factors n again. It
 yields one item (where, verdict) for each class tuple or pair of n that
@@ -76,14 +76,14 @@ class TheoremReport(namedtuple("TheoremReport", "theorem_id range status "
 @lru_cache(maxsize=2048)
 def monomial_row(n: int) -> tuple:
     """All k classifications for one modulus, as verdict objects, kept in
-    an LRU across calls; built from the heads and witnesses of
+    an LRU across calls; built from the verdict records and witnesses of
     fill_rows((n,)), the same ones survey prints. The verifiers read the
     verdicts of class tuples instead (rows.fill_tuples)."""
     # reduce (verdict objects) is loaded here, not by the battery
     from .reduce import MonomialVerdict
-    (_, heads, wits), = fill_rows((n,))
-    return tuple(MonomialVerdict.from_row(n, k, head, wit)
-                 for k, (head, wit) in enumerate(zip(heads, wits)))
+    (_, verdicts, wits), = fill_rows((n,))
+    return tuple(MonomialVerdict.from_row(n, k, verdict, wit)
+                 for k, (verdict, wit) in enumerate(zip(verdicts, wits)))
 
 
 # Hypothesis classifiers: they pick the moduli of a law (_moduli) before
@@ -409,12 +409,13 @@ class SurveyRow(namedtuple("SurveyRow", "n_modulus k size sign verdict "
 
 
 def survey_rows(lo: int, hi: int) -> Iterator[SurveyRow]:
-    """One row per (n, k), n ascending then k ascending, from the heads
-    and witnesses of fill_rows over [lo, hi], each modulus decided as it
-    is reached. An empty range yields nothing; lo below 2 raises
-    ValueError at the call."""
+    """One row per (n, k), n ascending then k ascending, from fields 0-2
+    of the verdict records (size, sign, kind) and the witnesses of
+    fill_rows over [lo, hi], each modulus decided as it is reached. An
+    empty range yields nothing; lo below 2 raises ValueError at the
+    call."""
     if lo < 2:
         raise ValueError(f"moduli start at 2, got {lo}")
-    return (SurveyRow(n, k, *head, *(wit or (None,) * 3)[:3])
-            for n, heads, wits in fill_rows(range(lo, hi + 1))
-            for k, (head, wit) in enumerate(zip(heads, wits)))
+    return (SurveyRow(n, k, *verdict[:3], *(wit or (None,) * 3)[:3])
+            for n, verdicts, wits in fill_rows(range(lo, hi + 1))
+            for k, (verdict, wit) in enumerate(zip(verdicts, wits)))

@@ -19,9 +19,10 @@ argv_mismatches checks the parse of well-formed lines
 (cli._well_formed), and double_dash_failures the parse of lines with a
 second --. So does the
 law battery, which decides each law once per class tuple (verify):
-REFERENCE holds each law's check pair by pair over the (size, sign,
-kind) heads of rows.fill_rows, where the battery reads fields 0-2 of
-the verdict records of rows.fill_tuples, and law_items gives both
+REFERENCE holds each law's check pair by pair over the per-k verdict
+records of rows.fill_rows, where the battery reads the records of
+rows.fill_tuples per class tuple, both through fields 0-2 (size, sign,
+kind), and law_items gives both
 sides' verdicts pair by pair (law_mismatches compares them). The
 battery reads each modulus's factorization from the fill's parts; the
 references factor n, and split it by helpers of their own
@@ -157,20 +158,21 @@ def corner_power(n: int, k: int, j: int):
 
 
 def walked_row(n: int, k: int) -> tuple:
-    """The reference (head, wit) of k mod n: the verdict of the walk's
-    one class (walked_verdict), in place of the package's verdict
-    (pair._verdict) over the class tuple of n's prime-power factors (the
-    walk checks the 3N cap itself), and the witness at its first corner
-    j closed by the general endpoint solve (_endpoints) on M(k)**j from
-    the recurrence (corner_power). So the head shares neither
-    pair._verdict nor ring._crt_size, and the witness neither
+    """The reference (verdict, wit) of k mod n, in the shape of
+    pair._pair_row: the verdict record (size, sign, kind, first corner)
+    of the walk's one class (walked_verdict), in place of the package's
+    verdict (pair._verdict) over the class tuple of n's prime-power
+    factors (the walk checks the 3N cap itself), and the witness at its
+    first corner j closed by the general endpoint solve (_endpoints) on
+    M(k)**j from the recurrence (corner_power). So the record shares
+    neither pair._verdict nor ring._crt_size, and the witness neither
     ring._lucas nor the closed form of pair._witness."""
     verdict = walked_verdict(_walk(n, k))
-    head, j = verdict[:3], verdict[3]
+    j = verdict[3]
     if j is None:
-        return head, None
+        return verdict, None
     ends = _endpoints(corner_power(n, k, j), n)
-    return head, ends and (j + 2, *ends)
+    return verdict, ends and (j + 2, *ends)
 
 
 def _endpoints(p_mat, n):
@@ -431,8 +433,9 @@ def double_dash_failures(max_tokens: int):
 
 
 # The reference of each law of the battery: its hypothesis on n (or its
-# fixed moduli) and its check over heads(n), the (size, sign, kind) of
-# every k mod n from rows.fill_rows, yielding (k, verdict) pair by pair
+# fixed moduli) and its check over heads(n), the verdict record of
+# every k mod n from rows.fill_rows, of which it reads fields 0-2 (size,
+# sign, kind), yielding (k, verdict) pair by pair
 # (k = -1 for an existence claim): verdict True, or the (observed,
 # expected) texts of the Counterexample. The shapes of sizes and moduli
 # (_special_reason, odd_half, _crt_pair) come from verify, whose tests
@@ -597,9 +600,9 @@ def reference_moduli(theorem_id, lo, hi):
 
 
 def reference_heads(lo, hi):
-    """heads(n): the fill_rows heads of every modulus the references
-    read over [lo, hi], the odd halves that three-h-criterion reads
-    included."""
+    """heads(n): the fill_rows verdict records of every modulus the
+    references read over [lo, hi], the odd halves that three-h-criterion
+    reads included."""
     moduli = {n for i in REFERENCE for n in reference_moduli(i, lo, hi)}
     moduli |= {n // 2 for n in reference_moduli("three-h-criterion", lo, hi)}
     return {n: heads for n, heads, _ in fill_rows(moduli)}.__getitem__

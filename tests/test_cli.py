@@ -346,14 +346,14 @@ def test_survey_csv(runner):
 
 
 def test_survey_lines_are_each_pairs_own(runner):
-    # survey renders the text of each distinct head once and reuses it,
-    # across moduli too; every line must still be the one its own pair
-    # gives when decided alone (pair._pair_row)
+    # survey renders the text of each distinct verdict record once and
+    # reuses it, across moduli too; every line must still be the one its
+    # own pair gives when decided alone (pair._pair_row)
     for fmt in ("csv", "json"):
         want = [_CSV_HEADER] if fmt == "csv" else []
         for n in range(2, 61):
             for k in range(n):
-                (size, sign, kind), wit = _pair_row(n, k)
+                (size, sign, kind, _), wit = _pair_row(n, k)
                 row = {"N": n, "k": k, "size": size, "sign": sign,
                        "verdict": kind, "witness_size": wit and wit[0],
                        "witness_x": wit and wit[1], "witness_y": wit and wit[2]}

@@ -258,41 +258,43 @@ def test_structure_census_sweep():
 
 
 def _filled(n):
-    """The (n, heads, wits) of the modulus n filled alone."""
+    """The (n, verdicts, wits) of the modulus n filled alone."""
     return next(fill_rows((n,)))
 
 
 def _pair(v):
-    """The (head, wit) of a verdict, as _pair_row gives it."""
+    """The (verdict, wit) of a MonomialVerdict, as _pair_row gives it:
+    the first corner is the witness size - 2, or None without one."""
     w = v.witness
-    return (v.size, v.sign, v.kind), w and (w.size, w.x, w.y, w.sign)
+    return ((v.size, v.sign, v.kind, w and w.size - 2),
+            w and (w.size, w.x, w.y, w.sign))
 
 
-def _check_witness(n, k, head, wit):
+def _check_witness(n, k, verdict, wit):
     """The pair's witness, if any, multiplied out by the nested-list
     product: a solution of its sign, shorter than the size."""
     if wit is not None:
         w, x, y, w_sign = wit
         entries = [x] + [k] * (w - 2) + [y]
         assert pm_sign(product(entries, n), n) == w_sign, (n, k)
-        assert w < head[0], (n, k)
+        assert w < verdict[0], (n, k)
 
 
 def test_decide_row_matches_the_reference_walk():
     # half of each row of fill_rows is composed from the classes of its
     # prime-power factors (orbits or descent), and half mirrored; every
-    # pair (heads[k], wits[k]) against one nested-list walk (its size,
+    # pair (verdicts[k], wits[k]) against one nested-list walk (its size,
     # sign and first +-1 corner), against its own single pair (_pair_row)
     # and the walk's one class composed (walked_row), and by its witness
     # closed around the walked corner power. Budget 15 s; measured 4.9 s
     # alone (2 cores, Python 3.11.7, shared host): 3.1 s in the nested-list
     # walk, 0.9 s in _pair_row, 0.5 s in walked_row and 0.05 s in the fill
     last = 1
-    for n, heads, wits in fill_rows(range(2, 401)):
+    for n, verdicts, wits in fill_rows(range(2, 401)):
         assert n == last + 1
         last = n
-        assert len(heads) == len(wits) == n
-        for k, pair in enumerate(zip(heads, wits)):
+        assert len(verdicts) == len(wits) == n
+        for k, pair in enumerate(zip(verdicts, wits)):
             size, sign, j, mj = walk_first_corner(n, k)
             assert pair[0][:2] == (size, sign), (n, k)
             assert pair == _pair_row(n, k) == walked_row(n, k), (n, k)
@@ -315,8 +317,8 @@ def test_higher_prime_power_rows_match_the_reference_walk():
     powers = [q for q in range(401, 1101)
               if len(factorize(q)) == 1 and factorize(q)[0][1] >= 2]
     assert powers == [512, 529, 625, 729, 841, 961, 1024]
-    for q, heads, wits in fill_rows(powers):
-        assert list(zip(heads, wits)) == [walked_row(q, k) for k in range(q)], q
+    for q, verdicts, wits in fill_rows(powers):
+        assert list(zip(verdicts, wits)) == [walked_row(q, k) for k in range(q)], q
 
 
 def test_corner_lemma_on_prime_powers():
@@ -363,9 +365,9 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     # other factors, among them 2m against 4m (q = 2 has no say on the
     # sign, q = 4 has): one call decides each tuple of classes once, and
     # its rows equal one call per modulus and the walk of every pair.
-    # Within one call, fill_tuples holds one object per distinct verdict
-    # and fill_rows one object per distinct head, over these moduli and
-    # over n <= 250
+    # Within one call, fill_tuples holds one object per distinct verdict,
+    # and fill_rows hands on, for each k, the very record fill_tuples
+    # holds for the tuple of k, over these moduli and over n <= 250
     moduli = {6, 10, 12, 15, 20, 21, 35, 60, 105, 1155, 2310}
     verdict, decided = rows_mod._verdict, []
 
@@ -378,15 +380,29 @@ def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):
     shared = len(decided)
     assert fills == [_filled(n) for n in sorted(moduli)]
     assert len(set(decided)) == shared < len(decided) - shared
-    for n, heads, wits in fills:
-        assert list(zip(heads, wits)) == [walked_row(n, k) for k in range(n)], n
-    heads = {id(h) for _, hs, _ in fills for h in hs[1:]}
-    assert len(heads) <= 2 * shared < sum(n - 1 for n in moduli)
+    for n, verdicts, wits in fills:
+        assert list(zip(verdicts, wits)) == [walked_row(n, k) for k in range(n)], n
+    records = {id(v) for _, vs, _ in fills for v in vs[1:]}
+    assert len(records) <= 2 * shared < sum(n - 1 for n in moduli)
+    tuples, filled = rows_mod.fill_tuples, []
+
+    def kept(ms):
+        for t in tuples(ms):
+            filled.append(t)
+            yield t
+
     for ms in (moduli, range(2, 251)):
         verdicts = [v for t in fill_tuples(ms) for v in t.verdicts]
         assert len({id(v) for v in verdicts}) == len(set(verdicts)), ms
-        heads = [h for _, hs, _ in fill_rows(ms) for h in hs]
-        assert len({id(h) for h in heads}) == len(set(heads)), ms
+        records = []
+        with monkeypatch.context() as m:
+            m.setattr(rows_mod, "fill_tuples", kept)
+            for n, vs, _ in fill_rows(ms):
+                t = filled[-1]
+                assert t.n == n and all(
+                    v is t.verdicts[i] for v, i in zip(vs, t.indexes())), n
+                records += vs
+        assert len({id(v) for v in records}) == len(set(records)), ms
 
 
 def test_no_row_walks_and_witnessed_pairs_double(monkeypatch, tmp_path):
@@ -630,14 +646,13 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
     # power q = p**a of one factor, p ascending (the law checks read it
     # there); the tuple of every k (indexes) is its class mod each q,
     # read from the parts' slots; every tuple holds some k (tuple 0
-    # k = 0 alone), and each k has as its head the fields 0-2 of that
-    # verdict, which fill_rows gives it, sign included (no law reads the
-    # sign). Each
+    # k = 0 alone), and each k has that verdict, which fill_rows gives
+    # it, sign and first corner included (no law reads either). Each
     # tuple's verdict is the one its classes decide, and each k <= n/2
     # has a witness exactly when its tuple has a corner, of size that
     # corner + 2. About 0.3 s
     tuples = fill_tuples(range(2, 301))
-    for (n, heads, wits), t in zip(fill_rows(range(2, 301)), tuples):
+    for (n, verdicts, wits), t in zip(fill_rows(range(2, 301)), tuples):
         index, classes = t.indexes(), list(t.classes())
         assert t.n == n and len(index) == n
         assert [(p.p, p.q) for p in t.parts] == [
@@ -649,7 +664,7 @@ def test_class_tuples_expand_to_the_heads_of_the_rows():
             assert classes[i] == tuple(p.keys[p.slot[k % p.q]]
                                        for p in t.parts), (n, k)
             assert t.index(k) == i, (n, k)
-        assert [t.verdicts[i][:3] for i in index] == heads, n
+        assert [t.verdicts[i] for i in index] == verdicts, n
         for i, key in enumerate(classes):
             assert t.verdicts[i] == rows_mod._verdict(key, ring._crt_size(key)), (n, i)
         for k in range(n // 2 + 1):
@@ -771,12 +786,12 @@ def test_decide_rows_of_a_set_below_two_raises():
 
 
 def _mirrored(pair, n):
-    (size, sign, kind), wit = pair
-    head = size, sign * (-1) ** size, kind
+    (size, sign, kind, j), wit = pair
+    verdict = size, sign * (-1) ** size, kind, j
     if wit is None:
-        return head, None
+        return verdict, None
     w, x, y, w_sign = wit
-    return head, (w, -x % n, -y % n, w_sign * (-1) ** w)
+    return verdict, (w, -x % n, -y % n, w_sign * (-1) ** w)
 
 
 @given(st.integers(401, 5000), st.lists(st.integers(0, 10 ** 6), min_size=1,
@@ -785,10 +800,10 @@ def _mirrored(pair, n):
 def test_decide_row_beyond_400(n, ks):
     # the k <-> -k mirror, and agreement with the descent and with the
     # CRT assembly from the prime-power components
-    _, heads, wits = _filled(n)
+    _, verdicts, wits = _filled(n)
     for k in (k % n for k in ks):
-        pair = heads[k], wits[k]
-        mirror = heads[-k % n], wits[-k % n]
+        pair = verdicts[k], wits[k]
+        mirror = verdicts[-k % n], wits[-k % n]
         assert mirror == (pair if k in (0, n - k) else _mirrored(pair, n))
         assert pair == _pair(is_irreducible_monomial(n, k)), (n, k)
         assert pair[0][:2] == minimal_monomial_size(n, k), (n, k)

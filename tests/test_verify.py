@@ -1,11 +1,14 @@
+import io
 import json
 import time
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
 
 import frieze_mod.rows as rows_module
 import frieze_mod.verify as verify_module
+from frieze_mod.cli import main
 from frieze_mod.verify import (_LAWS, DEFAULT_FAMILY_PRIMES, VERIFIERS,
                                Counterexample, _crt_pair, _moduli,
                                _power_shapes, _unit_class, fill_tuples,
@@ -365,7 +368,7 @@ def heads_to_250():
 def test_each_law_matches_its_per_pair_reference(theorem_id, heads_to_250):
     # the battery decides each law once per class tuple: over every
     # n <= 250, its tuples expanded to their k cover the same pairs as
-    # the law checked pair by pair over the heads of fill_rows, with the
+    # the law checked pair by pair over the records of fill_rows, with the
     # same verdicts and texts (under a second, about 0.5 s for all ten)
     reference, battery = law_items(theorem_id, 2, 250, heads_to_250)
     assert reference, theorem_id
@@ -400,7 +403,7 @@ def test_tampered_tuples_fail_at_every_pair_they_hold(theorem_id, monkeypatch):
     # (12 prime powers below 100, both tuples at 17): the report lists
     # exactly those pairs, n ascending then k ascending, as the walk
     # finds them, and as the reference finds them over the fill_rows
-    # heads decided from the same tampered verdicts
+    # records decided from the same tampered verdicts
     verdict = rows_module._verdict
 
     def tampered(classes, law):
@@ -452,6 +455,21 @@ def test_survey_rows_empty_range_and_guard():
     # the guard runs at the call, not at the first row
     with pytest.raises(ValueError):
         survey_rows(1, 5)
+
+
+def test_survey_rows_are_the_survey_lines():
+    # the library's rows read the same fill as the command: each field
+    # printed as str, None as empty, joined by commas, is the survey
+    # line of its pair, for every pair with n <= 250 (31,374 lines)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["survey", "--max", "250"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == rows_module._CSV_HEADER
+    rows = [",".join("" if f is None else str(f) for f in r)
+            for r in survey_rows(2, 250)]
+    assert len(rows) == 31374
+    assert rows == lines[1:]
 
 
 def test_survey_row_carries_the_witness():

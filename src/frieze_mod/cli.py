@@ -29,7 +29,8 @@ one class-tuple fill that the law battery reads too (rows.fill_tuples),
 so its memory does not grow with its table, and an internal error comes
 after the lines of the moduli before it. Each decides afresh on every
 run and prints straight from fields 0-2 of a pair's verdict record,
-its (size, sign, kind), and its witness. --no-cache is accepted for compatibility and does nothing; no
+its (size, sign, kind), and its witness. --no-cache is accepted for
+compatibility and does nothing: main drops it after either parse. No
 command reads or writes a file besides --out. N and K are plain
 integers; K is taken mod N and may be negative.
 
@@ -303,7 +304,6 @@ def _well_formed(name: str, rest: list):
             return None
     if ... in opts.values():
         return None
-    opts.pop("no_cache", None)
     return opts
 
 
@@ -334,6 +334,7 @@ def main(argv=None) -> int:
             except SystemExit as e:     # --help printed the command's help
                 sys.stdout.flush()
                 return e.code
+        opts.pop("no_cache", None)      # a switch that changes nothing
         code = globals()[_COMMANDS[name].__name__](**opts) or 0
         sys.stdout.flush()
         return code

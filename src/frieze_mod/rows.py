@@ -135,9 +135,7 @@ def fill_rows(moduli):
         yield n, verdicts, wits
 
 
-_FIELDS = ("N", "k", "size", "sign", "verdict",
-           "witness_size", "witness_x", "witness_y")
-_CSV_HEADER = ",".join(_FIELDS)
+_CSV_HEADER = "N,k,size,sign,verdict,witness_size,witness_x,witness_y"
 
 
 class _Rendered(dict):
@@ -198,14 +196,6 @@ class Part(namedtuple("Part", "p q slot keys")):
     __slots__ = ()
 
 
-def _grouped(p, row) -> Part:
-    """The Part of a class row (the class of every k mod a power q of the
-    prime p, k ascending)."""
-    index = {}
-    return Part(p, len(row), [index.setdefault(c, len(index)) for c in row],
-                list(index))
-
-
 class Tuples(namedtuple("Tuples", "n parts verdicts")):
     """The class tuples of one modulus n and their verdicts (fill_tuples).
 
@@ -252,8 +242,9 @@ def fill_tuples(moduli):
     n with its prime p (Part, from _class_source), n factored once, and
     the verdict (size, sign, kind, first corner) of each class tuple of
     n. The verdict depends only on the tuple (pair._verdict), so every k
-    of a tuple shares it. By the CRT the
-    tuples of n are exactly the product of the classes of its factors;
+    of a tuple shares it. By the CRT the tuples of n are exactly the
+    product of the classes of its factors, in the order Tuples.classes
+    gives them;
     each is decided once per call (_verdict, with its CRT size law
     ring._crt_size), together with its mirror, the tuple of -k, whose
     verdict is built here from that of k with the sign times (-1)**size,
@@ -285,9 +276,8 @@ def fill_tuples(moduli):
 
     decided = _Rendered(decide)     # class tuple -> its verdict
     for n in moduli:
-        ps = tuple(parts(p, a) for p, a in factorize(n))
-        t = Tuples(n, ps, list(map(decided.__getitem__,
-                                   product(*(p.keys for p in ps)))))
+        t = Tuples(n, tuple(parts(p, a) for p, a in factorize(n)), [])
+        t.verdicts.extend(map(decided.__getitem__, t.classes()))
         # the kind fixes whether j is None: max orders no None and int
         if max(t.verdicts)[0] > _size_cap(n):      # some size past the cap
             for k, i in enumerate(t.indexes()):     # the least k past it
@@ -317,6 +307,8 @@ def _class_source(top):
             else:
                 half = [_class(p, a, k) for k in range(q // 2 + 1)]
                 row = half + [_negated(*c) for c in half[(q - 1) // 2:0:-1]]
-            kept[q] = _grouped(p, row)
+            index = {}      # class -> its index, by its least k
+            slot = [index.setdefault(c, len(index)) for c in row]
+            kept[q] = Part(p, q, slot, list(index))
         return kept[q] if 2 * q <= top else kept.pop(q)
     return parts

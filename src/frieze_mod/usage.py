@@ -79,14 +79,14 @@ def _parser(cli, name: str):
 
 def _parse(cli, name: str, rest: list) -> dict:
     """The arguments of the command line rest of one command of cli, as
-    its parser (_parser) reads them, less no_cache. Every token of an
-    oplus line but -- is an operand (entry lists such as -2,0,2 are no
-    options), unless the line asks for --help. Raises cli.UsageError, or
-    SystemExit once --help has printed the command's help."""
+    its parser (_parser) reads them, no_cache included (cli.main drops
+    it). Every token of an oplus line but -- is an operand (entry lists
+    such as -2,0,2 are no options), unless the line asks for --help.
+    Raises cli.UsageError, or SystemExit once --help has printed the
+    command's help."""
     if name == "oplus" and "--help" not in rest:
         rest = ["--", *(a for a in rest if a != "--")]
     opts = vars(_parser(cli, name).parse_args(rest))
-    opts.pop("no_cache", None)
     # argparse drops a second -- that is a positional's operand and
     # hands that positional an empty list: the -- is its operand
     for m in cli._SPECS[name][0].split():

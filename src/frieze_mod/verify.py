@@ -15,21 +15,24 @@ verdict is True when they obey the law, else the (observed, expected)
 texts of their Counterexample. So a law that reads size, sign and kind
 alone decides once per class tuple, and one that reads k itself (a
 single pair, or each k of a prime power) reads pairs; a claim on a
-single pair is one _claim. _moduli gives per id the moduli the check
-reads: those of the range that meet the hypothesis, or, for
-unbounded-family, six fixed moduli 3p.
+single pair is one _claim. _scope gives per id the moduli the check
+reads, those of the range that meet the hypothesis (or, for
+unbounded-family, six fixed moduli 3p), and the range field of its
+report.
 
-One driver, _sweep, serves run_all (every id) and each verifier (its
-own id, as run_verifier calls it). It walks one rows.fill_tuples over
-the union of the moduli the ids read, n ascending, runs on each modulus
-the check of every id that reads it, then drops its Tuples: a run holds
-the fill's memo and one modulus. It expands each failed tuple to its k
-through Tuples.indexes, n then k ascending, and builds each
-TheoremReport, whose elapsed_ms sums the id's check calls, each on its
-own clock, not the fill. An internal error of the fill
-(SizeCapExceeded) comes after the checks of the moduli before it, and
-no report is returned, so verify prints none. survey reads the same
-fill, per k, through rows.fill_rows (survey_rows, monomial_row).
+One driver, _sweep, serves run_all (every id) and run_verifier (its
+own id); each verifier VERIFIERS[id] is run_verifier bound to its id. It
+reads each id's record once per run, into one run record, and walks one
+rows.fill_tuples over the union of the moduli the ids read, n
+ascending, runs on each modulus the check of every id that reads it,
+then drops its Tuples: a run holds the fill's memo and one modulus. It
+expands each failed tuple to its k through Tuples.indexes, n then k
+ascending, and builds each TheoremReport, whose elapsed_ms sums the
+id's check calls, each on its own clock, not the fill. An internal
+error of the fill (SizeCapExceeded) comes after the checks of the
+moduli before it, and no report is returned, so verify prints none.
+survey reads the same fill, per k, through rows.fill_rows (survey_rows,
+monomial_row).
 
 Reports are deterministic (moduli ascending, k ascending); elapsed_ms is
 the one field that varies between runs.
@@ -40,7 +43,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from math import gcd
 
 from .ring import _crt_size, factorize
@@ -86,7 +89,7 @@ def monomial_row(n: int) -> tuple:
                  for k, (verdict, wit) in enumerate(zip(verdicts, wits)))
 
 
-# Hypothesis classifiers: they pick the moduli of a law (_moduli) before
+# Hypothesis classifiers: they pick the moduli of a law (_scope) before
 # the fill has factored any, so they work from n alone. Small and pure so
 # they can be unit tested on their own. A check reads the factorization
 # of its modulus from the fill instead: t.parts, one Part per prime power.
@@ -134,37 +137,42 @@ def _crt_pair(r1, q1, r2, q2):
 
 VERIFIERS: dict[str, Callable[..., TheoremReport]] = {}
 # theorem id -> (check, hypothesis, range text): the record of each law,
-# which _sweep reads, so a caller may wrap the values of VERIFIERS
+# which _sweep reads once per run, so a caller may wrap the values of
+# VERIFIERS
 _LAWS = {}
+
+
+def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
+    """Run one verifier by id over [lo, hi] (unbounded-family ignores the
+    range), on only the tuples of the moduli its law reads. Each
+    VERIFIERS[theorem_id] is this function bound to its id."""
+    if theorem_id not in VERIFIERS:
+        known = ", ".join(VERIFIERS)
+        raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
+    return _sweep([theorem_id], lo, hi)[0]
 
 
 def _law(theorem_id, hypothesis, range_text):
     """Register a check(n, t) as the law theorem_id, in _LAWS, and as the
-    verifier VERIFIERS[theorem_id](lo, hi), which runs _sweep over its
-    id alone. hypothesis(n) picks the moduli of the range the law reads
-    (_moduli); a tuple of fixed moduli stands for a law that ignores the
-    range, and then range_text is the whole range field (_range)."""
+    verifier VERIFIERS[theorem_id], run_verifier bound to its id.
+    hypothesis(n) picks the moduli of the range the law reads (_scope);
+    a tuple of fixed moduli stands for a law that ignores the range, and
+    then range_text is the whole range field."""
     def register(check):
         _LAWS[theorem_id] = check, hypothesis, range_text
-        VERIFIERS[theorem_id] = lambda lo=2, hi=150: _sweep([theorem_id], lo, hi)[0]
+        VERIFIERS[theorem_id] = partial(run_verifier, theorem_id)
         return check
     return register
 
 
-def _moduli(theorem_id, lo, hi):
-    """The moduli whose tuples the law reads over [lo, hi], ascending."""
-    _, hypothesis, _ = _LAWS[theorem_id]
-    if isinstance(hypothesis, tuple):
-        return hypothesis
-    return [n for n in range(max(lo, 2), hi + 1) if hypothesis(n)]
-
-
-def _range(theorem_id, lo, hi):
-    """The range field of the law's report over [lo, hi]."""
+def _scope(theorem_id, lo, hi):
+    """(moduli, range field) of the law over [lo, hi]: the moduli whose
+    tuples it reads, ascending, and the range field of its report."""
     _, hypothesis, text = _LAWS[theorem_id]
     if isinstance(hypothesis, tuple):
-        return text
-    return f"n in [{lo}, {hi}]" + (f", {text}" if text else "")
+        return hypothesis, text
+    return ([n for n in range(max(lo, 2), hi + 1) if hypothesis(n)],
+            f"n in [{lo}, {hi}]" + (f", {text}" if text else ""))
 
 
 def _claim(t, k, kind, size):
@@ -349,15 +357,6 @@ def verify_unbounded_family(n, t):
     yield _claim(t, p + 2 if p % 3 == 1 else p - 2, "irreducible", 4 * p)
 
 
-def run_verifier(theorem_id: str, lo: int = 2, hi: int = 150) -> TheoremReport:
-    """Run one verifier by id over [lo, hi] (unbounded-family ignores the
-    range), on only the tuples of the moduli its law reads."""
-    if theorem_id not in VERIFIERS:
-        known = ", ".join(VERIFIERS)
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    return VERIFIERS[theorem_id](lo, hi)
-
-
 def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
     """Every verifier in registry order, from one walk of the fill
     (_sweep)."""
@@ -366,39 +365,41 @@ def run_all(lo: int = 2, hi: int = 150) -> list[TheoremReport]:
 
 def _sweep(ids, lo, hi):
     """The TheoremReport of each id over [lo, hi], in the order of ids,
-    from one walk of the fill (module docstring). An id fails on every
+    from one walk of the fill (module docstring). Each id's record is
+    read once, into its run record [range field, counterexamples, hit,
+    seconds], which the checks of that id add to. An id fails on every
     pair of an item whose verdict is not True: a list of k in the order
     the check gives them, the k of the failed class tuples of a modulus
     merged ascending. It passes when some item came back, and is vacuous
     otherwise."""
-    readers = {}    # modulus -> the ids that read it
+    readers, runs = {}, []    # modulus -> its (check, run record) pairs
     for i in ids:
-        for n in _moduli(i, lo, hi):
-            readers.setdefault(n, []).append(i)
-    bad = {i: [] for i in ids}
-    hit = dict.fromkeys(ids, False)
-    seconds = dict.fromkeys(ids, 0.0)
+        moduli, field = _scope(i, lo, hi)
+        check, run = _LAWS[i][0], [field, [], False, 0.0]
+        runs.append(run)
+        for n in moduli:
+            readers.setdefault(n, []).append((check, run))
     for t in fill_tuples(readers):
         n = t.n
-        for i in readers[n]:
+        for check, run in readers[n]:
             t0 = time.perf_counter()
             failed, seen = {}, False    # failed: tuple -> its verdict
-            for where, verdict in _LAWS[i][0](n, t):
+            for where, verdict in check(n, t):
                 seen = True
                 if verdict is True:
                     continue
                 if isinstance(where, list):
-                    bad[i] += [Counterexample(n, k, *verdict) for k in where]
+                    run[1] += [Counterexample(n, k, *verdict) for k in where]
                 else:
                     failed[where] = verdict
             if failed:
-                bad[i] += [Counterexample(n, k, *failed[j])
+                run[1] += [Counterexample(n, k, *failed[j])
                            for k, j in enumerate(t.indexes()) if j in failed]
-            hit[i] = hit[i] or seen
-            seconds[i] += time.perf_counter() - t0
-    return [TheoremReport(i, _range(i, lo, hi),
-                          "fail" if bad[i] else "pass" if hit[i] else "vacuous",
-                          tuple(bad[i]), seconds[i] * 1000.0) for i in ids]
+            run[2] = run[2] or seen
+            run[3] += time.perf_counter() - t0
+    return [TheoremReport(i, field, "fail" if bad else "pass" if hit else "vacuous",
+                          tuple(bad), seconds * 1000.0)
+            for i, (field, bad, hit, seconds) in zip(ids, runs)]
 
 
 class SurveyRow(namedtuple("SurveyRow", "n_modulus k size sign verdict "

@@ -15,15 +15,14 @@ but they use the package's sign rule (modmat._sign, solution_sign), so
 unlike oracles.py they are not independent of it. The command
 line has a second route too: the argparse parse of each command
 (usage._parse, as cli.main reads a line it declines), against which
-argv_mismatches checks the parse of well-formed lines
-(cli._well_formed), and double_dash_failures the parse of lines with a
-second --. So does the
-law battery, which decides each law once per class tuple (verify):
+argv_sweep checks, in one pass, the parse of well-formed lines
+(cli._well_formed) and the parse of lines with a second --. So does
+the law battery, which decides each law once per class tuple (verify):
 REFERENCE holds each law's check pair by pair over the per-k verdict
 records of rows.fill_rows, where the battery reads the records of
 rows.fill_tuples per class tuple, both through fields 0-2 (size, sign,
-kind), and law_items gives both
-sides' verdicts pair by pair (law_mismatches compares them). The
+kind), and law_items gives both sides' verdicts pair by pair
+(law_mismatches compares them). The
 battery reads each modulus's factorization from the fill's parts; the
 references factor n, and split it by helpers of their own
 (two_three_split, _divisors), so the two sides share no split.
@@ -45,7 +44,7 @@ from frieze_mod.modmat import _sign, solution_sign
 from frieze_mod.ring import SizeCapExceeded, _size_cap, factorize
 from frieze_mod.rows import fill_rows
 from frieze_mod.usage import _parse
-from frieze_mod.verify import (_LAWS, _crt_pair, _moduli, _special_reason,
+from frieze_mod.verify import (_LAWS, _crt_pair, _scope, _special_reason,
                                fill_tuples, odd_half)
 from oracles import mat_mul, product
 
@@ -346,7 +345,7 @@ def witness_structure_check(n: int, k: int,
     return StructureReport(n, k, s, cap, tuple(found), tuple(violations))
 
 
-# The tokens argv_mismatches draws command lines from, besides each
+# The tokens argv_sweep draws command lines from, besides each
 # command's own options: small, negative and 2**64-sized integers,
 # strings int() rejects, dash tokens that are no option, an
 # --opt=value, both --format values and one it rejects, and --help.
@@ -370,27 +369,6 @@ def typed(opts):
     return None if opts is None else {k: (type(v), v) for k, v in opts.items()}
 
 
-def argv_mismatches(max_tokens: int):
-    """(mismatches, lines tried, lines cli._well_formed accepted) over
-    every command and every line of up to max_tokens tokens drawn from
-    ARGV_TOKENS and the command's options: a mismatch is a line that
-    _well_formed accepts but parses other than the command's argparse
-    parser (parsed_by_argparse)."""
-    bad, tried, accepted = [], 0, 0
-    for name, (_, options) in _SPECS.items():
-        alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
-        for size in range(max_tokens + 1):
-            for argv in itertools.product(alphabet, repeat=size):
-                tried += 1
-                got = _well_formed(name, list(argv))
-                if got is None:
-                    continue
-                accepted += 1
-                if typed(got) != typed(parsed_by_argparse(name, list(argv))):
-                    bad.append((name, argv))
-    return bad, tried, accepted
-
-
 def _declared(name: str, opts: dict) -> bool:
     """Whether opts holds the arguments of the command name, each of the
     type its _SPECS entry declares: N and K int, the other positionals
@@ -398,8 +376,7 @@ def _declared(name: str, opts: dict) -> bool:
     its choices, a switch bool."""
     args, options = _SPECS[name]
     kinds = {m.lower(): int if m in ("N", "K") else str for m in args.split()}
-    kinds.update((dest, kind) for _, dest, kind, _, _ in options
-                 if dest != "no_cache")
+    kinds.update((dest, kind) for _, dest, kind, _, _ in options)
     return opts.keys() == kinds.keys() and all(
         type(v) is bool if kind is None else
         v in kind if isinstance(kind, tuple) else
@@ -407,29 +384,39 @@ def _declared(name: str, opts: dict) -> bool:
         for v, kind in ((opts[dest], kind) for dest, kind in kinds.items()))
 
 
-def double_dash_failures(max_tokens: int):
-    """(failures, lines tried) over every command and every line of up to
-    max_tokens tokens, drawn as argv_mismatches draws them, that holds
-    two or more --: a failure is a line whose argparse parse
-    (usage._parse) neither raises UsageError, nor prints the command's
-    help, nor gives the arguments of the types _SPECS declares
+def argv_sweep(max_tokens: int):
+    """((mismatches, lines tried, lines accepted), (failures, lines
+    tried)) over every command and every line of up to max_tokens tokens
+    drawn from ARGV_TOKENS and the command's options, in one pass.
+
+    The first result checks the parse without argparse: a mismatch is a
+    line that cli._well_formed accepts but parses other than the
+    command's argparse parser (parsed_by_argparse). The second checks
+    the lines that hold two or more --: a failure is one whose argparse
+    parse (usage._parse) neither raises UsageError, nor prints the
+    command's help, nor gives the arguments of the types _SPECS declares
     (_declared)."""
-    bad, tried = [], 0
+    bad, tried, accepted, failures, dashed = [], 0, 0, [], 0
     for name, (_, options) in _SPECS.items():
         alphabet = ARGV_TOKENS + tuple(flag for flag, *_ in options)
-        for size in range(2, max_tokens + 1):
+        for size in range(max_tokens + 1):
             for argv in itertools.product(alphabet, repeat=size):
-                if argv.count("--") < 2:
-                    continue
                 tried += 1
-                with contextlib.redirect_stdout(io.StringIO()):
-                    try:
-                        opts = _parse(cli, name, list(argv))
-                    except (UsageError, SystemExit):
-                        continue
-                if not _declared(name, opts):
-                    bad.append((name, argv))
-    return bad, tried
+                line = list(argv)
+                got = _well_formed(name, line)
+                dashes = argv.count("--") > 1
+                if got is None and not dashes:
+                    continue
+                parsed = parsed_by_argparse(name, line)
+                if got is not None:
+                    accepted += 1
+                    if typed(got) != typed(parsed):
+                        bad.append((name, argv))
+                if dashes:
+                    dashed += 1
+                    if parsed is not None and not _declared(name, parsed):
+                        failures.append((name, argv))
+    return (bad, tried, accepted), (failures, dashed)
 
 
 # The reference of each law of the battery: its hypothesis on n (or its
@@ -612,21 +599,22 @@ def law_items(theorem_id, lo, hi, heads=None, tuples=None):
     """(reference, battery): the (n, k, verdict) of every pair the law
     covers over [lo, hi], as the reference yields them over heads
     (reference_heads by default) and as the battery's check yields them
-    over the Tuples of the source tuples (a fill_tuples of the law's
-    verify._moduli by default), each class tuple expanded to its k
-    (Tuples.indexes). Both are n
-    ascending, the reference in its own order and the battery's tuples
-    expanded and merged by k (an existence claim, k = -1, keeps its
-    place among the items of its modulus)."""
+    over the Tuples of the source tuples (a fill_tuples of the moduli
+    verify._scope gives the law, by default), each class tuple expanded
+    to its k (Tuples.indexes). Both are n ascending, the reference in its
+    own order and the battery's tuples expanded and merged by k (an
+    existence claim, k = -1, keeps its place among the items of its
+    modulus)."""
     heads = heads or reference_heads(lo, hi)
+    moduli = _scope(theorem_id, lo, hi)[0]
     if tuples is None:
-        tuples = {t.n: t for t in fill_tuples(_moduli(theorem_id, lo, hi))}.__getitem__
+        tuples = {t.n: t for t in fill_tuples(moduli)}.__getitem__
     check = REFERENCE[theorem_id][1]
     reference = [(n, k, verdict)
                  for n in reference_moduli(theorem_id, lo, hi)
                  for k, verdict in check(n, heads)]
     battery = []
-    for n in _moduli(theorem_id, lo, hi):
+    for n in moduli:
         t, expanded, ks = tuples(n), [], {}     # ks: tuple -> its k
         for k, i in enumerate(t.indexes()):
             ks.setdefault(i, []).append(k)

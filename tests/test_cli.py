@@ -20,8 +20,7 @@ from frieze_mod.pair import _pair_row
 from frieze_mod.reduce import is_irreducible_monomial
 from frieze_mod.rows import _CSV_HEADER
 from frieze_mod.usage import _parser
-from routes import (ARGV_TOKENS, argv_mismatches, double_dash_failures,
-                    parsed_by_argparse, typed)
+from routes import ARGV_TOKENS, argv_sweep, parsed_by_argparse, typed
 
 
 @pytest.fixture()
@@ -614,21 +613,25 @@ def test_usage_errors_build_a_parser_only_when_the_parse_fails(runner, args, par
         f"Usage: {_parser(cli_mod, args[0]).usage}\n")
 
 
-def test_well_formed_lines_parse_as_argparse_parses_them():
-    # every line of up to three tokens from a fixed alphabet; CI's "CLI
-    # smoke" step runs up to four
-    bad, tried, accepted = argv_mismatches(3)
+@pytest.fixture(scope="module")
+def swept_argv():
+    # every line of up to three tokens from a fixed alphabet, one pass
+    # for both tests below; CI's "CLI smoke" step runs up to four
+    return argv_sweep(3)
+
+
+def test_well_formed_lines_parse_as_argparse_parses_them(swept_argv):
+    bad, tried, accepted = swept_argv[0]
     assert not bad, bad[:5]
     assert (tried, accepted) == (28289, 989)
 
 
-def test_lines_with_a_second_double_dash_parse_to_their_types():
+def test_lines_with_a_second_double_dash_parse_to_their_types(swept_argv):
     # argparse hands a positional whose operand is a second -- an empty
     # list; usage._parse gives it the -- (N and K reject it), so every
-    # such line of up to three tokens from the same alphabet is a usage
-    # error, a help text or arguments of the declared types. CI's "CLI
-    # smoke" step runs up to four
-    bad, tried = double_dash_failures(3)
+    # such line is a usage error, a help text or arguments of the
+    # declared types
+    bad, tried = swept_argv[1]
     assert not bad, bad[:5]
     assert tried == 285
 

@@ -10,7 +10,7 @@ import frieze_mod.rows as rows_module
 import frieze_mod.verify as verify_module
 from frieze_mod.cli import main
 from frieze_mod.verify import (_LAWS, DEFAULT_FAMILY_PRIMES, VERIFIERS,
-                               Counterexample, _crt_pair, _moduli,
+                               Counterexample, _crt_pair, _scope,
                                _power_shapes, _unit_class, fill_tuples,
                                is_three_m_form, monomial_row, odd_half,
                                run_all, run_verifier, survey_rows)
@@ -119,8 +119,8 @@ def test_registry_lists_the_ten_laws_in_report_order():
         "special-sizes", "overshoot-3m", "unbounded-family"]
     assert list(_LAWS) == list(VERIFIERS)
     # the fixed moduli of unbounded-family ignore the range
-    assert _moduli("unbounded-family", 100, 200) == (15, 21, 33, 39, 51, 57)
-    assert _moduli("eight-divides", 0, 20) == [8, 16]
+    assert _scope("unbounded-family", 100, 200)[0] == (15, 21, 33, 39, 51, 57)
+    assert _scope("eight-divides", 0, 20)[0] == [8, 16]
 
 
 @pytest.mark.parametrize("theorem_id", sorted(VERIFIERS))
@@ -129,6 +129,16 @@ def test_each_verifier_passes_on_a_medium_range(theorem_id):
     assert report.theorem_id == theorem_id
     assert report.status == "pass", report.to_dict()
     assert report.counterexamples == ()
+
+
+def test_each_verifier_is_run_verifier_bound_to_its_id():
+    # a verifier called with a range reports what run_verifier reports
+    # for its id, elapsed_ms apart
+    def masked(report):
+        return report._replace(elapsed_ms=0)
+    for theorem_id, verifier in VERIFIERS.items():
+        assert masked(verifier(97, 181)) == \
+            masked(run_verifier(theorem_id, 97, 181)), theorem_id
 
 
 def test_unbounded_family_passes():

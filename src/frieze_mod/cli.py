@@ -12,7 +12,10 @@ a command its options.
 
 main(argv) parses one command line and returns the exit code; cli is
 the handle click.testing.CliRunner drives (a name and a main that raises
-SystemExit). Each command is a plain function of its parsed arguments
+SystemExit). Run on the process's own command line (no argv), main
+also registers an exit handler (_end) that ends the process with that
+code once stdout and stderr are flushed, without the interpreter's
+finalization. Each command is a plain function of its parsed arguments
 that prints its answer and returns 1 on failure. One table (_SPECS)
 declares each command's arguments and options. A well-formed line is
 read from it directly (_well_formed); argparse builds a parser from the
@@ -310,8 +313,43 @@ def _well_formed(name: str, rest: list):
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] by default); returns the exit
     code: 0, 1 when the command fails or stdout cannot be written, 2 on a
-    usage error."""
-    args = sys.argv[1:] if argv is None else list(argv)
+    usage error.
+
+    Run on the process's own command line (argv None: the frieze-mod
+    script, python -m frieze_mod.cli, sys.exit(main())), main registers
+    _end with this code as its last act, so the process ends without the
+    interpreter's finalization. An exception that escapes main registers
+    nothing."""
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    import atexit
+    atexit.register(_end, code)
+    return code
+
+
+def _end(code: int) -> None:
+    """The exit handler main registers last, so it runs first: flush
+    stdout and stderr, then end the process with code (os._exit). The
+    interpreter's module teardown, with its garbage collections, and
+    every exit handler registered before main returned are skipped;
+    handlers registered after it still run. The exit is left to the
+    interpreter, which reports it as it would have, when an exception
+    escaped after main returned (sys.last_value) or a flush fails (a
+    stream closed or set to None, a reader gone)."""
+    if hasattr(sys, "last_value"):
+        return
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        return
+    import os
+    os._exit(code)
+
+
+def _run(args: list) -> int:
+    """Run the command line args; the exit code main returns."""
     usage, prog = _USAGE, "frieze-mod"
     try:
         if args[:1] == ["--help"]:

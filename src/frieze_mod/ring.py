@@ -125,6 +125,9 @@ def _size_multiple(p: int, a: int, k: int) -> dict[int, int]:
     criterion; otherwise lam**p = 1/lam (Frobenius swaps the roots), so
     lam**(p+1) = 1 and lam**((p+1)/2) = +-1. Then 1/lam has the same
     power, so M**m_p = +-Id mod p: m = m_p.
+    factorize(m_p) needs m_p >= 2, which always holds: for p >= 5,
+    (p +- 1) / 2 >= 2; at p = 3 only k = 0 mod 3 has p not dividing
+    k**2 - 4, and there -4 = 2 is not a square mod 3, so m_p = 4 / 2 = 2.
     """
     if p == 2:
         return {2: a, 3: 1}
@@ -132,10 +135,7 @@ def _size_multiple(p: int, a: int, k: int) -> dict[int, int]:
     if disc % p == 0:
         return {p: a}
     m = (p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1) // 2
-    exps = {p: a - 1}
-    if m > 1:
-        exps.update(factorize(m))
-    return exps
+    return {p: a - 1, **dict(factorize(m))}
 
 
 def _descend(q: int, k: int, exps: dict[int, int]):

@@ -2,6 +2,8 @@
 shape of the file it writes, not its timings."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +85,68 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
         assert set(fig) == FIGURE, fig
         assert fig["runs"] == bench["runs"]
         assert fig["q1"] <= fig["median"] <= fig["q3"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git")
+def test_smoke_run_against_a_base_commit(tmp_path):
+    # a scratch repository of two commits, holding the driver and the
+    # package: the driver runs the floor and each command on its own
+    # tree and on HEAD~1's, in alternated pairs
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (repo / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "bench.py", repo / "tools")
+    shutil.copy(ROOT / ".gitignore", repo)      # the runs' __pycache__
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
+                               "-c", "user.email=bench@example.org",
+                               "-c", "commit.gpgsign=false", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    with open(repo / "src" / "frieze_mod" / "cli.py", "a") as fh:
+        fh.write("# the second commit\n")
+    git("commit", "-q", "-am", "change")
+    out, tmp = tmp_path / "BENCH_0.json", tmp_path / "tmp"
+    tmp.mkdir()
+    res = subprocess.run([sys.executable, str(repo / "tools" / "bench.py"),
+                          "--smoke", "--base", "HEAD~1", "--out", str(out)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "TMPDIR": str(tmp)})
+    assert res.returncode == 0, res.stderr
+    assert list(tmp.iterdir()) == []        # the base tree is removed
+    bench = json.loads(out.read_text())
+    assert bench["commit"] == git("rev-parse", "HEAD")
+    assert not bench["dirty"]
+    base = bench["base"]
+    assert set(base) == {"commit", "commands_ms", "commands_rss_mb"}
+    assert base["commit"] == git("rev-parse", "HEAD~1") != bench["commit"]
+    assert set(base["commands_ms"]) == set(bench["commands_ms"]) == {
+        FLOOR, "size 18446744073709551615 3"}
+    assert set(base["commands_rss_mb"]) == set(base["commands_ms"])
+    runs = bench["runs"]
+    assert len(bench["loadavg"]) == runs
+    assert all(len(load) == 3 for load in bench["loadavg"])
+    for c, fig in bench["commands_ms"].items():
+        mine, its = fig, base["commands_ms"][c]
+        ratio = mine.pop("vs_base")
+        assert set(ratio) == FIGURE | {"won"}
+        # the floor runs before each command, on each side
+        assert ratio["runs"] == runs * (len(bench["commands_ms"]) - 1 if c == FLOOR else 1)
+        assert 0 <= ratio["won"] <= ratio["runs"]
+        assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+        assert set(mine) == set(its) == FIGURE | ({"above_floor"} if c != FLOOR else set())
+        for key in ("median", "q1", "q3"):
+            assert its[key] > 0
+        assert its["runs"] == mine["runs"]
+    # reach and layer runs stay this tree's alone
+    assert set(bench["reach"]) == {"verify all --max 100",
+                                   "survey --max 100 --force"}
+    assert set(bench["layers"]) == {"survey --max 60", "run_all 2 60"}
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

@@ -822,6 +822,92 @@ def test_a_failing_verify_exits_1():
         assert '"status": "fail"' in res.stdout
 
 
+# An object made before main runs, which says so on stderr when it is
+# finalized: the interpreter's module teardown would finalize it
+_FINALIZED = ("import sys\n"
+              "class Loud:\n"
+              "    def __del__(self, write=sys.stderr.write):\n"
+              "        write('finalized\\n')\n"
+              "loud = Loud()\n")
+
+
+def test_the_process_command_line_ends_without_finalization():
+    # main() on the process's own command line ends the process from its
+    # exit handler, so the object is never finalized; main(argv), as any
+    # in-process caller runs it, leaves the interpreter's exit as it was
+    for entry, err in ((_ENTRY, ""),
+                       (_ENTRY.replace("main()", "main(sys.argv[1:])"),
+                        "finalized\n")):
+        res = subprocess.run([sys.executable, "-c", _FINALIZED + entry,
+                              "size", "5", "0"],
+                             capture_output=True, text=True, env=_env_with_src(),
+                             timeout=60)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "2, -Id\n", err)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_profiler_around_the_command_line_still_prints_its_report(unbuffered):
+    # cProfile catches the command's SystemExit and prints its report,
+    # before the exit handlers run; the report ends in two blank lines
+    res = subprocess.run([sys.executable, "-m", "cProfile", "-m", "frieze_mod.cli",
+                          "size", "5", "0"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**_env_with_src(), "PYTHONUNBUFFERED": unbuffered})
+    assert (res.returncode, res.stderr) == (0, "")
+    answer, report = res.stdout.split("\n", 1)
+    assert answer == "2, -Id"
+    assert " function calls " in report and report.endswith("\n\n\n")
+
+
+def test_an_internal_error_exits_1_with_its_traceback():
+    # an exception that escapes main registers no exit handler: the
+    # interpreter prints its traceback and exits 1
+    broken = ("from frieze_mod import pair\n"
+              "def _verdict(classes, law):\n"
+              "    raise RuntimeError('no verdict')\n"
+              "pair._verdict = _verdict\n")
+    res = subprocess.run([sys.executable, "-c", broken + _ENTRY, "classify", "9", "3"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("Traceback (most recent call last):\n")
+    assert res.stderr.endswith("\nRuntimeError: no verdict\n")
+
+
+@pytest.mark.parametrize("after,code,err", [
+    ("raise RuntimeError('after main')", 1, "\nRuntimeError: after main\n"),
+    ("sys.stdout = None; sys.exit(3)", 3, ""),
+])
+def test_what_follows_main_keeps_the_interpreters_exit(after, code, err):
+    # main() has registered its exit handler, but the caller raises, or
+    # leaves stdout unflushable: the handler leaves the exit to the
+    # interpreter, which reports it as it would have
+    entry = f"import sys; from frieze_mod.cli import main; main(); {after}"
+    res = subprocess.run([sys.executable, "-c", entry, "size", "5", "0"],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stdout) == (code, "2, -Id\n")
+    assert res.stderr.endswith(err) and bool(res.stderr) == bool(err)
+
+
+def test_survey_from_the_command_line_is_mains_byte_for_byte(tmp_path):
+    # about 1 MB, one write per modulus, to a pipe or to --out: the
+    # process that ends from its exit handler has written all of it
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli_mod.main(["survey", "--max", "250"]) == 0
+    want = out.getvalue().encode()
+    path = tmp_path / "survey.csv"
+    for extra, stdout in (([], want), (["--out", str(path)], b"")):
+        for unbuffered in ("", "1"):
+            res = subprocess.run([sys.executable, "-c", _ENTRY, "survey", "--max",
+                                  "250", *extra],
+                                 capture_output=True, timeout=60,
+                                 env={**_env_with_src(), "PYTHONUNBUFFERED": unbuffered})
+            assert (res.returncode, res.stdout, res.stderr) == (0, stdout, b""), extra
+    assert path.read_bytes() == want
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from frieze_mod import *", namespace)

@@ -2,6 +2,7 @@
 tool measures.
 
     python3 tools/bench.py --out BENCH_31.json        # about 2.5 minutes
+    python3 tools/bench.py --base HEAD~1 --out BENCH_51.json
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:
@@ -25,9 +26,25 @@ Each command's wall time also has an above_floor figure: the median and
 quartiles of its per-round differences to the floor run just before it,
 since the floor drifts with the host within one file, and a difference
 of adjacent runs is what the package's own start-up and work cost.
-A BENCH file holds the figures of one checkout; two trees are compared
-by alternated runs, not across files, whose hosts may have been loaded
-otherwise. No perfbench workload runs here: perfbench/run.py measures
+The floor includes the interpreter's finalization, which a command
+line skips (cli.main ends the process from an exit handler), so a
+quick command's above_floor may read below zero.
+A BENCH file holds the figures of one checkout, unless --base REV names
+a second tree: two trees are compared by alternated runs, not across
+files, whose hosts may have been loaded otherwise. --base unpacks REV's
+committed files from this repository (git archive, no network) into a
+temporary directory, removed when the run ends. Each round then runs
+the floor and each command of COMMANDS on both trees, the floor right
+before each command as above, and swaps which tree goes first from one
+round to the next. The base section holds the base tree's commit and
+figures; each command's vs_base is the figure of its per-round ratios,
+this tree's wall time over the base's (the floor's too: the same
+program on both sides, so its ratio shows the pairing's noise), and
+won counts the rounds this tree was faster. loadavg holds
+os.getloadavg() at the start of each round. Reach and layer runs stay
+unpaired: they run on this tree alone. Both trees' modules are compiled
+before the first round, so neither side's first run compiles them.
+No perfbench workload runs here: perfbench/run.py measures
 them itself, and the tests and CI check the commands' outputs. The
 Python version, the commit and the CPUs this process may run on (nproc)
 are read here.
@@ -40,12 +57,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import compileall
 import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 import tokenize
@@ -90,13 +109,14 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def child(argv: list[str]) -> tuple[float, float]:
-    """Run python with argv from the root to exit, stdout discarded:
-    (wall ms, peak RSS in MB). A nonzero exit raises RuntimeError."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def child(argv: list[str], root: Path = ROOT) -> tuple[float, float]:
+    """Run python with argv from the root of a tree (this checkout by
+    default) to exit, on that tree's src, stdout discarded: (wall ms,
+    peak RSS in MB). A nonzero exit raises RuntimeError."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env,
+        proc = subprocess.Popen([sys.executable, *argv], cwd=root, env=env,
                                 stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = (time.perf_counter() - t0) * 1000
@@ -220,56 +240,85 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True,
-                        help="the BENCH file to write")
-    parser.add_argument("--smoke", action="store_true",
-                        help="the smallest setting: checks the file's shape only")
-    args = parser.parse_args()
-    commands = [FLOOR, *(SMOKE_COMMANDS if args.smoke else COMMANDS)]
-    reach = list(SMOKE_REACH if args.smoke else REACH)
-    runs = list(SMOKE_LAYERS if args.smoke else LAYERS)
-    children = commands[1:] + reach
-    nproc = len(os.sched_getaffinity(0))
+def unpack(rev: str, into: Path) -> Path:
+    """The src directory of commit rev of this repository, unpacked from
+    git archive under into: the root of a tree child() can run."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                          rev, "src"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into
 
-    walls = {c: [] for c in commands + reach}
-    rss = {c: [] for c in commands + reach}
-    paired = {c: [] for c in commands[1:]}     # command less the floor before it
+
+def tree_runs(commands: list[str], reach: list[str]) -> dict:
+    """Empty run lists of one tree: the wall ms and peak RSS of each
+    command and reach command, and (above) each command's wall ms less
+    the floor run just before it, commands[0] being the floor."""
+    return {"walls": {c: [] for c in commands + reach},
+            "rss": {c: [] for c in commands + reach},
+            "above": {c: [] for c in commands[1:]}}
+
+
+def floor_then(c: str, root: Path, runs: dict) -> tuple[float, float]:
+    """A floor run, then command c, on the tree at root, into its runs:
+    (the floor's wall ms, c's wall ms)."""
+    floor, peak = child(["-c", "pass"], root)
+    runs["walls"][FLOOR].append(floor)
+    runs["rss"][FLOOR].append(peak)
+    wall, peak = child(["-c", ENTRY, *c.split()], root)
+    runs["walls"][c].append(wall)
+    runs["rss"][c].append(peak)
+    runs["above"][c].append(wall - floor)
+    return floor, wall
+
+
+def command_figures(runs: dict, commands: list[str]) -> tuple[dict, dict]:
+    """(commands_ms, commands_rss_mb) of one tree's runs."""
+    ms = {c: figure(runs["walls"][c]) for c in commands}
+    for c, diffs in runs["above"].items():
+        ms[c]["above_floor"] = figure(diffs)
+    return ms, {c: figure(runs["rss"][c]) for c in commands}
+
+
+def measure(smoke: bool, base: Path | None) -> dict:
+    """Every round of this checkout's runs, and of the base tree's
+    commands when base is the root of one: the report, less its
+    provenance."""
+    commands = [FLOOR, *(SMOKE_COMMANDS if smoke else COMMANDS)]
+    reach = list(SMOKE_REACH if smoke else REACH)
+    runs = list(SMOKE_LAYERS if smoke else LAYERS)
+    children = commands[1:] + reach
+    trees = [ROOT] if base is None else [ROOT, base]
+    for root in trees:
+        compileall.compile_dir(str(root / "src"), quiet=1)
+
+    mine, theirs = tree_runs(commands, reach), tree_runs(commands, [])
+    ratios = {c: [] for c in commands}     # this tree's wall ms over the base's
+    loadavg = []
     split = {run: [] for run in runs}
     for r in range(RUNS):
+        loadavg.append(os.getloadavg())
+        sides = list(zip(trees, (mine, theirs)))
+        if r % 2:
+            sides.reverse()
         for c in children[r % len(children):] + children[:r % len(children)]:
-            if c in paired:
-                floor, peak = child(["-c", "pass"])
-                walls[FLOOR].append(floor)
-                rss[FLOOR].append(peak)
-            wall, peak = child(["-c", ENTRY, *c.split()])
-            walls[c].append(wall)
-            rss[c].append(peak)
-            if c in paired:
-                paired[c].append(wall - floor)
+            if c in reach:
+                wall, peak = child(["-c", ENTRY, *c.split()])
+                mine["walls"][c].append(wall)
+                mine["rss"][c].append(peak)
+                continue
+            walls = {root: floor_then(c, root, side) for root, side in sides}
+            if base is not None:
+                for name, ours, its in zip((FLOOR, c), walls[ROOT], walls[base]):
+                    ratios[name].append(ours / its)
         for run in runs[r % len(runs):] + runs[:r % len(runs)]:
             split[run].append(layers(run))
 
-    modules = {p.name: code_lines(p.read_text())
-               for p in sorted(PACKAGE.glob("*.py"))}
-    commands_ms = {c: figure(walls[c]) for c in commands}
-    for c, diffs in paired.items():
-        commands_ms[c]["above_floor"] = figure(diffs)
+    commands_ms, commands_rss = command_figures(mine, commands)
     report = {
-        "description": "Medians and quartiles of child process wall times "
-                       "and peak RSS of the headline and reach commands, "
-                       "and of the phases of in-process layer runs, at one "
-                       "checkout, written by tools/bench.py.",
-        "setting": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "nproc": nproc,
-        "commit": git("rev-parse", "HEAD") or None,
-        "dirty": bool(git("status", "--porcelain", "--", "src")),
-        "runs": RUNS,
         "commands_ms": commands_ms,
-        "commands_rss_mb": {c: figure(rss[c]) for c in commands},
-        "reach": {c: {"ms": figure(walls[c]), "rss_mb": figure(rss[c])}
+        "commands_rss_mb": commands_rss,
+        "reach": {c: {"ms": figure(mine["walls"][c]), "rss_mb": figure(mine["rss"][c])}
                   for c in reach},
         "layers": {run: {
             "total_ms": figure([f["total_ms"] for f in figs]),
@@ -281,8 +330,56 @@ def main() -> None:
             "checks_ms": {i: figure([f["checks_ms"][i] for f in figs])
                           for i in figs[-1]["checks_ms"]}}
             for run, figs in split.items()},
+    }
+    if base is not None:
+        for c, values in ratios.items():
+            commands_ms[c]["vs_base"] = {**figure(values),
+                                         "won": sum(v < 1 for v in values)}
+        base_ms, base_rss = command_figures(theirs, commands)
+        report["base"] = {"commands_ms": base_ms, "commands_rss_mb": base_rss}
+        report["loadavg"] = loadavg
+    return report
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the BENCH file to write")
+    parser.add_argument("--smoke", action="store_true",
+                        help="the smallest setting: checks the file's shape only")
+    parser.add_argument("--base", metavar="REV",
+                        help="a commit of this repository whose commands run "
+                             "in alternated pairs with this checkout's")
+    args = parser.parse_args()
+    base_commit = None
+    if args.base is not None:
+        base_commit = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
+        if not base_commit:
+            parser.error(f"--base: no commit {args.base!r} in {ROOT}")
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = None if base_commit is None else unpack(base_commit, Path(tmp))
+        figures = measure(args.smoke, base)
+    modules = {p.name: code_lines(p.read_text())
+               for p in sorted(PACKAGE.glob("*.py"))}
+    paired = base_commit is not None
+    report = {
+        "description": "Medians and quartiles of child process wall times "
+                       "and peak RSS of the headline and reach commands, "
+                       "and of the phases of in-process layer runs, at one "
+                       "checkout" + (", with the headline commands run in "
+                       "alternated pairs against a base commit" if paired
+                       else "") + ", written by tools/bench.py.",
+        "setting": "smoke" if args.smoke else "full",
+        "python": sys.version.split()[0],
+        "nproc": len(os.sched_getaffinity(0)),
+        "commit": git("rev-parse", "HEAD") or None,
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "runs": RUNS,
+        **figures,
         "code_lines": {"modules": modules, "total": sum(modules.values())},
     }
+    if paired:
+        report["base"] = {"commit": base_commit, **report["base"]}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
 

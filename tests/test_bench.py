@@ -89,9 +89,9 @@ def test_smoke_run_writes_a_bench_file(tmp_path):
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="no git")
 def test_smoke_run_against_a_base_commit(tmp_path):
-    # a scratch repository of two commits, holding the driver and the
-    # package: the driver runs the floor and each command on its own
-    # tree and on HEAD~1's, in alternated pairs
+    # a scratch repository of two commits, holding tools/bench.py and the
+    # package: bench.py runs the floor and each command on its own tree
+    # and on HEAD~1's, in alternated pairs
     repo = tmp_path / "repo"
     shutil.copytree(ROOT / "src", repo / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))

@@ -2,7 +2,7 @@
 tool measures.
 
     python3 tools/bench.py --out BENCH_31.json        # about 2.5 minutes
-    python3 tools/bench.py --base HEAD~1 --out BENCH_51.json
+    python3 tools/bench.py --base HEAD~1 --out paired.json
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:

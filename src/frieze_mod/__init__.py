@@ -23,7 +23,7 @@ _HOMES = {
                  "shared_factor_size", "size_via_crt"),
     "reduce": ("MonomialVerdict", "ReductionWitness", "is_irreducible_monomial",
                "monomial_reduction_witness"),
-    "ring": ("Residue", "SizeCapExceeded", "factorize", "is_prime"),
+    "ring": ("SizeCapExceeded", "factorize", "is_prime"),
     "verify": ("VERIFIERS", "Counterexample", "SurveyRow", "TheoremReport",
                "monomial_row", "run_all", "run_verifier", "survey_rows"),
 }

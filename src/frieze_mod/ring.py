@@ -1,5 +1,5 @@
-"""Residue arithmetic helpers: factorization, primality, residues, the
-fast doubling (_lucas) of the recurrence behind the powers of M(k), the
+"""Arithmetic mod N on plain ints: factorization, primality, the fast
+doubling (_lucas) of the recurrence behind the powers of M(k), the
 one descent (_descend) from a known multiple of the size mod a prime
 power (_size_multiple), the corner class of k mod a prime power that it
 gives (_class), and the two rules every size obeys: the CRT size law
@@ -10,13 +10,12 @@ them: it checks n, factors it once, takes the class tuple of k,
 composes it and checks the cap. Nothing descends on a composite
 modulus.
 
-Moduli throughout the package are plain ints >= 2. Values normalize to
-their canonical representative in [0, N) on construction.
+Moduli throughout the package are plain ints >= 2, and a residue k is
+the plain int k mod n in [0, n), reduced where it enters (_front).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd, lcm, prod
 
 
@@ -306,48 +305,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-class Residue(namedtuple("Residue", "value modulus")):
-    """An element of Z/NZ, stored as its representative in [0, N).
-
-    A tuple record: it compares, orders and hashes as (value, modulus).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        return super().__new__(cls, value % modulus, modulus)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which must normalize as well
-        return cls(*iterable)
-
-    def _lift(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(f"mixed moduli {self.modulus} and {other.modulus}")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return Residue(self.value + self._lift(other), self.modulus)
-
-    def __sub__(self, other):
-        return Residue(self.value - self._lift(other), self.modulus)
-
-    def __mul__(self, other):
-        return Residue(self.value * self._lift(other), self.modulus)
-
-    def __rmul__(self, other):
-        # not tuple repetition: 2 * r is a TypeError, as for any record
-        return NotImplemented
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __str__(self):
-        return str(self.value)

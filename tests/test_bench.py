@@ -97,7 +97,6 @@ def test_smoke_run_against_a_base_commit(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     (repo / "tools").mkdir()
     shutil.copy(ROOT / "tools" / "bench.py", repo / "tools")
-    shutil.copy(ROOT / ".gitignore", repo)      # the runs' __pycache__
 
     def git(*args):
         return subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
@@ -118,7 +117,10 @@ def test_smoke_run_against_a_base_commit(tmp_path):
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "TMPDIR": str(tmp)})
     assert res.returncode == 0, res.stderr
-    assert list(tmp.iterdir()) == []        # the base tree is removed
+    # both trees ran from copies, removed with their bytecode; none was
+    # written into the repository
+    assert list(tmp.iterdir()) == []
+    assert list(repo.rglob("__pycache__")) == []
     bench = json.loads(out.read_text())
     assert bench["commit"] == git("rev-parse", "HEAD")
     assert not bench["dirty"]
@@ -128,7 +130,9 @@ def test_smoke_run_against_a_base_commit(tmp_path):
     assert set(base["commands_ms"]) == set(bench["commands_ms"]) == {
         FLOOR, "size 18446744073709551615 3"}
     assert set(base["commands_rss_mb"]) == set(base["commands_ms"])
-    runs = bench["runs"]
+    # the paired commands' rounds: --smoke keeps RUNS of them
+    runs = bench["paired_runs"]
+    assert runs == bench["runs"] == 3
     assert len(bench["loadavg"]) == runs
     assert all(len(load) == 3 for load in bench["loadavg"])
     for c, fig in bench["commands_ms"].items():
@@ -149,12 +153,42 @@ def test_smoke_run_against_a_base_commit(tmp_path):
     assert set(bench["layers"]) == {"survey --max 60", "run_all 2 60"}
 
 
-def test_code_lines_skip_blanks_comments_and_docstrings():
+def _bench():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
-        from bench import code_lines
+        import bench
     finally:
         sys.path.remove(str(ROOT / "tools"))
+    return bench
+
+
+def test_a_full_paired_run_gives_the_commands_ten_rounds(monkeypatch, tmp_path):
+    # every child stubbed: a full --base run times the floor and each
+    # headline command in PAIRED_RUNS rounds, the reach and layer runs in
+    # RUNS; a full run on its own tree keeps RUNS for all of them
+    bench = _bench()
+    layer = {"total_ms": 1.0, "other_ms": 1.0, "checks_ms": {},
+             "phases": {name: {"own_ms": 0.0, "calls": 1}
+                        for name, _, _ in bench.PHASES}}
+    monkeypatch.setattr(bench.compileall, "compile_dir", lambda *args, **kw: True)
+    monkeypatch.setattr(bench, "child", lambda argv, root: (1.0, 1.0))
+    monkeypatch.setattr(bench, "layers", lambda run, root: layer)
+    head = tmp_path / "head"
+    for base, rounds in ((tmp_path / "base", bench.PAIRED_RUNS), (None, bench.RUNS)):
+        report = bench.measure(False, head, base)
+        commands = report["commands_ms"]
+        assert commands.pop(FLOOR)["runs"] == rounds * len(bench.COMMANDS)
+        assert {fig["runs"] for fig in commands.values()} == {rounds}
+        assert {fig["ms"]["runs"] for fig in report["reach"].values()} == {bench.RUNS}
+        assert {layer["total_ms"]["runs"]
+                for layer in report["layers"].values()} == {bench.RUNS}
+        if base is not None:
+            assert report["paired_runs"] == len(report["loadavg"]) == rounds
+    assert bench.PAIRED_RUNS == 10 > bench.RUNS
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    code_lines = _bench().code_lines
     source = ('"""Module\n    docstring."""\n\n# a comment\nimport sys\n\n'
               'def f(x):\n    """Doc."""\n    return (x +  # trailing\n'
               '            1)\n\n\nclass C:\n    """Doc\n    two."""\n'

@@ -580,6 +580,34 @@ def test_single_pair_library_calls_load_no_range_fill(call, want):
     assert got == sorted(["frieze_mod", *(f"frieze_mod.{m}" for m in want)])
 
 
+# The single-pair commands in a child started with python -S, where no
+# site module preloads collections: they decide on plain ints (ring,
+# pair) and import nothing from it. stdout is swapped by hand, since
+# contextlib imports collections itself.
+_NO_COLLECTIONS = """
+import io, sys
+from frieze_mod.cli import main
+for line in sys.argv[1:]:
+    sys.stdout = io.StringIO()
+    code = main(line.split())
+    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    print(code, out, end="")
+print("collections" in sys.modules)
+"""
+
+
+def test_single_pair_commands_import_no_collections():
+    lines = ["size 35 23", "classify 9 3", "witness 1234 617"]
+    res = subprocess.run([sys.executable, "-S", "-c", _NO_COLLECTIONS, *lines],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == ("0 70\n"
+                          "0 reducible; witness size 4: (6,3,3,6)\n"
+                          "0 none\n"
+                          "False\n")
+
+
 # A usage error that a command raises on a well-formed line still names
 # the command's usage, from its _SPECS entry, with no parser built and
 # no usage module loaded; one that the parse finds, and --help, come
@@ -776,15 +804,17 @@ def test_main_entry_point_answers():
 
 
 def test_a_reader_that_stops_early_gets_no_traceback():
-    # survey --max 250 prints about 1 MB; the reader takes ten bytes
-    child = subprocess.Popen([sys.executable, "-m", "frieze_mod.cli", "survey", "--max", "250"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env=_env_with_src())
-    assert child.stdout.read(10) == b"N,k,size,s"
-    child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    assert child.wait(timeout=60) in (0, 1) and err == b""
+    # survey --max 250 prints about 1 MB; the reader takes ten bytes, from
+    # a buffered stdout and from an unbuffered one
+    for unbuffered in ("", "1"):
+        child = subprocess.Popen([sys.executable, "-m", "frieze_mod.cli", "survey", "--max", "250"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env={**_env_with_src(), "PYTHONUNBUFFERED": unbuffered})
+        assert child.stdout.read(10) == b"N,k,size,s"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) in (0, 1) and err == b"", unbuffered
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

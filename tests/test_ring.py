@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frieze_mod.ring import Residue, _lucas, factorize, is_prime
+from frieze_mod.ring import _lucas, factorize, is_prime
 from oracles import elementary, mat_mul, trial_factorize
 
 
@@ -85,53 +85,3 @@ def test_factorize_near_2_64(parts):
 ])
 def test_is_prime_rejects_pseudoprimes(n):
     assert not is_prime(n)
-
-
-@given(st.integers(), st.integers(2, 500))
-@settings(max_examples=200, deadline=None)
-def test_residue_normalizes(v, n):
-    r = Residue(v, n)
-    assert 0 <= r.value < n
-    assert r == Residue(v + n, n) == Residue(v - 7 * n, n)
-
-
-def test_residue_arithmetic():
-    a = Residue(3, 7)
-    assert (a + 5).value == 1
-    assert (a - Residue(6, 7)).value == 4
-    assert (a * 4).value == 5
-    assert (-a).value == 4
-
-
-def test_residue_guards():
-    with pytest.raises(ValueError):
-        Residue(3, 7) + Residue(1, 5)
-    with pytest.raises(ValueError):
-        Residue(0, 1)
-
-
-def test_residue_is_a_frozen_ordered_record():
-    r = Residue(-2, 5)
-    assert (r.value, r.modulus) == (3, 5)
-    with pytest.raises(ValueError):
-        Residue(1, 1)
-    with pytest.raises(AttributeError):
-        r.value = 4
-    assert hash(Residue(3, 5)) == hash((3, 5))
-    assert repr(r) == "Residue(value=3, modulus=5)" and str(r) == "3"
-    # ordered by value, then modulus
-    assert sorted([Residue(4, 7), Residue(1, 9), Residue(4, 5)]) == \
-        [Residue(1, 9), Residue(4, 5), Residue(4, 7)]
-    assert Residue(1, 9) < Residue(4, 5) <= Residue(4, 5)
-    with pytest.raises(TypeError):
-        2 * Residue(3, 5)
-    with pytest.raises(ValueError):
-        Residue(3, 5) * Residue(1, 7)
-
-
-def test_residue_is_a_tuple_of_its_fields():
-    value, modulus = Residue(8, 5)
-    assert (value, modulus) == Residue(8, 5) == (3, 5)
-    assert Residue(3, 5)._replace(value=9) == Residue._make([4, 5]) == (4, 5)
-    with pytest.raises(ValueError):
-        Residue(3, 5)._replace(modulus=1)

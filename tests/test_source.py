@@ -34,6 +34,14 @@ def test_cli_imports_only_sys_at_load_time():
     assert [name for node in tree.body for name in _imported(node)] == ["sys"]
 
 
+def test_ring_imports_only_math_at_load_time():
+    # size, classify and witness load ring: its residues are plain ints,
+    # so it needs no record type (collections) or other module
+    tree = ast.parse((SRC / "ring.py").read_text())
+    assert [name for node in tree.body for name in _imported(node)
+            if name != "__future__"] == ["math"]
+
+
 def test_pair_imports_only_ring_and_the_standard_library():
     # classify and witness load pair: it may bring in no range fill
     # (rows), parser (usage) or other package module

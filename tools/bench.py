@@ -32,9 +32,10 @@ quick command's above_floor may read below zero.
 A BENCH file holds the figures of one checkout, unless --base REV names
 a second tree: two trees are compared by alternated runs, not across
 files, whose hosts may have been loaded otherwise. --base unpacks REV's
-committed files from this repository (git archive, no network) into a
-temporary directory, removed when the run ends. Each round then runs
-the floor and each command of COMMANDS on both trees, the floor right
+committed files from this repository (git archive, no network) into the
+temporary directory of the run (below). The run then has PAIRED_RUNS
+rounds, recorded as paired_runs, and each round runs the
+floor and each command of COMMANDS on both trees, the floor right
 before each command as above, and swaps which tree goes first from one
 round to the next. The base section holds the base tree's commit and
 figures; each command's vs_base is the figure of its per-round ratios,
@@ -42,15 +43,23 @@ this tree's wall time over the base's (the floor's too: the same
 program on both sides, so its ratio shows the pairing's noise), and
 won counts the rounds this tree was faster. loadavg holds
 os.getloadavg() at the start of each round. Reach and layer runs stay
-unpaired: they run on this tree alone. Both trees' modules are compiled
-before the first round, so neither side's first run compiles them.
+unpaired: they run on this tree alone, in the first RUNS rounds only.
+Every child runs on a copy in a temporary directory, removed when the
+run ends: of this checkout's src (uncommitted edits included) and of
+REV's. Both copies are compiled before the first round, so neither
+side's first run compiles them, and no run writes bytecode into the
+checkout. (A PYTHONPYCACHEPREFIX would keep bytecode out of it too, but
+it moves the standard library's bytecode as well: where
+PYTHONDONTWRITEBYTECODE is set, each child then compiles its start-up
+modules, and python -c pass took 173 ms against 37 ms on 2 cores,
+Python 3.11.7.)
 No perfbench workload runs here: perfbench/run.py measures
 them itself, and the tests and CI check the commands' outputs. The
 Python version, the commit and the CPUs this process may run on (nproc)
 are read here.
 --smoke runs the two quickest commands and the reach commands and layer
-runs over small ranges only; it checks the file's shape, and its
-figures are no measurement.
+runs over small ranges only, in RUNS rounds with --base too; it checks
+the file's shape, and its figures are no measurement.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ import compileall
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,6 +83,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"
 RUNS = 3
+# The rounds of a --base run's floor and headline commands: three rounds
+# left a ratio such as classify 9699690 2 --force's at 0.987 [0.945,
+# 1.272], too wide to tell a few percent apart.
+PAIRED_RUNS = 10
 FLOOR = "python -c pass"
 # The headline commands of ROADMAP.md's table, which no workload runs,
 # and one oplus line, whose time is start-up and the parse of its line.
@@ -109,10 +123,10 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def child(argv: list[str], root: Path = ROOT) -> tuple[float, float]:
-    """Run python with argv from the root of a tree (this checkout by
-    default) to exit, on that tree's src, stdout discarded: (wall ms,
-    peak RSS in MB). A nonzero exit raises RuntimeError."""
+def child(argv: list[str], root: Path) -> tuple[float, float]:
+    """Run python with argv from the root of a tree to exit, on that
+    tree's src, stdout discarded: (wall ms, peak RSS in MB). A nonzero
+    exit raises RuntimeError."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
@@ -225,12 +239,14 @@ def layer_child(run: str) -> None:
                       "checks_ms": checks}))
 
 
-def layers(run: str) -> dict:
-    """One layer run (layer_child) in a child python: its figures."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+def layers(run: str, root: Path) -> dict:
+    """One layer run (layer_child) in a child python on the tree at
+    root: its figures. The child writes no bytecode of this tool."""
+    code = ("import sys; sys.dont_write_bytecode = True; "
+            "sys.path.insert(0, sys.argv[1]); "
             "from bench import layer_child; layer_child(sys.argv[2])")
     res = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), run],
-                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout)
 
@@ -280,15 +296,15 @@ def command_figures(runs: dict, commands: list[str]) -> tuple[dict, dict]:
     return ms, {c: figure(runs["rss"][c]) for c in commands}
 
 
-def measure(smoke: bool, base: Path | None) -> dict:
-    """Every round of this checkout's runs, and of the base tree's
-    commands when base is the root of one: the report, less its
-    provenance."""
+def measure(smoke: bool, head: Path, base: Path | None) -> dict:
+    """Every round of the runs of the tree at head, this checkout's copy,
+    and of the base tree's commands when base is the root of one: the
+    report, less its provenance."""
     commands = [FLOOR, *(SMOKE_COMMANDS if smoke else COMMANDS)]
     reach = list(SMOKE_REACH if smoke else REACH)
     runs = list(SMOKE_LAYERS if smoke else LAYERS)
-    children = commands[1:] + reach
-    trees = [ROOT] if base is None else [ROOT, base]
+    trees = [head] if base is None else [head, base]
+    rounds = RUNS if base is None or smoke else PAIRED_RUNS
     for root in trees:
         compileall.compile_dir(str(root / "src"), quiet=1)
 
@@ -296,23 +312,27 @@ def measure(smoke: bool, base: Path | None) -> dict:
     ratios = {c: [] for c in commands}     # this tree's wall ms over the base's
     loadavg = []
     split = {run: [] for run in runs}
-    for r in range(RUNS):
+    for r in range(rounds):
         loadavg.append(os.getloadavg())
         sides = list(zip(trees, (mine, theirs)))
         if r % 2:
             sides.reverse()
+        # reach and layer runs take the first RUNS rounds only
+        children = commands[1:] + (reach if r < RUNS else [])
         for c in children[r % len(children):] + children[:r % len(children)]:
             if c in reach:
-                wall, peak = child(["-c", ENTRY, *c.split()])
+                wall, peak = child(["-c", ENTRY, *c.split()], head)
                 mine["walls"][c].append(wall)
                 mine["rss"][c].append(peak)
                 continue
             walls = {root: floor_then(c, root, side) for root, side in sides}
             if base is not None:
-                for name, ours, its in zip((FLOOR, c), walls[ROOT], walls[base]):
+                for name, ours, its in zip((FLOOR, c), walls[head], walls[base]):
                     ratios[name].append(ours / its)
+        if r >= RUNS:
+            continue
         for run in runs[r % len(runs):] + runs[:r % len(runs)]:
-            split[run].append(layers(run))
+            split[run].append(layers(run, head))
 
     commands_ms, commands_rss = command_figures(mine, commands)
     report = {
@@ -337,6 +357,7 @@ def measure(smoke: bool, base: Path | None) -> dict:
                                          "won": sum(v < 1 for v in values)}
         base_ms, base_rss = command_figures(theirs, commands)
         report["base"] = {"commands_ms": base_ms, "commands_rss_mb": base_rss}
+        report["paired_runs"] = rounds
         report["loadavg"] = loadavg
     return report
 
@@ -356,9 +377,12 @@ def main() -> None:
         base_commit = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
         if not base_commit:
             parser.error(f"--base: no commit {args.base!r} in {ROOT}")
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = None if base_commit is None else unpack(base_commit, Path(tmp))
-        figures = measure(args.smoke, base)
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        head = Path(tmp, "head")
+        shutil.copytree(ROOT / "src", head / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = None if base_commit is None else unpack(base_commit, Path(tmp, "base"))
+        figures = measure(args.smoke, head, base)
     modules = {p.name: code_lines(p.read_text())
                for p in sorted(PACKAGE.glob("*.py"))}
     paired = base_commit is not None

@@ -10,8 +10,8 @@ them: it checks n, factors it once, takes the class tuple of k,
 composes it and checks the cap. Nothing descends on a composite
 modulus.
 
-Moduli throughout the package are plain ints >= 2, and a residue k is
-the plain int k mod n in [0, n), reduced where it enters (_front).
+Moduli throughout the package are plain ints >= 2, and residues are
+plain ints in [0, n), reduced where they enter (as _front reduces k).
 """
 
 from __future__ import annotations

@@ -180,8 +180,8 @@ def test_a_full_paired_run_gives_the_commands_ten_rounds(monkeypatch, tmp_path):
         assert commands.pop(FLOOR)["runs"] == rounds * len(bench.COMMANDS)
         assert {fig["runs"] for fig in commands.values()} == {rounds}
         assert {fig["ms"]["runs"] for fig in report["reach"].values()} == {bench.RUNS}
-        assert {layer["total_ms"]["runs"]
-                for layer in report["layers"].values()} == {bench.RUNS}
+        assert {fig["total_ms"]["runs"]
+                for fig in report["layers"].values()} == {bench.RUNS}
         if base is not None:
             assert report["paired_runs"] == len(report["loadavg"]) == rounds
     assert bench.PAIRED_RUNS == 10 > bench.RUNS

@@ -34,10 +34,10 @@ a second tree: two trees are compared by alternated runs, not across
 files, whose hosts may have been loaded otherwise. --base unpacks REV's
 committed files from this repository (git archive, no network) into the
 temporary directory of the run (below). The run then has PAIRED_RUNS
-rounds, recorded as paired_runs, and each round runs the
-floor and each command of COMMANDS on both trees, the floor right
-before each command as above, and swaps which tree goes first from one
-round to the next. The base section holds the base tree's commit and
+rounds, recorded as paired_runs, and each round runs the floor and
+each command of COMMANDS on both trees, the floor right before each
+command as above, and swaps which tree goes first from one round to
+the next. The base section holds the base tree's commit and
 figures; each command's vs_base is the figure of its per-round ratios,
 this tree's wall time over the base's (the floor's too: the same
 program on both sides, so its ratio shows the pairing's noise), and
@@ -83,9 +83,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "import sys; from frieze_mod.cli import main; sys.exit(main())"
 RUNS = 3
-# The rounds of a --base run's floor and headline commands: three rounds
-# left a ratio such as classify 9699690 2 --force's at 0.987 [0.945,
-# 1.272], too wide to tell a few percent apart.
+# The rounds of a full --base run's floor and headline commands: three
+# left classify 9699690 2 --force's ratio at 0.987 [0.945, 1.272] in
+# BENCH_51.json, too wide to tell a few percent apart.
 PAIRED_RUNS = 10
 FLOOR = "python -c pass"
 # The headline commands of ROADMAP.md's table, which no workload runs,

@@ -1,7 +1,8 @@
-import importlib
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -644,14 +645,30 @@ def test_usage_errors_build_a_parser_only_when_the_parse_fails(runner, args, par
 @pytest.fixture(scope="module")
 def swept_argv():
     # every line of up to three tokens from a fixed alphabet, one pass
-    # for both tests below; CI's "CLI smoke" step runs up to four
+    # for both tests below; the ci test after them runs up to four
     return argv_sweep(3)
 
 
-def test_well_formed_lines_parse_as_argparse_parses_them(swept_argv):
-    bad, tried, accepted = swept_argv[0]
+def _well_formed_lines_agree(swept, tried, accepted):
+    """Assert that every line of the sweep (routes.argv_sweep), tried of
+    them, that the parse without argparse accepts (accepted of them)
+    parses as argparse parses it."""
+    bad, *counts = swept[0]
     assert not bad, bad[:5]
-    assert (tried, accepted) == (28289, 989)
+    assert counts == [tried, accepted]
+
+
+def _dashed_lines_agree(swept, tried):
+    """Assert that every line of the sweep with a second --, tried of
+    them, parses to the types _SPECS declares, or is a usage error or a
+    help text."""
+    bad, count = swept[1]
+    assert not bad, bad[:5]
+    assert count == tried
+
+
+def test_well_formed_lines_parse_as_argparse_parses_them(swept_argv):
+    _well_formed_lines_agree(swept_argv, 28289, 989)
 
 
 def test_lines_with_a_second_double_dash_parse_to_their_types(swept_argv):
@@ -659,9 +676,19 @@ def test_lines_with_a_second_double_dash_parse_to_their_types(swept_argv):
     # list; usage._parse gives it the -- (N and K reject it), so every
     # such line is a usage error, a help text or arguments of the
     # declared types
-    bad, tried = swept_argv[1]
-    assert not bad, bad[:5]
-    assert tried == 285
+    _dashed_lines_agree(swept_argv, 285)
+
+
+@pytest.mark.ci
+def test_argv_lines_of_four_tokens_parse_as_argparse_parses_them():
+    # both tests above over every line of up to four tokens, in one
+    # pass. Budget 60 s; measured 5 s alone (2 cores, Python 3.11.7)
+    t0 = time.perf_counter()
+    swept = argv_sweep(4)
+    took = time.perf_counter() - t0
+    _well_formed_lines_agree(swept, 479714, 3749)
+    _dashed_lines_agree(swept, 9085)
+    assert took < 60
 
 
 @pytest.mark.parametrize("args", [
@@ -949,3 +976,152 @@ def test_star_import_binds_every_public_name():
     assert namespace["minimal_monomial_size"](35, 23) == (70, 1)
     with pytest.raises(AttributeError):
         frieze_mod.no_such_name
+
+
+# The ci tests below run the command line past tier-1's ranges: the
+# survey table and the classify and witness lines against
+# perfbench/oracle.py, which computes them without the package, the
+# memory of the range commands, and verify
+
+@pytest.fixture(scope="module")
+def oracle():
+    """perfbench/oracle.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _command(*args):
+    """The stdout of python -m frieze_mod.cli args, which must exit 0."""
+    res = subprocess.run([sys.executable, "-m", "frieze_mod.cli", *args],
+                         capture_output=True, env=_env_with_src(), timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.ci
+def test_survey_to_200_equals_the_oracle(oracle):
+    # the range reaches three odd primes in one modulus (105, 165, 195)
+    # and the prime powers 81, 121, 125, 128 and 169, from whose rows
+    # composite rows are built
+    assert _command("survey", "--max", "200") == \
+        (oracle.survey_csv(2, 200) + "\n").encode()
+
+
+# A small parent that runs one command line as its child, with the
+# child's stdout in a file, not in memory, and prints the child's wait
+# status, the sha256 of its stdout and its peak RSS in KB. A child's
+# ru_maxrss counts its parent's resident size at the fork, so the
+# parent is not the test process
+_DIGESTED = """\
+import hashlib, os, subprocess, sys, tempfile
+with tempfile.TemporaryFile() as out:
+    child = subprocess.Popen([sys.executable, "-m", "frieze_mod.cli", *sys.argv[1:]],
+                             stdout=out)
+    _, status, usage = os.wait4(child.pid, 0)
+    out.seek(0)
+    digest = hashlib.sha256()
+    for block in iter(lambda: out.read(1 << 20), b""):
+        digest.update(block)
+print(status, digest.hexdigest(), usage.ru_maxrss)
+"""
+
+
+_SURVEY_2000_SHA256 = {
+    "csv": "9854740881102aaed56b51ce732ef9fdb911356105167fc3037a6d6d95dbafd4",
+    "json": "371d416b310226cbabe128609dd97639ae0f98a2d1866d4badde049823e0482c",
+}
+
+
+@pytest.mark.ci
+@pytest.mark.parametrize("fmt", list(_SURVEY_2000_SHA256))
+def test_survey_to_2000_keeps_its_table_in_80_mb(fmt):
+    # survey --max 2000 --force gives its pinned table, byte for byte,
+    # in at most 80 MB: written a modulus at a time it
+    # peaks at 22-25 MB, where the table held until the end took 332 MB
+    # (CSV) and 907 MB (JSON). Measured 3 s each (2 cores, Python 3.11.7)
+    res = subprocess.run([sys.executable, "-c", _DIGESTED, "survey", "--max",
+                          "2000", "--force", "--format", fmt],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    status, digest, rss_kb = res.stdout.split()
+    assert (status, digest) == ("0", _SURVEY_2000_SHA256[fmt])
+    assert int(rss_kb) / 1024 <= 80, f"{int(rss_kb) / 1024:.0f} MB"
+
+
+def _traced(code):
+    """The json.loads of what code prints in a fresh child that traces
+    its memory from before it imports the package (tracemalloc)."""
+    code = "import json, tracemalloc\ntracemalloc.start()\n" + code
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env_with_src(), timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.ci
+def test_survey_to_1000_peaks_at_5_5_mb_traced():
+    # the one class-tuple fill keeps one memo, each distinct tuple to one
+    # shared verdict record (3.48 MB), where a second per-k verdict memo
+    # took 7.2 MB. Measured 8 s alone (2 cores, Python 3.11.7)
+    code, peak = _traced(
+        "import contextlib, os\n"
+        "from frieze_mod.cli import main\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+        "    code = main(['survey', '--max', '1000', '--force'])\n"
+        "print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))\n")
+    assert code == 0
+    assert peak <= 5.5 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.ci
+def test_the_battery_to_1000_passes_and_peaks_at_4_3_mb_traced():
+    # run_all(2, 1000), imports included, walks the fill a modulus at a
+    # time, running each modulus's checks on its tuples and then
+    # dropping them (3.57 MB). Holding the tuples of every modulus until
+    # the last check took 4.94 MB, and a second dict of first corners
+    # beside the memo 3.65 MB. Measured 3 s alone (2 cores, Python 3.11.7)
+    statuses, peak = _traced(
+        "from frieze_mod.verify import run_all\n"
+        "statuses = sorted({r.status for r in run_all(2, 1000)})\n"
+        "print(json.dumps([statuses, tracemalloc.get_traced_memory()[1]]))\n")
+    assert statuses == ["pass"]
+    assert peak <= 4.3 * 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
+
+
+@pytest.mark.ci
+def test_classify_and_witness_lines_equal_the_oracle(runner, oracle):
+    # every pair with n <= 40, 500 seeded pairs with 41 <= n <= 2000 (the
+    # range of the queries workload) and, with --force, 200 seeded pairs
+    # with 2000 < n <= 20000. Measured 1 s alone (2 cores, Python 3.11.7)
+    rng = random.Random(1)
+    pairs = [(n, k) for n in range(2, 41) for k in range(n)]
+    pairs += [(n, rng.randrange(n))
+              for n in (rng.randint(41, 2000) for _ in range(500))]
+    pairs += [(n, rng.randrange(n))
+              for n in (rng.randint(2001, 20000) for _ in range(200))]
+    assert len(pairs) == 1519
+    bad = [(cmd, n, k) for n, k in pairs
+           for cmd, line in (("classify", oracle.classify_line),
+                             ("witness", oracle.witness_line))
+           if runner.invoke(cli, [cmd, str(n), str(k), *["--force"] * (n > 2000)]).output
+           != line(n, k) + "\n"]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.ci
+def test_verify_all_to_120_passes():
+    _command("verify", "all", "--max", "120")
+
+
+@pytest.mark.ci
+def test_a_single_id_reports_what_verify_all_reports():
+    # a single-id verify decides only the rows its law reads, and must
+    # report what verify all reports for that id, elapsed_ms apart
+    one = json.loads(_command("verify", "three-h-criterion", "--max", "250"))
+    entry, = (r for r in json.loads(_command("verify", "all", "--max", "250"))
+              if r["theorem_id"] == one["theorem_id"])
+    assert {**entry, "elapsed_ms": 0} == {**one, "elapsed_ms": 0}

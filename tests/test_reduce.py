@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -280,6 +281,31 @@ def _check_witness(n, k, verdict, wit):
         assert w < verdict[0], (n, k)
 
 
+def _rows_match_the_walk(starts, hi, pairs):
+    """Yield (n, k, (verdict, wit)) for every pair with min(starts) <= n
+    <= hi, after asserting it three ways: fill_rows from each lo of
+    starts up to hi, the fills side by side (each holds every n >= lo,
+    in order), give each pair of n as _pair_row gives it and as the
+    reference walk does (walked_row, one walk per pair). pairs: the
+    number of pairs each fill gives, by lo."""
+    fills = {lo: fill_rows(range(lo, hi + 1)) for lo in starts}
+    given = dict.fromkeys(starts, 0)
+    for n in range(min(starts), hi + 1):
+        rows = {lo: next(fill) for lo, fill in fills.items() if lo <= n}
+        assert [m for m, _, _ in rows.values()] == [n] * len(rows), n
+        for k in range(n):
+            ref = walked_row(n, k)
+            assert _pair_row(n, k) == ref, (n, k)
+            for lo, (_, verdicts, wits) in rows.items():
+                assert (verdicts[k], wits[k]) == ref, (lo, n, k)
+            yield n, k, ref
+        for lo, (_, verdicts, wits) in rows.items():
+            assert len(verdicts) == len(wits) == n
+            given[lo] += n
+    assert [next(fill, None) for fill in fills.values()] == [None] * len(fills)
+    assert given == pairs
+
+
 def test_decide_row_matches_the_reference_walk():
     # half of each row of fill_rows is composed from the classes of its
     # prime-power factors (orbits or descent), and half mirrored; every
@@ -289,23 +315,39 @@ def test_decide_row_matches_the_reference_walk():
     # closed around the walked corner power. Budget 15 s; measured 4.9 s
     # alone (2 cores, Python 3.11.7, shared host): 3.1 s in the nested-list
     # walk, 0.9 s in _pair_row, 0.5 s in walked_row and 0.05 s in the fill
-    last = 1
-    for n, verdicts, wits in fill_rows(range(2, 401)):
-        assert n == last + 1
-        last = n
-        assert len(verdicts) == len(wits) == n
-        for k, pair in enumerate(zip(verdicts, wits)):
-            size, sign, j, mj = walk_first_corner(n, k)
-            assert pair[0][:2] == (size, sign), (n, k)
-            assert pair == _pair_row(n, k) == walked_row(n, k), (n, k)
-            wit = pair[1]
-            assert (wit and wit[0]) == (None if j is None else j + 2), (n, k)
-            if j is not None:
-                w, x, y, w_sign = wit
-                closed = mat_mul(elementary(y, n),
-                                 mat_mul(mj, elementary(x, n), n), n)
-                assert pm_sign(closed, n) == w_sign, (n, k)
-    assert last == 400
+    for n, k, (verdict, wit) in _rows_match_the_walk((2,), 400, {2: 80199}):
+        size, sign, j, mj = walk_first_corner(n, k)
+        assert verdict[:2] == (size, sign), (n, k)
+        assert (wit and wit[0]) == (None if j is None else j + 2), (n, k)
+        if j is not None:
+            w, x, y, w_sign = wit
+            closed = mat_mul(elementary(y, n),
+                             mat_mul(mj, elementary(x, n), n), n)
+            assert pm_sign(closed, n) == w_sign, (n, k)
+
+
+@pytest.mark.ci
+def test_both_fills_match_the_reference_walk_to_1000():
+    # the rows of every pair with n <= 1000, from the fill from 2 side by
+    # side with one from 601, where tuples are first met at larger moduli
+    # and the factors of composites are decided on demand, not met as
+    # moduli of the range; each pair is walked once and checked against
+    # _pair_row and the rows of every fill that holds it. Measured 25 s
+    # alone (2 cores, Python 3.11.7, shared host)
+    for _ in _rows_match_the_walk((2, 601), 1000, {2: 500499, 601: 320200}):
+        pass
+
+
+@pytest.mark.ci
+def test_lone_prime_power_pairs_match_the_reference_walk_to_5000():
+    # past the fills: 20 seeded k for every prime power 1000 < q <= 5000,
+    # each pair alone (_pair_row) against the walk's one class composed
+    rng = random.Random(1)
+    lone = [(q, rng.randrange(q)) for q in range(1001, 5001)
+            if len(factorize(q)) == 1 for _ in range(20)]
+    assert len(lone) == 10360
+    bad = [(q, k) for q, k in lone if _pair_row(q, k) != walked_row(q, k)]
+    assert not bad, bad[:5]
 
 
 def test_higher_prime_power_rows_match_the_reference_walk():
@@ -321,6 +363,23 @@ def test_higher_prime_power_rows_match_the_reference_walk():
         assert list(zip(verdicts, wits)) == [walked_row(q, k) for k in range(q)], q
 
 
+def _descents_match_the_walk(hi, pairs):
+    """(q, k, the walked class) of every k mod every prime power q <= hi,
+    pairs of them, each asserted equal to the class that fill_rows and
+    _pair_row descend to in H (ring._class), the descent's signs 0 at
+    q = 2 (no say)."""
+    walked = []
+    for q in filter(prime_power, range(2, hi + 1)):
+        (p, a), = factorize(q)
+        say = q != 2
+        for k in range(q):
+            size, sign, d, f = c = _walk(q, k)
+            assert (size, sign * say, d, f * say) == _class(p, a, k), (q, k)
+            walked.append((q, k, c))
+    assert len(walked) == pairs
+    return walked
+
+
 def test_corner_lemma_on_prime_powers():
     # fill_rows and _pair_row compose witnesses by this lemma: mod a
     # prime power q, the +-1 corners of k are exactly j = t*D, where
@@ -330,23 +389,34 @@ def test_corner_lemma_on_prime_powers():
     # every k mod every q <= 250, the descent's signs 0 at q = 2, and the
     # corners agree with the nested-list walk over j <= 2S. Budget 4 s;
     # measured 1.0 s alone (2 cores, Python 3.11.7)
-    rows = witnessed = 0
-    for q in filter(prime_power, range(2, 251)):
-        (p, a), = factorize(q)
-        say = q != 2
-        for k in range(q):
-            walked = _walk(q, k)
-            size, sign, d, f = walked
-            assert (size, sign * say, d, f * say) == _class(p, a, k), (q, k)
-            corners = corner_entries(q, k, 2 * size)
-            want = [(j, (f ** (j // d) if j % d == 0
-                         else -f ** ((j + 2) // d)) % q)
-                    for j in range(1, 2 * size + 1)
-                    if j % d in (0, d - 2)]
-            assert corners == want, (q, k, d, f)
-            rows += 1
-            witnessed += walked_verdict(walked)[3] is not None
-    assert (rows, witnessed) == (6931, 224)
+    witnessed = 0
+    for q, k, walked in _descents_match_the_walk(250, 6931):
+        size, sign, d, f = walked
+        corners = corner_entries(q, k, 2 * size)
+        want = [(j, (f ** (j // d) if j % d == 0
+                     else -f ** ((j + 2) // d)) % q)
+                for j in range(1, 2 * size + 1)
+                if j % d in (0, d - 2)]
+        assert corners == want, (q, k, d, f)
+        witnessed += walked_verdict(walked)[3] is not None
+    assert witnessed == 224
+
+
+@pytest.mark.ci
+def test_descents_match_the_walk_to_1000():
+    # the walk and the descent on every k mod every prime power q <= 1000.
+    # Measured 3 s alone (2 cores, Python 3.11.7, shared host)
+    _descents_match_the_walk(1000, 82674)
+
+
+def _orbits_match_the_walk(hi, primes):
+    """Assert that fill_rows' two Chebyshev orbits (rows._orbits) give
+    the walk's class of every k mod each of the primes odd primes below
+    hi."""
+    odd = [p for p in range(3, hi) if factorize(p) == [(p, 1)]]
+    for p in odd:
+        assert rows_mod._orbits(p) == [_walk(p, k) for k in range(p)], p
+    assert len(odd) == primes
 
 
 def test_orbit_classes_equal_the_walk_on_odd_primes():
@@ -354,10 +424,14 @@ def test_orbit_classes_equal_the_walk_on_odd_primes():
     # orbits (rows._orbits) instead of walking it: the class of every k
     # mod every odd prime p < 400 equals the walk's. Budget 2 s; measured
     # 0.2 s alone (2 cores, Python 3.11.7)
-    primes = [p for p in range(3, 400) if factorize(p) == [(p, 1)]]
-    for p in primes:
-        assert rows_mod._orbits(p) == [_walk(p, k) for k in range(p)], p
-    assert len(primes) == 77
+    _orbits_match_the_walk(400, 77)
+
+
+@pytest.mark.ci
+def test_orbit_classes_equal_the_walk_below_2000():
+    # the same on every odd prime p < 2000. Measured 12-14 s alone (2 cores,
+    # Python 3.11.7, shared host)
+    _orbits_match_the_walk(2000, 302)
 
 
 def test_decide_rows_shares_class_tuples_across_moduli(monkeypatch):

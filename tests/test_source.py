@@ -70,3 +70,12 @@ def test_readme_lists_every_public_name():
     section = readme.split("\n## Public names\n")[1].split("\n## ")[0]
     public = set(frieze_mod.__all__) - {"__version__"}
     assert sorted(public - set(re.findall(r"`(\w+)`", section))) == []
+
+
+def test_the_workflow_embeds_no_python_program():
+    # each of CI's checks is a test (pytest -m ci runs them anywhere): no
+    # step feeds python a program on stdin, by a heredoc or by a pipe
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows"
+                / "tests.yml").read_text()
+    found = re.findall(r".*(?:<<|\bpython3? +-(?:\s|$)|sys\.stdin).*", workflow)
+    assert not found, found

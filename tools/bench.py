@@ -1,8 +1,8 @@
 """Write a BENCH_<pr>.json: the figures of this checkout that no other
 tool measures.
 
-    python3 tools/bench.py --out BENCH_31.json        # about 2.5 minutes
-    python3 tools/bench.py --base HEAD~1 --out paired.json
+    python3 tools/bench.py --out BENCH_31.json        # about 100 s
+    python3 tools/bench.py --base HEAD~1 --out paired.json   # about 3 minutes
     python3 tools/bench.py --smoke --out bench.json   # a few seconds
 
 Each of RUNS rounds runs, as children of this process:
